@@ -4,7 +4,7 @@ PYTHON ?= python
 # Process-pool size for experiment runs (see docs/PERFORMANCE.md).
 WORKERS ?= 2
 
-.PHONY: install dev test bench bench-timings bench-baseline experiments lint typecheck verify live-smoke live-chaos trace-smoke snapshot snapshot-check examples clean
+.PHONY: install dev test bench bench-timings bench-baseline experiments lint typecheck verify live snapshot snapshot-check examples clean
 
 install:
 	pip install -e .
@@ -68,77 +68,56 @@ typecheck:
 	  echo "typecheck: mypy not installed (pip install -e '.[dev]'); skipped"; \
 	fi
 
-# Live-mode smoke gate (docs/LIVE.md): synthesize a reduced trace,
-# replay it through the real asyncio origin+proxy pair on loopback
-# sockets, and require the live counters and bandwidth ledger to match
-# a simulation of the same trace cell-for-cell (the oracle's live leg).
-live-smoke:
-	$(PYTHON) -m repro.cli synthesize hcs .live-smoke.log --seed 7 \
-	  --scale 0.02
-	$(PYTHON) -m repro.cli replay .live-smoke.log --protocol alex \
-	  --parameter 10 --verify
-	$(PYTHON) -m repro.cli replay .live-smoke.log --protocol invalidation \
-	  --verify
-	rm .live-smoke.log
-	@echo "live-smoke: live replay matched simulation exactly"
-
-# Chaos-hardened live gate (docs/LIVE.md): the same differential
-# oracle, but with concurrent keep-alive connections, socket-level
-# fault injection on both hops, injected invalidation-message faults,
-# and a SIGKILLed proxy restarting from its journal.  Every leg must
-# still match a simulation of the same trace cell-for-cell.
-live-chaos:
-	rm -f .live-chaos.log .live-chaos-journal.jsonl
-	$(PYTHON) -m repro.cli synthesize hcs .live-chaos.log --seed 7 \
-	  --scale 0.02
-	$(PYTHON) -m repro.cli replay .live-chaos.log --protocol alex \
-	  --parameter 10 --verify --connections 4 --keepalive
-	$(PYTHON) -m repro.cli replay .live-chaos.log --protocol selftuning \
-	  --parameter 4 --verify --connections 4 --keepalive
-	$(PYTHON) -m repro.cli replay .live-chaos.log --protocol invalidation \
-	  --verify --connections 2 --keepalive --chaos "loss=0.25,seed=7"
-	$(PYTHON) -m repro.cli replay .live-chaos.log --protocol leased \
-	  --parameter 1 --verify --connections 2 --keepalive \
+# Live gate (docs/LIVE.md): synthesize one reduced trace, then replay
+# it through the real asyncio origin+proxy pair on loopback sockets
+# under every option of the one replay path — the one-connection
+# default, a keep-alive pool, socket-level fault injection on both
+# hops, injected invalidation-message faults (alone, and under the pool
+# with socket chaos on top), and a SIGKILLed proxy restarting from its
+# journal.  Every leg must match a simulation of the same trace
+# cell-for-cell and event-for-event.  The last leg is traced: its three
+# per-role repro.trace/1 files must merge into a violation-free
+# repro.trace/2 timeline (`trace merge` exits 1 on any happens-before
+# violation), and the summary must carry the schema id with its retry
+# count equal to its own retry-mark count (docs/OBSERVABILITY.md).
+LIVE_SCRATCH = .live.log .live-journal.jsonl .live-trace.jsonl \
+  .live-trace.proxy.jsonl .live-trace.origin.jsonl
+REPLAY = $(PYTHON) -m repro.cli replay .live.log --verify
+live:
+	rm -f $(LIVE_SCRATCH)
+	$(PYTHON) -m repro.cli synthesize hcs .live.log --seed 7 --scale 0.02
+	$(REPLAY) --protocol alex --parameter 10
+	$(REPLAY) --protocol invalidation
+	$(REPLAY) --protocol alex --parameter 10 --connections 4 --keepalive
+	$(REPLAY) --protocol selftuning --parameter 4 --connections 4 \
+	  --keepalive
+	$(REPLAY) --protocol invalidation --connections 2 --keepalive \
+	  --chaos "loss=0.25,seed=7"
+	$(REPLAY) --protocol leased --parameter 1 --connections 2 --keepalive \
 	  --chaos "delay=0.002,truncate=0.3,seed=11"
-	$(PYTHON) -m repro.cli replay .live-chaos.log --protocol invalidation \
-	  --verify --connections 2 --keepalive \
+	$(REPLAY) --protocol invalidation --connections 2 --keepalive \
 	  --chaos "reset=0.3,dribble=0.3,seed=3"
-	$(PYTHON) -m repro.cli replay .live-chaos.log --protocol invalidation \
-	  --verify --faults "downtime=2h@50h,delay=30s,seed=3"
-	$(PYTHON) -m repro.cli replay .live-chaos.log --protocol invalidation \
-	  --verify --journal .live-chaos-journal.jsonl --crash-after 200 \
-	  --connections 2 --keepalive
-	rm .live-chaos.log .live-chaos-journal.jsonl
-	@echo "live-chaos: concurrent, chaotic, faulted, and crash-restart" \
-	  "replays matched simulation exactly"
-
-# Causal-trace gate (docs/OBSERVABILITY.md, "Cross-process causal
-# tracing"): a chaotic traced replay must write three per-role
-# repro.trace/1 files that merge into a violation-free repro.trace/2
-# timeline (`trace merge` exits 1 on any happens-before violation),
-# and the summary must carry the schema id with its retry count equal
-# to its own retry-mark count.
-trace-smoke:
-	rm -f .trace-smoke.log .trace-smoke.jsonl .trace-smoke.proxy.jsonl \
-	  .trace-smoke.origin.jsonl
-	$(PYTHON) -m repro.cli synthesize hcs .trace-smoke.log --seed 7 \
-	  --scale 0.02
-	$(PYTHON) -m repro.cli replay .trace-smoke.log --protocol alex \
-	  --parameter 10 --verify --connections 2 --keepalive \
-	  --chaos "loss=0.25,truncate=0.2,seed=7" --trace .trace-smoke.jsonl
-	$(PYTHON) -m repro.cli trace merge .trace-smoke.jsonl > /dev/null
-	$(PYTHON) -m repro.cli trace summarize .trace-smoke.jsonl \
+	$(REPLAY) --protocol invalidation \
+	  --faults "downtime=2h@50h,delay=30s,seed=3"
+	$(REPLAY) --protocol invalidation \
+	  --faults "downtime=2h@50h,delay=30s,seed=3" --connections 2 \
+	  --keepalive --chaos "loss=0.25,seed=7"
+	$(REPLAY) --protocol invalidation --journal .live-journal.jsonl \
+	  --crash-after 200 --connections 2 --keepalive
+	$(REPLAY) --protocol alex --parameter 10 --connections 2 --keepalive \
+	  --chaos "loss=0.25,truncate=0.2,seed=7" --trace .live-trace.jsonl
+	$(PYTHON) -m repro.cli trace merge .live-trace.jsonl > /dev/null
+	$(PYTHON) -m repro.cli trace summarize .live-trace.jsonl \
 	  --format json | $(PYTHON) -c "import json, sys; \
 	  summary = json.load(sys.stdin); \
 	  assert summary['schema'] == 'repro.trace.summary/1', summary['schema']; \
 	  assert summary['retries'] == summary['marks'].get('live.trace.retry', 0); \
 	  assert summary['exchanges'] > 0 and summary['chaos_injected'] > 0"
-	$(PYTHON) -m repro.cli trace critical-path .trace-smoke.jsonl \
+	$(PYTHON) -m repro.cli trace critical-path .live-trace.jsonl \
 	  --format json > /dev/null
-	rm -f .trace-smoke.log .trace-smoke.jsonl .trace-smoke.proxy.jsonl \
-	  .trace-smoke.origin.jsonl
-	@echo "trace-smoke: chaotic traced replay merged into a validated" \
-	  "cross-process timeline"
+	rm -f $(LIVE_SCRATCH)
+	@echo "live: serial, pooled, chaotic, faulted, crash-restart and" \
+	  "traced replays matched simulation exactly"
 
 # Consistency-oracle gate (see docs/PROTOCOLS.md, "Invariants &
 # verification"): static analysis + typing first, then the

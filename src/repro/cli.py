@@ -728,14 +728,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         title=f"{args.trace}: {len(trace)} requests replayed live",
     ))
     if report is not None:
-        events = (
-            f" + {report.events_checked} events"
-            if report.events_checked else ""
-        )
         print(
             f"live-vs-sim: {report.counters_checked} counters + "
-            f"{report.ledger_cells_checked} ledger cells"
-            f"{events} identical",
+            f"{report.ledger_cells_checked} ledger cells + "
+            f"{report.events_checked} events identical",
             file=sys.stderr,
         )
     return 0
@@ -963,14 +959,14 @@ def make_parser() -> argparse.ArgumentParser:
                           choices=[m.value for m in SimulatorMode])
     p_replay.add_argument(
         "--verify", action="store_true",
-        help="also simulate the same trace and fail unless every counter "
-             "and bandwidth-ledger cell matches the live run exactly",
+        help="also simulate the same trace and fail unless every counter, "
+             "bandwidth-ledger cell and per-object event multiset matches "
+             "the live run exactly",
     )
     p_replay.add_argument(
         "--connections", type=int, default=1,
-        help="concurrent driver connections (>1 switches the proxy to "
-             "per-object locking and the oracle to per-object event "
-             "multisets)",
+        help="size of the driver's connection pool (default 1: serial "
+             "replay; requests for distinct objects interleave when >1)",
     )
     p_replay.add_argument(
         "--keepalive", action="store_true",
@@ -987,7 +983,7 @@ def make_parser() -> argparse.ArgumentParser:
         "--faults", metavar="SPEC",
         help="invalidation-message fault plan shared with "
              "'repro simulate', e.g. 'downtime=2h@50h,delay=30s,seed=3' "
-             "(serial replays only; docs/FAULTS.md)",
+             "(composes with every other option; docs/FAULTS.md)",
     )
     p_replay.add_argument(
         "--journal", type=Path,

@@ -52,7 +52,7 @@ POLICIES: tuple[str, ...] = ("none", "retry", "retry+lease")
 RETRIES = 3
 #: Exponential-backoff base between retransmissions (seconds).
 BACKOFF_SECONDS = 300.0
-#: Lease term of the hardened protocol (hours).
+#: Lease term of the leased protocol (hours).
 LEASE_HOURS = 24.0
 
 

@@ -13,20 +13,22 @@ population model, the :class:`~repro.core.cache.Cache`, every
 * :class:`~repro.live.proxy.LiveProxy` — a caching proxy whose
   freshness decisions are delegated to an unmodified protocol object
   and whose accounting mirrors :class:`repro.core.simulator.Simulation`
-  step-for-step, with per-object locking, transactional commit, and an
+  step-for-step, with keyed locking, transactional commit, and an
   optional crash journal (:class:`~repro.live.journal.Journal`);
-* :func:`~repro.live.driver.replay_live` /
-  :func:`~repro.live.driver.replay_pooled` — load drivers replaying a
-  synthetic trace over live connections, serially or through a
-  keep-alive connection pool;
+* :func:`~repro.live.driver.run_replay` /
+  :func:`~repro.live.driver.run_crash_replay` — the one load driver,
+  replaying a synthetic trace through a pool of live connections (a
+  pool of one is serial replay), against an in-process proxy or one
+  that is SIGKILLed and restarted mid-replay;
 * :class:`~repro.live.chaos.ChaosRelay` — a deterministic socket-level
   fault injector (loss, reset, truncation, dribble, delay) that sits on
   either hop;
 * :func:`~repro.live.differential.live_vs_sim` /
   :func:`~repro.live.differential.crash_vs_sim` — the oracle's fourth
-  leg: after a live replay (concurrent, chaos-ridden, or SIGKILLed and
-  journal-restored), the proxy's counters and bandwidth ledger must
-  equal a simulated run of the same trace *exactly*.
+  leg: after a live replay (pooled, chaos-ridden, faulted, or SIGKILLed
+  and journal-restored), the proxy's counters, bandwidth ledger and
+  per-object events must equal a simulated run of the same trace
+  *exactly*.
 
 Simulation time travels on the wire in RFC 1123 ``Date`` headers at
 whole-second granularity, which is why every timestamp a live run
@@ -48,7 +50,6 @@ from repro.live.differential import (
 from repro.live.driver import (
     LiveReplayReport,
     check_wire_exact,
-    replay_live,
     replay_pooled,
     run_crash_replay,
     run_replay,
@@ -84,7 +85,6 @@ __all__ = [
     "ensure_integral",
     "live_vs_sim",
     "parse_chaos",
-    "replay_live",
     "replay_pooled",
     "run_crash_replay",
     "run_replay",

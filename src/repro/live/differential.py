@@ -17,19 +17,19 @@ weekday, or an off-by-one feed window shows up as a counter divergence
 here — which is precisely how the :mod:`repro.http.datefmt` bugs were
 caught.
 
-Hardened topologies keep the same oracle and add an event leg.  A
-concurrent replay (``connections > 1``, keep-alive) interleaves
-*distinct* objects' requests, so live events are not committed in the
-simulator's global order — but per-object order is preserved by
-construction, and per-object timelines fully determine per-object
-state, so correctness is "same multiset of ``(kind, time, object)``
-events", which :func:`diff_event_multisets` checks per object.  The
-totals check is *not* relaxed: all thirteen counters and fifteen cells
-still match exactly, because every counter is an order-independent sum
-over per-object events.  One wrinkle: the live proxy emits ``hit`` for
-every cache hit (it cannot know staleness — that is the point of weak
-consistency), so the driver's ground-truth audit relabels stale hits
-before the diff (:func:`_relabel_stale`).
+Every replay is additionally checked on an event leg.  A pooled
+replay (``connections > 1``) interleaves *distinct* objects' requests,
+so live events are not committed in the simulator's global order — but
+per-object order is preserved by construction, and per-object timelines
+fully determine per-object state, so correctness is "same multiset of
+``(kind, time, object)`` events", which :func:`diff_event_multisets`
+checks per object (a one-connection replay is simply the case where the
+orders also coincide).  The totals check is *not* relaxed: all thirteen
+counters and fifteen cells match exactly, because every counter is an
+order-independent sum over per-object events.  One wrinkle: the live
+proxy emits ``hit`` for every cache hit (it cannot know staleness —
+that is the point of weak consistency), so the driver's ground-truth
+audit relabels stale hits before the diff (:func:`_relabel_stale`).
 
 :func:`crash_vs_sim` is the harshest leg: the proxy runs out of
 process, is SIGKILLed mid-replay, restarts from its journal — and the
@@ -129,7 +129,7 @@ def diff_event_multisets(
 ) -> list[str]:
     """Per-object event-multiset divergences between live and sim.
 
-    Ordering-tolerant by design: a concurrent replay commits distinct
+    Ordering-tolerant by design: a pooled replay commits distinct
     objects' events in whatever order their locks won, but each event
     still carries its simulation time and object — so equality of the
     per-object multisets is exactly "every object saw the same
@@ -187,22 +187,15 @@ def _oracle_check(
     live_report: LiveReplayReport,
     sim_result: SimulationResult,
     sim_events: list[tuple[str, float, str]],
-    *,
-    compare_events: bool,
 ) -> tuple[SimulationResult, SimulationResult, OracleReport]:
     live_result = live_report.result
     divergences = diff_live_vs_sim(live_result, sim_result)
-    events_checked = 0
-    if compare_events:
-        live_events = _relabel_stale(
-            live_report.events, live_report.stale_events
-        )
-        divergences.extend(diff_event_multisets(live_events, sim_events))
-        events_checked = len(live_events)
+    live_events = _relabel_stale(live_report.events, live_report.stale_events)
+    divergences.extend(diff_event_multisets(live_events, sim_events))
     report = OracleReport(
         protocol_name=live_result.protocol_name,
         mode=live_result.mode,
-        events_checked=events_checked,
+        events_checked=len(live_events),
         counters_checked=len(COUNTER_FIELDS),
         ledger_cells_checked=len(_LEDGER_TABLES) * len(_CATEGORIES),
         divergences=divergences,
@@ -236,15 +229,15 @@ def live_vs_sim(
     and simulated legs each need their own.
 
     Boots an ephemeral origin/proxy pair on loopback (plus chaos relays
-    when ``chaos`` is given), runs the matching driver via
+    when ``chaos`` is given), replays via
     :func:`~repro.live.driver.run_replay`, tears the servers down, then
     runs the reference simulator with the identical configuration
     (``preload=True`` matches the live warmup, ``faults`` passes
-    through to ``simulate(faults=plan)``).  In hardened topologies the
-    committed live event log is additionally compared per-object
-    against the simulator's observer stream (stale hits relabelled from
-    the driver's audit); the plain serial replay keeps
-    ``events_checked == 0``, exactly the historical contract.
+    through to ``simulate(faults=plan)``).  On every replay — the
+    default one-connection one included — the committed live event log
+    is compared per-object against the simulator's observer stream
+    (stale hits relabelled from the driver's audit), so
+    ``report.events_checked`` is at least the number of requests.
     ``trace_path`` enables per-role causal tracing on the live leg
     (see :func:`~repro.live.driver.run_replay`); the simulated leg is
     never traced here.
@@ -254,7 +247,7 @@ def live_vs_sim(
 
     Raises:
         ConsistencyViolation: when any counter, ledger cell, or
-            (hardened) per-object event multiset differs;
+            per-object event multiset differs;
             ``exc.report.divergences`` lists every mismatch.
     """
     request_list = list(requests)
@@ -276,13 +269,6 @@ def live_vs_sim(
             trace_path=trace_path,
         )
     )
-    compare_events = bool(live_report.events) or (
-        connections > 1
-        or keepalive
-        or (chaos is not None and not chaos.is_null)
-        or faults is not None
-        or journal_path is not None
-    )
     sim_result, sim_events = _simulate_with_events(
         server,
         protocol_factory(),
@@ -294,12 +280,7 @@ def live_vs_sim(
         charge_per_modification=charge_per_modification,
         faults=faults,
     )
-    return _oracle_check(
-        live_report,
-        sim_result,
-        sim_events,
-        compare_events=compare_events,
-    )
+    return _oracle_check(live_report, sim_result, sim_events)
 
 
 def crash_vs_sim(
@@ -361,9 +342,7 @@ def crash_vs_sim(
         charge_per_modification=charge_per_modification,
         faults=None,
     )
-    return _oracle_check(
-        live_report, sim_result, sim_events, compare_events=True
-    )
+    return _oracle_check(live_report, sim_result, sim_events)
 
 
 __all__ = [

@@ -1,14 +1,13 @@
 """The live load driver: replay a synthetic trace over real sockets.
 
-:func:`replay_live` plays a ``(time, object_id)`` request stream — the
+:func:`run_replay` plays a ``(time, object_id)`` request stream — the
 same stream :func:`repro.core.simulator.simulate` consumes — against a
-running :class:`~repro.live.origin.LiveOrigin` /
-:class:`~repro.live.proxy.LiveProxy` pair, one real HTTP/1.0 exchange
-per request, and assembles the run into the very same
-:class:`~repro.core.results.SimulationResult` shape the simulator
-returns.  That shared shape is what lets the differential leg
-(:mod:`repro.live.differential`) diff a live run against a simulated
-one field-for-field.
+:class:`~repro.live.origin.LiveOrigin` / :class:`~repro.live.proxy
+.LiveProxy` pair, one real HTTP/1.0 exchange per request, and assembles
+the run into the very same :class:`~repro.core.results.SimulationResult`
+shape the simulator returns.  That shared shape is what lets the
+differential leg (:mod:`repro.live.differential`) diff a live run
+against a simulated one field-for-field.
 
 Two pieces of the result cannot be observed inside the proxy and are
 assembled here:
@@ -26,16 +25,19 @@ assembled here:
   serve as old as the lease term is a consistency violation, chaos or
   no chaos.
 
-:func:`replay_pooled` is the concurrent driver: the stream is
-partitioned by object across a pool of keep-alive connections
-(per-object order preserved — exactly the ordering the per-object-locked
-proxy requires), every request carries an ``X-Repro-Seq`` idempotency
-id, and transport failures are retried — the committed reply replays, so
-accounting stays exactly-once over an at-least-once transport.
-:func:`run_replay` picks the driver, wires optional
-:class:`~repro.live.chaos.ChaosRelay` hops around the proxy, and
-:func:`run_crash_replay` runs the proxy *out of process* so a monkey
-task can SIGKILL it mid-replay and restart it from its journal.
+There is one replay path.  :func:`replay_pooled` partitions the stream
+by object across a pool of connections (per-object order preserved —
+exactly the ordering the proxy's per-object keys require), stamps every
+request with an ``X-Repro-Seq`` idempotency id, and retries transport
+failures — the committed reply replays, so accounting stays
+exactly-once over an at-least-once transport.  A pool of one connection
+without keep-alive is serial replay; nothing else distinguishes it.
+:func:`run_replay` boots the origin, optional
+:class:`~repro.live.chaos.ChaosRelay` hops and the proxy in-process and
+drives them; :func:`run_crash_replay` spawns the proxy *out of process*
+with a monkey task that SIGKILLs it mid-replay and restarts it from its
+journal, and drives that.  Both hand a proxy address to the same
+private coroutine for the warm → drive → finish → stats → report tail.
 
 :func:`check_wire_exact` gates a replay up front: every timestamp the
 run touches must be a whole second, because simulation time travels in
@@ -66,7 +68,7 @@ from repro.http.messages import Request, Response
 from repro.live.chaos import ChaosRelay, WireFaultPlan
 from repro.live.journal import Journal
 from repro.live.origin import LiveOrigin
-from repro.live.proxy import LiveProxy
+from repro.live.proxy import LiveProxy, single_key
 from repro.live.wire import (
     CONTROL_PREFIX,
     DATE,
@@ -108,9 +110,9 @@ class LiveReplayReport:
         origin_gets: full retrievals the origin counted.
         origin_ims_queries: If-Modified-Since exchanges the origin
             counted.
-        events: the proxy's committed event log (hardened modes only) —
-            ``(kind, time, object_id)`` triples, the live counterpart
-            of the simulator's observer stream.
+        events: the proxy's committed event log — ``(kind, time,
+            object_id)`` triples, the live counterpart of the
+            simulator's observer stream.
         stale_events: the ``(time, object_id)`` pairs the driver's
             audit found stale — the key for relabelling live ``hit``
             events as ``stale_hit`` when diffing event multisets.
@@ -226,10 +228,7 @@ def _assemble_report(
     proxy_stats: dict[str, object],
     origin_stats: dict[str, object],
     *,
-    protocol_name: str,
-    mode_value: str,
     duration: float,
-    wire_bytes: int,
     stale_hits: int,
     stale_age_sum: float,
     stale_events: list[tuple[float, str]],
@@ -261,18 +260,18 @@ def _assemble_report(
     )
 
     result = SimulationResult(
-        protocol_name=protocol_name,
-        mode=mode_value,
+        protocol_name=str(proxy_stats["protocol"]),
+        mode=str(proxy_stats["mode"]),
         counters=counters,
         bandwidth=bandwidth,
         duration=duration,
     )
     result.counters.check_invariants()
-    raw_events = proxy_stats.get("events", [])
+    raw_events = proxy_stats["events"]
     assert isinstance(raw_events, list)
     return LiveReplayReport(
         result=result,
-        wire_bytes=wire_bytes,
+        wire_bytes=int(proxy_stats["wire_bytes"]),  # type: ignore[call-overload]
         origin_gets=int(origin_stats["gets"]),  # type: ignore[call-overload]
         origin_ims_queries=int(origin_stats["ims_queries"]),  # type: ignore[call-overload]
         events=[
@@ -280,124 +279,6 @@ def _assemble_report(
         ],
         stale_events=stale_events,
     )
-
-
-async def replay_live(
-    origin: LiveOrigin,
-    proxy: LiveProxy,
-    requests: Iterable[tuple[float, str]],
-    *,
-    start_time: float = 0.0,
-    end_time: Optional[float] = None,
-    trace: Optional[obs_trace.TraceSink] = None,
-) -> LiveReplayReport:
-    """Replay a request stream serially — the historical driver.
-
-    Both servers must already be started.  The proxy is warmed first
-    (pre-loaded with valid copies of the population, uncounted), then
-    each request becomes one real client exchange carrying its
-    simulation time in a ``Date`` header — one connection per exchange,
-    no sequence ids: with a zero-fault transport and a single client
-    the wire traffic stays byte-identical to what it always was.
-
-    With ``trace``, every request is stamped with a deterministic
-    ``X-Repro-Trace`` id (``r<stream index>``) and the driver records
-    its side of the exchange — send/done marks plus a
-    ``live.trace.exchange`` span — so the per-role trace files can be
-    merged into one causal timeline (``docs/OBSERVABILITY.md``).
-    Tracing adds a header to the wire, so traced runs are not
-    byte-identical to historical untraced ones.
-
-    Returns:
-        A :class:`LiveReplayReport`; ``report.result.counters`` has
-        passed :meth:`ConsistencyCounters.check_invariants`.
-
-    Raises:
-        LiveReplayError: when the inputs cannot be wire-exact.
-        LiveWireError: on protocol errors from either live server.
-    """
-    replay_started = obs_clock.monotonic()
-    request_list = list(requests)
-    check_wire_exact(
-        origin.server, request_list, start_time=start_time, end_time=end_time
-    )
-    await proxy.warm(start_time)
-    lease = getattr(proxy.protocol, "lease", None)
-
-    stale_hits = 0
-    stale_age_sum = 0.0
-    stale_events: list[tuple[float, str]] = []
-    last_time = float(start_time)
-    for index, (t, object_id) in enumerate(request_list):
-        request = Request("GET", object_id)
-        request.headers.set_date(DATE, t)
-        tid: Optional[str] = None
-        send_clk = 0.0
-        if trace is not None:
-            tid = f"r{index}"
-            request.headers.set(TRACE_HEADER, tid)
-            send_clk = obs_clock.monotonic()
-            trace.mark("live.trace.send", tid, send_clk)
-        response, _, _ = await exchange(proxy.host, proxy.port, request)
-        if trace is not None:
-            done_clk = obs_clock.monotonic()
-            trace.mark("live.trace.done", tid, done_clk)
-            trace.span(
-                "live.trace.exchange",
-                done_clk - send_clk,
-                {
-                    "trace": tid,
-                    "clk": done_clk,
-                    "object": object_id,
-                    "t": float(t),
-                    "verdict": response.headers.get(X_CACHE),
-                },
-            )
-        if response.status != 200:
-            raise LiveWireError(
-                f"proxy returned {response.status} for {object_id!r} "
-                f"at t={t!r}"
-            )
-        last_time = float(t)
-        if response.headers.get(X_CACHE) != "HIT":
-            continue
-        # Staleness audit: only unvalidated cache hits can be stale,
-        # and only the driver (holding the origin's ground truth) can
-        # tell — mirroring the simulator's omniscient hit branch.
-        age = _audit_hit(origin.server, response, t, object_id, lease)
-        if age is not None:
-            stale_hits += 1
-            stale_age_sum += age
-            stale_events.append((float(t), object_id))
-
-    if end_time is not None:
-        await _control_get(proxy.host, proxy.port, "finish", date=end_time)
-        last_time = float(end_time)
-
-    proxy_stats = json.loads(
-        await _control_get(proxy.host, proxy.port, "stats")
-    )
-    origin_stats = json.loads(
-        await _control_get(origin.host, origin.port, "stats")
-    )
-    report = _assemble_report(
-        proxy_stats,
-        origin_stats,
-        protocol_name=proxy.protocol.name,
-        mode_value=proxy.mode.value,
-        duration=last_time - float(start_time),
-        wire_bytes=proxy.wire_bytes,
-        stale_hits=stale_hits,
-        stale_age_sum=stale_age_sum,
-        stale_events=stale_events,
-    )
-    obs_trace.span(
-        "live.replay",
-        obs_clock.monotonic() - replay_started,
-        requests=len(request_list),
-        wire_bytes=report.wire_bytes,
-    )
-    return report
 
 
 def _partition(
@@ -408,9 +289,9 @@ def _partition(
     Every request for one object lands in the same bucket (objects are
     assigned round-robin by first appearance), and each bucket keeps
     its requests in stream order — so per-object request order is
-    preserved, which is the only ordering the per-object-locked proxy
-    requires.  Items carry their global stream index for sequence ids
-    and (cross-object protocols) global-order gating.
+    preserved, which is the only ordering the proxy's per-object keys
+    require.  Items carry their global stream index for sequence ids
+    and (when the proxy runs on one key) global-order gating.
     """
     bucket_of: dict[str, int] = {}
     buckets: list[list[tuple[int, float, str]]] = [
@@ -476,7 +357,7 @@ async def replay_pooled(
     *,
     connections: int = 2,
     keepalive: bool = True,
-    cross_object: bool = False,
+    global_order: bool = False,
     lease: Optional[float] = None,
     attempts: int = 1,
     pause: float = 0.0,
@@ -487,10 +368,13 @@ async def replay_pooled(
 
     The stream is partitioned by object (:func:`_partition`); each
     bucket is driven by one worker over one keep-alive connection (or
-    one-shot exchanges when ``keepalive`` is off).  Every request
-    carries ``X-Repro-Seq: r<index>`` so retries are exactly-once.
-    ``cross_object`` protocols additionally gate every send on the
-    global stream index — their state couples objects, so only the
+    one-shot exchanges when ``keepalive`` is off); one connection
+    without keep-alive *is* serial replay.  Every request carries
+    ``X-Repro-Seq: r<index>`` so retries are exactly-once.
+    ``global_order`` additionally gates every send on the global stream
+    index — required exactly when the proxy maps every object to one
+    key (:func:`repro.live.proxy.single_key`: cross-object protocol
+    state, or a fault plan's global timeline), because then only the
     fully serialized order matches the simulator.
 
     With ``trace``, requests additionally carry ``X-Repro-Trace``
@@ -504,7 +388,7 @@ async def replay_pooled(
     """
     buckets = _partition(requests, max(1, connections))
     hits: list[tuple[float, str, Response]] = []
-    gate = asyncio.Condition() if cross_object else None
+    gate = asyncio.Condition() if global_order else None
     state = {"next": 0}
 
     async def drive(bucket: list[tuple[int, float, str]]) -> None:
@@ -588,7 +472,7 @@ async def replay_pooled(
     except BaseException:
         # First failure cancels the siblings: left alone they would
         # keep retrying (240 attempts in crash mode), hold connections,
-        # and — cross_object — wait forever on a gate that can no
+        # and — global_order — wait forever on a gate that can no
         # longer open.
         for worker in workers:
             worker.cancel()
@@ -606,6 +490,93 @@ async def replay_pooled(
             stale_events.append((float(t), object_id))
     last_time = max((float(t) for t, _ in requests), default=0.0)
     return stale_hits, stale_age_sum, stale_events, last_time
+
+
+async def _drive(
+    origin: LiveOrigin,
+    proxy_host: str,
+    proxy_port: int,
+    requests: Sequence[tuple[float, str]],
+    protocol: ConsistencyProtocol,
+    *,
+    start_time: float,
+    end_time: Optional[float],
+    connections: int,
+    keepalive: bool,
+    faults: Optional[FaultPlan] = None,
+    client: Optional[tuple[str, int]] = None,
+    attempts: int = 1,
+    pause: float = 0.0,
+    on_complete: Optional[Callable[[], None]] = None,
+    settled: Optional[Awaitable[None]] = None,
+    trace: Optional[obs_trace.TraceSink] = None,
+) -> LiveReplayReport:
+    """One replay against a running proxy: warm, drive, finish, report.
+
+    The proxy is reached only through its address — warm-up, finish
+    and stats are control exchanges — so the same coroutine serves an
+    in-process proxy (:func:`run_replay`) and a child process
+    (:func:`run_crash_replay`).  ``client`` is where modelled traffic is
+    sent when that is not the proxy itself (a chaos relay in front of
+    it); control exchanges always go to the proxy directly, they are
+    the harness's measurement plane.  ``protocol`` and ``faults`` are
+    what the proxy was built with: they decide the lease bound of the
+    staleness audit and whether sends are gated on the global stream
+    order.  ``settled`` is awaited between the last request and the
+    finish exchange (the crash monkey's respawn must be over before
+    the proxy is asked for its totals).
+
+    Raises:
+        LiveReplayError: when the inputs cannot be wire-exact.
+        LiveWireError: on protocol errors from either live server.
+    """
+    replay_started = obs_clock.monotonic()
+    check_wire_exact(
+        origin.server, requests, start_time=start_time, end_time=end_time
+    )
+    await _control_get(proxy_host, proxy_port, "warm", date=start_time)
+    client_host, client_port = client or (proxy_host, proxy_port)
+    stale_hits, stale_age_sum, stale_events, last_time = await replay_pooled(
+        origin,
+        client_host,
+        client_port,
+        requests,
+        connections=connections,
+        keepalive=keepalive,
+        global_order=single_key(protocol, faults),
+        lease=getattr(protocol, "lease", None),
+        attempts=attempts,
+        pause=pause,
+        on_complete=on_complete,
+        trace=trace,
+    )
+    if settled is not None:
+        await settled
+    last_time = max(last_time, float(start_time))
+    if end_time is not None:
+        await _control_get(proxy_host, proxy_port, "finish", date=end_time)
+        last_time = float(end_time)
+    proxy_stats = json.loads(
+        await _control_get(proxy_host, proxy_port, "stats")
+    )
+    origin_stats = json.loads(
+        await _control_get(origin.host, origin.port, "stats")
+    )
+    report = _assemble_report(
+        proxy_stats,
+        origin_stats,
+        duration=last_time - float(start_time),
+        stale_hits=stale_hits,
+        stale_age_sum=stale_age_sum,
+        stale_events=stale_events,
+    )
+    obs_trace.span(
+        "live.replay",
+        obs_clock.monotonic() - replay_started,
+        requests=len(requests),
+        wire_bytes=report.wire_bytes,
+    )
+    return report
 
 
 async def run_replay(
@@ -628,23 +599,22 @@ async def run_replay(
     """Boot an ephemeral origin/proxy pair on loopback, replay, tear down.
 
     The one-call form for callers that do not need to keep the servers
-    running — the CLI's ``repro replay`` and the differential leg both
-    go through here, so they exercise the identical code path.
+    running — the CLI's ``repro replay``, the differential leg and the
+    benchmark all go through here, so they exercise the identical code
+    path.  Every option composes with every other:
 
-    Beyond the historical serial replay, this orchestrates the hardened
-    topologies:
-
-    * ``connections > 1`` / ``keepalive`` — the pooled driver against a
-      per-object-locked proxy (``concurrent=True`` unless the protocol
-      declares ``cross_object_state``, which serializes globally);
+    * ``connections`` / ``keepalive`` — the size of the driver's pool
+      and whether its connections persist.  The defaults (one
+      connection, one-shot HTTP/1.0 exchanges) are serial replay.
     * ``chaos`` — a :class:`~repro.live.chaos.ChaosRelay` on *both*
       hops (driver↔proxy and proxy↔origin); driver and proxy retry
       budgets are sized from the plan's progress cap.  Control
       exchanges (warm/finish/stats) bypass the relays: they are the
       harness's measurement plane, not modelled traffic.
     * ``faults`` — a compiled invalidation :class:`FaultPlan` replayed
-      inside the proxy, mirroring ``simulate(faults=plan)``.  Serial
-      only (the schedule is a global timeline).
+      inside the proxy, mirroring ``simulate(faults=plan)``.  The
+      schedule is a global timeline, so the proxy runs on one key and
+      the driver sends in global stream order, whatever the pool size.
     * ``journal_path`` — commit-before-reply journaling, enabling
       :func:`run_crash_replay`-style restarts.
     * ``trace_path`` — cross-process causal tracing: each role (driver,
@@ -657,13 +627,8 @@ async def run_replay(
       harness machinery, so their marks land in the driver's file.
       ``repro trace merge`` joins the three into one timeline.
     """
-    chaos_active = chaos is not None and not chaos.is_null
-    pooled = connections > 1 or keepalive or chaos_active
-    if faults is not None and pooled:
-        raise LiveReplayError(
-            "faulted live replays are serial: faults= cannot be "
-            "combined with connections>1, keepalive, or chaos"
-        )
+    plan = chaos if chaos is not None and not chaos.is_null else None
+    attempts = plan.max_attempts if plan is not None else 1
     request_list = list(requests)
     driver_trace = proxy_trace = origin_trace = None
     if trace_path is not None:
@@ -673,20 +638,20 @@ async def run_replay(
     origin = LiveOrigin(server, trace=origin_trace)
     await origin.start()
     relays: list[ChaosRelay] = []
+
+    async def behind_relay(host: str, port: int, label: str) -> tuple[str, int]:
+        """The address to use for ``host:port`` on the ``label`` hop."""
+        if plan is None:
+            return host, port
+        relay = ChaosRelay(host, port, plan, label, trace=driver_trace)
+        await relay.start()
+        relays.append(relay)
+        return relay.host, relay.port
+
     try:
-        upstream_host, upstream_port = origin.host, origin.port
-        if chaos_active:
-            assert chaos is not None
-            upstream_relay = ChaosRelay(
-                origin.host, origin.port, chaos, "upstream",
-                trace=driver_trace,
-            )
-            await upstream_relay.start()
-            relays.append(upstream_relay)
-            upstream_host, upstream_port = (
-                upstream_relay.host,
-                upstream_relay.port,
-            )
+        upstream_host, upstream_port = await behind_relay(
+            origin.host, origin.port, "upstream"
+        )
         proxy = LiveProxy(
             upstream_host,
             upstream_port,
@@ -694,97 +659,30 @@ async def run_replay(
             mode,
             costs=costs,
             charge_per_modification=charge_per_modification,
-            # Cross-object protocols still downgrade to the global lock
-            # inside the proxy; "concurrent" here marks the hardened
-            # topology (events collected, seq replay active).
-            concurrent=pooled,
             faults=faults,
             journal=(
                 Journal(journal_path) if journal_path is not None else None
             ),
-            upstream_attempts=(
-                chaos.max_attempts if chaos_active and chaos else 1
-            ),
+            upstream_attempts=attempts,
             trace=proxy_trace,
         )
         await proxy.start()
         try:
-            if not pooled:
-                return await replay_live(
-                    origin,
-                    proxy,
-                    request_list,
-                    start_time=start_time,
-                    end_time=end_time,
-                    trace=driver_trace,
-                )
-            client_host, client_port = proxy.host, proxy.port
-            if chaos_active:
-                assert chaos is not None
-                client_relay = ChaosRelay(
-                    proxy.host, proxy.port, chaos, "client",
-                    trace=driver_trace,
-                )
-                await client_relay.start()
-                relays.append(client_relay)
-                client_host, client_port = (
-                    client_relay.host,
-                    client_relay.port,
-                )
-            replay_started = obs_clock.monotonic()
-            check_wire_exact(
-                server,
+            return await _drive(
+                origin,
+                proxy.host,
+                proxy.port,
                 request_list,
+                protocol,
                 start_time=start_time,
                 end_time=end_time,
+                connections=connections,
+                keepalive=keepalive,
+                faults=faults,
+                client=await behind_relay(proxy.host, proxy.port, "client"),
+                attempts=attempts,
+                trace=driver_trace,
             )
-            await proxy.warm(start_time)
-            stale_hits, stale_age_sum, stale_events, last_time = (
-                await replay_pooled(
-                    origin,
-                    client_host,
-                    client_port,
-                    request_list,
-                    connections=connections,
-                    keepalive=keepalive,
-                    cross_object=protocol.cross_object_state,
-                    lease=getattr(protocol, "lease", None),
-                    attempts=(
-                        chaos.max_attempts if chaos_active and chaos else 1
-                    ),
-                    trace=driver_trace,
-                )
-            )
-            last_time = max(last_time, float(start_time))
-            if end_time is not None:
-                await _control_get(
-                    proxy.host, proxy.port, "finish", date=end_time
-                )
-                last_time = float(end_time)
-            proxy_stats = json.loads(
-                await _control_get(proxy.host, proxy.port, "stats")
-            )
-            origin_stats = json.loads(
-                await _control_get(origin.host, origin.port, "stats")
-            )
-            report = _assemble_report(
-                proxy_stats,
-                origin_stats,
-                protocol_name=proxy.protocol.name,
-                mode_value=proxy.mode.value,
-                duration=last_time - float(start_time),
-                wire_bytes=proxy.wire_bytes,
-                stale_hits=stale_hits,
-                stale_age_sum=stale_age_sum,
-                stale_events=stale_events,
-            )
-            obs_trace.span(
-                "live.replay",
-                obs_clock.monotonic() - replay_started,
-                requests=len(request_list),
-                wire_bytes=report.wire_bytes,
-            )
-            return report
         finally:
             await proxy.close()
     finally:
@@ -800,43 +698,16 @@ async def run_replay(
 
 
 async def _spawn_standalone(
-    *,
-    origin_host: str,
-    origin_port: int,
-    port: int,
-    protocol_name: str,
-    parameter: float,
-    mode: SimulatorMode,
-    journal_path: Union[str, Path],
-    charge_per_modification: bool,
-    concurrent: bool,
+    port: int, args: Sequence[str]
 ) -> tuple[asyncio.subprocess.Process, int]:
     """Start ``python -m repro.live.standalone`` and wait for its port."""
-    argv = [
+    proc = await asyncio.create_subprocess_exec(
         sys.executable,
         "-m",
         "repro.live.standalone",
-        "--origin-host",
-        origin_host,
-        "--origin-port",
-        str(origin_port),
         "--port",
         str(port),
-        "--protocol",
-        protocol_name,
-        "--parameter",
-        repr(parameter),
-        "--mode",
-        mode.value,
-        "--journal",
-        str(journal_path),
-    ]
-    if concurrent:
-        argv.append("--concurrent")
-    if not charge_per_modification:
-        argv.append("--charge-on-transition")
-    proc = await asyncio.create_subprocess_exec(
-        *argv,
+        *args,
         stdout=asyncio.subprocess.PIPE,
     )
     assert proc.stdout is not None
@@ -892,33 +763,30 @@ async def run_crash_replay(
             f"crash_after must fall inside the request stream: "
             f"0 < {crash_after} < {len(request_list)} required"
         )
-    check_wire_exact(
-        server, request_list, start_time=start_time, end_time=end_time
-    )
     protocol = build_protocol(protocol_name, parameter)
-    concurrent = not protocol.cross_object_state
-    lease = getattr(protocol, "lease", None)
-    replay_started = obs_clock.monotonic()
-
     origin = LiveOrigin(server)
     await origin.start()
+    # Everything but the port: the respawn reuses the crashed
+    # instance's port, the first spawn takes an ephemeral one.
+    child_args = [
+        "--origin-host",
+        origin.host,
+        "--origin-port",
+        str(origin.port),
+        "--protocol",
+        protocol_name,
+        "--parameter",
+        repr(parameter),
+        "--mode",
+        mode.value,
+        "--journal",
+        str(journal_path),
+    ]
+    if not charge_per_modification:
+        child_args.append("--charge-on-transition")
     try:
-        proc, proxy_port = await _spawn_standalone(
-            origin_host=origin.host,
-            origin_port=origin.port,
-            port=0,
-            protocol_name=protocol_name,
-            parameter=parameter,
-            mode=mode,
-            journal_path=journal_path,
-            charge_per_modification=charge_per_modification,
-            concurrent=concurrent,
-        )
+        proc, proxy_port = await _spawn_standalone(0, child_args)
         try:
-            await _control_get(
-                "127.0.0.1", proxy_port, "warm", date=start_time
-            )
-
             completed = {"count": 0}
             crashed = asyncio.Event()
 
@@ -932,69 +800,28 @@ async def run_crash_replay(
                 await crashed.wait()
                 proc.kill()
                 await proc.wait()
-                proc, _ = await _spawn_standalone(
-                    origin_host=origin.host,
-                    origin_port=origin.port,
-                    port=proxy_port,
-                    protocol_name=protocol_name,
-                    parameter=parameter,
-                    mode=mode,
-                    journal_path=journal_path,
-                    charge_per_modification=charge_per_modification,
-                    concurrent=concurrent,
-                )
+                proc, _ = await _spawn_standalone(proxy_port, child_args)
 
             monkey_task = asyncio.create_task(monkey())
             try:
-                stale_hits, stale_age_sum, stale_events, last_time = (
-                    await replay_pooled(
-                        origin,
-                        "127.0.0.1",
-                        proxy_port,
-                        request_list,
-                        connections=connections,
-                        keepalive=keepalive,
-                        cross_object=protocol.cross_object_state,
-                        lease=lease,
-                        attempts=_CRASH_ATTEMPTS,
-                        pause=_RECONNECT_PAUSE,
-                        on_complete=on_complete,
-                    )
+                return await _drive(
+                    origin,
+                    "127.0.0.1",
+                    proxy_port,
+                    request_list,
+                    protocol,
+                    start_time=start_time,
+                    end_time=end_time,
+                    connections=connections,
+                    keepalive=keepalive,
+                    attempts=_CRASH_ATTEMPTS,
+                    pause=_RECONNECT_PAUSE,
+                    on_complete=on_complete,
+                    settled=monkey_task,
                 )
-                await monkey_task
             except BaseException:
                 monkey_task.cancel()
                 raise
-            last_time = max(last_time, float(start_time))
-            if end_time is not None:
-                await _control_get(
-                    "127.0.0.1", proxy_port, "finish", date=end_time
-                )
-                last_time = float(end_time)
-            proxy_stats = json.loads(
-                await _control_get("127.0.0.1", proxy_port, "stats")
-            )
-            origin_stats = json.loads(
-                await _control_get(origin.host, origin.port, "stats")
-            )
-            report = _assemble_report(
-                proxy_stats,
-                origin_stats,
-                protocol_name=protocol_name,
-                mode_value=mode.value,
-                duration=last_time - float(start_time),
-                wire_bytes=int(proxy_stats["wire_bytes"]),  # type: ignore[call-overload]
-                stale_hits=stale_hits,
-                stale_age_sum=stale_age_sum,
-                stale_events=stale_events,
-            )
-            obs_trace.span(
-                "live.replay",
-                obs_clock.monotonic() - replay_started,
-                requests=len(request_list),
-                wire_bytes=report.wire_bytes,
-            )
-            return report
         finally:
             proc.kill()
             await proc.wait()
@@ -1005,7 +832,6 @@ async def run_crash_replay(
 __all__ = [
     "LiveReplayReport",
     "check_wire_exact",
-    "replay_live",
     "replay_pooled",
     "run_crash_replay",
     "run_replay",

@@ -211,8 +211,8 @@ class LiveOrigin:
     def _fresh_seq(self, request: Request) -> bool:
         """True when this exchange should be counted.
 
-        A request without :data:`SEQ_HEADER` is always fresh (the
-        historical serial driver sends none).  With one, only the first
+        A request without :data:`SEQ_HEADER` is always fresh (ad-hoc
+        clients send none).  With one, only the first
         arrival counts — a retry after a chaos fault or proxy restart
         repeats the work but not the accounting.
         """
@@ -263,8 +263,8 @@ class LiveOrigin:
         :meth:`repro.core.server.OriginServer.feed_between`, so a proxy
         polling successive windows sees every event exactly once.  An
         ``X-Repro-Object`` header restricts the window to one object —
-        the concurrent proxy pulls per-object windows under per-object
-        locks.
+        the proxy pulls per-object windows, each under its object's
+        lock.
         """
         try:
             since = request.headers.if_modified_since

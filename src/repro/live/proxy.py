@@ -34,17 +34,22 @@ are comparable cell-for-cell), while :attr:`LiveProxy.wire_bytes`
 separately tallies the *actual* bytes moved on sockets — the real
 HTTP/1.0 framing overhead the 43-byte model abstracts away.
 
-Locking discipline (RPR007-checked).  Historically one asyncio lock
-serialized everything; now lock granularity follows state scope:
+Locking discipline (RPR007-checked).  There is one rule — lock
+granularity follows state scope:
 
-* each object's request stream is processed under a **per-object
-  lock** (``concurrent=True``), so distinct objects interleave freely —
-  per-object event timelines fully determine per-object cache state,
-  and the run's counters are order-independent sums over them, which
-  is why the differential oracle still pins the totals exactly;
-* protocols whose freshness decisions couple objects
-  (``cross_object_state`` — the self-tuning per-file-type thresholds)
-  fall back to one global lock, as do control exchanges;
+* every request is processed under the **lock of its key**, and each
+  key keeps its own request clock (a key's requests must be
+  time-ordered; a clock running backwards is a hard error).  The key is
+  the object id, so distinct objects interleave freely — per-object
+  event timelines fully determine per-object cache state, and the run's
+  counters are order-independent sums over them, which is why the
+  differential oracle pins the totals exactly at any pool size;
+* when state is *not* scoped to one object, every object maps to the
+  same key (:func:`single_key`): protocols whose freshness decisions
+  couple objects (``cross_object_state`` — the self-tuning
+  per-file-type thresholds) and an installed fault plan (its schedule
+  is one global timeline).  That is the same rule with one key, not a
+  second mode; control exchanges take their own lock;
 * every mutation of *shared* aggregates (counters, ledger, event log,
   wire tally, the journal) happens inside a short critical section
   under ``_state_lock`` — :meth:`_commit`, called once per request
@@ -150,15 +155,29 @@ def _entry_dict(entry: CacheEntry) -> dict[str, object]:
     return {name: getattr(entry, name) for name in _ENTRY_FIELDS}
 
 
+def single_key(
+    protocol: ConsistencyProtocol, faults: Optional[FaultPlan]
+) -> bool:
+    """True when every object must share one lock and one clock.
+
+    Per-object keys are sound only while each request touches state
+    scoped to its own object.  A protocol with ``cross_object_state``
+    and a fault plan (one global delivery timeline) both break that, so
+    the proxy serializes on a single key and the driver sends in global
+    stream order — the two sides ask this one question.
+    """
+    return protocol.cross_object_state or faults is not None
+
+
 class _Txn:
     """One request's staged effects, applied atomically at commit.
 
     Everything a request adds to *shared* state accumulates here while
-    the request runs under its object (or global) lock; :meth:`LiveProxy
+    the request runs under its key's lock; :meth:`LiveProxy
     ._commit` folds it into the proxy — and the journal — in one short
     ``_state_lock`` critical section.  Cache entries and protocol state
     are mutated in place during processing (they are protected by the
-    object lock that serialized this request); the transaction records
+    key lock that serialized this request); the transaction records
     which entries were touched so the journal can persist their
     post-state.
     """
@@ -171,8 +190,7 @@ class _Txn:
         "touched",
         "cleared",
         "cursors",
-        "last_sync",
-        "obj_now",
+        "clock",
         "fault_idx",
         "upstream",
         "trace",
@@ -187,8 +205,8 @@ class _Txn:
         self.touched: set[str] = set()
         self.cleared = False
         self.cursors: dict[str, float] = {}
-        self.last_sync: Optional[float] = None
-        self.obj_now: Optional[tuple[str, float]] = None
+        #: ``(key, time)`` this request advances its key's clock to.
+        self.clock: Optional[tuple[str, float]] = None
         self.fault_idx: Optional[int] = None
         #: Post-txn upstream sequence counters for objects this request
         #: fetched — staged here (not in the shared dict) so the journal
@@ -214,23 +232,19 @@ class LiveProxy:
         costs: the abstract byte cost model charged to the ledger.
         charge_per_modification: the Section 4.1 invalidation charging
             policy, identical in meaning to the simulator's knob.
-        concurrent: serve distinct objects under per-object locks
-            instead of one global lock.  Requests then only need to be
-            time-ordered *per object*; protocols with
-            ``cross_object_state`` still serialize globally.
         faults: replay this compiled-at-warm-time invalidation fault
             plan instead of the fault-free feed, mirroring the
-            simulator's ``faults=`` knob.  Serial-only (the schedule is
-            a global timeline).
+            simulator's ``faults=`` knob.  The schedule is a global
+            timeline, so every object then shares one key
+            (:func:`single_key`).
         journal: a :class:`~repro.live.journal.Journal` to write
             commit-before-reply transaction records to; see
             :meth:`restore`.
         upstream_attempts: retry budget for origin exchanges (used when
             a chaos relay sits on the upstream hop).  Origin fetches
-            carry deterministic per-object sequence ids — so the origin
-            can dedup its counting — whenever this exceeds 1 *or* a
-            journal is installed (a SIGKILLed proxy re-executes its
-            uncommitted requests on restart, which is a retry too).
+            always carry deterministic per-object sequence ids, so the
+            origin dedups its counting across these retries and across
+            a restarted proxy re-executing an uncommitted request.
         trace: a per-role :class:`~repro.obs.trace.TraceSink` recording
             this proxy's causal trace — per-exchange parse / decision /
             upstream / commit / reply spans and recv/retry/restore
@@ -239,9 +253,8 @@ class LiveProxy:
             records nothing and leaves the wire traffic untouched.
 
     Raises:
-        LiveReplayError: for ``faults`` combined with ``concurrent``
-            (the schedule is a global timeline), or a fault plan whose
-            delay/backoff is not wire-exact (whole seconds).
+        LiveReplayError: for a fault plan whose delay/backoff is not
+            wire-exact (whole seconds).
     """
 
     def __init__(
@@ -253,7 +266,6 @@ class LiveProxy:
         *,
         costs: MessageCosts = DEFAULT_COSTS,
         charge_per_modification: bool = True,
-        concurrent: bool = False,
         faults: Optional[FaultPlan] = None,
         journal: Optional[Journal] = None,
         upstream_attempts: int = 1,
@@ -265,15 +277,9 @@ class LiveProxy:
         self.mode = mode
         self.costs = costs
         self.charge_per_modification = bool(charge_per_modification)
-        self.concurrent = bool(concurrent)
         self.faults = faults
         self.upstream_attempts = max(1, int(upstream_attempts))
         if faults is not None:
-            if self.concurrent:
-                raise LiveReplayError(
-                    "a fault plan is a global timeline; faulted live "
-                    "replays run with concurrent=False"
-                )
             ensure_integral(faults.delay, "fault-plan delay")
             if faults.retries > 0:
                 ensure_integral(faults.backoff, "fault-plan backoff")
@@ -285,16 +291,15 @@ class LiveProxy:
         self.wire_bytes = 0
         #: Transport-level connection failures observed while serving.
         self.connection_errors = 0
-        #: Committed events, in commit order (hardened modes only) —
-        #: the live counterpart of the simulator's observer stream.
+        #: Committed events, in commit order — the live counterpart of
+        #: the simulator's observer stream.
         self.events: list[tuple[str, float, str]] = []
         self._now = 0.0
-        self._last_sync = 0.0
         self._warm_time = 0.0
-        #: Per-object invalidation-feed cursors (concurrent sync).
+        #: Per-object invalidation-feed cursors.
         self._cursors: dict[str, float] = {}
-        #: Per-object request clocks (concurrent time-order check).
-        self._obj_now: dict[str, float] = {}
+        #: Per-key request clocks (the time-order check).
+        self._clocks: dict[str, float] = {}
         #: Committed serialized replies by X-Repro-Seq (retry replay).
         self._done: dict[str, str] = {}
         #: Next upstream sequence number per object (idempotent fetches).
@@ -304,32 +309,13 @@ class LiveProxy:
         self._journal = journal
         self._trace = trace
         self._state_lock = asyncio.Lock()
-        self._global_lock = asyncio.Lock()
-        self._object_locks: dict[str, asyncio.Lock] = {}
+        self._control_lock = asyncio.Lock()
+        self._one_key = single_key(protocol, faults)
+        self._key_locks: dict[str, asyncio.Lock] = {}
         self._handlers: set[asyncio.Task[None]] = set()
         self._listener: Optional[asyncio.AbstractServer] = None
         self._host = ""
         self._port = 0
-
-    @property
-    def hardened(self) -> bool:
-        """True when any beyond-PR-7 behaviour is active.
-
-        Gates the extended stats payload (events, connection errors)
-        so zero-fault single-connection replays stay byte-identical to
-        the historical wire traffic.
-        """
-        return (
-            self.concurrent
-            or self.faults is not None
-            or self._journal is not None
-            or self.upstream_attempts > 1
-        )
-
-    @property
-    def _per_object(self) -> bool:
-        """True when requests are ordered/locked/synced per object."""
-        return self.concurrent and not self.protocol.cross_object_state
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -394,7 +380,6 @@ class LiveProxy:
             self._store_from_response(object_id, response, start_time, None)
             loaded += 1
         self._now = float(start_time)
-        self._last_sync = float(start_time)
         self._warm_time = float(start_time)
         if self.faults is not None:
             await self._compile_faults()
@@ -405,7 +390,6 @@ class LiveProxy:
                     "protocol": self.protocol.name,
                     "mode": self.mode.value,
                     "charge_per_modification": self.charge_per_modification,
-                    "concurrent": self.concurrent,
                 }
             )
             self._journal.append(
@@ -465,7 +449,9 @@ class LiveProxy:
 
         Raises:
             LiveReplayError: when the journal's config record does not
-                match this proxy's configuration.
+                match this proxy's configuration, or a record was
+                written by the removed global-watermark sync
+                (``last_sync``).
         """
         if self._journal is None:
             raise LiveReplayError("restore() needs a journal")
@@ -504,7 +490,6 @@ class LiveProxy:
             "protocol": self.protocol.name,
             "mode": self.mode.value,
             "charge_per_modification": self.charge_per_modification,
-            "concurrent": self.concurrent,
         }
         for key, expected in mine.items():
             if record.get(key) != expected:
@@ -516,7 +501,6 @@ class LiveProxy:
     def _restore_warm(self, record: dict[str, object]) -> None:
         t = float(record["t"])  # type: ignore[arg-type]
         self._now = t
-        self._last_sync = t
         self._warm_time = t
         entries = record.get("entries", [])
         assert isinstance(entries, list)
@@ -527,6 +511,16 @@ class LiveProxy:
 
     def _apply_record(self, record: dict[str, object]) -> None:
         """Replay one committed transaction from the journal."""
+        if "last_sync" in record:
+            # Written by the removed global-watermark sync.  Replaying
+            # it against per-object cursors (all still at warm-up)
+            # would re-deliver, and double-charge, every invalidation
+            # since then.
+            raise LiveReplayError(
+                "journal record carries 'last_sync' (global-watermark "
+                "invalidation sync, no longer supported); it cannot be "
+                "restored onto per-object cursors"
+            )
         seq = record.get("seq")
         if isinstance(seq, str):
             self._done[seq] = str(record.get("payload", ""))
@@ -561,13 +555,11 @@ class LiveProxy:
         assert isinstance(cursors, dict)
         for object_id, cursor in cursors.items():
             self._cursors[object_id] = float(cursor)
-        if "last_sync" in record:
-            self._last_sync = float(record["last_sync"])  # type: ignore[arg-type]
         if "now" in record:
             self._now = max(self._now, float(record["now"]))  # type: ignore[arg-type]
-        obj_now = record.get("obj_now")
-        if isinstance(obj_now, list):
-            self._obj_now[str(obj_now[0])] = float(obj_now[1])
+        clock = record.get("obj_now")
+        if isinstance(clock, list):
+            self._clocks[str(clock[0])] = float(clock[1])
         upstream = record.get("upstream", {})
         assert isinstance(upstream, dict)
         for object_id, n in upstream.items():
@@ -626,20 +618,17 @@ class LiveProxy:
         request.headers.set_date(DATE, t)
         if since is not None:
             request.headers.set_date("If-Modified-Since", since)
-        if self._journal is not None or self.upstream_attempts > 1:
-            # Deterministic idempotency id: the k-th counted fetch of
-            # this object.  Staged in the transaction and journaled
-            # with it at commit, so a restarted proxy's re-execution of
-            # an uncommitted request — and any chaos retry — reuses the
-            # same ids and the origin cannot double-count.  Ids are
-            # needed whenever a journal is installed, not just when
-            # this process retries: a SIGKILL can land after the origin
-            # counted a fetch but before the transaction committed, and
-            # the restarted proxy then re-executes the request.
-            base = self._upstream.get(object_id, 0)
-            k = txn.upstream.get(object_id, base)
-            txn.upstream[object_id] = k + 1
-            request.headers.set(SEQ_HEADER, f"{object_id}@{k}")
+        # Deterministic idempotency id: the k-th counted fetch of this
+        # object.  Staged in the transaction and journaled with it at
+        # commit, so a restarted proxy's re-execution of an uncommitted
+        # request — and any chaos retry — reuses the same ids and the
+        # origin cannot double-count.  (A SIGKILL can land after the
+        # origin counted a fetch but before the transaction committed;
+        # the restarted proxy then re-executes the request.)
+        base = self._upstream.get(object_id, 0)
+        k = txn.upstream.get(object_id, base)
+        txn.upstream[object_id] = k + 1
+        request.headers.set(SEQ_HEADER, f"{object_id}@{k}")
         if self._trace is not None and txn.trace is not None:
             # Propagate the client's trace id on the upstream hop so
             # the origin's spans join the same causal timeline.
@@ -762,8 +751,8 @@ class LiveProxy:
         """Deliver pending invalidations (or fault actions) up to
         ``until`` before serving at that time.
 
-        ``object_id`` scopes the pull under per-object locking; ``None``
-        (finish, or global-lock modes) delivers for every object.
+        ``object_id`` scopes the pull to the object being served;
+        ``None`` (finish) delivers for every object.
         """
         if self.faults is not None:
             # The injection seam, exactly as in the simulator: delivery
@@ -773,31 +762,17 @@ class LiveProxy:
             return
         if not self.protocol.wants_invalidations:
             return
-        if self._per_object and object_id is not None:
+        if object_id is not None:
             await self._sync_object(object_id, until, txn)
-        elif self._per_object:
-            await self._finish_sync_all(until, txn)
         else:
-            await self._sync_global(until, txn)
-
-    async def _sync_global(self, until: float, txn: _Txn) -> None:
-        """Pull and apply the origin's invalidation window
-        ``(last_sync, until]`` — the serial path, byte-identical to the
-        historical behaviour."""
-        if until <= self._last_sync:
-            return
-        body = await self._origin_window(self._last_sync, until)
-        txn.last_sync = float(until)
-        for line in body.splitlines():
-            mod_time, object_id = self._parse_feed_line(line)
-            await self._apply_invalidation(object_id, mod_time, txn)
+            await self._finish_sync_all(until, txn)
 
     async def _sync_object(
         self, object_id: str, until: float, txn: _Txn
     ) -> None:
         """Pull one object's window ``(cursor, until]`` under its lock.
 
-        Per-object cursors replace the single ``last_sync`` watermark:
+        Cursors are per object, not one watermark for the whole feed:
         two objects' syncs commute because each window is filtered to
         its own object, and the feed events carry their modification
         times, so the committed event multiset is independent of the
@@ -999,27 +974,23 @@ class LiveProxy:
         return await self._process_object(request)
 
     async def _process_control(self, request: Request) -> str:
-        async with self._global_lock:
+        async with self._control_lock:
             try:
                 response, body = await self._control(request)
             except (LiveWireError, HTTPDateError) as exc:
                 response, body = _error(500, str(exc))
             return response.serialize(body)
 
-    def _lock_for(self, object_id: str) -> asyncio.Lock:
-        """The lock serializing ``object_id``'s requests.
-
-        Per-object in concurrent mode; the one global lock otherwise
-        (serial mode, and protocols whose state couples objects).
-        """
-        if not self._per_object:
-            return self._global_lock
-        if object_id not in self._object_locks:
-            self._object_locks[object_id] = asyncio.Lock()
-        return self._object_locks[object_id]
+    def _key(self, object_id: str) -> str:
+        """The lock/clock key of ``object_id``: itself, or the one
+        shared key (``""``, no object's id) under :func:`single_key`."""
+        return "" if self._one_key else object_id
 
     async def _process_object(self, request: Request) -> str:
-        lock = self._lock_for(request.path)
+        key = self._key(request.path)
+        lock = self._key_locks.get(key)
+        if lock is None:
+            lock = self._key_locks[key] = asyncio.Lock()
         async with lock:
             seq = request.headers.get(SEQ_HEADER)
             if seq is not None:
@@ -1107,29 +1078,21 @@ class LiveProxy:
 
         The short critical section of the locking discipline: every
         mutation of cross-object aggregates happens here, under
-        ``_state_lock``, after the per-object work completed under its
-        own lock.
+        ``_state_lock``, after the request's work completed under its
+        key's lock.
         """
         async with self._state_lock:
-            record = (
-                self._txn_record(txn, payload)
-                if self._journal is not None
-                else None
-            )
-            if self._journal is not None and record is not None:
-                self._journal.append(record)
+            if self._journal is not None:
+                self._journal.append(self._txn_record(txn, payload))
             self.counters.merge(txn.counters)
             self.bandwidth.merge(txn.bandwidth)
-            if self.hardened:
-                self.events.extend(txn.events)
+            self.events.extend(txn.events)
             if txn.seq is not None:
                 self._done[txn.seq] = payload
-            if txn.obj_now is not None:
-                self._obj_now[txn.obj_now[0]] = txn.obj_now[1]
+            if txn.clock is not None:
+                self._clocks[txn.clock[0]] = txn.clock[1]
             for object_id, cursor in txn.cursors.items():
                 self._cursors[object_id] = cursor
-            if txn.last_sync is not None:
-                self._last_sync = txn.last_sync
             for object_id, n in txn.upstream.items():
                 self._upstream[object_id] = n
 
@@ -1172,11 +1135,9 @@ class LiveProxy:
             }
         if txn.cursors:
             record["cursors"] = dict(txn.cursors)
-        if txn.last_sync is not None:
-            record["last_sync"] = txn.last_sync
         record["now"] = self._now
-        if txn.obj_now is not None:
-            record["obj_now"] = [txn.obj_now[0], txn.obj_now[1]]
+        if txn.clock is not None:
+            record["obj_now"] = list(txn.clock)
         if txn.upstream:
             # Only this transaction's (committed) counters: the shared
             # dict may hold increments staged by still-uncommitted
@@ -1239,14 +1200,11 @@ class LiveProxy:
                 "exchanges": dict(self.bandwidth.exchanges),
             },
             "wire_bytes": self.wire_bytes,
+            "connection_errors": self.connection_errors,
+            "events": [list(event) for event in self.events],
             "protocol": self.protocol.name,
             "mode": self.mode.value,
         }
-        if self.hardened:
-            # Extended keys only in hardened modes, so the historical
-            # serial replay's stats body stays byte-identical.
-            payload["connection_errors"] = self.connection_errors
-            payload["events"] = [list(event) for event in self.events]
         body = json.dumps(payload, sort_keys=True) + "\n"
         response = Response(200, body_size=len(body))
         response.headers.set(CONTENT_LENGTH, str(len(body)))
@@ -1264,22 +1222,16 @@ class LiveProxy:
             # simulation time so exploration doesn't need header tooling.
             t = self._now
         object_id = request.path
-        if self._per_object:
-            previous = self._obj_now.get(object_id, self._warm_time)
-            if t < previous:
-                return _error(
-                    400,
-                    f"request at {t!r} precedes {previous!r} for "
-                    f"{object_id!r}; per-object request streams must be "
-                    "time-ordered",
-                )
-            txn.obj_now = (object_id, float(t))
-        elif t < self._now:
+        key = self._key(object_id)
+        previous = self._clocks.get(key, self._warm_time)
+        if t < previous:
             return _error(
                 400,
-                f"request at {t!r} precedes current time {self._now!r}; "
-                "live request streams must be time-ordered",
+                f"clock ran backwards: request for {object_id!r} at "
+                f"{t!r} precedes {previous!r}; each key's request "
+                "stream must be time-ordered",
             )
+        txn.clock = (key, float(t))
         self._now = max(self._now, float(t))
         await self._deliver(t, txn, object_id=object_id)
         txn.counters.requests += 1

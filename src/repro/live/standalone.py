@@ -2,7 +2,7 @@
 
 ``python -m repro.live.standalone --origin-host H --origin-port P
 --protocol NAME --parameter X --journal PATH [--port N] [--mode M]
-[--concurrent] [--charge-on-transition]``
+[--charge-on-transition]``
 
 This is the crash-restart harness's victim process
 (:func:`repro.live.driver.run_crash_replay`): the proxy must be
@@ -58,11 +58,6 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--journal", required=True)
     parser.add_argument(
-        "--concurrent",
-        action="store_true",
-        help="serve distinct objects under per-object locks",
-    )
-    parser.add_argument(
         "--charge-on-transition",
         action="store_true",
         help="charge invalidations only on valid->invalid transitions "
@@ -78,7 +73,6 @@ async def _serve(args: argparse.Namespace) -> None:
         build_protocol(args.protocol, args.parameter),
         SimulatorMode(args.mode),
         charge_per_modification=not args.charge_on_transition,
-        concurrent=args.concurrent,
         journal=Journal(args.journal),
     )
     # A non-empty journal is a crash restart: re-warm from disk before

@@ -13,7 +13,13 @@ the seeded draw, and the per-key progress guarantee.
 
 import pytest
 
-from tests.live.test_differential import _FACTORIES, _REQUESTS, _histories
+from tests.live.test_differential import (
+    _CHAOS,
+    _FACTORIES,
+    _REQUESTS,
+    _histories,
+    check_cell,
+)
 from repro.core.server import OriginServer
 from repro.live import live_vs_sim, parse_chaos
 from repro.live.chaos import WireFaultPlan
@@ -21,28 +27,24 @@ from repro.live.chaos import WireFaultPlan
 #: Three qualitatively distinct plans (the acceptance floor): pure
 #: request loss, delay plus reply truncation, and post-commit resets
 #: with dribbled delivery.
-_PLANS = {
-    "loss": "loss=0.3,seed=7",
-    "delay-truncate": "delay=0.005,truncate=0.3,seed=11",
-    "reset-dribble": "reset=0.35,dribble=0.4,seed=3",
-}
+_PLANS = ("loss", "delay-truncate", "reset-dribble")
 
 
 class TestChaoticDifferential:
-    @pytest.mark.parametrize("plan_name", sorted(_PLANS))
+    @pytest.mark.parametrize("plan_name", _PLANS)
     @pytest.mark.parametrize(
         "protocol", ["alex", "invalidation-eager", "leased", "selftuning"]
     )
     def test_faulted_wire_matches_sim_exactly(self, plan_name, protocol):
-        _, _, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES[protocol], _REQUESTS,
-            end_time=120.0, connections=2, keepalive=True,
-            chaos=parse_chaos(_PLANS[plan_name]),
+        check_cell(protocol, chaos=plan_name, connections=2, keepalive=True)
+
+    def test_faulted_wire_under_a_fault_plan(self):
+        """Socket chaos on both hops *and* an invalidation fault plan:
+        the seq-id replay and the one-key fault schedule compose."""
+        check_cell(
+            "leased", chaos="reset-dribble", faults="loss-retries",
+            connections=2, keepalive=True,
         )
-        assert report.ok
-        assert report.counters_checked == 13
-        assert report.ledger_cells_checked == 15
-        assert report.events_checked >= len(_REQUESTS)
 
     def test_null_plan_is_plain_replay(self):
         plan = parse_chaos("seed=9")
@@ -131,7 +133,7 @@ class TestDeterminism:
             _, _, report = live_vs_sim(
                 OriginServer(_histories()), _FACTORIES["invalidation"],
                 _REQUESTS, end_time=120.0, connections=2, keepalive=True,
-                chaos=parse_chaos(_PLANS["loss"]),
+                chaos=parse_chaos(_CHAOS["loss"]),
             )
             results.append(report.events_checked)
         assert results[0] == results[1]

@@ -1,6 +1,6 @@
 """End-to-end tests for ``repro replay`` (and ``repro serve`` parsing).
 
-The replay command is the CI live-smoke entry point: synthesize a
+The replay command is the entry point of the CI live gate (``make live``): synthesize a
 trace, replay it through real sockets, and (with ``--verify``) require
 exact agreement with the simulator.  These tests run the real command
 functions against a reduced synthesized trace.
@@ -27,8 +27,10 @@ class TestReplayCommand:
         assert code == 0
         assert "replayed live" in captured.out
         assert "alex(10%)" in captured.out
-        assert ("live-vs-sim: 13 counters + 15 ledger cells identical"
-                in captured.err)
+        # The default one-connection replay is event-checked too: one
+        # live event per request at the least (325 requests here).
+        assert ("live-vs-sim: 13 counters + 15 ledger cells + 325 events "
+                "identical" in captured.err)
 
     def test_replay_without_verify(self, trace_path, capsys):
         code = main(["replay", str(trace_path), "--protocol", "ttl",

@@ -1,82 +1,64 @@
-"""Concurrent replay: per-object locking under a real connection pool.
+"""Pooled replay: keyed locking under a real connection pool.
 
-The serial differential (``test_differential``) pins live-vs-sim
-equality one request at a time.  Here the driver opens several
-keep-alive connections at once, so requests for *different* objects
-interleave arbitrarily on the proxy — and the oracle must still match
-the simulation exactly: all thirteen counters, all fifteen ledger
-cells, and the per-object event multisets (ordering across objects is
-the one freedom concurrency buys; nothing else may move).
+Here the driver opens several keep-alive connections at once, so
+requests for *different* objects interleave arbitrarily on the proxy —
+and the oracle must still match the simulation exactly: all thirteen
+counters, all fifteen ledger cells, and the per-object event multisets
+(ordering across objects is the one freedom a pool buys; nothing else
+may move).  The differential tests are named cells of the option grid
+in ``test_differential`` (:func:`check_cell`).
 """
 
 import asyncio
 
 import pytest
 
-from tests.live.test_differential import _FACTORIES, _REQUESTS, _histories
+from tests.live.test_differential import (
+    _FACTORIES,
+    _REQUESTS,
+    _histories,
+    check_cell,
+)
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
-from repro.live import LiveReplayError, live_vs_sim, run_replay
+from repro.live import LiveReplayError, run_replay
 from repro.live.driver import _partition
 
 
 class TestConcurrentDifferential:
     @pytest.mark.parametrize("name", sorted(_FACTORIES))
     def test_pooled_keepalive_matches_sim_exactly(self, name):
-        live, sim, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES[name], _REQUESTS,
-            end_time=120.0, connections=3, keepalive=True,
-        )
-        assert report.ok
-        assert report.counters_checked == 13
-        assert report.ledger_cells_checked == 15
-        # Ordering tolerance must not degrade into not-checking: at
-        # least one live event per request was matched against the
-        # simulator's multiset.
-        assert report.events_checked >= len(_REQUESTS)
+        check_cell(name, connections=3, keepalive=True)
 
     def test_single_connection_keepalive_matches(self):
-        _, _, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES["invalidation"],
-            _REQUESTS, end_time=120.0, connections=1, keepalive=True,
-        )
-        assert report.ok
-        assert report.events_checked > 0
+        check_cell("invalidation", connections=1, keepalive=True)
 
     def test_pessimistic_mode_matches_concurrently(self):
-        _, _, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES["ttl"], _REQUESTS,
-            SimulatorMode.BASE, end_time=120.0,
-            connections=3, keepalive=True,
-        )
-        assert report.ok
+        check_cell("ttl", SimulatorMode.BASE, connections=3, keepalive=True)
 
     def test_cross_object_protocol_still_matches(self):
-        """Self-tuning couples state across objects; the driver must
-        fall back to global-order dispatch and still reconcile."""
-        _, _, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES["selftuning"],
-            _REQUESTS, end_time=120.0, connections=3, keepalive=True,
+        """Self-tuning couples state across objects; proxy and driver
+        must both fall back to one key / global-order dispatch and
+        still reconcile."""
+        check_cell("selftuning", connections=3, keepalive=True)
+
+    def test_faults_under_the_pool_match_sim(self):
+        """A fault plan is a global timeline, which used to make the
+        pool refuse it.  It is the one-key case of the ordinary path:
+        faults × ``connections=2`` × keep-alive matches
+        ``simulate(faults=plan)``."""
+        _, _, report = check_cell(
+            "invalidation", faults="loss-retries",
+            connections=2, keepalive=True,
         )
-        assert report.ok
-        assert report.events_checked >= len(_REQUESTS)
-
-    def test_faults_refuse_the_pool(self):
-        from repro.faults.plan import FaultPlan
-
-        with pytest.raises(LiveReplayError, match="serial"):
-            live_vs_sim(
-                OriginServer(_histories()), _FACTORIES["invalidation"],
-                _REQUESTS, end_time=120.0, connections=2, keepalive=True,
-                faults=FaultPlan(loss_rate=0.5, seed=1),
-            )
+        assert report.events_checked > len(_REQUESTS)
 
 
 class TestWorkerFailure:
     def test_one_workers_failure_cancels_the_siblings(self):
         """A worker raising must not strand the other drive tasks:
         left unawaited they hold connections, keep retrying, and (for
-        cross-object gating) can wait forever on the condition."""
+        global-order gating) can wait forever on the condition."""
         from repro.live import LiveOrigin, LiveProxy
         from repro.live.driver import replay_pooled
         from repro.live.wire import LiveWireError
@@ -86,7 +68,6 @@ class TestWorkerFailure:
             await origin.start()
             proxy = LiveProxy(
                 origin.host, origin.port, _FACTORIES["invalidation"](),
-                concurrent=True,
             )
             await proxy.start()
             try:
@@ -118,9 +99,10 @@ class TestWorkerFailure:
 
 class TestTimeOrderViolations:
     def test_per_object_regression_is_rejected(self):
-        """Per-object locking relaxes the global time check to a
-        per-object one — but a clock running backwards on *one object*
-        is still a driver bug and must be a hard error."""
+        """Request clocks are per key, so distinct objects may
+        interleave out of global order — but a clock running backwards
+        on *one object* is still a driver bug and must be a hard
+        error."""
         out_of_order = [(50.0, "/a"), (40.0, "/a")]
         with pytest.raises(LiveReplayError):
             asyncio.run(run_replay(

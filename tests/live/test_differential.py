@@ -4,7 +4,16 @@ Every supported consistency protocol, in both simulator modes, is
 driven twice over the same workload — once through real asyncio
 sockets (:func:`repro.live.driver.run_replay`) and once through
 :func:`repro.core.simulator.simulate` — and the two runs must agree on
-all thirteen counters and all fifteen bandwidth-ledger cells *exactly*.
+all thirteen counters, all fifteen bandwidth-ledger cells and the
+per-object event multisets *exactly*.
+
+There is one replay path, so there is one differential:
+:func:`check_cell` runs a single cell of the option grid, and
+``TestOptionMatrix`` runs the whole grid — protocol × pool size ×
+keep-alive × socket chaos × invalidation faults × journal.  The named
+tests here and in ``test_concurrency`` / ``test_chaos`` are individual
+cells of the same grid, kept under the names that document why the cell
+matters.
 
 The workload is deliberately adversarial: pre-trace creation times
 (negative Last-Modified stamps — the datefmt pre-epoch regression this
@@ -28,7 +37,8 @@ from repro.core.protocols import (
 )
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
-from repro.live import diff_live_vs_sim, live_vs_sim
+from repro.faults.plan import FaultPlan
+from repro.live import diff_live_vs_sim, live_vs_sim, parse_chaos
 from repro.live.wire import LiveReplayError
 from repro.verify.oracle import ConsistencyViolation
 
@@ -69,21 +79,93 @@ _FACTORIES = {
 }
 
 
+#: Socket-level chaos plans (``--chaos`` grammar), by grid label.
+_CHAOS = {
+    "calm": None,
+    "loss": "loss=0.3,seed=7",
+    "delay-truncate": "delay=0.005,truncate=0.3,seed=11",
+    "reset-dribble": "reset=0.35,dribble=0.4,seed=3",
+}
+
+#: Invalidation-message fault plans, by grid label.
+_FAULTS = {
+    "clean": None,
+    "loss-retries": FaultPlan(loss_rate=0.6, retries=2, backoff=3.0, seed=9),
+    "cache-crash": FaultPlan(cache_crashes=(60.0,), seed=2),
+}
+
+
+def check_cell(
+    name, mode=SimulatorMode.OPTIMIZED, *, chaos="calm", faults="clean",
+    journal=None, **options
+):
+    """One cell of the option grid: replay live, simulate, diff.
+
+    ``chaos`` / ``faults`` are grid labels; ``journal`` is a path or
+    None; ``options`` (``connections``, ``keepalive``, ...) pass
+    through to :func:`live_vs_sim`.  Every cell asserts the same thing:
+    13 counters, 15 ledger cells, and at least one matched live event
+    per request — ordering tolerance must never degrade into
+    not-checking.
+    """
+    spec = _CHAOS[chaos]
+    live, sim, report = live_vs_sim(
+        OriginServer(_histories()), _FACTORIES[name], _REQUESTS, mode,
+        end_time=120.0,
+        chaos=parse_chaos(spec) if spec is not None else None,
+        faults=_FAULTS[faults], journal_path=journal, **options,
+    )
+    assert report.ok
+    assert report.counters_checked == 13
+    assert report.ledger_cells_checked == 15
+    assert report.events_checked >= len(_REQUESTS)
+    # The differential is only meaningful if the run exercised the
+    # machinery at all.
+    assert live.counters.requests == len(_REQUESTS)
+    assert live.duration == 120.0
+    return live, sim, report
+
+
+class TestOptionMatrix:
+    """Every option composes with every other, on every protocol.
+
+    ``connections=1`` without keep-alive is serial replay; faulted
+    cells (one key, global send order) run under the pool, under socket
+    chaos and with a journal like any other.
+    """
+
+    @pytest.mark.parametrize("journal", [False, True],
+                             ids=["nojournal", "journal"])
+    @pytest.mark.parametrize("faults", sorted(_FAULTS))
+    @pytest.mark.parametrize("chaos", ["calm", "loss", "reset-dribble"])
+    @pytest.mark.parametrize("keepalive", [False, True],
+                             ids=["oneshot", "keepalive"])
+    @pytest.mark.parametrize("connections", [1, 3], ids=["c1", "c3"])
+    @pytest.mark.parametrize("name", sorted(_FACTORIES))
+    def test_cell(
+        self, name, connections, keepalive, chaos, faults, journal, tmp_path
+    ):
+        check_cell(
+            name, connections=connections, keepalive=keepalive,
+            chaos=chaos, faults=faults,
+            journal=tmp_path / "j.jsonl" if journal else None,
+        )
+
+
 class TestAllProtocolsMatchExactly:
     @pytest.mark.parametrize("name", sorted(_FACTORIES))
     @pytest.mark.parametrize("mode", list(SimulatorMode))
     def test_live_equals_sim(self, name, mode):
-        live, sim, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES[name], _REQUESTS, mode,
-            end_time=120.0,
+        check_cell(name, mode)
+
+    def test_default_replay_is_event_checked(self):
+        """``live_vs_sim`` with default arguments — one connection, no
+        keep-alive — compares per-object event multisets like any other
+        replay (it used to report ``events_checked == 0``)."""
+        _, _, report = live_vs_sim(
+            OriginServer(_histories()), _FACTORIES["ttl"], _REQUESTS,
         )
-        assert report.ok
-        assert report.counters_checked == 13
-        assert report.ledger_cells_checked == 15
-        # The differential is only meaningful if the run exercised the
-        # machinery at all.
-        assert live.counters.requests == len(_REQUESTS)
-        assert live.duration == 120.0
+        assert report.events_checked >= len(_REQUESTS)
 
     def test_eager_variant_prefetches(self):
         live, _, _ = live_vs_sim(
@@ -102,11 +184,7 @@ class TestAllProtocolsMatchExactly:
         assert live.counters.stale_age_sum > 0.0
 
     def test_charge_per_flip_policy_also_matches(self):
-        _, _, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES["invalidation"],
-            _REQUESTS, end_time=120.0, charge_per_modification=False,
-        )
-        assert report.ok
+        check_cell("invalidation", charge_per_modification=False)
 
 
 class TestDiffMechanics:
@@ -178,31 +256,27 @@ class TestFaultedDifferential:
         "invalidation", "invalidation-eager", "leased",
     ])
     def test_lossy_retry_plan_matches(self, name):
-        from repro.faults.plan import FaultPlan
-
-        _, _, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES[name], _REQUESTS,
-            end_time=120.0,
-            faults=FaultPlan(loss_rate=0.6, retries=2, backoff=3.0, seed=9),
-        )
-        assert report.ok
+        _, _, report = check_cell(name, faults="loss-retries")
+        # The fault_* events are part of the matched multiset.
         assert report.events_checked > len(_REQUESTS)
 
     def test_cache_crash_plan_matches(self):
-        from repro.faults.plan import FaultPlan
-
-        live, _, report = live_vs_sim(
-            OriginServer(_histories()), _FACTORIES["invalidation"],
-            _REQUESTS, end_time=120.0,
-            faults=FaultPlan(cache_crashes=(60.0,), seed=2),
-        )
-        assert report.ok
+        live, _, _ = check_cell("invalidation", faults="cache-crash")
         # The crash forces refetches the crash-free run never made.
         assert live.counters.full_retrievals > 4
 
-    def test_fractional_fault_delay_is_refused(self):
-        from repro.faults.plan import FaultPlan
+    @pytest.mark.parametrize("chaos", ["calm", "loss"])
+    def test_lossy_retry_plan_matches_under_the_pool(self, chaos):
+        """The acceptance cell: a faulted replay under a keep-alive
+        pool — with and without socket chaos on top — is as exact as a
+        serial one."""
+        _, _, report = check_cell(
+            "invalidation", faults="loss-retries", chaos=chaos,
+            connections=3, keepalive=True,
+        )
+        assert report.events_checked > len(_REQUESTS)
 
+    def test_fractional_fault_delay_is_refused(self):
         with pytest.raises(LiveReplayError, match="whole second"):
             live_vs_sim(
                 OriginServer(_histories()), _FACTORIES["invalidation"],

@@ -87,7 +87,7 @@ class TestRestoreRoundTrip:
             await origin.start()
             proxy = LiveProxy(
                 origin.host, origin.port, _FACTORIES["invalidation"](),
-                journal=Journal(journal_path), concurrent=True,
+                journal=Journal(journal_path),
             )
             await proxy.start()
             try:
@@ -114,7 +114,7 @@ class TestRestoreRoundTrip:
         async def restore():
             restored = LiveProxy(
                 "127.0.0.1", 1, _FACTORIES["invalidation"](),
-                journal=Journal(path), concurrent=True,
+                journal=Journal(path),
             )
             assert await restored.restore()
             return restored
@@ -151,20 +151,48 @@ class TestRestoreRoundTrip:
         async def restore_wrong():
             proxy = LiveProxy(
                 "127.0.0.1", 1, _FACTORIES["ttl"](),
-                journal=Journal(path), concurrent=True,
+                journal=Journal(path),
             )
             await proxy.restore()
 
         with pytest.raises(LiveReplayError, match="journal"):
             asyncio.run(restore_wrong())
 
+    def test_global_watermark_record_is_rejected(self, tmp_path):
+        """A ``last_sync`` record was written by the removed
+        global-watermark invalidation sync.  Restoring it onto
+        per-object cursors (all still at warm-up) would re-deliver and
+        double-charge every invalidation since then, so restore must
+        refuse the journal instead."""
+        journal = Journal(tmp_path / "old.jsonl")
+        journal.append({
+            "kind": "config", "protocol": "invalidation",
+            "mode": "optimized", "charge_per_modification": True,
+            "concurrent": False,
+        })
+        journal.append({"kind": "warm", "t": 0.0, "entries": []})
+        journal.append({
+            "kind": "txn", "payload": "", "now": 45.0, "last_sync": 45.0,
+            "counters": {"invalidations_received": 1},
+        })
+
+        async def restore_old():
+            proxy = LiveProxy(
+                "127.0.0.1", 1, _FACTORIES["invalidation"](),
+                journal=journal,
+            )
+            await proxy.restore()
+
+        with pytest.raises(LiveReplayError, match="last_sync"):
+            asyncio.run(restore_old())
+
 
 class TestUpstreamIdempotency:
     """The crash window the journal cannot cover: a SIGKILL after the
     origin counted a fetch but before the transaction committed.  The
     restarted proxy *re-executes* that request, so its origin fetches
-    must carry the same deterministic sequence ids — with a journal
-    installed, not only when this process itself retries."""
+    must carry the same deterministic sequence ids — always, not only
+    when this process itself retries."""
 
     def _exchange(self, host, port, object_id, t, seq):
         from repro.http.messages import Request
@@ -185,7 +213,7 @@ class TestUpstreamIdempotency:
             await origin.start()
             first = LiveProxy(
                 origin.host, origin.port, _FACTORIES["invalidation"](),
-                journal=Journal(path), concurrent=True,
+                journal=Journal(path),
             )
             await first.start()
             try:
@@ -194,8 +222,8 @@ class TestUpstreamIdempotency:
                     first.host, first.port, "/dyn", 5.0, "r0"
                 )
                 assert response.status == 200
-                # Journaled proxies stamp upstream ids even with the
-                # default single-attempt budget — the origin saw one.
+                # Upstream ids are stamped even with the default
+                # single-attempt budget — the origin saw one.
                 assert "/dyn@0" in origin._seen
                 assert origin.gets == 1
             finally:
@@ -213,7 +241,7 @@ class TestUpstreamIdempotency:
 
             second = LiveProxy(
                 origin.host, origin.port, _FACTORIES["invalidation"](),
-                journal=Journal(path), concurrent=True,
+                journal=Journal(path),
             )
             try:
                 assert await second.restore()
@@ -244,7 +272,7 @@ class TestUpstreamIdempotency:
             await origin.start()
             proxy = LiveProxy(
                 origin.host, origin.port, _FACTORIES["invalidation"](),
-                journal=Journal(path), concurrent=True,
+                journal=Journal(path),
             )
             await proxy.start()
             try:

@@ -107,7 +107,8 @@ class TestTracedChaosReplay:
         assert len(hits) > 0
 
     def test_serial_traced_replay(self, tmp_path):
-        """The historical serial driver traces too (no chaos needed)."""
+        """The ``connections=1`` one-shot default traces too (no chaos
+        needed)."""
         base = tmp_path / "TRACE.jsonl"
         asyncio.run(run_replay(
             OriginServer(_histories()), _FACTORIES["ttl"](), _REQUESTS,
