@@ -120,12 +120,13 @@ live:
 	  "traced replays matched simulation exactly"
 
 # Consistency-oracle gate (see docs/PROTOCOLS.md, "Invariants &
-# verification"): static analysis + typing first, then the
-# differential/metamorphic property suite, then replay every experiment
-# at reduced scale with each simulation checked event-for-event against
-# the brute-force spec model.
+# verification"): static analysis + typing first, then the request
+# step's transition table (a transition bug fails here, where it is
+# written) and the differential/metamorphic property suite, then replay
+# every experiment at reduced scale with each simulation checked
+# event-for-event against the brute-force spec model.
 verify: lint typecheck
-	$(PYTHON) -m pytest tests/verify/ -q
+	$(PYTHON) -m pytest tests/core/test_step.py tests/verify/ -q
 	$(PYTHON) -m repro.experiments all --scale 0.25 --workers $(WORKERS) \
 	  --verify > /dev/null
 	@echo "verify: lint + typecheck + property suite + oracle-checked replay passed"

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.core.server import OriginServer
+from repro.core.server import FetchResult, OriginServer
 from repro.obs import registry as obs_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -91,6 +91,24 @@ class CacheEntry:
         self.valid = valid
         self.expires_at = expires_at
         self.server_expires = server_expires
+
+    @classmethod
+    def from_fetch(
+        cls, object_id: str, file_type: str, result: FetchResult, t: float
+    ) -> "CacheEntry":
+        """The valid copy ``result`` describes, fetched and validated at
+        ``t`` — the one place entries are built from origin replies."""
+        return cls(
+            object_id=object_id,
+            version=result.version,
+            size=result.size,
+            file_type=file_type,
+            fetched_at=t,
+            validated_at=t,
+            last_modified=result.last_modified,
+            valid=True,
+            server_expires=result.expires,
+        )
 
     @property
     def age(self) -> float:
@@ -316,18 +334,6 @@ class Cache:
             if not obj.cacheable:
                 continue
             result = server.get(oid, at)
-            self.store(
-                CacheEntry(
-                    object_id=oid,
-                    version=result.version,
-                    size=result.size,
-                    file_type=obj.file_type,
-                    fetched_at=at,
-                    validated_at=at,
-                    last_modified=result.last_modified,
-                    valid=True,
-                    server_expires=result.expires,
-                )
-            )
+            self.store(CacheEntry.from_fetch(oid, obj.file_type, result, at))
             loaded += 1
         return loaded

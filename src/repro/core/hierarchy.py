@@ -14,9 +14,12 @@ faith, this module implements a real multi-level cache tree:
 * every link (child ↔ parent, root ↔ origin) carries its own byte ledger,
   so both total bytes and Worrell's hop-weighted bytes are measurable.
 
-Only optimized-mode (If-Modified-Since) semantics are implemented — the
+Every node accounts its requests through the one request transition
+(:class:`repro.core.step.RequestStep`), always in optimized mode — the
 flattening argument concerns message flows, which are identical in both
-modes for the scenarios of Figure 1.
+modes for the scenarios of Figure 1.  What is written here is what only
+a tree has: the exchange goes to the parent (or, at the root, the
+origin), and invalidations fan out over registered holders.
 """
 
 from __future__ import annotations
@@ -26,15 +29,13 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional
 from repro.core.cache import Cache, CacheEntry
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
 from repro.core.metrics import (
-    FULL_RETRIEVAL,
     INVALIDATION,
-    VALIDATION_200,
-    VALIDATION_304,
     BandwidthLedger,
     ConsistencyCounters,
 )
 from repro.core.protocols.base import ConsistencyProtocol
 from repro.core.server import FetchResult, NotModified, OriginServer
+from repro.core.step import RequestStep, SimulatorMode, discard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.plan import FaultPlan
@@ -74,6 +75,19 @@ class CacheNode:
         self.cache = Cache()
         self.uplink = BandwidthLedger()
         self.counters = ConsistencyCounters()
+        # Optimized mode, no event sink.  Invalidations reach a node
+        # through :meth:`receive_invalidation`, never through the step's
+        # feed delivery, so the step's own charging flag is moot.
+        self._step = RequestStep(
+            self.cache,
+            protocol,
+            SimulatorMode.OPTIMIZED,
+            costs,
+            self.charge_per_modification,
+            self.counters,
+            self.uplink,
+            discard,
+        )
         #: Children registered as holding each object (for invalidation
         #: fan-out); populated as children fetch through this node.
         self._holders: dict[str, set[CacheNode]] = {}
@@ -121,23 +135,6 @@ class CacheNode:
     def _register_holder(self, object_id: str, child: "CacheNode") -> None:
         self._holders.setdefault(object_id, set()).add(child)
 
-    def _store(self, object_id: str, file_type: str, result: FetchResult,
-               t: float) -> CacheEntry:
-        entry = CacheEntry(
-            object_id=object_id,
-            version=result.version,
-            size=result.size,
-            file_type=file_type,
-            fetched_at=t,
-            validated_at=t,
-            last_modified=result.last_modified,
-            valid=True,
-            server_expires=result.expires,
-        )
-        self.cache.store(entry)
-        self.protocol.on_stored(entry, t)
-        return entry
-
     def ensure_fresh(self, object_id: str, t: float) -> CacheEntry:
         """Return an entry this node considers servable at time ``t``.
 
@@ -146,33 +143,17 @@ class CacheNode:
         *stale* with respect to the origin — that is the whole point of
         weak consistency.
         """
-        entry = self.cache.lookup(object_id)
-        if entry is not None and self.protocol.is_fresh(entry, t):
-            return entry
-
+        entry, fresh = self._step.begin(object_id, t)
         if entry is None:
-            result = self._fetch_full(object_id, t)
-            self.counters.misses += 1
-            self.counters.full_retrievals += 1
-            return self._store(object_id, self._file_type(object_id), result, t)
-
-        # Present but not fresh: conditional retrieval upstream.
-        self.counters.validations += 1
-        result = self._fetch_conditional(object_id, t, entry.last_modified)
-        if isinstance(result, NotModified):
-            self.counters.validations_not_modified += 1
-            entry.validated_at = t
-            entry.valid = True
-            # The 304 carries a refreshed Expires (see the single-cache
-            # simulator): apply it before the protocol re-stamps expiry.
-            entry.server_expires = result.expires
-            self.protocol.on_stored(entry, t)
-            self.protocol.on_validation_result(entry, t, was_modified=False)
+            return self._step.fetched(
+                object_id, t, self._file_type(object_id),
+                self._get(object_id, t), True,
+            )
+        if fresh:
+            self._step.hit(object_id, t)
             return entry
-        self.counters.misses += 1
-        entry = self._store(object_id, self._file_type(object_id), result, t)
-        self.protocol.on_validation_result(entry, t, was_modified=True)
-        return entry
+        reply = self._if_modified_since(object_id, t, entry.last_modified)
+        return self._step.validated(entry, t, reply)
 
     def _file_type(self, object_id: str) -> str:
         node: CacheNode = self
@@ -180,49 +161,32 @@ class CacheNode:
             node = node.parent
         return node._origin_or_fail().object(object_id).file_type
 
-    def _fetch_full(self, object_id: str, t: float) -> FetchResult:
+    def _get(self, object_id: str, t: float) -> FetchResult:
+        """A plain GET upstream: the origin's copy at the root, the
+        parent's (possibly stale) copy below it."""
         if self.parent is None:
-            result = self._origin_or_fail().get(object_id, t)
             self.counters.server_gets += 1
-        else:
-            upstream = self.parent.ensure_fresh(object_id, t)
-            self.parent._register_holder(object_id, self)
-            result = FetchResult(
-                version=upstream.version,
-                last_modified=upstream.last_modified,
-                size=upstream.size,
-                expires=upstream.server_expires,
-            )
-        control, body = self.costs.full_retrieval(result.size)
-        self.uplink.charge(FULL_RETRIEVAL, control, body)
-        return result
+            return self._origin_or_fail().get(object_id, t)
+        upstream = self.parent.ensure_fresh(object_id, t)
+        self.parent._register_holder(object_id, self)
+        return FetchResult(
+            version=upstream.version,
+            last_modified=upstream.last_modified,
+            size=upstream.size,
+            expires=upstream.server_expires,
+        )
 
-    def _fetch_conditional(
+    def _if_modified_since(
         self, object_id: str, t: float, since: float
     ) -> "FetchResult | NotModified":
         if self.parent is None:
             self.counters.server_ims_queries += 1
-            result = self._origin_or_fail().if_modified_since(object_id, t, since)
-        else:
-            upstream = self.parent.ensure_fresh(object_id, t)
-            self.parent._register_holder(object_id, self)
-            if upstream.last_modified <= since:
-                # The parent's 304 forwards its own (possibly refreshed)
-                # Expires downstream, like the origin's does.
-                result = NotModified(expires=upstream.server_expires)
-            else:
-                result = FetchResult(
-                    version=upstream.version,
-                    last_modified=upstream.last_modified,
-                    size=upstream.size,
-                    expires=upstream.server_expires,
-                )
-        if isinstance(result, NotModified):
-            control, body = self.costs.validation_not_modified()
-            self.uplink.charge(VALIDATION_304, control, body)
-        else:
-            control, body = self.costs.validation_modified(result.size)
-            self.uplink.charge(VALIDATION_200, control, body)
+            return self._origin_or_fail().if_modified_since(object_id, t, since)
+        result = self._get(object_id, t)
+        if result.last_modified <= since:
+            # The parent's 304 forwards its own (possibly refreshed)
+            # Expires downstream, like the origin's does.
+            return NotModified(expires=result.expires)
         return result
 
     # -- invalidation fan-out ----------------------------------------------------------
@@ -308,7 +272,14 @@ class HierarchySimulation:
 
     def preload(self, at: float = 0.0) -> None:
         """Load valid copies of every object into every node, registering
-        holder relationships so invalidations can fan out."""
+        holder relationships so invalidations can fan out.
+
+        Modifications at or before ``at`` are skipped, not delivered:
+        the preloaded copies already reflect them (the single-cache
+        simulator's ``start_time`` rule).
+        """
+        if self._deliver:
+            self._feed_idx = self.server.feed_position(at)
         for node in self._all_nodes():
             node.cache.preload_from(self.server, at=at)
             for entry in node.cache:
@@ -337,25 +308,19 @@ class HierarchySimulation:
             if faults is not None and faults.server_down(mod_time):
                 # Outage: the origin never records the pending notice.
                 continue
-            entry = self.root.cache.peek(oid)
-            if faults is not None and faults.attempt_lost(index, 0):
-                # Lost on the wire: charged if it would have been sent,
-                # but the tree never hears it.
-                if entry is not None and (
-                    entry.valid or self.charge_per_modification
-                ):
-                    self.root.uplink.charge(INVALIDATION, control, body)
-                    self.root.counters.server_invalidations_sent += 1
-                continue
             # The origin notifies the root over the root's uplink —
             # per §4.1 policy, either on every modification of a resident
             # entry or only on the valid→invalid transition.
+            entry = self.root.cache.peek(oid)
             if entry is not None and (
                 entry.valid or self.charge_per_modification
             ):
                 self.root.uplink.charge(INVALIDATION, control, body)
                 self.root.counters.server_invalidations_sent += 1
-            self.root.receive_invalidation(oid, modified_at=mod_time)
+            # Lost on the wire: charged like any sent notice, but the
+            # tree never hears it.
+            if faults is None or not faults.attempt_lost(index, 0):
+                self.root.receive_invalidation(oid, modified_at=mod_time)
         self._feed_idx = idx
 
     def request(self, leaf_name: str, object_id: str, t: float) -> bool:
@@ -375,7 +340,6 @@ class HierarchySimulation:
         if self._deliver:
             self._deliver_until(t)
         leaf = self.leaves[leaf_name]
-        leaf.counters.requests += 1
         entry = leaf.ensure_fresh(object_id, t)
         stale = entry.version < self.server.version_at(object_id, t)
         if stale:
@@ -410,8 +374,7 @@ class HierarchySimulation:
         """Merged request-level counters across all leaf caches."""
         merged = ConsistencyCounters()
         for leaf in self.leaves.values():
-            merged.requests += leaf.counters.requests
-            merged.stale_hits += leaf.counters.stale_hits
+            merged.merge(leaf.counters)
         return merged
 
 

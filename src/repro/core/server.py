@@ -193,6 +193,13 @@ class OriginServer:
             self._feed_times = tuple(t for t, _ in events)
         return self._invalidation_feed
 
+    def feed_position(self, t: float) -> int:
+        """Index of the first feed event strictly after ``t`` — where a
+        run that starts (or preloads) at ``t`` begins delivering."""
+        self.invalidation_feed()
+        assert self._feed_times is not None  # populated alongside the feed
+        return bisect_right(self._feed_times, t)
+
     def feed_between(
         self, start: float, end: float
     ) -> Iterator[tuple[float, str]]:
@@ -212,9 +219,5 @@ class OriginServer:
         >>> list(server.feed_between(3.0, 9.0))
         []
         """
-        feed = self.invalidation_feed()
-        times = self._feed_times
-        assert times is not None  # populated by invalidation_feed()
-        lo = bisect_right(times, start)
-        hi = bisect_right(times, end)
-        return iter(feed[lo:hi])
+        lo, hi = self.feed_position(start), self.feed_position(end)
+        return iter(self.invalidation_feed()[lo:hi])

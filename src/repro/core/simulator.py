@@ -22,81 +22,41 @@ mark entries invalid without refetching.
 
 Event interleaving: before serving a request at time *t*, every origin
 modification with timestamp <= *t* is delivered to caches registered for
-callbacks (the invalidation protocol).  Per Section 4.1 — "The
-invalidation protocol sends an invalidation message every time that a
-file changes" — a notice is charged for every modification of a resident
-entry by default, whether or not the entry was already invalid.  That
-charging policy is an explicit knob (``charge_per_modification``): pass
-``False`` to charge only on valid→invalid transitions, the accounting a
-server that tracks per-cache validity (like the hierarchy's
-holder-registration scheme) would do.  Either way the entry state itself
-is routed through :meth:`~repro.core.cache.Cache.invalidate`, so the
-single-cache and hierarchy paths share one state transition.
+callbacks (the invalidation protocol).
+
+This module is the driver only.  Every decision and every byte of
+accounting is :class:`repro.core.step.RequestStep`'s, which the cache
+hierarchy and the live proxy account through as well; what is written
+here is what only the simulator can do — perform the exchange against
+the in-memory origin, and read ground-truth staleness off the schedule.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from repro.core.cache import Cache, CacheEntry
+from repro.core.cache import Cache
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
 from repro.obs import registry as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.core.metrics import (
-    FULL_RETRIEVAL,
-    INVALIDATION,
-    PREFETCH,
-    VALIDATION_200,
-    VALIDATION_304,
-    BandwidthLedger,
-    ConsistencyCounters,
-)
+from repro.core.metrics import BandwidthLedger, ConsistencyCounters
 from repro.core.protocols.base import ConsistencyProtocol
 from repro.core.results import SimulationResult
-from repro.core.server import FetchResult, NotModified, OriginServer
-from repro.faults.plan import (
-    ATTEMPT_LOST,
-    ATTEMPT_SENT,
-    CRASH,
-    DROP,
-    FaultAction,
-    FaultPlan,
+from repro.core.server import FetchResult, OriginServer
+from repro.core.step import (
+    EVENT_KINDS,
+    EventObserver,
+    RequestStep,
+    SimulatorMode,
+    discard,
 )
+from repro.faults.plan import FaultAction, FaultPlan
 
-#: Every event kind an :data:`EventObserver` can receive.  The
-#: ``repro.verify`` oracle replays exactly this alphabet event-for-event.
-#: The ``fault_*`` kinds fire only when a :class:`repro.faults.FaultPlan`
-#: is installed: an attempt lost in the network, a notice permanently
-#: abandoned (retries exhausted or server down), a delivery that
-#: succeeded on a retry, and a cache crash (empty object id).
-EVENT_KINDS: tuple[str, ...] = (
-    "hit",
-    "stale_hit",
-    "miss",
-    "validation_304",
-    "validation_200",
-    "invalidation",
-    "prefetch",
-    "dynamic_fetch",
-    "fault_invalidation_lost",
-    "fault_invalidation_dropped",
-    "fault_invalidation_recovered",
-    "fault_cache_crash",
-)
-
-#: Callback signature for per-event tracing: ``observer(kind, time, id)``.
-#: Kinds are the members of :data:`EVENT_KINDS`.
-EventObserver = Callable[[str, float, str], None]
-
-
-class SimulatorMode(enum.Enum):
-    """Which generation of the paper's simulator to model."""
-
-    #: Expired entries are refetched unconditionally (Figures 2-3).
-    BASE = "base"
-    #: Expired entries are revalidated with If-Modified-Since (Figures 4-8).
-    OPTIMIZED = "optimized"
+# The alphabet, the observer type and the mode are the step's; this
+# module stays their public import path.
+__all__ = [
+    "EVENT_KINDS", "EventObserver", "Simulation", "SimulatorMode", "simulate",
+]
 
 
 class Simulation:
@@ -113,18 +73,15 @@ class Simulation:
         start_time: simulation time at which the run begins; preloaded
             entries are stamped as validated at this instant.
         observer: optional per-event callback (see :data:`EventObserver`)
-            for tracing and custom statistics; adds one comparison per
-            event when unset.
+            for tracing and custom statistics.
         charge_per_modification: the Section 4.1 charging policy.  When
             True (the paper's reading — "The invalidation protocol sends
             an invalidation message every time that a file changes"), a
             notice is charged for every modification of a resident entry,
-            even one already marked invalid.  When False, a notice is
-            charged only when the callback actually flips a valid entry
-            to invalid — the accounting of a server that tracks per-cache
-            validity, which is what the hierarchy's holder registration
-            does.  The entry state transition itself always goes through
-            :meth:`Cache.invalidate`.
+            even one already marked invalid.  When False, only when the
+            callback actually flips a valid entry to invalid — the
+            accounting of a server that tracks per-cache validity, which
+            is what the hierarchy's holder registration does.
         faults: an optional :class:`repro.faults.FaultPlan`.  When set,
             invalidation delivery runs off the plan's compiled schedule
             (loss, delay, downtime, retries) instead of the perfect
@@ -155,10 +112,19 @@ class Simulation:
         self.cache = cache if cache is not None else Cache()
         self.counters = ConsistencyCounters()
         self.bandwidth = BandwidthLedger()
-        # With tracing/metrics off the tee returns ``observer`` unchanged
-        # (None included): the historical zero-instrumentation path.
-        self._observe = obs_trace.instrumented_observer(observer)
         self.charge_per_modification = bool(charge_per_modification)
+        # With tracing/metrics off the tee returns ``observer`` unchanged
+        # (None included, hence ``discard``).
+        self._core = RequestStep(
+            self.cache,
+            protocol,
+            mode,
+            costs,
+            self.charge_per_modification,
+            self.counters,
+            self.bandwidth,
+            obs_trace.instrumented_observer(observer) or discard,
+        )
         self.start_time = float(start_time)
         self._now = float(start_time)
         self.faults = faults
@@ -168,7 +134,7 @@ class Simulation:
         self._fault_idx = 0
         if faults is not None:
             # The injection seam: delivery (and crashes) run off the
-            # compiled schedule; the fault-free loop below is bypassed.
+            # compiled schedule; the fault-free feed is bypassed.
             feed = (
                 server.invalidation_feed()
                 if protocol.wants_invalidations
@@ -181,172 +147,45 @@ class Simulation:
             self._feed = server.invalidation_feed()
             # Skip modifications that predate the run; preloaded entries
             # already reflect them.
-            while (
-                self._feed_idx < len(self._feed)
-                and self._feed[self._feed_idx][0] <= self.start_time
-            ):
-                self._feed_idx += 1
+            self._feed_idx = server.feed_position(self.start_time)
+        self._delivers = bool(self._fault_actions or self._feed)
         if preload:
-            loaded = self.cache.preload_from(server, at=self.start_time)
+            self.cache.preload_from(server, at=self.start_time)
             for entry in self.cache:
                 protocol.on_stored(entry, self.start_time)
-            del loaded
 
     # -- internals -------------------------------------------------------------
 
-    def _deliver_invalidations_until(self, t: float) -> None:
+    def _deliver_until(self, t: float) -> None:
+        """Deliver every invalidation (or compiled fault action) with a
+        timestamp <= ``t``, pushing the new copy when the step asks."""
+        core = self._core
+        if self.faults is not None:
+            actions = self._fault_actions
+            idx = self._fault_idx
+            n = len(actions)
+            while idx < n and actions[idx].time <= t:
+                action = actions[idx]
+                idx += 1
+                if core.fault(action):
+                    self._prefetch(action.object_id, action.time)
+            self._fault_idx = idx
+            return
         feed = self._feed
         idx = self._feed_idx
-        peek = self.cache.peek
-        invalidate = self.cache.invalidate
-        counters = self.counters
-        charge = self.bandwidth.charge
-        control, body = self.costs.invalidation_notice()
-        eager = getattr(self.protocol, "eager", False)
-        per_modification = self.charge_per_modification
         n = len(feed)
         while idx < n and feed[idx][0] <= t:
             mod_time, oid = feed[idx]
             idx += 1
-            if peek(oid) is None:
-                continue
-            went_invalid = invalidate(oid)
-            if went_invalid or per_modification:
-                counters.invalidations_received += 1
-                counters.server_invalidations_sent += 1
-                charge(INVALIDATION, control, body)
-                if self._observe is not None:
-                    self._observe("invalidation", mod_time, oid)
-            if eager:
-                # Pre-optimization invalidation: the new copy is
-                # pushed with the notice, off any client's critical
-                # path.  Not a cache miss — no request is waiting.
-                result = self.server.get(oid, mod_time)
-                p_control, p_body = self.costs.full_retrieval(result.size)
-                charge(PREFETCH, p_control, p_body)
-                counters.prefetches += 1
-                counters.server_gets += 1
-                obj = self.server.object(oid)
-                self._store(oid, obj.file_type, result, mod_time)
-                if self._observe is not None:
-                    self._observe("prefetch", mod_time, oid)
+            if core.deliver(mod_time, oid):
+                self._prefetch(oid, mod_time)
         self._feed_idx = idx
 
-    def _process_fault_actions(self, t: float) -> None:
-        """Replay compiled fault actions with timestamps <= ``t``.
-
-        This is the fault-plan counterpart of
-        :meth:`_deliver_invalidations_until`; with a null plan the two
-        produce byte-identical counters, charges, and events.  Charging
-        follows the real message flow: every attempt that actually
-        leaves the server (including ones the network then loses) costs
-        one notice on the wire and counts toward
-        ``server_invalidations_sent``; only deliveries that arrive count
-        toward ``invalidations_received``.
-        """
-        actions = self._fault_actions
-        idx = self._fault_idx
-        peek = self.cache.peek
-        counters = self.counters
-        charge = self.bandwidth.charge
-        control, body = self.costs.invalidation_notice()
-        eager = getattr(self.protocol, "eager", False)
-        per_modification = self.charge_per_modification
-        n = len(actions)
-        while idx < n and actions[idx].time <= t:
-            action = actions[idx]
-            idx += 1
-            if action.kind == CRASH:
-                self.cache.clear()
-                if self._observe is not None:
-                    self._observe("fault_cache_crash", action.time, "")
-                continue
-            entry = peek(action.object_id)
-            if entry is None:
-                continue
-            if action.kind == ATTEMPT_SENT or action.kind == ATTEMPT_LOST:
-                # The server sends (and is charged for) a notice when the
-                # entry is still valid from its point of view — or on
-                # every modification under the §4.1 per-modification
-                # policy.  Lost attempts cost the same bytes; they just
-                # never arrive.
-                if entry.valid or per_modification:
-                    counters.server_invalidations_sent += 1
-                    charge(INVALIDATION, control, body)
-                    if action.kind == ATTEMPT_LOST and self._observe is not None:
-                        self._observe(
-                            "fault_invalidation_lost",
-                            action.time,
-                            action.object_id,
-                        )
-            elif action.kind == DROP:
-                # Permanently abandoned (retries exhausted or server
-                # down) while the cache still believes the copy valid:
-                # this is the moment unbounded staleness begins.
-                if entry.valid and self._observe is not None:
-                    self._observe(
-                        "fault_invalidation_dropped",
-                        action.time,
-                        action.object_id,
-                    )
-            else:  # DELIVER
-                went_invalid = self.cache.invalidate(
-                    action.object_id, modified_at=action.mod_time
-                )
-                if went_invalid or per_modification:
-                    counters.invalidations_received += 1
-                    if self._observe is not None:
-                        if action.attempt > 0:
-                            self._observe(
-                                "fault_invalidation_recovered",
-                                action.time,
-                                action.object_id,
-                            )
-                        self._observe(
-                            "invalidation", action.time, action.object_id
-                        )
-                if eager:
-                    result = self.server.get(action.object_id, action.time)
-                    p_control, p_body = self.costs.full_retrieval(result.size)
-                    charge(PREFETCH, p_control, p_body)
-                    counters.prefetches += 1
-                    counters.server_gets += 1
-                    obj = self.server.object(action.object_id)
-                    self._store(
-                        action.object_id, obj.file_type, result, action.time
-                    )
-                    if self._observe is not None:
-                        self._observe(
-                            "prefetch", action.time, action.object_id
-                        )
-        self._fault_idx = idx
-
-    def _full_fetch(self, object_id: str, t: float) -> FetchResult:
+    def _prefetch(self, object_id: str, t: float) -> None:
         result = self.server.get(object_id, t)
-        control, body = self.costs.full_retrieval(result.size)
-        self.bandwidth.charge(FULL_RETRIEVAL, control, body)
-        self.counters.full_retrievals += 1
         self.counters.server_gets += 1
-        self.counters.misses += 1
-        obs_metrics.observe("sim.transfer_bytes", float(result.size))
-        return result
-
-    def _store(self, object_id: str, file_type: str, result: FetchResult,
-               t: float) -> CacheEntry:
-        entry = CacheEntry(
-            object_id=object_id,
-            version=result.version,
-            size=result.size,
-            file_type=file_type,
-            fetched_at=t,
-            validated_at=t,
-            last_modified=result.last_modified,
-            valid=True,
-            server_expires=result.expires,
-        )
-        self.cache.store(entry)
-        self.protocol.on_stored(entry, t)
-        return entry
+        file_type = self.server.object(object_id).file_type
+        self._core.prefetched(object_id, t, file_type, result)
 
     # -- public API --------------------------------------------------------------
 
@@ -364,32 +203,21 @@ class Simulation:
                 "request streams must be time-ordered"
             )
         self._now = t
-        if self._fault_actions:
-            self._process_fault_actions(t)
-        elif self._feed:
-            self._deliver_invalidations_until(t)
-        self.counters.requests += 1
-
-        obj = self.server.object(object_id)
-        if not obj.cacheable:
-            # Dynamic content: always regenerated at the origin.
-            self._full_fetch(object_id, t)
-            if self._observe is not None:
-                self._observe("dynamic_fetch", t, object_id)
-            return
-
-        entry = self.cache.lookup(object_id)
+        if self._delivers:
+            self._deliver_until(t)
+        core = self._core
+        entry, fresh = core.begin(object_id, t)
         if entry is None:
-            result = self._full_fetch(object_id, t)
-            self._store(object_id, obj.file_type, result, t)
-            if self._observe is not None:
-                self._observe("miss", t, object_id)
-            return
-
-        if self.protocol.is_fresh(entry, t):
-            self.counters.hits += 1
+            result = self.server.get(object_id, t)
+            self.counters.server_gets += 1
+            obs_metrics.observe("sim.transfer_bytes", float(result.size))
+            # Dynamic content is regenerated at the origin, never stored.
+            obj = self.server.object(object_id)
+            core.fetched(object_id, t, obj.file_type, result, obj.cacheable)
+        elif fresh:
             schedule = self.server.schedule(object_id)
-            if entry.version < schedule.version_at(t):
+            stale = entry.version < schedule.version_at(t)
+            if stale:
                 self.counters.stale_hits += 1
                 # How long has this entry been stale?  It went stale at
                 # the first modification after the Last-Modified it holds.
@@ -399,49 +227,15 @@ class Simulation:
                     obs_metrics.observe(
                         "sim.stale_age_seconds", t - became_stale
                     )
-                if self._observe is not None:
-                    self._observe("stale_hit", t, object_id)
-            elif self._observe is not None:
-                self._observe("hit", t, object_id)
-            return
-
-        if self.mode is SimulatorMode.BASE:
-            # Unconditional refetch, even when nothing changed.
-            result = self._full_fetch(object_id, t)
-            self._store(object_id, obj.file_type, result, t)
-            if self._observe is not None:
-                self._observe("miss", t, object_id)
-            return
-
-        # Optimized mode: conditional retrieval.
-        self.counters.validations += 1
-        self.counters.server_ims_queries += 1
-        result = self.server.if_modified_since(object_id, t, entry.last_modified)
-        if isinstance(result, NotModified):
-            control, body = self.costs.validation_not_modified()
-            self.bandwidth.charge(VALIDATION_304, control, body)
-            self.counters.validations_not_modified += 1
-            entry.validated_at = t
-            entry.valid = True
-            # The 304 re-stamps the Expires header: without this an
-            # Expires-driven entry would revalidate on every request
-            # forever once its first Expires lapsed.
-            entry.server_expires = result.expires
-            self.protocol.on_stored(entry, t)
-            self.protocol.on_validation_result(entry, t, was_modified=False)
-            # Served from cache, and the origin just confirmed it current.
-            self.counters.hits += 1
-            if self._observe is not None:
-                self._observe("validation_304", t, object_id)
-            return
-        control, body = self.costs.validation_modified(result.size)
-        self.bandwidth.charge(VALIDATION_200, control, body)
-        self.counters.misses += 1
-        obs_metrics.observe("sim.transfer_bytes", float(result.size))
-        entry = self._store(object_id, obj.file_type, result, t)
-        self.protocol.on_validation_result(entry, t, was_modified=True)
-        if self._observe is not None:
-            self._observe("validation_200", t, object_id)
+            core.hit(object_id, t, stale)
+        else:
+            self.counters.server_ims_queries += 1
+            reply = self.server.if_modified_since(
+                object_id, t, entry.last_modified
+            )
+            if isinstance(reply, FetchResult):
+                obs_metrics.observe("sim.transfer_bytes", float(reply.size))
+            core.validated(entry, t, reply)
 
     def finish(self, end_time: Optional[float] = None) -> SimulationResult:
         """Flush trailing invalidations and return the run's result.
@@ -459,10 +253,8 @@ class Simulation:
                     f"end_time {end_time!r} precedes last request {self._now!r}"
                 )
             self._now = end_time
-            if self._fault_actions:
-                self._process_fault_actions(end_time)
-            elif self._feed:
-                self._deliver_invalidations_until(end_time)
+            if self._delivers:
+                self._deliver_until(end_time)
         result = SimulationResult(
             protocol_name=self.protocol.name,
             mode=self.mode.value,
@@ -505,7 +297,7 @@ def simulate(
 
     >>> from repro.core.protocols import AlexProtocol
     >>> from repro.core.objects import ObjectHistory, WebObject
-    >>> from repro.core.server import OriginServer
+    >>> from repro.core.server import FetchResult, OriginServer
     >>> server = OriginServer(
     ...     [ObjectHistory(WebObject("/a", size=1000, created=-100.0))])
     >>> result = simulate(

@@ -16,8 +16,8 @@ RPR002    units: ``*_bytes`` / ``*_seconds`` / ``*_count`` quantities
 RPR003    conformance: protocol subclasses implement the hook set, are
           exported, and have spec rules; experiment modules are
           registered in experiments/registry.py
-RPR004    oracle exhaustiveness: EVENT_KINDS == simulator emissions ==
-          SpecModel replay alphabet
+RPR004    oracle exhaustiveness: EVENT_KINDS == the request step's
+          emissions == SpecModel replay alphabet
 RPR005    hygiene: no mutable default arguments or shadowed builtins
 ========  ==============================================================
 

@@ -6,13 +6,16 @@ the two sides speak the same alphabet: an event kind the simulator emits
 but the spec never produces is exactly the "missed handler" bug class
 the oracle exists to catch — and it would surface as a confusing stream
 diff (or, worse, not at all if the event never fires in the test
-workloads).  This checker makes the alphabet agreement a static fact:
+workloads).  Kinds are emitted in exactly one place, the shared request
+step (``repro/core/step.py``) that the simulator, the hierarchy and the
+live proxy all account through, so checking that module covers all
+three.  This checker makes the alphabet agreement a static fact:
 
-* every string literal passed to ``self._observe(...)`` in
-  ``repro/core/simulator.py`` must be declared in its ``EVENT_KINDS``
-  tuple;
-* every declared kind must actually be emitted somewhere in the
-  simulator (no dead alphabet entries);
+* every string literal passed as the kind of ``self.on_event(...)`` in
+  the step module (either arm of ``"stale_hit" if stale else "hit"``
+  included) must be declared in its ``EVENT_KINDS`` tuple;
+* every declared kind must actually be emitted somewhere in the step
+  (no dead alphabet entries);
 * every declared kind must have a matching emission
   (``self.events.append(("<kind>", ...))``) in ``repro/verify/spec.py``'s
   :class:`SpecModel` — a missing one means the spec cannot replay that
@@ -32,15 +35,15 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.project import ModuleInfo, Project
 from repro.lint.registry import Checker, register
 
-SIMULATOR_MODULE = "repro.core.simulator"
+STEP_MODULE = "repro.core.step"
 SPEC_MODULE = "repro.verify.spec"
 
 
 def _declared_kinds(
-    simulator: ModuleInfo,
+    step: ModuleInfo,
 ) -> Optional[tuple[ast.stmt, list[str]]]:
     """The EVENT_KINDS assignment and its string members."""
-    for node in simulator.tree.body:
+    for node in step.tree.body:
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -63,19 +66,21 @@ def _declared_kinds(
     return None
 
 
-def _observer_emissions(simulator: ModuleInfo) -> dict[str, ast.Call]:
-    """kind -> first ``self._observe("<kind>", ...)`` call site."""
+def _observer_emissions(step: ModuleInfo) -> dict[str, ast.Call]:
+    """kind -> first ``self.on_event(<kind expr>, ...)`` call site, for
+    every string literal inside the kind expression."""
     emissions: dict[str, ast.Call] = {}
-    for node in ast.walk(simulator.tree):
+    for node in ast.walk(step.tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "_observe"):
+        if not (isinstance(func, ast.Attribute) and func.attr == "on_event"):
             continue
-        if node.args and isinstance(node.args[0], ast.Constant) and isinstance(
-            node.args[0].value, str
-        ):
-            emissions.setdefault(node.args[0].value, node)
+        if not node.args:
+            continue
+        for kind in ast.walk(node.args[0]):
+            if isinstance(kind, ast.Constant) and isinstance(kind.value, str):
+                emissions.setdefault(kind.value, node)
     return emissions
 
 
@@ -100,43 +105,41 @@ def _spec_emissions(spec: ModuleInfo) -> dict[str, ast.Call]:
 
 @register
 class EventExhaustivenessChecker(Checker):
-    """RPR004: EVENT_KINDS, the simulator's observer emissions, and the
-    SpecModel's replayed events must be the same alphabet."""
+    """RPR004: EVENT_KINDS, the request step's observer emissions, and
+    the SpecModel's replayed events must be the same alphabet."""
 
     code = "RPR004"
     summary = (
-        "every observer event emitted by core/simulator.py is declared "
+        "every observer event emitted by core/step.py is declared "
         "in EVENT_KINDS and replayed by a SpecModel handler in "
         "verify/spec.py (and vice versa)"
     )
 
     def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        simulator = project.module(SIMULATOR_MODULE)
-        if simulator is None:
+        step = project.module(STEP_MODULE)
+        if step is None:
             return
-        declared = _declared_kinds(simulator)
-        emitted = _observer_emissions(simulator)
+        declared = _declared_kinds(step)
+        emitted = _observer_emissions(step)
         if declared is None:
-            first = simulator.tree.body[0] if simulator.tree.body else None
+            first = step.tree.body[0] if step.tree.body else None
             yield self.diagnostic(
-                simulator.path,
+                step.path,
                 first.lineno if first is not None else 1,
                 1,
-                "simulator module declares no EVENT_KINDS tuple — the "
+                "step module declares no EVENT_KINDS tuple — the "
                 "oracle alphabet is undefined",
             )
             return
         declaration, kinds = declared
-        yield from self._check_simulator(
-            simulator, declaration, kinds, emitted
-        )
+        yield from self._check_step(step, declaration, kinds, emitted)
         spec = project.module(SPEC_MODULE)
         if spec is not None:
             yield from self._check_spec(spec, kinds, set(emitted))
 
-    def _check_simulator(
+    def _check_step(
         self,
-        simulator: ModuleInfo,
+        step: ModuleInfo,
         declaration: ast.stmt,
         kinds: list[str],
         emitted: dict[str, ast.Call],
@@ -144,17 +147,17 @@ class EventExhaustivenessChecker(Checker):
         for kind, call in sorted(emitted.items()):
             if kind not in kinds:
                 yield self.diagnostic(
-                    simulator.path, call.lineno, call.col_offset + 1,
+                    step.path, call.lineno, call.col_offset + 1,
                     f"observer event {kind!r} is emitted but not declared "
                     "in EVENT_KINDS — the oracle will never compare it",
                 )
         for kind in kinds:
             if kind not in emitted:
                 yield self.diagnostic(
-                    simulator.path,
+                    step.path,
                     declaration.lineno,
                     declaration.col_offset + 1,
-                    f"EVENT_KINDS declares {kind!r} but the simulator "
+                    f"EVENT_KINDS declares {kind!r} but the step "
                     "never emits it (dead alphabet entry)",
                 )
 
@@ -162,11 +165,11 @@ class EventExhaustivenessChecker(Checker):
         self,
         spec: ModuleInfo,
         kinds: list[str],
-        simulator_emits: set[str],
+        step_emits: set[str],
     ) -> Iterator[Diagnostic]:
         replayed = _spec_emissions(spec)
         for kind in kinds:
-            if kind in simulator_emits and kind not in replayed:
+            if kind in step_emits and kind not in replayed:
                 first = spec.tree.body[0] if spec.tree.body else None
                 yield self.diagnostic(
                     spec.path,

@@ -12,8 +12,9 @@ population model, the :class:`~repro.core.cache.Cache`, every
   invalidation feed control endpoint), keep-alive capable;
 * :class:`~repro.live.proxy.LiveProxy` — a caching proxy whose
   freshness decisions are delegated to an unmodified protocol object
-  and whose accounting mirrors :class:`repro.core.simulator.Simulation`
-  step-for-step, with keyed locking, transactional commit, and an
+  and whose accounting is the simulator's own
+  :class:`repro.core.step.RequestStep`, with keyed locking,
+  transactional commit, and an
   optional crash journal (:class:`~repro.live.journal.Journal`);
 * :func:`~repro.live.driver.run_replay` /
   :func:`~repro.live.driver.run_crash_replay` — the one load driver,

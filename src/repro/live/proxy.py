@@ -4,28 +4,23 @@ One :class:`LiveProxy` stands between live clients and a
 :class:`~repro.live.origin.LiveOrigin`, holding an *unmodified*
 :class:`repro.core.cache.Cache` and delegating every freshness decision
 to an unmodified :class:`~repro.core.protocols.base.ConsistencyProtocol`
-instance.  Its request handling mirrors
-:meth:`repro.core.simulator.Simulation.step` transition-for-transition —
-the equivalence the live-vs-sim differential leg
-(:mod:`repro.live.differential`) enforces:
+instance.  It is an adapter over the one request transition,
+:class:`repro.core.step.RequestStep` — the same code that accounts every
+simulated request — so "live equals simulated" holds by construction for
+every decision and every ledger cell; the live-vs-sim differential leg
+(:mod:`repro.live.differential`) checks what is left, the I/O:
 
 * before serving a request at time *t*, the proxy pulls the origin's
-  invalidation window over the wire and applies it exactly like the
-  simulator's ``_deliver_invalidations_until`` (the
-  ``charge_per_modification`` policy and the eager-prefetch variant
-  included) — or, under an installed :class:`~repro.faults.FaultPlan`,
-  replays the compiled fault schedule exactly like the simulator's
-  ``_process_fault_actions``;
-* a fresh entry is served from cache (``X-Cache: HIT``); an expired
-  entry is revalidated with a real If-Modified-Since exchange in
-  optimized mode (``X-Cache: REVALIDATED`` on 304) or refetched
-  unconditionally in base mode; misses transfer the body
-  (``X-Cache: MISS``);
-* a 304 re-stamps ``server_expires`` from the reply's ``Expires``
-  header and re-runs the protocol's ``on_stored`` hook, exactly as the
-  simulator does;
-* responses carrying ``Pragma: no-cache`` (dynamic objects) are
-  forwarded but never stored.
+  invalidation window over the wire and hands each line to the step —
+  or, under an installed :class:`~repro.faults.FaultPlan`, each compiled
+  fault action;
+* whatever exchange the step asks for (a plain GET, an If-Modified-Since,
+  an eager push) is a real one upstream, and its reply's headers are
+  converted once into the origin model's reply shape for the step to
+  settle;
+* the reply to the client is rendered from the outcome: ``X-Cache: HIT``
+  for a fresh entry, ``REVALIDATED`` on a 304, ``MISS`` when the body
+  moved (``Pragma: no-cache`` responses are forwarded, never stored).
 
 Accounting is double-entry: the :class:`~repro.core.metrics
 .BandwidthLedger` charges the paper's abstract
@@ -79,26 +74,12 @@ from typing import Optional
 
 from repro.core.cache import Cache, CacheEntry
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
-from repro.core.metrics import (
-    FULL_RETRIEVAL,
-    INVALIDATION,
-    PREFETCH,
-    VALIDATION_200,
-    VALIDATION_304,
-    BandwidthLedger,
-    ConsistencyCounters,
-)
+from repro.core.metrics import BandwidthLedger, ConsistencyCounters
 from repro.core.protocols.base import ConsistencyProtocol
-from repro.core.simulator import SimulatorMode
+from repro.core.server import FetchResult, NotModified
+from repro.core.step import RequestStep, SimulatorMode
 from repro.fastpath.contract import COUNTER_FIELDS
-from repro.faults.plan import (
-    ATTEMPT_LOST,
-    ATTEMPT_SENT,
-    CRASH,
-    DROP,
-    FaultAction,
-    FaultPlan,
-)
+from repro.faults.plan import CRASH, FaultAction, FaultPlan
 from repro.http.datefmt import HTTPDateError, parse_http_date
 from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE, EXPIRES
 from repro.http.messages import Request, Response, make_ok
@@ -155,6 +136,32 @@ def _entry_dict(entry: CacheEntry) -> dict[str, object]:
     return {name: getattr(entry, name) for name in _ENTRY_FIELDS}
 
 
+def _file_type(response: Response) -> str:
+    return response.headers.get(CONTENT_TYPE) or "other"
+
+
+def _fetch_result(object_id: str, response: Response) -> FetchResult:
+    """A live 200 in the shape the origin model replies with.
+
+    Every consistency-relevant field comes off the wire
+    (``Last-Modified``, ``Content-Length``, ``Expires``).  Live entries
+    carry no origin version number — staleness ground truth is the
+    driver's job, via ``Last-Modified`` (which identifies the version
+    one-for-one).
+    """
+    last_modified = response.headers.last_modified
+    if last_modified is None:
+        raise LiveWireError(
+            f"200 response for {object_id!r} lacks Last-Modified"
+        )
+    return FetchResult(
+        version=0,
+        last_modified=last_modified,
+        size=response.body_size,
+        expires=response.headers.expires,
+    )
+
+
 def single_key(
     protocol: ConsistencyProtocol, faults: Optional[FaultPlan]
 ) -> bool:
@@ -178,12 +185,13 @@ class _Txn:
     ``_state_lock`` critical section.  Cache entries and protocol state
     are mutated in place during processing (they are protected by the
     key lock that serialized this request); the transaction records
-    which entries were touched so the journal can persist their
-    post-state.
+    which objects it may have touched so the journal can persist their
+    post-state (``None`` for one not resident).
     """
 
     __slots__ = (
         "seq",
+        "step",
         "counters",
         "bandwidth",
         "events",
@@ -217,6 +225,13 @@ class _Txn:
         #: Wall seconds spent in upstream object fetches, accumulated so
         #: the decision span can be reported net of upstream time.
         self.upstream_wall = 0.0
+        #: The request transition over this transaction's deltas
+        #: (installed by :meth:`LiveProxy._begin`).
+        self.step: RequestStep
+
+    def record(self, kind: str, t: float, object_id: str) -> None:
+        """The step's event sink."""
+        self.events.append((kind, t, object_id))
 
 
 class LiveProxy:
@@ -233,7 +248,7 @@ class LiveProxy:
         charge_per_modification: the Section 4.1 invalidation charging
             policy, identical in meaning to the simulator's knob.
         faults: replay this compiled-at-warm-time invalidation fault
-            plan instead of the fault-free feed, mirroring the
+            plan instead of the fault-free feed, like the
             simulator's ``faults=`` knob.  The schedule is a global
             timeline, so every object then shares one key
             (:func:`single_key`).
@@ -367,6 +382,9 @@ class LiveProxy:
         listing = Request("GET", CONTROL_PREFIX + "population")
         _, body, _ = await self._origin_raw(listing)
         loaded = 0
+        # Neither side counts or charges warm-up, so any step will do:
+        # only its ``store`` (entry + protocol stamp) is used.
+        store = self._begin().step.store
         for object_id in body.splitlines():
             request = Request("GET", object_id)
             request.headers.set_date(DATE, start_time)
@@ -377,7 +395,10 @@ class LiveProxy:
                     f"warmup fetch of {object_id!r} returned "
                     f"{response.status}"
                 )
-            self._store_from_response(object_id, response, start_time, None)
+            store(
+                object_id, _file_type(response),
+                _fetch_result(object_id, response), start_time,
+            )
             loaded += 1
         self._now = float(start_time)
         self._warm_time = float(start_time)
@@ -646,44 +667,6 @@ class LiveProxy:
             )
         return response
 
-    def _store_from_response(
-        self,
-        object_id: str,
-        response: Response,
-        t: float,
-        txn: Optional[_Txn],
-    ) -> CacheEntry:
-        """Build and store a cache entry from a live 200 response.
-
-        The mirror of the simulator's ``_store``; every consistency-
-        relevant field comes off the wire (``Last-Modified``,
-        ``Content-Length``, ``Content-Type``, ``Expires``).  Live
-        entries carry no origin version number — staleness ground truth
-        is the driver's job, via ``Last-Modified`` (which identifies the
-        version one-for-one).
-        """
-        last_modified = response.headers.last_modified
-        if last_modified is None:
-            raise LiveWireError(
-                f"200 response for {object_id!r} lacks Last-Modified"
-            )
-        entry = CacheEntry(
-            object_id=object_id,
-            version=0,
-            size=response.body_size,
-            file_type=response.headers.get(CONTENT_TYPE) or "other",
-            fetched_at=t,
-            validated_at=t,
-            last_modified=last_modified,
-            valid=True,
-            server_expires=response.headers.expires,
-        )
-        self.cache.store(entry)
-        self.protocol.on_stored(entry, t)
-        if txn is not None:
-            txn.touched.add(object_id)
-        return entry
-
     # -- invalidation sync ---------------------------------------------------
 
     @staticmethod
@@ -718,32 +701,13 @@ class LiveProxy:
             )
         return body
 
-    async def _apply_invalidation(
-        self, object_id: str, mod_time: float, txn: _Txn
-    ) -> None:
-        """Apply one feed line: the body of the simulator's
-        ``_deliver_invalidations_until`` loop."""
-        if self.cache.peek(object_id) is None:
-            return
-        went_invalid = self.cache.invalidate(object_id)
+    async def _prefetch(self, object_id: str, t: float, txn: _Txn) -> None:
+        response = await self._origin_get(object_id, t, txn)
+        txn.step.prefetched(
+            object_id, t, _file_type(response),
+            _fetch_result(object_id, response),
+        )
         txn.touched.add(object_id)
-        if went_invalid or self.charge_per_modification:
-            txn.counters.invalidations_received += 1
-            txn.counters.server_invalidations_sent += 1
-            control, body = self.costs.invalidation_notice()
-            txn.bandwidth.charge(INVALIDATION, control, body)
-            txn.events.append(("invalidation", mod_time, object_id))
-        if getattr(self.protocol, "eager", False):
-            # Pre-optimization invalidation: push the new copy with
-            # the notice, off any client's critical path.
-            prefetched = await self._origin_get(object_id, mod_time, txn)
-            p_control, p_body = self.costs.full_retrieval(
-                prefetched.body_size
-            )
-            txn.bandwidth.charge(PREFETCH, p_control, p_body)
-            txn.counters.prefetches += 1
-            self._store_from_response(object_id, prefetched, mod_time, txn)
-            txn.events.append(("prefetch", mod_time, object_id))
 
     async def _deliver(
         self, until: float, txn: _Txn, object_id: Optional[str]
@@ -752,148 +716,67 @@ class LiveProxy:
         ``until`` before serving at that time.
 
         ``object_id`` scopes the pull to the object being served;
-        ``None`` (finish) delivers for every object.
+        ``None`` (finish) delivers for every resident object.
         """
         if self.faults is not None:
             # The injection seam, exactly as in the simulator: delivery
             # runs off the compiled schedule (possibly empty) and the
             # fault-free feed path is bypassed entirely.
-            await self._apply_fault_actions(until, txn)
-            return
-        if not self.protocol.wants_invalidations:
-            return
-        if object_id is not None:
-            await self._sync_object(object_id, until, txn)
-        else:
-            await self._finish_sync_all(until, txn)
+            await self._replay_faults(until, txn)
+        elif self.protocol.wants_invalidations:
+            await self._sync(until, txn, object_id)
 
-    async def _sync_object(
-        self, object_id: str, until: float, txn: _Txn
+    async def _sync(
+        self, until: float, txn: _Txn, object_id: Optional[str]
     ) -> None:
-        """Pull one object's window ``(cursor, until]`` under its lock.
+        """Pull the window ``(cursor, until]`` and advance the cursors.
 
         Cursors are per object, not one watermark for the whole feed:
-        two objects' syncs commute because each window is filtered to
-        its own object, and the feed events carry their modification
-        times, so the committed event multiset is independent of the
-        interleaving.
+        two objects' syncs commute because each request's window is
+        filtered to its own object, and the feed events carry their
+        modification times, so the committed event multiset is
+        independent of the interleaving.  The finish flush is one
+        unfiltered pull from the lowest cursor, applied per line only
+        where that object's cursor has not already passed it — objects
+        synced at different depths see each event exactly once.
         """
-        cursor = self._cursors.get(object_id, self._warm_time)
-        if until <= cursor:
+        ids = (
+            [entry.object_id for entry in self.cache]
+            if object_id is None
+            else [object_id]
+        )
+        cursors = {oid: self._cursors.get(oid, self._warm_time) for oid in ids}
+        low = min(cursors.values(), default=self._warm_time)
+        if until <= low:
             return
-        body = await self._origin_window(cursor, until, object_id=object_id)
-        txn.cursors[object_id] = float(until)
+        body = await self._origin_window(low, until, object_id=object_id)
         for line in body.splitlines():
             mod_time, oid = self._parse_feed_line(line)
-            await self._apply_invalidation(oid, mod_time, txn)
-
-    async def _finish_sync_all(self, until: float, txn: _Txn) -> None:
-        """Advance every object's cursor to ``until`` (the finish flush).
-
-        One unfiltered pull from the lowest cursor, applied per line
-        only where that object's cursor has not already passed it —
-        objects synced at different depths see each event exactly once.
-        """
-        cursors = {
-            entry.object_id: self._cursors.get(
-                entry.object_id, self._warm_time
-            )
-            for entry in self.cache
-        }
-        low = min(cursors.values(), default=self._warm_time)
-        if until > low:
-            body = await self._origin_window(low, until)
-            for line in body.splitlines():
-                mod_time, object_id = self._parse_feed_line(line)
-                if mod_time <= cursors.get(object_id, until):
-                    continue
-                await self._apply_invalidation(object_id, mod_time, txn)
-        for object_id, cursor in cursors.items():
+            if mod_time <= cursors.get(oid, until):
+                continue
+            txn.touched.add(oid)
+            if txn.step.deliver(mod_time, oid):
+                await self._prefetch(oid, mod_time, txn)
+        for oid, cursor in cursors.items():
             if until > cursor:
-                txn.cursors[object_id] = float(until)
+                txn.cursors[oid] = float(until)
 
-    async def _apply_fault_actions(self, until: float, txn: _Txn) -> None:
-        """Replay compiled fault actions with timestamps <= ``until``.
-
-        A verbatim mirror of the simulator's ``_process_fault_actions``:
-        attempts are charged when they leave the server (lost ones
-        included), deliveries count on arrival, drops and crashes only
-        emit events — so a faulted live replay and ``simulate(faults=
-        plan)`` stay cell-identical.
-        """
-        assert self.faults is not None
+    async def _replay_faults(self, until: float, txn: _Txn) -> None:
+        """Hand the step every compiled action with a timestamp <=
+        ``until``, staging what each touches for the journal."""
         actions = self._fault_actions
         idx = self._fault_idx
-        control, body = self.costs.invalidation_notice()
-        eager = getattr(self.protocol, "eager", False)
-        per_modification = self.charge_per_modification
         n = len(actions)
         while idx < n and actions[idx].time <= until:
             action = actions[idx]
             idx += 1
             if action.kind == CRASH:
-                self.cache.clear()
                 txn.cleared = True
                 txn.touched.clear()
-                txn.events.append(("fault_cache_crash", action.time, ""))
-                continue
-            entry = self.cache.peek(action.object_id)
-            if entry is None:
-                continue
-            if action.kind == ATTEMPT_SENT or action.kind == ATTEMPT_LOST:
-                if entry.valid or per_modification:
-                    txn.counters.server_invalidations_sent += 1
-                    txn.bandwidth.charge(INVALIDATION, control, body)
-                    if action.kind == ATTEMPT_LOST:
-                        txn.events.append(
-                            (
-                                "fault_invalidation_lost",
-                                action.time,
-                                action.object_id,
-                            )
-                        )
-            elif action.kind == DROP:
-                if entry.valid:
-                    txn.events.append(
-                        (
-                            "fault_invalidation_dropped",
-                            action.time,
-                            action.object_id,
-                        )
-                    )
-            else:  # DELIVER
-                went_invalid = self.cache.invalidate(
-                    action.object_id, modified_at=action.mod_time
-                )
+            else:
                 txn.touched.add(action.object_id)
-                if went_invalid or per_modification:
-                    txn.counters.invalidations_received += 1
-                    if action.attempt > 0:
-                        txn.events.append(
-                            (
-                                "fault_invalidation_recovered",
-                                action.time,
-                                action.object_id,
-                            )
-                        )
-                    txn.events.append(
-                        ("invalidation", action.time, action.object_id)
-                    )
-                if eager:
-                    prefetched = await self._origin_get(
-                        action.object_id, action.time, txn
-                    )
-                    p_control, p_body = self.costs.full_retrieval(
-                        prefetched.body_size
-                    )
-                    txn.bandwidth.charge(PREFETCH, p_control, p_body)
-                    txn.counters.prefetches += 1
-                    self._store_from_response(
-                        action.object_id, prefetched, action.time, txn
-                    )
-                    txn.events.append(
-                        ("prefetch", action.time, action.object_id)
-                    )
+            if txn.step.fault(action):
+                await self._prefetch(action.object_id, action.time, txn)
         self._fault_idx = idx
         txn.fault_idx = idx
 
@@ -999,7 +882,7 @@ class LiveProxy:
                     # Exactly-once over at-least-once transport: the
                     # first arrival committed; replay its reply.
                     return committed
-            txn = _Txn(seq)
+            txn = self._begin(seq)
             txn.trace = request.headers.get(TRACE_HEADER)
             traced = self._trace is not None and txn.trace is not None
             object_started = obs_clock.monotonic()
@@ -1072,6 +955,21 @@ class LiveProxy:
                 txn.upstream_wall,
                 {"trace": txn.trace, "clk": clk, "object": request.path},
             )
+
+    def _begin(self, seq: Optional[str] = None) -> _Txn:
+        """A transaction whose step accounts into its own deltas."""
+        txn = _Txn(seq)
+        txn.step = RequestStep(
+            self.cache,
+            self.protocol,
+            self.mode,
+            self.costs,
+            self.charge_per_modification,
+            txn.counters,
+            txn.bandwidth,
+            txn.record,
+        )
+        return txn
 
     async def _commit(self, txn: _Txn, payload: str) -> None:
         """Fold one transaction into shared state (and the journal).
@@ -1178,7 +1076,7 @@ class LiveProxy:
             # are still delivered (and charged) after the last request.
             # Idempotent — a retried finish finds every cursor already
             # advanced and delivers nothing.
-            txn = _Txn()
+            txn = self._begin()
             await self._deliver(t, txn, object_id=None)
             self._now = float(t)
             await self._commit(txn, "")
@@ -1211,7 +1109,7 @@ class LiveProxy:
         response.headers.set(CONTENT_TYPE, "json")
         return response, body
 
-    # -- the consistency state machine (mirror of Simulation.step) ----------
+    # -- one request: the shared step, with real exchanges in between -------
 
     async def _object(
         self, request: Request, txn: _Txn
@@ -1234,70 +1132,36 @@ class LiveProxy:
         txn.clock = (key, float(t))
         self._now = max(self._now, float(t))
         await self._deliver(t, txn, object_id=object_id)
-        txn.counters.requests += 1
         obs_metrics.emit("live.requests")
 
-        entry = self.cache.lookup(object_id)
-        if entry is None:
-            return await self._fetch_and_store(object_id, t, txn)
-
-        if self.protocol.is_fresh(entry, t):
-            txn.counters.hits += 1
+        step = txn.step
+        entry, fresh = step.begin(object_id, t)
+        if entry is not None and fresh:
             # The proxy cannot know whether this hit is stale — that is
             # the point of weak consistency; the driver's audit
             # relabels stale hits from the origin's ground truth.
-            txn.events.append(("hit", t, object_id))
+            step.hit(object_id, t)
             return self._serve_from_cache(entry, t, "HIT")
-
-        if self.mode is SimulatorMode.BASE:
-            # Unconditional refetch, even when nothing changed.
-            return await self._fetch_and_store(object_id, t, txn)
-
-        # Optimized mode: conditional retrieval.
-        txn.counters.validations += 1
+        txn.touched.add(object_id)
+        if entry is None:
+            response = await self._origin_get(object_id, t, txn)
+            # ``Pragma: no-cache`` (dynamic content) is forwarded, never
+            # stored.
+            step.fetched(
+                object_id, t, _file_type(response),
+                _fetch_result(object_id, response),
+                PRAGMA not in response.headers,
+            )
+            return self._forward(response, "MISS")
         response = await self._origin_get(
             object_id, t, txn, since=entry.last_modified
         )
         if response.status == 304:
-            control, body_cost = self.costs.validation_not_modified()
-            txn.bandwidth.charge(VALIDATION_304, control, body_cost)
-            txn.counters.validations_not_modified += 1
-            entry.validated_at = t
-            entry.valid = True
-            # The 304 re-stamps the Expires header, exactly as the
-            # simulator does with NotModified.expires.
-            entry.server_expires = response.headers.expires
-            self.protocol.on_stored(entry, t)
-            self.protocol.on_validation_result(entry, t, was_modified=False)
-            txn.counters.hits += 1
-            txn.touched.add(object_id)
-            txn.events.append(("validation_304", t, object_id))
+            step.validated(
+                entry, t, NotModified(expires=response.headers.expires)
+            )
             return self._serve_from_cache(entry, t, "REVALIDATED")
-        control, body_cost = self.costs.validation_modified(
-            response.body_size
-        )
-        txn.bandwidth.charge(VALIDATION_200, control, body_cost)
-        txn.counters.misses += 1
-        stored = self._store_from_response(object_id, response, t, txn)
-        self.protocol.on_validation_result(stored, t, was_modified=True)
-        txn.events.append(("validation_200", t, object_id))
-        return self._forward(response, "MISS")
-
-    async def _fetch_and_store(
-        self, object_id: str, t: float, txn: _Txn
-    ) -> tuple[Response, str]:
-        """A full retrieval: the mirror of the simulator's
-        ``_full_fetch`` (+ store, unless the origin says no-cache)."""
-        response = await self._origin_get(object_id, t, txn)
-        control, body_cost = self.costs.full_retrieval(response.body_size)
-        txn.bandwidth.charge(FULL_RETRIEVAL, control, body_cost)
-        txn.counters.full_retrievals += 1
-        txn.counters.misses += 1
-        if PRAGMA not in response.headers:
-            self._store_from_response(object_id, response, t, txn)
-            txn.events.append(("miss", t, object_id))
-        else:
-            txn.events.append(("dynamic_fetch", t, object_id))
+        step.validated(entry, t, _fetch_result(object_id, response))
         return self._forward(response, "MISS")
 
     def _serve_from_cache(

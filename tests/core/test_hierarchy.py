@@ -6,7 +6,11 @@ from repro.core.clock import days, hours
 from repro.core.hierarchy import CacheNode, HierarchySimulation
 from repro.core.protocols import InvalidationProtocol, TTLProtocol
 from repro.core.server import OriginServer
+from repro.core.simulator import SimulatorMode, simulate
+from repro.fastpath.contract import COUNTER_FIELDS
+from repro.workload.worrell import WorrellWorkload
 from tests.conftest import make_history
+from tests.core.test_protocol_matrix import PROTOCOL_FACTORIES
 
 
 def build_tree(protocol_factory):
@@ -159,3 +163,90 @@ class TestMetrics:
         sim.preload(at=0.0)
         sim.request("1a", "/f", days(6))
         assert sim.message_count() == 2  # one 304 exchange per link
+
+
+class TestCounters:
+    """Every node accounts through the shared request step, so a leaf's
+    counters close: each request is exactly one hit or one miss."""
+
+    def _run(self):
+        server = OriginServer([make_history("/f", changes=(5.0,))])
+        root, leaf_a, leaf_b = build_tree(lambda: TTLProtocol(3.0))
+        sim = HierarchySimulation(server, root, [leaf_a, leaf_b])
+        sim.preload(at=0.0)
+        sim.request("1a", "/f", 1.0)   # fresh in 1a
+        sim.request("1b", "/f", 4.0)   # expired in 1b: 304 via the root
+        sim.request("1a", "/f", 8.0)   # expired everywhere, changed: 200
+        return sim, root, leaf_a, leaf_b
+
+    def test_leaf_hits_plus_misses_equal_requests(self):
+        _, root, leaf_a, leaf_b = self._run()
+        assert (leaf_a.counters.requests, leaf_a.counters.hits,
+                leaf_a.counters.misses) == (2, 1, 1)
+        assert (leaf_b.counters.requests, leaf_b.counters.hits,
+                leaf_b.counters.misses) == (1, 1, 0)
+        # The root counts the requests its children sent it.
+        assert root.counters.hits + root.counters.misses \
+            == root.counters.requests == 2
+
+    def test_leaf_counters_merges_every_field(self):
+        sim, _, leaf_a, leaf_b = self._run()
+        merged = sim.leaf_counters()
+        for name in COUNTER_FIELDS:
+            assert getattr(merged, name) == (
+                getattr(leaf_a.counters, name)
+                + getattr(leaf_b.counters, name)
+            ), name
+        assert merged.hits + merged.misses == merged.requests == 3
+        assert merged.validations == 2
+
+
+# -- the hierarchy joins the differential -------------------------------------
+
+#: The eager push is the one variant the hierarchy does not implement.
+HIERARCHY_FACTORIES = [
+    param for param in PROTOCOL_FACTORIES if param.id != "inval-eager"
+]
+
+
+@pytest.fixture(scope="module")
+def worrell():
+    return WorrellWorkload(
+        files=40, requests=1500, duration=days(20), seed=3
+    ).build()
+
+
+@pytest.mark.parametrize("per_modification", [True, False])
+@pytest.mark.parametrize("make_protocol", HIERARCHY_FACTORIES)
+def test_one_node_hierarchy_matches_simulate(
+    make_protocol, per_modification, worrell
+):
+    """A tree of one node *is* the flattened model: same uplink ledger
+    (all 15 cells), same request-level counters."""
+    protocol = make_protocol()
+    single = simulate(
+        worrell.server(), make_protocol(), worrell.requests,
+        SimulatorMode.OPTIMIZED, end_time=worrell.duration,
+        charge_per_modification=per_modification,
+    )
+    root = CacheNode("only", protocol)
+    sim = HierarchySimulation(
+        worrell.server(), root, [root],
+        deliver_invalidations=protocol.wants_invalidations,
+        charge_per_modification=per_modification,
+    )
+    sim.preload(at=0.0)
+    for t, object_id in worrell.requests:
+        sim.request("only", object_id, t)
+    sim.finish(worrell.duration)
+
+    assert root.uplink.control_bytes == single.bandwidth.control_bytes
+    assert root.uplink.body_bytes == single.bandwidth.body_bytes
+    assert root.uplink.exchanges == single.bandwidth.exchanges
+    assert single.bandwidth.total_bytes > 0
+    for name in COUNTER_FIELDS:
+        if name == "stale_age_sum":
+            continue  # the hierarchy has no modification-schedule view
+        assert getattr(root.counters, name) == getattr(
+            single.counters, name
+        ), name

@@ -153,3 +153,22 @@ class TestHierarchyParity:
             per_mod.root.uplink.exchanges[INVALIDATION]
             > transition.root.uplink.exchanges[INVALIDATION]
         )
+
+    def test_modifications_before_the_preload_are_not_charged(self):
+        """Preloaded copies already reflect changes at or before the
+        preload instant; neither model may deliver (or charge) them."""
+        server = OriginServer(
+            [make_history("/old", size=1000, created=-100.0,
+                          changes=(-50.0, -10.0))]
+        )
+        requests = [(days(1), "/old"), (days(2), "/old")]
+        single = simulate(server, InvalidationProtocol(), requests)
+        sim = drive_workload(
+            server, InvalidationProtocol, requests,
+            deliver_invalidations=True, charge_per_modification=True,
+        )
+        assert single.bandwidth.exchanges[INVALIDATION] == 0
+        for node in (sim.root, *sim.leaves.values()):
+            assert node.uplink.exchanges[INVALIDATION] == 0, node.name
+            assert node.counters.invalidations_received == 0, node.name
+        assert sim.root.counters.server_invalidations_sent == 0

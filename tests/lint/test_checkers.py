@@ -355,11 +355,11 @@ def _simulator(kinds: str, emits: list) -> ModuleInfo:
     lines = [f"EVENT_KINDS: tuple = ({kinds})", "", "class Simulation:",
              "    def run(self):"]
     for k in emits:
-        lines.append(f"        self._observe({k!r}, 1.0)")
+        lines.append(f"        self.on_event({k!r}, 1.0)")
     if not emits:
         lines.append("        pass")
     return ModuleInfo.from_source(
-        "\n".join(lines) + "\n", name="repro.core.simulator"
+        "\n".join(lines) + "\n", name="repro.core.step"
     )
 
 
@@ -400,6 +400,17 @@ class TestEventExhaustiveness:
         assert len(found) == 1
         assert found[0].code == "RPR004"
         assert "no handler" in found[0].message
+
+    def test_both_arms_of_a_conditional_kind_are_emissions(self):
+        step = ModuleInfo.from_source(
+            "EVENT_KINDS = ('hit', 'stale_hit')\n"
+            "class RequestStep:\n"
+            "    def hit(self, stale):\n"
+            "        self.on_event('stale_hit' if stale else 'hit', 1.0)\n",
+            name="repro.core.step",
+        )
+        spec = _spec(["hit", "stale_hit"])
+        assert run_project(self.checker, step, spec) == []
 
     def test_spec_alien_event_flagged(self):
         sim = _simulator("'hit',", ["hit"])
