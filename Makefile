@@ -4,7 +4,7 @@ PYTHON ?= python
 # Process-pool size for experiment runs (see docs/PERFORMANCE.md).
 WORKERS ?= 2
 
-.PHONY: install dev test bench bench-timings bench-baseline experiments lint typecheck verify live snapshot snapshot-check examples clean
+.PHONY: install dev test bench bench-baseline experiments lint typecheck verify live snapshot snapshot-check examples clean
 
 install:
 	pip install -e .
@@ -18,16 +18,12 @@ test:
 # Perf-trajectory sample (schema repro.bench/1, docs/OBSERVABILITY.md):
 # run every experiment at reduced scale, write BENCH_<date>.json, and
 # gate overall requests/sec against the committed conservative
-# baseline.  The historical pytest-benchmark micro-suite remains
-# available as 'make bench-timings'.
+# baseline.
 # Extra flags (e.g. BENCH_FLAGS='--min-speedup 1.0' in the CI smoke
 # gate) ride along via BENCH_FLAGS.
 bench:
 	$(PYTHON) -m repro.obs.bench --workers $(WORKERS) \
 	  --baseline benchmarks/BENCH_baseline.json $(BENCH_FLAGS)
-
-bench-timings:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Refresh the committed baseline: measure, then halve the requests/sec
 # into a conservative floor so slower CI runners don't trip the 30%
@@ -52,7 +48,7 @@ experiments:
 # transcription drift, interprocedural units).  Exit 1 on any
 # non-baselined error.  '--format json|github' for machine output.
 lint:
-	$(PYTHON) -m repro.lint src benchmarks examples
+	$(PYTHON) -m repro.lint src examples
 
 # Strict typing gate over the simulation core, the fast path, the
 # sweep engine, the differential oracle, the fault layer, the

@@ -11,11 +11,17 @@ object graph, with every hot name bound to a local.
 Freshness decisions are batch predicates over the state arrays,
 dispatched on a compiled integer protocol kind instead of a virtual
 ``is_fresh`` call; each formula below is a transliteration of the
-corresponding ``repro.core.protocols`` method (docs/FASTPATH.md maps
-them line by line).  The invalidation feed is pre-merged: a single
-cursor over the compiled ``(feed_times, feed_obj)`` arrays advances
-whenever the next request time passes the next feed time, replacing the
-per-request feed peeks of the reference loop.
+corresponding ``repro.core.protocols`` method (lint rule RPR008 diffs
+them structurally).  Every not-fresh request — cold miss, base-mode
+refetch, 304, 200 — charges its own ledger cells and then falls through
+one store tail that re-stamps the entry, so a protocol has one
+freshness branch, one stamp site and one refresh-window site
+(docs/FASTPATH.md, checklist step 2).
+
+The invalidation feed is pre-merged: a single cursor over the compiled
+``(feed_times, feed_obj)`` arrays advances whenever the next request
+time passes the next feed time, replacing the per-request feed peeks of
+the reference loop.
 
 Anything this kernel does not model (fault plans, adaptive protocols,
 eager prefetch pushes, bounded caches) is refused upstream by
@@ -178,23 +184,6 @@ def run_kernel(
     is_cern = kind == KIND_CERN
     wants_feed = kind == KIND_INVALIDATION or kind == KIND_LEASED
 
-    if is_cern and preload:
-        # Preload calls protocol.on_stored(entry, start_time) for every
-        # entry, which for CERN stamps the store-time expiry
-        # (_derive_expiry with now = start_time).
-        for i in range(len(ids)):
-            if not resident[i]:
-                continue
-            # repro-fastpath: cern-stamp
-            if has_sx[i]:
-                expires_at[i] = sx[i]
-            else:
-                age = start_time - last_modified[i]
-                ttl = p0 * age if age > 0 else p1
-                if has_p2:
-                    ttl = min(ttl, p2)
-                expires_at[i] = start_time + ttl
-
     feed_times: list[float] = compiled.feed_times if wants_feed else []
     feed_obj = compiled.feed_obj
     feed_len = len(feed_times)
@@ -258,21 +247,34 @@ def run_kernel(
     rw_kind = collect and (
         kind == KIND_TTL or kind == KIND_EXPIRES or kind == KIND_ALEX
     )
-    if rw_kind and preload:
-        # Preload runs protocol.on_stored(entry, start_time) per entry.
+    if preload and (is_cern or rw_kind):
+        # Preload calls protocol.on_stored(entry, start_time) for every
+        # entry: CERN stamps the store-time expiry (_derive_expiry with
+        # now = start_time), TTL/Expires/Alex observe a refresh window.
         st = float(start_time)
-        for j in range(len(ids)):
-            if not resident[j]:
+        for i in range(len(ids)):
+            if not resident[i]:
                 continue
-            if kind == KIND_TTL:
-                rw_val = p0
-            elif kind == KIND_EXPIRES:
-                rw_val = sx[j] - st if has_sx[j] else (st + p0) - st
-            else:
-                rw_val = p0 * max(st - last_modified[j], 0.0)
-            rw_counts[bl(rw_bounds, rw_val)] += 1
-            acc(rw_partials, rw_val)
-            rw_n += 1
+            # repro-fastpath: cern-stamp
+            if is_cern:
+                if has_sx[i]:
+                    expires_at[i] = sx[i]
+                else:
+                    age = start_time - last_modified[i]
+                    ttl = p0 * age if age > 0 else p1
+                    if has_p2:
+                        ttl = min(ttl, p2)
+                    expires_at[i] = start_time + ttl
+            if rw_kind:
+                if kind == KIND_TTL:
+                    rw_val = p0
+                elif kind == KIND_EXPIRES:
+                    rw_val = sx[i] - st if has_sx[i] else (st + p0) - st
+                else:
+                    rw_val = p0 * max(st - last_modified[i], 0.0)
+                rw_counts[bl(rw_bounds, rw_val)] += 1
+                acc(rw_partials, rw_val)
+                rw_n += 1
 
     now = float(start_time)
     for t, i in zip(req_times, req_objs):
@@ -320,214 +322,117 @@ def run_kernel(
                 notify("dynamic_fetch", t, ids[i])
             continue
 
-        if not resident[i]:
-            # Cold miss: full fetch + store.
-            lo = mod_lo[i]
-            vt = br(mod_times, t, lo, lo + mod_count[i]) - lo
-            ctl_full += full_control
-            body_full += sizes[i]
-            ex_full += 1
-            full_retrievals += 1
-            server_gets += 1
-            misses += 1
-            resident[i] = True
-            valid[i] = True
-            version[i] = vt
-            validated_at[i] = t
-            lm = obj_created[i] if vt == 0 else mod_times[lo + vt - 1]
-            last_modified[i] = lm
-            if has_expires[i]:
-                has_sx[i] = True
-                sx[i] = t + expires_after[i]
-            else:
-                has_sx[i] = False
-            # repro-fastpath: cern-stamp
-            if is_cern:
-                if has_sx[i]:
-                    expires_at[i] = sx[i]
-                else:
-                    age = t - lm
-                    ttl = p0 * age if age > 0 else p1
-                    if has_p2:
-                        ttl = min(ttl, p2)
-                    expires_at[i] = t + ttl
-            n_store_miss += 1
-            if collect:
-                tb_val = float(sizes[i])
-                tb_counts[bl(tb_bounds, tb_val)] += 1
-                acc(tb_partials, tb_val)
-                tb_n += 1
-                if rw_kind:
-                    if kind == KIND_TTL:
-                        rw_val = p0
-                    elif kind == KIND_EXPIRES:
-                        rw_val = sx[i] - t if has_sx[i] else (t + p0) - t
-                    else:
-                        rw_val = p0 * max(t - lm, 0.0)
-                    rw_counts[bl(rw_bounds, rw_val)] += 1
-                    acc(rw_partials, rw_val)
-                    rw_n += 1
-            if notify is not None:
-                notify("miss", t, ids[i])
-            continue
-
-        # -- freshness: the compiled protocol predicate -------------------
-        # repro-fastpath-begin: freshness
-        # RPR008 structurally diffs each branch below against the
-        # corresponding protocol's is_fresh (docs/FASTPATH.md contract).
-        if kind == KIND_TTL:
-            fresh = (t - validated_at[i]) < p0
-        elif kind == KIND_ALEX:
-            age = validated_at[i] - last_modified[i]
-            if age <= 0.0:
-                fresh = False
-            else:
-                fresh = (t - validated_at[i]) < p0 * age
-        elif kind == KIND_EXPIRES:
-            if has_sx[i]:
-                fresh = t < sx[i]
-            else:
+        if resident[i]:
+            # -- freshness: the compiled protocol predicate ---------------
+            # repro-fastpath-begin: freshness
+            # RPR008 structurally diffs each branch below against the
+            # corresponding protocol's is_fresh (docs/FASTPATH.md contract).
+            if kind == KIND_TTL:
                 fresh = (t - validated_at[i]) < p0
-        elif kind == KIND_INVALIDATION:
-            fresh = valid[i]
-        elif kind == KIND_LEASED:
-            fresh = valid[i] and t - validated_at[i] < p0
-        elif kind == KIND_CERN:
-            fresh = t < expires_at[i]
-        else:  # KIND_POLL
-            fresh = False
-        # repro-fastpath-end: freshness
+            elif kind == KIND_ALEX:
+                age = validated_at[i] - last_modified[i]
+                if age <= 0.0:
+                    fresh = False
+                else:
+                    fresh = (t - validated_at[i]) < p0 * age
+            elif kind == KIND_EXPIRES:
+                if has_sx[i]:
+                    fresh = t < sx[i]
+                else:
+                    fresh = (t - validated_at[i]) < p0
+            elif kind == KIND_INVALIDATION:
+                fresh = valid[i]
+            elif kind == KIND_LEASED:
+                fresh = valid[i] and t - validated_at[i] < p0
+            elif kind == KIND_CERN:
+                fresh = t < expires_at[i]
+            else:  # KIND_POLL
+                fresh = False
+            # repro-fastpath-end: freshness
 
-        if fresh:
-            hits += 1
-            v = version[i]
-            nm = mod_count[i]
-            # version_at(t) <= mod_count, so an entry at the final
-            # version can never test stale: skip the bisect entirely.
-            if v < nm:
-                lo = mod_lo[i]
-                hi = lo + nm
-                if v < br(mod_times, t, lo, hi) - lo:
-                    stale_hits += 1
-                    # became_stale = next_change_after(last_modified):
-                    # the entry's Last-Modified is exactly mod_times
-                    # [lo + v - 1] (or created), so the first strictly
-                    # later change is mod_times[lo + v] — in range
-                    # because v < version_at(t) <= nm.
-                    age_stale = t - mod_times[lo + v]
-                    stale_age_sum += age_stale
-                    if collect:
-                        sa_counts[bl(sa_bounds, age_stale)] += 1
-                        acc(sa_partials, age_stale)
-                        sa_n += 1
-                    if notify is not None:
-                        notify("stale_hit", t, ids[i])
+            if fresh:
+                hits += 1
+                v = version[i]
+                nm = mod_count[i]
+                # version_at(t) <= mod_count, so an entry at the final
+                # version can never test stale: skip the bisect entirely.
+                if v < nm:
+                    lo = mod_lo[i]
+                    hi = lo + nm
+                    if v < br(mod_times, t, lo, hi) - lo:
+                        stale_hits += 1
+                        # became_stale = next_change_after(last_modified):
+                        # the entry's Last-Modified is exactly mod_times
+                        # [lo + v - 1] (or created), so the first strictly
+                        # later change is mod_times[lo + v] — in range
+                        # because v < version_at(t) <= nm.
+                        age_stale = t - mod_times[lo + v]
+                        stale_age_sum += age_stale
+                        if collect:
+                            sa_counts[bl(sa_bounds, age_stale)] += 1
+                            acc(sa_partials, age_stale)
+                            sa_n += 1
+                        if notify is not None:
+                            notify("stale_hit", t, ids[i])
+                    elif notify is not None:
+                        notify("hit", t, ids[i])
                 elif notify is not None:
                     notify("hit", t, ids[i])
-            elif notify is not None:
-                notify("hit", t, ids[i])
-            continue
+                continue
+            # Base simulator: unconditional refetch, even when unchanged.
+            refetch = base_mode
+        else:
+            refetch = True  # cold miss
 
+        # -- not fresh: one server exchange, then the one store tail ------
         lo = mod_lo[i]
         vt = br(mod_times, t, lo, lo + mod_count[i]) - lo
         lm = obj_created[i] if vt == 0 else mod_times[lo + vt - 1]
 
-        if base_mode:
-            # Base simulator: unconditional refetch, even when unchanged.
+        if refetch:
             ctl_full += full_control
             body_full += sizes[i]
             ex_full += 1
             full_retrievals += 1
             server_gets += 1
             misses += 1
-            valid[i] = True
-            version[i] = vt
-            validated_at[i] = t
-            last_modified[i] = lm
-            if has_expires[i]:
-                has_sx[i] = True
-                sx[i] = t + expires_after[i]
-            else:
-                has_sx[i] = False
-            # repro-fastpath: cern-stamp
-            if is_cern:
-                if has_sx[i]:
-                    expires_at[i] = sx[i]
-                else:
-                    age = t - lm
-                    ttl = p0 * age if age > 0 else p1
-                    if has_p2:
-                        ttl = min(ttl, p2)
-                    expires_at[i] = t + ttl
             n_store_miss += 1
+            body_moved = True
+            event = "miss"
+        else:
+            # Optimized simulator: conditional retrieval.
+            validations += 1
+            server_ims_queries += 1
+            if lm <= last_modified[i]:
+                # 304 Not Modified: revalidate in place; the stamp and the
+                # refresh window below see the entry's own Last-Modified.
+                ctl_304 += full_control
+                ex_304 += 1
+                validations_not_modified += 1
+                hits += 1
+                lm = last_modified[i]
+                body_moved = False
+                event = "validation_304"
+            else:
+                # 200: body moves; store the new version.
+                ctl_200 += full_control
+                body_200 += sizes[i]
+                ex_200 += 1
+                misses += 1
+                body_moved = True
+                event = "validation_200"
+
+        if body_moved:
+            version[i] = vt
+            last_modified[i] = lm
             if collect:
                 tb_val = float(sizes[i])
                 tb_counts[bl(tb_bounds, tb_val)] += 1
                 acc(tb_partials, tb_val)
                 tb_n += 1
-                if rw_kind:
-                    if kind == KIND_TTL:
-                        rw_val = p0
-                    elif kind == KIND_EXPIRES:
-                        rw_val = sx[i] - t if has_sx[i] else (t + p0) - t
-                    else:
-                        rw_val = p0 * max(t - lm, 0.0)
-                    rw_counts[bl(rw_bounds, rw_val)] += 1
-                    acc(rw_partials, rw_val)
-                    rw_n += 1
-            if notify is not None:
-                notify("miss", t, ids[i])
-            continue
-
-        # Optimized simulator: conditional retrieval.
-        validations += 1
-        server_ims_queries += 1
-        if lm <= last_modified[i]:
-            # 304 Not Modified: revalidate in place, re-stamp Expires.
-            ctl_304 += full_control
-            ex_304 += 1
-            validations_not_modified += 1
-            validated_at[i] = t
-            valid[i] = True
-            if has_expires[i]:
-                has_sx[i] = True
-                sx[i] = t + expires_after[i]
-            else:
-                has_sx[i] = False
-            # repro-fastpath: cern-stamp
-            if is_cern:
-                if has_sx[i]:
-                    expires_at[i] = sx[i]
-                else:
-                    age = t - last_modified[i]
-                    ttl = p0 * age if age > 0 else p1
-                    if has_p2:
-                        ttl = min(ttl, p2)
-                    expires_at[i] = t + ttl
-            if rw_kind:
-                # The 304 path re-runs on_stored without a cache store.
-                if kind == KIND_TTL:
-                    rw_val = p0
-                elif kind == KIND_EXPIRES:
-                    rw_val = sx[i] - t if has_sx[i] else (t + p0) - t
-                else:
-                    rw_val = p0 * max(t - last_modified[i], 0.0)
-                rw_counts[bl(rw_bounds, rw_val)] += 1
-                acc(rw_partials, rw_val)
-                rw_n += 1
-            hits += 1
-            if notify is not None:
-                notify("validation_304", t, ids[i])
-            continue
-        # 200: body moves; store the new version.
-        ctl_200 += full_control
-        body_200 += sizes[i]
-        ex_200 += 1
-        misses += 1
+        resident[i] = True
         valid[i] = True
-        version[i] = vt
         validated_at[i] = t
-        last_modified[i] = lm
         if has_expires[i]:
             has_sx[i] = True
             sx[i] = t + expires_after[i]
@@ -543,23 +448,19 @@ def run_kernel(
                 if has_p2:
                     ttl = min(ttl, p2)
                 expires_at[i] = t + ttl
-        if collect:
-            tb_val = float(sizes[i])
-            tb_counts[bl(tb_bounds, tb_val)] += 1
-            acc(tb_partials, tb_val)
-            tb_n += 1
-            if rw_kind:
-                if kind == KIND_TTL:
-                    rw_val = p0
-                elif kind == KIND_EXPIRES:
-                    rw_val = sx[i] - t if has_sx[i] else (t + p0) - t
-                else:
-                    rw_val = p0 * max(t - lm, 0.0)
-                rw_counts[bl(rw_bounds, rw_val)] += 1
-                acc(rw_partials, rw_val)
-                rw_n += 1
+        if rw_kind:
+            # on_stored runs on every store and on a 304 alike.
+            if kind == KIND_TTL:
+                rw_val = p0
+            elif kind == KIND_EXPIRES:
+                rw_val = sx[i] - t if has_sx[i] else (t + p0) - t
+            else:
+                rw_val = p0 * max(t - lm, 0.0)
+            rw_counts[bl(rw_bounds, rw_val)] += 1
+            acc(rw_partials, rw_val)
+            rw_n += 1
         if notify is not None:
-            notify("validation_200", t, ids[i])
+            notify(event, t, ids[i])
 
     # -- finish: trailing feed, duration, invariants ----------------------
     if end_time is not None:

@@ -37,9 +37,10 @@ time.
 
 **Anchors**: the kernel marks the diffed regions with
 ``# repro-fastpath-begin/end: freshness`` around the dispatch chain and
-``# repro-fastpath: cern-stamp`` above each of the expiry-stamp blocks.
-Missing anchors are themselves reported — the contract must stay
-machine-checkable.
+``# repro-fastpath: cern-stamp`` above the ``if is_cern:`` guard of the
+two expiry-stamp sites: the preload prologue and the one store tail
+every not-fresh request runs through.  Missing anchors are themselves
+reported — the contract must stay machine-checkable.
 
 The checker is silent when ``repro.fastpath.kernels`` is not among the
 linted modules (linting a subtree), and reports a finding when the
@@ -618,7 +619,7 @@ class FastpathDriftChecker(Checker):
                 yield self.diagnostic(
                     kernels.path, stmt.lineno, 1,
                     "cern-stamp anchor must sit directly above the "
-                    "'if is_cern:' guard or the 'if has_sx[i]:' stamp",
+                    "'if is_cern:' guard of a stamp block",
                 )
                 continue
             ctx = _FlattenContext(
@@ -665,12 +666,6 @@ class FastpathDriftChecker(Checker):
         test = stmt.test
         if isinstance(test, ast.Name) and test.id == "is_cern":
             return list(stmt.body)
-        if (
-            isinstance(test, ast.Subscript)
-            and isinstance(test.value, ast.Name)
-            and test.value.id == "has_sx"
-        ):
-            return [stmt]
         return None
 
     # -- kernel region location ----------------------------------------------

@@ -1,7 +1,7 @@
 """The benchmark emitter: ``make bench`` -> ``BENCH_<date>.json``.
 
 Runs every registered experiment at reduced scale (the same computation
-the ``benchmarks/`` suite verifies) and writes one machine-readable
+``tests/experiments/`` verifies) and writes one machine-readable
 perf-trajectory sample: total wall time, simulated requests/sec, peak
 grid size, and per-experiment timings.  Committing one sample per perf
 PR gives every future optimization a before/after baseline — the

@@ -33,6 +33,10 @@ ENGINE_PHASES: tuple[str, ...] = (
     "fastpath.compile", "fastpath.simulate",
 )
 
+#: Phases with this prefix run nested inside ``serial`` / the workers'
+#: share of ``harvest``; the report lists them apart from the total.
+NESTED_PREFIX = "fastpath."
+
 _enabled = False
 _phase_seconds: dict[str, float] = {}
 _hook_calls: dict[str, int] = {}
@@ -222,18 +226,38 @@ def hook_table() -> list[tuple[str, int, float]]:
 
 
 def render_report(total_wall: Optional[float] = None) -> str:
-    """The ``repro profile`` output: phase breakdown + hook self-time."""
+    """The ``repro profile`` output: phase breakdown + hook self-time.
+
+    The ``fastpath.*`` phases run *inside* ``serial`` (or inside the
+    pool workers during ``harvest``), so they are listed indented under
+    an "of which" line and left out of the total: the top-level shares
+    sum to at most 100 %.
+    """
     lines = ["engine phase breakdown:"]
     phases = phase_breakdown()
-    phase_total = sum(seconds for _, seconds in phases)
-    denominator = total_wall if total_wall else phase_total
+    top = [row for row in phases if not row[0].startswith(NESTED_PREFIX)]
+    nested = [
+        ("  " + name, seconds)
+        for name, seconds in phases
+        if name.startswith(NESTED_PREFIX)
+    ]
+    denominator = total_wall or sum(
+        seconds for _, seconds in (top or nested)
+    )
+    width = max(len(label) for label in ["total wall", *dict(top + nested)])
+
+    def row(label: str, seconds: float) -> str:
+        share = 100.0 * seconds / denominator if denominator > 0.0 else 0.0
+        return f"  {label:<{width}} {seconds:>9.4f}s  {share:>5.1f}%"
+
     if not phases:
         lines.append("  (no phases recorded — was profiling enabled?)")
-    for name, seconds in phases:
-        share = 100.0 * seconds / denominator if denominator > 0.0 else 0.0
-        lines.append(f"  {name:<12} {seconds:>9.4f}s  {share:>5.1f}%")
+    lines.extend(row(label, seconds) for label, seconds in top)
+    if nested:
+        lines.append("  of which:")
+        lines.extend(row(label, seconds) for label, seconds in nested)
     if total_wall is not None:
-        lines.append(f"  {'total wall':<12} {total_wall:>9.4f}s")
+        lines.append(f"  {'total wall':<{width}} {total_wall:>9.4f}s")
     hooks = hook_table()
     lines.append("")
     lines.append("protocol hook self-time:")

@@ -60,7 +60,7 @@ class TestAllHold:
 class TestSeedRobustness:
     """The reproduction's headline claims hold across seeds, not just
     seed 0.  Small workload scale keeps this affordable in the unit
-    suite; the full-scale version lives in the benchmarks."""
+    suite."""
 
     SEEDS = (0, 1, 2)
 

@@ -2,12 +2,34 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.clock import DAY, days
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
 from repro.core.server import OriginServer
+from repro.verify import oracle as verify_oracle
+
+
+@pytest.fixture(autouse=True)
+def pristine_verify_state():
+    """Restore the process-wide oracle switch after every test.
+
+    ``repro.verify.set_enabled`` (and so every ``--verify`` CLI run)
+    flips a module global and mirrors it into ``REPRO_VERIFY`` for pool
+    workers; neither may leak into the next test.  Same treatment as
+    ``tests/fastpath/conftest.py::pristine_engine_state``.
+    """
+    previous_flag = verify_oracle._enabled
+    previous_env = os.environ.get("REPRO_VERIFY")
+    yield
+    verify_oracle._enabled = previous_flag
+    if previous_env is None:
+        os.environ.pop("REPRO_VERIFY", None)
+    else:
+        os.environ["REPRO_VERIFY"] = previous_env
 
 
 def make_history(

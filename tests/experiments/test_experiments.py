@@ -3,7 +3,7 @@
 These are the reproduction's acceptance tests: each paper table/figure is
 regenerated (at 25-50% workload scale to keep the suite fast) and its
 qualitative claims are asserted.  The full-scale run is exercised by
-``python -m repro.experiments all`` and the benchmarks.
+``python -m repro.experiments all``.
 """
 
 import pytest

@@ -117,6 +117,89 @@ class TestCrossProduct:
         assert fast_events == ref_events
 
 
+def reachable_kinds(name, mode, preload):
+    """The event kinds a supported configuration can emit at all."""
+    never_fresh = name in ("ttl-0", "alex-0", "poll")
+    feed = name in ("invalidation", "leased-12h")
+    kinds = {"dynamic_fetch"}
+    if not never_fresh:
+        kinds.add("hit")
+        # A callback invalidates the copy before the next request
+        # sees it: feed protocols never serve stale data.
+        kinds.add("invalidation" if feed else "stale_hit")
+    if mode is SimulatorMode.BASE or not preload:
+        kinds.add("miss")  # base refetch, or a cold cache
+    if mode is SimulatorMode.OPTIMIZED:
+        kinds.add("validation_200")
+        if name != "invalidation":  # invalid there means changed
+            kinds.add("validation_304")
+    return kinds
+
+
+class TestMixedPopulation:
+    """The same cross-product over ``mixed_workload``: Expires headers,
+    dynamic content, a change between two requests and none at all —
+    every arm of the kernel's store tail, deterministically."""
+
+    @pytest.mark.parametrize(
+        "name,make_protocol", PROTOCOLS, ids=[n for n, _ in PROTOCOLS]
+    )
+    @pytest.mark.parametrize("mode", list(SimulatorMode),
+                             ids=[m.value for m in SimulatorMode])
+    @pytest.mark.parametrize("charge", [True, False],
+                             ids=["per-mod", "per-inval"])
+    @pytest.mark.parametrize("preload", [True, False],
+                             ids=["preload", "cold"])
+    def test_identical(
+        self, mixed_workload, name, make_protocol, mode, charge, preload
+    ):
+        assert run_both(
+            mixed_workload, make_protocol, mode,
+            charge=charge, preload=preload,
+        ) == []
+
+    def test_every_reachable_event_kind_is_observed(self, mixed_workload):
+        """Alphabet coverage: the population is not identical by being
+        idle — each configuration emits exactly the kinds it can."""
+        seen_anywhere = set()
+        for name, make_protocol in PROTOCOLS:
+            for mode in SimulatorMode:
+                for preload in (True, False):
+                    kinds = set()
+                    fast_simulate(
+                        mixed_workload.server(), make_protocol(),
+                        mixed_workload.requests, mode, preload=preload,
+                        end_time=mixed_workload.duration,
+                        observer=lambda kind, t, oid: kinds.add(kind),
+                    )
+                    assert kinds == reachable_kinds(name, mode, preload), (
+                        name, mode, preload
+                    )
+                    seen_anywhere |= kinds
+        assert seen_anywhere == {
+            "hit", "stale_hit", "miss", "validation_304", "validation_200",
+            "invalidation", "dynamic_fetch",
+        }
+
+    def test_expires_header_decides_the_outcome(self, mixed_workload):
+        """The ``server_expires`` arms are live: honouring the 6 h
+        Expires changes what happens to ``/expires`` and nothing else."""
+        def events(protocol):
+            stream = []
+            fast_simulate(
+                mixed_workload.server(), protocol, mixed_workload.requests,
+                end_time=mixed_workload.duration,
+                observer=lambda *event: stream.append(event),
+            )
+            return stream
+
+        plain = events(TTLProtocol(hours(24)))
+        honouring = events(ExpiresTTLProtocol(hours(24)))
+        assert plain != honouring
+        assert {oid for a, b in zip(plain, honouring) if a != b
+                for oid in (a[2], b[2])} == {"/expires"}
+
+
 class TestErrorParity:
     """Same error type, same message, for every rejected input.
 

@@ -100,6 +100,41 @@ class TestFlushedTotalsByteEqual:
         assert diff_metrics(fast, reference) == []
 
 
+class TestMixedPopulationTotalsByteEqual:
+    """The registry-active leg over ``mixed_workload`` (Expires headers,
+    dynamic content): the refresh-window and transfer-bytes tallies of
+    the kernel's one store tail, on every way of reaching it."""
+
+    @pytest.mark.parametrize(
+        "name,make_protocol", PROTOCOLS, ids=[n for n, _ in PROTOCOLS]
+    )
+    @pytest.mark.parametrize("mode", list(SimulatorMode),
+                             ids=[m.value for m in SimulatorMode])
+    @pytest.mark.parametrize("charge", [True, False],
+                             ids=["per-mod", "per-inval"])
+    @pytest.mark.parametrize("preload", [True, False],
+                             ids=["preload", "cold"])
+    def test_registry_dump_identical(
+        self, mixed_workload, name, make_protocol, mode, charge, preload
+    ):
+        fast = _fast_dump(
+            mixed_workload, make_protocol, mode,
+            charge=charge, preload=preload,
+        )
+        reference = _reference_dump(
+            mixed_workload, make_protocol, mode,
+            charge=charge, preload=preload,
+        )
+        assert diff_metrics(fast, reference) == []
+        # Not vacuous: the tail's tallies did land.
+        assert fast["counters"]["sim.event.dynamic_fetch"] > 0
+        assert "sim.transfer_bytes" in fast["histograms"]
+        observes_window = name.startswith(("ttl", "expires", "alex"))
+        assert (
+            "protocol.refresh_window_seconds" in fast["histograms"]
+        ) == observes_window
+
+
 class TestDispatchStaysFast:
     @pytest.mark.parametrize(
         "name,make_protocol", PROTOCOLS, ids=[n for n, _ in PROTOCOLS]

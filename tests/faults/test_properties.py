@@ -147,17 +147,14 @@ class TestSerialParallelEquivalence:
         workload = WorrellWorkload(files=15, requests=500, seed=3).build()
         plan = FaultPlan(loss_rate=0.4, retries=1, backoff=600.0, seed=7)
         set_enabled(True)
-        try:
-            serial = sweep_alex(
-                [workload], SimulatorMode.OPTIMIZED,
-                thresholds_percent=(0, 50, 100), workers=1, faults=plan,
-            )
-            parallel = sweep_alex(
-                [workload], SimulatorMode.OPTIMIZED,
-                thresholds_percent=(0, 50, 100), workers=3, faults=plan,
-            )
-        finally:
-            set_enabled(False)
+        serial = sweep_alex(
+            [workload], SimulatorMode.OPTIMIZED,
+            thresholds_percent=(0, 50, 100), workers=1, faults=plan,
+        )
+        parallel = sweep_alex(
+            [workload], SimulatorMode.OPTIMIZED,
+            thresholds_percent=(0, 50, 100), workers=3, faults=plan,
+        )
         assert serial == parallel
         for a, b in zip(serial.points, parallel.points):
             assert a.metrics == b.metrics  # exact float equality

@@ -9,16 +9,8 @@ import pytest
 import repro.cli as cli
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
-from repro.verify import ConsistencyViolation, set_enabled
+from repro.verify import ConsistencyViolation
 from repro.verify.oracle import OracleReport
-
-
-@pytest.fixture(autouse=True)
-def verify_disabled_after():
-    # Same idiom as tests/test_cli.py: --verify flips a process-global
-    # flag that must not leak into other tests.
-    yield
-    set_enabled(False)
 
 
 @pytest.fixture(scope="module")

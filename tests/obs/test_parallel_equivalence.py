@@ -94,11 +94,8 @@ class TestWithVerify:
         from repro.verify import set_enabled
 
         set_enabled(True)
-        try:
-            _, serial_dump, _ = traced_sweep(workload, workers=1)
-            _, parallel_dump, _ = traced_sweep(workload, workers=4)
-        finally:
-            set_enabled(False)
+        _, serial_dump, _ = traced_sweep(workload, workers=1)
+        _, parallel_dump, _ = traced_sweep(workload, workers=4)
         assert serial_dump == parallel_dump
         # 3 grid points + baseline, one verified run each.
         assert serial_dump["counters"]["verify.runs"] == float(len(GRID) + 1)

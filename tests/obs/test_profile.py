@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.core.clock import hours
 from repro.core.protocols import TTLProtocol
 from repro.core.simulator import SimulatorMode, simulate
@@ -99,6 +101,8 @@ class TestReport:
     def test_render_report_shape(self):
         profile.add_phase("fork", 0.1)
         profile.add_phase("harvest", 0.9)
+        # Longer than any engine phase name, and nested inside harvest.
+        profile.add_phase("fastpath.simulate", 0.8)
         profile.add_hook("AlexProtocol.is_fresh", 0.5)
         text = profile.render_report(total_wall=2.0)
         assert "engine phase breakdown:" in text
@@ -106,6 +110,25 @@ class TestReport:
         assert "total wall" in text
         assert "AlexProtocol.is_fresh" in text
         assert "1 calls" in text
+        breakdown = text.split("\n\n")[0].splitlines()
+        # Every data row ends its seconds column at one offset, whatever
+        # the length of the phase name.
+        seconds_end = [
+            match.end()
+            for match in (re.search(r"\d\.\d{4}s", line) for line in breakdown)
+            if match is not None
+        ]
+        assert len(seconds_end) == 4  # fork, harvest, nested, total wall
+        assert len(set(seconds_end)) == 1
+        # The nested phase is indented under "of which" and its share
+        # is not a top-level one: those sum to at most 100 %.
+        of_which = breakdown.index("  of which:")
+        assert breakdown[of_which + 1].startswith("    fastpath.simulate")
+        top_shares = [
+            float(line.split()[-1].rstrip("%"))
+            for line in breakdown[1:of_which]
+        ]
+        assert sum(top_shares) <= 100.0
 
     def test_render_report_empty_hints(self):
         text = profile.render_report()

@@ -263,13 +263,6 @@ class TestArgumentErrors:
 class TestVerifyScaleCombos:
     """--verify composes with --scale / --workers on every entry point."""
 
-    @pytest.fixture(autouse=True)
-    def _oracle_off_after(self):
-        from repro.verify import set_enabled
-
-        yield
-        set_enabled(False)
-
     @pytest.fixture
     def trace_file(self, tmp_path):
         path = tmp_path / "fas.log"
