@@ -1,9 +1,10 @@
 """``repro.fastpath`` — the batched, array-backed simulator engine.
 
 A drop-in fast implementation of the simulator inner loop: per-object
-Python objects become parallel arrays of ints/floats, the invalidation
-feed merges with the request stream through one cursor, and freshness
-decisions run as compiled batch predicates — at byte-identical output
+Python objects become parallel arrays of ints/floats, delivery — the
+invalidation feed, or a fault plan's compiled schedule — merges with
+the request stream through one action cursor, and freshness decisions
+run as compiled batch predicates — at byte-identical output
 to :mod:`repro.core.simulator`, which remains the oracle reference.
 
 The equivalence contract (what "byte-identical" covers, and how it is

@@ -19,7 +19,10 @@ into parallel arrays indexed by a dense object index:
 
 Compilation is cached per server instance (weak-keyed, so a dropped
 server frees its arrays): a 21-point sweep over one workload compiles
-once and reuses the arrays for every grid point.
+once and reuses the arrays for every grid point.  A fault plan's action
+schedule (:func:`compile_schedule`) is memoised next to it, one per
+server: the columns of the last ``(plan, start_time)`` resolved against
+that server's feed, keyed by object index.
 
 Equivalence note (docs/FASTPATH.md): the compiled feed is the server's
 own :meth:`~repro.core.server.OriginServer.invalidation_feed` mapped to
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.server import OriginServer, UnknownObjectError
+from repro.faults.plan import ActionColumns, FaultPlan
 
 
 @dataclass(frozen=True)
@@ -130,6 +134,46 @@ def _compile(server: OriginServer) -> CompiledServer:
         feed_times=feed_times,
         feed_obj=feed_obj,
     )
+
+
+#: What a crash slot holds in the ``keys`` column of an index-keyed
+#: schedule: crashes concern no object.
+NO_OBJECT = -1
+
+_ScheduleKey = tuple[FaultPlan, float, bool]
+
+_SCHEDULES: (
+    "weakref.WeakKeyDictionary[OriginServer, "
+    "tuple[_ScheduleKey, ActionColumns[int]]]"
+) = weakref.WeakKeyDictionary()
+
+
+def compile_schedule(
+    server: OriginServer,
+    plan: FaultPlan,
+    start_time: float,
+    wants_feed: bool,
+) -> ActionColumns[int]:
+    """``plan``'s action schedule against ``server``'s feed, by index.
+
+    A frozen plan is its own key.  Only the last schedule per server is
+    kept — the runs of one plan over one workload are consecutive in
+    every sweep — so the memo holds one schedule's columns per server.
+    Protocols without callbacks (``wants_feed`` False) get the schedule
+    of an empty feed: the plan's crashes.
+    """
+    key = (plan, start_time, wants_feed)
+    memo = _SCHEDULES.get(server)
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    feed_times: list[float] = []
+    feed_obj: list[int] = []
+    if wants_feed:
+        compiled = compile_server(server)
+        feed_times, feed_obj = compiled.feed_times, compiled.feed_obj
+    schedule = plan.columns(feed_times, feed_obj, NO_OBJECT, start_time)
+    _SCHEDULES[server] = (key, schedule)
+    return schedule
 
 
 class CacheState:

@@ -18,13 +18,17 @@ Three public seams live here:
 
 Automatic fallback to the reference engine happens for:
 
-* a ``faults`` plan (fault schedules interleave with delivery in ways
-  the batched feed cursor does not model);
 * adaptive protocols (``SelfTuningProtocol``) and any protocol subclass
   or wrapper the compiler does not recognize *exactly* (a subclass may
   override ``is_fresh``; byte identity demands the known formulas);
-* eager invalidation variants (prefetch pushes);
 * a caller-supplied ``cache`` (bounded capacity, pre-seeded state).
+
+A ``faults`` plan does not: its schedule is compiled to index-keyed
+columns, memoised per server
+(:func:`repro.fastpath.arrays.compile_schedule`), and replayed by the
+kernel's action cursor under any compiled protocol — the TTL family,
+which takes no callbacks, sees the plan's crashes only.  Nor do the
+eager invalidation variants: the push is part of the same cursor.
 
 Observability no longer forces a fallback: with a metrics registry
 active the kernel tallies the same ``cache.*`` / ``server.*`` / ``sim.*``
@@ -59,7 +63,12 @@ from repro.core.results import SimulationResult
 from repro.core.server import OriginServer
 from repro.core.simulator import EventObserver, SimulatorMode, simulate
 from repro.faults.plan import FaultPlan
-from repro.fastpath.arrays import compile_server, encode_requests, initial_state
+from repro.fastpath.arrays import (
+    compile_schedule,
+    compile_server,
+    encode_requests,
+    initial_state,
+)
 from repro.fastpath.kernels import (
     KIND_ALEX,
     KIND_CERN,
@@ -152,9 +161,10 @@ def compile_protocol(
 
     Only *exact* concrete classes compile — a subclass may override
     ``is_fresh``, and the kernel's byte-identity contract covers the
-    known formulas only.  Returns None for anything else (including the
-    eager invalidation variants, whose prefetch pushes the kernel does
-    not model).
+    known formulas only.  Returns None for anything else.  The eager
+    invalidation variants compile to the same kind as the plain ones
+    (freshness is identical); the push is a delivery-side switch that
+    :func:`fast_simulate` reads off the protocol.
     """
     cls = type(protocol)
     if cls is TTLProtocol:
@@ -169,14 +179,9 @@ def compile_protocol(
     if cls is PollEveryRequestProtocol:
         return (KIND_POLL, 0.0, 0.0, 0.0, False)
     if cls is InvalidationProtocol:
-        assert isinstance(protocol, InvalidationProtocol)
-        if protocol.eager:
-            return None
         return (KIND_INVALIDATION, 0.0, 0.0, 0.0, False)
     if cls is LeasedInvalidationProtocol:
         assert isinstance(protocol, LeasedInvalidationProtocol)
-        if protocol.eager:
-            return None
         return (KIND_LEASED, protocol.lease, 0.0, 0.0, False)
     if cls is CERNPolicyProtocol:
         assert isinstance(protocol, CERNPolicyProtocol)
@@ -200,18 +205,13 @@ def unsupported_reason(
     """Why the fast path cannot run this configuration (None = it can).
 
     This is the fallback predicate :func:`engine_simulate` consults; the
-    strings are stable enough to show in diagnostics and tests.
+    strings are stable enough to show in diagnostics and tests.  It
+    takes the whole configuration, but a ``faults`` plan is never a
+    reason: every compiled protocol replays one.
     """
     if cache is not None:
         return "caller-supplied cache (bounded capacity / pre-seeded state)"
-    if faults is not None:
-        return "fault plan installed (compiled delivery schedules)"
     if compile_protocol(protocol) is None:
-        if getattr(protocol, "eager", False):
-            return (
-                f"eager invalidation ({type(protocol).__name__}): "
-                "prefetch pushes are not compiled"
-            )
         return (
             f"protocol {type(protocol).__name__} has no compiled kernel "
             "(adaptive state or unknown subclass)"
@@ -230,6 +230,7 @@ def fast_simulate(
     start_time: float = 0.0,
     end_time: Optional[float] = None,
     charge_per_modification: bool = True,
+    faults: Optional[FaultPlan] = None,
     observer: Optional[EventObserver] = None,
 ) -> SimulationResult:
     """Run one simulation on the fast path (no fallback).
@@ -265,6 +266,15 @@ def fast_simulate(
     with obs_profile.phase("fastpath.compile"):
         compiled = compile_server(server)
         req_times, req_objs = encode_requests(compiled, requests, start_time)
+        schedule = None
+        if faults is not None:
+            schedule = compile_schedule(
+                server, faults, float(start_time),
+                protocol.wants_invalidations,
+            )
+            # Per run, memo hit or not: the reference publishes the
+            # schedule's counts every time it compiles.
+            schedule.publish_metrics()
     kind, p0, p1, p2, has_p2 = compiled_protocol
     with obs_profile.phase("fastpath.simulate"):
         state = initial_state(compiled, float(start_time), preload)
@@ -288,6 +298,8 @@ def fast_simulate(
             mode_value=mode.value,
             observer=kernel_observer,
             batch=batch,
+            schedule=schedule,
+            eager=bool(getattr(protocol, "eager", False)),
         )
     if batch is not None and registry is not None:
         batch.flush(registry)
@@ -337,6 +349,7 @@ def engine_simulate(
                 start_time=start_time,
                 end_time=end_time,
                 charge_per_modification=charge_per_modification,
+                faults=faults,
             )
         obs_metrics.emit("engine.fastpath_fallbacks")
     return simulate(

@@ -18,13 +18,20 @@ one store tail that re-stamps the entry, so a protocol has one
 freshness branch, one stamp site and one refresh-window site
 (docs/FASTPATH.md, checklist step 2).
 
-The invalidation feed is pre-merged: a single cursor over the compiled
-``(feed_times, feed_obj)`` arrays advances whenever the next request
-time passes the next feed time, replacing the per-request feed peeks of
-the reference loop.
+Delivery is pre-merged: one *action cursor* advances whenever the next
+request time passes the next action time, replacing the per-request
+feed peeks of the reference loop.  The cursor walks either a fault
+plan's compiled schedule (:class:`repro.faults.plan.ActionColumns`,
+keyed by object index) or the fault-free ``(feed_times, feed_obj)``
+arrays, whose every line is a notice sent *and* delivered at its
+modification time.  Crashes, lost and dropped attempts, guarded
+deliveries and the eager push are interpreted in that one loop; the
+trailing ``end_time`` flush is not a second copy of it but the last
+line of the request stream — a request for no object that stops once
+everything due has been delivered.
 
-Anything this kernel does not model (fault plans, adaptive protocols,
-eager prefetch pushes, bounded caches) is refused upstream by
+Anything this kernel does not model (adaptive protocols, bounded
+caches) is refused upstream by
 :func:`repro.fastpath.dispatch.unsupported_reason` and routed to the
 reference engine — the kernel never approximates.
 """
@@ -32,12 +39,13 @@ reference engine — the kernel never approximates.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro.core.costs import MessageCosts
 from repro.core.metrics import (
     FULL_RETRIEVAL,
     INVALIDATION,
+    PREFETCH,
     VALIDATION_200,
     VALIDATION_304,
     BandwidthLedger,
@@ -45,7 +53,14 @@ from repro.core.metrics import (
 )
 from repro.core.results import SimulationResult
 from repro.core.simulator import EventObserver
-from repro.fastpath.arrays import CacheState, CompiledServer
+from repro.fastpath.arrays import NO_OBJECT, CacheState, CompiledServer
+from repro.faults.plan import (
+    ATTEMPT_LOST,
+    CRASH,
+    DELIVER,
+    DROP,
+    ActionColumns,
+)
 from repro.obs.names import DEFAULT_BINS, HISTOGRAM_BINS
 from repro.obs.registry import MetricsRegistry, _accumulate
 
@@ -141,13 +156,21 @@ def run_kernel(
     mode_value: str,
     observer: Optional[EventObserver] = None,
     batch: Optional[MetricsBatch] = None,
+    schedule: Optional[ActionColumns[int]] = None,
+    eager: bool = False,
 ) -> SimulationResult:
     """Drive the full request stream through the array interpreter.
 
     Parameter meanings per kind: TTL/Expires — ``p0`` is the (default)
     TTL; Alex — ``p0`` is the threshold fraction; leased — ``p0`` is the
     lease; CERN — ``p0``/``p1``/``p2`` are lm_fraction / default_ttl /
-    max_ttl (``has_p2`` = a max_ttl clamp is configured).
+    max_ttl (``has_p2`` = a max_ttl clamp is configured).  ``eager``
+    selects the invalidation kinds' pre-optimization push.
+
+    ``schedule`` is a fault plan's compiled action schedule, keyed by
+    object index and resolved against this ``start_time``
+    (:func:`repro.fastpath.arrays.compile_schedule`); when None,
+    delivery runs off the server's own feed.
 
     When ``batch`` is given, the loop additionally tallies every metric
     the reference engine would have published (``cache.stores``,
@@ -182,15 +205,41 @@ def run_kernel(
     expires_at = state.expires_at
 
     is_cern = kind == KIND_CERN
-    wants_feed = kind == KIND_INVALIDATION or kind == KIND_LEASED
 
-    feed_times: list[float] = compiled.feed_times if wants_feed else []
-    feed_obj = compiled.feed_obj
-    feed_len = len(feed_times)
-    # Modifications that predate the run are skipped: preloaded entries
-    # already reflect them (the reference's start-time fast-forward).
-    feed_idx = br(feed_times, start_time, 0, feed_len)
-    next_feed = feed_times[feed_idx] if feed_idx < feed_len else _INFINITY
+    # -- the run's extent ---------------------------------------------------
+    # The stream is time-ordered (encode_requests), so the last request
+    # is the latest; nothing scheduled after the horizon is delivered.
+    last = req_times[-1] if req_times else float(start_time)
+    if end_time is None:
+        horizon = last
+    elif end_time < last:
+        raise ValueError(
+            f"end_time {end_time!r} precedes last request {last!r}"
+        )
+    else:
+        horizon = end_time
+
+    # -- the action cursor --------------------------------------------------
+    faulty = schedule is not None
+    act_kinds: Sequence[str] = ()
+    act_mods: Sequence[float] = ()
+    act_attempts: Sequence[int] = ()
+    act_times: Sequence[float] = ()
+    act_keys: Sequence[int] = ()
+    slot = 0
+    if schedule is not None:
+        # Compiled against ``start_time`` already.
+        act_times, act_keys = schedule.times, schedule.keys
+        act_kinds, act_mods = schedule.kinds, schedule.mod_times
+        act_attempts = schedule.attempts
+    elif kind == KIND_INVALIDATION or kind == KIND_LEASED:
+        act_times, act_keys = compiled.feed_times, compiled.feed_obj
+        # Modifications that predate the run are skipped: preloaded
+        # entries already reflect them (the reference's start-time
+        # fast-forward).
+        slot = br(act_times, start_time)
+    act_count = br(act_times, horizon)
+    pending = act_times[slot] if slot < act_count else _INFINITY
 
     control_message, _ = costs.invalidation_notice()
     full_control, _ = costs.full_retrieval(0)
@@ -206,9 +255,9 @@ def run_kernel(
     validations_not_modified = 0
     full_retrievals = 0
     invalidations_received = 0
+    prefetches = 0
     server_gets = 0
     server_ims_queries = 0
-    server_invalidations_sent = 0
 
     ctl_full = 0
     body_full = 0
@@ -218,8 +267,8 @@ def run_kernel(
     ctl_200 = 0
     body_200 = 0
     ex_200 = 0
-    ctl_inv = 0
     ex_inv = 0
+    body_pre = 0
 
     # -- batched metric accumulation (leg of docs/FASTPATH.md's
     # metrics-equivalence rule): tally what the reference engine would
@@ -230,6 +279,11 @@ def run_kernel(
     n_dynamic = 0
     n_store_miss = 0
     n_went_invalid = 0
+    n_lost = 0
+    n_dropped = 0
+    n_recovered = 0
+    n_crashes = 0
+    n_crash_drops = 0
     n_preloaded = resident.count(True) if collect else 0
     tb_bounds = _bins("sim.transfer_bytes")
     tb_counts = [0] * (len(tb_bounds) + 1)
@@ -276,32 +330,108 @@ def run_kernel(
                 acc(rw_partials, rw_val)
                 rw_n += 1
 
-    now = float(start_time)
-    for t, i in zip(req_times, req_objs):
-        now = t
-        # -- deliver pending invalidation callbacks -----------------------
-        while next_feed <= t:
-            mi = feed_obj[feed_idx]
-            mod_time = next_feed
-            feed_idx += 1
-            next_feed = (
-                feed_times[feed_idx] if feed_idx < feed_len else _INFINITY
-            )
-            if not resident[mi]:
-                continue
-            if valid[mi]:
-                valid[mi] = False
-                went_invalid = True
-                n_went_invalid += 1
-            else:
-                went_invalid = False
-            if went_invalid or per_modification:
-                invalidations_received += 1
-                server_invalidations_sent += 1
-                ctl_inv += control_message
-                ex_inv += 1
-                if notify is not None:
-                    notify("invalidation", mod_time, ids[mi])
+    # The trailing flush is the last line of the stream: a request for
+    # no object at the end of time, which stops once everything due
+    # (``act_count`` stops at the horizon) has been delivered.
+    for t, i in zip(req_times + [_INFINITY], req_objs + [NO_OBJECT]):
+        if pending <= t:
+            # -- deliver every action that is due -------------------------
+            # RequestStep.fault / .deliver, kind for kind.
+            while slot < act_count:
+                at = act_times[slot]
+                if at > t:
+                    break
+                row = slot
+                slot += 1
+                mi = act_keys[row]
+                if faulty:
+                    act = act_kinds[row]
+                    if act == CRASH:
+                        wiped = resident.count(True)
+                        if wiped:
+                            resident[:] = [False] * len(resident)
+                            n_crash_drops += wiped
+                        n_crashes += 1
+                        if notify is not None:
+                            notify("fault_cache_crash", at, "")
+                        continue
+                    if not resident[mi]:
+                        continue
+                    if act == DROP:
+                        # Abandoned while the cache still believes the
+                        # copy valid: unbounded staleness begins here.
+                        if valid[mi]:
+                            n_dropped += 1
+                            if notify is not None:
+                                notify("fault_invalidation_dropped", at,
+                                       ids[mi])
+                        continue
+                    if act != DELIVER:
+                        # ATTEMPT_SENT / ATTEMPT_LOST: a notice leaves
+                        # the server, charged like a feed line's; a lost
+                        # one costs the same bytes and never arrives.
+                        if valid[mi] or per_modification:
+                            ex_inv += 1
+                            if act == ATTEMPT_LOST:
+                                n_lost += 1
+                                if notify is not None:
+                                    notify("fault_invalidation_lost", at,
+                                           ids[mi])
+                        continue
+                    # DELIVER, behind the generation guard: a refetch
+                    # since the modification already reflects it
+                    # (Cache.invalidate's ``modified_at``).
+                    flips = valid[mi] and last_modified[mi] < act_mods[row]
+                    retried = act_attempts[row] > 0
+                elif not resident[mi]:
+                    continue
+                else:
+                    # A feed line: sent — charged while the server
+                    # believes the copy valid, or on every modification
+                    # (§4.1) — and delivered, both now.
+                    flips = valid[mi]
+                    if flips or per_modification:
+                        ex_inv += 1
+                    retried = False
+                # -- the notice arrives -----------------------------------
+                if flips:
+                    valid[mi] = False
+                    n_went_invalid += 1
+                if flips or per_modification:
+                    invalidations_received += 1
+                    if retried:
+                        n_recovered += 1
+                        if notify is not None:
+                            notify("fault_invalidation_recovered", at,
+                                   ids[mi])
+                    if notify is not None:
+                        notify("invalidation", at, ids[mi])
+                if eager:
+                    # Pre-optimization invalidation: the new copy rides
+                    # with the notice — a GET at the action time, stored
+                    # the way the store tail below stores (eager kinds
+                    # have no CERN stamp and no refresh window).  Not a
+                    # miss: no request is waiting.
+                    lo = mod_lo[mi]
+                    vt = br(mod_times, at, lo, lo + mod_count[mi]) - lo
+                    version[mi] = vt
+                    last_modified[mi] = (
+                        obj_created[mi] if vt == 0 else mod_times[lo + vt - 1]
+                    )
+                    valid[mi] = True
+                    validated_at[mi] = at
+                    if has_expires[mi]:
+                        has_sx[mi] = True
+                        sx[mi] = at + expires_after[mi]
+                    else:
+                        has_sx[mi] = False
+                    prefetches += 1
+                    body_pre += sizes[mi]
+                    if notify is not None:
+                        notify("prefetch", at, ids[mi])
+            pending = act_times[slot] if slot < act_count else _INFINITY
+            if i == NO_OBJECT:
+                break
         requests += 1
 
         if not cacheable[i]:
@@ -462,43 +592,18 @@ def run_kernel(
         if notify is not None:
             notify(event, t, ids[i])
 
-    # -- finish: trailing feed, duration, invariants ----------------------
-    if end_time is not None:
-        if end_time < now:
-            raise ValueError(
-                f"end_time {end_time!r} precedes last request {now!r}"
-            )
-        now = end_time
-        while next_feed <= end_time:
-            mi = feed_obj[feed_idx]
-            mod_time = next_feed
-            feed_idx += 1
-            next_feed = (
-                feed_times[feed_idx] if feed_idx < feed_len else _INFINITY
-            )
-            if not resident[mi]:
-                continue
-            if valid[mi]:
-                valid[mi] = False
-                went_invalid = True
-                n_went_invalid += 1
-            else:
-                went_invalid = False
-            if went_invalid or per_modification:
-                invalidations_received += 1
-                server_invalidations_sent += 1
-                ctl_inv += control_message
-                ex_inv += 1
-                if notify is not None:
-                    notify("invalidation", mod_time, ids[mi])
-
     if batch is not None:
         # Whole-run totals, mirroring every reference-loop publication
         # (preload included); zero counts are skipped so the registry's
         # lazily-created keys match the reference dump exactly.
-        batch.count("cache.stores", n_preloaded + n_store_miss + ex_200)
+        batch.count(
+            "cache.stores", n_preloaded + n_store_miss + ex_200 + prefetches
+        )
         batch.count("cache.invalidated", n_went_invalid)
-        batch.count("server.gets", n_preloaded + full_retrievals + ex_200)
+        batch.count("cache.crash_drops", n_crash_drops)
+        batch.count(
+            "server.gets", n_preloaded + full_retrievals + ex_200 + prefetches
+        )
         batch.count("server.ims_queries", server_ims_queries)
         batch.count(
             "sim.event.hit", (hits - validations_not_modified) - stale_hits
@@ -508,7 +613,12 @@ def run_kernel(
         batch.count("sim.event.validation_304", validations_not_modified)
         batch.count("sim.event.validation_200", ex_200)
         batch.count("sim.event.invalidation", invalidations_received)
+        batch.count("sim.event.prefetch", prefetches)
         batch.count("sim.event.dynamic_fetch", n_dynamic)
+        batch.count("sim.event.fault_invalidation_lost", n_lost)
+        batch.count("sim.event.fault_invalidation_dropped", n_dropped)
+        batch.count("sim.event.fault_invalidation_recovered", n_recovered)
+        batch.count("sim.event.fault_cache_crash", n_crashes)
         batch.histogram(
             "sim.transfer_bytes", tb_bounds, tb_counts, tb_partials, tb_n
         )
@@ -533,10 +643,10 @@ def run_kernel(
         validations_not_modified=validations_not_modified,
         full_retrievals=full_retrievals,
         invalidations_received=invalidations_received,
-        prefetches=0,
-        server_gets=server_gets,
+        prefetches=prefetches,
+        server_gets=server_gets + prefetches,
         server_ims_queries=server_ims_queries,
-        server_invalidations_sent=server_invalidations_sent,
+        server_invalidations_sent=ex_inv,
     )
     bandwidth = BandwidthLedger()
     bandwidth.control_bytes[FULL_RETRIEVAL] = ctl_full
@@ -547,14 +657,17 @@ def run_kernel(
     bandwidth.control_bytes[VALIDATION_200] = ctl_200
     bandwidth.body_bytes[VALIDATION_200] = body_200
     bandwidth.exchanges[VALIDATION_200] = ex_200
-    bandwidth.control_bytes[INVALIDATION] = ctl_inv
+    bandwidth.control_bytes[INVALIDATION] = ex_inv * control_message
     bandwidth.exchanges[INVALIDATION] = ex_inv
+    bandwidth.control_bytes[PREFETCH] = prefetches * full_control
+    bandwidth.body_bytes[PREFETCH] = body_pre
+    bandwidth.exchanges[PREFETCH] = prefetches
     result = SimulationResult(
         protocol_name=protocol_name,
         mode=mode_value,
         counters=counters,
         bandwidth=bandwidth,
-        duration=now - float(start_time),
+        duration=horizon - float(start_time),
     )
     result.counters.check_invariants()
     return result

@@ -13,10 +13,12 @@ turns that caveat into a measurable, reproducible input:
   server state loss), and cache crash/restart with total state loss.
 * :meth:`~repro.faults.plan.FaultPlan.compile` — the plan plus a
   modification feed becomes a time-ordered schedule of
-  :class:`~repro.faults.plan.FaultAction` records.  Both the production
-  simulator and the ``repro.verify`` spec model consume the *same*
-  compiled schedule, so the oracle verifies fault *handling* while the
-  schedule itself is part of the experiment configuration, like
+  :class:`~repro.faults.plan.FaultAction` records (the row view of
+  :meth:`~repro.faults.plan.FaultPlan.columns`, the columnar form the
+  fast kernel replays).  The production simulator, the fast kernel and
+  the ``repro.verify`` spec model consume the *same* compiled schedule,
+  so the oracle verifies fault *handling* while the schedule itself is
+  part of the experiment configuration, like
   :class:`~repro.core.costs.MessageCosts`.
 * :func:`~repro.faults.spec.parse_faults` — the CLI grammar behind
   ``--faults loss=0.05,downtime=2h`` on ``repro simulate|sweep``.
@@ -40,6 +42,7 @@ from repro.faults.plan import (
     CRASH,
     DELIVER,
     DROP,
+    ActionColumns,
     DowntimeWindow,
     FaultAction,
     FaultPlan,
@@ -48,6 +51,7 @@ from repro.faults.rng import uniform01
 from repro.faults.spec import FaultSpec, parse_faults
 
 __all__ = [
+    "ActionColumns",
     "ATTEMPT_LOST",
     "ATTEMPT_SENT",
     "CRASH",

@@ -5,10 +5,14 @@ faults a run should experience (loss rate, delivery delay, server
 downtime windows, cache crashes) and how hard the server fights back
 (bounded retries with exponential backoff).  :meth:`FaultPlan.compile`
 resolves the plan against a concrete modification feed into a
-time-ordered tuple of :class:`FaultAction` records — the *schedule* —
-which both the production simulator and the ``repro.verify`` spec model
-then replay.  Compiling up front keeps the hot loop branch-free and
-makes the schedule itself inspectable and property-testable.
+time-ordered *schedule* which the production simulator, the
+``repro.verify`` spec model and the fast kernel then replay.  Compiling
+up front keeps the hot loop branch-free and makes the schedule itself
+inspectable and property-testable.  The schedule has one implementation
+(:meth:`FaultPlan.columns`) and two shapes: :class:`ActionColumns`,
+parallel arrays generic over the feed's key (the fast path feeds object
+indices), and the tuple of :class:`FaultAction` rows
+:meth:`FaultPlan.compile` reads off those columns.
 
 Message semantics (documented in ``docs/FAULTS.md``):
 
@@ -45,7 +49,8 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Generic, Sequence, TypeVar
 
 from repro.faults.rng import uniform01
 from repro.obs import registry as obs_metrics
@@ -56,6 +61,10 @@ ATTEMPT_LOST = "attempt_lost"
 DELIVER = "deliver"
 DROP = "drop"
 CRASH = "crash"
+
+#: The feed's key type: an object id for :meth:`FaultPlan.compile`, a
+#: dense object index on the fast path.
+K = TypeVar("K")
 
 
 @dataclass(frozen=True)
@@ -99,8 +108,42 @@ class DowntimeWindow:
         return self.start <= t < self.start + self.length
 
 
-def _action_time(action: FaultAction) -> float:
-    return action.time
+@dataclass(frozen=True)
+class ActionColumns(Generic[K]):
+    """A compiled schedule as parallel columns, one slot per action.
+
+    Slot ``n`` of every column describes the same action — the fields of
+    :class:`FaultAction`, with ``keys`` standing for ``object_id`` in
+    whatever key the feed was given in.  Slots are sorted by ``times``;
+    ties keep compile order.
+    """
+
+    times: Sequence[float]
+    kinds: Sequence[str]
+    keys: Sequence[K]
+    mod_times: Sequence[float]
+    attempts: Sequence[int]
+
+    def publish_metrics(self) -> None:
+        """Publish the schedule's per-kind ``faults.*`` counts.
+
+        Zero counts are skipped so a registry only ever holds counters
+        that actually incremented — the same set a parallel run's
+        delta-merge reconstructs.
+        """
+        if obs_metrics.active() is None:
+            return
+        count = self.kinds.count
+        totals = {
+            "faults.attempts": count(ATTEMPT_SENT) + count(ATTEMPT_LOST),
+            "faults.lost": count(ATTEMPT_LOST),
+            "faults.dropped": count(DROP),
+            "faults.delivered": count(DELIVER),
+            "faults.crashes": count(CRASH),
+        }
+        for name, total in totals.items():
+            if total:
+                obs_metrics.emit(name, float(total))
 
 
 @dataclass(frozen=True)
@@ -136,6 +179,10 @@ class FaultPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A plan is a value (hashable, equal to its twin): whatever
+        # sequences the caller passed become tuples.
+        object.__setattr__(self, "downtime", tuple(self.downtime))
+        object.__setattr__(self, "cache_crashes", tuple(self.cache_crashes))
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(f"loss_rate must be in [0, 1]: {self.loss_rate}")
         if self.delay < 0.0:
@@ -178,96 +225,97 @@ class FaultPlan:
             return True
         return uniform01(self.seed, message_index, attempt) < self.loss_rate
 
-    def compile(
+    def columns(
         self,
-        feed: Sequence[tuple[float, str]],
+        feed_times: Sequence[float],
+        feed_keys: Sequence[K],
+        crash_key: K,
         start_time: float = 0.0,
-    ) -> tuple[FaultAction, ...]:
+    ) -> ActionColumns[K]:
         """Resolve the plan against a modification feed into a schedule.
 
+        The one implementation of the attempt / backoff / downtime /
+        loss semantics (module docstring).
+
         Args:
-            feed: ``(mod_time, object_id)`` pairs sorted by time (the
-                shape of :meth:`OriginServer.invalidation_feed`); pass
-                an empty feed for protocols without callbacks (crash
-                actions are still scheduled).
-            start_time: modifications at or before this instant are
-                skipped, mirroring the simulator's preload semantics.
+            feed_times: the modification times of the *whole* feed,
+                sorted; loss draws are keyed by a modification's
+                position here, so a caller must not pre-trim the feed.
+            feed_keys: the object each modification concerns, parallel
+                to ``feed_times``; pass two empty sequences for
+                protocols without callbacks (crashes are still
+                scheduled).
+            crash_key: what a crash slot's ``keys`` entry holds.
+            start_time: modifications (and crashes) at or before this
+                instant are skipped, mirroring the simulator's preload
+                semantics.
 
         Returns:
             Actions sorted by time; ties keep compile order (attempt
             before its delivery, feed order across objects, crashes
             last), so replay is deterministic.
         """
-        actions: list[FaultAction] = []
-        for index, (mod_time, object_id) in enumerate(feed):
+        rows: list[tuple[float, str, K, float, int]] = []
+        for index, mod_time in enumerate(feed_times):
             if mod_time <= start_time:
                 continue
+            key = feed_keys[index]
             for attempt in range(self.retries + 1):
                 send_time = mod_time + self.backoff * float((1 << attempt) - 1)
                 if self.server_down(send_time):
-                    actions.append(
-                        FaultAction(send_time, DROP, object_id, mod_time, attempt)
-                    )
+                    rows.append((send_time, DROP, key, mod_time, attempt))
                     break
                 if self.attempt_lost(index, attempt):
-                    actions.append(
-                        FaultAction(
-                            send_time, ATTEMPT_LOST, object_id, mod_time, attempt
-                        )
+                    rows.append(
+                        (send_time, ATTEMPT_LOST, key, mod_time, attempt)
                     )
                     if attempt == self.retries:
-                        actions.append(
-                            FaultAction(
-                                send_time, DROP, object_id, mod_time, attempt
-                            )
-                        )
+                        rows.append((send_time, DROP, key, mod_time, attempt))
                     continue
-                actions.append(
-                    FaultAction(
-                        send_time, ATTEMPT_SENT, object_id, mod_time, attempt
-                    )
-                )
-                actions.append(
-                    FaultAction(
-                        send_time + self.delay,
-                        DELIVER,
-                        object_id,
-                        mod_time,
-                        attempt,
-                    )
+                rows.append((send_time, ATTEMPT_SENT, key, mod_time, attempt))
+                rows.append(
+                    (send_time + self.delay, DELIVER, key, mod_time, attempt)
                 )
                 break
         for crash_time in self.cache_crashes:
             if crash_time > start_time:
-                actions.append(
-                    FaultAction(float(crash_time), CRASH, "", float(crash_time), 0)
+                rows.append(
+                    (float(crash_time), CRASH, crash_key, float(crash_time), 0)
                 )
-        actions.sort(key=_action_time)
-        _publish_schedule_metrics(actions)
-        return tuple(actions)
+        rows.sort(key=itemgetter(0))
+        if not rows:
+            return ActionColumns((), (), (), (), ())
+        times, kinds, keys, mod_times, attempts = zip(*rows)
+        return ActionColumns(times, kinds, keys, mod_times, attempts)
 
+    def compile(
+        self,
+        feed: Sequence[tuple[float, str]],
+        start_time: float = 0.0,
+    ) -> tuple[FaultAction, ...]:
+        """The schedule as :class:`FaultAction` rows (see :meth:`columns`).
 
-def _publish_schedule_metrics(actions: Sequence[FaultAction]) -> None:
-    """Publish per-kind counts of a compiled schedule to the registry.
-
-    Zero counts are skipped so a registry only ever holds counters that
-    actually incremented — the same set a parallel run's delta-merge
-    reconstructs.
-    """
-    if obs_metrics.active() is None:
-        return
-    kind_counts: dict[str, int] = {}
-    for action in actions:
-        kind_counts[action.kind] = kind_counts.get(action.kind, 0) + 1
-    totals = {
-        "faults.attempts": (
-            kind_counts.get(ATTEMPT_SENT, 0) + kind_counts.get(ATTEMPT_LOST, 0)
-        ),
-        "faults.lost": kind_counts.get(ATTEMPT_LOST, 0),
-        "faults.dropped": kind_counts.get(DROP, 0),
-        "faults.delivered": kind_counts.get(DELIVER, 0),
-        "faults.crashes": kind_counts.get(CRASH, 0),
-    }
-    for name, count in totals.items():
-        if count:
-            obs_metrics.emit(name, float(count))
+        Args:
+            feed: ``(mod_time, object_id)`` pairs sorted by time (the
+                shape of :meth:`OriginServer.invalidation_feed`); pass
+                an empty feed for protocols without callbacks (crash
+                actions are still scheduled, with ``object_id`` ``""``).
+            start_time: as for :meth:`columns`.
+        """
+        schedule = self.columns(
+            [mod_time for mod_time, _ in feed],
+            [object_id for _, object_id in feed],
+            "",
+            start_time,
+        )
+        schedule.publish_metrics()
+        return tuple(
+            map(
+                FaultAction,
+                schedule.times,
+                schedule.kinds,
+                schedule.keys,
+                schedule.mod_times,
+                schedule.attempts,
+            )
+        )

@@ -208,8 +208,9 @@ def _check_fastpath(
     supports the configuration, the same run executes on the compiled
     arrays and must match the reference counter-for-counter,
     ledger-cell-for-ledger-cell, and event-for-event — *exactly* (no
-    float tolerance; the contract in docs/FASTPATH.md).  Unsupported
-    configurations (fault plans, adaptive protocols, eager variants)
+    float tolerance; the contract in docs/FASTPATH.md).  Fault plans and
+    the eager variants are covered: the kernel replays the plan's own
+    compiled schedule.  Unsupported configurations (adaptive protocols)
     are skipped: there the fast path would have fallen back to the very
     simulator being verified.  Divergences are labelled ``fastpath.*``
     in the report.
@@ -245,6 +246,7 @@ def _check_fastpath(
                 start_time=start_time,
                 end_time=end_time,
                 charge_per_modification=charge_per_modification,
+                faults=faults,
                 observer=lambda kind, t, oid: fast_events.append(
                     (kind, t, oid)
                 ),
@@ -303,8 +305,10 @@ def verify_simulation(
     rule = rule_for(protocol)
     check_started = obs_clock.monotonic()
 
+    # Neither replay outlives its run: under a fault plan each holds
+    # its own compiled schedule, and the fast-path leg builds two more.
     events: list[tuple[str, float, str]] = []
-    sim = Simulation(
+    result = Simulation(
         server,
         protocol,
         mode,
@@ -314,10 +318,9 @@ def verify_simulation(
         observer=lambda kind, t, oid: events.append((kind, t, oid)),
         charge_per_modification=charge_per_modification,
         faults=faults,
-    )
-    result = sim.run(request_list, end_time=end_time)
+    ).run(request_list, end_time=end_time)
 
-    spec = SpecModel(
+    outcome = SpecModel(
         server,
         rule,
         mode,
@@ -326,8 +329,7 @@ def verify_simulation(
         preload=preload,
         start_time=start_time,
         faults=faults,
-    )
-    outcome = spec.run(request_list, end_time=end_time)
+    ).run(request_list, end_time=end_time)
 
     report = OracleReport(protocol_name=result.protocol_name, mode=result.mode)
     _diff_events(events, outcome.events, report)

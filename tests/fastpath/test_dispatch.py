@@ -11,6 +11,7 @@ from repro.core.clock import days, hours
 from repro.core.protocols import (
     AlexProtocol,
     InvalidationProtocol,
+    LeasedInvalidationProtocol,
     SelfTuningProtocol,
     TTLProtocol,
 )
@@ -28,7 +29,8 @@ from repro.fastpath import (
     set_engine,
     unsupported_reason,
 )
-from repro.faults import parse_faults
+from repro.fastpath.arrays import NO_OBJECT, compile_schedule
+from repro.faults import FaultPlan, parse_faults
 from repro.obs import registry as obs_registry
 
 
@@ -77,15 +79,28 @@ class TestUnsupportedReason:
         assert unsupported_reason(AlexProtocol.from_percent(10)) is None
         assert unsupported_reason(InvalidationProtocol()) is None
 
-    def test_cache_faults_adaptive_and_eager_fall_back(self):
+    def test_cache_and_adaptive_fall_back(self):
+        assert unsupported_reason(TTLProtocol(hours(1)), cache=Cache()) == (
+            "caller-supplied cache (bounded capacity / pre-seeded state)")
+        assert unsupported_reason(SelfTuningProtocol()) == (
+            "protocol SelfTuningProtocol has no compiled kernel "
+            "(adaptive state or unknown subclass)")
+
+    def test_fault_plans_and_eager_pushes_are_compiled(self):
+        plan = parse_faults("loss=0.5,crash=5d,seed=1").build(days(10))
+        for protocol in (
+            TTLProtocol(hours(1)),  # no callbacks: the plan's crashes only
+            InvalidationProtocol(),
+            InvalidationProtocol(eager=True),
+            LeasedInvalidationProtocol(hours(12), eager=True),
+        ):
+            assert unsupported_reason(protocol) is None
+            assert unsupported_reason(protocol, faults=plan) is None
+        # Only the two documented fallbacks outrank a plan.
         assert "cache" in unsupported_reason(
-            TTLProtocol(hours(1)), cache=Cache())
-        plan = parse_faults("loss=0.5,seed=1").build(days(10))
-        assert "fault plan" in unsupported_reason(
-            TTLProtocol(hours(1)), faults=plan)
+            InvalidationProtocol(), cache=Cache(), faults=plan)
         assert "no compiled kernel" in unsupported_reason(
-            SelfTuningProtocol())
-        assert "eager" in unsupported_reason(InvalidationProtocol(eager=True))
+            SelfTuningProtocol(), faults=plan)
 
     def test_subclasses_do_not_compile(self):
         class SloppyTTL(TTLProtocol):
@@ -130,31 +145,47 @@ class TestEngineSimulate:
     def test_fallback_runs_match_reference(self, changing_server):
         set_engine("fast")
         requests = [(days(0.5), "/hot"), (days(1.5), "/hot")]
-        plan = parse_faults("loss=0.5,seed=7").build(days(3.0))
-        for kwargs in (
-            {"faults": parse_faults("loss=0.5,seed=7").build(days(3.0))},
-            {"cache": Cache()},
+        for make_protocol, kwargs in (
+            (InvalidationProtocol, lambda: {"cache": Cache()}),
+            (SelfTuningProtocol, dict),
         ):
-            dispatched = engine_simulate(
-                changing_server, InvalidationProtocol(), requests,
-                mode=SimulatorMode.OPTIMIZED, end_time=days(3.0), **kwargs,
-            )
+            with obs_registry.installed(obs_registry.MetricsRegistry()) as reg:
+                dispatched = engine_simulate(
+                    changing_server, make_protocol(), requests,
+                    end_time=days(3.0), **kwargs(),
+                )
             expected = simulate(
-                changing_server, InvalidationProtocol(), requests,
-                mode=SimulatorMode.OPTIMIZED, end_time=days(3.0),
-                **({"faults": plan} if "faults" in kwargs
-                   else {"cache": Cache()}),
+                changing_server, make_protocol(), requests,
+                end_time=days(3.0), **kwargs(),
             )
             assert diff_results(dispatched, expected) == []
-        adaptive = engine_simulate(
-            changing_server, SelfTuningProtocol(), requests,
-            end_time=days(3.0),
-        )
-        expected = simulate(
-            changing_server, SelfTuningProtocol(), requests,
-            end_time=days(3.0),
-        )
-        assert diff_results(adaptive, expected) == []
+            assert reg.counter("engine.fastpath_fallbacks").value == 1.0
+            assert reg.counter("engine.fastpath_runs").value == 0.0
+
+    def test_faults_and_eager_run_on_the_fast_engine(self, changing_server):
+        set_engine("fast")
+        requests = [(days(0.5), "/hot"), (days(1.5), "/hot"),
+                    (days(2.5), "/warm")]
+        plan = parse_faults("loss=0.5,retries=1,crash=2d,seed=7").build(
+            days(3.0))
+        for make_protocol, faults in (
+            (InvalidationProtocol, plan),
+            (lambda: InvalidationProtocol(eager=True), None),
+            (lambda: InvalidationProtocol(eager=True), plan),
+            (lambda: TTLProtocol(hours(6)), plan),
+        ):
+            with obs_registry.installed(obs_registry.MetricsRegistry()) as reg:
+                dispatched = engine_simulate(
+                    changing_server, make_protocol(), requests,
+                    end_time=days(3.0), faults=faults,
+                )
+            expected = simulate(
+                changing_server, make_protocol(), requests,
+                end_time=days(3.0), faults=faults,
+            )
+            assert diff_results(dispatched, expected) == []
+            assert reg.counter("engine.fastpath_runs").value == 1.0
+            assert reg.counter("engine.fastpath_fallbacks").value == 0.0
 
     def test_active_registry_stays_on_fast_engine(self, changing_server):
         # An installed metrics registry no longer forces the reference
@@ -179,3 +210,36 @@ class TestEngineSimulate:
 class TestCompileCache:
     def test_compiled_server_is_memoized_per_instance(self, static_server):
         assert compile_server(static_server) is compile_server(static_server)
+
+    def test_schedule_is_memoized_per_plan_and_start(self, changing_server):
+        plan = FaultPlan(loss_rate=0.5, retries=1, seed=3)
+        twin = FaultPlan(loss_rate=0.5, retries=1, seed=3)
+        first = compile_schedule(changing_server, plan, 0.0, True)
+        # A frozen plan is its own key: an equal plan is a hit.
+        assert compile_schedule(changing_server, twin, 0.0, True) is first
+        later = compile_schedule(changing_server, plan, days(2.5), True)
+        assert later is not first
+        assert len(later.times) < len(first.times)
+        # No callbacks wanted: the schedule of an empty feed.
+        crashing = FaultPlan(loss_rate=0.5, cache_crashes=(days(1),))
+        crash_only = compile_schedule(changing_server, crashing, 0.0, False)
+        assert list(crash_only.kinds) == ["crash"]
+        assert list(crash_only.keys) == [NO_OBJECT]
+
+    def test_schedule_counters_publish_on_a_memo_hit(self, changing_server):
+        plan = FaultPlan(loss_rate=0.5, retries=1, seed=3)
+        requests = [(days(0.5), "/hot")]
+        dumps = []
+        for _ in range(2):
+            with obs_registry.installed(obs_registry.MetricsRegistry()) as reg:
+                fast_simulate(
+                    changing_server, InvalidationProtocol(), requests,
+                    end_time=days(7.0), faults=plan,
+                )
+            dumps.append({
+                name: value
+                for name, value in reg.as_dict()["counters"].items()
+                if name.startswith("faults.")
+            })
+        assert dumps[0] == dumps[1]
+        assert dumps[0]["faults.attempts"] > dumps[0]["faults.delivered"] > 0

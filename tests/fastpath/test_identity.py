@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.clock import hours
+from repro.core.clock import days, hours
 from repro.core.protocols import (
     AlexProtocol,
     CERNPolicyProtocol,
@@ -24,6 +24,9 @@ from repro.core.protocols import (
 from repro.core.server import UnknownObjectError
 from repro.core.simulator import Simulation, SimulatorMode, simulate
 from repro.fastpath import diff_events, diff_results, fast_simulate
+from repro.faults import DowntimeWindow, FaultPlan
+from repro.workload.base import Workload
+from tests.conftest import make_history
 
 PROTOCOLS = [
     ("ttl-0", lambda: TTLProtocol(0.0)),
@@ -40,8 +43,40 @@ PROTOCOLS = [
 ]
 
 
-def run_both(workload, make_protocol, mode, *, charge, preload):
-    """One run on each engine, with event recording; returns the diff."""
+#: The invalidation family with the pre-optimization push switched on.
+EAGER_PROTOCOLS = [
+    ("invalidation-eager", lambda: InvalidationProtocol(eager=True)),
+    ("leased-12h-eager",
+     lambda: LeasedInvalidationProtocol(hours(12), eager=True)),
+]
+
+#: One plan per fault the schedule can carry, then all of them at once.
+#: Times suit both fixtures: ``mixed_workload`` changes at 5.25 / 24 /
+#: 36 / 75 / 100 h, ``workload`` some 560 times over 56 days.
+PLANS = [
+    ("no-plan", None),
+    ("null-plan", FaultPlan(retries=2)),
+    ("loss+retries",
+     FaultPlan(loss_rate=0.4, retries=2, backoff=hours(2), seed=5)),
+    ("delay", FaultPlan(delay=hours(3))),
+    ("downtime",
+     FaultPlan(downtime=(DowntimeWindow(hours(20), hours(20)),), retries=1,
+               backoff=hours(1))),
+    ("crashes", FaultPlan(cache_crashes=(hours(30), hours(90)))),
+    ("combined",
+     FaultPlan(loss_rate=0.4, retries=2, backoff=hours(2), seed=5,
+               delay=hours(3),
+               downtime=(DowntimeWindow(hours(20), hours(20)),),
+               cache_crashes=(hours(30), hours(90)))),
+]
+
+
+def run_both(workload, make_protocol, mode, *, charge, preload, faults=None,
+             kinds=None):
+    """One run on each engine, with event recording; returns the diff.
+
+    ``kinds``, when given, collects the event kinds the fast run emitted.
+    """
     server = workload.server()
     requests = workload.requests
     ref_events: list = []
@@ -52,6 +87,7 @@ def run_both(workload, make_protocol, mode, *, charge, preload):
         preload=preload,
         charge_per_modification=charge,
         observer=lambda kind, t, oid: ref_events.append((kind, t, oid)),
+        faults=faults,
     ).run(requests, end_time=workload.duration)
     fast_events: list = []
     fast = fast_simulate(
@@ -62,8 +98,11 @@ def run_both(workload, make_protocol, mode, *, charge, preload):
         preload=preload,
         charge_per_modification=charge,
         end_time=workload.duration,
+        faults=faults,
         observer=lambda kind, t, oid: fast_events.append((kind, t, oid)),
     )
+    if kinds is not None:
+        kinds.update(kind for kind, _, _ in fast_events)
     return (
         diff_results(fast, reference)
         + diff_events(fast_events, ref_events)
@@ -198,6 +237,171 @@ class TestMixedPopulation:
         assert plain != honouring
         assert {oid for a, b in zip(plain, honouring) if a != b
                 for oid in (a[2], b[2])} == {"/expires"}
+
+
+class TestDeliverySchedule:
+    """Fault plans and eager pushes on the kernel's one action cursor:
+    every protocol x mode x §4.1 charging x preload x plan, identical to
+    the reference result-for-result and event-for-event."""
+
+    @pytest.mark.parametrize(
+        "name,make_protocol", PROTOCOLS + EAGER_PROTOCOLS,
+        ids=[n for n, _ in PROTOCOLS + EAGER_PROTOCOLS],
+    )
+    @pytest.mark.parametrize("mode", list(SimulatorMode),
+                             ids=[m.value for m in SimulatorMode])
+    @pytest.mark.parametrize("charge", [True, False],
+                             ids=["per-mod", "per-inval"])
+    @pytest.mark.parametrize("preload", [True, False],
+                             ids=["preload", "cold"])
+    @pytest.mark.parametrize("plan_name,plan", PLANS,
+                             ids=[n for n, _ in PLANS])
+    def test_identical_on_the_mixed_population(
+        self, mixed_workload, name, make_protocol, mode, charge, preload,
+        plan_name, plan,
+    ):
+        assert run_both(
+            mixed_workload, make_protocol, mode,
+            charge=charge, preload=preload, faults=plan,
+        ) == []
+
+    @pytest.mark.parametrize("plan_name,plan", PLANS,
+                             ids=[n for n, _ in PLANS])
+    @pytest.mark.parametrize("charge", [True, False],
+                             ids=["per-mod", "per-inval"])
+    def test_identical_on_the_worrell_stream(
+        self, workload, plan_name, plan, charge
+    ):
+        """560 modifications against 3000 requests: retries land between
+        other objects' deliveries, crashes wipe a warm cache."""
+        for _, make_protocol in PROTOCOLS + EAGER_PROTOCOLS:
+            assert run_both(
+                workload, make_protocol, SimulatorMode.OPTIMIZED,
+                charge=charge, preload=True, faults=plan,
+            ) == []
+
+    def test_every_delivery_event_kind_is_observed(self, workload):
+        """Not identical by being idle: lost, dropped, recovered, crash
+        and prefetch are each reached, and only where they can be."""
+        def kinds_of(make_protocol, plan):
+            kinds: set = set()
+            assert run_both(
+                workload, make_protocol, SimulatorMode.OPTIMIZED,
+                charge=True, preload=True, faults=plan, kinds=kinds,
+            ) == []
+            return kinds
+
+        plans = dict(PLANS)
+        plain, eager = InvalidationProtocol, EAGER_PROTOCOLS[0][1]
+        fault_kinds = {
+            "fault_invalidation_lost", "fault_invalidation_dropped",
+            "fault_invalidation_recovered", "fault_cache_crash",
+        }
+        assert not (kinds_of(plain, None) | kinds_of(plain, plans["null-plan"])
+                    ) & (fault_kinds | {"prefetch"})
+        assert kinds_of(plain, plans["loss+retries"]) & fault_kinds == {
+            "fault_invalidation_lost", "fault_invalidation_dropped",
+            "fault_invalidation_recovered",
+        }
+        assert kinds_of(plain, plans["downtime"]) & fault_kinds == {
+            "fault_invalidation_dropped"}
+        assert kinds_of(plain, plans["crashes"]) & fault_kinds == {
+            "fault_cache_crash"}
+        assert kinds_of(plain, plans["combined"]) >= fault_kinds
+        assert "prefetch" in kinds_of(eager, None)
+        assert kinds_of(eager, plans["combined"]) >= fault_kinds | {"prefetch"}
+
+    @pytest.mark.parametrize(
+        "name,make_protocol", PROTOCOLS + EAGER_PROTOCOLS,
+        ids=[n for n, _ in PROTOCOLS + EAGER_PROTOCOLS],
+    )
+    def test_null_plan_is_no_plan_on_the_fast_path(
+        self, workload, name, make_protocol
+    ):
+        def fast(faults):
+            events: list = []
+            result = fast_simulate(
+                workload.server(), make_protocol(), workload.requests,
+                end_time=workload.duration, faults=faults,
+                observer=lambda *event: events.append(event),
+            )
+            return result, events
+
+        nulled, nulled_events = fast(FaultPlan(retries=3, seed=9))
+        plain, plain_events = fast(None)
+        assert diff_results(nulled, plain) == []
+        assert nulled_events == plain_events
+
+    @pytest.mark.parametrize("charge", [True, False],
+                             ids=["per-mod", "per-inval"])
+    def test_delayed_delivery_after_crash_and_refetch_is_superseded(
+        self, charge
+    ):
+        """The generation guard: /g changes at day 1 and its notice is
+        12 h in flight; meanwhile the cache crashes and a request
+        refetches the *new* copy.  The late notice must not clear it."""
+        workload = Workload(
+            [make_history("/g", changes=(days(1),))],
+            [(days(0.5), "/g"), (days(1.2), "/g"), (days(1.8), "/g")],
+            duration=days(2), name="guard",
+        )
+        plan = FaultPlan(delay=hours(12), cache_crashes=(days(1.1),))
+        events: list = []
+        assert run_both(
+            workload, InvalidationProtocol, SimulatorMode.OPTIMIZED,
+            charge=charge, preload=True, faults=plan,
+        ) == []
+        fast_simulate(
+            workload.server(), InvalidationProtocol(), workload.requests,
+            end_time=workload.duration, faults=plan,
+            charge_per_modification=charge,
+            observer=lambda *event: events.append(event),
+        )
+        # §4.1 per-modification charging still counts the arrival; only
+        # the flip is guarded.  Either way the refetched copy stays
+        # valid and the last request is a plain hit.
+        arrival = [("invalidation", days(1.5), "/g")] if charge else []
+        assert events == [
+            ("hit", days(0.5), "/g"),
+            ("fault_cache_crash", days(1.1), ""),
+            ("miss", days(1.2), "/g"),
+            *arrival,
+            ("hit", days(1.8), "/g"),
+        ]
+
+    @pytest.mark.parametrize(
+        "name,make_protocol",
+        [(n, f) for n, f in PROTOCOLS
+         if n in ("ttl-24h", "alex-10", "cern", "cern-capped")],
+    )
+    def test_crash_only_schedule_under_the_ttl_family(
+        self, mixed_workload, name, make_protocol
+    ):
+        """No callbacks wanted: the plan reduces to its crashes, each
+        followed by cold misses whose refetch re-stamps the entry (CERN
+        included — the next request inside the new window is a hit)."""
+        plan = dict(PLANS)["combined"]
+        kinds: set = set()
+        assert run_both(
+            mixed_workload, make_protocol, SimulatorMode.OPTIMIZED,
+            charge=True, preload=True, faults=plan, kinds=kinds,
+        ) == []
+        assert "fault_cache_crash" in kinds
+        assert "miss" in kinds  # unreachable preloaded without a crash
+        assert not kinds & {
+            "invalidation", "fault_invalidation_lost",
+            "fault_invalidation_dropped", "fault_invalidation_recovered",
+        }
+        events: list = []
+        fast_simulate(
+            mixed_workload.server(), make_protocol(),
+            mixed_workload.requests, end_time=mixed_workload.duration,
+            faults=plan, observer=lambda *event: events.append(event),
+        )
+        # /static: wiped at 30 h, refetched at 30 h sharp (the crash
+        # sorts first), served from the re-stamped entry 30 min later.
+        after = [e for e in events if e[2] == "/static" and e[1] >= hours(30)]
+        assert [kind for kind, _, _ in after[:2]] == ["miss", "hit"]
 
 
 class TestErrorParity:

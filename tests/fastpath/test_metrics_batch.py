@@ -22,10 +22,11 @@ from repro.fastpath.contract import ENGINE_METRIC_PREFIXES
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
 
-from .test_identity import PROTOCOLS
+from .test_identity import EAGER_PROTOCOLS, PLANS, PROTOCOLS
 
 
-def _reference_dump(workload, make_protocol, mode, *, charge, preload):
+def _reference_dump(workload, make_protocol, mode, *, charge, preload,
+                    faults=None):
     registry = obs_registry.MetricsRegistry()
     with obs_registry.installed(registry):
         Simulation(
@@ -34,11 +35,13 @@ def _reference_dump(workload, make_protocol, mode, *, charge, preload):
             mode,
             preload=preload,
             charge_per_modification=charge,
+            faults=faults,
         ).run(workload.requests, end_time=workload.duration)
     return registry.as_dict()
 
 
-def _fast_dump(workload, make_protocol, mode, *, charge, preload):
+def _fast_dump(workload, make_protocol, mode, *, charge, preload,
+               faults=None):
     registry = obs_registry.MetricsRegistry()
     with obs_registry.installed(registry):
         fast_simulate(
@@ -49,6 +52,7 @@ def _fast_dump(workload, make_protocol, mode, *, charge, preload):
             preload=preload,
             charge_per_modification=charge,
             end_time=workload.duration,
+            faults=faults,
         )
     return registry.as_dict()
 
@@ -135,9 +139,60 @@ class TestMixedPopulationTotalsByteEqual:
         ) == observes_window
 
 
+class TestDeliveryScheduleTotalsByteEqual:
+    """The registry-active leg under fault plans and eager pushes: the
+    action cursor's tallies (``cache.crash_drops``, the ``fault_*`` and
+    ``prefetch`` event counters, the pushes inside ``cache.stores`` /
+    ``server.gets``) and the plan's own ``faults.*`` schedule counts."""
+
+    @pytest.mark.parametrize(
+        "name,make_protocol", PROTOCOLS + EAGER_PROTOCOLS,
+        ids=[n for n, _ in PROTOCOLS + EAGER_PROTOCOLS],
+    )
+    @pytest.mark.parametrize("charge", [True, False],
+                             ids=["per-mod", "per-inval"])
+    @pytest.mark.parametrize("preload", [True, False],
+                             ids=["preload", "cold"])
+    @pytest.mark.parametrize("plan_name,plan", PLANS,
+                             ids=[n for n, _ in PLANS])
+    def test_registry_dump_identical(
+        self, workload, name, make_protocol, charge, preload, plan_name, plan
+    ):
+        fast = _fast_dump(
+            workload, make_protocol, SimulatorMode.OPTIMIZED,
+            charge=charge, preload=preload, faults=plan,
+        )
+        reference = _reference_dump(
+            workload, make_protocol, SimulatorMode.OPTIMIZED,
+            charge=charge, preload=preload, faults=plan,
+        )
+        assert diff_metrics(fast, reference) == []
+
+    def test_the_delivery_tallies_did_land(self, workload):
+        """Not vacuous: under the combined plan an eager run publishes
+        every delivery-side name the cursor owns."""
+        _, eager = EAGER_PROTOCOLS[0]
+        counters = _fast_dump(
+            workload, eager, SimulatorMode.OPTIMIZED,
+            charge=True, preload=True, faults=dict(PLANS)["combined"],
+        )["counters"]
+        for name in (
+            "cache.crash_drops", "cache.invalidated",
+            "sim.event.prefetch", "sim.event.fault_cache_crash",
+            "sim.event.fault_invalidation_lost",
+            "sim.event.fault_invalidation_dropped",
+            "sim.event.fault_invalidation_recovered",
+            "faults.attempts", "faults.lost", "faults.dropped",
+            "faults.delivered", "faults.crashes",
+        ):
+            assert counters[name] > 0, name
+        assert counters["sim.event.fault_cache_crash"] == 2.0
+
+
 class TestDispatchStaysFast:
     @pytest.mark.parametrize(
-        "name,make_protocol", PROTOCOLS, ids=[n for n, _ in PROTOCOLS]
+        "name,make_protocol", PROTOCOLS + EAGER_PROTOCOLS,
+        ids=[n for n, _ in PROTOCOLS + EAGER_PROTOCOLS],
     )
     def test_no_fallback_with_registry_active(
         self, workload, name, make_protocol

@@ -45,6 +45,18 @@ class TestValidation:
         assert not FaultPlan(delay=1.0).is_null
         assert not FaultPlan(cache_crashes=(5.0,)).is_null
 
+    def test_list_valued_fields_become_tuples(self):
+        # A plan is a value: the fast path memoises schedules by plan,
+        # so a list-built plan must hash and equal its tuple twin.
+        window = DowntimeWindow(start=5.0, length=10.0)
+        listed = FaultPlan(cache_crashes=[30.0, 15.0], downtime=[window])
+        tupled = FaultPlan(cache_crashes=(30.0, 15.0), downtime=(window,))
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert listed.cache_crashes == (30.0, 15.0)
+        assert listed.downtime == (window,)
+        assert listed.compile(FEED) == tupled.compile(FEED)
+
 
 class TestCompile:
     def test_null_plan_is_sent_plus_deliver_pairs(self):

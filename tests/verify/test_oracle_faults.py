@@ -9,6 +9,9 @@ a divergence.
 
 from __future__ import annotations
 
+import types
+from pathlib import Path
+
 import pytest
 
 from repro.core.clock import days, hours
@@ -20,7 +23,15 @@ from repro.core.protocols import (
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
 from repro.faults import DowntimeWindow, FaultPlan
-from repro.verify import checked_simulate, set_enabled, verify_simulation
+from repro.fastpath import dispatch as fastpath_dispatch
+from repro.fastpath import kernels
+from repro.verify import (
+    ConsistencyViolation,
+    checked_simulate,
+    oracle,
+    set_enabled,
+    verify_simulation,
+)
 from repro.verify.spec import rule_for
 from tests.conftest import make_history
 
@@ -83,6 +94,74 @@ class TestAgreementUnderFaults:
             changing_server, InvalidationProtocol(), requests(),
             SimulatorMode.BASE, end_time=days(8),
             faults=FaultPlan(loss_rate=0.4, retries=2, seed=9),
+        )
+        assert report.ok
+
+
+class TestFastPathLeg:
+    """Leg 3 under faults: the kernel replays the plan's own schedule
+    and is held to the reference result, event and metric for metric."""
+
+    @pytest.mark.parametrize("plan", PLANS, ids=lambda p: repr(p)[:60])
+    @pytest.mark.parametrize("factory", PROTOCOLS, ids=lambda f: f().name)
+    def test_leg_three_replays_the_plan(
+        self, changing_server, plan, factory, monkeypatch
+    ):
+        replayed = []
+
+        def spy(*args, **kwargs):
+            replayed.append(kwargs["faults"])
+            return fastpath_dispatch.fast_simulate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "fast_simulate", spy)
+        _, report = verify_simulation(
+            changing_server, factory(), requests(),
+            SimulatorMode.OPTIMIZED, end_time=days(8), faults=plan,
+        )
+        assert report.ok
+        assert replayed == [plan]
+
+    def test_dropped_lost_attempt_charge_is_a_fastpath_divergence(
+        self, changing_server, monkeypatch
+    ):
+        """Mutation: a kernel that sends lost attempts for free.  The
+        simulator and the spec still agree, so every divergence is leg
+        3's, labelled ``fastpath.*``."""
+        source = Path(kernels.__file__).read_text(encoding="utf-8")
+        charge = "ex_inv += 1\n                            if act == ATTEMPT_LOST:"
+        assert source.count(charge) == 1
+        mutant = types.ModuleType("mutant_kernels")
+        exec(
+            compile(
+                source.replace(
+                    charge, charge.replace("+= 1", "+= act != ATTEMPT_LOST")
+                ),
+                kernels.__file__, "exec",
+            ),
+            mutant.__dict__,
+        )
+        monkeypatch.setattr(fastpath_dispatch, "run_kernel", mutant.run_kernel)
+        plan = FaultPlan(loss_rate=0.5, retries=3, backoff=hours(1), seed=1)
+        with pytest.raises(ConsistencyViolation) as excinfo:
+            verify_simulation(
+                changing_server, InvalidationProtocol(), requests(),
+                SimulatorMode.OPTIMIZED, end_time=days(8), faults=plan,
+            )
+        divergences = excinfo.value.report.divergences
+        assert all(line.startswith("fastpath.") for line in divergences)
+        assert any(
+            line.startswith("fastpath.counters.server_invalidations_sent")
+            for line in divergences
+        )
+        assert any(
+            line.startswith("fastpath.bandwidth.control_bytes[invalidation]")
+            for line in divergences
+        )
+        # The fault-free charge is untouched: without a plan the mutant
+        # is indistinguishable.
+        _, report = verify_simulation(
+            changing_server, InvalidationProtocol(), requests(),
+            SimulatorMode.OPTIMIZED, end_time=days(8),
         )
         assert report.ok
 
