@@ -41,11 +41,11 @@ bench-baseline:
 experiments:
 	$(PYTHON) -m repro.experiments all
 
-# Static invariant analysis (RPR001-RPR009, see docs/DEVELOPING.md):
-# determinism, unit discipline, protocol registration, oracle
-# exhaustiveness, hygiene, observability-name discipline, plus the
-# project-wide dataflow rules (async/lock discipline, fastpath
-# transcription drift, interprocedural units).  Exit 1 on any
+# Static invariant analysis (RPR001-RPR007 and RPR009, see
+# docs/DEVELOPING.md): determinism, unit discipline, protocol
+# registration, oracle exhaustiveness, hygiene, observability-name
+# discipline, plus the project-wide dataflow rules (async/lock
+# discipline, interprocedural units).  Exit 1 on any
 # non-baselined error.  '--format json|github' for machine output.
 lint:
 	$(PYTHON) -m repro.lint src examples

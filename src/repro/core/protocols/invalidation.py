@@ -22,11 +22,11 @@ class only declares the need for it via ``wants_invalidations``.
 The paper also names the protocol's open weakness: it "is not resilient
 in the face of network partition or server crashes" — a cache that
 misses a callback serves the stale copy *forever*.
-:class:`LeasedInvalidationProtocol` is the hardened variant: callbacks
-still provide consistency on the fast path, but every copy additionally
-carries a bounded lease measured from its last validation, so when
-delivery fails (see :mod:`repro.faults`) staleness degrades gracefully
-to Alex/TTL-style revalidation instead of being unbounded.
+:class:`LeasedInvalidationProtocol` is the fault-tolerant variant:
+callbacks still provide consistency on the fast path, but every copy
+additionally carries a bounded lease measured from its last validation,
+so when delivery fails (see :mod:`repro.faults`) staleness degrades
+gracefully to Alex/TTL-style revalidation instead of being unbounded.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class InvalidationProtocol(ConsistencyProtocol):
 
 
 class LeasedInvalidationProtocol(InvalidationProtocol):
-    """Invalidation callbacks hardened with a bounded lease.
+    """Invalidation callbacks backed by a bounded lease.
 
     Freshness requires *both* that no callback has arrived **and** that
     the copy was validated within the last ``lease`` seconds.  Under

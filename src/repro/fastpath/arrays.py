@@ -180,8 +180,10 @@ class CacheState:
     """The proxy cache as parallel arrays (one slot per server object).
 
     Mirrors exactly the :class:`~repro.core.cache.CacheEntry` fields the
-    supported protocols and the simulator consult.  ``expires_at`` is
-    the CERN policy's store-time stamp; other protocols ignore it.
+    protocols and the simulator consult — the fields a protocol method
+    may touch and still be lowered onto these arrays
+    (:mod:`repro.fastpath.specialise` derives that set from the slots
+    below).  ``expires_at`` is whatever ``on_stored`` stamps.
     """
 
     __slots__ = (
@@ -214,8 +216,8 @@ def initial_state(
     With ``preload`` (the paper's configuration) every cacheable object
     enters resident and valid, stamped validated at ``start_time`` with
     the origin's Last-Modified at that instant — exactly what
-    :meth:`Cache.preload_from` builds.  CERN's store-time expiry stamp
-    is applied by the kernel (it depends on protocol parameters).
+    :meth:`Cache.preload_from` builds.  The protocol's ``on_stored``
+    stamp is applied by the kernel (it depends on protocol parameters).
     """
     count = len(compiled.ids)
     state = CacheState(count)

@@ -18,9 +18,10 @@ Three public seams live here:
 
 Automatic fallback to the reference engine happens for:
 
-* adaptive protocols (``SelfTuningProtocol``) and any protocol subclass
-  or wrapper the compiler does not recognize *exactly* (a subclass may
-  override ``is_fresh``; byte identity demands the known formulas);
+* a protocol whose class :func:`repro.fastpath.specialise.specialise`
+  refuses — ``SelfTuningProtocol`` (state shared across objects) and
+  any class whose ``is_fresh`` / ``on_stored`` step outside the lowered
+  subset; a subclass compiles *its own* rule or not at all;
 * a caller-supplied ``cache`` (bounded capacity, pre-seeded state).
 
 A ``faults`` plan does not: its schedule is compiled to index-keyed
@@ -29,35 +30,15 @@ columns, memoised per server
 kernel's action cursor under any compiled protocol — the TTL family,
 which takes no callbacks, sees the plan's crashes only.  Nor do the
 eager invalidation variants: the push is part of the same cursor.
-
-Observability no longer forces a fallback: with a metrics registry
-active the kernel tallies the same ``cache.*`` / ``server.*`` / ``sim.*``
-publications in flat locals and flushes them once per run through the
-registry's exact merge path (byte-equal totals — the
-docs/FASTPATH.md metrics-equivalence rule, enforced by
-``contract.diff_metrics`` and the verify oracle), and with a trace sink
-active the kernel's contract-pinned observer stream is teed into the
-sink event for event.  (Profiling reports the fast path's own
-``fastpath.compile`` / ``fastpath.simulate`` phases instead of the
-reference's hook timings.)
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from repro.core.cache import Cache
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
-from repro.core.protocols import (
-    AlexProtocol,
-    CERNPolicyProtocol,
-    ExpiresTTLProtocol,
-    InvalidationProtocol,
-    LeasedInvalidationProtocol,
-    PollEveryRequestProtocol,
-    TTLProtocol,
-)
 from repro.core.protocols.base import ConsistencyProtocol
 from repro.core.results import SimulationResult
 from repro.core.server import OriginServer
@@ -69,17 +50,8 @@ from repro.fastpath.arrays import (
     encode_requests,
     initial_state,
 )
-from repro.fastpath.kernels import (
-    KIND_ALEX,
-    KIND_CERN,
-    KIND_EXPIRES,
-    KIND_INVALIDATION,
-    KIND_LEASED,
-    KIND_POLL,
-    KIND_TTL,
-    MetricsBatch,
-    run_kernel,
-)
+from repro.fastpath.kernels import Kernel, MetricsBatch, run_kernel
+from repro.fastpath.specialise import specialise
 from repro.obs import clock as obs_clock
 from repro.obs import profile as obs_profile
 from repro.obs import registry as obs_metrics
@@ -154,46 +126,46 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return FAST
 
 
+#: ``(kind, p0, p1, p2, has_p2)``, the shape ``bench/`` unpacks.
+CompiledProtocol = tuple[
+    Kernel, Optional[float], Optional[float], Optional[float], bool
+]
+
+
+def _compile(protocol: ConsistencyProtocol) -> Union[CompiledProtocol, str]:
+    """``compile_protocol``'s tuple, or why there is none."""
+    cls = type(protocol)
+    specialised = specialise(cls)
+    if isinstance(specialised, str):
+        return specialised
+    kernel, attrs = specialised
+    # The kernel is per class; what varies per instance travels per run.
+    if protocol.wants_invalidations != cls.wants_invalidations:
+        return "wants_invalidations differs from the class's declaration"
+    values: list[Optional[float]] = [0.0, 0.0, 0.0]
+    for slot, attr in enumerate(attrs):
+        values[slot] = getattr(protocol, attr)
+        if not isinstance(values[slot], (int, float, type(None))):
+            return f"self.{attr} is not a number"
+    return (kernel, values[0], values[1], values[2], False)
+
+
 def compile_protocol(
     protocol: ConsistencyProtocol,
-) -> Optional[tuple[int, float, float, float, bool]]:
+) -> Optional[CompiledProtocol]:
     """Compile a protocol instance to ``(kind, p0, p1, p2, has_p2)``.
 
-    Only *exact* concrete classes compile — a subclass may override
-    ``is_fresh``, and the kernel's byte-identity contract covers the
-    known formulas only.  Returns None for anything else.  The eager
-    invalidation variants compile to the same kind as the plain ones
-    (freshness is identical); the push is a delivery-side switch that
+    ``kind`` is the kernel specialised for the protocol's *class*
+    (:mod:`repro.fastpath.specialise`, compiled once per class), ``p0``
+    / ``p1`` / ``p2`` the values of the instance attributes its methods
+    read, in order of first use (None stays None); ``has_p2`` is always
+    False — the five-slot shape is the one ``bench/`` unpacks.  Returns
+    None when the class is refused.  The eager invalidation variants
+    share their plain twins' kernel; the push is a delivery-side switch
     :func:`fast_simulate` reads off the protocol.
     """
-    cls = type(protocol)
-    if cls is TTLProtocol:
-        assert isinstance(protocol, TTLProtocol)
-        return (KIND_TTL, protocol.ttl, 0.0, 0.0, False)
-    if cls is ExpiresTTLProtocol:
-        assert isinstance(protocol, ExpiresTTLProtocol)
-        return (KIND_EXPIRES, protocol.ttl, 0.0, 0.0, False)
-    if cls is AlexProtocol:
-        assert isinstance(protocol, AlexProtocol)
-        return (KIND_ALEX, protocol.threshold, 0.0, 0.0, False)
-    if cls is PollEveryRequestProtocol:
-        return (KIND_POLL, 0.0, 0.0, 0.0, False)
-    if cls is InvalidationProtocol:
-        return (KIND_INVALIDATION, 0.0, 0.0, 0.0, False)
-    if cls is LeasedInvalidationProtocol:
-        assert isinstance(protocol, LeasedInvalidationProtocol)
-        return (KIND_LEASED, protocol.lease, 0.0, 0.0, False)
-    if cls is CERNPolicyProtocol:
-        assert isinstance(protocol, CERNPolicyProtocol)
-        max_ttl = protocol.max_ttl
-        return (
-            KIND_CERN,
-            protocol.lm_fraction,
-            protocol.default_ttl,
-            max_ttl if max_ttl is not None else 0.0,
-            max_ttl is not None,
-        )
-    return None
+    compiled = _compile(protocol)
+    return None if isinstance(compiled, str) else compiled
 
 
 def unsupported_reason(
@@ -211,10 +183,11 @@ def unsupported_reason(
     """
     if cache is not None:
         return "caller-supplied cache (bounded capacity / pre-seeded state)"
-    if compile_protocol(protocol) is None:
+    compiled = _compile(protocol)
+    if isinstance(compiled, str):
         return (
             f"protocol {type(protocol).__name__} has no compiled kernel "
-            "(adaptive state or unknown subclass)"
+            f"({compiled})"
         )
     return None
 

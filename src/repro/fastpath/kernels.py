@@ -8,15 +8,18 @@ and counter increments, and the same observer event stream — but over
 the parallel arrays of :mod:`repro.fastpath.arrays` instead of the
 object graph, with every hot name bound to a local.
 
-Freshness decisions are batch predicates over the state arrays,
-dispatched on a compiled integer protocol kind instead of a virtual
-``is_fresh`` call; each formula below is a transliteration of the
-corresponding ``repro.core.protocols`` method (lint rule RPR008 diffs
-them structurally).  Every not-fresh request — cold miss, base-mode
-refetch, 304, 200 — charges its own ledger cells and then falls through
-one store tail that re-stamps the entry, so a protocol has one
-freshness branch, one stamp site and one refresh-window site
-(docs/FASTPATH.md, checklist step 2).
+The freshness rule is not written here.  :func:`run_kernel`'s body is a
+template with *holes* — calls to the :func:`is_fresh` and
+:func:`on_stored` stubs below — and :mod:`repro.fastpath.specialise`
+fills them, once per protocol class, with that class's own ``is_fresh``
+/ ``on_stored`` lowered onto the state arrays: the arithmetic a
+specialised kernel evaluates is the protocol's own expression tree.
+Every not-fresh request — cold miss, base-mode refetch, 304, 200 —
+charges its own ledger cells and then falls through one store tail that
+re-stamps the entry, so ``on_stored`` has one hole per place an entry is
+stored: the preload prologue, the store tail and the eager push.
+Calling ``run_kernel(..., kind=k)`` runs ``k``, the specialised kernel
+``dispatch.compile_protocol`` returned.
 
 Delivery is pre-merged: one *action cursor* advances whenever the next
 request time passes the next action time, replacing the per-request
@@ -30,16 +33,17 @@ trailing ``end_time`` flush is not a second copy of it but the last
 line of the request stream — a request for no object that stops once
 everything due has been delivered.
 
-Anything this kernel does not model (adaptive protocols, bounded
-caches) is refused upstream by
+Anything this kernel does not model (a protocol method outside the
+specialiser's closed subset, bounded caches) is refused upstream by
 :func:`repro.fastpath.dispatch.unsupported_reason` and routed to the
 reference engine — the kernel never approximates.
 """
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left, bisect_right
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, TypeVar, cast
 
 from repro.core.costs import MessageCosts
 from repro.core.metrics import (
@@ -64,14 +68,14 @@ from repro.faults.plan import (
 from repro.obs.names import DEFAULT_BINS, HISTOGRAM_BINS
 from repro.obs.registry import MetricsRegistry, _accumulate
 
-#: Compiled protocol kinds (see ``dispatch.compile_protocol``).
-KIND_TTL = 0
-KIND_EXPIRES = 1
-KIND_ALEX = 2
-KIND_POLL = 3
-KIND_INVALIDATION = 4
-KIND_LEASED = 5
-KIND_CERN = 6
+#: A kernel specialised for one protocol class: :func:`run_kernel` with
+#: its holes filled, called with ``run_kernel``'s own arguments.
+Kernel = Callable[..., SimulationResult]
+_K = TypeVar("_K", bound=Kernel)
+
+#: The one histogram a lowered ``on_stored`` may observe; the template
+#: tallies it in its ``rw_*`` locals.
+REFRESH_WINDOW = "protocol.refresh_window_seconds"
 
 _INFINITY = float("inf")
 
@@ -135,16 +139,45 @@ class MetricsBatch:
         )
 
 
+def _runs_kind(template: _K) -> _K:
+    """Make ``run_kernel(..., kind=k, ...)`` run ``k`` — this template,
+    specialised for one protocol class — on the same arguments."""
+
+    @functools.wraps(template)
+    def run_kernel(*args: Any, kind: Kernel, **options: Any) -> SimulationResult:
+        return kind(*args, kind=kind, **options)
+
+    return cast(_K, run_kernel)
+
+
+def is_fresh(i: int, now: float) -> bool:
+    """Hole: the protocol's ``is_fresh`` for entry ``i`` at ``now``."""
+    raise NotImplementedError("a hole of run_kernel, never called")
+
+
+def on_stored(i: int, now: float) -> None:
+    """Hole: the protocol's ``on_stored`` for entry ``i`` at ``now``."""
+    raise NotImplementedError("a hole of run_kernel, never called")
+
+
+#: Constant holes, bound per specialised kernel to facts about its
+#: protocol class: the ``wants_invalidations`` declaration, whether
+#: ``is_fresh`` reads what ``on_stored`` stamps, whether ``on_stored``
+#: observes a metric.
+wants_invalidations = stamps = observes = False
+
+
+@_runs_kind
 def run_kernel(
     compiled: CompiledServer,
     state: CacheState,
     req_times: list[float],
     req_objs: list[int],
     *,
-    kind: int,
-    p0: float = 0.0,
-    p1: float = 0.0,
-    p2: float = 0.0,
+    kind: Kernel,
+    p0: Optional[float] = 0.0,
+    p1: Optional[float] = 0.0,
+    p2: Optional[float] = 0.0,
     has_p2: bool = False,
     base_mode: bool,
     costs: MessageCosts,
@@ -161,11 +194,23 @@ def run_kernel(
 ) -> SimulationResult:
     """Drive the full request stream through the array interpreter.
 
-    Parameter meanings per kind: TTL/Expires — ``p0`` is the (default)
-    TTL; Alex — ``p0`` is the threshold fraction; leased — ``p0`` is the
-    lease; CERN — ``p0``/``p1``/``p2`` are lm_fraction / default_ttl /
-    max_ttl (``has_p2`` = a max_ttl clamp is configured).  ``eager``
-    selects the invalidation kinds' pre-optimization push.
+    This body is a template, ordinary Python but never run as it stands:
+    the calls to :func:`is_fresh` / :func:`on_stored` are holes that
+    :mod:`repro.fastpath.specialise` replaces, once per protocol class,
+    by that class's own methods lowered onto the state arrays (first
+    argument the entry's index, second the method's ``now``; each hole
+    is one line).  Lowered code reads the state arrays by their
+    :class:`~repro.fastpath.arrays.CacheState` names, tallies an observed
+    refresh window in the ``rw_*`` locals, and keeps its own locals in
+    names of the form ``_x_N``.
+
+    ``kind`` and ``p0`` / ``p1`` / ``p2`` are what
+    :func:`repro.fastpath.dispatch.compile_protocol` returned: the
+    kernel specialised for the protocol's class — which is what a call
+    runs — and the values of the instance attributes its methods read
+    (None travels as None; ``has_p2`` belongs to the call shape
+    ``bench/`` pins and carries nothing).  ``eager`` selects the
+    invalidation family's pre-optimization push.
 
     ``schedule`` is a fault plan's compiled action schedule, keyed by
     object index and resolved against this ``start_time``
@@ -200,16 +245,15 @@ def run_kernel(
     version = state.version
     validated_at = state.validated_at
     last_modified = state.last_modified
-    has_sx = state.has_server_expires
-    sx = state.server_expires
+    has_server_expires = state.has_server_expires
+    server_expires = state.server_expires
     expires_at = state.expires_at
-
-    is_cern = kind == KIND_CERN
 
     # -- the run's extent ---------------------------------------------------
     # The stream is time-ordered (encode_requests), so the last request
     # is the latest; nothing scheduled after the horizon is delivered.
-    last = req_times[-1] if req_times else float(start_time)
+    st = float(start_time)
+    last = req_times[-1] if req_times else st
     if end_time is None:
         horizon = last
     elif end_time < last:
@@ -232,7 +276,7 @@ def run_kernel(
         act_times, act_keys = schedule.times, schedule.keys
         act_kinds, act_mods = schedule.kinds, schedule.mod_times
         act_attempts = schedule.attempts
-    elif kind == KIND_INVALIDATION or kind == KIND_LEASED:
+    elif wants_invalidations:
         act_times, act_keys = compiled.feed_times, compiled.feed_obj
         # Modifications that predate the run are skipped: preloaded
         # entries already reflect them (the reference's start-time
@@ -293,42 +337,19 @@ def run_kernel(
     sa_counts = [0] * (len(sa_bounds) + 1)
     sa_partials: list[float] = []
     sa_n = 0
-    rw_bounds = _bins("protocol.refresh_window_seconds")
+    rw_bounds = _bins(REFRESH_WINDOW)
     rw_counts = [0] * (len(rw_bounds) + 1)
     rw_partials: list[float] = []
     rw_n = 0
-    # Only TTL/Expires/Alex observe a refresh window in on_stored.
-    rw_kind = collect and (
-        kind == KIND_TTL or kind == KIND_EXPIRES or kind == KIND_ALEX
-    )
-    if preload and (is_cern or rw_kind):
+    # on_stored runs only where the run can observe it: through the stamp
+    # is_fresh reads, or through the metric it publishes.
+    restamp = stamps or (collect and observes)
+    if preload and restamp:
         # Preload calls protocol.on_stored(entry, start_time) for every
-        # entry: CERN stamps the store-time expiry (_derive_expiry with
-        # now = start_time), TTL/Expires/Alex observe a refresh window.
-        st = float(start_time)
+        # entry it loads.
         for i in range(len(ids)):
-            if not resident[i]:
-                continue
-            # repro-fastpath: cern-stamp
-            if is_cern:
-                if has_sx[i]:
-                    expires_at[i] = sx[i]
-                else:
-                    age = start_time - last_modified[i]
-                    ttl = p0 * age if age > 0 else p1
-                    if has_p2:
-                        ttl = min(ttl, p2)
-                    expires_at[i] = start_time + ttl
-            if rw_kind:
-                if kind == KIND_TTL:
-                    rw_val = p0
-                elif kind == KIND_EXPIRES:
-                    rw_val = sx[i] - st if has_sx[i] else (st + p0) - st
-                else:
-                    rw_val = p0 * max(st - last_modified[i], 0.0)
-                rw_counts[bl(rw_bounds, rw_val)] += 1
-                acc(rw_partials, rw_val)
-                rw_n += 1
+            if resident[i]:
+                on_stored(i, st)
 
     # The trailing flush is the last line of the stream: a request for
     # no object at the end of time, which stops once everything due
@@ -409,9 +430,8 @@ def run_kernel(
                 if eager:
                     # Pre-optimization invalidation: the new copy rides
                     # with the notice — a GET at the action time, stored
-                    # the way the store tail below stores (eager kinds
-                    # have no CERN stamp and no refresh window).  Not a
-                    # miss: no request is waiting.
+                    # the way the store tail below stores.  Not a miss:
+                    # no request is waiting.
                     lo = mod_lo[mi]
                     vt = br(mod_times, at, lo, lo + mod_count[mi]) - lo
                     version[mi] = vt
@@ -421,10 +441,12 @@ def run_kernel(
                     valid[mi] = True
                     validated_at[mi] = at
                     if has_expires[mi]:
-                        has_sx[mi] = True
-                        sx[mi] = at + expires_after[mi]
+                        has_server_expires[mi] = True
+                        server_expires[mi] = at + expires_after[mi]
                     else:
-                        has_sx[mi] = False
+                        has_server_expires[mi] = False
+                    if restamp:
+                        on_stored(mi, at)
                     prefetches += 1
                     body_pre += sizes[mi]
                     if notify is not None:
@@ -453,33 +475,7 @@ def run_kernel(
             continue
 
         if resident[i]:
-            # -- freshness: the compiled protocol predicate ---------------
-            # repro-fastpath-begin: freshness
-            # RPR008 structurally diffs each branch below against the
-            # corresponding protocol's is_fresh (docs/FASTPATH.md contract).
-            if kind == KIND_TTL:
-                fresh = (t - validated_at[i]) < p0
-            elif kind == KIND_ALEX:
-                age = validated_at[i] - last_modified[i]
-                if age <= 0.0:
-                    fresh = False
-                else:
-                    fresh = (t - validated_at[i]) < p0 * age
-            elif kind == KIND_EXPIRES:
-                if has_sx[i]:
-                    fresh = t < sx[i]
-                else:
-                    fresh = (t - validated_at[i]) < p0
-            elif kind == KIND_INVALIDATION:
-                fresh = valid[i]
-            elif kind == KIND_LEASED:
-                fresh = valid[i] and t - validated_at[i] < p0
-            elif kind == KIND_CERN:
-                fresh = t < expires_at[i]
-            else:  # KIND_POLL
-                fresh = False
-            # repro-fastpath-end: freshness
-
+            fresh = is_fresh(i, t)
             if fresh:
                 hits += 1
                 v = version[i]
@@ -534,8 +530,8 @@ def run_kernel(
             validations += 1
             server_ims_queries += 1
             if lm <= last_modified[i]:
-                # 304 Not Modified: revalidate in place; the stamp and the
-                # refresh window below see the entry's own Last-Modified.
+                # 304 Not Modified: revalidate in place; on_stored below
+                # sees the entry's own Last-Modified.
                 ctl_304 += full_control
                 ex_304 += 1
                 validations_not_modified += 1
@@ -564,31 +560,13 @@ def run_kernel(
         valid[i] = True
         validated_at[i] = t
         if has_expires[i]:
-            has_sx[i] = True
-            sx[i] = t + expires_after[i]
+            has_server_expires[i] = True
+            server_expires[i] = t + expires_after[i]
         else:
-            has_sx[i] = False
-        # repro-fastpath: cern-stamp
-        if is_cern:
-            if has_sx[i]:
-                expires_at[i] = sx[i]
-            else:
-                age = t - lm
-                ttl = p0 * age if age > 0 else p1
-                if has_p2:
-                    ttl = min(ttl, p2)
-                expires_at[i] = t + ttl
-        if rw_kind:
-            # on_stored runs on every store and on a 304 alike.
-            if kind == KIND_TTL:
-                rw_val = p0
-            elif kind == KIND_EXPIRES:
-                rw_val = sx[i] - t if has_sx[i] else (t + p0) - t
-            else:
-                rw_val = p0 * max(t - lm, 0.0)
-            rw_counts[bl(rw_bounds, rw_val)] += 1
-            acc(rw_partials, rw_val)
-            rw_n += 1
+            has_server_expires[i] = False
+        # on_stored runs on every store and on a 304 alike.
+        if restamp:
+            on_stored(i, t)
         if notify is not None:
             notify(event, t, ids[i])
 
@@ -626,7 +604,7 @@ def run_kernel(
             "sim.stale_age_seconds", sa_bounds, sa_counts, sa_partials, sa_n
         )
         batch.histogram(
-            "protocol.refresh_window_seconds",
+            REFRESH_WINDOW,
             rw_bounds,
             rw_counts,
             rw_partials,
@@ -667,7 +645,7 @@ def run_kernel(
         mode=mode_value,
         counters=counters,
         bandwidth=bandwidth,
-        duration=horizon - float(start_time),
+        duration=horizon - st,
     )
     result.counters.check_invariants()
     return result

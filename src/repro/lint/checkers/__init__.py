@@ -6,6 +6,9 @@
 * :mod:`repro.lint.checkers.events` — RPR004
 * :mod:`repro.lint.checkers.hygiene` — RPR005
 * :mod:`repro.lint.checkers.obsnames` — RPR006
+* :mod:`repro.lint.checkers.asyncsafety` — RPR007
+* :mod:`repro.lint.checkers.unitflow` — RPR009 (the id before it is
+  retired and not reused; docs/DEVELOPING.md has the ledger)
 
 Third-party checkers register the same way: subclass
 :class:`repro.lint.registry.Checker`, decorate with
@@ -18,7 +21,6 @@ from repro.lint.checkers import (  # noqa: F401  (registration side effects)
     conformance,
     determinism,
     events,
-    fastdrift,
     hygiene,
     obsnames,
     unitflow,
@@ -30,7 +32,6 @@ __all__ = [
     "conformance",
     "determinism",
     "events",
-    "fastdrift",
     "hygiene",
     "obsnames",
     "unitflow",

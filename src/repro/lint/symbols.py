@@ -9,9 +9,6 @@ dataflow checkers build on:
 
 * RPR007 follows the call graph (:mod:`repro.lint.callgraph`) from
   ``async def`` bodies into sync helpers;
-* RPR008 resolves each fast-path kernel branch to the protocol method
-  it transcribes, inlining ``super().is_fresh`` / ``self._helper``
-  calls through the MRO;
 * RPR009 propagates inferred units through function signatures and
   returns at resolved call sites.
 
@@ -131,14 +128,6 @@ class SymbolTable:
     def functions_in(self, module: ModuleInfo) -> dict[str, FunctionNode]:
         """qualname -> def node for every function/method in ``module``."""
         return self._indexes[module.name].functions
-
-    def classes_in(self, module: ModuleInfo) -> dict[str, ast.ClassDef]:
-        """qualname -> ClassDef for every class in ``module``."""
-        return self._indexes[module.name].classes
-
-    def imports_in(self, module: ModuleInfo) -> dict[str, str]:
-        """local name -> absolute dotted target for ``module``'s imports."""
-        return self._indexes[module.name].imports
 
     # -- global resolution ---------------------------------------------------
 

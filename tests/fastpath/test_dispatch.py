@@ -8,8 +8,10 @@ import pytest
 
 from repro.core.cache import Cache
 from repro.core.clock import days, hours
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.protocols import (
     AlexProtocol,
+    CERNPolicyProtocol,
     InvalidationProtocol,
     LeasedInvalidationProtocol,
     SelfTuningProtocol,
@@ -21,15 +23,19 @@ from repro.fastpath import (
     FAST,
     REFERENCE,
     UnsupportedFastPathError,
+    compile_protocol,
     compile_server,
     diff_results,
+    encode_requests,
     engine_simulate,
     fast_simulate,
+    initial_state,
     resolve_engine,
     set_engine,
     unsupported_reason,
 )
 from repro.fastpath.arrays import NO_OBJECT, compile_schedule
+from repro.fastpath.kernels import run_kernel
 from repro.faults import FaultPlan, parse_faults
 from repro.obs import registry as obs_registry
 
@@ -84,7 +90,8 @@ class TestUnsupportedReason:
             "caller-supplied cache (bounded capacity / pre-seeded state)")
         assert unsupported_reason(SelfTuningProtocol()) == (
             "protocol SelfTuningProtocol has no compiled kernel "
-            "(adaptive state or unknown subclass)")
+            "(cross_object_state: a decision depends on state shared "
+            "across objects)")
 
     def test_fault_plans_and_eager_pushes_are_compiled(self):
         plan = parse_faults("loss=0.5,crash=5d,seed=1").build(days(10))
@@ -102,13 +109,19 @@ class TestUnsupportedReason:
         assert "no compiled kernel" in unsupported_reason(
             SelfTuningProtocol(), faults=plan)
 
-    def test_subclasses_do_not_compile(self):
+    def test_subclasses_compile_their_own_rule(self):
         class SloppyTTL(TTLProtocol):
-            def is_fresh(self, entry, now):  # pragma: no cover
+            def is_fresh(self, entry, now):
                 return True
 
-        assert "no compiled kernel" in unsupported_reason(
-            SloppyTTL(hours(1)))
+        # Never the parent's kernel: the subclass gets one specialised
+        # from its own is_fresh (tests/fastpath/test_specialise.py runs
+        # it), or a reason.
+        assert unsupported_reason(SloppyTTL(hours(1))) is None
+        sloppy, plain = (
+            compile_protocol(cls(hours(1))) for cls in (SloppyTTL, TTLProtocol)
+        )
+        assert sloppy[0] is not plain[0]
 
     def test_fast_simulate_refuses_unsupported(self, static_server):
         with pytest.raises(UnsupportedFastPathError, match="no compiled"):
@@ -243,3 +256,42 @@ class TestCompileCache:
             })
         assert dumps[0] == dumps[1]
         assert dumps[0]["faults.attempts"] > dumps[0]["faults.delivered"] > 0
+
+
+class TestFrozenBenchSeam:
+    """``bench/`` is frozen and calls the two public stages directly; its
+    call shapes are pinned here so an API break fails in tier 1."""
+
+    BASE = SimulatorMode.BASE
+    OPTIMIZED = SimulatorMode.OPTIMIZED
+    #: The five ``sim-kernel`` configurations of ``bench/sim.py``.
+    CONFIGS = (
+        ("ttl", lambda: TTLProtocol(hours(24)), OPTIMIZED),
+        ("alex", lambda: AlexProtocol.from_percent(10.0), OPTIMIZED),
+        ("invalidation", InvalidationProtocol, OPTIMIZED),
+        ("cern", CERNPolicyProtocol, OPTIMIZED),
+        ("alex-base", lambda: AlexProtocol.from_percent(10.0), BASE),
+    )
+
+    @pytest.mark.parametrize("name,make,mode", CONFIGS,
+                             ids=[c[0] for c in CONFIGS])
+    def test_trace_stages_call_shapes(self, workload, name, make, mode):
+        BASE = self.BASE
+        server, requests = workload.server(), workload.requests
+        duration = workload.duration
+        protocol = make()
+        # bench/sim.py::_trace_stages, verbatim.
+        kind, p0, p1, p2, has_p2 = compile_protocol(protocol)
+        compiled = compile_server(server)
+        req_times, req_objs = encode_requests(compiled, requests, 0.0)
+        state = initial_state(compiled, 0.0, True)
+        staged = run_kernel(
+            compiled, state, req_times, req_objs,
+            kind=kind, p0=p0, p1=p1, p2=p2, has_p2=has_p2,
+            base_mode=mode is BASE, costs=DEFAULT_COSTS,
+            charge_per_modification=True, preload=True, start_time=0.0,
+            end_time=duration, protocol_name=protocol.name,
+            mode_value=mode.value,
+        )
+        whole = fast_simulate(server, make(), requests, mode, end_time=duration)
+        assert diff_results(staged, whole) == []

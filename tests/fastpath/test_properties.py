@@ -39,6 +39,8 @@ from tests.faults.test_properties import protocols as feed_protocols
 from tests.faults.test_properties import small_workloads
 from tests.verify.test_oracle_properties import DURATION, rich_workloads
 
+from .test_specialise import SloppyTTL, SoftTTL, StampedInvalidation
+
 
 def supported_protocols():
     """Factories for every configuration the fast path compiles."""
@@ -54,6 +56,10 @@ def supported_protocols():
             lambda: LeasedInvalidationProtocol(hours(12)),
             lambda: CERNPolicyProtocol(0.1, hours(1)),
             lambda: CERNPolicyProtocol(0.5, hours(1), max_ttl=hours(6)),
+            # Known to no file under src/: specialised from the class.
+            lambda: SoftTTL(hours(24), 0.25),
+            lambda: SloppyTTL(hours(1)),
+            lambda: StampedInvalidation(hours(12)),
         ]
     )
 
@@ -117,7 +123,9 @@ def fault_plans(draw):
 @settings(max_examples=120, deadline=None)
 @given(
     workload=small_workloads(),
-    make_protocol=feed_protocols(),
+    make_protocol=st.one_of(
+        feed_protocols(), st.just(lambda: StampedInvalidation(hours(6)))
+    ),
     plan=st.one_of(st.none(), fault_plans()),
     mode=st.sampled_from(list(SimulatorMode)),
     per_modification=st.booleans(),

@@ -47,12 +47,13 @@ def write_fixture_tree(tmp_path: Path, source: str) -> Path:
 
 
 class TestRegistry:
-    def test_all_nine_checkers_registered(self):
+    def test_all_checkers_registered(self):
+        # RPR008 is retired; ids are never renumbered or reused.
         assert checker_codes() == [
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007", "RPR008", "RPR009",
+            "RPR007", "RPR009",
         ]
-        assert len(all_checkers()) == 9
+        assert len(all_checkers()) == 8
 
     def test_unknown_select_code_raises(self):
         project = Project([])

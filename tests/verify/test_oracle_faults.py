@@ -9,8 +9,7 @@ a divergence.
 
 from __future__ import annotations
 
-import types
-from pathlib import Path
+import inspect
 
 import pytest
 
@@ -24,7 +23,7 @@ from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
 from repro.faults import DowntimeWindow, FaultPlan
 from repro.fastpath import dispatch as fastpath_dispatch
-from repro.fastpath import kernels
+from repro.fastpath import kernels, specialise
 from repro.verify import (
     ConsistencyViolation,
     checked_simulate,
@@ -122,48 +121,48 @@ class TestFastPathLeg:
         assert replayed == [plan]
 
     def test_dropped_lost_attempt_charge_is_a_fastpath_divergence(
-        self, changing_server, monkeypatch
+        self, changing_server
     ):
         """Mutation: a kernel that sends lost attempts for free.  The
         simulator and the spec still agree, so every divergence is leg
         3's, labelled ``fastpath.*``."""
-        source = Path(kernels.__file__).read_text(encoding="utf-8")
+        source = inspect.getsource(kernels.run_kernel)
         charge = "ex_inv += 1\n                            if act == ATTEMPT_LOST:"
         assert source.count(charge) == 1
-        mutant = types.ModuleType("mutant_kernels")
-        exec(
-            compile(
-                source.replace(
-                    charge, charge.replace("+= 1", "+= act != ATTEMPT_LOST")
-                ),
-                kernels.__file__, "exec",
+        # Specialised from the mutated template, in place of the memoised
+        # kernel; dropped afterwards so the next run builds the real one.
+        specialise._KERNELS[InvalidationProtocol] = specialise.build(
+            InvalidationProtocol,
+            source.replace(
+                charge, charge.replace("+= 1", "+= act != ATTEMPT_LOST")
             ),
-            mutant.__dict__,
         )
-        monkeypatch.setattr(fastpath_dispatch, "run_kernel", mutant.run_kernel)
-        plan = FaultPlan(loss_rate=0.5, retries=3, backoff=hours(1), seed=1)
-        with pytest.raises(ConsistencyViolation) as excinfo:
-            verify_simulation(
-                changing_server, InvalidationProtocol(), requests(),
-                SimulatorMode.OPTIMIZED, end_time=days(8), faults=plan,
+        try:
+            plan = FaultPlan(loss_rate=0.5, retries=3, backoff=hours(1), seed=1)
+            with pytest.raises(ConsistencyViolation) as excinfo:
+                verify_simulation(
+                    changing_server, InvalidationProtocol(), requests(),
+                    SimulatorMode.OPTIMIZED, end_time=days(8), faults=plan,
+                )
+            divergences = excinfo.value.report.divergences
+            assert all(line.startswith("fastpath.") for line in divergences)
+            assert any(
+                line.startswith("fastpath.counters.server_invalidations_sent")
+                for line in divergences
             )
-        divergences = excinfo.value.report.divergences
-        assert all(line.startswith("fastpath.") for line in divergences)
-        assert any(
-            line.startswith("fastpath.counters.server_invalidations_sent")
-            for line in divergences
-        )
-        assert any(
-            line.startswith("fastpath.bandwidth.control_bytes[invalidation]")
-            for line in divergences
-        )
-        # The fault-free charge is untouched: without a plan the mutant
-        # is indistinguishable.
-        _, report = verify_simulation(
-            changing_server, InvalidationProtocol(), requests(),
-            SimulatorMode.OPTIMIZED, end_time=days(8),
-        )
-        assert report.ok
+            assert any(
+                line.startswith("fastpath.bandwidth.control_bytes[invalidation]")
+                for line in divergences
+            )
+            # The fault-free charge is untouched: without a plan the mutant
+            # is indistinguishable.
+            _, report = verify_simulation(
+                changing_server, InvalidationProtocol(), requests(),
+                SimulatorMode.OPTIMIZED, end_time=days(8),
+            )
+            assert report.ok
+        finally:
+            del specialise._KERNELS[InvalidationProtocol]
 
 
 class TestLeasedRule:
