@@ -4,7 +4,7 @@ PYTHON ?= python
 # Process-pool size for experiment runs (see docs/PERFORMANCE.md).
 WORKERS ?= 2
 
-.PHONY: install dev test bench bench-baseline experiments lint typecheck verify live snapshot snapshot-check examples clean
+.PHONY: install dev test bench experiments lint typecheck verify live snapshot snapshot-check examples clean
 
 install:
 	pip install -e .
@@ -15,38 +15,20 @@ dev:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Perf-trajectory sample (schema repro.bench/1, docs/OBSERVABILITY.md):
-# run every experiment at reduced scale, write BENCH_<date>.json, and
-# gate overall requests/sec against the committed conservative
-# baseline.
-# Extra flags (e.g. BENCH_FLAGS='--min-speedup 1.0' in the CI smoke
-# gate) ride along via BENCH_FLAGS.
+# The benchmark (bench/README.md, BENCHMARK.json): seven workloads,
+# noise-normalised end-to-end metrics and per-layer metrics; the last
+# stdout line of each run is its JSON result.
 bench:
-	$(PYTHON) -m repro.obs.bench --workers $(WORKERS) \
-	  --baseline benchmarks/BENCH_baseline.json $(BENCH_FLAGS)
-
-# Refresh the committed baseline: measure, then halve the requests/sec
-# into a conservative floor so slower CI runners don't trip the 30%
-# gate ("Bench baseline policy" in docs/OBSERVABILITY.md).
-bench-baseline:
-	$(PYTHON) -m repro.obs.bench --workers $(WORKERS) --stamp baseline \
-	  --out benchmarks
-	$(PYTHON) -c "import json, pathlib; \
-	  p = pathlib.Path('benchmarks/BENCH_baseline.json'); \
-	  d = json.loads(p.read_text()); \
-	  d['requests_per_second'] = round(d['requests_per_second'] / 2, 1); \
-	  d['note'] = 'conservative floor: measured req/s halved by make bench-baseline'; \
-	  p.write_text(json.dumps(d, indent=2, sort_keys=True) + chr(10))"
+	python3 bench/run.py
 
 experiments:
 	$(PYTHON) -m repro.experiments all
 
-# Static invariant analysis (RPR001-RPR007 and RPR009, see
-# docs/DEVELOPING.md): determinism, unit discipline, protocol
-# registration, oracle exhaustiveness, hygiene, observability-name
-# discipline, plus the project-wide dataflow rules (async/lock
-# discipline, interprocedural units).  Exit 1 on any
-# non-baselined error.  '--format json|github' for machine output.
+# Static invariant analysis (RPR001-RPR007, see docs/DEVELOPING.md):
+# determinism, unit discipline (propagated through locals and calls),
+# protocol registration, oracle and metric-name alphabets, hygiene,
+# async/lock discipline.  Exit 1 on any finding not silenced by a
+# '# repro: noqa[CODE]' comment.  '--format github' for CI annotations.
 lint:
 	$(PYTHON) -m repro.lint src examples
 

@@ -1019,7 +1019,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the static invariant linter (RPR001-RPR006 + baseline)",
+        help="run the static invariant linter (RPR001-RPR007)",
     )
     p_lint.add_argument(
         "lint_args", nargs=argparse.REMAINDER, metavar="...",

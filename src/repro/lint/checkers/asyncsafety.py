@@ -14,20 +14,25 @@ the project call graph (:mod:`repro.lint.callgraph`):
 
 2. **Unlocked shared-state transactions.**  For every class whose
    method is handed to the event loop (``asyncio.start_server``,
-   ``create_task``, ``ensure_future``, ``gather``), the checker walks
-   everything reachable from those entry points and tracks, per path,
-   mutations of ``self.*`` state.  Two mutations separated by an
-   ``await`` — or a single read-modify-write (``self.x += await f()``)
-   straddling one — outside a region dominated by a lock is a race:
-   another invocation of the same callback can interleave at the
-   suspension point.  Code dominated by ``async with self._lock:`` (or
-   a sync ``with lock:``) is exempt, *including* methods only ever
+   ``create_task``, ``ensure_future``, ``gather``), one path-sensitive
+   walker starts at each entry point and tracks mutations of ``self.*``
+   state, *following* every ``self.m(...)`` call into the callee with
+   the caller's state and merging the callee's return points back.
+   Two mutations separated by an ``await`` — or a single
+   read-modify-write (``self.x += await f()``) straddling one — is a
+   race: another invocation of the same callback can interleave at the
+   suspension point.  The body of ``async with self._lock:`` (or a sync
+   ``with lock:``) is skipped, and with it every method only ever
    called from inside such a region (the shipped proxy's design).
 
 3. **Lock-ordering hazards.**  Acquiring a second lock while one is
    held (``async with a: ... async with b:``), and ``await`` while
    holding a *synchronous* ``with lock:`` — the event loop suspends
    with a thread lock held, stalling every other thread that wants it.
+   Locks are recognized by name (``*lock*``) or, inside a class, as the
+   attributes it assigns a ``Lock()``-family object to; a nested
+   ``def`` is its own function — it does not run under the locks held
+   where it is defined.
 
 All three rules are deliberately under-approximate: an unresolved call
 contributes no edge, an unrecognized lock expression protects nothing,
@@ -40,13 +45,13 @@ registered through wrappers it does not model) are simply not analyzed
 from __future__ import annotations
 
 import ast
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from repro.lint.diagnostics import Because, Diagnostic
 from repro.lint.project import ModuleInfo, Project
 from repro.lint.registry import Checker, register
+from repro.lint.stmts import child_blocks, iter_no_defs, own_exprs
 from repro.lint.symbols import FunctionNode, _dotted_parts
 
 #: Packages whose async code this checker analyzes (roots + classes).
@@ -72,6 +77,8 @@ _MUTATING_METHODS = frozenset(
         "store", "invalidate", "drop", "charge", "push",
     }
 )
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def in_scope(module_name: str) -> bool:
@@ -104,22 +111,8 @@ def _blocking_reason(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _iter_no_defs(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into nested function bodies."""
-    stack: list[ast.AST] = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.append(child)
-
-
 def _contains_await(node: ast.AST) -> bool:
-    return any(isinstance(n, ast.Await) for n in _iter_no_defs(node))
+    return any(isinstance(n, ast.Await) for n in iter_no_defs(node))
 
 
 def _self_attr_root(expr: ast.expr) -> Optional[str]:
@@ -152,11 +145,12 @@ def _is_lockish(expr: ast.expr, lock_attrs: frozenset[str]) -> bool:
     return name is not None and "lock" in name.lower()
 
 
-_SIMPLE_STMTS = (
-    ast.Expr, ast.Assign, ast.AugAssign, ast.AnnAssign,
-    ast.Assert, ast.Delete, ast.Pass, ast.Global, ast.Nonlocal,
-    ast.Import, ast.ImportFrom,
-)
+def _target_leaves(target: ast.expr) -> Iterator[ast.expr]:
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _target_leaves(element)
+    else:
+        yield target
 
 
 @dataclass(frozen=True)
@@ -191,31 +185,22 @@ def _merge(states: list[_TxnState]) -> _TxnState:
 
 
 class _ClassModel:
-    """Everything rule 2 needs to know about one class."""
+    """What rules 2 and 3 need to know about one class."""
 
     def __init__(
         self,
         module: ModuleInfo,
-        qualname: str,
         methods: dict[str, FunctionNode],
     ) -> None:
         self.module = module
-        self.qualname = qualname
         self.methods = methods
         self.lock_attrs = self._find_lock_attrs()
         self.entry_points = self._find_entry_points()
-        # witness[m] = (attr, line, via) proving m mutates shared state
-        # on some unprotected path; ``via`` names the method holding the
-        # actual store when the evidence is transitive.
-        self.witness: dict[str, tuple[str, int, str]] = {}
-        self._build_touch_witnesses()
-
-    # -- model construction --------------------------------------------------
 
     def _find_lock_attrs(self) -> frozenset[str]:
         attrs: set[str] = set()
         for node in self.methods.values():
-            for sub in _iter_no_defs(node):
+            for sub in iter_no_defs(node):
                 if not isinstance(sub, ast.Assign):
                     continue
                 value = sub.value
@@ -234,7 +219,7 @@ class _ClassModel:
     def _find_entry_points(self) -> list[str]:
         entries: list[str] = []
         for node in self.methods.values():
-            for sub in _iter_no_defs(node):
+            for sub in iter_no_defs(node):
                 if not isinstance(sub, ast.Call):
                     continue
                 parts = _dotted_parts(sub.func)
@@ -255,136 +240,44 @@ class _ClassModel:
                         entries.append(arg.attr)
         return sorted(set(entries))
 
-    def _build_touch_witnesses(self) -> None:
-        """Fixpoint: which methods mutate shared state on a path not
-        already dominated by one of the class's own locks."""
-        direct: dict[str, Optional[tuple[str, int]]] = {}
-        calls: dict[str, set[str]] = {}
-        for name, node in self.methods.items():
-            touches, callees = self._scan_unprotected(node.body)
-            direct[name] = touches[0] if touches else None
-            calls[name] = callees
-        for name, hit in direct.items():
-            if hit is not None:
-                self.witness[name] = (hit[0], hit[1], name)
-        changed = True
-        while changed:
-            changed = False
-            for name, callees in calls.items():
-                if name in self.witness:
-                    continue
-                for callee in sorted(callees):
-                    if callee in self.witness:
-                        attr, line, via = self.witness[callee]
-                        self.witness[name] = (attr, line, via)
-                        changed = True
-                        break
+    # -- per-node queries ----------------------------------------------------
 
-    def _scan_unprotected(
-        self, body: list[ast.stmt]
-    ) -> tuple[list[tuple[str, int]], set[str]]:
-        """Direct touches and same-class callees outside lock regions."""
-        touches: list[tuple[str, int]] = []
-        callees: set[str] = set()
-        for stmt in body:
-            if isinstance(stmt, (ast.With, ast.AsyncWith)) and any(
-                _is_lockish(item.context_expr, self.lock_attrs)
-                for item in stmt.items
-            ):
-                continue  # dominated by the lock: not "unprotected"
-            for attr, line in self.stmt_touches(stmt, recurse=False):
-                touches.append((attr, line))
-            callees.update(m for m, _ in self.method_calls(stmt, recurse=False))
-            for inner in self._child_blocks(stmt):
-                sub_touches, sub_callees = self._scan_unprotected(inner)
-                touches.extend(sub_touches)
-                callees.update(sub_callees)
-        return touches, callees
-
-    @staticmethod
-    def _child_blocks(stmt: ast.stmt) -> list[list[ast.stmt]]:
-        blocks: list[list[ast.stmt]] = []
-        for attr in ("body", "orelse", "finalbody"):
-            inner = getattr(stmt, attr, None)
-            if inner and isinstance(inner[0], ast.stmt):
-                blocks.append(inner)
-        for handler in getattr(stmt, "handlers", []):
-            blocks.append(handler.body)
-        return blocks
-
-    # -- per-statement queries ----------------------------------------------
-
-    def stmt_touches(
-        self, stmt: ast.stmt, recurse: bool = True
-    ) -> list[tuple[str, int]]:
-        """Shared-state mutations directly inside ``stmt``.
-
-        With ``recurse=False`` only the statement's own expressions are
-        inspected (compound bodies are handled by the walkers).
-        """
-        touches: list[tuple[str, int]] = []
+    def touches(self, stmt: ast.stmt) -> list[tuple[str, int]]:
+        """``(attr, line)`` of the shared-state mutations in ``stmt``:
+        stores to ``self.X...`` and mutating-method calls on it."""
+        found: list[tuple[str, int]] = []
         targets: list[ast.expr] = []
         if isinstance(stmt, ast.Assign):
             targets = list(stmt.targets)
         elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
             targets = [stmt.target]
         for target in targets:
-            for leaf in self._target_leaves(target):
+            for leaf in _target_leaves(target):
                 attr = _self_attr_root(leaf)
                 if attr and attr not in self.lock_attrs:
-                    touches.append((attr, stmt.lineno))
-        scan = _iter_no_defs(stmt) if recurse else self._own_exprs(stmt)
-        for node in scan:
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS
-            ):
-                attr = _self_attr_root(func.value)
-                if attr and attr not in self.lock_attrs:
-                    touches.append((attr, node.lineno))
-        return touches
-
-    def method_calls(
-        self, stmt: ast.stmt, recurse: bool = True
-    ) -> list[tuple[str, int]]:
-        """Calls to same-class methods (``self.m(...)``) in ``stmt``."""
-        found: list[tuple[str, int]] = []
-        scan = _iter_no_defs(stmt) if recurse else self._own_exprs(stmt)
-        for node in scan:
+                    found.append((attr, stmt.lineno))
+        for node in iter_no_defs(stmt):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == "self"
-                and node.func.attr in self.methods
+                and node.func.attr in _MUTATING_METHODS
             ):
-                found.append((node.func.attr, node.lineno))
+                attr = _self_attr_root(node.func.value)
+                if attr and attr not in self.lock_attrs:
+                    found.append((attr, node.lineno))
         return found
 
-    @staticmethod
-    def _target_leaves(target: ast.expr) -> Iterator[ast.expr]:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                yield from _ClassModel._target_leaves(element)
-        else:
-            yield target
-
-    @staticmethod
-    def _own_exprs(stmt: ast.stmt) -> Iterator[ast.AST]:
-        """Expressions belonging to ``stmt`` itself, not nested blocks."""
-        for field_name, value in ast.iter_fields(stmt):
-            if field_name in ("body", "orelse", "finalbody", "handlers"):
-                continue
-            nodes = value if isinstance(value, list) else [value]
-            for node in nodes:
-                if isinstance(node, ast.expr):
-                    yield from _iter_no_defs(node)
-            if field_name == "items":  # with-statement context managers
-                for item in value:
-                    yield from _iter_no_defs(item.context_expr)
+    def method_calls(self, node: ast.AST) -> list[str]:
+        """Same-class methods ``node`` calls as ``self.m(...)``."""
+        return [
+            sub.func.attr
+            for sub in iter_no_defs(node)
+            if isinstance(sub, ast.Call)
+            and isinstance(sub.func, ast.Attribute)
+            and isinstance(sub.func.value, ast.Name)
+            and sub.func.value.id == "self"
+            and sub.func.attr in self.methods
+        ]
 
 
 @register
@@ -406,8 +299,25 @@ class AsyncSafetyChecker(Checker):
         for module in project.modules:
             if not in_scope(module.name):
                 continue
-            yield from self._check_classes(module, project)
-            yield from self._check_lock_nesting(module)
+            models = self._class_models(module, project)
+            for model in models:
+                walker = _TxnWalker(self, model)
+                for entry in model.entry_points:
+                    walker.call(entry, _TxnState())
+                yield from walker.found
+            yield from self._check_lock_nesting(module, models)
+
+    @staticmethod
+    def _class_models(
+        module: ModuleInfo, project: Project
+    ) -> list[_ClassModel]:
+        """One model per top-level class, in name order."""
+        classes: dict[str, dict[str, FunctionNode]] = {}
+        for qualname, node in project.symbols.functions_in(module).items():
+            cls, _, method = qualname.rpartition(".")
+            if cls and "." not in cls:
+                classes.setdefault(cls, {})[method] = node
+        return [_ClassModel(module, classes[cls]) for cls in sorted(classes)]
 
     # -- rule 1: blocking calls reachable from async defs --------------------
 
@@ -423,7 +333,7 @@ class AsyncSafetyChecker(Checker):
         seen: set[tuple[str, int]] = set()
         for ref, chain in sorted(graph.reachable_from(roots).items()):
             info = graph.functions[ref]
-            for node in _iter_no_defs(info.node):
+            for node in iter_no_defs(info.node):
                 if not isinstance(node, ast.Call):
                     continue
                 reason = _blocking_reason(node)
@@ -464,53 +374,31 @@ class AsyncSafetyChecker(Checker):
                     because=tuple(because),
                 )
 
-    # -- rule 2: unlocked shared-state transactions --------------------------
-
-    def _check_classes(
-        self, module: ModuleInfo, project: Project
-    ) -> Iterator[Diagnostic]:
-        functions = project.symbols.functions_in(module)
-        classes: dict[str, dict[str, FunctionNode]] = {}
-        for qualname, node in functions.items():
-            if "." not in qualname:
-                continue
-            cls, method = qualname.rsplit(".", 1)
-            if "." in cls:
-                continue
-            classes.setdefault(cls, {})[method] = node
-        for cls in sorted(classes):
-            model = _ClassModel(module, cls, classes[cls])
-            if model.entry_points:
-                yield from self._check_transactions(model)
-
-    def _check_transactions(self, model: _ClassModel) -> Iterator[Diagnostic]:
-        queue: deque[tuple[str, bool]] = deque(
-            (entry, False) for entry in model.entry_points
-        )
-        visited: set[tuple[str, bool]] = set()
-        flagged: set[tuple[int, str]] = set()
-        found: list[Diagnostic] = []
-        while queue:
-            method, protected = queue.popleft()
-            if (method, protected) in visited:
-                continue
-            visited.add((method, protected))
-            walker = _TxnWalker(self, model, protected, flagged, found)
-            walker.walk(model.methods[method].body, _TxnState(), protected)
-            for callee, callee_protected in walker.scheduled:
-                if (callee, callee_protected) not in visited:
-                    queue.append((callee, callee_protected))
-        yield from found
-
     # -- rule 3: lock nesting / await under a sync lock ----------------------
 
-    def _check_lock_nesting(self, module: ModuleInfo) -> Iterator[Diagnostic]:
-        lock_attrs: frozenset[str] = frozenset()
-        for node in ast.walk(module.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def _check_lock_nesting(
+        self, module: ModuleInfo, models: list[_ClassModel]
+    ) -> Iterator[Diagnostic]:
+        """Walk every function — nested ones on their own, each exactly
+        once — under the lock attributes of its enclosing class."""
+        attrs_of = {
+            method: model.lock_attrs
+            for model in models
+            for method in model.methods.values()
+        }
+        stack: list[tuple[ast.AST, frozenset[str]]] = [
+            (module.tree, frozenset())
+        ]
+        while stack:
+            node, lock_attrs = stack.pop()
+            lock_attrs = attrs_of.get(node, lock_attrs)
+            if isinstance(node, _DEFS):
                 yield from self._lock_walk(
                     module, node.body, lock_attrs, held=[], sync_held=0
                 )
+            stack.extend(
+                (child, lock_attrs) for child in ast.iter_child_nodes(node)
+            )
 
     def _lock_walk(
         self,
@@ -521,6 +409,8 @@ class AsyncSafetyChecker(Checker):
         sync_held: int,
     ) -> Iterator[Diagnostic]:
         for stmt in body:
+            if isinstance(stmt, (*_DEFS, ast.ClassDef)):
+                continue  # defined here, not run here
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 lock_names = [
                     ast.unparse(item.context_expr)
@@ -554,8 +444,7 @@ class AsyncSafetyChecker(Checker):
                 )
                 continue
             if sync_held and any(
-                isinstance(n, ast.Await)
-                for n in _ClassModel._own_exprs(stmt)
+                _contains_await(root) for root in own_exprs(stmt)
             ):
                 yield self.diagnostic(
                     module.path, stmt.lineno, stmt.col_offset + 1,
@@ -563,169 +452,149 @@ class AsyncSafetyChecker(Checker):
                     "loop suspends with the lock held and every thread "
                     "contending for it stalls",
                 )
-            for block in _ClassModel._child_blocks(stmt):
+            for block in child_blocks(stmt):
                 yield from self._lock_walk(
                     module, block, lock_attrs, held, sync_held
                 )
 
 
 class _TxnWalker:
-    """Statement walker implementing rule 2's path-sensitive tracking."""
+    """Rule 2: the one path-sensitive statement walker.
 
-    def __init__(
-        self,
-        checker: AsyncSafetyChecker,
-        model: _ClassModel,
-        entry_protected: bool,
-        flagged: set[tuple[int, str]],
-        found: list[Diagnostic],
-    ) -> None:
+    It carries a :class:`_TxnState` along every path from an entry
+    point, steps *into* ``self.m(...)`` calls (``active`` is the call
+    stack, which also stops recursion), and steps *over* lock-dominated
+    ``with`` bodies.
+    """
+
+    def __init__(self, checker: AsyncSafetyChecker, model: _ClassModel) -> None:
         self.checker = checker
         self.model = model
-        self.flagged = flagged
-        self.found = found
-        self.scheduled: set[tuple[str, bool]] = set()
+        self.found: list[Diagnostic] = []
+        self._flagged: set[tuple[int, str]] = set()
+        #: (method, states at its ``return`` statements) per active call.
+        self.active: list[tuple[str, list[_TxnState]]] = []
 
-    def walk(
-        self, body: list[ast.stmt], state: _TxnState, protected: bool
-    ) -> _TxnState:
+    def call(self, method: str, state: _TxnState) -> _TxnState:
+        """The caller's state after ``self.method(...)`` ran from
+        ``state``: the callee's fall-through joined with each of its
+        return points.  A callee that always raises ends the path."""
+        if any(method == name for name, _ in self.active):
+            return state
+        returns: list[_TxnState] = []
+        self.active.append((method, returns))
+        end = self.walk(self.model.methods[method].body, state)
+        self.active.pop()
+        return _merge([end, *returns])
+
+    def walk(self, body: list[ast.stmt], state: _TxnState) -> _TxnState:
         for stmt in body:
             if state.terminated:
                 break
-            state = self._step(stmt, state, protected)
+            state = self._step(stmt, state)
         return state
 
     # -- one statement -------------------------------------------------------
 
-    def _step(
-        self, stmt: ast.stmt, state: _TxnState, protected: bool
-    ) -> _TxnState:
-        model = self.model
+    def _step(self, stmt: ast.stmt, state: _TxnState) -> _TxnState:
         if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
+            state = self._simple(stmt, state)
+            if isinstance(stmt, ast.Return):
+                self.active[-1][1].append(state)
             return replace(state, terminated=True)
 
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            locked = any(
-                _is_lockish(item.context_expr, model.lock_attrs)
-                for item in stmt.items
-            )
             if isinstance(stmt, ast.AsyncWith):
-                state = self._await_event(state, protected, stmt.lineno)
-            if locked:
-                self.walk(stmt.body, _TxnState(), True)
-                return state  # lock released; outer state unchanged
-            inner = self.walk(stmt.body, state, protected)
-            return replace(inner, terminated=False)
+                state = self._await_event(state, stmt.lineno)
+            if any(
+                _is_lockish(item.context_expr, self.model.lock_attrs)
+                for item in stmt.items
+            ):
+                return state  # the lock serializes its body
+            for item in stmt.items:
+                state = self._enter(item.context_expr, state, stmt.lineno)
+            return replace(self.walk(stmt.body, state), terminated=False)
 
         if isinstance(stmt, ast.If):
-            state = self._expr_events(stmt, state, protected, stmt.test)
-            branches = [
-                self.walk(stmt.body, state, protected),
-                self.walk(stmt.orelse, state, protected),
-            ]
-            return _merge(branches)
+            state = self._enter(stmt.test, state, stmt.lineno)
+            return _merge([
+                self.walk(stmt.body, state), self.walk(stmt.orelse, state),
+            ])
 
         if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
             if isinstance(stmt, ast.AsyncFor):
-                state = self._await_event(state, protected, stmt.lineno)
-            test = getattr(stmt, "test", None) or getattr(stmt, "iter", None)
-            if test is not None:
-                state = self._expr_events(stmt, state, protected, test)
+                state = self._await_event(state, stmt.lineno)
+            head = stmt.test if isinstance(stmt, ast.While) else stmt.iter
+            state = self._enter(head, state, stmt.lineno)
             # Two passes over the body so a touch at the bottom of one
             # iteration meets an await at the top of the next.
-            once = _merge([self.walk(list(stmt.body), state, protected),
-                           state])
-            twice = self.walk(list(stmt.body), once, protected)
-            after = _merge([twice, once])
-            return self.walk(stmt.orelse, after, protected)
+            once = _merge([self.walk(stmt.body, state), state])
+            twice = self.walk(stmt.body, once)
+            return self.walk(stmt.orelse, _merge([twice, once]))
 
         if isinstance(stmt, ast.Try):
-            after_body = self.walk(stmt.body, state, protected)
+            after_body = self.walk(stmt.body, state)
             handler_states = [
                 # A handler can fire at any point of the body; analyzing
                 # it from the try-entry state is the under-approximation.
-                self.walk(handler.body, state, protected)
+                self.walk(handler.body, state)
                 for handler in stmt.handlers
             ]
-            after_else = self.walk(stmt.orelse, after_body, protected)
+            after_else = self.walk(stmt.orelse, after_body)
             merged = _merge([after_else, *handler_states])
             final = self.walk(
-                stmt.finalbody, replace(merged, terminated=False), protected
+                stmt.finalbody, replace(merged, terminated=False)
             )
             if merged.terminated:
                 final = replace(final, terminated=True)
             return final
 
-        return self._simple(stmt, state, protected)
+        return self._simple(stmt, state)
 
-    def _simple(
-        self, stmt: ast.stmt, state: _TxnState, protected: bool
-    ) -> _TxnState:
-        model = self.model
-        for callee, _ in model.method_calls(stmt):
-            self.scheduled.add((callee, protected))
-        touches = model.stmt_touches(stmt) if not protected else []
-        call_touches = (
-            [
-                (model.witness[callee][0], line)
-                for callee, line in model.method_calls(stmt)
-                if callee in model.witness
-            ]
-            if not protected
-            else []
-        )
-        has_await = _contains_await(stmt)
-        if protected:
-            return state
-        all_touches = touches + call_touches
-        if not all_touches:
-            if has_await:
-                return self._await_event(state, protected, stmt.lineno)
-            return state
-        if has_await and isinstance(stmt, ast.AugAssign) and touches:
+    def _simple(self, stmt: ast.stmt, state: _TxnState) -> _TxnState:
+        touches = self.model.touches(stmt)
+        if (
+            touches
+            and isinstance(stmt, ast.AugAssign)
+            and _contains_await(stmt)
+        ):
             # self.x += await f(): the read happens before the await,
-            # the write after — a one-statement unlocked transaction.
+            # the write after — a one-statement unlocked transaction
+            # (reported once: the store below has the same line).
             self._flag(
                 stmt.lineno, touches[0][0],
                 first=(stmt.lineno, touches[0][0]),
-                await_line=stmt.lineno,
-                single=True,
+                await_line=stmt.lineno, single=True,
             )
-            return replace(
-                state, touch=(stmt.lineno, touches[0][0]), await_line=None
-            )
-        if has_await:
-            # Awaited call producing the value stored: treat as
-            # await-then-touch on this path.
-            state = self._await_event(state, protected, stmt.lineno)
+        # ``self.x = await f()`` stores after the await: a statement's
+        # suspension and callees come before its own touches.
+        state = self._enter(stmt, state, stmt.lineno)
+        if not touches or state.terminated:
+            return state
+        attr, line = touches[0]
         if state.touch and state.await_line:
-            attr = all_touches[0][0]
             self._flag(
-                all_touches[0][1], attr,
-                first=state.touch, await_line=state.await_line,
+                line, attr, first=state.touch, await_line=state.await_line
             )
-            return _TxnState(touch=(all_touches[0][1], attr))
+            return _TxnState(touch=(line, attr))
         if state.touch is None:
-            return _TxnState(touch=(all_touches[0][1], all_touches[0][0]))
+            return _TxnState(touch=(line, attr))
         return state
 
     # -- events and reporting ------------------------------------------------
 
-    def _expr_events(
-        self,
-        stmt: ast.stmt,
-        state: _TxnState,
-        protected: bool,
-        expr: ast.expr,
-    ) -> _TxnState:
-        if _contains_await(expr):
-            state = self._await_event(state, protected, stmt.lineno)
+    def _enter(self, node: ast.AST, state: _TxnState, line: int) -> _TxnState:
+        """Evaluate ``node``: its await (if any) suspends first, then
+        each same-class method it calls runs from the resulting state."""
+        if _contains_await(node):
+            state = self._await_event(state, line)
+        for callee in self.model.method_calls(node):
+            if not state.terminated:
+                state = self.call(callee, state)
         return state
 
-    def _await_event(
-        self, state: _TxnState, protected: bool, line: int
-    ) -> _TxnState:
-        if protected or state.touch is None or state.await_line is not None:
+    def _await_event(self, state: _TxnState, line: int) -> _TxnState:
+        if state.touch is None or state.await_line is not None:
             return state
         return replace(state, await_line=line)
 
@@ -738,9 +607,9 @@ class _TxnWalker:
         single: bool = False,
     ) -> None:
         key = (line, attr)
-        if key in self.flagged:
+        if key in self._flagged:
             return
-        self.flagged.add(key)
+        self._flagged.add(key)
         model = self.model
         lock = (
             f"self.{sorted(model.lock_attrs)[0]}"

@@ -1,20 +1,14 @@
 """The ``repro lint`` / ``repro-lint`` / ``python -m repro.lint`` CLI.
 
-Diagnostics print as ``file:line:col: CODE message`` (one per line) by
-default; ``--format json`` emits the stable ``repro.lint/1`` document
-(see :mod:`repro.lint.formats`) and ``--format github`` emits GitHub
-Actions ``::error``/``::warning`` annotation commands.  Whatever the
-format, the exit status is the contract CI keys on:
+Diagnostics print as ``file:line:col: CODE message`` (one per line,
+because-chain steps indented underneath) by default; ``--format
+github`` emits GitHub Actions ``::error`` annotation commands instead.
+Whatever the format, the exit status is the contract CI keys on:
 
-* ``0`` — no new ERROR findings (warnings alone do not fail unless
-  ``--strict``);
-* ``1`` — at least one reportable error (or warning under ``--strict``);
-* ``2`` — usage problems: bad paths, unparseable sources, malformed
-  baseline, unknown ``--select`` code.
-
-``--update-baseline`` rewrites the baseline from the current findings
-and exits 0 — the mechanism for grandfathering pre-existing debt while
-new findings stay fatal (see docs/DEVELOPING.md).
+* ``0`` — no findings;
+* ``1`` — at least one finding not silenced by a ``noqa`` comment;
+* ``2`` — usage problems: bad paths, unparseable sources, unknown
+  ``--select`` code.
 """
 
 from __future__ import annotations
@@ -24,13 +18,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE,
-    BaselineError,
-    write_baseline,
-)
 from repro.lint.engine import run_lint
-from repro.lint.formats import render_github, render_json
+from repro.lint.formats import render_github
 from repro.lint.project import LintError
 from repro.lint.registry import iter_registry
 
@@ -42,7 +31,8 @@ def make_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for the cache-consistency "
             "reproduction (determinism, unit discipline, protocol "
-            "registration, oracle exhaustiveness, hygiene)."
+            "registration, oracle and metric alphabets, hygiene, "
+            "async lock discipline)."
         ),
     )
     parser.add_argument(
@@ -54,49 +44,18 @@ def make_parser() -> argparse.ArgumentParser:
         help="comma-separated checker codes to run (default: all)",
     )
     parser.add_argument(
-        "--ignore", metavar="CODES",
-        help="comma-separated checker codes to skip",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=DEFAULT_BASELINE, metavar="FILE",
-        help=f"baseline file for grandfathered findings "
-             f"(default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="treat warnings as errors for the exit status",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "github"), default="text",
+        "--format", choices=("text", "github"), default="text",
         dest="format",
         help=(
-            "output format: text (default), json (stable repro.lint/1 "
-            "document), or github (Actions ::error/::warning annotations)"
+            "output format: text (default) or github (Actions ::error "
+            "annotations)"
         ),
-    )
-    parser.add_argument(
-        "--quiet", action="store_true",
-        help="print only the diagnostics, no summary line",
     )
     parser.add_argument(
         "--list-codes", action="store_true",
         help="list the registered checker codes and exit",
     )
     return parser
-
-
-def _codes(raw: Optional[str]) -> Optional[list[str]]:
-    if raw is None:
-        return None
-    return [c.strip() for c in raw.split(",") if c.strip()]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -108,53 +67,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{code}  {cls.summary}")
         return 0
 
-    baseline_path: Optional[Path] = None
-    if not args.no_baseline and not args.update_baseline:
-        baseline_path = args.baseline
-
+    select = None
+    if args.select is not None:
+        select = [c.strip() for c in args.select.split(",") if c.strip()]
     try:
-        result = run_lint(
-            args.paths,
-            select=_codes(args.select),
-            ignore=_codes(args.ignore),
-            baseline_path=baseline_path,
-        )
-    except (LintError, BaselineError, KeyError) as exc:
+        result = run_lint(args.paths, select=select)
+    except (LintError, KeyError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"repro-lint: {message}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        count = write_baseline(args.baseline, result.diagnostics)
-        print(
-            f"repro-lint: wrote {count} finding(s) to {args.baseline}"
-        )
-        return 0
-
-    if args.format == "json":
-        print(render_json(result))
-    elif args.format == "github":
-        for line in render_github(result):
-            print(line)
+    if args.format == "github":
+        lines = render_github(result)
     else:
-        for diagnostic in result.diagnostics:
-            print(diagnostic.render())
-
-    failing = len(result.errors) + (
-        len(result.warnings) if args.strict else 0
+        lines = [diagnostic.render() for diagnostic in result.diagnostics]
+    for line in lines:
+        print(line)
+    summary = (
+        f"repro-lint: {result.files_checked} file(s), "
+        f"{len(result.diagnostics)} error(s)"
     )
-    if not args.quiet and args.format != "json":
-        summary = (
-            f"repro-lint: {result.files_checked} file(s), "
-            f"{len(result.errors)} error(s), "
-            f"{len(result.warnings)} warning(s)"
-        )
-        if result.suppressed:
-            summary += f", {len(result.suppressed)} noqa-suppressed"
-        if result.baselined:
-            summary += f", {len(result.baselined)} baselined"
-        print(summary)
-    return 1 if failing else 0
+    if result.suppressed:
+        summary += f", {len(result.suppressed)} noqa-suppressed"
+    print(summary)
+    return 1 if result.diagnostics else 0
 
 
 if __name__ == "__main__":

@@ -1,46 +1,24 @@
 """Diagnostic records emitted by the invariant linter.
 
-A :class:`Diagnostic` is one finding: *where* (file, line, column),
-*what* (a stable ``RPRxxx`` code plus a human message), and *how bad*
-(:class:`Severity`).  Renderings follow the conventional
-``file:line:col: CODE message`` shape so editors and CI annotations can
-parse them.
+A :class:`Diagnostic` is one finding: *where* (file, line, column) and
+*what* (a stable ``RPRxxx`` code plus a human message).  Every finding
+fails the run; there are no severities.  Renderings follow the
+conventional ``file:line:col: CODE message`` shape so editors and CI
+annotations can parse them.
 
-Cross-file checkers (the call-graph and dataflow rules, RPR007-RPR009)
-can attach a **because chain**: an ordered list of :class:`Because`
-steps explaining *why* the flagged line is implicated — the call path
-from an ``async def`` to a blocking call, the definition site a unit
-was inferred from, the protocol method a kernel branch was diffed
-against.  The chain renders indented under the main line and rides
-along in ``--format json``; it never participates in suppression
-(a ``noqa`` works only on the diagnostic's own line) or in the
-fingerprint.
-
-Baselines match findings by :meth:`Diagnostic.fingerprint`, which
-deliberately excludes the file path and the line/column: it hashes the
-code, the message, and the *text of the offending source line*
-(``context``), so a grandfathered finding survives file renames and
-unrelated edits that shift it down the file, and disappears from the
-baseline the moment the offending code itself is fixed (see
-:mod:`repro.lint.baseline`).
+Cross-file checkers (the call-graph and dataflow rules, RPR002 and
+RPR007) can attach a **because chain**: an ordered list of
+:class:`Because` steps explaining *why* the flagged line is implicated
+— the call path from an ``async def`` to a blocking call, the
+definition site a unit was inferred from.  The chain renders indented
+under the main line and folds into the ``--format github`` annotation;
+it never participates in suppression (a ``noqa`` works only on the
+diagnostic's own line).
 """
 
 from __future__ import annotations
 
-import enum
-import hashlib
 from dataclasses import dataclass, field
-
-
-class Severity(enum.Enum):
-    """How a finding affects the lint exit status.
-
-    ``ERROR`` findings fail the run; ``WARNING`` findings are printed
-    but do not (unless ``--strict`` promotes them).
-    """
-
-    WARNING = "warning"
-    ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -67,19 +45,15 @@ class Diagnostic:
     """One linter finding.
 
     Attributes:
-        path: file the finding is in, as given to the engine (kept
-            relative to the lint root for stable baselines).
+        path: file the finding is in, as given to the engine (relative
+            to the lint root when possible).
         line: 1-based line number.
         col: 1-based column number.
         code: stable checker code, e.g. ``RPR001``.
         message: human-readable explanation.
-        severity: error or warning.
         because: optional cross-file explanation chain (outermost step
             first), e.g. the call path that makes a blocking call
             reachable from an ``async def``.
-        context: the stripped text of the offending source line; the
-            engine fills it in after checkers run.  Feeds the
-            fingerprint so baselines survive renames.
     """
 
     path: str
@@ -87,30 +61,15 @@ class Diagnostic:
     col: int
     code: str
     message: str
-    severity: Severity = Severity.ERROR
     because: tuple[Because, ...] = field(default=())
-    context: str = ""
 
     def render(self) -> str:
         """The canonical ``file:line:col: CODE message`` line(s).
 
         Because-chain steps render indented underneath, one per line.
         """
-        suffix = " (warning)" if self.severity is Severity.WARNING else ""
-        head = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}{suffix}"
+        head = f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
         if not self.because:
             return head
         steps = "\n".join(f"    {b.render()}" for b in self.because)
         return f"{head}\n{steps}"
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Hashes ``code::message::context`` — no path, no line/column —
-        so the identity survives file renames and unrelated-line
-        insertions, and changes exactly when the offending code (or the
-        rule's verdict on it) changes.
-        """
-        raw = f"{self.code}::{self.message}::{self.context}"
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]

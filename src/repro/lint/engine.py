@@ -1,22 +1,20 @@
-"""The lint driver: load, check, suppress, baseline.
+"""The lint driver: load, check, suppress.
 
 :func:`run_lint` is the one entry point both the CLI and the tests go
 through: it loads a :class:`~repro.lint.project.Project` from the given
 paths, runs every selected checker (per-module passes first, then the
-project-wide passes), drops diagnostics suppressed by inline
-``# repro: noqa[CODE]`` comments, and partitions what is left against
-the baseline.  The result is a :class:`LintResult`; rendering and exit
-codes are the CLI's business.
+project-wide passes), and drops diagnostics suppressed by inline
+``# repro: noqa[CODE]`` comments.  The result is a :class:`LintResult`;
+rendering and exit codes are the CLI's business.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from repro.lint.baseline import load_baseline, split_baselined
-from repro.lint.diagnostics import Diagnostic, Severity
+from repro.lint.diagnostics import Diagnostic
 from repro.lint.project import Project, load_project
 from repro.lint.registry import Checker, all_checkers
 
@@ -26,40 +24,22 @@ class LintResult:
     """Everything one lint run produced.
 
     Attributes:
-        diagnostics: reportable findings (noqa'd and baselined ones
-            removed), sorted by file, line, column, code.
+        diagnostics: reportable findings (noqa'd ones removed), sorted
+            by file, line, column, code.  Any entry fails the run.
         suppressed: findings silenced by inline ``noqa`` comments.
-        baselined: findings matched by the baseline file.
         files_checked: how many files were parsed and checked.
     """
 
     diagnostics: list[Diagnostic] = field(default_factory=list)
     suppressed: list[Diagnostic] = field(default_factory=list)
-    baselined: list[Diagnostic] = field(default_factory=list)
     files_checked: int = 0
-
-    @property
-    def errors(self) -> list[Diagnostic]:
-        """Reportable findings at ERROR severity."""
-        return [
-            d for d in self.diagnostics if d.severity is Severity.ERROR
-        ]
-
-    @property
-    def warnings(self) -> list[Diagnostic]:
-        """Reportable findings at WARNING severity."""
-        return [
-            d for d in self.diagnostics if d.severity is Severity.WARNING
-        ]
 
 
 def _sort_key(d: Diagnostic) -> tuple[str, int, int, str]:
     return (d.path, d.line, d.col, d.code)
 
 
-def _selected(
-    select: Optional[Iterable[str]], ignore: Optional[Iterable[str]]
-) -> list[Checker]:
+def _selected(select: Optional[Iterable[str]]) -> list[Checker]:
     checkers = all_checkers()
     if select:
         wanted = {c.upper() for c in select}
@@ -69,16 +49,11 @@ def _selected(
                 f"unknown checker code(s): {', '.join(sorted(unknown))}"
             )
         checkers = [c for c in checkers if c.code in wanted]
-    if ignore:
-        dropped = {c.upper() for c in ignore}
-        checkers = [c for c in checkers if c.code not in dropped]
     return checkers
 
 
 def check_project(
-    project: Project,
-    select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
+    project: Project, select: Optional[Iterable[str]] = None
 ) -> tuple[list[Diagnostic], list[Diagnostic]]:
     """Run the (selected) checkers over an already-loaded project.
 
@@ -89,9 +64,8 @@ def check_project(
     Raises:
         KeyError: when ``select`` names an unknown code.
     """
-    checkers = _selected(select, ignore)
     found: list[Diagnostic] = []
-    for checker in checkers:
+    for checker in _selected(select):
         for module in project.modules:
             found.extend(checker.check_module(module, project))
         found.extend(checker.check_project(project))
@@ -101,10 +75,6 @@ def check_project(
     suppressed: list[Diagnostic] = []
     for d in sorted(found, key=_sort_key):
         module = by_path.get(d.path)
-        if module is not None and not d.context:
-            # Stamp the offending source line so the fingerprint (and
-            # hence the baseline) survives renames and shifted lines.
-            d = replace(d, context=module.line_text(d.line))
         if module is not None and module.suppressed(d.code, d.line):
             suppressed.append(d)
         else:
@@ -116,8 +86,6 @@ def run_lint(
     paths: Sequence[Path],
     *,
     select: Optional[Iterable[str]] = None,
-    ignore: Optional[Iterable[str]] = None,
-    baseline_path: Optional[Path] = None,
     root: Optional[Path] = None,
 ) -> LintResult:
     """Lint ``paths`` and return the full result.
@@ -125,28 +93,16 @@ def run_lint(
     Args:
         paths: files/directories to lint.
         select: restrict to these checker codes (default: all).
-        ignore: drop these checker codes.
-        baseline_path: baseline file to grandfather findings against;
-            ``None`` means no baselining.
         root: base directory for display paths (defaults to cwd).
 
     Raises:
         repro.lint.project.LintError: unreadable/unparseable input.
-        repro.lint.baseline.BaselineError: malformed baseline file.
         KeyError: unknown ``select`` code.
     """
     project = load_project(paths, root=root)
-    reportable, suppressed = check_project(
-        project, select=select, ignore=ignore
-    )
-    baselined: list[Diagnostic] = []
-    if baseline_path is not None:
-        entries = load_baseline(baseline_path)
-        if entries:
-            reportable, baselined = split_baselined(reportable, entries)
+    reportable, suppressed = check_project(project, select=select)
     return LintResult(
         diagnostics=reportable,
         suppressed=suppressed,
-        baselined=baselined,
         files_checked=len(project.modules),
     )

@@ -1,80 +1,15 @@
-"""Machine-readable renderings of a :class:`~repro.lint.engine.LintResult`.
+"""GitHub Actions rendering of a :class:`~repro.lint.engine.LintResult`.
 
-Two formats besides the default text rendering:
-
-* ``json`` — the stable ``repro.lint/1`` document (schema below), for
-  editors and any tooling that wants findings without scraping text;
-* ``github`` — GitHub Actions `workflow commands
-  <https://docs.github.com/actions/reference/workflow-commands>`_
-  (``::error file=...,line=...::``), so CI findings surface as inline
-  PR annotations.
-
-JSON schema ``repro.lint/1`` (documented contract — additions may
-append fields, never rename or remove them)::
-
-    {
-      "schema": "repro.lint/1",
-      "files_checked": <int>,
-      "diagnostics": [
-        {
-          "path": <str>, "line": <int>, "col": <int>,
-          "code": "RPRxxx", "severity": "error" | "warning",
-          "message": <str>,
-          "fingerprint": <16-hex str>,     # baseline identity
-          "context": <str>,                # stripped offending line
-          "because": [                     # cross-file explanation chain
-            {"path": <str>, "line": <int>, "note": <str>}, ...
-          ]
-        }, ...
-      ],
-      "summary": {
-        "errors": <int>, "warnings": <int>,
-        "suppressed": <int>, "baselined": <int>
-      }
-    }
+``--format github`` prints one `workflow command
+<https://docs.github.com/actions/reference/workflow-commands>`_
+(``::error file=...,line=...::``) per finding, so CI findings surface as
+inline PR annotations.  :func:`github_command` is shared with the mypy
+filter in :mod:`repro.lint.annotations`.
 """
 
 from __future__ import annotations
 
-import json
-
-from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import LintResult
-
-JSON_SCHEMA = "repro.lint/1"
-
-
-def _diagnostic_dict(d: Diagnostic) -> dict:
-    return {
-        "path": d.path,
-        "line": d.line,
-        "col": d.col,
-        "code": d.code,
-        "severity": d.severity.value,
-        "message": d.message,
-        "fingerprint": d.fingerprint,
-        "context": d.context,
-        "because": [
-            {"path": b.path, "line": b.line, "note": b.note}
-            for b in d.because
-        ],
-    }
-
-
-def render_json(result: LintResult) -> str:
-    """The ``repro.lint/1`` document for one lint run."""
-    document = {
-        "schema": JSON_SCHEMA,
-        "files_checked": result.files_checked,
-        "diagnostics": [_diagnostic_dict(d) for d in result.diagnostics],
-        "summary": {
-            "errors": len(result.errors),
-            "warnings": len(result.warnings),
-            "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-        },
-    }
-    return json.dumps(document, indent=2, sort_keys=False)
 
 
 def escape_property(value: str) -> str:
@@ -104,14 +39,13 @@ def github_command(
 
 
 def render_github(result: LintResult) -> list[str]:
-    """Annotation lines for every reportable diagnostic."""
+    """An ``::error`` annotation line for every reportable diagnostic."""
     lines = []
     for d in result.diagnostics:
-        level = "error" if d.severity is Severity.ERROR else "warning"
         message = d.message
         if d.because:
             message += "\n" + "\n".join(b.render() for b in d.because)
         lines.append(
-            github_command(level, d.path, d.line, d.col, d.code, message)
+            github_command("error", d.path, d.line, d.col, d.code, message)
         )
     return lines

@@ -118,13 +118,6 @@ class ModuleInfo:
             return False
         return ALL_CODES in codes or code.upper() in codes
 
-    def line_text(self, line: int) -> str:
-        """The stripped source text of 1-based ``line`` ('' off-range)."""
-        lines = self.source.splitlines()
-        if 1 <= line <= len(lines):
-            return lines[line - 1].strip()
-        return ""
-
 
 class Project:
     """Every module under the lint roots, addressable by dotted name.

@@ -1,26 +1,26 @@
 """The pluggable checker registry.
 
 A checker is a subclass of :class:`Checker` registered with the
-:func:`register` decorator.  Each has a stable ``code`` (``RPRxxx``), a
-one-line ``summary`` (shown by ``repro lint --list-codes``), and a
-default :class:`~repro.lint.diagnostics.Severity`.  Checkers implement
-either or both of:
+:func:`register` decorator.  Each has a stable ``code`` (``RPRxxx``) and a
+one-line ``summary`` (shown by ``repro lint --list-codes``).  Checkers
+implement either or both of:
 
 * :meth:`Checker.check_module` — called once per linted file; the place
-  for purely local rules (RPR001, RPR002, RPR005);
+  for purely local rules (RPR001, RPR005);
 * :meth:`Checker.check_project` — called once per run with the whole
   :class:`~repro.lint.project.Project`; the place for cross-module
-  invariants (RPR003 registration, RPR004 event exhaustiveness).
+  invariants (RPR002 unit propagation, RPR003 registration, RPR004 /
+  RPR006 alphabets, RPR007 lock discipline).
 
 Registering a second checker under an existing code raises — codes are
-the public contract (suppressions, baselines, docs all key on them).
+the public contract (suppressions and docs key on them).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Type
 
-from repro.lint.diagnostics import Because, Diagnostic, Severity
+from repro.lint.diagnostics import Because, Diagnostic
 from repro.lint.project import ModuleInfo, Project
 
 
@@ -31,8 +31,6 @@ class Checker:
     code: str = ""
     #: One-line description for ``--list-codes`` and docs.
     summary: str = ""
-    #: Default severity for this rule's diagnostics.
-    severity: Severity = Severity.ERROR
 
     def check_module(
         self, module: ModuleInfo, project: Project
@@ -54,10 +52,10 @@ class Checker:
         message: str,
         because: tuple[Because, ...] = (),
     ) -> Diagnostic:
-        """Build a diagnostic carrying this checker's code and severity.
+        """Build a diagnostic carrying this checker's code.
 
         ``because`` optionally attaches the cross-file explanation
-        chain (call path, inference provenance, diffed counterpart).
+        chain (call path, inference provenance).
         """
         return Diagnostic(
             path=module_path,
@@ -65,7 +63,6 @@ class Checker:
             col=col,
             code=self.code,
             message=message,
-            severity=self.severity,
             because=because,
         )
 

@@ -9,7 +9,7 @@ dataflow checkers build on:
 
 * RPR007 follows the call graph (:mod:`repro.lint.callgraph`) from
   ``async def`` bodies into sync helpers;
-* RPR009 propagates inferred units through function signatures and
+* RPR002 propagates inferred units through function signatures and
   returns at resolved call sites.
 
 Everything is derived from the parsed :class:`~repro.lint.project

@@ -16,9 +16,9 @@ One observability layer for the whole reproduction:
 * :mod:`repro.obs.collect` — the per-worker capture/merge protocol the
   sweep engine uses to keep parallel runs equivalent to serial ones.
 
-``repro.obs.bench`` (the ``make bench`` emitter) is deliberately *not*
-imported here: it drives the experiment layer, which itself imports
-``repro.obs`` — importing it at package level would create a cycle.
+Benchmarking is not part of this package: ``bench/`` (``make bench``,
+``bench/README.md``) measures the tree from outside and takes its
+per-layer numbers from the spans and metrics published here.
 
 Everything here is observer-side only: ``repro.obs`` never imports
 ``repro.core``, so core stays importable without the instrumentation

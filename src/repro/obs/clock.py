@@ -1,12 +1,12 @@
 """The one audited wall-clock entry point.
 
 Everything under ``repro.*`` that needs to *measure* real elapsed time
-(run instrumentation, engine phase timers, the bench emitter) calls
+(run instrumentation, engine phase timers, live trace spans) calls
 :func:`monotonic` — never ``time.perf_counter`` / ``time.time``
 directly.  The RPR001 determinism checker forbids wall-clock reads
-across the scoped packages (``repro.obs`` included); the two
-suppressions in this module are the *only* sanctioned ones, so an audit
-of host-time usage is a read of this file.
+across the scoped packages (``repro.obs`` included); the suppression in
+this module is the *only* sanctioned one there, so an audit of
+host-time usage is a read of this file.
 
 Simulated time is a different thing entirely: it comes from the request
 stream and ``repro.core.clock``, and must never be mixed with values
@@ -16,7 +16,6 @@ from here (RPR002 guards the arithmetic).
 from __future__ import annotations
 
 import time
-from datetime import date
 
 
 def monotonic() -> float:
@@ -28,11 +27,3 @@ def monotonic() -> float:
     """
     return time.perf_counter()  # repro: noqa[RPR001]
 
-
-def date_stamp() -> str:
-    """Today's date as ``YYYY-MM-DD`` (for ``BENCH_<date>.json`` names).
-
-    The only sanctioned calendar read in the tree; benchmark artifacts
-    are the one place output legitimately depends on the host date.
-    """
-    return date.today().isoformat()  # repro: noqa[RPR001]

@@ -1,11 +1,7 @@
 """RPR007 — async-safety / lock-discipline checker."""
 
-from pathlib import Path
-
 from repro.lint.checkers.asyncsafety import AsyncSafetyChecker
-from repro.lint.project import ModuleInfo, Project, load_project
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+from repro.lint.project import ModuleInfo, Project
 
 
 def _project(source: str, name: str = "repro.live.fixture") -> Project:
@@ -311,8 +307,128 @@ async def serialized(a_lock, queue):
         assert _run(source) == []
 
 
+    # -- three defects the rule shipped with, one bad / clean pair each ------
+
+    CLASS_LOCKS = '''
+import asyncio
+
+class Proxy:
+    def __init__(self):
+        self._gate = asyncio.Lock()
+        self._state = asyncio.Lock()
+
+    async def update(self):
+        async with self._gate:
+            async with self._state:
+                pass
+'''
+
+    def test_class_lock_attribute_without_lock_in_its_name(self):
+        # Neither name says "lock"; the class's Lock() assignments do.
+        diags = _run(self.CLASS_LOCKS)
+        assert len(diags) == 1
+        assert "acquires self._state while already holding self._gate" in (
+            diags[0].message
+        )
+
+    def test_class_lock_attributes_taken_in_turn_are_fine(self):
+        in_turn = self.CLASS_LOCKS.replace(
+            "            async with self._state:\n                pass",
+            "            pass\n        async with self._state:\n            pass",
+        )
+        assert in_turn != self.CLASS_LOCKS
+        assert _run(in_turn) == []
+
+    NESTED_DEF = '''
+import threading
+
+_pool_lock = threading.Lock()
+
+def schedule(queue):
+    with _pool_lock:
+        async def later():
+            await queue.get()
+    return later
+'''
+
+    def test_nested_def_does_not_run_under_the_enclosing_lock(self):
+        # ``later`` is only defined under the lock; it awaits after the
+        # ``with`` block has long been left.
+        assert _run(self.NESTED_DEF) == []
+
+    def test_await_beside_a_nested_def_is_still_flagged(self):
+        beside = self.NESTED_DEF.replace(
+            "def schedule(queue):", "async def schedule(queue):"
+        ).replace(
+            "    return later", "        await queue.join()\n    return later"
+        )
+        diags = _run(beside)
+        assert [d.line for d in diags] == [10]
+        assert "synchronous lock" in diags[0].message
+
+    def test_hazard_inside_a_nested_function_is_reported_once(self):
+        source = '''
+import threading
+
+_pool_lock = threading.Lock()
+
+def schedule(queue):
+    async def later():
+        with _pool_lock:
+            await queue.get()
+    return later
+'''
+        diags = _run(source)
+        assert len(diags) == 1
+        assert "synchronous lock" in diags[0].message
+        released = source.replace(
+            "            await queue.get()",
+            "            pending = queue\n        await pending.get()",
+        )
+        assert _run(released) == []
+
+
 class TestShippedTree:
-    def test_live_and_runtime_are_clean_as_shipped(self):
-        project = load_project([REPO_SRC], root=REPO_SRC.parents[0])
-        diags = list(AsyncSafetyChecker().check_project(project))
-        assert diags == []
+    def test_live_and_runtime_are_clean_as_shipped(self, shipped_project):
+        assert list(AsyncSafetyChecker().check_project(shipped_project)) == []
+
+
+class TestShippedProxy:
+    """RPR007 against the file it guards: one-line mutations of
+    ``src/repro/live/proxy.py``, applied in memory, must each draw a
+    finding that names the state left unprotected."""
+
+    @staticmethod
+    def _mutated(project: Project, old: str, new: str):
+        proxy = project.module("repro.live.proxy")
+        assert proxy is not None and proxy.source.count(old) == 1
+        mutant = ModuleInfo.from_source(
+            proxy.source.replace(old, new), path=proxy.path, name=proxy.name
+        )
+        modules = [mutant if m is proxy else m for m in project.modules]
+        found = list(AsyncSafetyChecker().check_project(Project(modules)))
+        assert {d.path for d in found} <= {proxy.path}
+        return found
+
+    def test_account_wire_without_the_state_lock(self, shipped_project):
+        found = self._mutated(
+            shipped_project,
+            "        async with self._state_lock:\n"
+            "            self.wire_bytes += nbytes\n",
+            "        if nbytes:\n"
+            "            self.wire_bytes += nbytes\n",
+        )
+        assert found and all("self.wire_bytes" in d.message for d in found)
+
+    def test_process_object_without_its_key_lock(self, shipped_project):
+        found = self._mutated(
+            shipped_project,
+            "        async with lock:\n"
+            "            seq = request.headers.get(SEQ_HEADER)\n",
+            "        if lock:\n"
+            "            seq = request.headers.get(SEQ_HEADER)\n",
+        )
+        # The request clock, the fault cursor and the wire tally are all
+        # written across an upstream exchange once the key lock is gone.
+        flagged = {d.message.split(" ", 1)[0] for d in found}
+        assert flagged == {"self._now", "self._fault_idx", "self.wire_bytes"}

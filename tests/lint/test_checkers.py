@@ -13,11 +13,13 @@ import textwrap
 import pytest
 
 from repro.lint.checkers.determinism import DeterminismChecker
-from repro.lint.checkers.units import UnitsChecker, infer_unit
+from repro.lint.checkers.units import UnitFlow, UnitsChecker
 from repro.lint.checkers.conformance import ConformanceChecker
-from repro.lint.checkers.events import EventExhaustivenessChecker
+from repro.lint.checkers.alphabets import (
+    EventExhaustivenessChecker,
+    ObsNameChecker,
+)
 from repro.lint.checkers.hygiene import HygieneChecker
-from repro.lint.checkers.obsnames import ObsNameChecker
 from repro.lint.project import ModuleInfo, Project
 
 
@@ -155,8 +157,11 @@ class TestUnits:
     def test_infer_unit_suffixes_and_table(self):
         import ast as astmod
 
+        flow = UnitFlow(Project([]))
+
         def unit_of(expr: str):
-            return infer_unit(astmod.parse(expr, mode="eval").body)
+            found = flow.infer(astmod.parse(expr, mode="eval").body, {}, None)
+            return found.unit if found is not None else None
 
         assert unit_of("total_bytes") == "bytes"
         assert unit_of("self.stale_seconds") == "seconds"
@@ -169,7 +174,7 @@ class TestUnits:
         bad = mod(
             "total = body_bytes + elapsed_seconds\n", name="repro.core.mix"
         )
-        found = run_module(self.checker, bad)
+        found = run_project(self.checker, bad)
         assert len(found) == 1
         assert found[0].code == "RPR002"
         assert "bytes" in found[0].message and "seconds" in found[0].message
@@ -184,7 +189,7 @@ class TestUnits:
             """,
             name="repro.core.mix2",
         )
-        found = run_module(self.checker, bad)
+        found = run_project(self.checker, bad)
         assert len(found) == 2
         assert {"augmented" in d.message or "comparison" in d.message
                 for d in found} == {True}
@@ -199,7 +204,7 @@ class TestUnits:
             """,
             name="repro.core.okunits",
         )
-        assert run_module(self.checker, good) == []
+        assert run_project(self.checker, good) == []
 
     # -- PR 8 blind-spot regressions (these passed unflagged before) ---------
 
@@ -213,7 +218,7 @@ class TestUnits:
             """,
             name="repro.core.blind1",
         )
-        found = run_module(self.checker, bad)
+        found = run_project(self.checker, bad)
         assert len(found) == 1
         assert "augmented assignment" in found[0].message
         assert "seconds" in found[0].message
@@ -229,7 +234,7 @@ class TestUnits:
             """,
             name="repro.core.blind2",
         )
-        found = run_module(self.checker, bad)
+        found = run_project(self.checker, bad)
         assert len(found) == 2
         assert all("min()" in d.message or "max()" in d.message
                    for d in found)
@@ -242,7 +247,7 @@ class TestUnits:
             "worst = min(header_bytes, body_bytes) + stale_seconds\n",
             name="repro.core.blind3",
         )
-        found = run_module(self.checker, bad)
+        found = run_project(self.checker, bad)
         assert len(found) == 1
         assert "additive arithmetic" in found[0].message
 
@@ -251,7 +256,7 @@ class TestUnits:
             "low = min(a, b)\nhigh = max(a, 0, key_thing)\n",
             name="repro.core.blind4",
         )
-        assert run_module(self.checker, good) == []
+        assert run_project(self.checker, good) == []
 
 
 # -- RPR003 conformance -------------------------------------------------------

@@ -1,20 +1,16 @@
-"""Machine-readable output: ``--format json/github`` and the mypy filter."""
+"""Machine-readable output: ``--format github`` and the mypy filter."""
 
 from __future__ import annotations
 
 import io
-import json
-import re
 
 from repro.lint.annotations import annotate_mypy, annotate_stream
-from repro.lint.diagnostics import Because, Diagnostic, Severity
+from repro.lint.diagnostics import Because, Diagnostic
 from repro.lint.engine import LintResult
 from repro.lint.formats import (
-    JSON_SCHEMA,
     escape_message,
     escape_property,
     render_github,
-    render_json,
 )
 
 
@@ -25,55 +21,9 @@ def finding(**overrides) -> Diagnostic:
         col=12,
         code="RPR001",
         message="random.random() is nondeterministic",
-        severity=Severity.ERROR,
-        context="return random.random()",
     )
     base.update(overrides)
     return Diagnostic(**base)
-
-
-class TestJson:
-    def test_document_shape(self):
-        result = LintResult(
-            diagnostics=[finding()],
-            suppressed=[finding(line=9)],
-            baselined=[],
-            files_checked=3,
-        )
-        doc = json.loads(render_json(result))
-        assert doc["schema"] == JSON_SCHEMA == "repro.lint/1"
-        assert doc["files_checked"] == 3
-        assert doc["summary"] == {
-            "errors": 1, "warnings": 0, "suppressed": 1, "baselined": 0,
-        }
-        (entry,) = doc["diagnostics"]
-        assert entry["path"] == "src/repro/core/bad.py"
-        assert entry["line"] == 4 and entry["col"] == 12
-        assert entry["code"] == "RPR001"
-        assert entry["severity"] == "error"
-        assert entry["context"] == "return random.random()"
-        assert re.fullmatch(r"[0-9a-f]{16}", entry["fingerprint"])
-        assert entry["because"] == []
-
-    def test_because_chain_serialized(self):
-        d = finding(because=(
-            Because("src/repro/live/proxy.py", 137, "entry point"),
-            Because("src/repro/live/proxy.py", 200, "calls helper()"),
-        ))
-        doc = json.loads(render_json(LintResult(diagnostics=[d])))
-        chain = doc["diagnostics"][0]["because"]
-        assert chain == [
-            {"path": "src/repro/live/proxy.py", "line": 137,
-             "note": "entry point"},
-            {"path": "src/repro/live/proxy.py", "line": 200,
-             "note": "calls helper()"},
-        ]
-
-    def test_warning_severity(self):
-        d = finding(severity=Severity.WARNING)
-        doc = json.loads(render_json(LintResult(diagnostics=[d])))
-        assert doc["diagnostics"][0]["severity"] == "warning"
-        assert doc["summary"]["warnings"] == 1
 
 
 class TestGithub:
@@ -83,12 +33,6 @@ class TestGithub:
             "::error file=src/repro/core/bad.py,line=4,col=12,"
             "title=RPR001::random.random() is nondeterministic"
         )
-
-    def test_warning_level(self):
-        (line,) = render_github(
-            LintResult(diagnostics=[finding(severity=Severity.WARNING)])
-        )
-        assert line.startswith("::warning file=")
 
     def test_because_chain_folds_into_message(self):
         d = finding(because=(

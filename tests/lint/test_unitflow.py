@@ -1,13 +1,9 @@
-"""RPR009 — interprocedural unit inference."""
+"""RPR002 — units propagated through locals, parameters and returns."""
 
 import textwrap
-from pathlib import Path
 
-from repro.lint.checkers.unitflow import UnitFlowChecker
-from repro.lint.project import ModuleInfo, Project, load_project
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-REPO_SRC = REPO_ROOT / "src"
+from repro.lint.checkers.units import UnitsChecker
+from repro.lint.project import ModuleInfo, Project
 
 
 def mod(source: str, name: str) -> ModuleInfo:
@@ -16,7 +12,7 @@ def mod(source: str, name: str) -> ModuleInfo:
 
 
 def run(*modules: ModuleInfo):
-    return list(UnitFlowChecker().check_project(Project(list(modules))))
+    return list(UnitsChecker().check_project(Project(list(modules))))
 
 
 class TestReturnPropagation:
@@ -35,7 +31,7 @@ class TestReturnPropagation:
         ))
         assert len(diags) == 1
         d = diags[0]
-        assert d.code == "RPR009"
+        assert d.code == "RPR002"
         assert "bytes" in d.message and "seconds" in d.message
         # Provenance: parameter -> local -> return.
         notes = [b.note for b in d.because]
@@ -169,11 +165,14 @@ class TestCallArguments:
 
 class TestDeduplicationAndScope:
     def test_rpr002_visible_mixes_are_not_duplicated(self):
-        # Both operands carry units by *name*: RPR002's finding, not ours.
-        assert run(mod(
+        # Both operands carry units by *name*: one finding, no chain —
+        # the propagating pass and the naming pass are the same pass.
+        diags = run(mod(
             "total = body_bytes + elapsed_seconds\n",
             name="repro.core.flow9",
-        )) == []
+        ))
+        assert len(diags) == 1
+        assert diags[0].because == ()
 
     def test_out_of_scope_module_not_checked(self):
         assert run(mod(
@@ -187,6 +186,5 @@ class TestDeduplicationAndScope:
             name="repro.obs.flow10",
         )) == []
 
-    def test_shipped_tree_is_clean(self):
-        project = load_project([REPO_SRC], root=REPO_ROOT)
-        assert list(UnitFlowChecker().check_project(project)) == []
+    def test_shipped_tree_is_clean(self, shipped_project):
+        assert list(UnitsChecker().check_project(shipped_project)) == []
