@@ -760,7 +760,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"proxy:  http://{proxy.host}:{proxy.port}/ "
               f"({protocol.name}, {mode.value} mode)")
         print("control endpoints under /.well-known/repro/ "
-              "(population, invalidations, stats, finish); Ctrl-C stops.")
+              "(population, feed, stats, finish); Ctrl-C stops.")
         try:
             await asyncio.Event().wait()
         finally:

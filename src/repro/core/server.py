@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
 from repro.obs import registry as obs_metrics
@@ -195,29 +195,18 @@ class OriginServer:
 
     def feed_position(self, t: float) -> int:
         """Index of the first feed event strictly after ``t`` — where a
-        run that starts (or preloads) at ``t`` begins delivering."""
-        self.invalidation_feed()
-        assert self._feed_times is not None  # populated alongside the feed
-        return bisect_right(self._feed_times, t)
-
-    def feed_between(
-        self, start: float, end: float
-    ) -> Iterator[tuple[float, str]]:
-        """Invalidation events with ``start < time <= end``, in order.
-
-        The timestamp array is computed once alongside the feed itself,
-        so each call is two bisections plus a slice — no per-call list
-        rebuild however often the window is queried.
+        run that starts (or preloads) at ``t`` begins delivering.
 
         >>> from repro.core.objects import (
         ...     ModificationSchedule, ObjectHistory, WebObject)
         >>> server = OriginServer([ObjectHistory(
         ...     WebObject("/a", size=10, created=-1.0),
         ...     ModificationSchedule(-1.0, [1.0, 2.0, 3.0]))])
-        >>> list(server.feed_between(1.0, 3.0))  # (start, end] window
-        [(2.0, '/a'), (3.0, '/a')]
-        >>> list(server.feed_between(3.0, 9.0))
-        []
+        >>> server.feed_position(1.0)  # the event at 1.0 is not after 1.0
+        1
+        >>> server.invalidation_feed()[server.feed_position(1.0):]
+        ((2.0, '/a'), (3.0, '/a'))
         """
-        lo, hi = self.feed_position(start), self.feed_position(end)
-        return iter(self.invalidation_feed()[lo:hi])
+        self.invalidation_feed()
+        assert self._feed_times is not None  # populated alongside the feed
+        return bisect_right(self._feed_times, t)

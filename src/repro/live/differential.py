@@ -12,8 +12,8 @@ thirteen counters and all fifteen ledger cells.
 Exactness is the whole point.  The live side re-derives every
 consistency decision from wire artifacts (RFC 1123 ``Date`` headers,
 ``Last-Modified``, ``Expires`` re-stamps on 304s, an invalidation feed
-pulled in windows), so a single floored pre-epoch date, a mis-scoped
-weekday, or an off-by-one feed window shows up as a counter divergence
+of dated lines), so a single floored pre-epoch date, a mis-scoped
+weekday, or an off-by-one delivery window shows up as a counter divergence
 here — which is precisely how the :mod:`repro.http.datefmt` bugs were
 caught.
 

@@ -110,6 +110,9 @@ class LiveReplayReport:
         origin_gets: full retrievals the origin counted.
         origin_ims_queries: If-Modified-Since exchanges the origin
             counted.
+        origin_feed_reads: exchanges the origin's ``feed`` endpoint
+            served — one per proxy lifetime that wanted invalidations
+            (more only when socket chaos forces a re-read).
         events: the proxy's committed event log — ``(kind, time,
             object_id)`` triples, the live counterpart of the
             simulator's observer stream.
@@ -122,6 +125,7 @@ class LiveReplayReport:
     wire_bytes: int = 0
     origin_gets: int = 0
     origin_ims_queries: int = 0
+    origin_feed_reads: int = 0
     events: list[tuple[str, float, str]] = field(default_factory=list)
     stale_events: list[tuple[float, str]] = field(default_factory=list)
 
@@ -274,6 +278,7 @@ def _assemble_report(
         wire_bytes=int(proxy_stats["wire_bytes"]),  # type: ignore[call-overload]
         origin_gets=int(origin_stats["gets"]),  # type: ignore[call-overload]
         origin_ims_queries=int(origin_stats["ims_queries"]),  # type: ignore[call-overload]
+        origin_feed_reads=int(origin_stats["feed_reads"]),  # type: ignore[call-overload]
         events=[
             (str(kind), float(t), str(oid)) for kind, t, oid in raw_events
         ],
@@ -741,9 +746,10 @@ async def run_crash_replay(
     committed transaction; once ``crash_after`` requests have
     completed, a monkey task SIGKILLs it mid-replay, respawns it on
     the same port with the same journal, and the restarted proxy
-    re-warms from disk (:meth:`LiveProxy.restore`) — re-pulling each
-    object's missed invalidation window lazily through its per-object
-    cursors.  Workers ride through the outage by retrying under their
+    re-warms from disk (:meth:`LiveProxy.restore`) — it reads the
+    origin's feed again on its first delivery, and the journaled
+    per-object cursors say where in it each object resumes.  Workers
+    ride through the outage by retrying under their
     requests' sequence ids, so the final counters must reconcile
     *exactly* with a crash-free run — which is what
     :func:`repro.live.differential.crash_vs_sim` asserts.

@@ -13,16 +13,17 @@ shapes, exactly the operations the simulator's origin answers:
   (with a *re-stamped* ``Expires``, matching
   :class:`repro.core.server.NotModified`) or a full ``200``;
 * control endpoints under ``/.well-known/repro/`` — the cacheable
-  population listing, the invalidation feed window (the live transport
-  of :meth:`~repro.core.server.OriginServer.feed_between`, optionally
-  restricted to one object via ``X-Repro-Object``), the full
-  modification feed (``feed``, for compiling fault plans), and a JSON
-  counter dump.  Control exchanges are never counted.
+  population listing, the modification feed (``feed``: the live
+  transport of :meth:`~repro.core.server.OriginServer
+  .invalidation_feed`, which a proxy reads once and delivers from), and
+  a JSON counter dump.  Control exchanges never count as server load.
 
 The origin keeps its own exchange counters (``gets``, ``ims_queries``)
 so the driver can assemble Figure-8-style server-load numbers; warming
 fetches (tagged ``X-Repro-Warmup``) are served but not counted,
-mirroring the simulator's uncounted preload.
+mirroring the simulator's uncounted preload.  ``feed_reads`` counts the
+feed endpoint's exchanges — not server load in the paper's sense, but
+the number that shows a proxy subscribing once instead of polling.
 
 Concurrency and chaos hardening: connections are served keep-alive
 (loop until the peer closes or omits ``Connection: keep-alive``), each
@@ -53,7 +54,6 @@ from repro.http.messages import Request, Response, make_ok
 from repro.live.wire import (
     CONTROL_PREFIX,
     DATE,
-    OBJECT_HEADER,
     PRAGMA,
     SEQ_HEADER,
     TRACE_HEADER,
@@ -110,6 +110,8 @@ class LiveOrigin:
         self.gets = 0
         #: Counted (non-warmup) If-Modified-Since exchanges served.
         self.ims_queries = 0
+        #: Exchanges served by the ``feed`` control endpoint.
+        self.feed_reads = 0
         #: Transport-level connection failures observed while serving.
         self.connection_errors = 0
         self._seen: set[str] = set()
@@ -235,11 +237,10 @@ class LiveOrigin:
                 if history.obj.cacheable
             ]
             return _text_ok("".join(line + "\n" for line in lines))
-        if endpoint == "invalidations":
-            return self._invalidations(request)
         if endpoint == "feed":
-            # The full modification feed, for compiling a FaultPlan on
-            # the proxy side exactly as Simulation.__init__ does.
+            # The full modification feed, time-ordered: what
+            # Simulation.__init__ reads from the model in process.
+            self.feed_reads += 1
             lines = [
                 f"{format_http_date(mod_time)}\t{oid}\n"
                 for mod_time, oid in self.server.invalidation_feed()
@@ -248,42 +249,16 @@ class LiveOrigin:
         if endpoint == "stats":
             return _text_ok(
                 json.dumps(
-                    {"gets": self.gets, "ims_queries": self.ims_queries},
+                    {
+                        "gets": self.gets,
+                        "ims_queries": self.ims_queries,
+                        "feed_reads": self.feed_reads,
+                    },
                     sort_keys=True,
                 )
                 + "\n"
             )
         return _error(404, f"unknown control endpoint {endpoint!r}")
-
-    def _invalidations(self, request: Request) -> tuple[Response, str]:
-        """The ``(since, until]`` modification window, one event per line.
-
-        ``If-Modified-Since`` carries the window's exclusive lower edge,
-        ``Date`` the inclusive upper edge — the exact contract of
-        :meth:`repro.core.server.OriginServer.feed_between`, so a proxy
-        polling successive windows sees every event exactly once.  An
-        ``X-Repro-Object`` header restricts the window to one object —
-        the proxy pulls per-object windows, each under its object's
-        lock.
-        """
-        try:
-            since = request.headers.if_modified_since
-            until = request.headers.get_date(DATE)
-        except HTTPDateError as exc:
-            return _error(400, str(exc))
-        if since is None or until is None:
-            return _error(
-                400,
-                "invalidation window needs If-Modified-Since (since, "
-                "exclusive) and Date (until, inclusive) headers",
-            )
-        only = request.headers.get(OBJECT_HEADER)
-        lines = [
-            f"{format_http_date(mod_time)}\t{oid}\n"
-            for mod_time, oid in self.server.feed_between(since, until)
-            if only is None or oid == only
-        ]
-        return _text_ok("".join(lines))
 
     # -- object retrievals ---------------------------------------------------
 

@@ -10,10 +10,11 @@ simulated request — so "live equals simulated" holds by construction for
 every decision and every ledger cell; the live-vs-sim differential leg
 (:mod:`repro.live.differential`) checks what is left, the I/O:
 
-* before serving a request at time *t*, the proxy pulls the origin's
-  invalidation window over the wire and hands each line to the step —
-  or, under an installed :class:`~repro.faults.FaultPlan`, each compiled
-  fault action;
+* the proxy reads the origin's modification feed over the wire once
+  (:meth:`LiveProxy._subscribe`) and, before serving a request at time
+  *t*, hands the step every line of it due for that object — or, under
+  an installed :class:`~repro.faults.FaultPlan`, each action of the
+  schedule compiled from the same feed;
 * whatever exchange the step asks for (a plain GET, an If-Modified-Since,
   an eager push) is a real one upstream, and its reply's headers are
   converted once into the origin model's reply shape for the step to
@@ -70,6 +71,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from bisect import bisect_right
 from typing import Optional
 
 from repro.core.cache import Cache, CacheEntry
@@ -87,7 +89,6 @@ from repro.live.journal import Journal
 from repro.live.wire import (
     CONTROL_PREFIX,
     DATE,
-    OBJECT_HEADER,
     PRAGMA,
     SEQ_HEADER,
     TRACE_HEADER,
@@ -247,9 +248,9 @@ class LiveProxy:
         costs: the abstract byte cost model charged to the ledger.
         charge_per_modification: the Section 4.1 invalidation charging
             policy, identical in meaning to the simulator's knob.
-        faults: replay this compiled-at-warm-time invalidation fault
-            plan instead of the fault-free feed, like the
-            simulator's ``faults=`` knob.  The schedule is a global
+        faults: replay this invalidation fault plan, compiled against
+            the origin's feed, instead of the fault-free feed — like
+            the simulator's ``faults=`` knob.  The schedule is a global
             timeline, so every object then shares one key
             (:func:`single_key`).
         journal: a :class:`~repro.live.journal.Journal` to write
@@ -311,8 +312,14 @@ class LiveProxy:
         self.events: list[tuple[str, float, str]] = []
         self._now = 0.0
         self._warm_time = 0.0
-        #: Per-object invalidation-feed cursors.
+        #: Per-object invalidation-feed cursors: the committed (and
+        #: journaled) delivered-through marks.
         self._cursors: dict[str, float] = {}
+        #: The origin's feed by object (modification times, in order).
+        #: Read-only once :meth:`_subscribe` filled it — what has been
+        #: delivered is the cursors' business.
+        self._feed: dict[str, list[float]] = {}
+        self._subscribed = False
         #: Per-key request clocks (the time-order check).
         self._clocks: dict[str, float] = {}
         #: Committed serialized replies by X-Repro-Seq (retry replay).
@@ -325,6 +332,7 @@ class LiveProxy:
         self._trace = trace
         self._state_lock = asyncio.Lock()
         self._control_lock = asyncio.Lock()
+        self._feed_lock = asyncio.Lock()
         self._one_key = single_key(protocol, faults)
         self._key_locks: dict[str, asyncio.Lock] = {}
         self._handlers: set[asyncio.Task[None]] = set()
@@ -370,10 +378,7 @@ class LiveProxy:
         (:meth:`repro.core.cache.Cache.preload_from`): real warmup-tagged
         GETs fetch each population object at ``start_time``; neither
         side counts or charges them.  With a journal installed, the
-        warmed state is written as the journal's base records; with a
-        fault plan installed, the origin's full modification feed is
-        fetched and compiled into the action schedule exactly as
-        ``Simulation.__init__`` does.
+        warmed state is written as the journal's base records.
 
         Returns:
             The number of entries loaded.
@@ -402,8 +407,6 @@ class LiveProxy:
             loaded += 1
         self._now = float(start_time)
         self._warm_time = float(start_time)
-        if self.faults is not None:
-            await self._compile_faults()
         if self._journal is not None:
             self._journal.append(
                 {
@@ -432,24 +435,6 @@ class LiveProxy:
         )
         return loaded
 
-    async def _compile_faults(self) -> None:
-        """Fetch the origin's full feed and compile the fault schedule."""
-        assert self.faults is not None
-        feed: tuple[tuple[float, str], ...] = ()
-        if self.protocol.wants_invalidations:
-            request = Request("GET", CONTROL_PREFIX + "feed")
-            response, body, _ = await self._origin_raw(request)
-            if response.status != 200:
-                raise LiveWireError(
-                    f"feed endpoint returned {response.status}"
-                )
-            feed = tuple(
-                self._parse_feed_line(line) for line in body.splitlines()
-            )
-        self._fault_actions = self.faults.compile(
-            feed, start_time=self._warm_time
-        )
-
     # -- restore -------------------------------------------------------------
 
     async def restore(self) -> bool:
@@ -459,9 +444,10 @@ class LiveProxy:
         entries, counters, ledger, events, cursors, clocks, committed
         replies (so retried in-flight requests replay rather than
         re-execute), upstream sequence ids, and the protocol's adaptive
-        state.  With a fault plan installed, the schedule is re-fetched
-        and re-compiled (compilation is deterministic) and the replay
-        position restored.
+        state — and, under a fault plan, the replay position in its
+        schedule.  No origin is needed: the feed is read again by the
+        first delivery that wants it (:meth:`_subscribe`), and the
+        restored cursors say where in it each object resumes.
 
         Returns:
             True when the journal held records (the proxy is warm);
@@ -490,8 +476,6 @@ class LiveProxy:
                 self._apply_record(record)
             else:
                 raise LiveReplayError(f"unknown journal record kind {kind!r}")
-        if self.faults is not None:
-            await self._compile_faults()
         if self._trace is not None:
             self._trace.mark(
                 "live.trace.restore",
@@ -667,7 +651,7 @@ class LiveProxy:
             )
         return response
 
-    # -- invalidation sync ---------------------------------------------------
+    # -- invalidation delivery -----------------------------------------------
 
     @staticmethod
     def _parse_feed_line(line: str) -> tuple[float, str]:
@@ -682,24 +666,44 @@ class LiveProxy:
             ) from exc
         return mod_time, object_id
 
-    async def _origin_window(
-        self,
-        since: float,
-        until: float,
-        object_id: Optional[str] = None,
-    ) -> str:
-        """Fetch one ``(since, until]`` invalidation window upstream."""
-        request = Request("GET", CONTROL_PREFIX + "invalidations")
-        request.headers.set_date("If-Modified-Since", since)
-        request.headers.set_date(DATE, until)
-        if object_id is not None:
-            request.headers.set(OBJECT_HEADER, object_id)
-        response, body, _ = await self._origin_raw(request)
-        if response.status != 200:
-            raise LiveWireError(
-                f"invalidation feed returned {response.status}"
-            )
-        return body
+    async def _subscribe(self) -> None:
+        """Read the origin's modification feed — once per proxy lifetime.
+
+        Run by the first delivery that needs the feed, never by
+        :meth:`restore` (which must work against a dead origin); first
+        requests arriving together queue on ``_feed_lock`` and find the
+        work done.  One fetch, two consumers: a fault plan compiles the
+        feed into its schedule exactly as ``Simulation.__init__`` does,
+        the fault-free path keeps it as per-object queues.
+        """
+        async with self._feed_lock:
+            if self._subscribed:
+                return
+            feed: list[tuple[float, str]] = []
+            if self.protocol.wants_invalidations:
+                fetch_started = obs_clock.monotonic()
+                request = Request("GET", CONTROL_PREFIX + "feed")
+                response, body, _ = await self._origin_raw(request)
+                if response.status != 200:
+                    raise LiveWireError(
+                        f"feed endpoint returned {response.status}"
+                    )
+                feed = [
+                    self._parse_feed_line(line) for line in body.splitlines()
+                ]
+                obs_trace.span(
+                    "live.feed",
+                    obs_clock.monotonic() - fetch_started,
+                    events=len(feed),
+                )
+            if self.faults is not None:
+                self._fault_actions = self.faults.compile(
+                    feed, start_time=self._warm_time
+                )
+            else:
+                for mod_time, object_id in feed:
+                    self._feed.setdefault(object_id, []).append(mod_time)
+            self._subscribed = True
 
     async def _prefetch(self, object_id: str, t: float, txn: _Txn) -> None:
         response = await self._origin_get(object_id, t, txn)
@@ -715,51 +719,56 @@ class LiveProxy:
         """Deliver pending invalidations (or fault actions) up to
         ``until`` before serving at that time.
 
-        ``object_id`` scopes the pull to the object being served;
+        ``object_id`` scopes delivery to the object being served;
         ``None`` (finish) delivers for every resident object.
         """
+        if self.faults is None and not self.protocol.wants_invalidations:
+            return
+        if not self._subscribed:
+            await self._subscribe()
         if self.faults is not None:
             # The injection seam, exactly as in the simulator: delivery
             # runs off the compiled schedule (possibly empty) and the
             # fault-free feed path is bypassed entirely.
             await self._replay_faults(until, txn)
-        elif self.protocol.wants_invalidations:
+        else:
             await self._sync(until, txn, object_id)
 
     async def _sync(
         self, until: float, txn: _Txn, object_id: Optional[str]
     ) -> None:
-        """Pull the window ``(cursor, until]`` and advance the cursors.
+        """Deliver each object's ``(cursor, until]`` slice of the feed
+        and advance its cursor; the only I/O is an eager push.
 
         Cursors are per object, not one watermark for the whole feed:
-        two objects' syncs commute because each request's window is
-        filtered to its own object, and the feed events carry their
-        modification times, so the committed event multiset is
-        independent of the interleaving.  The finish flush is one
-        unfiltered pull from the lowest cursor, applied per line only
-        where that object's cursor has not already passed it — objects
-        synced at different depths see each event exactly once.
+        two objects' syncs commute because each walks its own queue,
+        and the feed events carry their modification times, so the
+        committed event multiset is independent of the interleaving.
+        They start at warm-up — the warmed entries already reflect
+        anything earlier — and are staged in the transaction: a retried
+        finish, or a request re-executed after a crash, finds them
+        advanced and delivers nothing twice.
         """
         ids = (
             [entry.object_id for entry in self.cache]
             if object_id is None
             else [object_id]
         )
-        cursors = {oid: self._cursors.get(oid, self._warm_time) for oid in ids}
-        low = min(cursors.values(), default=self._warm_time)
-        if until <= low:
-            return
-        body = await self._origin_window(low, until, object_id=object_id)
-        for line in body.splitlines():
-            mod_time, oid = self._parse_feed_line(line)
-            if mod_time <= cursors.get(oid, until):
+        due: list[tuple[float, str]] = []
+        for oid in ids:
+            cursor = self._cursors.get(oid, self._warm_time)
+            if until <= cursor:
                 continue
+            txn.cursors[oid] = float(until)
+            times = self._feed.get(oid, ())
+            lo, hi = bisect_right(times, cursor), bisect_right(times, until)
+            due += [(mod_time, oid) for mod_time in times[lo:hi]]
+        # (time, id) is the order of the origin's feed.
+        due.sort()
+        for mod_time, oid in due:
             txn.touched.add(oid)
             if txn.step.deliver(mod_time, oid):
                 await self._prefetch(oid, mod_time, txn)
-        for oid, cursor in cursors.items():
-            if until > cursor:
-                txn.cursors[oid] = float(until)
 
     async def _replay_faults(self, until: float, txn: _Txn) -> None:
         """Hand the step every compiled action with a timestamp <=
@@ -922,8 +931,9 @@ class LiveProxy:
         """The per-exchange decision + upstream spans.
 
         The decision span is the cache-decision wall *net* of upstream
-        fetch time (invalidation-window pulls remain part of the
-        decision — they are the sync the decision depends on).  For
+        fetch time; the proxy's one read of the origin's feed stays in
+        the decision of the request that triggered it (and of any that
+        waited on it) and is reported once as ``live.feed``.  For
         cache hits the meta carries the served copy's age at delivery,
         ``t - Last-Modified`` in simulation seconds — the live
         staleness-exposure distribution ``repro trace summarize``

@@ -66,9 +66,6 @@ KEEP_ALIVE = "keep-alive"
 #: response (proxy) or skips re-counting (origin) instead of mutating
 #: state twice.  This is what keeps counters exact under socket chaos.
 SEQ_HEADER = "X-Repro-Seq"
-#: Restricts an invalidation-feed window to one object (the proxy
-#: pulls per-object windows, each under its object's lock).
-OBJECT_HEADER = "X-Repro-Object"
 #: Causal trace id for cross-process tracing: the driver stamps one
 #: deterministic id per request (``r<stream index>``), the proxy echoes
 #: it onto its upstream fetches, and every hop records its spans and

@@ -84,6 +84,7 @@ SPAN_NAMES: tuple[str, ...] = (
     "engine.map",
     "engine.task",
     "fastpath.run",
+    "live.feed",
     "live.replay",
     "live.restore",
     "live.trace.commit",

@@ -97,11 +97,3 @@ class TestInvalidationFeed:
         assert changing_server.invalidation_feed() is (
             changing_server.invalidation_feed()
         )
-
-    def test_feed_between(self, changing_server):
-        window = list(changing_server.feed_between(days(1), days(3)))
-        # (days(1), days(3)] excludes the day-1 change, includes 2 and 3.
-        assert [oid for _, oid in window] == ["/hot", "/hot"]
-
-    def test_feed_between_empty_range(self, changing_server):
-        assert list(changing_server.feed_between(days(20), days(30))) == []

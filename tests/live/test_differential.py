@@ -22,6 +22,8 @@ object, and modifications interleaved with requests so hits, 304s,
 200-revalidations, invalidations, and stale hits all occur.
 """
 
+import asyncio
+
 import pytest
 
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
@@ -38,8 +40,23 @@ from repro.core.protocols import (
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
 from repro.faults.plan import FaultPlan
-from repro.live import diff_live_vs_sim, live_vs_sim, parse_chaos
-from repro.live.wire import LiveReplayError
+from repro.http.messages import Request
+from repro.live import (
+    LiveOrigin,
+    LiveProxy,
+    diff_live_vs_sim,
+    live_vs_sim,
+    parse_chaos,
+    run_replay,
+)
+from repro.live.wire import (
+    CONTROL_PREFIX,
+    DATE,
+    X_CACHE,
+    LiveReplayError,
+    exchange,
+)
+from repro.obs import trace as obs_trace
 from repro.verify.oracle import ConsistencyViolation
 
 
@@ -283,3 +300,176 @@ class TestFaultedDifferential:
                 _REQUESTS, end_time=120.0,
                 faults=FaultPlan(delay=0.5, seed=1),
             )
+
+
+class TestFeedIsReadOnce:
+    """The proxy subscribes: one read of the origin's ``feed`` endpoint
+    per proxy lifetime, whatever the pool size — the count the origin
+    reports in its stats (``run_crash_replay``'s two lifetimes are
+    counted in ``test_persistence``)."""
+
+    @pytest.mark.parametrize("name,options,reads", [
+        ("invalidation", {}, 1),
+        ("invalidation", {"connections": 4, "keepalive": True}, 1),
+        ("invalidation-eager", {"connections": 4, "keepalive": True}, 1),
+        ("invalidation", {"faults": _FAULTS["loss-retries"]}, 1),
+        # A plan under a protocol without callbacks compiles an empty
+        # feed; nothing is fetched.
+        ("ttl", {"faults": _FAULTS["cache-crash"]}, 0),
+        ("alex", {"connections": 4, "keepalive": True}, 0),
+        ("poll", {}, 0),
+    ])
+    def test_origin_counts_the_reads(self, name, options, reads):
+        sink = obs_trace.TraceSink()
+        with obs_trace.installed(sink):
+            report = asyncio.run(run_replay(
+                OriginServer(_histories()), _FACTORIES[name](), _REQUESTS,
+                end_time=120.0, **options,
+            ))
+        assert report.origin_feed_reads == reads
+        # ... and the proxy reports each read as one ambient span.
+        spans = [
+            record for record in sink.records
+            if record["type"] == "span" and record["name"] == "live.feed"
+        ]
+        assert len(spans) == reads
+        assert all(span["meta"] == {"events": 4} for span in spans)
+
+    def test_first_requests_arriving_together_share_one_read(self):
+        async def scenario():
+            origin = LiveOrigin(OriginServer(_histories()))
+            await origin.start()
+            proxy = LiveProxy(
+                origin.host, origin.port, _FACTORIES["invalidation"](),
+            )
+            await proxy.start()
+            try:
+                await proxy.warm(0.0)
+                requests = []
+                for object_id in ("/a", "/b", "/exp", "/dyn"):
+                    request = Request("GET", object_id)
+                    request.headers.set_date(DATE, 100.0)
+                    requests.append(
+                        exchange(proxy.host, proxy.port, request)
+                    )
+                replies = await asyncio.wait_for(
+                    asyncio.gather(*requests), timeout=30.0
+                )
+                return [r.status for r, _, _ in replies], origin.feed_reads
+            finally:
+                await proxy.close()
+                await origin.close()
+
+        statuses, reads = asyncio.run(scenario())
+        assert statuses == [200] * 4
+        assert reads == 1
+
+
+class TestWindowEdges:
+    """The ``(cursor, t]`` delivery window, pinned where it now lives —
+    in the proxy's walk over the feed it read — on a run that starts
+    after time zero: a modification exactly at ``start_time`` is already
+    in the warmed copy and must not be delivered, one on a request's own
+    second must be delivered *before* that request, and one after the
+    last request is delivered by ``finish``, once."""
+
+    START, END = 100.0, 200.0
+    REQUESTS = [
+        (110.0, "/b"), (120.0, "/a"), (150.0, "/a"), (150.0, "/b"),
+        (160.0, "/a"),
+    ]
+    #: ``/a``'s committed timeline.  The t=130 and t=150 notices arrive
+    #: together at the t=150 request; the second finds the copy already
+    #: invalid, so charging on transitions only drops it, and an eager
+    #: push makes every notice a transition again.
+    A_TIMELINE = {
+        (False, True): [
+            ("hit", 120.0), ("invalidation", 130.0), ("invalidation", 150.0),
+            ("validation_200", 150.0), ("hit", 160.0), ("invalidation", 180.0),
+        ],
+        (False, False): [
+            ("hit", 120.0), ("invalidation", 130.0),
+            ("validation_200", 150.0), ("hit", 160.0), ("invalidation", 180.0),
+        ],
+        (True, True): [
+            ("hit", 120.0), ("invalidation", 130.0), ("prefetch", 130.0),
+            ("invalidation", 150.0), ("prefetch", 150.0), ("hit", 150.0),
+            ("hit", 160.0), ("invalidation", 180.0), ("prefetch", 180.0),
+        ],
+    }
+    A_TIMELINE[(True, False)] = A_TIMELINE[(True, True)]
+
+    @staticmethod
+    def _server():
+        return OriginServer([
+            ObjectHistory(
+                WebObject("/a", size=1000, created=-50.0),
+                ModificationSchedule(-50.0, (100.0, 130.0, 150.0, 180.0))),
+            ObjectHistory(WebObject("/b", size=400, created=-50.0),
+                          ModificationSchedule(-50.0, (190.0,))),
+        ])
+
+    @pytest.mark.parametrize("charge", [True, False],
+                             ids=["per-modification", "per-transition"])
+    @pytest.mark.parametrize("eager", [False, True], ids=["plain", "eager"])
+    @pytest.mark.parametrize("connections", [1, 2], ids=["c1", "c2"])
+    def test_edges_match_the_simulator(self, connections, eager, charge):
+        live, _, report = live_vs_sim(
+            self._server(), lambda: InvalidationProtocol(eager=eager),
+            self.REQUESTS, start_time=self.START, end_time=self.END,
+            connections=connections, keepalive=connections > 1,
+            charge_per_modification=charge,
+        )
+        assert report.ok and report.events_checked > len(self.REQUESTS)
+        timeline = self.A_TIMELINE[(eager, charge)]
+        assert live.counters.invalidations_received == 1 + sum(
+            kind == "invalidation" for kind, _ in timeline
+        )
+        # Delivered before the t=150 request, so never served stale.
+        assert live.counters.stale_hits == 0
+
+    @pytest.mark.parametrize("charge", [True, False],
+                             ids=["per-modification", "per-transition"])
+    @pytest.mark.parametrize("eager", [False, True], ids=["plain", "eager"])
+    def test_each_edge_where_it_is_delivered(self, eager, charge):
+        async def get(proxy, path, t=None):
+            request = Request("GET", path)
+            if t is not None:
+                request.headers.set_date(DATE, t)
+            response, _, _ = await exchange(proxy.host, proxy.port, request)
+            assert response.status == 200
+            return response.headers.get(X_CACHE)
+
+        async def scenario():
+            origin = LiveOrigin(self._server())
+            await origin.start()
+            proxy = LiveProxy(
+                origin.host, origin.port, InvalidationProtocol(eager=eager),
+                charge_per_modification=charge,
+            )
+            await proxy.start()
+            try:
+                await proxy.warm(self.START)
+                verdicts = [
+                    await get(proxy, object_id, t)
+                    for t, object_id in self.REQUESTS
+                ]
+                await get(proxy, CONTROL_PREFIX + "finish", self.END)
+                once = list(proxy.events)
+                await get(proxy, CONTROL_PREFIX + "finish", self.END)
+                return verdicts, once, list(proxy.events)
+            finally:
+                await proxy.close()
+                await origin.close()
+
+        verdicts, once, twice = asyncio.run(scenario())
+        # The t=150 request for /a: a MISS unless the notice pushed the
+        # new copy ahead of it.
+        assert verdicts == ["HIT", "HIT", "HIT" if eager else "MISS",
+                            "HIT", "HIT"]
+        assert [
+            (kind, t) for kind, t, oid in once if oid == "/a"
+        ] == self.A_TIMELINE[(eager, charge)]
+        assert ("invalidation", 190.0, "/b") in once
+        # A retried finish finds every cursor advanced.
+        assert twice == once

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
 from repro.core.server import OriginServer
+from repro.http.datefmt import format_http_date
 from repro.http.messages import Request
 from repro.live.origin import LiveOrigin
 from repro.live.wire import CONTROL_PREFIX, DATE, PRAGMA, WARMUP_HEADER, exchange
@@ -29,10 +30,10 @@ def _server() -> OriginServer:
     ])
 
 
-def _run(coro_fn):
+def _run(coro_fn, server=None):
     """Boot an origin, run ``coro_fn(origin)``, tear down; return result."""
     async def body():
-        origin = LiveOrigin(_server())
+        origin = LiveOrigin(server if server is not None else _server())
         await origin.start()
         try:
             return await coro_fn(origin)
@@ -145,7 +146,7 @@ class TestCounting:
             return json.loads(stats)
 
         stats = _run(scenario)
-        assert stats == {"gets": 1, "ims_queries": 1}
+        assert stats == {"gets": 1, "ims_queries": 1, "feed_reads": 0}
 
     def test_warmup_fetches_are_not_counted(self):
         async def scenario(origin):
@@ -157,7 +158,7 @@ class TestCounting:
             return json.loads(stats)
 
         stats = _run(scenario)
-        assert stats == {"gets": 0, "ims_queries": 0}
+        assert stats == {"gets": 0, "ims_queries": 0, "feed_reads": 0}
 
 
 class TestControlEndpoints:
@@ -170,25 +171,57 @@ class TestControlEndpoints:
 
         assert _run(scenario).splitlines() == ["/a", "/exp"]
 
-    def test_invalidation_window_is_exclusive_inclusive(self):
+    def test_feed_is_time_ordered_date_tab_id_lines(self):
         async def scenario(origin):
-            async def window(since, until):
-                _, body, _ = await exchange(
-                    origin.host, origin.port,
-                    _get(CONTROL_PREFIX + "invalidations",
-                         t=until, since=since))
-                return [line.split("\t")[1] for line in body.splitlines()]
+            _, body, _ = await exchange(
+                origin.host, origin.port, _get(CONTROL_PREFIX + "feed"))
+            return body
 
-            return (
-                await window(0.0, 39.0),   # before the change
-                await window(0.0, 40.0),   # until inclusive
-                await window(40.0, 80.0),  # since exclusive
-            )
+        server = OriginServer([
+            ObjectHistory(WebObject("/late", size=10, created=-5.0),
+                          ModificationSchedule(-5.0, (90.0,))),
+            ObjectHistory(WebObject("/a", size=10, created=-5.0),
+                          ModificationSchedule(-5.0, (40.0, 90.0))),
+        ])
+        lines = _run(scenario, server).splitlines()
+        assert [line.split("\t") for line in lines] == [
+            [format_http_date(40.0), "/a"],
+            [format_http_date(90.0), "/a"],
+            [format_http_date(90.0), "/late"],
+        ]
 
-        before, at, after = _run(scenario)
-        assert before == []
-        assert at == ["/a"]
-        assert after == []
+    def test_feed_of_a_static_population_is_empty(self):
+        async def scenario(origin):
+            return await exchange(
+                origin.host, origin.port, _get(CONTROL_PREFIX + "feed"))
+
+        static = OriginServer([
+            ObjectHistory(WebObject("/a", size=10, created=-5.0)),
+        ])
+        response, body, _ = _run(scenario, static)
+        assert (response.status, body) == (200, "")
+
+    def test_feed_reads_are_counted(self):
+        async def scenario(origin):
+            for _ in range(2):
+                await exchange(
+                    origin.host, origin.port, _get(CONTROL_PREFIX + "feed"))
+            _, stats, _ = await exchange(
+                origin.host, origin.port, _get(CONTROL_PREFIX + "stats"))
+            return json.loads(stats)
+
+        assert _run(scenario)["feed_reads"] == 2
+
+    def test_window_endpoint_is_gone(self):
+        """The per-request ``(since, until]`` pull was removed with its
+        endpoint; a proxy reads ``feed`` once instead."""
+        async def scenario(origin):
+            return await exchange(
+                origin.host, origin.port,
+                _get(CONTROL_PREFIX + "invalidations", t=40.0, since=0.0))
+
+        response, _, _ = _run(scenario)
+        assert response.status == 404
 
     def test_unknown_control_endpoint_404(self):
         async def scenario(origin):
@@ -234,7 +267,7 @@ class TestKeepAliveAndIdempotency:
         first, second, stats = _run(scenario)
         # The retry gets a full, correct reply — only the *count* dedups.
         assert (first, second) == (200, 200)
-        assert stats == {"gets": 1, "ims_queries": 0}
+        assert stats == {"gets": 1, "ims_queries": 0, "feed_reads": 0}
 
     def test_distinct_seqs_count_separately(self):
         from repro.live.wire import SEQ_HEADER
@@ -248,14 +281,18 @@ class TestKeepAliveAndIdempotency:
                 origin.host, origin.port, _get(CONTROL_PREFIX + "stats"))
             return json.loads(stats)
 
-        assert _run(scenario) == {"gets": 2, "ims_queries": 0}
+        assert _run(scenario) == {
+            "gets": 2, "ims_queries": 0, "feed_reads": 0,
+        }
 
     def test_stats_payload_stays_pinned(self):
         """The stats body is part of the byte-identity contract for
-        zero-fault serial replays — exactly two keys, nothing extra."""
+        zero-fault serial replays — exactly three keys, nothing extra."""
         async def scenario(origin):
             _, stats, _ = await exchange(
                 origin.host, origin.port, _get(CONTROL_PREFIX + "stats"))
             return json.loads(stats)
 
-        assert sorted(_run(scenario)) == ["gets", "ims_queries"]
+        assert sorted(_run(scenario)) == [
+            "feed_reads", "gets", "ims_queries",
+        ]

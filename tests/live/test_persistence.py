@@ -16,7 +16,14 @@ import pytest
 
 from tests.live.test_differential import _FACTORIES, _REQUESTS, _histories
 from repro.core.server import OriginServer
-from repro.live import Journal, LiveOrigin, LiveProxy, crash_vs_sim
+from repro.faults.plan import FaultPlan
+from repro.live import (
+    Journal,
+    LiveOrigin,
+    LiveProxy,
+    crash_vs_sim,
+    run_crash_replay,
+)
 from repro.live.wire import LiveReplayError
 
 
@@ -133,6 +140,22 @@ class TestRestoreRoundTrip:
             oid: _entry_dict(before.cache.peek(oid))
             for oid in ("/a", "/b", "/exp")
         }
+
+    def test_restore_under_a_fault_plan_needs_no_origin(self, tmp_path):
+        """The plan's schedule is compiled from the feed by the first
+        delivery, like the fault-free queues — not by ``restore``."""
+        path = tmp_path / "j.jsonl"
+        self._replay_some(path, upto=2)
+
+        async def restore():
+            proxy = LiveProxy(
+                "127.0.0.1", 1, _FACTORIES["invalidation"](),
+                faults=FaultPlan(loss_rate=0.5, seed=1),
+                journal=Journal(path),
+            )
+            return await proxy.restore()
+
+        assert asyncio.run(restore()) is True
 
     def test_empty_journal_restores_nothing(self, tmp_path):
         async def restore():
@@ -328,6 +351,18 @@ class TestCrashRestartDifferential:
         assert report.counters_checked == 13
         assert report.ledger_cells_checked == 15
         assert report.events_checked >= len(_REQUESTS)
+
+    def test_each_proxy_lifetime_reads_the_feed_once(self, tmp_path):
+        """The killed proxy subscribed on its first request; its
+        successor restores without the origin and subscribes again on
+        its own first delivery — two reads, and the journaled cursors
+        keep the second from re-delivering anything."""
+        report = asyncio.run(run_crash_replay(
+            OriginServer(_histories()), "invalidation", 0.0, _REQUESTS,
+            end_time=120.0, journal_path=tmp_path / "j.jsonl",
+            crash_after=4,
+        ))
+        assert report.origin_feed_reads == 2
 
     def test_the_journal_survived_a_real_kill(self, tmp_path):
         """The journal left behind holds the config plus committed
