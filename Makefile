@@ -51,13 +51,17 @@ typecheck:
 # under every option of the one replay path — the one-connection
 # default, a keep-alive pool, socket-level fault injection on both
 # hops, injected invalidation-message faults (alone, and under the pool
-# with socket chaos on top), and a SIGKILLed proxy restarting from its
-# journal.  Every leg must match a simulation of the same trace
-# cell-for-cell and event-for-event.  The last leg is traced: its three
-# per-role repro.trace/1 files must merge into a violation-free
-# repro.trace/2 timeline (`trace merge` exits 1 on any happens-before
-# violation), and the summary must carry the schema id with its retry
-# count equal to its own retry-mark count (docs/OBSERVABILITY.md).
+# with socket chaos on top), a traced chaotic replay, and last the
+# hardest leg: all of it at once — fault plan, pool, socket chaos,
+# trace — across a SIGKILLed proxy restarting from its journal.  Every
+# leg must match a simulation of the same trace cell-for-cell and
+# event-for-event.  Each traced leg's three per-role repro.trace/1
+# files must merge into a violation-free repro.trace/2 timeline (`trace
+# merge` exits 1 on any happens-before violation: send <= recv, commit
+# <= reply, kill <= restore); the chaotic one's summary must carry the
+# schema id with its retry count equal to its own retry-mark count, the
+# crashed one's timeline exactly one live.trace.restore
+# (docs/OBSERVABILITY.md).
 LIVE_SCRATCH = .live.log .live-journal.jsonl .live-trace.jsonl \
   .live-trace.proxy.jsonl .live-trace.origin.jsonl
 REPLAY = $(PYTHON) -m repro.cli replay .live.log --verify
@@ -80,8 +84,6 @@ live:
 	$(REPLAY) --protocol invalidation \
 	  --faults "downtime=2h@50h,delay=30s,seed=3" --connections 2 \
 	  --keepalive --chaos "loss=0.25,seed=7"
-	$(REPLAY) --protocol invalidation --journal .live-journal.jsonl \
-	  --crash-after 200 --connections 2 --keepalive
 	$(REPLAY) --protocol alex --parameter 10 --connections 2 --keepalive \
 	  --chaos "loss=0.25,truncate=0.2,seed=7" --trace .live-trace.jsonl
 	$(PYTHON) -m repro.cli trace merge .live-trace.jsonl > /dev/null
@@ -93,6 +95,14 @@ live:
 	  assert summary['exchanges'] > 0 and summary['chaos_injected'] > 0"
 	$(PYTHON) -m repro.cli trace critical-path .live-trace.jsonl \
 	  --format json > /dev/null
+	$(REPLAY) --protocol invalidation \
+	  --faults "downtime=2h@50h,delay=30s,seed=3" \
+	  --chaos "loss=0.25,seed=7" --connections 2 --keepalive \
+	  --journal .live-journal.jsonl --crash-after 200 \
+	  --trace .live-trace.jsonl
+	$(PYTHON) -m repro.cli trace merge .live-trace.jsonl > /dev/null
+	test "$$($(PYTHON) -m repro.cli trace grep .live-trace.jsonl \
+	  --kind live.trace.restore | wc -l)" -eq 1
 	rm -f $(LIVE_SCRATCH)
 	@echo "live: serial, pooled, chaotic, faulted, crash-restart and" \
 	  "traced replays matched simulation exactly"

@@ -603,10 +603,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     """Replay a trace through the live origin+proxy pair."""
     from repro.live import (
         LiveReplayError,
-        crash_vs_sim,
         live_vs_sim,
         parse_chaos,
-        run_crash_replay,
         run_replay,
     )
 
@@ -618,9 +616,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.crash_after is not None and args.journal is None:
-        print("replay: --crash-after requires --journal", file=sys.stderr)
-        return 2
     # For replay, --trace means cross-process causal tracing: the live
     # stack writes one repro.trace/1 file per role (driver + .proxy /
     # .origin companions; merge them with 'repro trace').  The ambient
@@ -628,78 +623,37 @@ def cmd_replay(args: argparse.Namespace) -> int:
     # the driver process, so the flag is rerouted before entering it.
     live_trace_path: Optional[Path] = getattr(args, "trace_out", None)
     args.trace_out = None
-    if live_trace_path is not None and args.crash_after is not None:
-        print(
-            "replay: --trace is not supported with --crash-after (the "
-            "out-of-process proxy keeps no trace sink)",
-            file=sys.stderr,
-        )
-        return 2
     mode = SimulatorMode(args.mode)
     workload = workload_from_trace(trace)
-    faults = (
-        faults_spec.build(workload.duration)
-        if faults_spec is not None else None
+    options = dict(
+        end_time=workload.duration,
+        connections=args.connections,
+        keepalive=args.keepalive,
+        chaos=chaos,
+        faults=(
+            faults_spec.build(workload.duration)
+            if faults_spec is not None else None
+        ),
+        journal_path=args.journal,
+        trace_path=live_trace_path,
+        crash_after=args.crash_after,
     )
     report = None
     with _observability(args):
         try:
-            if args.crash_after is not None:
-                if args.verify:
-                    live_result, _sim_result, report = crash_vs_sim(
-                        workload.server(),
-                        args.protocol,
-                        args.parameter,
-                        workload.requests,
-                        mode,
-                        end_time=workload.duration,
-                        journal_path=args.journal,
-                        crash_after=args.crash_after,
-                        connections=args.connections,
-                        keepalive=args.keepalive,
-                    )
-                    result = live_result
-                else:
-                    live_report = asyncio.run(run_crash_replay(
-                        workload.server(),
-                        args.protocol,
-                        args.parameter,
-                        workload.requests,
-                        mode,
-                        end_time=workload.duration,
-                        journal_path=args.journal,
-                        crash_after=args.crash_after,
-                        connections=args.connections,
-                        keepalive=args.keepalive,
-                    ))
-                    result = live_report.result
-            elif args.verify:
-                live_result, _sim_result, report = live_vs_sim(
+            if args.verify:
+                result, _sim_result, report = live_vs_sim(
                     workload.server(),
                     lambda: build_protocol(args.protocol, args.parameter),
                     workload.requests,
                     mode,
-                    end_time=workload.duration,
-                    connections=args.connections,
-                    keepalive=args.keepalive,
-                    chaos=chaos,
-                    faults=faults,
-                    journal_path=args.journal,
-                    trace_path=live_trace_path,
+                    **options,
                 )
-                result = live_result
             else:
-                live_report = asyncio.run(run_replay(
+                result = asyncio.run(run_replay(
                     workload.server(), protocol, workload.requests, mode,
-                    end_time=workload.duration,
-                    connections=args.connections,
-                    keepalive=args.keepalive,
-                    chaos=chaos,
-                    faults=faults,
-                    journal_path=args.journal,
-                    trace_path=live_trace_path,
-                ))
-                result = live_report.result
+                    **options,
+                )).result
         except LiveReplayError as exc:
             print(f"replay: {exc}", file=sys.stderr)
             return 2

@@ -1,11 +1,10 @@
 """Name-based protocol construction, shared by every entry point.
 
-The CLI, the live drivers, and the standalone out-of-process proxy
-(:mod:`repro.live.standalone`) all need to build a protocol from a
-``(name, parameter)`` pair — the standalone proxy receives them as
-command-line arguments, so the mapping cannot live in :mod:`repro.cli`
-without an import cycle.  One registry here keeps the three in exact
-agreement: a protocol name accepted anywhere is accepted everywhere.
+Every CLI subcommand that takes ``--protocol NAME --parameter X``
+builds its protocol from that pair here, so a name accepted by one is
+accepted by all.  (The live crash-restart child,
+:mod:`repro.live.standalone`, is *not* a client: it receives its
+parent's protocol instance, not a name.)
 """
 
 from __future__ import annotations

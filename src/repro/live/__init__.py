@@ -16,16 +16,15 @@ population model, the :class:`~repro.core.cache.Cache`, every
   :class:`repro.core.step.RequestStep`, with keyed locking,
   transactional commit, and an
   optional crash journal (:class:`~repro.live.journal.Journal`);
-* :func:`~repro.live.driver.run_replay` /
-  :func:`~repro.live.driver.run_crash_replay` — the one load driver,
+* :func:`~repro.live.driver.run_replay` — the one load driver,
   replaying a synthetic trace through a pool of live connections (a
-  pool of one is serial replay), against an in-process proxy or one
+  pool of one is serial replay), against an in-process proxy or
+  (``crash_after=``) a child process built from the same arguments
   that is SIGKILLed and restarted mid-replay;
 * :class:`~repro.live.chaos.ChaosRelay` — a deterministic socket-level
   fault injector (loss, reset, truncation, dribble, delay) that sits on
   either hop;
-* :func:`~repro.live.differential.live_vs_sim` /
-  :func:`~repro.live.differential.crash_vs_sim` — the oracle's fourth
+* :func:`~repro.live.differential.live_vs_sim` — the oracle's fourth
   leg: after a live replay (pooled, chaos-ridden, faulted, or SIGKILLed
   and journal-restored), the proxy's counters, bandwidth ledger and
   per-object events must equal a simulated run of the same trace
@@ -43,7 +42,6 @@ See ``docs/LIVE.md`` for the full design and the equivalence argument.
 
 from repro.live.chaos import ChaosRelay, WireFaultPlan, parse_chaos
 from repro.live.differential import (
-    crash_vs_sim,
     diff_event_multisets,
     diff_live_vs_sim,
     live_vs_sim,
@@ -52,7 +50,6 @@ from repro.live.driver import (
     LiveReplayReport,
     check_wire_exact,
     replay_pooled,
-    run_crash_replay,
     run_replay,
 )
 from repro.live.journal import Journal
@@ -80,13 +77,11 @@ __all__ = [
     "LiveWireError",
     "WireFaultPlan",
     "check_wire_exact",
-    "crash_vs_sim",
     "diff_event_multisets",
     "diff_live_vs_sim",
     "ensure_integral",
     "live_vs_sim",
     "parse_chaos",
     "replay_pooled",
-    "run_crash_replay",
     "run_replay",
 ]

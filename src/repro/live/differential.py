@@ -31,9 +31,9 @@ proxy emits ``hit`` for every cache hit (it cannot know staleness —
 that is the point of weak consistency), so the driver's ground-truth
 audit relabels stale hits before the diff (:func:`_relabel_stale`).
 
-:func:`crash_vs_sim` is the harshest leg: the proxy runs out of
-process, is SIGKILLed mid-replay, restarts from its journal — and the
-final numbers must *still* equal a crash-free simulation, which is what
+``crash_after`` is the harshest option: the proxy runs out of process,
+is SIGKILLed mid-replay, restarts from its journal — and the final
+numbers must *still* equal a crash-free simulation, which is what
 commit-before-reply journaling plus sequence-id exactly-once semantics
 guarantee.
 """
@@ -48,18 +48,13 @@ from typing import Callable, Iterable, Optional, Union
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
 from repro.core.metrics import _CATEGORIES
 from repro.core.protocols.base import ConsistencyProtocol
-from repro.core.protocols.factory import build_protocol
 from repro.core.results import SimulationResult
 from repro.core.server import OriginServer
-from repro.core.simulator import Simulation, SimulatorMode, simulate
+from repro.core.simulator import Simulation, SimulatorMode
 from repro.fastpath.contract import COUNTER_FIELDS
 from repro.faults.plan import FaultPlan
 from repro.live.chaos import WireFaultPlan
-from repro.live.driver import (
-    LiveReplayReport,
-    run_crash_replay,
-    run_replay,
-)
+from repro.live.driver import run_replay
 from repro.verify.oracle import ConsistencyViolation, OracleReport
 
 #: Per-category ledger tables compared cell-for-cell.
@@ -151,60 +146,6 @@ def diff_event_multisets(
     return lines
 
 
-def _simulate_with_events(
-    server: OriginServer,
-    protocol: ConsistencyProtocol,
-    requests: list[tuple[float, str]],
-    mode: SimulatorMode,
-    *,
-    costs: MessageCosts,
-    start_time: float,
-    end_time: Optional[float],
-    charge_per_modification: bool,
-    faults: Optional[FaultPlan],
-) -> tuple[SimulationResult, list[tuple[str, float, str]]]:
-    """Run the reference simulation, capturing its event stream."""
-    events: list[tuple[str, float, str]] = []
-
-    def observer(kind: str, t: float, object_id: str) -> None:
-        events.append((kind, t, object_id))
-
-    sim = Simulation(
-        server,
-        protocol,
-        mode,
-        costs=costs,
-        preload=True,
-        start_time=start_time,
-        observer=observer,
-        charge_per_modification=charge_per_modification,
-        faults=faults,
-    )
-    return sim.run(requests, end_time=end_time), events
-
-
-def _oracle_check(
-    live_report: LiveReplayReport,
-    sim_result: SimulationResult,
-    sim_events: list[tuple[str, float, str]],
-) -> tuple[SimulationResult, SimulationResult, OracleReport]:
-    live_result = live_report.result
-    divergences = diff_live_vs_sim(live_result, sim_result)
-    live_events = _relabel_stale(live_report.events, live_report.stale_events)
-    divergences.extend(diff_event_multisets(live_events, sim_events))
-    report = OracleReport(
-        protocol_name=live_result.protocol_name,
-        mode=live_result.mode,
-        events_checked=len(live_events),
-        counters_checked=len(COUNTER_FIELDS),
-        ledger_cells_checked=len(_LEDGER_TABLES) * len(_CATEGORIES),
-        divergences=divergences,
-    )
-    if not report.ok:
-        raise ConsistencyViolation(report)
-    return live_result, sim_result, report
-
-
 def live_vs_sim(
     server: OriginServer,
     protocol_factory: Callable[[], ConsistencyProtocol],
@@ -221,6 +162,7 @@ def live_vs_sim(
     faults: Optional[FaultPlan] = None,
     journal_path: Optional[Union[str, Path]] = None,
     trace_path: Optional[Union[str, Path]] = None,
+    crash_after: Optional[int] = None,
 ) -> tuple[SimulationResult, SimulationResult, OracleReport]:
     """Replay a trace live, simulate the same trace, and diff the two.
 
@@ -233,7 +175,9 @@ def live_vs_sim(
     :func:`~repro.live.driver.run_replay`, tears the servers down, then
     runs the reference simulator with the identical configuration
     (``preload=True`` matches the live warmup, ``faults`` passes
-    through to ``simulate(faults=plan)``).  On every replay — the
+    through to ``simulate(faults=plan)``; ``crash_after`` does *not* —
+    the simulation never crashes, so anything the SIGKILL lost that the
+    journal did not capture is a divergence).  On every replay — the
     default one-connection one included — the committed live event log
     is compared per-object against the simulator's observer stream
     (stale hits relabelled from the driver's audit), so
@@ -267,86 +211,39 @@ def live_vs_sim(
             faults=faults,
             journal_path=journal_path,
             trace_path=trace_path,
+            crash_after=crash_after,
         )
     )
-    sim_result, sim_events = _simulate_with_events(
+    sim_events: list[tuple[str, float, str]] = []
+    sim_result = Simulation(
         server,
         protocol_factory(),
-        request_list,
         mode,
         costs=costs,
+        preload=True,
         start_time=float(start_time),
-        end_time=end_time,
+        observer=lambda kind, t, oid: sim_events.append((kind, t, oid)),
         charge_per_modification=charge_per_modification,
         faults=faults,
+    ).run(request_list, end_time=end_time)
+    live_result = live_report.result
+    divergences = diff_live_vs_sim(live_result, sim_result)
+    live_events = _relabel_stale(live_report.events, live_report.stale_events)
+    divergences.extend(diff_event_multisets(live_events, sim_events))
+    report = OracleReport(
+        protocol_name=live_result.protocol_name,
+        mode=live_result.mode,
+        events_checked=len(live_events),
+        counters_checked=len(COUNTER_FIELDS),
+        ledger_cells_checked=len(_LEDGER_TABLES) * len(_CATEGORIES),
+        divergences=divergences,
     )
-    return _oracle_check(live_report, sim_result, sim_events)
-
-
-def crash_vs_sim(
-    server: OriginServer,
-    protocol_name: str,
-    parameter: float,
-    requests: Iterable[tuple[float, str]],
-    mode: SimulatorMode = SimulatorMode.OPTIMIZED,
-    *,
-    start_time: float = 0.0,
-    end_time: Optional[float] = None,
-    charge_per_modification: bool = True,
-    journal_path: Union[str, Path],
-    crash_after: int,
-    connections: int = 2,
-    keepalive: bool = True,
-) -> tuple[SimulationResult, SimulationResult, OracleReport]:
-    """SIGKILL-and-restart replay vs a *crash-free* simulation.
-
-    The proxy runs out of process with a commit-before-reply journal
-    (:func:`~repro.live.driver.run_crash_replay`), is killed after
-    ``crash_after`` completed requests, restarts from the journal, and
-    the surviving run must reconcile **exactly** — counters, ledger
-    cells, and per-object event multisets — with a simulation that
-    never crashed.  Anything the crash lost that the journal did not
-    capture shows up here as a divergence.
-
-    The protocol is named (the child process rebuilds it), so costs are
-    fixed at :data:`DEFAULT_COSTS`.
-
-    Raises:
-        ConsistencyViolation: on any divergence.
-    """
-    request_list = list(requests)
-    live_report = asyncio.run(
-        run_crash_replay(
-            server,
-            protocol_name,
-            parameter,
-            request_list,
-            mode,
-            start_time=float(start_time),
-            end_time=end_time,
-            charge_per_modification=charge_per_modification,
-            journal_path=journal_path,
-            crash_after=crash_after,
-            connections=connections,
-            keepalive=keepalive,
-        )
-    )
-    sim_result, sim_events = _simulate_with_events(
-        server,
-        build_protocol(protocol_name, parameter),
-        request_list,
-        mode,
-        costs=DEFAULT_COSTS,
-        start_time=float(start_time),
-        end_time=end_time,
-        charge_per_modification=charge_per_modification,
-        faults=None,
-    )
-    return _oracle_check(live_report, sim_result, sim_events)
+    if not report.ok:
+        raise ConsistencyViolation(report)
+    return live_result, sim_result, report
 
 
 __all__ = [
-    "crash_vs_sim",
     "diff_event_multisets",
     "diff_live_vs_sim",
     "live_vs_sim",

@@ -33,11 +33,11 @@ failures — the committed reply replays, so accounting stays
 exactly-once over an at-least-once transport.  A pool of one connection
 without keep-alive is serial replay; nothing else distinguishes it.
 :func:`run_replay` boots the origin, optional
-:class:`~repro.live.chaos.ChaosRelay` hops and the proxy in-process and
-drives them; :func:`run_crash_replay` spawns the proxy *out of process*
-with a monkey task that SIGKILLs it mid-replay and restarts it from its
-journal, and drives that.  Both hand a proxy address to the same
-private coroutine for the warm → drive → finish → stats → report tail.
+:class:`~repro.live.chaos.ChaosRelay` hops and the proxy, and drives
+them.  ``crash_after`` decides only *where the proxy lives*: in this
+process, or — built from the very same arguments — in a
+:mod:`repro.live.standalone` child that a monkey task SIGKILLs
+mid-replay and restarts from its journal.
 
 :func:`check_wire_exact` gates a replay up front: every timestamp the
 run touches must be a whole second, because simulation time travels in
@@ -50,15 +50,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pickle
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Awaitable, Callable, Iterable, Optional, Sequence, Union
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Iterable,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
 from repro.core.metrics import BandwidthLedger, ConsistencyCounters
 from repro.core.protocols.base import ConsistencyProtocol
-from repro.core.protocols.factory import build_protocol
 from repro.core.results import SimulationResult
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
@@ -323,8 +331,11 @@ async def _request_with_retry(
 
     Any transport or framing failure closes the connection and resends
     (the request's ``X-Repro-Seq`` makes the receiver replay, not
-    re-execute).  Connection-level failures pause before reconnecting —
-    that is what lets a driver ride through a proxy restart.
+    re-execute).  With ``pause``, every failed attempt waits before
+    reconnecting — that is what lets a driver ride through a proxy
+    restart, whose outage shows as a refused connection directly and as
+    a cleanly closed one (a :class:`LiveWireError`) behind a chaos
+    relay.
 
     A retry mark is emitted next to the ``live.retries`` counter (same
     branch, same count — ``repro trace summarize`` cross-checks the two)
@@ -347,7 +358,7 @@ async def _request_with_retry(
         except (LiveWireError, ConnectionError, OSError) as exc:
             last = exc
             await reset()
-            if pause > 0 and isinstance(exc, (ConnectionError, OSError)):
+            if pause > 0:
                 await asyncio.sleep(pause)
     raise LiveWireError(
         f"{what} failed after {attempts} attempts: {last!r}"
@@ -520,16 +531,15 @@ async def _drive(
 
     The proxy is reached only through its address — warm-up, finish
     and stats are control exchanges — so the same coroutine serves an
-    in-process proxy (:func:`run_replay`) and a child process
-    (:func:`run_crash_replay`).  ``client`` is where modelled traffic is
-    sent when that is not the proxy itself (a chaos relay in front of
-    it); control exchanges always go to the proxy directly, they are
-    the harness's measurement plane.  ``protocol`` and ``faults`` are
-    what the proxy was built with: they decide the lease bound of the
-    staleness audit and whether sends are gated on the global stream
-    order.  ``settled`` is awaited between the last request and the
-    finish exchange (the crash monkey's respawn must be over before
-    the proxy is asked for its totals).
+    in-process proxy and a child process.  ``client`` is where modelled
+    traffic is sent when that is not the proxy itself (a chaos relay in
+    front of it); control exchanges always go to the proxy directly,
+    they are the harness's measurement plane.  ``protocol`` and
+    ``faults`` are what the proxy was built with: they decide the lease
+    bound of the staleness audit and whether sends are gated on the
+    global stream order.  ``settled`` is awaited between the last
+    request and the finish exchange (the crash monkey's respawn must be
+    over before the proxy is asked for its totals).
 
     Raises:
         LiveReplayError: when the inputs cannot be wire-exact.
@@ -584,6 +594,94 @@ async def _drive(
     return report
 
 
+class _ChildProxy:
+    """The proxy as a child process that a monkey SIGKILLs and respawns.
+
+    ``python -m repro.live.standalone`` builds its :class:`LiveProxy`
+    from ``proxy_args`` — the keyword arguments the in-process proxy
+    would have been built from, pickled onto the child's stdin — so
+    there is no second signature for an option to be missing from.
+    Once ``crash_after`` requests have completed the monkey kills the
+    child (a real ``SIGKILL`` of a real process; nothing in-process
+    may stand in for it), respawns it on the same port, and the new
+    child re-warms from the journal (:meth:`LiveProxy.restore`) — it
+    reads the origin's feed again on its first delivery, and the
+    journaled per-object cursors say where in it each object resumes.
+    Workers ride through the outage by retrying under their requests'
+    sequence ids, so the final numbers must reconcile *exactly* with a
+    crash-free simulation.
+    """
+
+    host = "127.0.0.1"
+
+    def __init__(
+        self,
+        proxy_args: dict[str, Any],
+        crash_after: int,
+        trace: Optional[obs_trace.TraceSink],
+    ) -> None:
+        self._proxy_args = proxy_args
+        self._crash_after = crash_after
+        self._trace = trace
+        self._completed = 0
+        self._due = asyncio.Event()
+        #: 0 until the first spawn picked an ephemeral port; the
+        #: respawn reuses it.
+        self.port = 0
+
+    async def _spawn(self) -> None:
+        proc = await asyncio.create_subprocess_exec(
+            sys.executable,
+            "-m",
+            "repro.live.standalone",
+            stdin=asyncio.subprocess.PIPE,
+            stdout=asyncio.subprocess.PIPE,
+        )
+        assert proc.stdin is not None and proc.stdout is not None
+        # The pipe then stays open for as long as this process lives:
+        # the child takes its EOF as "my driver is gone" and exits.
+        proc.stdin.write(pickle.dumps((self._proxy_args, self.port)))
+        await proc.stdin.drain()
+        line = (await proc.stdout.readline()).decode()
+        if not line.startswith("PORT "):
+            proc.kill()
+            await proc.wait()
+            raise LiveReplayError(
+                f"standalone proxy failed to start (got {line!r})"
+            )
+        self._proc, self.port = proc, int(line.split()[1])
+
+    async def start(self) -> None:
+        await self._spawn()
+        #: Done once the kill and the respawn are both over.
+        self.monkey = asyncio.create_task(self._kill_and_respawn())
+
+    def on_complete(self) -> None:
+        self._completed += 1
+        if self._completed >= self._crash_after:
+            self._due.set()
+
+    async def _kill_and_respawn(self) -> None:
+        await self._due.wait()
+        if self._trace is not None:
+            self._trace.mark(
+                "live.trace.kill",
+                None,
+                obs_clock.monotonic(),
+                completed=self._completed,
+            )
+        self._proc.kill()
+        await self._proc.wait()
+        await self._spawn()
+
+    async def close(self) -> None:
+        self.monkey.cancel()
+        await asyncio.gather(self.monkey, return_exceptions=True)
+        if self._proc.returncode is None:
+            self._proc.kill()
+            await self._proc.wait()
+
+
 async def run_replay(
     server: OriginServer,
     protocol: ConsistencyProtocol,
@@ -600,6 +698,7 @@ async def run_replay(
     faults: Optional[FaultPlan] = None,
     journal_path: Optional[Union[str, Path]] = None,
     trace_path: Optional[Union[str, Path]] = None,
+    crash_after: Optional[int] = None,
 ) -> LiveReplayReport:
     """Boot an ephemeral origin/proxy pair on loopback, replay, tear down.
 
@@ -620,27 +719,53 @@ async def run_replay(
       inside the proxy, mirroring ``simulate(faults=plan)``.  The
       schedule is a global timeline, so the proxy runs on one key and
       the driver sends in global stream order, whatever the pool size.
-    * ``journal_path`` — commit-before-reply journaling, enabling
-      :func:`run_crash_replay`-style restarts.
+    * ``journal_path`` — commit-before-reply journaling, which is what
+      a restarted proxy re-warms from.
+    * ``crash_after`` — run the proxy as a child process
+      (:class:`_ChildProxy`), SIGKILL it once that many requests have
+      completed and restart it from the journal.  Nothing else about
+      the replay changes, and the report must still equal a crash-free
+      simulation.
     * ``trace_path`` — cross-process causal tracing: each role (driver,
       proxy, origin) records into its own
       :class:`~repro.obs.trace.TraceSink`, and on teardown — success
       *or* failure; the trace of a failing run is the valuable one —
       three JSONL files are written: ``trace_path`` for the driver plus
       ``.proxy`` / ``.origin`` companions
-      (:func:`repro.obs.timeline.role_trace_paths`).  Chaos relays are
-      harness machinery, so their marks land in the driver's file.
-      ``repro trace merge`` joins the three into one timeline.
+      (:func:`repro.obs.timeline.role_trace_paths`).  Chaos relays and
+      the crash monkey are harness machinery, so their marks land in
+      the driver's file.  ``repro trace merge`` joins the three into
+      one timeline.
+
+    Raises:
+        LiveReplayError: when the inputs cannot be wire-exact, or
+            ``crash_after`` comes without a journal or does not fall
+            inside the request stream (the monkey must fire while work
+            remains, or it would wait forever).
     """
     plan = chaos if chaos is not None and not chaos.is_null else None
     attempts = plan.max_attempts if plan is not None else 1
     request_list = list(requests)
-    driver_trace = proxy_trace = origin_trace = None
-    if trace_path is not None:
-        driver_trace = obs_trace.TraceSink(proc="driver")
-        proxy_trace = obs_trace.TraceSink(proc="proxy")
-        origin_trace = obs_trace.TraceSink(proc="origin")
-    origin = LiveOrigin(server, trace=origin_trace)
+    if crash_after is not None:
+        if journal_path is None:
+            raise LiveReplayError(
+                "crash_after needs a journal (journal_path, --journal) "
+                "for the restarted proxy to re-warm from"
+            )
+        if not 0 < crash_after < len(request_list):
+            raise LiveReplayError(
+                f"crash_after must fall inside the request stream: "
+                f"0 < {crash_after} < {len(request_list)} required"
+            )
+    paths = role_trace_paths(trace_path) if trace_path is not None else {}
+    sinks = {role: obs_trace.TraceSink(proc=role) for role in paths}
+    if sinks and crash_after is not None:
+        # A killed process writes nothing on teardown: the child's sink
+        # appends each record to the file as it is made, both lifetimes
+        # into the one file, which is started (header only) here.
+        sinks["proxy"] = obs_trace.TraceSink("proxy", path=paths["proxy"])
+        obs_trace.write_jsonl(sinks["proxy"], paths["proxy"])
+    origin = LiveOrigin(server, trace=sinks.get("origin"))
     await origin.start()
     relays: list[ChaosRelay] = []
 
@@ -648,7 +773,7 @@ async def run_replay(
         """The address to use for ``host:port`` on the ``label`` hop."""
         if plan is None:
             return host, port
-        relay = ChaosRelay(host, port, plan, label, trace=driver_trace)
+        relay = ChaosRelay(host, port, plan, label, trace=sinks.get("driver"))
         await relay.start()
         relays.append(relay)
         return relay.host, relay.port
@@ -657,11 +782,11 @@ async def run_replay(
         upstream_host, upstream_port = await behind_relay(
             origin.host, origin.port, "upstream"
         )
-        proxy = LiveProxy(
-            upstream_host,
-            upstream_port,
-            protocol,
-            mode,
+        proxy_args: dict[str, Any] = dict(
+            origin_host=upstream_host,
+            origin_port=upstream_port,
+            protocol=protocol,
+            mode=mode,
             costs=costs,
             charge_per_modification=charge_per_modification,
             faults=faults,
@@ -669,9 +794,22 @@ async def run_replay(
                 Journal(journal_path) if journal_path is not None else None
             ),
             upstream_attempts=attempts,
-            trace=proxy_trace,
+            trace=sinks.get("proxy"),
         )
+        proxy: Union[LiveProxy, _ChildProxy]
+        if crash_after is None:
+            proxy = LiveProxy(**proxy_args)
+        else:
+            proxy = _ChildProxy(proxy_args, crash_after, sinks.get("driver"))
         await proxy.start()
+        riding: dict[str, Any] = {"attempts": attempts}
+        if isinstance(proxy, _ChildProxy):
+            riding = {
+                "attempts": max(attempts, _CRASH_ATTEMPTS),
+                "pause": _RECONNECT_PAUSE,
+                "on_complete": proxy.on_complete,
+                "settled": proxy.monkey,
+            }
         try:
             return await _drive(
                 origin,
@@ -685,8 +823,8 @@ async def run_replay(
                 keepalive=keepalive,
                 faults=faults,
                 client=await behind_relay(proxy.host, proxy.port, "client"),
-                attempts=attempts,
-                trace=driver_trace,
+                trace=sinks.get("driver"),
+                **riding,
             )
         finally:
             await proxy.close()
@@ -694,151 +832,15 @@ async def run_replay(
         for relay in relays:
             await relay.close()
         await origin.close()
-        if trace_path is not None:
-            assert driver_trace and proxy_trace and origin_trace
-            paths = role_trace_paths(trace_path)
-            obs_trace.write_jsonl(driver_trace, paths["driver"])
-            obs_trace.write_jsonl(proxy_trace, paths["proxy"])
-            obs_trace.write_jsonl(origin_trace, paths["origin"])
-
-
-async def _spawn_standalone(
-    port: int, args: Sequence[str]
-) -> tuple[asyncio.subprocess.Process, int]:
-    """Start ``python -m repro.live.standalone`` and wait for its port."""
-    proc = await asyncio.create_subprocess_exec(
-        sys.executable,
-        "-m",
-        "repro.live.standalone",
-        "--port",
-        str(port),
-        *args,
-        stdout=asyncio.subprocess.PIPE,
-    )
-    assert proc.stdout is not None
-    line = (await proc.stdout.readline()).decode()
-    if not line.startswith("PORT "):
-        raise LiveReplayError(
-            f"standalone proxy failed to start (got {line!r})"
-        )
-    return proc, int(line.split()[1])
-
-
-async def run_crash_replay(
-    server: OriginServer,
-    protocol_name: str,
-    parameter: float,
-    requests: Sequence[tuple[float, str]],
-    mode: SimulatorMode = SimulatorMode.OPTIMIZED,
-    *,
-    start_time: float = 0.0,
-    end_time: Optional[float] = None,
-    charge_per_modification: bool = True,
-    journal_path: Union[str, Path],
-    crash_after: int,
-    connections: int = 2,
-    keepalive: bool = True,
-) -> LiveReplayReport:
-    """Replay with the proxy out of process, SIGKILLed and restarted.
-
-    The crash-restart differential leg: the proxy runs as its own
-    process (``python -m repro.live.standalone``) journaling every
-    committed transaction; once ``crash_after`` requests have
-    completed, a monkey task SIGKILLs it mid-replay, respawns it on
-    the same port with the same journal, and the restarted proxy
-    re-warms from disk (:meth:`LiveProxy.restore`) — it reads the
-    origin's feed again on its first delivery, and the journaled
-    per-object cursors say where in it each object resumes.  Workers
-    ride through the outage by retrying under their
-    requests' sequence ids, so the final counters must reconcile
-    *exactly* with a crash-free run — which is what
-    :func:`repro.live.differential.crash_vs_sim` asserts.
-
-    The protocol is named, not passed: the child process builds its own
-    instance via :func:`repro.core.protocols.factory.build_protocol`
-    (costs are therefore fixed at :data:`DEFAULT_COSTS`).
-
-    Raises:
-        LiveReplayError: unless ``0 < crash_after < len(requests)``
-            (the monkey must fire while work remains, or it would wait
-            forever).
-    """
-    request_list = list(requests)
-    if not 0 < crash_after < len(request_list):
-        raise LiveReplayError(
-            f"crash_after must fall inside the request stream: "
-            f"0 < {crash_after} < {len(request_list)} required"
-        )
-    protocol = build_protocol(protocol_name, parameter)
-    origin = LiveOrigin(server)
-    await origin.start()
-    # Everything but the port: the respawn reuses the crashed
-    # instance's port, the first spawn takes an ephemeral one.
-    child_args = [
-        "--origin-host",
-        origin.host,
-        "--origin-port",
-        str(origin.port),
-        "--protocol",
-        protocol_name,
-        "--parameter",
-        repr(parameter),
-        "--mode",
-        mode.value,
-        "--journal",
-        str(journal_path),
-    ]
-    if not charge_per_modification:
-        child_args.append("--charge-on-transition")
-    try:
-        proc, proxy_port = await _spawn_standalone(0, child_args)
-        try:
-            completed = {"count": 0}
-            crashed = asyncio.Event()
-
-            def on_complete() -> None:
-                completed["count"] += 1
-                if completed["count"] >= crash_after:
-                    crashed.set()
-
-            async def monkey() -> None:
-                nonlocal proc
-                await crashed.wait()
-                proc.kill()
-                await proc.wait()
-                proc, _ = await _spawn_standalone(proxy_port, child_args)
-
-            monkey_task = asyncio.create_task(monkey())
-            try:
-                return await _drive(
-                    origin,
-                    "127.0.0.1",
-                    proxy_port,
-                    request_list,
-                    protocol,
-                    start_time=start_time,
-                    end_time=end_time,
-                    connections=connections,
-                    keepalive=keepalive,
-                    attempts=_CRASH_ATTEMPTS,
-                    pause=_RECONNECT_PAUSE,
-                    on_complete=on_complete,
-                    settled=monkey_task,
-                )
-            except BaseException:
-                monkey_task.cancel()
-                raise
-        finally:
-            proc.kill()
-            await proc.wait()
-    finally:
-        await origin.close()
+        for role, sink in sinks.items():
+            # A child proxy already wrote its own file, record by record.
+            if crash_after is None or role != "proxy":
+                obs_trace.write_jsonl(sink, paths[role])
 
 
 __all__ = [
     "LiveReplayReport",
     "check_wire_exact",
     "replay_pooled",
-    "run_crash_replay",
     "run_replay",
 ]

@@ -1,12 +1,12 @@
 """The live proxy's crash journal: append-only JSONL, SIGKILL-safe.
 
-One record per line, written with ``os.open``/``os.write`` under
-``O_APPEND`` so every committed transaction reaches the kernel before
-the proxy replies to its client (commit-before-reply).  There is no
-user-space buffering to lose: a proxy SIGKILLed at any instant leaves a
+A :class:`repro.obs.trace.JsonlLog` — one record per line under
+``O_APPEND``, no user-space buffering — so every committed transaction
+reaches the kernel before the proxy replies to its client
+(commit-before-reply): a proxy SIGKILLed at any instant leaves a
 journal whose complete lines are exactly its committed transactions,
 plus at most one torn trailing line, which :meth:`Journal.load`
-discards.
+discards and the restarted proxy's first append cuts off.
 
 Record kinds (the proxy writes them, :meth:`LiveProxy.restore
 <repro.live.proxy.LiveProxy.restore>` replays them):
@@ -29,67 +29,11 @@ forward replay.
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-from typing import Union
+from repro.obs.trace import JsonlLog
 
 
-class Journal:
-    """An append-only JSONL journal at a filesystem path.
-
-    Writing uses ``os.open``/``os.write`` (no stream buffering), so a
-    record is durable against process death the moment :meth:`append`
-    returns.  The file is created on first append.
-    """
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
-
-    def append(self, record: dict[str, object]) -> None:
-        """Durably append one record as a JSON line."""
-        data = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
-        fd = os.open(
-            str(self.path),
-            os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-            0o644,
-        )
-        try:
-            # os.write may write fewer bytes than asked (signal, quota);
-            # a partial line that later appends extend would tear the
-            # journal mid-file and load() would silently stop there, so
-            # loop until every byte is down.
-            while data:
-                written = os.write(fd, data)
-                data = data[written:]
-        finally:
-            os.close(fd)
-
-    def load(self) -> list[dict[str, object]]:
-        """All complete records, in append order.
-
-        A torn trailing line — the signature of a mid-write SIGKILL —
-        is discarded, as is anything after a line that fails to parse
-        (a torn write can only be last, so nothing valid follows it).
-        Returns an empty list when the file does not exist.
-        """
-        try:
-            raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return []
-        records: list[dict[str, object]] = []
-        parts = raw.split(b"\n")
-        # The final element is "" after a complete line, or the torn
-        # tail of an interrupted append; either way it is not a record.
-        for part in parts[:-1]:
-            try:
-                record = json.loads(part.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                break
-            if not isinstance(record, dict):
-                break
-            records.append(record)
-        return records
+class Journal(JsonlLog):
+    """The proxy's journal file; see the module docstring for its records."""
 
 
 __all__ = ["Journal"]

@@ -1,93 +1,58 @@
 """Run one :class:`~repro.live.proxy.LiveProxy` as its own process.
 
-``python -m repro.live.standalone --origin-host H --origin-port P
---protocol NAME --parameter X --journal PATH [--port N] [--mode M]
-[--charge-on-transition]``
+``python -m repro.live.standalone`` is the crash-restart victim of
+:func:`repro.live.driver.run_replay` (``crash_after=``): the proxy must
+be SIGKILL-able without taking the driver down, and must be able to
+come back with nothing but its journal — so it lives behind a process
+boundary with exactly four contracts:
 
-This is the crash-restart harness's victim process
-(:func:`repro.live.driver.run_crash_replay`): the proxy must be
-SIGKILL-able without taking the driver down, and must be able to come
-back with nothing but its journal — so it lives behind a process
-boundary with exactly three contracts:
-
-* it prints ``PORT <n>`` on stdout once it is listening (the parent
-  reads the ephemeral port from that line);
+* its whole configuration is one pickle on stdin, written by the parent
+  that spawned it: ``(kwargs, port)``, where ``kwargs`` are the very
+  keyword arguments an in-process ``LiveProxy(...)`` is built from
+  (protocol *instance*, mode, costs, fault plan, journal, trace sink,
+  …) — there are no flags to keep in step with that constructor — and
+  ``port`` is 0 for an ephemeral port or the crashed instance's port;
+* it prints ``PORT <n>`` on stdout once it is listening;
 * an empty/missing journal means a cold start — the parent warms it
   through the ``warm`` control endpoint; a non-empty journal means a
   post-crash restart — the proxy re-warms itself from disk via
-  :meth:`~repro.live.proxy.LiveProxy.restore` before accepting traffic;
-* it serves until killed; there is no graceful shutdown to get wrong.
-
-The protocol is rebuilt by name through
-:func:`repro.core.protocols.factory.build_protocol` — the same registry
-the CLI uses — and adaptive protocol state is *not* lost across the
-kill: it rides in the journal's transaction records.
+  :meth:`~repro.live.proxy.LiveProxy.restore` before accepting traffic
+  (adaptive protocol state rides in the journal's transaction records);
+* it serves until killed, or until stdin reaches EOF: the parent holds
+  the pipe open for as long as it lives, so a driver that dies any
+  death (test timeout, Ctrl-C, CI cancel) leaves no orphan behind.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
+import pickle
+import sys
+from typing import Any
 
-from repro.core.protocols.factory import PROTOCOLS, build_protocol
-from repro.core.simulator import SimulatorMode
-from repro.live.journal import Journal
 from repro.live.proxy import LiveProxy
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.live.standalone",
-        description="Run a journaled live proxy as a standalone process.",
-    )
-    parser.add_argument("--origin-host", required=True)
-    parser.add_argument("--origin-port", type=int, required=True)
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="listen port (0 picks an ephemeral one; a restart reuses "
-        "the crashed instance's port)",
-    )
-    parser.add_argument("--protocol", required=True, choices=list(PROTOCOLS))
-    parser.add_argument("--parameter", type=float, default=0.0)
-    parser.add_argument(
-        "--mode",
-        choices=[m.value for m in SimulatorMode],
-        default=SimulatorMode.OPTIMIZED.value,
-    )
-    parser.add_argument("--journal", required=True)
-    parser.add_argument(
-        "--charge-on-transition",
-        action="store_true",
-        help="charge invalidations only on valid->invalid transitions "
-        "(charge_per_modification=False)",
-    )
-    return parser
-
-
-async def _serve(args: argparse.Namespace) -> None:
-    proxy = LiveProxy(
-        args.origin_host,
-        args.origin_port,
-        build_protocol(args.protocol, args.parameter),
-        SimulatorMode(args.mode),
-        charge_per_modification=not args.charge_on_transition,
-        journal=Journal(args.journal),
-    )
+async def _serve(kwargs: dict[str, Any], port: int) -> None:
+    proxy = LiveProxy(**kwargs)
     # A non-empty journal is a crash restart: re-warm from disk before
     # the socket opens, so the first retried request already sees the
     # committed state.
     await proxy.restore()
-    await proxy.start(port=args.port)
+    await proxy.start(port=port)
     print(f"PORT {proxy.port}", flush=True)
-    await asyncio.Event().wait()
+    # Nothing more is ever written to stdin, so this read returns at
+    # EOF — on a thread, the loop keeps serving meanwhile.
+    await asyncio.get_running_loop().run_in_executor(
+        None, sys.stdin.buffer.read
+    )
+    await proxy.close()
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+def main() -> int:
+    kwargs, port = pickle.load(sys.stdin.buffer)
     try:
-        asyncio.run(_serve(args))
+        asyncio.run(_serve(kwargs, port))
     except KeyboardInterrupt:
         pass
     return 0

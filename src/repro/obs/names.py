@@ -107,6 +107,7 @@ SPAN_NAMES: tuple[str, ...] = (
 TRACE_MARK_NAMES: tuple[str, ...] = (
     "live.trace.chaos",
     "live.trace.done",
+    "live.trace.kill",
     "live.trace.recv",
     "live.trace.restore",
     "live.trace.retry",

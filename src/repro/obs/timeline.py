@@ -2,13 +2,14 @@
 
 A traced live replay (``run_replay(trace_path=...)``) writes three
 ``repro.trace/1`` JSONL files — driver, proxy, origin — each a private,
-append-ordered view of the same run.  This module joins them into a
-single **merged timeline** (schema ``repro.trace/2``): every record is
-stamped with its role (``proc``) and the whole set is ordered on the
-one axis all three processes share, the ``clk`` reading of
-:func:`repro.obs.clock.monotonic` (``CLOCK_MONOTONIC`` is system-wide
-on Linux, so readings from different processes on one host compare
-directly).
+append-ordered view of the same run (the proxy's holds both lifetimes
+of a proxy that was SIGKILLed and restarted mid-replay).  This module
+joins them into a single **merged timeline** (schema
+``repro.trace/2``): every record is stamped with its role (``proc``)
+and the whole set is ordered on the one axis all three processes share,
+the ``clk`` reading of :func:`repro.obs.clock.monotonic`
+(``CLOCK_MONOTONIC`` is system-wide on Linux, so readings from
+different processes on one host compare directly).
 
 The merged timeline is *validated*, not just sorted: for every trace id
 the driver's earliest ``live.trace.send`` mark must not follow the
@@ -17,7 +18,10 @@ proxy's earliest ``live.trace.recv`` mark, and the proxy's
 ``live.trace.reply`` span — commit-before-reply is the journaling
 discipline the whole crash-consistency story rests on, and here it is
 checked from the outside, per exchange, including chaos-retry replays
-of an already-committed reply.
+of an already-committed reply and exchanges that commit in one proxy
+lifetime and are answered in the next.  And the crash itself is on the
+axis: each ``live.trace.kill`` the driver marks must not follow the
+``live.trace.restore`` of the proxy it made room for.
 
 Analysis helpers (:func:`summarize`, :func:`grep`,
 :func:`critical_path`) back the ``repro trace`` CLI subcommand; all
@@ -148,7 +152,7 @@ def merge(path: Union[str, Path]) -> dict[str, Any]:
 def validate(timeline: dict[str, Any]) -> list[str]:
     """Check the merged timeline's happens-before edges.
 
-    Two rules, per trace id:
+    Two rules per trace id, one per crash:
 
     * the driver's earliest ``live.trace.send`` mark must precede (≤)
       the proxy's earliest ``live.trace.recv`` mark — a message is sent
@@ -156,7 +160,11 @@ def validate(timeline: dict[str, Any]) -> list[str]:
     * the proxy's ``live.trace.commit`` span must precede (≤) its
       earliest ``live.trace.reply`` span — commit-before-reply, the
       journaling discipline; retried exchanges replay the committed
-      reply, so *every* reply for an id follows the one commit.
+      reply, so *every* reply for an id follows the one commit — in
+      whichever proxy lifetime each happened;
+    * the driver's k-th ``live.trace.kill`` mark must precede (≤) the
+      proxy's k-th ``live.trace.restore`` mark, and have one — a proxy
+      re-warms from its journal only after its predecessor was killed.
 
     Returns:
         Human-readable violation strings — empty for a healthy trace.
@@ -166,16 +174,22 @@ def validate(timeline: dict[str, Any]) -> list[str]:
     recvs: dict[str, float] = {}
     commits: dict[str, float] = {}
     replies: dict[str, float] = {}
+    kills: list[float] = []
+    restores: list[float] = []
     for record in timeline["records"]:
         proc = record.get("proc")
         clk = _clk(record)
         if clk is None:
             continue
         if record.get("type") == "mark":
+            kind = record.get("kind")
+            if proc == "driver" and kind == "live.trace.kill":
+                kills.append(clk)
+            elif proc == "proxy" and kind == "live.trace.restore":
+                restores.append(clk)
             tid = record.get("trace")
             if not isinstance(tid, str):
                 continue
-            kind = record.get("kind")
             if proc == "driver" and kind == "live.trace.send":
                 sends[tid] = min(sends.get(tid, inf), clk)
             elif proc == "proxy" and kind == "live.trace.recv":
@@ -208,6 +222,17 @@ def validate(timeline: dict[str, Any]) -> list[str]:
             violations.append(
                 f"trace {tid}: commit (clk={commit_clk!r}) after reply "
                 f"(clk={reply_clk!r})"
+            )
+    restores.sort()
+    for k, kill_clk in enumerate(sorted(kills)):
+        if k >= len(restores):
+            violations.append(
+                f"kill {k + 1} (clk={kill_clk!r}): no proxy restore follows"
+            )
+        elif kill_clk > restores[k]:
+            violations.append(
+                f"kill {k + 1} (clk={kill_clk!r}) after proxy restore "
+                f"(clk={restores[k]!r})"
             )
     return violations
 

@@ -43,6 +43,7 @@ outputs, pinned by ``tests/obs/test_tracing_inert.py``).
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
@@ -88,20 +89,29 @@ class TraceSink:
         proc: optional role label (``"driver"`` / ``"proxy"`` /
             ``"origin"``) written into the JSONL header; the timeline
             merger stamps it onto every merged record.
+        path: also append every record to this file the moment it is
+            made, through a :class:`JsonlLog` — for a process that may
+            be SIGKILLed before any :func:`write_jsonl` (the live
+            crash-restart proxy).  Whoever starts the file writes its
+            header (``write_jsonl`` of the still-empty sink); a
+            restarted process simply keeps appending.
     """
 
-    def __init__(self, proc: Optional[str] = None) -> None:
+    def __init__(
+        self,
+        proc: Optional[str] = None,
+        path: Union[str, Path, None] = None,
+    ) -> None:
         self.proc = proc
         self.records: list[dict[str, Any]] = []
+        self._log = JsonlLog(path) if path is not None else None
 
     def __len__(self) -> int:
         return len(self.records)
 
     def event(self, kind: str, t: float, object_id: str) -> None:
         """Record one simulator observer event."""
-        self.records.append(
-            {"type": "event", "kind": kind, "t": t, "id": object_id}
-        )
+        self._add({"type": "event", "kind": kind, "t": t, "id": object_id})
 
     def span(
         self, name: str, wall: float, meta: Optional[dict[str, Any]] = None
@@ -110,7 +120,7 @@ class TraceSink:
         record: dict[str, Any] = {"type": "span", "name": name, "wall": wall}
         if meta:
             record["meta"] = meta
-        self.records.append(record)
+        self._add(record)
 
     def mark(
         self, kind: str, trace: Optional[str], clk: float, **meta: Any
@@ -125,7 +135,12 @@ class TraceSink:
         }
         if meta:
             record["meta"] = meta
+        self._add(record)
+
+    def _add(self, record: dict[str, Any]) -> None:
         self.records.append(record)
+        if self._log is not None:
+            self._log.append(record)
 
     def marks(self) -> list[dict[str, Any]]:
         """Only the mark records (the causal-point subset)."""
@@ -243,44 +258,101 @@ def write_jsonl(sink: TraceSink, path: Union[str, Path]) -> int:
     return len(lines)
 
 
+class JsonlLog:
+    """An append-only JSONL file whose writer may be SIGKILLed mid-write.
+
+    One record per line, written with ``os.open``/``os.write`` under
+    ``O_APPEND``: there is no user-space buffer to lose, so a record is
+    durable against process death the moment :meth:`append` returns,
+    and a writer killed at any instant leaves its complete lines plus
+    at most one torn trailing line.  :meth:`load` discards that tail,
+    and the first :meth:`append` of each writer lifetime (each
+    instance) cuts it off — otherwise the restarted writer's first
+    record would be glued onto the fragment and every record after it
+    lost with that line.  The live proxy's crash journal
+    (:class:`repro.live.journal.Journal`) and a ``TraceSink(path=...)``
+    file are both one of these; the file is created on first append.
+    """
+
+    def __init__(self, path: Union[str, Path]) -> None:
+        self.path = Path(path)
+        self._tail_checked = False
+
+    def append(self, record: dict[str, Any]) -> None:
+        """Durably append one record as a JSON line."""
+        if not self._tail_checked:
+            self._tail_checked = True
+            self._cut_torn_tail()
+        data = json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+        fd = os.open(
+            str(self.path),
+            os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+            0o644,
+        )
+        try:
+            # os.write may write fewer bytes than asked (signal, quota);
+            # a partial line that later appends extend would tear the
+            # file mid-way and load() would silently stop there, so
+            # loop until every byte is down.
+            while data:
+                written = os.write(fd, data)
+                data = data[written:]
+        finally:
+            os.close(fd)
+
+    def _cut_torn_tail(self) -> None:
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            return
+        if raw and not raw.endswith(b"\n"):
+            os.truncate(self.path, raw.rfind(b"\n") + 1)
+
+    def load(self) -> list[dict[str, Any]]:
+        """All complete records, in append order.
+
+        A torn trailing line — the signature of a mid-write SIGKILL —
+        is discarded, as is anything after a line that fails to parse
+        (nothing valid can follow one: appends never start mid-line).
+        Returns an empty list when the file does not exist.
+        """
+        try:
+            raw = self.path.read_bytes()
+        except FileNotFoundError:
+            return []
+        records: list[dict[str, Any]] = []
+        # The final element is "" after a complete line, or the torn
+        # tail of an interrupted append; either way it is not a record.
+        for part in raw.split(b"\n")[:-1]:
+            try:
+                record = json.loads(part.decode("utf-8"))
+            except (ValueError, UnicodeDecodeError):
+                break
+            if not isinstance(record, dict):
+                break
+            records.append(record)
+        return records
+
+
 def load_jsonl(
     path: Union[str, Path],
 ) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Read a trace written by :func:`write_jsonl`: ``(header, records)``.
+    """Read a trace file: ``(header, records)``.
 
-    Torn-line tolerant, mirroring the live journal's loader: a process
-    killed mid-write leaves at most one incomplete trailing line, so
-    parsing stops at the first line that fails to decode and everything
-    before it is returned.  (Nothing valid can follow a torn line.)
+    Torn-line tolerant — it is :meth:`JsonlLog.load`, so a file a
+    killed process was still appending to yields its complete records.
 
     Raises:
-        ValueError: when the file is empty or lacks the schema header.
+        ValueError: when the file is missing or empty, or lacks the
+            schema header.
     """
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw:
+    records = JsonlLog(path).load()
+    if not records:
         raise ValueError(f"{path}: empty trace file")
-    try:
-        header = json.loads(raw[0])
-    except ValueError as exc:
-        raise ValueError(f"{path}: missing {SCHEMA} header record") from exc
-    if (
-        not isinstance(header, dict)
-        or header.get("type") != "header"
-        or header.get("schema") != SCHEMA
-    ):
+    header = records[0]
+    if header.get("type") != "header" or header.get("schema") != SCHEMA:
         raise ValueError(f"{path}: missing {SCHEMA} header record")
-    records: list[dict[str, Any]] = []
-    for line in raw[1:]:
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            break
-        if not isinstance(record, dict):
-            break
-        records.append(record)
-    return header, records
+    return header, records[1:]
 
 
 def read_jsonl(path: Union[str, Path]) -> list[dict[str, Any]]:

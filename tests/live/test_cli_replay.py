@@ -50,6 +50,45 @@ class TestReplayCommand:
         # rates, server ops, round trips — live and simulated.
         assert replay_out.splitlines()[-1] == simulate_out.splitlines()[-1]
 
+    def test_crash_restart_reports_the_fault_plan_numbers(
+        self, trace_path, tmp_path, capsys
+    ):
+        """``--crash-after`` composes with ``--faults``: the row is
+        the faulted simulation's, not the fault-free one the second
+        driver used to print (stale 0.00 %) while calling it
+        identical."""
+        faults = ["--protocol", "invalidation", "--faults", "loss=1.0,seed=3"]
+        assert main(["replay", str(trace_path), *faults, "--journal",
+                     str(tmp_path / "j.jsonl"), "--crash-after", "100",
+                     "--verify"]) == 0
+        replayed = capsys.readouterr()
+        assert "live-vs-sim: 13 counters + 15 ledger cells" in replayed.err
+        assert main(["simulate", str(trace_path), *faults]) == 0
+        simulated = capsys.readouterr().out
+        assert replayed.out.splitlines()[-1] == simulated.splitlines()[-1]
+        assert main(["simulate", str(trace_path), "--protocol",
+                     "invalidation"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] != (
+            simulated.splitlines()[-1]
+        )
+
+    def test_crash_after_without_journal_is_usage_error(
+        self, trace_path, capsys
+    ):
+        assert main(["replay", str(trace_path), "--crash-after", "3"]) == 2
+        assert "journal" in capsys.readouterr().err
+
+    def test_non_wire_exact_replay_is_usage_error_even_when_traced(
+        self, trace_path, tmp_path, capsys
+    ):
+        """A replay that cannot be wire-exact (here a half-second
+        fault-plan delay) is refused with exit 2 — with ``--trace``
+        too, where it used to be an ``AssertionError`` traceback."""
+        assert main(["replay", str(trace_path), "--protocol",
+                     "invalidation", "--faults", "delay=1.5s,seed=1",
+                     "--trace", str(tmp_path / "t.jsonl")]) == 2
+        assert "whole second" in capsys.readouterr().err
+
     def test_unknown_protocol_is_usage_error(self, trace_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["replay", str(trace_path), "--protocol", "bogus"])

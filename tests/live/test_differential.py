@@ -10,10 +10,12 @@ per-object event multisets *exactly*.
 There is one replay path, so there is one differential:
 :func:`check_cell` runs a single cell of the option grid, and
 ``TestOptionMatrix`` runs the whole grid — protocol × pool size ×
-keep-alive × socket chaos × invalidation faults × journal.  The named
-tests here and in ``test_concurrency`` / ``test_chaos`` are individual
-cells of the same grid, kept under the names that document why the cell
-matters.
+keep-alive × socket chaos × invalidation faults × journal — and
+``TestCrashAxis`` adds the last axis, a real SIGKILL and journal restart
+of the proxy mid-replay.  The named tests here and in
+``test_concurrency`` / ``test_chaos`` / ``test_persistence`` are
+individual cells of the same grid, kept under the names that document
+why the cell matters.
 
 The workload is deliberately adversarial: pre-trace creation times
 (negative Last-Modified stamps — the datefmt pre-epoch regression this
@@ -56,6 +58,7 @@ from repro.live.wire import (
     LiveReplayError,
     exchange,
 )
+from repro.obs import timeline
 from repro.obs import trace as obs_trace
 from repro.verify.oracle import ConsistencyViolation
 
@@ -119,8 +122,9 @@ def check_cell(
     """One cell of the option grid: replay live, simulate, diff.
 
     ``chaos`` / ``faults`` are grid labels; ``journal`` is a path or
-    None; ``options`` (``connections``, ``keepalive``, ...) pass
-    through to :func:`live_vs_sim`.  Every cell asserts the same thing:
+    None; ``options`` (``connections``, ``keepalive``, ``crash_after``,
+    ``trace_path``, ...) pass through to :func:`live_vs_sim`.  Every
+    cell — crashed or not — asserts the same thing:
     13 counters, 15 ledger cells, and at least one matched live event
     per request — ordering tolerance must never degrade into
     not-checking.
@@ -167,6 +171,84 @@ class TestOptionMatrix:
             chaos=chaos, faults=faults,
             journal=tmp_path / "j.jsonl" if journal else None,
         )
+
+
+class TestCrashAxis:
+    """SIGKILL-restart composes like any other option.
+
+    The proxy runs as a child process built from the same arguments,
+    is really killed after four completed requests and re-warms from
+    its journal; the simulation it must equal never crashes (though it
+    does replay the same fault plan).
+    """
+
+    @pytest.mark.parametrize("faults", sorted(_FAULTS))
+    @pytest.mark.parametrize("name", sorted(_FACTORIES))
+    def test_cell(self, name, faults, tmp_path):
+        check_cell(
+            name, connections=2, keepalive=True, faults=faults,
+            journal=tmp_path / "j.jsonl", crash_after=4,
+        )
+
+    @pytest.mark.parametrize("faults", sorted(_FAULTS))
+    @pytest.mark.parametrize("chaos", ["loss", "reset-dribble"])
+    @pytest.mark.parametrize("name", ["invalidation", "selftuning"])
+    def test_cell_under_socket_chaos(self, name, chaos, faults, tmp_path):
+        check_cell(
+            name, connections=2, keepalive=True, chaos=chaos, faults=faults,
+            journal=tmp_path / "j.jsonl", crash_after=4,
+        )
+
+    def test_serial_one_shot_cell(self, tmp_path):
+        check_cell(
+            "alex", connections=1, keepalive=False, faults="loss-retries",
+            journal=tmp_path / "j.jsonl", crash_after=4,
+        )
+
+    def test_traced_cell_has_the_crash_on_its_timeline(self, tmp_path):
+        """Both proxy lifetimes land in the one proxy file, the merge
+        validates — send ≤ recv and commit ≤ reply across the restart,
+        kill ≤ restore — and the run was killed and restored once."""
+        base = tmp_path / "TRACE.jsonl"
+        check_cell(
+            "invalidation", connections=2, keepalive=True, chaos="loss",
+            faults="cache-crash", journal=tmp_path / "j.jsonl",
+            crash_after=4, trace_path=base,
+        )
+        merged = timeline.merge(base)
+        assert timeline.validate(merged) == []
+        crash = [
+            (record["proc"], record["kind"])
+            for record in merged["records"]
+            if record.get("kind") in ("live.trace.kill", "live.trace.restore")
+        ]
+        assert crash == [
+            ("driver", "live.trace.kill"), ("proxy", "live.trace.restore"),
+        ]
+        summary = timeline.summarize(merged)
+        assert summary["exchanges"] == len(_REQUESTS)
+        assert summary["retries"] == summary["marks"]["live.trace.retry"] > 0
+        proxy_kinds = [
+            record.get("kind")
+            for record in obs_trace.read_jsonl(
+                timeline.role_trace_paths(base)["proxy"]
+            )
+        ]
+        restored = proxy_kinds.index("live.trace.restore")
+        assert "live.trace.recv" in proxy_kinds[:restored]
+        assert "live.trace.recv" in proxy_kinds[restored:]
+
+    def test_crash_needs_a_journal_and_a_live_stream(self, tmp_path):
+        for options in (
+            {"crash_after": 4},
+            {"crash_after": len(_REQUESTS), "journal_path": tmp_path / "j"},
+            {"crash_after": 0, "journal_path": tmp_path / "j"},
+        ):
+            with pytest.raises(LiveReplayError, match="crash_after"):
+                live_vs_sim(
+                    OriginServer(_histories()), _FACTORIES["ttl"], _REQUESTS,
+                    **options,
+                )
 
 
 class TestAllProtocolsMatchExactly:
@@ -245,6 +327,16 @@ class TestWireExactGate:
                 [(1.5, "/a")],
             )
 
+    def test_refusal_is_the_same_with_tracing_on(self, tmp_path):
+        """Nothing was recorded yet, and an empty ``TraceSink`` is
+        falsy: the teardown must not mistake it for "no sink" and bury
+        the refusal under an ``AssertionError``."""
+        with pytest.raises(LiveReplayError, match="whole second"):
+            asyncio.run(run_replay(
+                OriginServer(_histories()), _FACTORIES["ttl"](),
+                [(5.5, "/a")], trace_path=tmp_path / "t.jsonl",
+            ))
+
     def test_fractional_modification_time_is_refused(self):
         histories = [
             ObjectHistory(WebObject("/a", size=10, created=-5.0),
@@ -305,8 +397,8 @@ class TestFaultedDifferential:
 class TestFeedIsReadOnce:
     """The proxy subscribes: one read of the origin's ``feed`` endpoint
     per proxy lifetime, whatever the pool size — the count the origin
-    reports in its stats (``run_crash_replay``'s two lifetimes are
-    counted in ``test_persistence``)."""
+    reports in its stats (the two lifetimes of a ``crash_after`` replay
+    are counted in ``test_persistence``)."""
 
     @pytest.mark.parametrize("name,options,reads", [
         ("invalidation", {}, 1),

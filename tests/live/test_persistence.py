@@ -4,25 +4,29 @@ The proxy's journal is commit-before-reply: every acknowledged request
 is on disk before the client hears about it, so a SIGKILLed proxy can
 be restarted and re-warmed into exactly the state its clients already
 observed.  These tests pin the journal's torn-line tolerance, the
-in-process restore round-trip, and the full out-of-process
-crash-restart differential (:func:`repro.live.crash_vs_sim`).
+in-process restore round-trip, the child process's contracts, and named
+cells of the crash axis (``live_vs_sim(..., crash_after=)``; the grid is
+``test_differential.TestCrashAxis``).
 """
 
 import asyncio
-import json
 import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 
 from tests.live.test_differential import _FACTORIES, _REQUESTS, _histories
+from repro.core.protocols.factory import build_protocol
 from repro.core.server import OriginServer
 from repro.faults.plan import FaultPlan
 from repro.live import (
     Journal,
     LiveOrigin,
     LiveProxy,
-    crash_vs_sim,
-    run_crash_replay,
+    live_vs_sim,
+    run_replay,
 )
 from repro.live.wire import LiveReplayError
 
@@ -65,7 +69,7 @@ class TestJournal:
         after it on load."""
         import types
 
-        import repro.live.journal as journal_mod
+        import repro.obs.trace as log_mod
 
         real_write = os.write
         shim = types.SimpleNamespace(
@@ -76,13 +80,40 @@ class TestJournal:
             O_CREAT=os.O_CREAT,
             O_APPEND=os.O_APPEND,
         )
-        monkeypatch.setattr(journal_mod, "os", shim)
+        monkeypatch.setattr(log_mod, "os", shim)
         journal = Journal(tmp_path / "j.jsonl")
         records = [{"kind": "config", "protocol": "ttl"},
                    {"kind": "txn", "seq": "r0", "hits": 1}]
         for record in records:
             journal.append(record)
         assert journal.load() == records
+
+    def test_appends_after_a_torn_tail_are_not_swallowed(self, tmp_path):
+        """Commit, tear a line (SIGKILL mid-write), restart, commit
+        twice more: the restarted writer cuts the fragment off first.
+        Glued onto it, ``r2`` would fail to parse and take ``r3`` with
+        it — two committed, replied-to transactions lost on the *next*
+        restart."""
+        path = tmp_path / "j.jsonl"
+        first = Journal(path)
+        first.append({"kind": "config"})
+        first.append({"kind": "txn", "seq": "r1"})
+        with open(path, "ab") as fh:
+            fh.write(b'{"kind": "txn", "se')
+        second = Journal(path)
+        second.append({"kind": "txn", "seq": "r2"})
+        second.append({"kind": "txn", "seq": "r3"})
+        assert [r.get("seq") for r in Journal(path).load()] == [
+            None, "r1", "r2", "r3",
+        ]
+
+    def test_a_file_torn_before_its_first_newline_restarts_empty(
+        self, tmp_path
+    ):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b'{"kind": "con')
+        Journal(path).append({"kind": "config"})
+        assert Journal(path).load() == [{"kind": "config"}]
 
 
 class TestRestoreRoundTrip:
@@ -333,6 +364,74 @@ class TestUpstreamIdempotency:
         assert upstreams[2]["/dyn"] == 2
 
 
+class TestRetryPause:
+    """Riding through a restart: behind a chaos relay a dead proxy is a
+    cleanly closed connection (a wire error), not a refused one, and
+    must be waited out all the same."""
+
+    @pytest.mark.parametrize("pause,expected", [
+        (0.05, [0.05, 0.05]), (0.0, []),
+    ])
+    def test_every_failed_attempt_pauses(self, monkeypatch, pause, expected):
+        import repro.live.driver as driver
+        from repro.live.wire import LiveConnectionClosed
+
+        pauses = []
+        failures = [LiveConnectionClosed("relay hung up"),
+                    ConnectionRefusedError()]
+
+        async def fake_sleep(seconds):
+            pauses.append(seconds)
+
+        async def send():
+            if failures:
+                raise failures.pop(0)
+            return "reply"
+
+        async def reset():
+            pass
+
+        monkeypatch.setattr(driver.asyncio, "sleep", fake_sleep)
+        assert asyncio.run(driver._request_with_retry(
+            send, reset, "request r0", attempts=3, pause=pause,
+        )) == "reply"
+        assert pauses == expected
+
+
+class TestChildProcess:
+    """``python -m repro.live.standalone``'s contracts with its parent."""
+
+    def _spawn(self, tmp_path):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.live.standalone"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        )
+        kwargs = {
+            "origin_host": "127.0.0.1", "origin_port": 1,
+            "protocol": _FACTORIES["alex"](),
+            "journal": Journal(tmp_path / "j.jsonl"),
+        }
+        child.stdin.write(pickle.dumps((kwargs, 0)))
+        child.stdin.flush()
+        return child
+
+    def test_configuration_arrives_on_stdin_and_eof_ends_the_child(
+        self, tmp_path
+    ):
+        """A driver that dies any death closes the pipe: no orphaned
+        proxy may outlive it."""
+        child = self._spawn(tmp_path)
+        try:
+            assert child.stdout.readline().startswith(b"PORT ")
+            assert child.poll() is None
+            child.stdin.close()
+            assert child.wait(timeout=10) == 0
+        finally:
+            child.kill()
+            child.wait()
+            child.stdout.close()
+
+
 class TestCrashRestartDifferential:
     @pytest.mark.parametrize("protocol,parameter", [
         ("invalidation", 0.0),
@@ -341,10 +440,11 @@ class TestCrashRestartDifferential:
     def test_sigkill_restart_reconciles_exactly(
         self, tmp_path, protocol, parameter
     ):
-        _, _, report = crash_vs_sim(
-            OriginServer(_histories()), protocol, parameter, _REQUESTS,
+        _, _, report = live_vs_sim(
+            OriginServer(_histories()),
+            lambda: build_protocol(protocol, parameter), _REQUESTS,
             start_time=0.0, end_time=120.0,
-            charge_per_modification=True,
+            charge_per_modification=True, connections=2, keepalive=True,
             journal_path=tmp_path / "j.jsonl", crash_after=4,
         )
         assert report.ok
@@ -357,10 +457,10 @@ class TestCrashRestartDifferential:
         successor restores without the origin and subscribes again on
         its own first delivery — two reads, and the journaled cursors
         keep the second from re-delivering anything."""
-        report = asyncio.run(run_crash_replay(
-            OriginServer(_histories()), "invalidation", 0.0, _REQUESTS,
-            end_time=120.0, journal_path=tmp_path / "j.jsonl",
-            crash_after=4,
+        report = asyncio.run(run_replay(
+            OriginServer(_histories()), _FACTORIES["invalidation"](),
+            _REQUESTS, end_time=120.0, connections=2, keepalive=True,
+            journal_path=tmp_path / "j.jsonl", crash_after=4,
         ))
         assert report.origin_feed_reads == 2
 
@@ -369,10 +469,10 @@ class TestCrashRestartDifferential:
         transactions — evidence the restart actually re-warmed rather
         than recomputed."""
         path = tmp_path / "j.jsonl"
-        crash_vs_sim(
-            OriginServer(_histories()), "invalidation", 0.0, _REQUESTS,
-            start_time=0.0, end_time=120.0,
-            charge_per_modification=True,
+        live_vs_sim(
+            OriginServer(_histories()), _FACTORIES["invalidation"],
+            _REQUESTS, start_time=0.0, end_time=120.0,
+            charge_per_modification=True, connections=2, keepalive=True,
             journal_path=path, crash_after=4,
         )
         records = Journal(path).load()
@@ -383,3 +483,17 @@ class TestCrashRestartDifferential:
             and "seq" in record
         ]
         assert len(seqs) == len(set(seqs)) >= len(_REQUESTS)
+
+    def test_costs_reach_the_child(self, tmp_path):
+        """The child is built from the in-process proxy's own
+        arguments, so a non-default cost model — which the by-name
+        child could not be given — reconciles too."""
+        from repro.core.costs import MessageCosts
+
+        live, _, _ = live_vs_sim(
+            OriginServer(_histories()), _FACTORIES["invalidation"],
+            _REQUESTS, end_time=120.0, costs=MessageCosts(97),
+            journal_path=tmp_path / "j.jsonl", crash_after=4,
+        )
+        charged = live.bandwidth.control_bytes.values()
+        assert sum(charged) > 0 and all(cell % 97 == 0 for cell in charged)

@@ -3,7 +3,8 @@
 The PR-10 acceptance pins: a chaotic traced replay writes one
 ``repro.trace/1`` JSONL file per role (driver / proxy / origin), the
 three merge into a ``repro.trace/2`` timeline whose happens-before
-edges (driver-send ≤ proxy-recv, commit ≤ reply) all validate, and
+edges (driver-send ≤ proxy-recv, commit ≤ reply, kill ≤ restore) all
+validate, and
 ``repro trace summarize`` reports retry/chaos counts equal to the
 run's :class:`MetricsRegistry` counters — the marks are emitted in the
 very same branches as the counter bumps, so any drift is a bug.
@@ -183,10 +184,56 @@ class TestTraceCli:
         assert main(["trace", "merge", str(tmp_path / "nope.jsonl")]) == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_crash_mode_rejects_trace(self, traced, tmp_path, capsys):
+    def test_crash_mode_traces(self, traced, tmp_path, capsys):
+        """``--crash-after`` composes with ``--trace``: the killed
+        proxy's records survive, the merge validates, and the crash is
+        one kill followed by one restore."""
         log = traced.parent / "hcs.log"
-        code = main(["replay", str(log), "--journal",
+        base = tmp_path / "t.jsonl"
+        assert main(["replay", str(log), "--journal",
                      str(tmp_path / "j.jsonl"), "--crash-after", "3",
-                     "--trace", str(tmp_path / "t.jsonl")])
-        assert code == 2
-        assert "--crash-after" in capsys.readouterr().err
+                     "--trace", str(base)]) == 0
+        capsys.readouterr()
+        assert main(["trace", "merge", str(base)]) == 0
+        merged = json.loads(capsys.readouterr().out)
+        assert merged["violations"] == []
+        assert [
+            record["kind"] for record in merged["records"]
+            if record.get("kind") in ("live.trace.kill", "live.trace.restore")
+        ] == ["live.trace.kill", "live.trace.restore"]
+
+
+class TestCrashEdge:
+    """``validate``'s kill ≤ restore rule, on hand-built timelines."""
+
+    @staticmethod
+    def _timeline(*marks):
+        return {"records": [
+            {"type": "mark", "proc": proc, "kind": kind, "trace": None,
+             "clk": clk}
+            for proc, kind, clk in marks
+        ]}
+
+    def test_kill_then_restore_is_healthy(self):
+        assert timeline.validate(self._timeline(
+            ("driver", "live.trace.kill", 1.0),
+            ("proxy", "live.trace.restore", 1.5),
+        )) == []
+
+    def test_restore_before_its_kill_is_a_violation(self):
+        (violation,) = timeline.validate(self._timeline(
+            ("proxy", "live.trace.restore", 0.5),
+            ("driver", "live.trace.kill", 1.0),
+        ))
+        assert "after proxy restore" in violation
+
+    def test_kill_without_restore_is_a_violation(self):
+        (violation,) = timeline.validate(self._timeline(
+            ("driver", "live.trace.kill", 1.0),
+        ))
+        assert "no proxy restore" in violation
+
+    def test_restore_without_kill_is_a_plain_restart(self):
+        assert timeline.validate(self._timeline(
+            ("proxy", "live.trace.restore", 0.5),
+        )) == []

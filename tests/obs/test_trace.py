@@ -124,6 +124,25 @@ class TestJsonl:
         assert json.loads(lines[0]) == {"type": "header", "schema": SCHEMA}
         assert read_jsonl(path) == sink.records
 
+    def test_sink_with_a_path_appends_each_record_as_it_is_made(
+        self, tmp_path
+    ):
+        """The SIGKILL-able proxy's sink: records are on disk before
+        any teardown, and a second lifetime appends to the same file —
+        cutting off the line its predecessor was killed in."""
+        path = tmp_path / "trace.jsonl"
+        first = TraceSink(proc="proxy", path=path)
+        write_jsonl(first, path)  # whoever starts the file: header only
+        first.mark("live.trace.recv", "r0", 1.0)
+        first.span("live.trace.reply", 0.5, {"trace": "r0", "clk": 2.0})
+        assert read_jsonl(path) == first.records
+        with open(path, "ab") as fh:
+            fh.write(b'{"type": "mark", "ki')  # SIGKILL here
+        second = TraceSink(proc="proxy", path=path)
+        second.mark("live.trace.restore", None, 3.0, records=2)
+        second.mark("live.trace.recv", "r1", 4.0)
+        assert read_jsonl(path) == first.records + second.records
+
     def test_read_rejects_headerless_file(self, tmp_path):
         path = tmp_path / "bogus.jsonl"
         path.write_text('{"type": "event"}\n')
