@@ -60,9 +60,8 @@ import argparse
 import asyncio
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.analysis.report import format_table, pct
 from repro.core.protocols import InvalidationProtocol
@@ -71,11 +70,11 @@ from repro.core.protocols.factory import PROTOCOLS, build_protocol
 from repro.core.simulator import SimulatorMode
 from repro.fastpath import ENGINES, FAST, REFERENCE, resolve_engine, set_engine
 from repro.faults import FaultSpec, parse_faults
+from repro import obs
 from repro.obs import clock as obs_clock
 from repro.obs import profile as obs_profile
 from repro.obs import prom as obs_prom
 from repro.obs import registry as obs_registry
-from repro.obs import trace as obs_tracing
 from repro.runtime import map_ordered
 from repro.verify import ConsistencyViolation, checked_simulate, set_enabled
 from repro.verify.oracle import runs_verified
@@ -89,53 +88,7 @@ from repro.workload.worrell import WorrellWorkload
 _CAMPUS_BY_NAME = {spec.name.lower(): spec for spec in CAMPUS_SERVERS}
 
 
-
 # -- observability plumbing ---------------------------------------------------
-
-
-@contextmanager
-def _observability(
-    args: argparse.Namespace, *, ensure_registry: bool = False
-) -> Iterator[None]:
-    """Install the trace sink / metrics registry the flags ask for.
-
-    ``--metrics PATH`` installs a fresh :class:`~repro.obs.MetricsRegistry`
-    and dumps it as JSON on exit; ``--trace PATH`` installs a
-    :class:`~repro.obs.TraceSink` and writes JSONL on exit.  Both are
-    flushed even when the command fails — a trace of a failing run is
-    exactly when you want one.  ``ensure_registry`` installs a registry
-    without a dump file (the ``--verify`` accounting path uses it to
-    merge ``verify.runs`` across pool workers).
-    """
-    metrics_path: Optional[Path] = getattr(args, "metrics_out", None)
-    trace_path: Optional[Path] = getattr(args, "trace_out", None)
-    need_registry = metrics_path is not None or (
-        ensure_registry and obs_registry.active() is None
-    )
-    registry = obs_registry.MetricsRegistry() if need_registry else None
-    sink = obs_tracing.TraceSink() if trace_path is not None else None
-    previous_registry = (
-        obs_registry.install(registry) if registry is not None else None
-    )
-    previous_sink = obs_tracing.install(sink) if sink is not None else None
-    try:
-        yield
-    finally:
-        if sink is not None:
-            obs_tracing.install(previous_sink)
-            lines = obs_tracing.write_jsonl(sink, trace_path)
-            print(f"trace: wrote {lines} line(s) to {trace_path}",
-                  file=sys.stderr)
-        if registry is not None:
-            obs_registry.install(previous_registry)
-            if metrics_path is not None:
-                metrics_path.write_text(
-                    json.dumps(
-                        registry.as_dict(), indent=2, sort_keys=True
-                    ) + "\n",
-                    encoding="utf-8",
-                )
-                print(f"metrics: wrote {metrics_path}", file=sys.stderr)
 
 
 def _verified_since(registry_before: float, parent_before: int) -> int:
@@ -300,7 +253,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(exc, file=sys.stderr)
         return 2
     mode = SimulatorMode(args.mode)
-    with _observability(args, ensure_registry=args.verify):
+    with obs.session(
+        args.metrics_out, args.trace_out, ensure_registry=args.verify
+    ):
         verified_parent = runs_verified()
         registry = obs_registry.active()
         verified_base = (
@@ -382,7 +337,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             result.server_operations,
         )
 
-    with _observability(args, ensure_registry=args.verify):
+    with obs.session(
+        args.metrics_out, args.trace_out, ensure_registry=args.verify
+    ):
         verified_parent = runs_verified()
         registry = obs_registry.active()
         verified_base = (
@@ -619,10 +576,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     # For replay, --trace means cross-process causal tracing: the live
     # stack writes one repro.trace/1 file per role (driver + .proxy /
     # .origin companions; merge them with 'repro trace').  The ambient
-    # single-process sink _observability installs would only ever see
-    # the driver process, so the flag is rerouted before entering it.
-    live_trace_path: Optional[Path] = getattr(args, "trace_out", None)
-    args.trace_out = None
+    # single-process sink obs.session installs would only ever see the
+    # driver process, so the flag is routed to the live stack instead.
+    live_trace_path: Optional[Path] = args.trace_out
     mode = SimulatorMode(args.mode)
     workload = workload_from_trace(trace)
     options = dict(
@@ -639,7 +595,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         crash_after=args.crash_after,
     )
     report = None
-    with _observability(args):
+    with obs.session(args.metrics_out, None):
         try:
             if args.verify:
                 result, _sim_result, report = live_vs_sim(

@@ -18,7 +18,7 @@ The paper evaluates protocols on four axes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 #: Exchange categories tracked by the ledger.
 FULL_RETRIEVAL = "full_retrieval"
@@ -29,8 +29,11 @@ INVALIDATION = "invalidation"
 #: on modification, before (and regardless of) any client request.
 PREFETCH = "prefetch"
 
-_CATEGORIES = (FULL_RETRIEVAL, VALIDATION_304, VALIDATION_200, INVALIDATION,
-               PREFETCH)
+CATEGORIES = (FULL_RETRIEVAL, VALIDATION_304, VALIDATION_200, INVALIDATION,
+              PREFETCH)
+#: The ledger's per-category tables; with :data:`CATEGORIES` they name
+#: its 15 cells.
+LEDGER_TABLES = ("control_bytes", "body_bytes", "exchanges")
 
 
 @dataclass
@@ -38,13 +41,13 @@ class BandwidthLedger:
     """Byte accounting split by exchange category and payload kind."""
 
     control_bytes: dict[str, int] = field(
-        default_factory=lambda: {c: 0 for c in _CATEGORIES}
+        default_factory=lambda: {c: 0 for c in CATEGORIES}
     )
     body_bytes: dict[str, int] = field(
-        default_factory=lambda: {c: 0 for c in _CATEGORIES}
+        default_factory=lambda: {c: 0 for c in CATEGORIES}
     )
     exchanges: dict[str, int] = field(
-        default_factory=lambda: {c: 0 for c in _CATEGORIES}
+        default_factory=lambda: {c: 0 for c in CATEGORIES}
     )
 
     def charge(self, category: str, control: int, body: int) -> None:
@@ -79,10 +82,10 @@ class BandwidthLedger:
 
     def merge(self, other: "BandwidthLedger") -> None:
         """Fold another ledger's counts into this one."""
-        for cat in _CATEGORIES:
-            self.control_bytes[cat] += other.control_bytes[cat]
-            self.body_bytes[cat] += other.body_bytes[cat]
-            self.exchanges[cat] += other.exchanges[cat]
+        for table in LEDGER_TABLES:
+            mine, theirs = getattr(self, table), getattr(other, table)
+            for category in CATEGORIES:
+                mine[category] += theirs[category]
 
 
 @dataclass
@@ -172,19 +175,8 @@ class ConsistencyCounters:
 
     def merge(self, other: "ConsistencyCounters") -> None:
         """Fold another run's counters into this one."""
-        self.requests += other.requests
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stale_hits += other.stale_hits
-        self.stale_age_sum += other.stale_age_sum
-        self.validations += other.validations
-        self.validations_not_modified += other.validations_not_modified
-        self.full_retrievals += other.full_retrievals
-        self.invalidations_received += other.invalidations_received
-        self.prefetches += other.prefetches
-        self.server_gets += other.server_gets
-        self.server_ims_queries += other.server_ims_queries
-        self.server_invalidations_sent += other.server_invalidations_sent
+        for name in COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def check_invariants(self) -> None:
         """Raise AssertionError if the counters are internally inconsistent.
@@ -202,3 +194,11 @@ class ConsistencyCounters:
         assert self.validations_not_modified <= self.validations
         assert self.server_ims_queries == self.validations
         assert self.server_gets == self.full_retrievals + self.prefetches
+
+
+#: Every :class:`ConsistencyCounters` field, in declaration order — with
+#: the ledger's cells, the whole surface a run is compared on
+#: (:mod:`repro.core.results`).  A new counter is one dataclass field.
+COUNTER_FIELDS: tuple[str, ...] = tuple(
+    f.name for f in fields(ConsistencyCounters)
+)

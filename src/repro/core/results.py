@@ -1,4 +1,13 @@
-"""Simulation result container and cross-trace aggregation.
+"""Simulation result container, its codec and differ, and cross-trace
+aggregation.
+
+What a run *is* when written down or compared is decided here, once:
+:func:`result_to_dict` / :func:`result_from_dict` are the only
+(de)serialisation of the 13 counters + 15 ledger cells
+(:data:`~repro.core.metrics.COUNTER_FIELDS`,
+:data:`~repro.core.metrics.LEDGER_TABLES`), and :func:`diff_results` /
+:func:`diff_events` the only exact comparison — the spec, fast-path and
+live oracle legs all call them.
 
 Figure 6's caption — "These results depict the averages of the FAS, HCS,
 and DAS traces" — requires averaging results across independent
@@ -10,7 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.metrics import BandwidthLedger, ConsistencyCounters
+from repro.core.metrics import (
+    COUNTER_FIELDS,
+    LEDGER_TABLES,
+    BandwidthLedger,
+    ConsistencyCounters,
+)
+
+#: The fields that say which run a result is, compared before its cells.
+_IDENTITY_FIELDS = ("protocol_name", "mode", "duration")
 
 
 @dataclass
@@ -73,40 +90,48 @@ class SimulationResult:
         }
 
 
-def result_to_dict(result: SimulationResult) -> dict:
+def result_to_dict(result: SimulationResult, *, sparse: bool = False) -> dict:
     """Serialize a result to a JSON-compatible dict.
 
     Everything a stored run needs to be compared later: protocol, mode,
     duration, full counters, and the per-category byte ledger.
+    ``sparse`` strips zero cells and empty tables — the form a delta
+    (one live transaction's journal record) is written in;
+    :func:`result_from_dict` reads both.
     """
-    counters = result.counters
+    counters = {
+        name: getattr(result.counters, name) for name in COUNTER_FIELDS
+    }
+    bandwidth = {
+        table: dict(getattr(result.bandwidth, table))
+        for table in LEDGER_TABLES
+    }
+    if sparse:
+        counters = {name: v for name, v in counters.items() if v}
+        bandwidth = {
+            table: {category: v for category, v in cells.items() if v}
+            for table, cells in bandwidth.items()
+            if any(cells.values())
+        }
     return {
         "protocol_name": result.protocol_name,
         "mode": result.mode,
         "duration": result.duration,
-        "counters": {
-            field_name: getattr(counters, field_name)
-            for field_name in (
-                "requests", "hits", "misses", "stale_hits", "stale_age_sum",
-                "validations", "validations_not_modified", "full_retrievals",
-                "invalidations_received", "prefetches", "server_gets",
-                "server_ims_queries", "server_invalidations_sent",
-            )
-        },
-        "bandwidth": {
-            "control_bytes": dict(result.bandwidth.control_bytes),
-            "body_bytes": dict(result.bandwidth.body_bytes),
-            "exchanges": dict(result.bandwidth.exchanges),
-        },
+        "counters": counters,
+        "bandwidth": bandwidth,
     }
 
 
 def result_from_dict(data: dict) -> SimulationResult:
     """Rebuild a result serialized by :func:`result_to_dict`.
 
+    A cell the dict does not name (the sparse form) is zero.
+
     Raises:
-        KeyError: when required fields are missing.
-        ValueError: when the ledger contains unknown categories.
+        KeyError: when required fields are missing, or a counter is
+            not a :class:`ConsistencyCounters` field.
+        ValueError: when the ledger contains unknown tables or
+            categories.
     """
     result = SimulationResult(
         protocol_name=data["protocol_name"],
@@ -114,18 +139,82 @@ def result_from_dict(data: dict) -> SimulationResult:
         duration=float(data["duration"]),
     )
     for field_name, value in data["counters"].items():
-        if not hasattr(result.counters, field_name):
+        if field_name not in COUNTER_FIELDS:
             raise KeyError(f"unknown counter field: {field_name!r}")
         setattr(result.counters, field_name, value)
-    ledger = result.bandwidth
-    bw = data["bandwidth"]
-    for table_name in ("control_bytes", "body_bytes", "exchanges"):
-        table = getattr(ledger, table_name)
-        for category, value in bw[table_name].items():
+    for table_name, cells in data["bandwidth"].items():
+        if table_name not in LEDGER_TABLES:
+            raise ValueError(f"unknown ledger table: {table_name!r}")
+        table = getattr(result.bandwidth, table_name)
+        for category, value in cells.items():
             if category not in table:
                 raise ValueError(f"unknown ledger category: {category!r}")
             table[category] = value
     return result
+
+
+def _cells(result: SimulationResult) -> dict[str, object]:
+    """The surface a result is compared on, flat: cell name -> value."""
+    data = result_to_dict(result)
+    cells = {name: data[name] for name in _IDENTITY_FIELDS}
+    for name, value in data["counters"].items():
+        cells[f"counters.{name}"] = value
+    for table, row in data["bandwidth"].items():
+        for category, value in row.items():
+            cells[f"bandwidth.{table}[{category}]"] = value
+    return cells
+
+
+def diff_results(
+    actual: SimulationResult,
+    expected: SimulationResult,
+    *,
+    label: str = "fastpath",
+    sides: tuple[str, str] = ("fast", "reference"),
+) -> list[str]:
+    """Every exact difference between two results (empty = identical).
+
+    The one comparison every oracle leg runs: identity fields, all 13
+    counters, all 15 ledger cells, each with ``==`` — floats included
+    (``stale_age_sum``, ``duration``); every engine mirrors the
+    reference's arithmetic expression-for-expression so that no
+    tolerance is needed.  One line per differing cell, in one format:
+    ``<label>.counters.hits: <side>=... <side>=...`` (a cell only one
+    side has reads ``None`` there).
+    """
+    ours, theirs = _cells(actual), _cells(expected)
+    return [
+        f"{label}.{cell}: {sides[0]}={ours.get(cell)!r} "
+        f"{sides[1]}={theirs.get(cell)!r}"
+        for cell in {**ours, **theirs}
+        if ours.get(cell) != theirs.get(cell)
+    ]
+
+
+def diff_events(
+    actual: list[tuple[str, float, str]],
+    expected: list[tuple[str, float, str]],
+    *,
+    label: str = "fastpath",
+    sides: tuple[str, str] = ("fast", "reference"),
+    limit: int = 20,
+) -> list[str]:
+    """Event-stream differences, event-for-event (empty = identical)."""
+    lines: list[str] = []
+    for i, (mine, other) in enumerate(zip(actual, expected)):
+        if mine != other:
+            lines.append(
+                f"{label}.event[{i}]: {sides[0]}={mine!r} "
+                f"{sides[1]}={other!r}"
+            )
+            if len(lines) >= limit:
+                break
+    if len(actual) != len(expected):
+        lines.append(
+            f"{label}.event count: {sides[0]}={len(actual)} "
+            f"{sides[1]}={len(expected)}"
+        )
+    return lines
 
 
 def merge_results(results: Sequence[SimulationResult]) -> SimulationResult:

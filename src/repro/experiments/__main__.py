@@ -21,15 +21,13 @@ completion order.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from repro import obs
 from repro.analysis.report import ExperimentReport
 from repro.experiments.common import warm_shared_sweeps
 from repro.experiments.registry import all_ids, run_experiment
-from repro.obs import registry as obs_registry
-from repro.obs import trace as obs_trace
 from repro.runtime import (
     RunStats,
     collecting,
@@ -144,16 +142,9 @@ def main(argv: list[str] | None = None) -> int:
 
         set_enabled(True)
 
-    registry = (
-        obs_registry.MetricsRegistry()
-        if args.metrics_out is not None else None
-    )
-    sink = obs_trace.TraceSink() if args.trace_out is not None else None
-    previous_registry = (
-        obs_registry.install(registry) if registry is not None else None
-    )
-    previous_sink = obs_trace.install(sink) if sink is not None else None
-    try:
+    # Observability outputs are flushed even when a run fails — a trace
+    # of the failing run is exactly what the flags are for.
+    with obs.session(args.metrics_out, args.trace_out):
         ids = all_ids() if args.experiment == "all" else [args.experiment]
         workers = resolve_workers(args.workers)
         warm_stats: list = []
@@ -200,22 +191,6 @@ def main(argv: list[str] | None = None) -> int:
                 r.stats.verified_runs for r in printed if r.stats is not None
             ) + sum(s.verified_runs for s in warm_stats)
             print(f"oracle: {verified} run(s) verified, zero divergence")
-    finally:
-        # Flush observability outputs even when a run fails — a trace
-        # of the failing run is exactly what the flags are for.
-        if sink is not None:
-            obs_trace.install(previous_sink)
-            lines = obs_trace.write_jsonl(sink, args.trace_out)
-            print(f"trace: wrote {lines} line(s) to {args.trace_out}",
-                  file=sys.stderr)
-        if registry is not None:
-            obs_registry.install(previous_registry)
-            args.metrics_out.write_text(
-                json.dumps(registry.as_dict(), indent=2, sort_keys=True)
-                + "\n",
-                encoding="utf-8",
-            )
-            print(f"metrics: wrote {args.metrics_out}", file=sys.stderr)
     if failures:
         print(f"{failures} experiment(s) had failing shape checks",
               file=sys.stderr)

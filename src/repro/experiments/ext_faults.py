@@ -36,6 +36,7 @@ from repro.core.protocols.base import ConsistencyProtocol
 from repro.core.results import SimulationResult
 from repro.core.simulator import SimulatorMode
 from repro.experiments.common import worrell_workload
+from repro.fastpath import resolve_engine
 from repro.faults import FaultPlan
 from repro.obs import clock as obs_clock
 from repro.runtime import RunStats, derive_seed, map_ordered, record, resolve_workers
@@ -208,6 +209,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
         grid_points=len(cells),
         peak_grid_size=len(cells),
         verified_runs=len(cells) if is_enabled() else 0,
+        engine=resolve_engine(),
     )
     record(stats)
     return ExperimentReport(

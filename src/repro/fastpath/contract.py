@@ -1,12 +1,12 @@
-"""The equivalence contract, executable: diff a fast run against reference.
+"""The metrics clause of the equivalence contract.
 
-docs/FASTPATH.md states the contract in prose; this module is its
-checkable form, used by the ``repro.verify`` oracle's fast-path
-cross-check and by the byte-identity test suites.  Equality here is
-*exact* — integer counters compare with ``==`` and so do floats
-(``stale_age_sum``, ``duration``): the kernel mirrors the reference's
-arithmetic expression-for-expression precisely so that no tolerance is
-needed.
+docs/FASTPATH.md states the contract in prose.  Its result and event
+clauses are checked by :func:`repro.core.results.diff_results` /
+:func:`~repro.core.results.diff_events` (re-exported here, with
+:data:`~repro.core.metrics.COUNTER_FIELDS`, for the callers that know
+them by this name); what this module owns is :func:`diff_metrics`, the
+byte-level comparison of two registry dumps, and the
+:data:`ENGINE_METRIC_PREFIXES` it leaves out.
 """
 
 from __future__ import annotations
@@ -14,101 +14,12 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.metrics import _CATEGORIES
-from repro.core.results import SimulationResult
+from repro.core.metrics import COUNTER_FIELDS
+from repro.core.results import diff_events, diff_results
 
 #: Metric-name prefixes excluded from :func:`diff_metrics` — engine
 #: bookkeeping describes *which* engine ran, not what the run did.
 ENGINE_METRIC_PREFIXES: tuple[str, ...] = ("engine.", "fastpath.")
-
-#: Every ConsistencyCounters field, in declaration order.
-COUNTER_FIELDS: tuple[str, ...] = (
-    "requests",
-    "hits",
-    "misses",
-    "stale_hits",
-    "stale_age_sum",
-    "validations",
-    "validations_not_modified",
-    "full_retrievals",
-    "invalidations_received",
-    "prefetches",
-    "server_gets",
-    "server_ims_queries",
-    "server_invalidations_sent",
-)
-
-
-def diff_results(
-    fast: SimulationResult,
-    reference: SimulationResult,
-    *,
-    label: str = "fastpath",
-) -> list[str]:
-    """Every exact difference between two results (empty = identical).
-
-    Covers the full contract surface: identity fields, all 13 counters,
-    all 15 ledger cells, and the duration.
-    """
-    lines: list[str] = []
-    for attr in ("protocol_name", "mode", "duration"):
-        fast_value = getattr(fast, attr)
-        ref_value = getattr(reference, attr)
-        if fast_value != ref_value:
-            lines.append(
-                f"{label}.{attr}: fast={fast_value!r} "
-                f"reference={ref_value!r}"
-            )
-    for name in COUNTER_FIELDS:
-        fast_value = getattr(fast.counters, name)
-        ref_value = getattr(reference.counters, name)
-        if fast_value != ref_value:
-            lines.append(
-                f"{label}.counters.{name}: fast={fast_value!r} "
-                f"reference={ref_value!r}"
-            )
-    cells = (
-        ("control_bytes", fast.bandwidth.control_bytes,
-         reference.bandwidth.control_bytes),
-        ("body_bytes", fast.bandwidth.body_bytes,
-         reference.bandwidth.body_bytes),
-        ("exchanges", fast.bandwidth.exchanges,
-         reference.bandwidth.exchanges),
-    )
-    for cell_label, fast_map, ref_map in cells:
-        for category in _CATEGORIES:
-            if fast_map[category] != ref_map[category]:
-                lines.append(
-                    f"{label}.bandwidth.{cell_label}[{category}]: "
-                    f"fast={fast_map[category]} "
-                    f"reference={ref_map[category]}"
-                )
-    return lines
-
-
-def diff_events(
-    fast: list[tuple[str, float, str]],
-    reference: list[tuple[str, float, str]],
-    *,
-    label: str = "fastpath",
-    limit: int = 20,
-) -> list[str]:
-    """Event-stream differences, event-for-event (empty = identical)."""
-    lines: list[str] = []
-    for i in range(min(len(fast), len(reference))):
-        if fast[i] != reference[i]:
-            lines.append(
-                f"{label}.event[{i}]: fast={fast[i]!r} "
-                f"reference={reference[i]!r}"
-            )
-            if len(lines) >= limit:
-                break
-    if len(fast) != len(reference):
-        lines.append(
-            f"{label}.event count: fast={len(fast)} "
-            f"reference={len(reference)}"
-        )
-    return lines
 
 
 def _strip_engine_metrics(dump: dict[str, Any]) -> dict[str, Any]:
@@ -154,3 +65,12 @@ def diff_metrics(
                     f"reference={ref_json}"
                 )
     return lines
+
+
+__all__ = [
+    "COUNTER_FIELDS",
+    "ENGINE_METRIC_PREFIXES",
+    "diff_events",
+    "diff_metrics",
+    "diff_results",
+]

@@ -46,11 +46,10 @@ from repro.faults.rng import uniform01
 from repro.live.wire import (
     SEQ_HEADER,
     TRACE_HEADER,
+    LiveServer,
     LiveWireError,
     _body_length,
     _read_head,
-    cancel_handler_tasks,
-    pin_handler_task,
 )
 from repro.obs import clock as obs_clock
 from repro.obs import registry as obs_metrics
@@ -195,7 +194,7 @@ class _Decision:
     dribble: bool = False
 
 
-class ChaosRelay:
+class ChaosRelay(LiveServer):
     """A deterministic fault-injecting TCP relay for one hop.
 
     Args:
@@ -222,6 +221,7 @@ class ChaosRelay:
         *,
         trace: Optional[obs_trace.TraceSink] = None,
     ) -> None:
+        super().__init__()
         self.target_host = target_host
         self.target_port = target_port
         self.plan = plan
@@ -233,38 +233,10 @@ class ChaosRelay:
         self._attempts: dict[str, int] = {}
         self._faulted: dict[str, int] = {}
         self._state_lock = asyncio.Lock()
-        self._handlers: set[asyncio.Task[None]] = set()
-        self._listener: Optional[asyncio.AbstractServer] = None
-        self._host = ""
-        self._port = 0
-
-    # -- lifecycle -----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start relaying; ``port=0`` picks an ephemeral port."""
-        self._listener = await asyncio.start_server(
-            self._handle, host=host, port=port
-        )
-        sockname = self._listener.sockets[0].getsockname()
-        self._host, self._port = sockname[0], int(sockname[1])
-
-    async def close(self) -> None:
-        """Stop relaying and release the socket."""
-        if self._listener is not None:
-            self._listener.close()
-            await self._listener.wait_closed()
-            self._listener = None
-        await cancel_handler_tasks(self._handlers)
-
-    @property
-    def host(self) -> str:
-        """Bound address (after :meth:`start`)."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """Bound port (after :meth:`start`)."""
-        return self._port
+        await self.start_server(self._handle, host, port)
 
     # -- decisions -----------------------------------------------------------
 
@@ -318,7 +290,7 @@ class ChaosRelay:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """Relay one client connection (possibly many exchanges)."""
-        pin_handler_task(self._handlers)
+        self._pin()
         upstream_reader: Optional[asyncio.StreamReader] = None
         upstream_writer: Optional[asyncio.StreamWriter] = None
         try:

@@ -2,11 +2,11 @@
 
 The repo already cross-checks the simulator three ways (executable
 spec, replayed event log, batched fast path — see
-:mod:`repro.verify.oracle` and :mod:`repro.fastpath.contract`).  This
-module adds the leg the others cannot provide: the same trace is driven
-through **real sockets** — asyncio origin, asyncio caching proxy, real
-HTTP/1.0 exchanges — and the live run's counters and bandwidth ledger
-must equal :func:`repro.core.simulator.simulate` **exactly**, all
+:mod:`repro.verify.oracle`), all through the one exact differ of
+:mod:`repro.core.results`.  This module adds the leg the others cannot
+provide: the same trace is driven through **real sockets** — asyncio
+origin, asyncio caching proxy, real HTTP/1.0 exchanges — and the live
+run's counters and bandwidth ledger must equal :func:`repro.core.simulator.simulate` **exactly**, all
 thirteen counters and all fifteen ledger cells.
 
 Exactness is the whole point.  The live side re-derives every
@@ -46,19 +46,14 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
-from repro.core.metrics import _CATEGORIES
 from repro.core.protocols.base import ConsistencyProtocol
-from repro.core.results import SimulationResult
+from repro.core.results import SimulationResult, diff_results
 from repro.core.server import OriginServer
 from repro.core.simulator import Simulation, SimulatorMode
-from repro.fastpath.contract import COUNTER_FIELDS
 from repro.faults.plan import FaultPlan
 from repro.live.chaos import WireFaultPlan
 from repro.live.driver import run_replay
 from repro.verify.oracle import ConsistencyViolation, OracleReport
-
-#: Per-category ledger tables compared cell-for-cell.
-_LEDGER_TABLES = ("control_bytes", "body_bytes", "exchanges")
 
 
 def diff_live_vs_sim(
@@ -66,33 +61,12 @@ def diff_live_vs_sim(
 ) -> list[str]:
     """Every cell where a live replay and a simulation disagree.
 
-    Compares all :data:`COUNTER_FIELDS` counters and every
-    ``(table, category)`` bandwidth-ledger cell.  An empty list means
-    the live run matched the simulator bit-for-bit.
+    :func:`repro.core.results.diff_results` on the whole surface —
+    protocol name, mode, duration, all 13 counters, all 15 ledger
+    cells — one ``live.<cell>: live=... sim=...`` line each.  An empty
+    list means the live run matched the simulator bit-for-bit.
     """
-    lines: list[str] = []
-    for name in COUNTER_FIELDS:
-        live_value = getattr(live.counters, name)
-        sim_value = getattr(sim.counters, name)
-        if live_value != sim_value:
-            lines.append(
-                f"counter {name}: live={live_value!r} sim={sim_value!r}"
-            )
-    for table in _LEDGER_TABLES:
-        live_table = getattr(live.bandwidth, table)
-        sim_table = getattr(sim.bandwidth, table)
-        for category in _CATEGORIES:
-            if live_table[category] != sim_table[category]:
-                lines.append(
-                    f"ledger {table}[{category}]: "
-                    f"live={live_table[category]!r} "
-                    f"sim={sim_table[category]!r}"
-                )
-    if live.duration != sim.duration:
-        lines.append(
-            f"duration: live={live.duration!r} sim={sim.duration!r}"
-        )
-    return lines
+    return diff_results(live, sim, label="live", sides=("live", "sim"))
 
 
 def _relabel_stale(
@@ -234,8 +208,6 @@ def live_vs_sim(
         protocol_name=live_result.protocol_name,
         mode=live_result.mode,
         events_checked=len(live_events),
-        counters_checked=len(COUNTER_FIELDS),
-        ledger_cells_checked=len(_LEDGER_TABLES) * len(_CATEGORIES),
         divergences=divergences,
     )
     if not report.ok:

@@ -65,12 +65,10 @@ from typing import (
 )
 
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
-from repro.core.metrics import BandwidthLedger, ConsistencyCounters
 from repro.core.protocols.base import ConsistencyProtocol
-from repro.core.results import SimulationResult
+from repro.core.results import SimulationResult, result_from_dict
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
-from repro.fastpath.contract import COUNTER_FIELDS
 from repro.faults.plan import FaultPlan
 from repro.http.messages import Request, Response
 from repro.live.chaos import ChaosRelay, WireFaultPlan
@@ -246,38 +244,15 @@ def _assemble_report(
     stale_events: list[tuple[float, str]],
 ) -> LiveReplayReport:
     """Fold proxy stats, origin stats, and the driver audit into a report."""
-    proxy_counters = proxy_stats["counters"]
-    assert isinstance(proxy_counters, dict)
-    counters = ConsistencyCounters(
-        **{
-            name: int(proxy_counters[name])
-            for name in COUNTER_FIELDS
-            if name != "stale_age_sum"
-        },
-        stale_age_sum=float(proxy_counters["stale_age_sum"]),
-    )
+    # The proxy's stats body is a result in the codec's form (plus the
+    # live-only extras read below); what the proxy cannot observe is
+    # filled in from the origin's counters and the driver's audit.
+    result = result_from_dict({**proxy_stats, "duration": duration})
+    counters = result.counters
     counters.stale_hits = stale_hits
     counters.stale_age_sum = stale_age_sum
     counters.server_gets = int(origin_stats["gets"])  # type: ignore[call-overload]
     counters.server_ims_queries = int(origin_stats["ims_queries"])  # type: ignore[call-overload]
-
-    tables = proxy_stats["bandwidth"]
-    assert isinstance(tables, dict)
-    bandwidth = BandwidthLedger(
-        control_bytes={
-            k: int(v) for k, v in tables["control_bytes"].items()
-        },
-        body_bytes={k: int(v) for k, v in tables["body_bytes"].items()},
-        exchanges={k: int(v) for k, v in tables["exchanges"].items()},
-    )
-
-    result = SimulationResult(
-        protocol_name=str(proxy_stats["protocol"]),
-        mode=str(proxy_stats["mode"]),
-        counters=counters,
-        bandwidth=bandwidth,
-        duration=duration,
-    )
     result.counters.check_invariants()
     raw_events = proxy_stats["events"]
     assert isinstance(raw_events, list)

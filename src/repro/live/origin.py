@@ -59,24 +59,15 @@ from repro.live.wire import (
     TRACE_HEADER,
     WARMUP_HEADER,
     LiveConnectionClosed,
+    LiveServer,
     LiveWireError,
-    cancel_handler_tasks,
-    pin_handler_task,
+    error_response,
     read_request,
     wants_keepalive,
     write_message,
 )
 from repro.obs import clock as obs_clock
-from repro.obs import registry as obs_metrics
 from repro.obs import trace as obs_trace
-
-
-def _error(status: int, message: str) -> tuple[Response, str]:
-    body = message + "\n"
-    response = Response(status, body_size=len(body))
-    response.headers.set(CONTENT_LENGTH, str(len(body)))
-    response.headers.set(CONTENT_TYPE, "text")
-    return response, body
 
 
 def _text_ok(body: str) -> tuple[Response, str]:
@@ -86,7 +77,7 @@ def _text_ok(body: str) -> tuple[Response, str]:
     return response, body
 
 
-class LiveOrigin:
+class LiveOrigin(LiveServer):
     """An asyncio HTTP/1.0 origin serving a modelled population.
 
     Args:
@@ -104,6 +95,7 @@ class LiveOrigin:
         *,
         trace: Optional[obs_trace.TraceSink] = None,
     ) -> None:
+        super().__init__()
         self.server = server
         self._trace = trace
         #: Counted (non-warmup) full-retrieval exchanges served.
@@ -112,49 +104,19 @@ class LiveOrigin:
         self.ims_queries = 0
         #: Exchanges served by the ``feed`` control endpoint.
         self.feed_reads = 0
-        #: Transport-level connection failures observed while serving.
-        self.connection_errors = 0
         self._seen: set[str] = set()
         self._state_lock = asyncio.Lock()
-        self._handlers: set[asyncio.Task[None]] = set()
-        self._listener: Optional[asyncio.AbstractServer] = None
-        self._host = ""
-        self._port = 0
-
-    # -- lifecycle -----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start serving; ``port=0`` picks an ephemeral port."""
-        self._listener = await asyncio.start_server(
-            self._handle, host=host, port=port
-        )
-        sockname = self._listener.sockets[0].getsockname()
-        self._host, self._port = sockname[0], int(sockname[1])
-
-    async def close(self) -> None:
-        """Stop serving and release the socket."""
-        if self._listener is not None:
-            self._listener.close()
-            await self._listener.wait_closed()
-            self._listener = None
-        await cancel_handler_tasks(self._handlers)
-
-    @property
-    def host(self) -> str:
-        """Bound address (after :meth:`start`)."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """Bound port (after :meth:`start`)."""
-        return self._port
+        await self.start_server(self._handle, host, port)
 
     # -- request handling ----------------------------------------------------
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        pin_handler_task(self._handlers)
+        self._pin()
         try:
             while True:
                 try:
@@ -162,7 +124,7 @@ class LiveOrigin:
                 except LiveConnectionClosed:
                     break
                 except LiveWireError as exc:
-                    response, body = _error(400, str(exc))
+                    response, body = error_response(400, str(exc))
                     await write_message(writer, response.serialize(body))
                     break
                 keep = wants_keepalive(request)
@@ -197,15 +159,11 @@ class LiveOrigin:
         finally:
             writer.close()
 
-    async def _note_connection_error(self) -> None:
-        """Count a transport failure instead of silently swallowing it."""
-        async with self._state_lock:
-            self.connection_errors += 1
-            obs_metrics.emit("live.connection_errors")
-
     def _respond(self, request: Request) -> tuple[Response, str]:
         if request.method != "GET":
-            return _error(400, f"unsupported method {request.method!r}")
+            return error_response(
+                400, f"unsupported method {request.method!r}"
+            )
         if request.path.startswith(CONTROL_PREFIX):
             return self._control(request)
         return self._object(request)
@@ -258,7 +216,7 @@ class LiveOrigin:
                 )
                 + "\n"
             )
-        return _error(404, f"unknown control endpoint {endpoint!r}")
+        return error_response(404, f"unknown control endpoint {endpoint!r}")
 
     # -- object retrievals ---------------------------------------------------
 
@@ -266,19 +224,19 @@ class LiveOrigin:
         try:
             t = request.headers.get_date(DATE)
         except HTTPDateError as exc:
-            return _error(400, str(exc))
+            return error_response(400, str(exc))
         if t is None:
-            return _error(400, "object requests need a Date header")
+            return error_response(400, "object requests need a Date header")
         try:
             history = self.server.history(request.path)
         except UnknownObjectError:
-            return _error(404, f"no such object: {request.path!r}")
+            return error_response(404, f"no such object: {request.path!r}")
         warmup = WARMUP_HEADER in request.headers
         if request.is_conditional:
             try:
                 since = request.headers.if_modified_since
             except HTTPDateError as exc:
-                return _error(400, str(exc))
+                return error_response(400, str(exc))
             assert since is not None  # is_conditional implies presence
             if not warmup and self._fresh_seq(request):
                 self.ims_queries += 1

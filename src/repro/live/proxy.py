@@ -78,9 +78,13 @@ from repro.core.cache import Cache, CacheEntry
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
 from repro.core.metrics import BandwidthLedger, ConsistencyCounters
 from repro.core.protocols.base import ConsistencyProtocol
+from repro.core.results import (
+    SimulationResult,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.core.server import FetchResult, NotModified
 from repro.core.step import RequestStep, SimulatorMode
-from repro.fastpath.contract import COUNTER_FIELDS
 from repro.faults.plan import CRASH, FaultAction, FaultPlan
 from repro.http.datefmt import HTTPDateError, parse_http_date
 from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE, EXPIRES
@@ -96,11 +100,11 @@ from repro.live.wire import (
     X_CACHE,
     LiveConnectionClosed,
     LiveReplayError,
+    LiveServer,
     LiveWireError,
-    cancel_handler_tasks,
     ensure_integral,
+    error_response,
     exchange,
-    pin_handler_task,
     read_request,
     wants_keepalive,
     write_message,
@@ -123,14 +127,6 @@ _ENTRY_FIELDS = (
     "expires_at",
     "server_expires",
 )
-
-
-def _error(status: int, message: str) -> tuple[Response, str]:
-    body = message + "\n"
-    response = Response(status, body_size=len(body))
-    response.headers.set(CONTENT_LENGTH, str(len(body)))
-    response.headers.set(CONTENT_TYPE, "text")
-    return response, body
 
 
 def _entry_dict(entry: CacheEntry) -> dict[str, object]:
@@ -235,7 +231,7 @@ class _Txn:
         self.events.append((kind, t, object_id))
 
 
-class LiveProxy:
+class LiveProxy(LiveServer):
     """An asyncio HTTP/1.0 caching proxy driven by a consistency protocol.
 
     Args:
@@ -287,6 +283,7 @@ class LiveProxy:
         upstream_attempts: int = 1,
         trace: Optional[obs_trace.TraceSink] = None,
     ) -> None:
+        super().__init__()
         self.origin_host = origin_host
         self.origin_port = origin_port
         self.protocol = protocol
@@ -305,8 +302,6 @@ class LiveProxy:
         #: Actual bytes moved on sockets (client side + origin side) —
         #: the live-only measurement the 43-byte model abstracts away.
         self.wire_bytes = 0
-        #: Transport-level connection failures observed while serving.
-        self.connection_errors = 0
         #: Committed events, in commit order — the live counterpart of
         #: the simulator's observer stream.
         self.events: list[tuple[str, float, str]] = []
@@ -335,38 +330,10 @@ class LiveProxy:
         self._feed_lock = asyncio.Lock()
         self._one_key = single_key(protocol, faults)
         self._key_locks: dict[str, asyncio.Lock] = {}
-        self._handlers: set[asyncio.Task[None]] = set()
-        self._listener: Optional[asyncio.AbstractServer] = None
-        self._host = ""
-        self._port = 0
-
-    # -- lifecycle -----------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start serving; ``port=0`` picks an ephemeral port."""
-        self._listener = await asyncio.start_server(
-            self._handle, host=host, port=port, reuse_address=True
-        )
-        sockname = self._listener.sockets[0].getsockname()
-        self._host, self._port = sockname[0], int(sockname[1])
-
-    async def close(self) -> None:
-        """Stop serving and release the socket."""
-        if self._listener is not None:
-            self._listener.close()
-            await self._listener.wait_closed()
-            self._listener = None
-        await cancel_handler_tasks(self._handlers)
-
-    @property
-    def host(self) -> str:
-        """Bound address (after :meth:`start`)."""
-        return self._host
-
-    @property
-    def port(self) -> int:
-        """Bound port (after :meth:`start`)."""
-        return self._port
+        await self.start_server(self._handle, host, port)
 
     # -- warmup --------------------------------------------------------------
 
@@ -529,20 +496,17 @@ class LiveProxy:
         seq = record.get("seq")
         if isinstance(seq, str):
             self._done[seq] = str(record.get("payload", ""))
-        counters = record.get("counters", {})
-        assert isinstance(counters, dict)
-        for name, delta in counters.items():
-            setattr(
-                self.counters,
-                name,
-                getattr(self.counters, name) + delta,
-            )
-        ledger = record.get("ledger", {})
-        assert isinstance(ledger, dict)
-        for table_name, cells in ledger.items():
-            table = getattr(self.bandwidth, table_name)
-            for category, delta in cells.items():
-                table[category] += delta
+        delta = result_from_dict(
+            {
+                "protocol_name": self.protocol.name,
+                "mode": self.mode.value,
+                "duration": 0.0,
+                "counters": record.get("counters", {}),
+                "bandwidth": record.get("ledger", {}),
+            }
+        )
+        self.counters.merge(delta.counters)
+        self.bandwidth.merge(delta.bandwidth)
         events = record.get("events", [])
         assert isinstance(events, list)
         for kind, t, oid in events:
@@ -794,7 +758,7 @@ class LiveProxy:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        pin_handler_task(self._handlers)
+        self._pin()
         try:
             while True:
                 parse_started = obs_clock.monotonic()
@@ -803,7 +767,7 @@ class LiveProxy:
                 except LiveConnectionClosed:
                     break
                 except LiveWireError as exc:
-                    response, body = _error(400, str(exc))
+                    response, body = error_response(400, str(exc))
                     sent = await write_message(
                         writer, response.serialize(body)
                     )
@@ -849,15 +813,9 @@ class LiveProxy:
             self.wire_bytes += nbytes
             obs_metrics.observe("live.wire_bytes", float(nbytes))
 
-    async def _note_connection_error(self) -> None:
-        """Count a transport failure instead of silently swallowing it."""
-        async with self._state_lock:
-            self.connection_errors += 1
-            obs_metrics.emit("live.connection_errors")
-
     async def _process(self, request: Request) -> str:
         if request.method != "GET":
-            response, body = _error(
+            response, body = error_response(
                 400, f"unsupported method {request.method!r}"
             )
             return response.serialize(body)
@@ -870,7 +828,7 @@ class LiveProxy:
             try:
                 response, body = await self._control(request)
             except (LiveWireError, HTTPDateError) as exc:
-                response, body = _error(500, str(exc))
+                response, body = error_response(500, str(exc))
             return response.serialize(body)
 
     def _key(self, object_id: str) -> str:
@@ -898,7 +856,7 @@ class LiveProxy:
             try:
                 response, body = await self._object(request, txn)
             except (LiveWireError, HTTPDateError) as exc:
-                response, body = _error(500, str(exc))
+                response, body = error_response(500, str(exc))
             if traced:
                 assert self._trace is not None
                 self._emit_decision_spans(
@@ -1009,26 +967,18 @@ class LiveProxy:
         record: dict[str, object] = {"kind": "txn", "payload": payload}
         if txn.seq is not None:
             record["seq"] = txn.seq
-        counters = {
-            name: getattr(txn.counters, name)
-            for name in COUNTER_FIELDS
-            if getattr(txn.counters, name)
-        }
-        if counters:
-            record["counters"] = counters
-        ledger = {
-            table_name: {
-                category: count
-                for category, count in getattr(
-                    txn.bandwidth, table_name
-                ).items()
-                if count
-            }
-            for table_name in ("control_bytes", "body_bytes", "exchanges")
-        }
-        ledger = {k: v for k, v in ledger.items() if v}
-        if ledger:
-            record["ledger"] = ledger
+        # The deltas in the codec's sparse form: zero cells stripped.
+        delta = result_to_dict(
+            SimulationResult(
+                self.protocol.name, self.mode.value,
+                txn.counters, txn.bandwidth,
+            ),
+            sparse=True,
+        )
+        if delta["counters"]:
+            record["counters"] = delta["counters"]
+        if delta["bandwidth"]:
+            record["ledger"] = delta["bandwidth"]
         if txn.events:
             record["events"] = [list(event) for event in txn.events]
         if txn.cleared:
@@ -1067,7 +1017,9 @@ class LiveProxy:
         if endpoint == "warm":
             t = request.headers.get_date(DATE)
             if t is None:
-                return _error(400, "warm needs a Date header (start time)")
+                return error_response(
+                    400, "warm needs a Date header (start time)"
+                )
             loaded = await self.warm(t)
             body = f"{loaded}\n"
             response = Response(200, body_size=len(body))
@@ -1076,9 +1028,11 @@ class LiveProxy:
         if endpoint == "finish":
             t = request.headers.get_date(DATE)
             if t is None:
-                return _error(400, "finish needs a Date header (end time)")
+                return error_response(
+                    400, "finish needs a Date header (end time)"
+                )
             if t < self._now:
-                return _error(
+                return error_response(
                     400,
                     f"finish time {t!r} precedes current time {self._now!r}",
                 )
@@ -1094,24 +1048,22 @@ class LiveProxy:
             response = Response(200, body_size=len(body))
             response.headers.set(CONTENT_LENGTH, str(len(body)))
             return response, body
-        return _error(404, f"unknown control endpoint {endpoint!r}")
+        return error_response(404, f"unknown control endpoint {endpoint!r}")
 
     def _stats(self) -> tuple[Response, str]:
+        # The totals as the codec writes a result, plus what only a
+        # live run has.  ``duration`` is the driver's to fill in.
         payload: dict[str, object] = {
-            "counters": {
-                name: getattr(self.counters, name)
-                for name in COUNTER_FIELDS
-            },
-            "bandwidth": {
-                "control_bytes": dict(self.bandwidth.control_bytes),
-                "body_bytes": dict(self.bandwidth.body_bytes),
-                "exchanges": dict(self.bandwidth.exchanges),
-            },
+            **result_to_dict(
+                SimulationResult(
+                    self.protocol.name, self.mode.value,
+                    self.counters, self.bandwidth,
+                )
+            ),
             "wire_bytes": self.wire_bytes,
             "connection_errors": self.connection_errors,
             "events": [list(event) for event in self.events],
             "protocol": self.protocol.name,
-            "mode": self.mode.value,
         }
         body = json.dumps(payload, sort_keys=True) + "\n"
         response = Response(200, body_size=len(body))
@@ -1133,7 +1085,7 @@ class LiveProxy:
         key = self._key(object_id)
         previous = self._clocks.get(key, self._warm_time)
         if t < previous:
-            return _error(
+            return error_response(
                 400,
                 f"clock ran backwards: request for {object_id!r} at "
                 f"{t!r} precedes {previous!r}; each key's request "

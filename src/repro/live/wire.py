@@ -31,9 +31,9 @@ one-second granularity).
 from __future__ import annotations
 
 import asyncio
-from typing import Optional, Union
+from typing import Awaitable, Callable, Optional, Union
 
-from repro.http.headers import CONTENT_LENGTH
+from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE
 from repro.http.messages import (
     HTTPParseError,
     Request,
@@ -41,6 +41,7 @@ from repro.http.messages import (
     parse_request,
     parse_response,
 )
+from repro.obs import registry as obs_metrics
 
 #: Header carrying the request's simulation time (RFC 1123 date).
 DATE = "Date"
@@ -296,34 +297,99 @@ def wants_keepalive(request: Request) -> bool:
     return value is not None and value.strip().lower() == KEEP_ALIVE
 
 
-def pin_handler_task(handlers: set["asyncio.Task[None]"]) -> None:
-    """Keep a strong reference to the running connection-handler task.
+def error_response(status: int, message: str) -> tuple[Response, str]:
+    """A plain-text error reply, as ``(response, body)``."""
+    body = message + "\n"
+    response = Response(status, body_size=len(body))
+    response.headers.set(CONTENT_LENGTH, str(len(body)))
+    response.headers.set(CONTENT_TYPE, "text")
+    return response, body
 
-    Python 3.11's ``asyncio.start_server`` holds its per-connection
-    tasks only weakly, so a garbage-collection pass can destroy an
-    in-flight handler mid-await — the peer then sees its connection
-    close with no reply and no exception is raised anywhere (CPython
-    gh-104091, fixed in 3.12).  Every live server calls this at the top
-    of its handler; the task unpins itself on completion.
+
+class LiveServer:
+    """The listener lifecycle the origin, the proxy and the chaos relay
+    share: bind, keep handler tasks alive, close deterministically.
+
+    A subclass's ``start`` hands its own connection handler to
+    :meth:`start_server` — the hand-off stays in the subclass (and keeps
+    asyncio's name) because that call is what RPR007 reads as the
+    class's concurrency entry point.  Its handler calls :meth:`_pin`
+    first.  ``_state_lock`` is each server's own (lock attributes are
+    declared where their critical sections are).
     """
-    task = asyncio.current_task()
-    if task is not None:
-        handlers.add(task)
-        task.add_done_callback(handlers.discard)
 
+    _state_lock: asyncio.Lock
 
-async def cancel_handler_tasks(handlers: set["asyncio.Task[None]"]) -> None:
-    """Cancel and await any pinned handler tasks still in flight.
+    def __init__(self) -> None:
+        #: Transport-level connection failures observed while serving.
+        self.connection_errors = 0
+        self._handlers: set[asyncio.Task[None]] = set()
+        self._listener: Optional[asyncio.AbstractServer] = None
+        self._host = ""
+        self._port = 0
 
-    Servers call this from ``close()`` so teardown is deterministic:
-    a handler abandoned mid-exchange (its client gave up after a chaos
-    fault) must not outlive its listener.
-    """
-    pending = [task for task in handlers if not task.done()]
-    for task in pending:
-        task.cancel()
-    if pending:
-        await asyncio.gather(*pending, return_exceptions=True)
+    async def start_server(
+        self,
+        handle: Callable[
+            [asyncio.StreamReader, asyncio.StreamWriter], Awaitable[None]
+        ],
+        host: str,
+        port: int,
+    ) -> None:
+        """Bind ``host:port`` (0 = ephemeral) and serve with ``handle``.
+
+        ``reuse_address`` lets a respawned proxy take its killed
+        predecessor's port at once; the other servers tolerate it.
+        """
+        self._listener = await asyncio.start_server(
+            handle, host=host, port=port, reuse_address=True
+        )
+        sockname = self._listener.sockets[0].getsockname()
+        self._host, self._port = sockname[0], int(sockname[1])
+
+    async def close(self) -> None:
+        """Stop serving, release the socket, and cancel (and await) any
+        handler still in flight: one abandoned mid-exchange (its client
+        gave up after a chaos fault) must not outlive its listener."""
+        if self._listener is not None:
+            self._listener.close()
+            await self._listener.wait_closed()
+            self._listener = None
+        pending = [task for task in self._handlers if not task.done()]
+        for task in pending:
+            task.cancel()
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+
+    @property
+    def host(self) -> str:
+        """Bound address (after ``start``)."""
+        return self._host
+
+    @property
+    def port(self) -> int:
+        """Bound port (after ``start``)."""
+        return self._port
+
+    def _pin(self) -> None:
+        """Keep a strong reference to the running handler task.
+
+        Python 3.11's ``asyncio.start_server`` holds its per-connection
+        tasks only weakly, so a garbage-collection pass can destroy an
+        in-flight handler mid-await — the peer then sees its connection
+        close with no reply and no exception is raised anywhere (CPython
+        gh-104091, fixed in 3.12).  The task unpins itself on completion.
+        """
+        task = asyncio.current_task()
+        if task is not None:
+            self._handlers.add(task)
+            task.add_done_callback(self._handlers.discard)
+
+    async def _note_connection_error(self) -> None:
+        """Count a transport failure instead of silently swallowing it."""
+        async with self._state_lock:
+            self.connection_errors += 1
+            obs_metrics.emit("live.connection_errors")
 
 
 class LiveConnection:

@@ -14,7 +14,9 @@ One observability layer for the whole reproduction:
 * :mod:`repro.obs.names` — the declared alphabet of every metric and
   span name, enforced project-wide by lint code RPR006;
 * :mod:`repro.obs.collect` — the per-worker capture/merge protocol the
-  sweep engine uses to keep parallel runs equivalent to serial ones.
+  sweep engine uses to keep parallel runs equivalent to serial ones;
+* :func:`session` — the one ``--metrics`` / ``--trace`` scope both CLIs
+  (``repro``, ``python -m repro.experiments``) run their commands in.
 
 Benchmarking is not part of this package: ``bench/`` (``make bench``,
 ``bench/README.md``) measures the tree from outside and takes its
@@ -27,6 +29,12 @@ layer and the layering is one-directional.
 
 from __future__ import annotations
 
+import json
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Iterator, Optional
+
 from repro.obs import clock, collect, names, profile, registry, trace
 from repro.obs.registry import (
     MetricsRegistry,
@@ -35,6 +43,54 @@ from repro.obs.registry import (
     set_gauge,
 )
 from repro.obs.trace import TraceSink, instrumented_observer, span
+
+
+@contextmanager
+def session(
+    metrics_path: Optional[Path],
+    trace_path: Optional[Path],
+    *,
+    ensure_registry: bool = False,
+) -> Iterator[None]:
+    """One command's observability outputs — what ``--metrics PATH`` and
+    ``--trace PATH`` mean on every CLI.
+
+    A ``metrics_path`` installs a fresh :class:`MetricsRegistry` and
+    dumps it as JSON on exit; a ``trace_path`` installs a
+    :class:`TraceSink` and writes JSONL on exit.  Both are flushed even
+    when the command fails — a trace of a failing run is exactly when
+    you want one — and each write is announced on stderr.
+    ``ensure_registry`` installs a registry without a dump file when
+    none is active (the ``--verify`` accounting path uses it to merge
+    ``verify.runs`` across pool workers).
+    """
+    need_registry = metrics_path is not None or (
+        ensure_registry and registry.active() is None
+    )
+    metrics = MetricsRegistry() if need_registry else None
+    sink = TraceSink() if trace_path is not None else None
+    previous_registry = (
+        registry.install(metrics) if metrics is not None else None
+    )
+    previous_sink = trace.install(sink) if sink is not None else None
+    try:
+        yield
+    finally:
+        if sink is not None and trace_path is not None:
+            trace.install(previous_sink)
+            lines = trace.write_jsonl(sink, trace_path)
+            print(f"trace: wrote {lines} line(s) to {trace_path}",
+                  file=sys.stderr)
+        if metrics is not None:
+            registry.install(previous_registry)
+            if metrics_path is not None:
+                metrics_path.write_text(
+                    json.dumps(metrics.as_dict(), indent=2, sort_keys=True)
+                    + "\n",
+                    encoding="utf-8",
+                )
+                print(f"metrics: wrote {metrics_path}", file=sys.stderr)
+
 
 __all__ = [
     "MetricsRegistry",
@@ -47,6 +103,7 @@ __all__ = [
     "observe",
     "profile",
     "registry",
+    "session",
     "set_gauge",
     "span",
     "trace",

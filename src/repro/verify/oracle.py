@@ -11,9 +11,11 @@ compares:
 * every :class:`~repro.core.metrics.BandwidthLedger` cell
   (control bytes, body bytes, exchange counts, per category).
 
-When the fast path supports the configuration, the oracle also replays
-the run through :mod:`repro.fastpath` and holds it to the same standard
-— exactly, with no float tolerance (see :func:`_check_fastpath`).
+Both comparisons are :mod:`repro.core.results`'s — the one exact differ
+(``==``, floats included) every leg calls.  When the fast path supports
+the configuration, the oracle also replays the run through
+:mod:`repro.fastpath` and holds it to the same standard (see
+:func:`_check_fastpath`).
 
 Any divergence raises :class:`ConsistencyViolation` carrying the full
 diff.  :func:`checked_simulate` is the drop-in used by the experiment
@@ -26,21 +28,25 @@ which inherit the module state either way).
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from repro.core.cache import Cache
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
+from repro.core.metrics import (
+    CATEGORIES,
+    COUNTER_FIELDS,
+    LEDGER_TABLES,
+    BandwidthLedger,
+    ConsistencyCounters,
+)
 from repro.core.protocols.base import ConsistencyProtocol
-from repro.core.results import SimulationResult
+from repro.core.results import SimulationResult, diff_events, diff_results
 from repro.core.server import OriginServer
 from repro.core.simulator import Simulation, SimulatorMode
 from repro.fastpath import (
-    diff_events as _fastpath_diff_events,
-    diff_metrics as _fastpath_diff_metrics,
-    diff_results as _fastpath_diff_results,
+    diff_metrics,
     engine_simulate,
     fast_simulate,
     unsupported_reason,
@@ -50,8 +56,6 @@ from repro.obs import clock as obs_clock
 from repro.obs import registry as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.verify.spec import (
-    _CATEGORIES,
-    _COUNTER_NAMES,
     SpecModel,
     SpecOutcome,
     UnsupportedProtocolError,
@@ -115,13 +119,17 @@ class ConsistencyViolation(AssertionError):
 
 @dataclass
 class OracleReport:
-    """Outcome of one differential check."""
+    """Outcome of one differential check.
+
+    ``counters_checked`` / ``ledger_cells_checked`` are the size of the
+    surface :func:`~repro.core.results.diff_results` always covers.
+    """
 
     protocol_name: str
     mode: str
     events_checked: int = 0
-    counters_checked: int = 0
-    ledger_cells_checked: int = 0
+    counters_checked: int = len(COUNTER_FIELDS)
+    ledger_cells_checked: int = len(LEDGER_TABLES) * len(CATEGORIES)
     divergences: list[str] = field(default_factory=list)
 
     @property
@@ -130,60 +138,42 @@ class OracleReport:
         return not self.divergences
 
 
-def _diff_events(
-    actual: list[tuple[str, float, str]],
-    expected: list[tuple[str, float, str]],
+def _check_spec(
     report: OracleReport,
+    result: SimulationResult,
+    events: list[tuple[str, float, str]],
+    outcome: SpecOutcome,
 ) -> None:
-    limit = min(len(actual), len(expected))
-    for i in range(limit):
-        if actual[i] != expected[i]:
-            report.divergences.append(
-                f"event[{i}]: simulator={actual[i]!r} spec={expected[i]!r}"
-            )
-    if len(actual) != len(expected):
-        report.divergences.append(
-            f"event count: simulator={len(actual)} spec={len(expected)}"
-        )
-    report.events_checked = limit
+    """Leg 1: the spec's prediction against the simulator, exactly.
 
-
-def _diff_counters(
-    result: SimulationResult, outcome: SpecOutcome, report: OracleReport
-) -> None:
-    for name in _COUNTER_NAMES:
-        actual = getattr(result.counters, name)
-        expected = outcome.counters[name]
-        if isinstance(expected, float):
-            same = math.isclose(actual, expected, rel_tol=1e-9, abs_tol=1e-6)
-        else:
-            same = actual == expected
-        if not same:
-            report.divergences.append(
-                f"counters.{name}: simulator={actual!r} spec={expected!r}"
-            )
-    report.counters_checked = len(_COUNTER_NAMES)
-
-
-def _diff_ledger(
-    result: SimulationResult, outcome: SpecOutcome, report: OracleReport
-) -> None:
-    ledger = result.bandwidth
-    cells = (
-        ("control_bytes", ledger.control_bytes, outcome.control_bytes),
-        ("body_bytes", ledger.body_bytes, outcome.body_bytes),
-        ("exchanges", ledger.exchanges, outcome.exchanges),
+    The :class:`SpecOutcome` is deliberately no
+    :class:`SimulationResult` — the spec keeps its own literal alphabet
+    (``spec._COUNTER_NAMES``) — so it is adapted into the result shape
+    here and compared by the one differ with ``==``, floats included.
+    It predicts cells, not identity: protocol name, mode and duration
+    are the simulator's own.  Alphabet drift is loud: a counter only
+    the spec names is a ``TypeError``, one only the dataclass names
+    stays 0 on the spec side and diverges as soon as the simulator
+    counts it.
+    """
+    predicted = SimulationResult(
+        result.protocol_name,
+        result.mode,
+        # (the spec types its dict ``float`` for ``stale_age_sum``'s sake)
+        ConsistencyCounters(**outcome.counters),  # type: ignore[arg-type]
+        BandwidthLedger(
+            outcome.control_bytes, outcome.body_bytes, outcome.exchanges
+        ),
+        result.duration,
     )
-    for label, actual_map, expected_map in cells:
-        for category in _CATEGORIES:
-            actual = actual_map[category]
-            expected = expected_map[category]
-            if actual != expected:
-                report.divergences.append(
-                    f"bandwidth.{label}[{category}]: "
-                    f"simulator={actual} spec={expected}"
-                )
-            report.ledger_cells_checked += 1
+    sides = ("simulator", "spec")
+    report.divergences += diff_events(
+        events, outcome.events, label="spec", sides=sides
+    )
+    report.divergences += diff_results(
+        result, predicted, label="spec", sides=sides
+    )
+    report.events_checked = min(len(events), len(outcome.events))
 
 
 def _check_fastpath(
@@ -194,15 +184,14 @@ def _check_fastpath(
     protocol: ConsistencyProtocol,
     request_list: list[tuple[float, str]],
     mode: SimulatorMode,
-    *,
-    costs: MessageCosts,
-    preload: bool,
-    start_time: float,
     end_time: Optional[float],
-    charge_per_modification: bool,
-    faults: Optional[FaultPlan],
+    **config: Any,
 ) -> None:
     """Replay the run on the fast path and diff it against the reference.
+
+    ``config`` is the run configuration :func:`verify_simulation` gave
+    the primary run (costs, preload, start time, charging policy, fault
+    plan), forwarded whole to both replays.
 
     This is the third leg of the oracle: when :mod:`repro.fastpath`
     supports the configuration, the same run executes on the compiled
@@ -228,7 +217,7 @@ def _check_fastpath(
     the caller's instance after the reference run is safe — the compiled
     kernel reads only its construction parameters.
     """
-    if unsupported_reason(protocol, faults=faults) is not None:
+    if unsupported_reason(protocol, faults=config["faults"]) is not None:
         return
     fast_events: list[tuple[str, float, str]] = []
     fast_registry = obs_metrics.MetricsRegistry()
@@ -241,35 +230,22 @@ def _check_fastpath(
                 protocol,
                 request_list,
                 mode,
-                costs=costs,
-                preload=preload,
-                start_time=start_time,
                 end_time=end_time,
-                charge_per_modification=charge_per_modification,
-                faults=faults,
                 observer=lambda kind, t, oid: fast_events.append(
                     (kind, t, oid)
                 ),
+                **config,
             )
         with obs_metrics.installed(ref_registry):
-            Simulation(
-                server,
-                protocol,
-                mode,
-                costs=costs,
-                preload=preload,
-                start_time=start_time,
-                charge_per_modification=charge_per_modification,
-                faults=faults,
-            ).run(request_list, end_time=end_time)
+            Simulation(server, protocol, mode, **config).run(
+                request_list, end_time=end_time
+            )
     finally:
         obs_trace.install(previous_sink)
     report.divergences.extend(
-        _fastpath_diff_results(fast_result, result)
-        + _fastpath_diff_events(fast_events, events)
-        + _fastpath_diff_metrics(
-            fast_registry.as_dict(), ref_registry.as_dict()
-        )
+        diff_results(fast_result, result)
+        + diff_events(fast_events, events)
+        + diff_metrics(fast_registry.as_dict(), ref_registry.as_dict())
     )
 
 
@@ -304,6 +280,13 @@ def verify_simulation(
     request_list = list(requests)
     rule = rule_for(protocol)
     check_started = obs_clock.monotonic()
+    config: dict[str, Any] = dict(
+        costs=costs,
+        preload=preload,
+        start_time=start_time,
+        charge_per_modification=charge_per_modification,
+        faults=faults,
+    )
 
     # Neither replay outlives its run: under a fault plan each holds
     # its own compiled schedule, and the fast-path leg builds two more.
@@ -312,43 +295,18 @@ def verify_simulation(
         server,
         protocol,
         mode,
-        costs=costs,
-        preload=preload,
-        start_time=start_time,
         observer=lambda kind, t, oid: events.append((kind, t, oid)),
-        charge_per_modification=charge_per_modification,
-        faults=faults,
+        **config,
     ).run(request_list, end_time=end_time)
-
-    outcome = SpecModel(
-        server,
-        rule,
-        mode,
-        costs=costs,
-        charge_per_modification=charge_per_modification,
-        preload=preload,
-        start_time=start_time,
-        faults=faults,
-    ).run(request_list, end_time=end_time)
+    outcome = SpecModel(server, rule, mode, **config).run(
+        request_list, end_time=end_time
+    )
 
     report = OracleReport(protocol_name=result.protocol_name, mode=result.mode)
-    _diff_events(events, outcome.events, report)
-    _diff_counters(result, outcome, report)
-    _diff_ledger(result, outcome, report)
+    _check_spec(report, result, events, outcome)
     _check_fastpath(
-        report,
-        result,
-        events,
-        server,
-        protocol,
-        request_list,
-        mode,
-        costs=costs,
-        preload=preload,
-        start_time=start_time,
-        end_time=end_time,
-        charge_per_modification=charge_per_modification,
-        faults=faults,
+        report, result, events, server, protocol, request_list, mode,
+        end_time, **config,
     )
     if not report.ok:
         raise ConsistencyViolation(report)
@@ -393,45 +351,25 @@ def checked_simulate(
     Raises:
         ConsistencyViolation: when verification runs and diverges.
     """
-    if not (force or _enabled) or cache is not None:
-        return engine_simulate(
-            server,
-            protocol,
-            requests,
-            mode,
-            costs=costs,
-            cache=cache,
-            preload=preload,
-            start_time=start_time,
-            end_time=end_time,
-            charge_per_modification=charge_per_modification,
-            faults=faults,
-        )
-    try:
-        rule_for(protocol)
-    except UnsupportedProtocolError:
-        return engine_simulate(
-            server,
-            protocol,
-            requests,
-            mode,
-            costs=costs,
-            preload=preload,
-            start_time=start_time,
-            end_time=end_time,
-            charge_per_modification=charge_per_modification,
-            faults=faults,
-        )
-    result, _report = verify_simulation(
-        server,
-        protocol,
-        requests,
-        mode,
+    config: dict[str, Any] = dict(
         costs=costs,
         preload=preload,
         start_time=start_time,
         end_time=end_time,
         charge_per_modification=charge_per_modification,
         faults=faults,
+    )
+    verify = (force or _enabled) and cache is None
+    if verify:
+        try:
+            rule_for(protocol)
+        except UnsupportedProtocolError:
+            verify = False
+    if not verify:
+        return engine_simulate(
+            server, protocol, requests, mode, cache=cache, **config
+        )
+    result, _report = verify_simulation(
+        server, protocol, requests, mode, **config
     )
     return result

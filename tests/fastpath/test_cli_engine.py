@@ -66,3 +66,18 @@ class TestEngineFlag:
             capsys,
         )
         assert "engine reference" in out
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_ext_faults_stats_line_names_the_selected_engine(
+        self, capsys, engine
+    ):
+        """``ext-faults`` builds its own ``RunStats``; it used to leave
+        ``engine`` at the dataclass default and always print ``fast``."""
+        from repro.experiments.__main__ import main as experiments_main
+
+        experiments_main(["ext-faults", "--scale", "0.02", "--engine", engine])
+        (stats_line,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  (")
+        ]
+        assert stats_line.endswith(f"engine {engine})")

@@ -295,3 +295,32 @@ class TestFrozenBenchSeam:
         )
         whole = fast_simulate(server, make(), requests, mode, end_time=duration)
         assert diff_results(staged, whole) == []
+
+    def test_result_contract_call_shapes(self, workload):
+        """What ``bench/sim.py`` and ``bench/live.py`` call on the result
+        surface, by the names they import it under."""
+        import repro.fastpath
+        import repro.live
+        from repro.core.results import result_to_dict
+
+        server, requests = workload.server(), workload.requests[:500]
+        a = simulate(server, TTLProtocol(hours(24)), requests)
+        b = simulate(server, TTLProtocol(hours(24)), requests)
+        assert repro.fastpath.diff_results(a, b) == []
+        assert repro.live.diff_live_vs_sim(a, b) == []
+        b.counters.hits += 1
+        (line,) = repro.fastpath.diff_results(a, b, label="ttl")
+        assert line.startswith("ttl.counters.hits: fast=")
+        lines = repro.live.diff_live_vs_sim(a, b)
+        assert isinstance(lines, list) and len(lines) == 1
+        assert isinstance(lines[0], str)
+        # The digest pins in bench/expected.json hash this dict.
+        encoded = result_to_dict(a)
+        assert list(encoded) == [
+            "protocol_name", "mode", "duration", "counters", "bandwidth",
+        ]
+        assert list(encoded["counters"]) == list(repro.fastpath.COUNTER_FIELDS)
+        assert list(encoded["bandwidth"]) == [
+            "control_bytes", "body_bytes", "exchanges",
+        ]
+        assert {len(cells) for cells in encoded["bandwidth"].values()} == {5}

@@ -295,9 +295,9 @@ class TestDiffMechanics:
         sim.counters.hits += 1
         sim.bandwidth.charge("full_retrieval", 43, 10)
         lines = diff_live_vs_sim(live, sim)
-        assert any("counter hits" in line and "live=" in line
+        assert any("counters.hits" in line and "live=" in line
                    for line in lines)
-        assert any("ledger" in line for line in lines)
+        assert any("bandwidth." in line for line in lines)
 
     def test_violation_carries_the_report(self):
         class MiscountingTTL(TTLProtocol):

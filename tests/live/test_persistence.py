@@ -241,6 +241,69 @@ class TestRestoreRoundTrip:
             asyncio.run(restore_old())
 
 
+    def test_records_written_before_the_shared_codec_still_restore(
+        self, tmp_path
+    ):
+        """The txn record schema (sparse ``counters`` / ``ledger``
+        deltas, zero cells stripped) predates ``core.results`` owning
+        the codec.  This record is the parent commit's own output for
+        ``GET /a`` at t=45 under invalidation; it must restore to the
+        same totals."""
+        journal = Journal(tmp_path / "parent.jsonl")
+        journal.append({
+            "kind": "config", "protocol": "invalidation",
+            "mode": "optimized", "charge_per_modification": True,
+        })
+        journal.append({"kind": "warm", "t": 0.0, "entries": []})
+        journal.append({
+            "kind": "txn", "seq": "r3", "payload": "", "now": 45.0,
+            "obj_now": ["/a", 45.0], "cursors": {"/a": 45.0},
+            "counters": {
+                "invalidations_received": 1, "misses": 1, "requests": 1,
+                "server_invalidations_sent": 1, "validations": 1,
+            },
+            "ledger": {
+                "body_bytes": {"validation_200": 1000},
+                "control_bytes": {"invalidation": 43, "validation_200": 86},
+                "exchanges": {"invalidation": 1, "validation_200": 1},
+            },
+            "events": [["invalidation", 40.0, "/a"],
+                       ["validation_200", 45.0, "/a"]],
+        })
+
+        async def restore():
+            proxy = LiveProxy(
+                "127.0.0.1", 1, _FACTORIES["invalidation"](), journal=journal,
+            )
+            assert await proxy.restore()
+            return proxy
+
+        proxy = asyncio.run(restore())
+        from repro.core.results import SimulationResult, result_to_dict
+
+        totals = result_to_dict(
+            SimulationResult("", "", proxy.counters, proxy.bandwidth),
+            sparse=True,
+        )
+        record = journal.load()[-1]
+        assert totals["counters"] == record["counters"]
+        assert totals["bandwidth"] == record["ledger"]
+        assert proxy.bandwidth.total_bytes == 1000 + 43 + 86
+        assert proxy.events == [("invalidation", 40.0, "/a"),
+                                ("validation_200", 45.0, "/a")]
+
+    def test_txn_records_keep_their_sparse_schema(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        self._replay_some(path, upto=6)
+        txns = [r for r in Journal(path).load() if r["kind"] == "txn"]
+        assert txns and all("bandwidth" not in r for r in txns)
+        assert all(all(r.get("counters", {1: 1}).values()) for r in txns)
+        for record in txns:
+            for table, cells in record.get("ledger", {}).items():
+                assert table in ("control_bytes", "body_bytes", "exchanges")
+                assert cells and all(cells.values())
+
+
 class TestUpstreamIdempotency:
     """The crash window the journal cannot cover: a SIGKILL after the
     origin counted a fetch but before the transaction committed.  The
