@@ -4,7 +4,7 @@ PYTHON ?= python
 # Process-pool size for experiment runs (see docs/PERFORMANCE.md).
 WORKERS ?= 2
 
-.PHONY: install dev test bench experiments lint typecheck verify live snapshot snapshot-check examples clean
+.PHONY: install dev test bench experiments lint typecheck verify live snapshot snapshot-check examples ledger clean
 
 install:
 	pip install -e .
@@ -148,6 +148,18 @@ snapshot-check:
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; $(PYTHON) "$$f"; done
+
+# Source-line ledger: `wc -l` of every module under src/, rolled up by
+# package (top-level modules listed by name) — the numbers
+# docs/DEVELOPING.md and the ROADMAP re-anchor quote.  Per-module
+# detail: `wc -l src/repro/<package>/*.py`.
+ledger:
+	@find src -name '*.py' | xargs wc -l | awk '$$2 != "total" { \
+	    n = split($$2, part, "/"); \
+	    key = (n > 3) ? part[3] "/" : part[3]; \
+	    lines[key] += $$1; total += $$1 } \
+	  END { for (key in lines) printf "%7d  %s\n", lines[key], key | "sort -rn"; \
+	    close("sort -rn"); printf "%7d  total\n", total }'
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .hypothesis

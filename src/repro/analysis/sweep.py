@@ -54,7 +54,7 @@ from repro.obs import registry as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.fastpath import resolve_engine
 from repro.runtime import RunStats, map_ordered, record, resolve_workers
-from repro.verify.oracle import checked_simulate, is_enabled
+from repro.verify.oracle import checked_simulate, counted_runs
 from repro.workload.base import Workload
 
 #: Alex thresholds (percent) matching the figures' x axis, 0-100.
@@ -231,7 +231,8 @@ def sweep_protocol(
             ),
         )
 
-    outcomes = map_ordered(run_task, tasks, workers=resolved)
+    with counted_runs() as verified:
+        outcomes = map_ordered(run_task, tasks, workers=resolved)
 
     invalidation: dict[str, float] = {}
     if include_invalidation:
@@ -249,7 +250,7 @@ def sweep_protocol(
         workers=resolved,
         grid_points=len(points),
         peak_grid_size=len(points),
-        verified_runs=len(tasks) * len(workloads) if is_enabled() else 0,
+        verified_runs=verified(),
         engine=resolve_engine(),
     )
     record(stats)

@@ -60,28 +60,35 @@ import argparse
 import asyncio
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Iterator, Optional, Sequence
 
 from repro.analysis.report import format_table, pct
-from repro.core.protocols import InvalidationProtocol
+from repro.analysis.sweep import sweep_protocol
 from repro.core.protocols.base import ConsistencyProtocol
 from repro.core.protocols.factory import PROTOCOLS, build_protocol
+from repro.core.results import SimulationResult
 from repro.core.simulator import SimulatorMode
 from repro.fastpath import ENGINES, FAST, REFERENCE, resolve_engine, set_engine
-from repro.faults import FaultSpec, parse_faults
+from repro.faults import FaultPlan, FaultSpec, parse_faults
 from repro import obs
 from repro.obs import clock as obs_clock
 from repro.obs import profile as obs_profile
 from repro.obs import prom as obs_prom
 from repro.obs import registry as obs_registry
-from repro.runtime import map_ordered
-from repro.verify import ConsistencyViolation, checked_simulate, set_enabled
-from repro.verify.oracle import runs_verified
+from repro.verify import (
+    ConsistencyViolation,
+    checked_simulate,
+    counted_runs,
+    set_enabled,
+)
 from repro.trace.reconstruct import server_from_trace, workload_from_trace
 from repro.trace.records import Trace
 from repro.trace.stats import mutability_from_trace
 from repro.trace.synthesis import read_trace, trace_from_workload, write_trace
+from repro.workload.base import Workload
 from repro.workload.campus import CAMPUS_SERVERS, CampusWorkload
 from repro.workload.worrell import WorrellWorkload
 
@@ -91,37 +98,87 @@ _CAMPUS_BY_NAME = {spec.name.lower(): spec for spec in CAMPUS_SERVERS}
 # -- observability plumbing ---------------------------------------------------
 
 
-def _verified_since(registry_before: float, parent_before: int) -> int:
-    """Runs the oracle verified since the recorded baselines.
+def apply_run_flags(args: argparse.Namespace) -> None:
+    """Apply ``--engine`` / ``--verify`` (where the command has them).
 
-    Prefers the merged ``verify.runs`` counter (covers pool workers,
-    whose increments never reach the parent's in-process count); falls
-    back to the per-process count when no registry is installed.
+    Must precede anything that forks: both setters mirror the choice
+    into the environment (``REPRO_ENGINE`` / ``REPRO_VERIFY``), so pool
+    workers resolve the same engine and oracle-check their own tasks.
     """
-    registry = obs_registry.active()
-    if registry is not None:
-        return int(registry.counter("verify.runs").value - registry_before)
-    return runs_verified() - parent_before
+    if getattr(args, "engine", None):
+        set_engine(args.engine)
+    if getattr(args, "verify", False):
+        set_enabled(True)
 
 
-def _print_oracle_failure(
-    verified: int,
-    faults_spec: Optional[FaultSpec],
-    faults_text: Optional[str],
-) -> None:
-    """The ``--verify`` failure-path context (exit code 1 follows)."""
-    print(
-        f"oracle: {verified} run(s) verified before the divergence",
-        file=sys.stderr,
-    )
-    if faults_spec is not None:
-        print(
-            f"oracle: fault spec in effect: {faults_text!r} "
-            f"(retries={faults_spec.retries}, "
-            f"loss_rate={faults_spec.loss_rate:g}, "
-            f"delay={faults_spec.delay:g}s)",
-            file=sys.stderr,
-        )
+@contextmanager
+def _checked(
+    args: argparse.Namespace, faults_spec: Optional[FaultSpec]
+) -> Iterator[SimpleNamespace]:
+    """The scope ``simulate`` / ``sweep`` run their simulations in: the
+    run flags, the ``--metrics`` / ``--trace`` session, and a count of
+    the runs the oracle verifies.
+
+    A divergence is reported with that count and the fault spec in
+    effect, and sets ``diverged`` on the yielded namespace (exit 1 is
+    the caller's); a clean ``--verify`` run reports the count.  All on
+    stderr, like the trace/metrics notices: the result table on stdout
+    stays byte-identical with and without ``--verify``.
+    """
+    apply_run_flags(args)
+    outcome = SimpleNamespace(diverged=False)
+    with obs.session(args.metrics_out, args.trace_out):
+        try:
+            with counted_runs() as verified:
+                yield outcome
+        except ConsistencyViolation as exc:
+            outcome.diverged = True
+            print(exc, file=sys.stderr)
+            print(
+                f"oracle: {verified()} run(s) verified before the "
+                "divergence",
+                file=sys.stderr,
+            )
+            if faults_spec is not None:
+                print(
+                    f"oracle: fault spec in effect: {args.faults!r} "
+                    f"(retries={faults_spec.retries}, "
+                    f"loss_rate={faults_spec.loss_rate:g}, "
+                    f"delay={faults_spec.delay:g}s)",
+                    file=sys.stderr,
+                )
+    if args.verify and not outcome.diverged:
+        print(f"oracle: {verified()} run(s) verified, zero divergence",
+              file=sys.stderr)
+
+
+def _print_result(result: SimulationResult, title: str) -> None:
+    """The one-row result table ``simulate`` and ``replay`` print."""
+    print(format_table(
+        ("protocol", "mode", "bandwidth MB", "miss rate", "stale rate",
+         "server ops", "round trips/request"),
+        [(
+            result.protocol_name,
+            result.mode,
+            f"{result.total_megabytes:.3f}",
+            pct(result.miss_rate),
+            pct(result.stale_hit_rate),
+            result.server_operations,
+            f"{result.counters.mean_round_trips:.3f}",
+        )],
+        title=title,
+    ))
+
+
+def _step_grid(
+    args: argparse.Namespace, alex_step: int, ttl_step: int
+) -> list[float]:
+    """The ``--step`` parameter grid of ``sweep`` / ``profile``: Alex
+    thresholds 0-100 % or TTLs 0-500 h, at the command's default step
+    unless ``--step`` overrides it."""
+    if args.protocol == "alex":
+        return [float(p) for p in range(0, 101, args.step or alex_step)]
+    return [float(p) for p in range(0, 501, args.step or ttl_step)]
 
 
 def _add_engine_flag(
@@ -147,13 +204,19 @@ def _add_engine_flag(
     )
 
 
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--trace`` / ``--metrics`` output flags."""
+def _add_obs_flags(
+    parser: argparse.ArgumentParser,
+    trace_help: str = "write a structured JSONL trace of every simulator "
+                      "event and engine span to PATH (schema repro.trace/1; "
+                      "see docs/OBSERVABILITY.md)",
+) -> None:
+    """The shared ``--trace`` / ``--metrics`` output flags.
+
+    ``trace_help`` is for the one command whose ``--trace`` writes
+    something else (``replay``: per-role live trace files)."""
     parser.add_argument(
         "--trace", dest="trace_out", type=Path, default=None, metavar="PATH",
-        help="write a structured JSONL trace of every simulator event "
-             "and engine span to PATH (schema repro.trace/1; see "
-             "docs/OBSERVABILITY.md)",
+        help=trace_help,
     )
     parser.add_argument(
         "--metrics", dest="metrics_out", type=Path, default=None,
@@ -217,15 +280,9 @@ def _simulate_trace(
     faults_spec: Optional[FaultSpec] = None,
 ):
     workload = workload_from_trace(trace)
-    # Unanchored downtime/crash times in the spec resolve against the
-    # reconstructed workload's duration.
-    faults = (
-        faults_spec.build(workload.duration) if faults_spec is not None
-        else None
-    )
     return checked_simulate(
         workload.server(), protocol, workload.requests, mode,
-        end_time=workload.duration, faults=faults,
+        end_time=workload.duration, faults=_fault_plan(faults_spec, workload),
     )
 
 
@@ -239,12 +296,16 @@ def _parse_faults_arg(args: argparse.Namespace) -> Optional[FaultSpec]:
     return parse_faults(text) if text else None
 
 
+def _fault_plan(
+    spec: Optional[FaultSpec], workload: Workload
+) -> Optional[FaultPlan]:
+    """The spec's plan for ``workload``: unanchored downtime/crash times
+    resolve against the reconstructed workload's duration."""
+    return spec.build(workload.duration) if spec is not None else None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one protocol over a trace file and print its metrics."""
-    if getattr(args, "engine", None):
-        set_engine(args.engine)
-    if args.verify:
-        set_enabled(True)
     trace = read_trace(args.trace)
     try:
         protocol = build_protocol(args.protocol, args.parameter)
@@ -252,66 +313,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    mode = SimulatorMode(args.mode)
-    with obs.session(
-        args.metrics_out, args.trace_out, ensure_registry=args.verify
-    ):
-        verified_parent = runs_verified()
-        registry = obs_registry.active()
-        verified_base = (
-            registry.counter("verify.runs").value
-            if registry is not None else 0.0
+    with _checked(args, faults_spec) as run:
+        result = _simulate_trace(
+            trace, protocol, SimulatorMode(args.mode), faults_spec
         )
-        try:
-            result = _simulate_trace(trace, protocol, mode, faults_spec)
-        except ConsistencyViolation as exc:
-            print(exc, file=sys.stderr)
-            _print_oracle_failure(
-                _verified_since(verified_base, verified_parent),
-                faults_spec, getattr(args, "faults", None),
-            )
-            return 1
-        verified = _verified_since(verified_base, verified_parent)
-    print(format_table(
-        ("protocol", "mode", "bandwidth MB", "miss rate", "stale rate",
-         "server ops", "round trips/request"),
-        [(
-            result.protocol_name,
-            result.mode,
-            f"{result.total_megabytes:.3f}",
-            pct(result.miss_rate),
-            pct(result.stale_hit_rate),
-            result.server_operations,
-            f"{result.counters.mean_round_trips:.3f}",
-        )],
-        title=f"{args.trace}: {len(trace)} requests",
-    ))
-    if args.verify:
-        # stderr, like the trace/metrics notices: the result table on
-        # stdout stays byte-identical with and without --verify.
-        print(f"oracle: {verified} run(s) verified, zero divergence",
-              file=sys.stderr)
+    if run.diverged:
+        return 1
+    _print_result(result, f"{args.trace}: {len(trace)} requests")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep a protocol parameter over a trace file."""
-    if getattr(args, "engine", None):
-        # Must also precede the fork: set_engine mirrors the choice into
-        # REPRO_ENGINE so pool workers resolve the same engine.
-        set_engine(args.engine)
-    if args.verify:
-        # Must happen before map_ordered forks its pool: workers inherit
-        # the flag and each one oracle-checks its own sweep points.
-        set_enabled(True)
     trace = read_trace(args.trace)
-    if args.protocol.lower() == "alex":
-        parameters = [float(p) for p in range(0, 101, args.step or 10)]
-    elif args.protocol.lower() == "ttl":
-        parameters = [float(p) for p in range(0, 501, args.step or 50)]
-    else:
-        print("sweep supports --protocol alex or ttl", file=sys.stderr)
-        return 2
     try:
         faults_spec = _parse_faults_arg(args)
     except ValueError as exc:
@@ -319,81 +333,43 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     mode = SimulatorMode(args.mode)
     # One reconstruction serves every sweep point.
-    server = server_from_trace(trace)
-    requests = trace.requests()
-    end = requests[-1][0] if requests else 0.0
-    faults = faults_spec.build(end) if faults_spec is not None else None
-
-    def run_point(parameter: float) -> tuple:
-        result = checked_simulate(
-            server, build_protocol(args.protocol, parameter), requests,
-            mode, end_time=end, faults=faults,
+    workload = workload_from_trace(trace)
+    with _checked(args, faults_spec) as run:
+        # Sweep points (and the invalidation baseline) are independent;
+        # the engine fans them out across its process pool (serial for
+        # --workers 1, identical output either way).
+        sweep = sweep_protocol(
+            [workload],
+            lambda parameter: build_protocol(args.protocol, parameter),
+            _step_grid(args, 10, 50),
+            mode,
+            family=args.protocol,
+            workers=args.workers,
+            faults=_fault_plan(faults_spec, workload),
         )
-        return (
-            parameter,
-            f"{result.total_megabytes:.3f}",
-            pct(result.miss_rate),
-            pct(result.stale_hit_rate),
-            result.server_operations,
-        )
-
-    with obs.session(
-        args.metrics_out, args.trace_out, ensure_registry=args.verify
-    ):
-        verified_parent = runs_verified()
-        registry = obs_registry.active()
-        verified_base = (
-            registry.counter("verify.runs").value
-            if registry is not None else 0.0
-        )
-        try:
-            # Sweep points are independent; fan them out across the
-            # engine's process pool (serial for --workers 1, identical
-            # output either way).
-            rows = map_ordered(run_point, parameters, workers=args.workers)
-            inval = checked_simulate(
-                server, InvalidationProtocol(), requests, mode,
-                end_time=end, faults=faults,
-            )
-        except ConsistencyViolation as exc:
-            print(exc, file=sys.stderr)
-            _print_oracle_failure(
-                _verified_since(verified_base, verified_parent),
-                faults_spec, getattr(args, "faults", None),
-            )
-            return 1
-        verified = _verified_since(verified_base, verified_parent)
-    rows.append(
-        ("inval", f"{inval.total_megabytes:.3f}", pct(inval.miss_rate),
-         pct(inval.stale_hit_rate), inval.server_operations)
-    )
-    unit = "threshold %" if args.protocol.lower() == "alex" else "TTL hours"
+    if run.diverged:
+        return 1
+    # One workload per point, so the "averaged" metrics are its own.
+    rows = [(point.parameter, point.metrics) for point in sweep.points]
+    rows.append(("inval", sweep.invalidation))
+    unit = "threshold %" if args.protocol == "alex" else "TTL hours"
     print(format_table(
-        (unit, "MB", "miss", "stale", "server ops"), rows,
+        (unit, "MB", "miss", "stale", "server ops"),
+        [
+            (label, f"{m['total_mb']:.3f}", pct(m["miss_rate"]),
+             pct(m["stale_hit_rate"]), round(m["server_operations"]))
+            for label, m in rows
+        ],
         title=f"{args.protocol} sweep over {args.trace} ({mode.value} mode):",
     ))
-    if args.verify:
-        print(f"oracle: {verified} run(s) verified, zero divergence",
-              file=sys.stderr)
     return 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile a reduced-scale sweep: engine phases + protocol hook time."""
-    from repro.analysis.sweep import sweep_protocol
-    from repro.obs.profile import ProfiledProtocol
-    from repro.workload.worrell import WorrellWorkload
-
-    if getattr(args, "engine", None):
-        set_engine(args.engine)
+    apply_run_flags(args)
     engine = resolve_engine()
-    if args.protocol.lower() == "alex":
-        parameters = [float(p) for p in range(0, 101, args.step or 20)]
-    elif args.protocol.lower() == "ttl":
-        parameters = [float(p) for p in range(0, 501, args.step or 100)]
-    else:
-        print("profile supports --protocol alex or ttl", file=sys.stderr)
-        return 2
+    parameters = _step_grid(args, 20, 100)
     workload = WorrellWorkload(
         files=max(10, int(2085 * args.scale)),
         requests=max(100, int(100_000 * args.scale)),
@@ -409,7 +385,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         protocol = build_protocol(args.protocol, parameter)
         if engine == FAST:
             return protocol
-        return ProfiledProtocol(protocol)
+        return obs_profile.ProfiledProtocol(protocol)
 
     obs_profile.reset()
     obs_profile.enable()
@@ -573,12 +549,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    # For replay, --trace means cross-process causal tracing: the live
-    # stack writes one repro.trace/1 file per role (driver + .proxy /
-    # .origin companions; merge them with 'repro trace').  The ambient
-    # single-process sink obs.session installs would only ever see the
-    # driver process, so the flag is routed to the live stack instead.
-    live_trace_path: Optional[Path] = args.trace_out
     mode = SimulatorMode(args.mode)
     workload = workload_from_trace(trace)
     options = dict(
@@ -586,15 +556,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
         connections=args.connections,
         keepalive=args.keepalive,
         chaos=chaos,
-        faults=(
-            faults_spec.build(workload.duration)
-            if faults_spec is not None else None
-        ),
+        faults=_fault_plan(faults_spec, workload),
         journal_path=args.journal,
-        trace_path=live_trace_path,
+        trace_path=args.trace_out,
         crash_after=args.crash_after,
     )
     report = None
+    # --trace went to the live stack above (per-role files, as the
+    # flag's help says): the single-process sink obs.session installs
+    # would only ever see the driver.
     with obs.session(args.metrics_out, None):
         try:
             if args.verify:
@@ -616,27 +586,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         except ConsistencyViolation as exc:
             print(exc, file=sys.stderr)
             return 1
-    if live_trace_path is not None:
+    if args.trace_out is not None:
         from repro.obs.timeline import role_trace_paths
 
         names = ", ".join(
-            str(p) for p in role_trace_paths(live_trace_path).values()
+            str(p) for p in role_trace_paths(args.trace_out).values()
         )
         print(f"trace: wrote per-role files {names}", file=sys.stderr)
-    print(format_table(
-        ("protocol", "mode", "bandwidth MB", "miss rate", "stale rate",
-         "server ops", "round trips/request"),
-        [(
-            result.protocol_name,
-            result.mode,
-            f"{result.total_megabytes:.3f}",
-            pct(result.miss_rate),
-            pct(result.stale_hit_rate),
-            result.server_operations,
-            f"{result.counters.mean_round_trips:.3f}",
-        )],
-        title=f"{args.trace}: {len(trace)} requests replayed live",
-    ))
+    _print_result(result, f"{args.trace}: {len(trace)} requests replayed live")
     if report is not None:
         print(
             f"live-vs-sim: {report.counters_checked} counters + "
@@ -905,7 +862,14 @@ def make_parser() -> argparse.ArgumentParser:
         help="run the proxy out of process, SIGKILL it after N completed "
              "requests, restart it from --journal, and reconcile",
     )
-    _add_obs_flags(p_replay)
+    _add_obs_flags(
+        p_replay,
+        trace_help="trace the live exchange across processes: write one "
+                   "JSONL file per role (schema repro.trace/1) — the "
+                   "driver's to PATH, the proxy's and the origin's to its "
+                   ".proxy / .origin companions — to be joined with 'repro "
+                   "trace merge PATH' (docs/OBSERVABILITY.md)",
+    )
     p_replay.set_defaults(func=cmd_replay)
 
     p_serve = sub.add_parser(

@@ -22,43 +22,32 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro import obs
 from repro.analysis.report import ExperimentReport
+from repro.cli import _add_engine_flag, _add_obs_flags, apply_run_flags
 from repro.experiments.common import warm_shared_sweeps
 from repro.experiments.registry import all_ids, run_experiment
-from repro.runtime import (
-    RunStats,
-    collecting,
-    default_workers,
-    map_ordered,
-    resolve_workers,
-)
+from repro.runtime import default_workers, map_ordered, resolve_workers
+from repro.verify import counted_runs
 
 
 def _run_all_parallel(
     ids: list[str], scale: float, seed: int, workers: int
-) -> tuple[list[ExperimentReport], list[RunStats]]:
-    """Run many experiments across a process pool (warm caches first).
-
-    Returns the reports plus the warm-phase sweep instrumentation —
-    the warmed sweeps are served from cache inside the workers, so
-    their stats (including oracle verification counts) only exist here.
-    """
-    with default_workers(workers), collecting() as warm_stats:
+) -> list[ExperimentReport]:
+    """Run many experiments across a process pool (warm caches first)."""
+    with default_workers(workers):
         warm_shared_sweeps(scale=scale, seed=seed)
     # Each forked worker inherits the warmed sweep caches; within a
     # worker the sweeps that remain run serially (workers=1) — the pool
     # is already saturated at the experiment level.
-    reports = map_ordered(
+    return map_ordered(
         lambda experiment_id: run_experiment(
             experiment_id, scale=scale, seed=seed, workers=1
         ),
         ids,
         workers=workers,
     )
-    return reports, warm_stats
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,18 +89,7 @@ def main(argv: list[str] | None = None) -> int:
         "--svg", type=str, default=None, metavar="DIR",
         help="also render each experiment's series as SVG charts in DIR",
     )
-    parser.add_argument(
-        "--trace", dest="trace_out", type=Path, default=None, metavar="PATH",
-        help="write a structured JSONL trace (simulator events + engine "
-             "spans, schema repro.trace/1) to PATH — see "
-             "docs/OBSERVABILITY.md",
-    )
-    parser.add_argument(
-        "--metrics", dest="metrics_out", type=Path, default=None,
-        metavar="PATH",
-        help="write the merged metrics registry (schema repro.metrics/1) "
-             "as JSON to PATH; render with 'repro metrics'",
-    )
+    _add_obs_flags(parser)
     parser.add_argument(
         "--verify", action="store_true",
         help="replay every simulation through the repro.verify "
@@ -119,78 +97,54 @@ def main(argv: list[str] | None = None) -> int:
              "event divergence aborts with a diff (see docs/PROTOCOLS.md "
              "'Invariants & verification')",
     )
-    parser.add_argument(
-        "--engine", default=None, choices=["fast", "reference"],
-        help="simulator engine: 'fast' (batched repro.fastpath kernel, "
-             "byte-identical output, automatic reference fallback) or "
-             "'reference'; default: $REPRO_ENGINE, else fast — see "
-             "docs/FASTPATH.md",
-    )
+    _add_engine_flag(parser)
     args = parser.parse_args(argv)
-
-    if args.engine:
-        # Before anything forks: set_engine mirrors the choice into
-        # REPRO_ENGINE, so pool workers resolve the same engine.
-        from repro.fastpath import set_engine
-
-        set_engine(args.engine)
-
-    if args.verify:
-        # Enable before anything forks: pool workers inherit the flag
-        # and oracle-check the runs they execute.
-        from repro.verify import set_enabled
-
-        set_enabled(True)
+    apply_run_flags(args)
 
     # Observability outputs are flushed even when a run fails — a trace
     # of the failing run is exactly what the flags are for.
     with obs.session(args.metrics_out, args.trace_out):
-        ids = all_ids() if args.experiment == "all" else [args.experiment]
-        workers = resolve_workers(args.workers)
-        warm_stats: list = []
-        if len(ids) > 1 and workers > 1:
-            reports, warm_stats = _run_all_parallel(
-                ids, args.scale, args.seed, workers
-            )
-        else:
-            reports = (
-                run_experiment(i, scale=args.scale, seed=args.seed,
-                               workers=workers)
-                for i in ids
-            )
-
         failures = 0
-        printed: list[ExperimentReport] = []
-        for experiment_id, report in zip(ids, reports):
-            printed.append(report)
-            print(report.render())
-            if report.stats is not None:
-                print(f"  ({report.stats.render()})")
-            if args.csv:
-                from repro.analysis.export import dump_experiment_data
-
-                written = dump_experiment_data(
-                    report.data, args.csv, experiment_id
+        with counted_runs() as verified:
+            ids = all_ids() if args.experiment == "all" else [args.experiment]
+            workers = resolve_workers(args.workers)
+            if len(ids) > 1 and workers > 1:
+                reports = _run_all_parallel(
+                    ids, args.scale, args.seed, workers
                 )
-                print(f"  csv: {', '.join(str(p) for p in written)}")
-            if args.svg:
-                from repro.analysis.svg import dump_experiment_svg
-
-                rendered_svgs = dump_experiment_svg(
-                    report.data, args.svg, experiment_id
+            else:
+                reports = (
+                    run_experiment(i, scale=args.scale, seed=args.seed,
+                                   workers=workers)
+                    for i in ids
                 )
-                if rendered_svgs:
-                    print(
-                        f"  svg: {', '.join(str(p) for p in rendered_svgs)}"
+            for experiment_id, report in zip(ids, reports):
+                print(report.render())
+                if report.stats is not None:
+                    print(f"  ({report.stats.render()})")
+                if args.csv:
+                    from repro.analysis.export import dump_experiment_data
+
+                    written = dump_experiment_data(
+                        report.data, args.csv, experiment_id
                     )
-            print()
-            if not report.all_passed:
-                failures += 1
+                    print(f"  csv: {', '.join(str(p) for p in written)}")
+                if args.svg:
+                    from repro.analysis.svg import dump_experiment_svg
+
+                    rendered_svgs = dump_experiment_svg(
+                        report.data, args.svg, experiment_id
+                    )
+                    if rendered_svgs:
+                        print(
+                            "  svg: "
+                            f"{', '.join(str(p) for p in rendered_svgs)}"
+                        )
+                print()
+                if not report.all_passed:
+                    failures += 1
         if args.verify:
-            verified = sum(
-                r.stats.verified_runs for r in printed if r.stats is not None
-            ) + sum(s.verified_runs for s in warm_stats)
-            print(f"oracle: {verified} run(s) verified, zero divergence")
+            print(f"oracle: {verified()} run(s) verified, zero divergence")
     if failures:
         print(f"{failures} experiment(s) had failing shape checks",
               file=sys.stderr)

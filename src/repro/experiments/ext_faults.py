@@ -40,7 +40,7 @@ from repro.fastpath import resolve_engine
 from repro.faults import FaultPlan
 from repro.obs import clock as obs_clock
 from repro.runtime import RunStats, derive_seed, map_ordered, record, resolve_workers
-from repro.verify.oracle import checked_simulate, is_enabled
+from repro.verify.oracle import checked_simulate, counted_runs
 
 EXPERIMENT_ID = "ext-faults"
 TITLE = "Extension: staleness under faulty invalidation delivery"
@@ -107,7 +107,8 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
         )
         return _cell_metrics(result)
 
-    outcomes = map_ordered(run_cell, cells)
+    with counted_runs() as verified:
+        outcomes = map_ordered(run_cell, cells)
     by_policy: dict[str, dict[float, dict[str, float]]] = {
         policy: {} for policy in POLICIES
     }
@@ -208,7 +209,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
         workers=resolved,
         grid_points=len(cells),
         peak_grid_size=len(cells),
-        verified_runs=len(cells) if is_enabled() else 0,
+        verified_runs=verified(),
         engine=resolve_engine(),
     )
     record(stats)

@@ -50,7 +50,7 @@ from repro.experiments import (
 )
 from repro.obs import clock as obs_clock
 from repro.runtime import RunStats, collecting, default_workers, resolve_workers
-from repro.verify.oracle import runs_verified
+from repro.verify.oracle import counted_runs
 
 #: Paper experiments first (in paper order), then the extensions that
 #: implement Section 5's future-work directions.
@@ -104,19 +104,18 @@ def run_experiment(
         ) from None
     resolved = resolve_workers(workers)
     started = obs_clock.monotonic()
-    verified_before = runs_verified()
-    with default_workers(resolved), collecting() as recorded:
+    with (
+        default_workers(resolved),
+        collecting() as recorded,
+        counted_runs() as verified,
+    ):
         report = runner(scale=scale, seed=seed)
     stats = RunStats.combine(
         recorded,
         wall_seconds=obs_clock.monotonic() - started,
         workers=resolved,
     )
-    # Oracle accounting: serially-executed simulations increment this
-    # process's counter; sweeps that fanned out to a pool carry their
-    # workers' verification counts back in their own RunStats.
-    verified = (runs_verified() - verified_before) + sum(
-        r.verified_runs for r in recorded if r.workers > 1
-    )
-    report.stats = replace(stats, verified_runs=verified)
+    # Not the sum of the sweeps' own counts: an experiment may also
+    # verify simulations outside any sweep.
+    report.stats = replace(stats, verified_runs=verified())
     return report

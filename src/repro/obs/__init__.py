@@ -13,8 +13,8 @@ One observability layer for the whole reproduction:
   (the only ``# repro: noqa[RPR001]`` site in the package);
 * :mod:`repro.obs.names` — the declared alphabet of every metric and
   span name, enforced project-wide by lint code RPR006;
-* :mod:`repro.obs.collect` — the per-worker capture/merge protocol the
-  sweep engine uses to keep parallel runs equivalent to serial ones;
+* :mod:`repro.obs.collect` — ``captured`` / ``merge``, how the sweep
+  engine keeps parallel runs equivalent to serial ones;
 * :func:`session` — the one ``--metrics`` / ``--trace`` scope both CLIs
   (``repro``, ``python -m repro.experiments``) run their commands in.
 
@@ -47,10 +47,7 @@ from repro.obs.trace import TraceSink, instrumented_observer, span
 
 @contextmanager
 def session(
-    metrics_path: Optional[Path],
-    trace_path: Optional[Path],
-    *,
-    ensure_registry: bool = False,
+    metrics_path: Optional[Path], trace_path: Optional[Path]
 ) -> Iterator[None]:
     """One command's observability outputs — what ``--metrics PATH`` and
     ``--trace PATH`` mean on every CLI.
@@ -60,14 +57,8 @@ def session(
     :class:`TraceSink` and writes JSONL on exit.  Both are flushed even
     when the command fails — a trace of a failing run is exactly when
     you want one — and each write is announced on stderr.
-    ``ensure_registry`` installs a registry without a dump file when
-    none is active (the ``--verify`` accounting path uses it to merge
-    ``verify.runs`` across pool workers).
     """
-    need_registry = metrics_path is not None or (
-        ensure_registry and registry.active() is None
-    )
-    metrics = MetricsRegistry() if need_registry else None
+    metrics = MetricsRegistry() if metrics_path is not None else None
     sink = TraceSink() if trace_path is not None else None
     previous_registry = (
         registry.install(metrics) if metrics is not None else None
@@ -81,15 +72,14 @@ def session(
             lines = trace.write_jsonl(sink, trace_path)
             print(f"trace: wrote {lines} line(s) to {trace_path}",
                   file=sys.stderr)
-        if metrics is not None:
+        if metrics is not None and metrics_path is not None:
             registry.install(previous_registry)
-            if metrics_path is not None:
-                metrics_path.write_text(
-                    json.dumps(metrics.as_dict(), indent=2, sort_keys=True)
-                    + "\n",
-                    encoding="utf-8",
-                )
-                print(f"metrics: wrote {metrics_path}", file=sys.stderr)
+            metrics_path.write_text(
+                json.dumps(metrics.as_dict(), indent=2, sort_keys=True)
+                + "\n",
+                encoding="utf-8",
+            )
+            print(f"metrics: wrote {metrics_path}", file=sys.stderr)
 
 
 __all__ = [

@@ -3,88 +3,77 @@
 Forked pool workers inherit the parent's installed metrics registry,
 trace sink, and profiling state at fork time.  Anything a worker
 publishes lands in *its* copy; the parent never sees it unless it is
-shipped back.  This module defines the capture protocol the sweep
-engine runs around every task:
+shipped back.  The sweep engine therefore runs every pool task through
+:func:`captured` and applies what comes back with :func:`merge`:
 
-1. worker: ``token = task_begin()`` — snapshot the registry, note the
-   sink length, snapshot profiling totals (``None`` when everything is
-   off, making the whole protocol a no-op);
-2. worker: run the task, then ``payload = task_end(token)`` — a small
-   picklable dict of metric deltas, new trace records, and profiling
-   deltas;
-3. parent: ``merge(payload)`` — applied in **submission order** across
+1. worker: ``value, payload = captured(run)`` — the task runs under a
+   fresh :func:`repro.obs.registry.scoped` registry and freshly reset
+   profiling totals, so the payload is simply *everything they hold*
+   afterwards (nothing is subtracted), plus the trace records the task
+   appended to the inherited sink;
+2. parent: ``merge(payload)`` — applied in **submission order** across
    tasks, so the merged registry and event-record sequence are
    identical to what the serial path produces directly.
 
 Counters and histograms merge by addition (order-free); gauges merge
-last-write-wins, which the ordered merge makes deterministic; trace
-records merge by concatenation, which is exactly why order matters.
+last-write-wins, which the ordered merge makes deterministic — a task's
+scope holds every gauge the task set, whatever value an earlier task on
+the same worker left behind; trace records merge by concatenation,
+which is exactly why order matters.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Optional, TypeVar
 
 from repro.obs import profile, registry, trace
 
-#: Opaque capture token: (registry snapshot, sink length, profile snapshot).
-Token = tuple[Optional[dict[str, Any]], int, Optional[dict[str, Any]]]
+R = TypeVar("R")
 
 
-def task_begin() -> Optional[Token]:
-    """Open a capture region; ``None`` when observability is fully off."""
-    active_registry = registry.active()
-    sink = trace.active()
-    profiling = profile.is_enabled()
-    if active_registry is None and sink is None and not profiling:
-        return None
-    return (
-        active_registry.snapshot() if active_registry is not None else None,
-        len(sink.records) if sink is not None else 0,
-        profile.snapshot() if profiling else None,
-    )
+def captured(run: Callable[[], R]) -> tuple[R, dict[str, Any]]:
+    """Run one task in a forked worker; returns its value and the
+    picklable payload of what it published.
 
-
-def task_end(token: Optional[Token]) -> Optional[dict[str, Any]]:
-    """Close a capture region; returns the picklable payload (or None)."""
-    if token is None:
-        return None
-    registry_snapshot, sink_length, profile_snapshot = token
+    Only for a process whose observability state is a private copy: the
+    profiling totals are reset, not saved.  Each lane is captured only
+    when it was on at fork time — metrics stay off when they were off.
+    The sink lane slices by length rather than swapping the sink: an
+    append-only list has nothing to subtract, and a caller's
+    :class:`~repro.obs.trace.TraceSink` subclass keeps recording.
+    """
     payload: dict[str, Any] = {}
-    active_registry = registry.active()
-    if active_registry is not None and registry_snapshot is not None:
-        metrics_delta = active_registry.delta(registry_snapshot)
-        if any(metrics_delta.values()):
-            payload["metrics"] = metrics_delta
     sink = trace.active()
+    sink_length = len(sink.records) if sink is not None else 0
+    profiling = profile.is_enabled()
+    if profiling:
+        profile.reset()
+    if registry.active() is None:
+        value = run()
+    else:
+        with registry.scoped() as fresh:
+            value = run()
+        payload["metrics"] = fresh.payload()
     if sink is not None:
-        new_records = sink.records[sink_length:]
-        if new_records:
-            payload["trace"] = new_records
-    if profile_snapshot is not None:
-        profile_delta = profile.delta(profile_snapshot)
-        if any(profile_delta.values()):
-            payload["profile"] = profile_delta
-    return payload or None
+        payload["trace"] = sink.records[sink_length:]
+    if profiling:
+        payload["profile"] = profile.snapshot()
+    return value, payload
 
 
 def merge(payload: Optional[dict[str, Any]]) -> None:
     """Apply one task's payload to this process's registry/sink/profile.
 
-    The engine calls this once per task, in submission order.
+    The engine calls this once per task, in submission order (``None``
+    is the payload of a task that ran with observability off).
     """
     if payload is None:
         return
-    metrics_delta = payload.get("metrics")
-    if metrics_delta is not None:
-        active_registry = registry.active()
-        if active_registry is not None:
-            active_registry.merge(metrics_delta)
-    trace_records = payload.get("trace")
-    if trace_records is not None:
-        sink = trace.active()
-        if sink is not None:
-            sink.records.extend(trace_records)
-    profile_delta = payload.get("profile")
-    if profile_delta is not None:
-        profile.merge(profile_delta)
+    active_registry = registry.active()
+    if "metrics" in payload and active_registry is not None:
+        active_registry.merge(payload["metrics"])
+    sink = trace.active()
+    if "trace" in payload and sink is not None:
+        sink.records.extend(payload["trace"])
+    if "profile" in payload:
+        profile.merge(payload["profile"])

@@ -15,9 +15,10 @@ transparent — same freshness answers, same attribute surface — so
 simulation output is unchanged (the profiled run is *measured*, never
 *perturbed*, beyond the clock reads themselves).
 
-All state is module-level and per-process; the engine ships worker
-deltas back through :mod:`repro.obs.collect` and merges them by simple
-addition (profiling totals are sums, so merge order is irrelevant).
+All state is module-level and per-process; a forked worker resets its
+copy before each task, and the engine ships the task's totals back
+through :mod:`repro.obs.collect` and merges them by simple addition
+(profiling totals are sums, so merge order is irrelevant).
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ def phase(name: str) -> Iterator[None]:
 
 
 def snapshot() -> dict[str, Any]:
-    """Current totals, for :func:`delta`."""
+    """Current totals — after a :func:`reset`, a picklable :func:`merge`
+    payload of everything timed since."""
     return {
         "phases": dict(_phase_seconds),
         "hook_calls": dict(_hook_calls),
@@ -103,29 +105,8 @@ def snapshot() -> dict[str, Any]:
     }
 
 
-def delta(since: dict[str, Any]) -> dict[str, Any]:
-    """Timings accumulated after ``since`` (picklable payload)."""
-    return {
-        "phases": {
-            name: total - since["phases"].get(name, 0.0)
-            for name, total in _phase_seconds.items()
-            if total != since["phases"].get(name, 0.0)
-        },
-        "hook_calls": {
-            name: calls - since["hook_calls"].get(name, 0)
-            for name, calls in _hook_calls.items()
-            if calls != since["hook_calls"].get(name, 0)
-        },
-        "hook_seconds": {
-            name: total - since["hook_seconds"].get(name, 0.0)
-            for name, total in _hook_seconds.items()
-            if total != since["hook_seconds"].get(name, 0.0)
-        },
-    }
-
-
 def merge(payload: dict[str, Any]) -> None:
-    """Fold a worker's :func:`delta` payload into this process's totals."""
+    """Fold a worker's :func:`snapshot` into this process's totals."""
     for name, seconds in payload["phases"].items():
         add_phase(name, seconds)
     for name, calls in payload["hook_calls"].items():

@@ -12,13 +12,15 @@ instrumented hot paths cost nothing measurable in the default
 Determinism is the design constraint.  Histograms use *fixed*
 log-spaced bucket bounds keyed by metric name
 (:data:`repro.obs.names.HISTOGRAM_BINS`), so any two registries that
-observed the same values hold identical bins; and the
-:meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.delta` /
-:meth:`MetricsRegistry.merge` triple lets the sweep engine capture each
-forked worker's per-task contribution and re-apply the deltas in
-submission order — a parallel run's merged registry is byte-identical
-to the serial run's (``tests/obs/test_parallel_equivalence.py`` pins
-this).
+observed the same values hold identical bins; and what a region
+publishes is captured by construction, never by subtraction:
+:func:`scoped` installs a *fresh* registry for the region and folds it
+into the one it displaced through the exact
+:meth:`MetricsRegistry.merge`.  The sweep engine runs each forked
+worker's task that way and re-applies the shipped
+:meth:`MetricsRegistry.payload` in submission order — a parallel run's
+merged registry is byte-identical to the serial run's
+(``tests/obs/test_parallel_equivalence.py`` pins this).
 
 >>> reg = MetricsRegistry()
 >>> with installed(reg):
@@ -50,8 +52,8 @@ def _accumulate(partials: list[float], value: float) -> None:
 
     Keeps ``partials`` summing *exactly* to every value accumulated so
     far, so histogram totals are independent of observation grouping —
-    a per-worker delta merged into the parent yields the same rounded
-    total the serial path computes directly.
+    a scope's or a worker's partials merged into the parent yield the
+    same rounded total the serial path computes directly.
     """
     i = 0
     for partial in partials:
@@ -117,7 +119,7 @@ class Histogram:
         self.bucket_counts = [0] * (len(self.bounds) + 1)
         # Exact running sum as Shewchuk partials: ``total`` is the
         # correctly-rounded sum of every observation, whatever order or
-        # grouping (worker deltas) they arrived in.
+        # grouping (merged scopes) they arrived in.
         self.partials: list[float] = []
         self.count = 0
 
@@ -189,72 +191,27 @@ class MetricsRegistry:
             },
         }
 
-    # -- capture & merge (the engine's per-worker protocol) ------------------
+    # -- payload & merge (how one registry folds into another) ----------------
 
-    def snapshot(self) -> dict[str, Any]:
-        """A cheap copy of current values, for :meth:`delta`."""
+    def payload(self) -> dict[str, Any]:
+        """Everything this registry holds, as a picklable :meth:`merge`
+        payload: counter values, gauge values, and per histogram the
+        bucket counts, the *exact* total (as Shewchuk partials) and the
+        observation count."""
         return {
             "counters": {n: c.value for n, c in self._counters.items()},
             "gauges": {n: g.value for n, g in self._gauges.items()},
             "histograms": {
-                n: (list(h.bucket_counts), list(h.partials), h.count)
+                n: (list(h.bounds), list(h.bucket_counts), list(h.partials),
+                    h.count)
                 for n, h in self._histograms.items()
             },
         }
 
-    def delta(self, since: dict[str, Any]) -> dict[str, Any]:
-        """What was published after ``since`` (a picklable payload).
-
-        Counter payloads carry the increments, gauge payloads the new
-        values of gauges that were (re)set, histogram payloads the
-        per-bucket count increments plus the *exact* total increment
-        (as Shewchuk partials) and the count increment.
-        """
-        counters: dict[str, float] = {}
-        base_counters = since["counters"]
-        for name, metric in self._counters.items():
-            diff = metric.value - base_counters.get(name, 0.0)
-            if diff != 0.0:
-                counters[name] = diff
-        gauges: dict[str, float] = {}
-        base_gauges = since["gauges"]
-        for name, gauge_metric in self._gauges.items():
-            if (
-                name not in base_gauges
-                or gauge_metric.value != base_gauges[name]
-            ):
-                gauges[name] = gauge_metric.value
-        histograms: dict[str, Any] = {}
-        base_hists = since["histograms"]
-        for name, hist in self._histograms.items():
-            old_counts, old_partials, old_count = base_hists.get(
-                name, ([0] * len(hist.bucket_counts), [], 0)
-            )
-            grew = hist.count - old_count
-            if grew:
-                # Exact total increment: new partials minus old partials,
-                # itself kept as partials so merging stays exact.
-                diff_partials = list(hist.partials)
-                for partial in old_partials:
-                    _accumulate(diff_partials, -partial)
-                histograms[name] = (
-                    list(hist.bounds),
-                    [
-                        new - old
-                        for new, old in zip(hist.bucket_counts, old_counts)
-                    ],
-                    diff_partials,
-                    grew,
-                )
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
-
     def merge(self, payload: dict[str, Any]) -> None:
-        """Apply a :meth:`delta` payload (ordered merge is the caller's
-        job; the engine applies worker payloads in submission order)."""
+        """Fold a :meth:`payload` in: counters and histograms add, gauges
+        take the payload's value (ordered merge is the caller's job; the
+        engine applies worker payloads in submission order)."""
         for name, diff in payload["counters"].items():
             self.counter(name).add(diff)
         for name, value in payload["gauges"].items():
@@ -303,6 +260,28 @@ def installed(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         yield registry
     finally:
         install(previous)
+
+
+@contextmanager
+def scoped() -> Iterator[MetricsRegistry]:
+    """Collect what a region publishes — everything the yielded registry
+    holds once the region ends.
+
+    A fresh registry is installed for the region; on exit (an exception
+    included) the displaced one is re-installed and, when there is one,
+    the fresh one is folded into it through the exact :meth:`merge`, so
+    the ambient registry ends byte-identical to direct publication.
+    Scopes nest (an inner one folds into the outer); with no ambient
+    registry the scope still collects and folds nowhere.
+    """
+    fresh = MetricsRegistry()
+    previous = install(fresh)
+    try:
+        yield fresh
+    finally:
+        install(previous)
+        if previous is not None:
+            previous.merge(fresh.payload())
 
 
 def emit(name: str, value: float = 1.0) -> None:

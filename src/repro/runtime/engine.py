@@ -218,18 +218,20 @@ def _run_indexed(
 ) -> tuple[int, Any, Optional[dict[str, Any]]]:
     """Execute one task of the active map in a worker process.
 
-    The third element is the task's observability payload (metric
-    deltas, new trace records, profiling deltas) for the parent to merge
-    in submission order — ``None`` when observability is off.
+    The third element is the task's observability payload (what its
+    fresh metrics scope holds, its trace records, its profiling totals)
+    for the parent to merge in submission order — ``None`` when
+    observability is off.
     """
     task = _active_task
     assert task is not None  # set before fork
     fn, items = task
     if not _observability_on():
         return index, fn(items[index]), None
-    token = obs_collect.task_begin()
-    value = _run_task(fn, items[index], index)
-    return index, value, obs_collect.task_end(token)
+    value, payload = obs_collect.captured(
+        lambda: _run_task(fn, items[index], index)
+    )
+    return index, value, payload
 
 
 def _pool_round(

@@ -36,6 +36,7 @@ from repro.verify.oracle import (
     ConsistencyViolation,
     OracleReport,
     checked_simulate,
+    counted_runs,
     is_enabled,
     set_enabled,
     verify_simulation,
@@ -53,6 +54,7 @@ __all__ = [
     "check_optimized_bytes_leq_base",
     "check_poll_validates_every_request",
     "checked_simulate",
+    "counted_runs",
     "is_enabled",
     "rule_for",
     "run_metamorphic_suite",

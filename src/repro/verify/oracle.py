@@ -29,8 +29,9 @@ which inherit the module state either way).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from repro.core.cache import Cache
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
@@ -83,19 +84,22 @@ def is_enabled() -> bool:
     return _enabled
 
 
-_verified_count = 0
+@contextmanager
+def counted_runs() -> Iterator[Callable[[], int]]:
+    """Count the runs the oracle verifies inside the region.
 
-
-def runs_verified() -> int:
-    """Simulations verified by *this process* since import.
-
-    Forked pool workers inherit the current value and count on from
-    there; their increments are not visible to the parent.  Callers that
-    fan out (see ``repro.experiments.registry``) combine this local
-    delta with the ``verified_runs`` instrumentation that pool-run
-    sweeps carry back in their :class:`~repro.runtime.RunStats`.
+    Yields a callable to read *after* the region: the number of
+    ``verify.runs`` its metrics scope collected, pool workers' runs
+    included (the engine ships each task's scope back).  The region runs
+    under :func:`repro.obs.registry.scoped` only when verification is
+    enabled — every verified run already publishes into a scope, so the
+    count costs nothing extra there — and reads 0 otherwise.
     """
-    return _verified_count
+    if not _enabled:
+        yield lambda: 0
+        return
+    with obs_metrics.scoped() as scope:
+        yield lambda: int(scope.counter("verify.runs").value)
 
 
 class ConsistencyViolation(AssertionError):
@@ -180,6 +184,7 @@ def _check_fastpath(
     report: OracleReport,
     result: SimulationResult,
     events: list[tuple[str, float, str]],
+    reference_metrics: obs_metrics.MetricsRegistry,
     server: OriginServer,
     protocol: ConsistencyProtocol,
     request_list: list[tuple[float, str]],
@@ -191,7 +196,7 @@ def _check_fastpath(
 
     ``config`` is the run configuration :func:`verify_simulation` gave
     the primary run (costs, preload, start time, charging policy, fault
-    plan), forwarded whole to both replays.
+    plan), forwarded whole to the replay.
 
     This is the third leg of the oracle: when :mod:`repro.fastpath`
     supports the configuration, the same run executes on the compiled
@@ -205,13 +210,13 @@ def _check_fastpath(
     in the report.
 
     The metrics-equivalence clause rides along: the fast replay runs
-    under a *scoped* fresh registry (so the kernel's batched flush lands
-    there), a second reference run fills another fresh registry the
-    historical per-observation way, and the two dumps must serialize
-    byte-for-byte identically (engine bookkeeping names excluded; see
-    :func:`repro.fastpath.diff_metrics`).  The ambient trace sink is
-    suspended for both so the oracle's replays never duplicate the
-    primary run's event stream.
+    under a fresh registry (so the kernel's batched flush lands there),
+    ``reference_metrics`` is the scope the primary reference run
+    published into the historical per-observation way, and the two
+    dumps must serialize byte-for-byte identically (engine bookkeeping
+    names excluded; see :func:`repro.fastpath.diff_metrics`).  The
+    ambient trace sink is suspended for the replay so it never
+    duplicates the primary run's event stream.
 
     The supported protocols are stateless parameter holders, so reusing
     the caller's instance after the reference run is safe — the compiled
@@ -221,7 +226,6 @@ def _check_fastpath(
         return
     fast_events: list[tuple[str, float, str]] = []
     fast_registry = obs_metrics.MetricsRegistry()
-    ref_registry = obs_metrics.MetricsRegistry()
     previous_sink = obs_trace.install(None)
     try:
         with obs_metrics.installed(fast_registry):
@@ -236,16 +240,12 @@ def _check_fastpath(
                 ),
                 **config,
             )
-        with obs_metrics.installed(ref_registry):
-            Simulation(server, protocol, mode, **config).run(
-                request_list, end_time=end_time
-            )
     finally:
         obs_trace.install(previous_sink)
     report.divergences.extend(
         diff_results(fast_result, result)
         + diff_events(fast_events, events)
-        + diff_metrics(fast_registry.as_dict(), ref_registry.as_dict())
+        + diff_metrics(fast_registry.as_dict(), reference_metrics.as_dict())
     )
 
 
@@ -289,15 +289,19 @@ def verify_simulation(
     )
 
     # Neither replay outlives its run: under a fault plan each holds
-    # its own compiled schedule, and the fast-path leg builds two more.
+    # its own compiled schedule, and the fast-path leg builds one more.
+    # The reference run publishes into a scope (construction included:
+    # the observer tee is chosen there), which is the metrics clause's
+    # expectation and folds into the ambient registry, if any.
     events: list[tuple[str, float, str]] = []
-    result = Simulation(
-        server,
-        protocol,
-        mode,
-        observer=lambda kind, t, oid: events.append((kind, t, oid)),
-        **config,
-    ).run(request_list, end_time=end_time)
+    with obs_metrics.scoped() as reference_metrics:
+        result = Simulation(
+            server,
+            protocol,
+            mode,
+            observer=lambda kind, t, oid: events.append((kind, t, oid)),
+            **config,
+        ).run(request_list, end_time=end_time)
     outcome = SpecModel(server, rule, mode, **config).run(
         request_list, end_time=end_time
     )
@@ -305,13 +309,11 @@ def verify_simulation(
     report = OracleReport(protocol_name=result.protocol_name, mode=result.mode)
     _check_spec(report, result, events, outcome)
     _check_fastpath(
-        report, result, events, server, protocol, request_list, mode,
-        end_time, **config,
+        report, result, events, reference_metrics, server, protocol,
+        request_list, mode, end_time, **config,
     )
     if not report.ok:
         raise ConsistencyViolation(report)
-    global _verified_count
-    _verified_count += 1
     obs_metrics.emit("verify.runs")
     obs_trace.span(
         "verify.run",

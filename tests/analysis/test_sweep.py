@@ -86,6 +86,33 @@ class TestSweeps:
         assert point["total_mb"] == 1.5
 
 
+class TestVerifiedRuns:
+    """``RunStats.verified_runs`` counts runs the oracle verified —
+    it used to be guessed as tasks x workloads."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_protocol_without_spec_rule_is_not_counted(
+        self, workload, workers
+    ):
+        from repro.verify import set_enabled
+
+        class Custom(TTLProtocol):
+            """No spec rule: ``checked_simulate`` skips the oracle."""
+
+        set_enabled(True)
+        sweep = sweep_protocol(
+            [workload], lambda h: Custom(hours(h)), (0, 24, 48),
+            SimulatorMode.OPTIMIZED, family="custom", workers=workers,
+        )
+        # Three unverifiable grid points + the invalidation baseline.
+        assert sweep.stats.verified_runs == 1
+
+    def test_zero_when_the_oracle_is_off(self, workload):
+        sweep = sweep_ttl([workload], SimulatorMode.OPTIMIZED,
+                          ttl_hours=(0, 24))
+        assert sweep.stats.verified_runs == 0
+
+
 class TestCrossover:
     def _sweep(self, values, baseline) -> SweepResult:
         return SweepResult(

@@ -33,6 +33,24 @@ class TestRegistry:
         assert report.rendered
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verified_runs_is_the_verify_runs_delta(self, workers):
+        # One count of verified runs: the report's total is what the
+        # ``verify.runs`` metric gained, pool workers' runs included.
+        from repro.obs.registry import MetricsRegistry, installed
+        from repro.verify import set_enabled
+
+        set_enabled(True)
+        registry = MetricsRegistry()
+        registry.counter("verify.runs").add(3.0)  # an earlier region's
+        with installed(registry):
+            report = run_experiment(
+                "ext-faults", scale=0.02, workers=workers
+            )
+        gained = registry.counter("verify.runs").value - 3.0
+        assert report.stats.verified_runs == gained == 12
+
+
 class TestCLI:
     def test_main_single_experiment(self, capsys):
         from repro.experiments.__main__ import main

@@ -94,6 +94,21 @@ class TestReplayCommand:
             main(["replay", str(trace_path), "--protocol", "bogus"])
         assert excinfo.value.code == 2
 
+    def test_trace_help_describes_the_per_role_files(self, capsys):
+        """``replay --trace`` goes to the live stack (three per-role
+        files to join with ``repro trace merge``); it used to show the
+        simulator commands' "every simulator event" help."""
+        helps = {}
+        for command in ("replay", "simulate"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            helps[command] = " ".join(capsys.readouterr().out.split())
+        assert "one JSONL file per role" in helps["replay"]
+        assert ".proxy / .origin companions" in helps["replay"]
+        assert "repro trace merge" in helps["replay"]
+        assert "every simulator event" not in helps["replay"]
+        assert "every simulator event" in helps["simulate"]
+
 
 class TestServeParsing:
     def test_serve_rejects_unknown_protocol(self, trace_path):

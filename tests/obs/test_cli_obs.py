@@ -132,8 +132,10 @@ class TestVerifyFailurePath:
     def test_sweep_failure_reports_verified_runs(
         self, trace_file, capsys, monkeypatch
     ):
+        import repro.analysis.sweep as sweep_module
+
         calls = {"n": 0}
-        real = cli.checked_simulate
+        real = sweep_module.checked_simulate
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -141,7 +143,7 @@ class TestVerifyFailurePath:
                 self._raise_violation()
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "checked_simulate", flaky)
+        monkeypatch.setattr(sweep_module, "checked_simulate", flaky)
         status = cli.main([
             "sweep", str(trace_file), "--step", "50", "--verify",
         ])

@@ -9,12 +9,20 @@ merged registry dump and the same deterministic event-record sequence
 
 from __future__ import annotations
 
+import os
+import time
+
 from repro.analysis.sweep import sweep_alex, sweep_ttl
 from repro.core.simulator import SimulatorMode
 from repro.faults import parse_faults
 from repro.obs import profile as obs_profile
-from repro.obs.registry import MetricsRegistry, installed as metrics_installed
+from repro.obs.registry import (
+    MetricsRegistry,
+    installed as metrics_installed,
+    set_gauge,
+)
 from repro.obs.trace import TraceSink, installed as trace_installed
+from repro.runtime import map_ordered
 
 GRID = (0, 50, 100)
 
@@ -69,6 +77,30 @@ class TestMergedRegistries:
         assert "engine.map" in span_names
         assert "sweep.run" in span_names
         assert all(r["type"] == "event" for r in sink.events())
+
+
+class TestGaugeInterleaving:
+    def test_gauge_reset_to_a_workers_own_leftover_is_kept(self):
+        """Three tasks set one gauge to 5, 7, 5.  Task 1 is slow, so a
+        two-worker pool runs task 2 on the worker task 0 left the gauge
+        at 5 on — a write that a "changed since the task began?" test
+        drops, ending the merged run at 7 where the serial run ends at
+        5.  A task's fresh scope holds every gauge the task set."""
+
+        def task(index):
+            set_gauge("sweep.grid_points", (5.0, 7.0, 5.0)[index])
+            time.sleep((0.2, 0.8, 0.0)[index])
+            return os.getpid()
+
+        gauges = {}
+        for workers in (1, 2):
+            registry = MetricsRegistry()
+            with metrics_installed(registry):
+                pids = map_ordered(task, range(3), workers=workers)
+            gauges[workers] = registry.as_dict()["gauges"]
+        assert pids[0] == pids[2] != pids[1]  # the sleeps steered it
+        assert gauges[1] == {"sweep.grid_points": 5.0}
+        assert gauges[2] == gauges[1]
 
 
 class TestWithFaults:

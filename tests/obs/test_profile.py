@@ -45,17 +45,20 @@ class TestPhaseTimers:
 
 class TestCaptureMerge:
     def test_delta_and_merge_are_additive(self):
-        profile.add_phase("harvest", 1.0)
-        profile.add_hook("TTLProtocol.is_fresh", 0.25)
-        snap = profile.snapshot()
+        # The worker side: reset the forked copy, run, ship the totals.
+        profile.add_phase("harvest", 1.0)  # an earlier task's leftovers
+        profile.reset()
         profile.add_phase("harvest", 0.5)
         profile.add_hook("TTLProtocol.is_fresh", 0.25)
-        payload = profile.delta(snap)
+        payload = profile.snapshot()
         assert payload["phases"] == {"harvest": 0.5}
         assert payload["hook_calls"] == {"TTLProtocol.is_fresh": 1}
-        profile.merge(payload)  # fold the delta back in once more
+        # The parent side: totals add.
+        profile.add_phase("harvest", 1.0)
+        profile.add_hook("TTLProtocol.is_fresh", 0.25)
+        profile.merge(payload)
         assert dict(profile.phase_breakdown())["harvest"] == 2.0
-        assert profile.hook_table()[0][1] == 3  # 2 real calls + 1 merged
+        assert profile.hook_table()[0][1] == 3  # 1 + 1 real, 1 merged
 
 
 class TestProfiledProtocol:

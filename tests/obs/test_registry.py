@@ -1,4 +1,4 @@
-"""The metrics registry: primitives, dumps, and the capture/merge triple."""
+"""The metrics registry: primitives, dumps, scopes and the exact merge."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from repro.obs.registry import (
     install,
     installed,
     observe,
+    scoped,
     set_gauge,
 )
 
@@ -102,24 +103,31 @@ class TestDump:
 
 
 class TestCaptureMerge:
-    """snapshot/delta/merge — the engine's per-worker protocol."""
+    """scoped/payload/merge — a region's telemetry is what its scope holds."""
 
     def test_delta_drops_zero_increments(self):
-        registry = MetricsRegistry()
-        registry.counter("engine.tasks").add(0.0)  # touched, not moved
-        snap = registry.snapshot()
-        registry.counter("cache.stores").add(3.0)
-        delta = registry.delta(snap)
-        assert delta["counters"] == {"cache.stores": 3.0}
+        ambient = MetricsRegistry()
+        ambient.counter("engine.tasks").add(4.0)  # published before the region
+        with installed(ambient), scoped() as scope:
+            emit("cache.stores", 3.0)
+        assert scope.payload()["counters"] == {"cache.stores": 3.0}
+        assert ambient.as_dict()["counters"] == {
+            "cache.stores": 3.0, "engine.tasks": 4.0,
+        }
 
     def test_delta_reports_changed_and_new_gauges_only(self):
-        registry = MetricsRegistry()
-        registry.gauge("sweep.grid_points").set(5.0)
-        snap = registry.snapshot()
-        registry.gauge("sweep.grid_points").set(5.0)  # unchanged value
-        assert registry.delta(snap)["gauges"] == {}
-        registry.gauge("sweep.grid_points").set(9.0)
-        assert registry.delta(snap)["gauges"] == {"sweep.grid_points": 9.0}
+        # A region's gauges are the ones it *set*: re-setting the value
+        # an earlier region left behind is still this region's write
+        # (comparing values dropped it, and a parallel run's last write
+        # then depended on which worker ran which task).
+        ambient = MetricsRegistry()
+        ambient.gauge("sweep.grid_points").set(5.0)
+        with installed(ambient), scoped() as untouched:
+            pass
+        assert untouched.payload()["gauges"] == {}
+        with installed(ambient), scoped() as scope:
+            set_gauge("sweep.grid_points", 5.0)  # unchanged value
+        assert scope.payload()["gauges"] == {"sweep.grid_points": 5.0}
 
     def test_merged_registry_matches_direct_publication(self):
         direct = MetricsRegistry()
@@ -129,13 +137,12 @@ class TestCaptureMerge:
         direct.gauge("sweep.grid_points").set(2.0)
 
         parent = MetricsRegistry()
-        worker = MetricsRegistry()  # a fork starts from an empty copy
-        snap = worker.snapshot()
+        worker = MetricsRegistry()  # what a task's fresh scope is
         for value in (10.0, 2000.0, 10.0):
             worker.histogram("sim.transfer_bytes").observe(value)
         worker.counter("cache.stores").add(3.0)
         worker.gauge("sweep.grid_points").set(2.0)
-        parent.merge(worker.delta(snap))
+        parent.merge(worker.payload())
 
         assert parent.as_dict() == direct.as_dict()
 
@@ -151,3 +158,71 @@ class TestCaptureMerge:
         }
         with pytest.raises(ValueError, match="bin mismatch"):
             parent.merge(payload)
+
+
+class TestScoped:
+    """``scoped()``: capture by construction, fold by the exact merge."""
+
+    @staticmethod
+    def publish():
+        emit("cache.stores", 2.0)
+        set_gauge("sweep.grid_points", 5.0)
+        # 1e16 + 1 + 1 rounds differently grouped than summed in order:
+        # only an exact fold reproduces the direct total.
+        for value in (1.0, 1e16, 1.0):
+            observe("sim.transfer_bytes", value)
+
+    def direct(self):
+        registry = MetricsRegistry()
+        registry.gauge("sweep.grid_points").set(5.0)  # about to be re-set
+        with installed(registry):
+            observe("sim.transfer_bytes", 1.0)
+            self.publish()
+        return registry
+
+    def test_ambient_equals_direct_publication(self):
+        ambient = MetricsRegistry()
+        ambient.gauge("sweep.grid_points").set(5.0)
+        with installed(ambient):
+            observe("sim.transfer_bytes", 1.0)
+            with scoped() as scope:
+                assert active() is scope
+                self.publish()
+            assert active() is ambient
+        assert ambient.as_dict() == self.direct().as_dict()
+        assert scope.as_dict()["counters"] == {"cache.stores": 2.0}
+
+    def test_nested_scopes_fold_outward(self):
+        ambient = MetricsRegistry()
+        ambient.gauge("sweep.grid_points").set(5.0)
+        with installed(ambient):
+            observe("sim.transfer_bytes", 1.0)
+            with scoped() as outer:
+                emit("cache.stores")
+                with scoped() as inner:
+                    emit("cache.stores")
+                    set_gauge("sweep.grid_points", 5.0)
+                    for value in (1.0, 1e16, 1.0):
+                        observe("sim.transfer_bytes", value)
+        assert inner.counter("cache.stores").value == 1.0
+        assert outer.counter("cache.stores").value == 2.0
+        assert outer.as_dict()["gauges"] == {"sweep.grid_points": 5.0}
+        assert ambient.as_dict() == self.direct().as_dict()
+
+    def test_collects_with_no_ambient_registry(self):
+        assert active() is None
+        with scoped() as scope:
+            self.publish()
+        assert active() is None
+        assert scope.counter("cache.stores").value == 2.0
+        assert scope.histogram("sim.transfer_bytes").count == 3
+
+    def test_exception_still_folds_what_was_published(self):
+        ambient = MetricsRegistry()
+        with installed(ambient):
+            with pytest.raises(RuntimeError):
+                with scoped():
+                    emit("cache.stores", 2.0)
+                    raise RuntimeError("task failed")
+            assert active() is ambient
+        assert ambient.as_dict()["counters"] == {"cache.stores": 2.0}

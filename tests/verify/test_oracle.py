@@ -17,6 +17,7 @@ from repro.core.protocols import (
 )
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode, simulate
+from repro.obs import registry as obs_registry
 from repro.verify import (
     ConsistencyViolation,
     UnsupportedProtocolError,
@@ -25,7 +26,6 @@ from repro.verify import (
     set_enabled,
     verify_simulation,
 )
-from repro.verify.oracle import runs_verified
 from tests.conftest import make_history
 
 
@@ -209,10 +209,33 @@ class TestGating:
         assert not is_enabled()
         assert os.environ["REPRO_VERIFY"] == "0"
 
-    def test_verified_counter_increments(self, mixed_server):
-        before = runs_verified()
-        verify_simulation(
+    def test_reference_simulation_is_constructed_once(
+        self, mixed_server, monkeypatch
+    ):
+        # The metrics clause's expectation is what the primary reference
+        # run published into its scope — not a second reference run.
+        import repro.verify.oracle as oracle_module
+
+        built = []
+
+        class Counted(oracle_module.Simulation):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "Simulation", Counted)
+        _, report = verify_simulation(
             mixed_server, TTLProtocol(hours(24)), mixed_requests(),
             end_time=days(8),
         )
-        assert runs_verified() == before + 1
+        assert report.ok and len(built) == 1
+
+    def test_verified_counter_increments(self, mixed_server):
+        # ``verify.runs`` is the one count of verified runs: whatever
+        # scope the check ran in holds exactly one more.
+        with obs_registry.scoped() as scope:
+            verify_simulation(
+                mixed_server, TTLProtocol(hours(24)), mixed_requests(),
+                end_time=days(8),
+            )
+        assert scope.counter("verify.runs").value == 1.0
