@@ -19,10 +19,14 @@ into parallel arrays indexed by a dense object index:
 
 Compilation is cached per server instance (weak-keyed, so a dropped
 server frees its arrays): a 21-point sweep over one workload compiles
-once and reuses the arrays for every grid point.  A fault plan's action
-schedule (:func:`compile_schedule`) is memoised next to it, one per
-server: the columns of the last ``(plan, start_time)`` resolved against
-that server's feed, keyed by object index.
+once and reuses the arrays for every grid point.  The other products a
+grid point does not change are memoised next to it, one slot each per
+server and dying with it: a fault plan's action schedule
+(:func:`compile_schedule` — the columns of the last ``(plan,
+start_time)`` resolved against that server's feed, keyed by object
+index), the last encoded request stream (:func:`encode_requests`) and
+the preloaded state template (:func:`initial_state`, which hands each
+run its own copy).
 
 Equivalence note (docs/FASTPATH.md): the compiled feed is the server's
 own :meth:`~repro.core.server.OriginServer.invalidation_feed` mapped to
@@ -31,7 +35,10 @@ encoding replays the reference simulator's own validation, raising the
 identical ``ValueError`` for out-of-order streams and
 :class:`~repro.core.server.UnknownObjectError` for unknown ids (the
 fast path raises before any event is observed; the reference raises
-mid-stream — see the contract's error-parity clause).
+mid-stream — see the contract's error-parity clause).  A memo hit is by
+construction a list that already passed that validation, which is why a
+server's histories and a request list must not be edited in place
+between runs that share them.
 """
 
 from __future__ import annotations
@@ -39,19 +46,20 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.server import OriginServer, UnknownObjectError
 from repro.faults.plan import ActionColumns, FaultPlan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledServer:
     """One origin server flattened into parallel arrays.
 
     All lists are indexed by the dense object index assigned in the
     server's insertion order (the order :meth:`Cache.preload_from`
     walks), so preload-time behaviour needs no id lookups at all.
+    Compared and hashed by identity: it keys the per-server memos below.
     """
 
     ids: list[str]
@@ -79,7 +87,12 @@ _COMPILED: "weakref.WeakKeyDictionary[OriginServer, CompiledServer]" = (
 
 
 def compile_server(server: OriginServer) -> CompiledServer:
-    """Compile (or fetch the cached compilation of) ``server``."""
+    """Compile (or fetch the cached compilation of) ``server``.
+
+    Contract: a server's histories — and a request list handed to
+    :func:`encode_requests` — are not edited in place between runs that
+    share them; everything memoised here is keyed by object identity.
+    """
     compiled = _COMPILED.get(server)
     if compiled is None:
         compiled = _compile(server)
@@ -207,6 +220,20 @@ class CacheState:
         self.server_expires = [0.0] * count
         self.expires_at = [0.0] * count
 
+    def copy(self) -> "CacheState":
+        """A state no write to which is visible through this one."""
+        clone = CacheState.__new__(CacheState)
+        for name in self.__slots__:
+            setattr(clone, name, getattr(self, name)[:])
+        return clone
+
+
+#: Per compiled server, so per server and with its lifetime: the
+#: preloaded state as of the last ``start_time``.
+_TEMPLATES: (
+    "weakref.WeakKeyDictionary[CompiledServer, tuple[float, CacheState]]"
+) = weakref.WeakKeyDictionary()
+
 
 def initial_state(
     compiled: CompiledServer, start_time: float, preload: bool
@@ -218,11 +245,16 @@ def initial_state(
     the origin's Last-Modified at that instant — exactly what
     :meth:`Cache.preload_from` builds.  The protocol's ``on_stored``
     stamp is applied by the kernel (it depends on protocol parameters).
+    The preloaded arrays are built once per ``start_time``; every call
+    gets its own copy, so no run sees another's writes.
     """
     count = len(compiled.ids)
-    state = CacheState(count)
     if not preload:
-        return state
+        return CacheState(count)
+    memo = _TEMPLATES.get(compiled)
+    if memo is not None and memo[0] == start_time:
+        return memo[1].copy()
+    state = CacheState(count)
     mod_times = compiled.mod_times
     for i in range(count):
         if not compiled.cacheable[i]:
@@ -241,18 +273,34 @@ def initial_state(
         if compiled.has_expires[i]:
             state.has_server_expires[i] = True
             state.server_expires[i] = start_time + compiled.expires_after[i]
-    return state
+    _TEMPLATES[compiled] = (start_time, state)
+    return state.copy()
+
+
+_Stream = tuple[list[float], list[int]]
+
+#: Per compiled server: the last successfully encoded list or tuple —
+#: held, so its identity cannot be recycled — the ``(length,
+#: start_time)`` it was encoded at, and its arrays.
+_STREAMS: (
+    "weakref.WeakKeyDictionary[CompiledServer, "
+    "tuple[Sequence[tuple[float, str]], tuple[int, float], _Stream]]"
+) = weakref.WeakKeyDictionary()
 
 
 def encode_requests(
     compiled: CompiledServer,
     requests: Iterable[tuple[float, str]],
     start_time: float,
-) -> tuple[list[float], list[int]]:
+) -> _Stream:
     """The request stream as parallel (times, object-index) arrays.
 
     Validation replays the reference :meth:`Simulation.step` checks with
-    identical exception types and messages.
+    identical exception types and messages.  The same list (or tuple)
+    *object* at the same length and ``start_time`` gets the arrays of
+    its last successful encoding back — the runs of one stream are
+    consecutive in every sweep — so callers treat them as read-only; an
+    iterator is encoded every time, and a failure is never remembered.
 
     Raises:
         ValueError: when the stream is not time-ordered (the reference
@@ -260,6 +308,9 @@ def encode_requests(
         UnknownObjectError: when a request names an object the server
             does not hold.
     """
+    memo = _STREAMS.get(compiled)
+    if memo and memo[0] is requests and memo[1] == (len(memo[0]), start_time):
+        return memo[2]
     times: list[float] = []
     objs: list[int] = []
     index = compiled.index
@@ -276,4 +327,6 @@ def encode_requests(
             raise UnknownObjectError(oid)
         times.append(t)
         objs.append(obj)
+    if isinstance(requests, (list, tuple)):
+        _STREAMS[compiled] = (requests, (len(times), start_time), (times, objs))
     return times, objs

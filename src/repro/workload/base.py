@@ -10,6 +10,7 @@ time-ordered client request stream.  Generators in this package build
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Optional, Sequence
 
 from repro.core.objects import ObjectHistory
@@ -48,7 +49,7 @@ class Workload:
                 f"clients ({len(self.clients)}) must align with requests "
                 f"({len(self.requests)})"
             )
-        for earlier, later in zip(self.requests, self.requests[1:]):
+        for earlier, later in pairwise(self.requests):
             if later[0] < earlier[0]:
                 raise ValueError("requests must be sorted by time")
 
