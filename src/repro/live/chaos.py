@@ -296,7 +296,7 @@ class ChaosRelay(LiveServer):
         try:
             while True:
                 try:
-                    head = await _read_head(reader)
+                    head = await self._idle(writer, _read_head(reader))
                 except LiveWireError:
                     # Clean close between exchanges (the normal end of a
                     # keep-alive conversation) or a client that died

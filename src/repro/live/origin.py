@@ -116,11 +116,17 @@ class LiveOrigin(LiveServer):
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve one connection until the peer closes or drops
+        ``Connection: keep-alive``.  No idle timeout: an opted-in
+        socket is held for as long as its client keeps it — what the
+        proxy's :class:`~repro.live.wire.ConnectionPool` leans on."""
         self._pin()
         try:
             while True:
                 try:
-                    request, _ = await read_request(reader)
+                    request, _ = await self._idle(
+                        writer, read_request(reader)
+                    )
                 except LiveConnectionClosed:
                     break
                 except LiveWireError as exc:

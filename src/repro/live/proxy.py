@@ -98,13 +98,13 @@ from repro.live.wire import (
     TRACE_HEADER,
     WARMUP_HEADER,
     X_CACHE,
+    ConnectionPool,
     LiveConnectionClosed,
     LiveReplayError,
     LiveServer,
     LiveWireError,
     ensure_integral,
     error_response,
-    exchange,
     read_request,
     wants_keepalive,
     write_message,
@@ -286,6 +286,8 @@ class LiveProxy(LiveServer):
         super().__init__()
         self.origin_host = origin_host
         self.origin_port = origin_port
+        #: The upstream hop: pooled keep-alive sockets.
+        self._origin = ConnectionPool(origin_host, origin_port)
         self.protocol = protocol
         self.mode = mode
         self.costs = costs
@@ -334,6 +336,12 @@ class LiveProxy(LiveServer):
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         """Bind and start serving; ``port=0`` picks an ephemeral port."""
         await self.start_server(self._handle, host, port)
+
+    async def close(self) -> None:
+        """Stop serving, then close the pooled upstream sockets: with
+        no handler left, none can be checked back in behind the sweep."""
+        await super().close()
+        await self._origin.close()
 
     # -- warmup --------------------------------------------------------------
 
@@ -544,11 +552,13 @@ class LiveProxy(LiveServer):
     async def _origin_raw(
         self, request: Request
     ) -> tuple[Response, str, int]:
-        """One upstream exchange, retried under a chaos-sized budget.
+        """One upstream exchange on a pooled keep-alive connection,
+        retried under a chaos-sized budget (the pool drops a failed
+        attempt's connection, so a retry dials afresh).
 
-        The wire tally is charged per attempt — lost bytes moved on a
-        socket too.  Retried requests carry whatever ``X-Repro-Seq``
-        the caller stamped, so the origin's counting dedups.
+        The wire tally is charged per completed attempt.  Retried
+        requests carry whatever ``X-Repro-Seq`` the caller stamped, so
+        the origin's counting dedups.
         """
         last: Optional[BaseException] = None
         for attempt in range(self.upstream_attempts):
@@ -562,9 +572,7 @@ class LiveProxy(LiveServer):
                         hop="upstream",
                     )
             try:
-                response, body, nbytes = await exchange(
-                    self.origin_host, self.origin_port, request
-                )
+                response, body, nbytes = await self._origin.request(request)
             except (LiveWireError, ConnectionError, OSError) as exc:
                 last = exc
                 continue
@@ -763,7 +771,9 @@ class LiveProxy(LiveServer):
             while True:
                 parse_started = obs_clock.monotonic()
                 try:
-                    request, received = await read_request(reader)
+                    request, received = await self._idle(
+                        writer, read_request(reader)
+                    )
                 except LiveConnectionClosed:
                     break
                 except LiveWireError as exc:

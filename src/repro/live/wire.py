@@ -13,7 +13,9 @@ Connections carry one exchange by default (:func:`exchange`, the
 historical behaviour, byte-identical to PR 7).  A client that sends
 ``Connection: keep-alive`` — :class:`LiveConnection` does — keeps the
 socket open for further exchanges; the servers loop reading requests
-until the peer closes or drops the header.  The framing distinguishes
+until the peer closes or drops the header.  The proxy→origin hop is
+always persistent: a :class:`ConnectionPool` of such connections, one
+per upstream exchange in flight.  The framing distinguishes
 three stream endings that HTTP/1.0 conflates: a clean close *between*
 messages (:class:`LiveConnectionClosed` — how keep-alive loops end), a
 close mid-head (:class:`LiveWireError`), and a body shorter than its
@@ -31,7 +33,7 @@ one-second granularity).
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Optional, Union
+from typing import Awaitable, Callable, Optional, TypeVar, Union
 
 from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE
 from repro.http.messages import (
@@ -80,6 +82,8 @@ TRACE_HEADER = "X-Repro-Trace"
 _MAX_HEAD_BYTES = 65536
 
 _HEAD_TERMINATOR = b"\r\n\r\n"
+
+_T = TypeVar("_T")
 
 
 class LiveWireError(ValueError):
@@ -276,6 +280,10 @@ async def exchange(
 ) -> tuple[Response, str, int]:
     """One full client exchange: connect, send, read, close.
 
+    Two callers remain, both in the driver: its control plane and
+    its ``keepalive=False`` client hop (the proxy's upstream hop is a
+    :class:`ConnectionPool`).
+
     Returns:
         ``(response, body_text, wire_bytes)`` where ``wire_bytes`` is
         the total sent plus received on this connection.
@@ -314,8 +322,9 @@ class LiveServer:
     :meth:`start_server` — the hand-off stays in the subclass (and keeps
     asyncio's name) because that call is what RPR007 reads as the
     class's concurrency entry point.  Its handler calls :meth:`_pin`
-    first.  ``_state_lock`` is each server's own (lock attributes are
-    declared where their critical sections are).
+    first and awaits each next request through :meth:`_idle`.
+    ``_state_lock`` is each server's own (lock attributes are declared
+    where their critical sections are).
     """
 
     _state_lock: asyncio.Lock
@@ -324,6 +333,8 @@ class LiveServer:
         #: Transport-level connection failures observed while serving.
         self.connection_errors = 0
         self._handlers: set[asyncio.Task[None]] = set()
+        #: Handlers idle between exchanges, and the socket to hang up.
+        self._parked: dict[asyncio.Task[None], asyncio.StreamWriter] = {}
         self._listener: Optional[asyncio.AbstractServer] = None
         self._host = ""
         self._port = 0
@@ -348,18 +359,26 @@ class LiveServer:
         self._host, self._port = sockname[0], int(sockname[1])
 
     async def close(self) -> None:
-        """Stop serving, release the socket, and cancel (and await) any
-        handler still in flight: one abandoned mid-exchange (its client
-        gave up after a chaos fault) must not outlive its listener."""
+        """Stop serving, release the socket, and end (and await) any
+        handler still alive: one idle between exchanges (a keep-alive
+        peer's normal state) is hung up on and leaves through its own
+        :class:`LiveConnectionClosed` path, one abandoned mid-exchange
+        (its client gave up after a chaos fault) is cancelled."""
         if self._listener is not None:
             self._listener.close()
-            await self._listener.wait_closed()
-            self._listener = None
         pending = [task for task in self._handlers if not task.done()]
         for task in pending:
-            task.cancel()
+            writer = self._parked.get(task)
+            if writer is not None:
+                writer.close()
+            else:
+                task.cancel()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
+        if self._listener is not None:
+            # Last: from Python 3.12 this waits for every connection.
+            await self._listener.wait_closed()
+            self._listener = None
 
     @property
     def host(self) -> str:
@@ -384,6 +403,19 @@ class LiveServer:
         if task is not None:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
+
+    async def _idle(
+        self, writer: asyncio.StreamWriter, read: Awaitable[_T]
+    ) -> _T:
+        """Await a handler's next request; while it waits,
+        :meth:`close` hangs up on ``writer`` rather than cancel."""
+        task = asyncio.current_task()
+        assert task is not None
+        self._parked[task] = writer
+        try:
+            return await read
+        finally:
+            del self._parked[task]
 
     async def _note_connection_error(self) -> None:
         """Count a transport failure instead of silently swallowing it."""
@@ -416,8 +448,12 @@ class LiveConnection:
 
     @property
     def is_open(self) -> bool:
-        """True while a socket is held (possibly already broken)."""
-        return self._writer is not None
+        """True while a socket is held and the event loop has not seen
+        its peer hang up (no I/O is done to find out)."""
+        return not (
+            self._reader is None or self._writer is None
+            or self._reader.at_eof() or self._writer.is_closing()
+        )
 
     async def request(self, request: Request) -> tuple[Response, str, int]:
         """Send one request and read its response on the shared socket.
@@ -451,3 +487,41 @@ class LiveConnection:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+
+class ConnectionPool:
+    """A free list of kept-alive connections to one server.
+
+    Each exchange has a :class:`LiveConnection` to itself, so the pool
+    grows to the number in flight at once.  One whose exchange failed
+    in any way, or whose peer hung up while it sat idle, is closed and
+    dropped; retrying is the caller's business.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._free: list[LiveConnection] = []
+
+    async def request(self, request: Request) -> tuple[Response, str, int]:
+        """One exchange, as :meth:`LiveConnection.request`."""
+        while self._free:
+            connection = self._free.pop()
+            if connection.is_open:
+                break
+            await connection.close()
+        else:
+            connection = LiveConnection(self.host, self.port)
+        try:
+            reply = await connection.request(request)
+        except BaseException:
+            await connection.close()
+            raise
+        self._free.append(connection)
+        return reply
+
+    async def close(self) -> None:
+        """Close the idle connections (one mid-exchange closes when
+        its caller fails or is cancelled)."""
+        while self._free:
+            await self._free.pop().close()

@@ -250,6 +250,26 @@ class TestKeepAliveAndIdempotency:
 
         assert _run(scenario) == [200, 200, 200]
 
+    def test_an_idle_keepalive_connection_is_held_open(self):
+        """No idle timeout: a client that goes quiet keeps its socket
+        (the proxy's upstream pool parks connections between requests
+        for as long as it lives)."""
+        from repro.live.wire import LiveConnection
+
+        async def scenario(origin):
+            connection = LiveConnection(origin.host, origin.port)
+            try:
+                await connection.request(_get("/a", 10.0))
+                (handler,) = origin._handlers
+                await asyncio.sleep(0.3)
+                idle = connection.is_open and not handler.done()
+                response, _, _ = await connection.request(_get("/a", 20.0))
+                return idle, response.status, len(origin._handlers)
+            finally:
+                await connection.close()
+
+        assert _run(scenario) == (True, 200, 1)
+
     def test_duplicate_seq_is_served_but_counted_once(self):
         from repro.live.wire import SEQ_HEADER
 

@@ -8,15 +8,24 @@ transition is observable in isolation.
 """
 
 import asyncio
+import gc
 import json
+
+import pytest
 
 from repro.core.costs import DEFAULT_COSTS
 from repro.core.metrics import FULL_RETRIEVAL, VALIDATION_304
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
-from repro.core.protocols import InvalidationProtocol, TTLProtocol
+from repro.core.protocols import (
+    InvalidationProtocol,
+    PollEveryRequestProtocol,
+    TTLProtocol,
+)
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
 from repro.http.messages import Request
+from repro.live import live_vs_sim, parse_chaos, run_replay
+from repro.live import wire
 from repro.live.origin import LiveOrigin
 from repro.live.proxy import LiveProxy
 from repro.live.wire import CONTROL_PREFIX, DATE, X_CACHE, exchange
@@ -187,3 +196,136 @@ class TestStatsEndpoint:
         assert stats["wire_bytes"] > 0
         assert stats["protocol"] == "ttl(0.00833333h)"
         assert stats["mode"] == "optimized"
+
+
+def _population(n: int) -> OriginServer:
+    return OriginServer([
+        ObjectHistory(WebObject(f"/o{i}", size=100 + i, created=-500.0))
+        for i in range(n)
+    ])
+
+
+@pytest.fixture
+def accepted(monkeypatch):
+    """Connections the origin accepted, one entry per handler started."""
+    entries = []
+    handle = LiveOrigin._handle
+
+    async def counting(self, reader, writer):
+        entries.append(writer)
+        await handle(self, reader, writer)
+
+    monkeypatch.setattr(LiveOrigin, "_handle", counting)
+    return entries
+
+
+class TestUpstreamKeepAlive:
+    """The proxy→origin hop rides pooled keep-alive sockets."""
+
+    def test_a_polling_replay_dials_the_origin_a_handful_of_times(
+        self, accepted
+    ):
+        """200 poll-every-request exchanges: one socket per exchange in
+        flight (two client connections) plus the driver's one stats
+        read of the origin — not one per validation."""
+        requests = [(float(10 + i), f"/o{i % 7}") for i in range(200)]
+        report = asyncio.run(run_replay(
+            _population(7), PollEveryRequestProtocol(), requests,
+            connections=2, keepalive=True,
+        ))
+        assert report.origin_ims_queries == 200
+        assert 1 <= len(accepted) <= 3
+
+    def test_warm_opens_exactly_one_connection(self, accepted):
+        async def body():
+            origin = LiveOrigin(_population(25))
+            await origin.start()
+            proxy = LiveProxy(origin.host, origin.port, TTLProtocol(30.0))
+            try:
+                return await proxy.warm(0.0)
+            finally:
+                await proxy.close()
+                await origin.close()
+
+        assert asyncio.run(body()) == 25
+        assert len(accepted) == 1
+
+    def test_origin_restart_between_exchanges_costs_no_retry(self, accepted):
+        """A long-lived proxy (``repro serve``) outlives its origin's
+        restarts: the pooled socket the old origin hung up on is never
+        handed out, so even a budget of one attempt succeeds."""
+        async def scenario(origin, proxy):
+            assert proxy.upstream_attempts == 1
+            first, _, _ = await _client_get(proxy, "/a", 35.0)
+            port = origin.port
+            await origin.close()
+            await origin.start(port=port)
+            second, _, _ = await _client_get(proxy, "/a", 70.0)
+            return first, second
+
+        (first, second), proxy = _run(scenario)
+        assert first.headers.get(X_CACHE) == "REVALIDATED"
+        assert (second.status, second.headers.get(X_CACHE)) == (200, "MISS")
+        # warm-up + first exchange shared one socket; the second dialled.
+        assert len(accepted) == 2
+
+    @pytest.mark.parametrize("fault", ["loss", "reset", "truncate"])
+    def test_a_faulted_connection_is_closed_and_never_reused(
+        self, fault, monkeypatch
+    ):
+        """Upstream chaos: the connection a fault broke is closed and
+        dropped, unbroken ones keep serving, and the run still equals
+        the simulator (retries ride the same ``X-Repro-Seq``)."""
+        made = []
+
+        class Watched(wire.LiveConnection):
+            def __init__(self, host, port):
+                super().__init__(host, port)
+                self.outcomes = []
+                made.append(self)
+
+            async def request(self, request):
+                assert "failed" not in self.outcomes, "broken, yet reused"
+                try:
+                    reply = await super().request(request)
+                except BaseException:
+                    self.outcomes.append("failed")
+                    raise
+                self.outcomes.append("ok")
+                return reply
+
+        # The pool's connections only: the driver imported its own name.
+        monkeypatch.setattr(wire, "LiveConnection", Watched)
+        requests = [(float(10 + i), f"/o{i % 5}") for i in range(60)]
+        _, _, report = live_vs_sim(
+            _population(5), PollEveryRequestProtocol, requests,
+            end_time=100.0, connections=2, keepalive=True,
+            chaos=parse_chaos(f"{fault}=0.3,seed=5"),
+        )
+        assert report.ok
+        assert any("failed" in c.outcomes for c in made)
+        assert any(c.outcomes.count("ok") > 1 for c in made)
+        assert not any(c.is_open for c in made)
+
+
+class TestTeardown:
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning")
+    @pytest.mark.parametrize("chaos", [None, "loss=0.3,reset=0.2,seed=7"])
+    def test_replay_leaves_no_socket_and_no_asyncio_complaint(
+        self, chaos, caplog
+    ):
+        """After ``run_replay`` returns, nothing is left open to the
+        origin or a relay (a leaked transport is a ``ResourceWarning``
+        at collection), and no handler had to be cancelled (Python
+        3.11 logs ``Exception in callback`` for each one that is)."""
+        requests = [(float(10 + i), f"/o{i % 5}") for i in range(40)]
+        with caplog.at_level("ERROR", logger="asyncio"):
+            asyncio.run(run_replay(
+                _population(5), PollEveryRequestProtocol(), requests,
+                end_time=100.0, connections=3, keepalive=True,
+                chaos=parse_chaos(chaos) if chaos else None,
+            ))
+            gc.collect()
+        assert not caplog.records

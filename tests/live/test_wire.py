@@ -12,14 +12,18 @@ import pytest
 
 from repro.http.messages import Request, Response, make_ok
 from repro.live.wire import (
+    ConnectionPool,
+    LiveConnection,
     LiveConnectionClosed,
     LiveReplayError,
     LiveTruncationError,
     LiveWireError,
+    LiveServer,
     ensure_integral,
     read_message,
     read_request,
     read_response,
+    write_message,
 )
 
 
@@ -182,3 +186,174 @@ class TestReadMessage:
 
         with pytest.raises(LiveTruncationError, match="promised 50 bytes"):
             asyncio.run(read())
+
+
+class _Scripted(LiveServer):
+    """A keep-alive server whose reply is chosen by the request path:
+    ``/pair/*`` answers once two of them are waiting (so both are in
+    flight at once), ``/drop`` hangs up with no reply (what a chaos
+    loss or reset looks like to the client), ``/cut`` sends a body
+    shorter than it declared (a truncation), anything else answers
+    with its own path as the body."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.accepted = 0
+        self._waiting = 0
+        self._paired = asyncio.Event()
+
+    async def start(self, port: int = 0) -> None:
+        await self.start_server(self._handle, "127.0.0.1", port)
+
+    async def _handle(self, reader, writer) -> None:
+        self._pin()
+        self.accepted += 1
+        try:
+            while True:
+                try:
+                    request, _ = await self._idle(
+                        writer, read_request(reader))
+                except LiveConnectionClosed:
+                    break
+                path = request.path
+                if path == "/drop":
+                    break
+                if path.startswith("/pair/"):
+                    self._waiting += 1
+                    if self._waiting == 2:
+                        self._paired.set()
+                    await self._paired.wait()
+                text = make_ok(len(path)).serialize(path)
+                if path == "/cut":
+                    await write_message(writer, text[:-2])
+                    break
+                await write_message(writer, text)
+        finally:
+            writer.close()
+
+
+def _with_pool(scenario):
+    """Run ``scenario(server, pool)`` against a started scripted server."""
+    async def body():
+        server = _Scripted()
+        await server.start()
+        pool = ConnectionPool(server.host, server.port)
+        try:
+            return await scenario(server, pool)
+        finally:
+            await pool.close()
+            await server.close()
+
+    return asyncio.run(body())
+
+
+async def _body_of(pool: ConnectionPool, path: str) -> str:
+    _, body, _ = await pool.request(Request("GET", path))
+    return body
+
+
+class TestConnectionPool:
+    def test_sequential_exchanges_share_one_socket(self):
+        async def scenario(server, pool):
+            bodies = [await _body_of(pool, f"/ok/{i}") for i in range(5)]
+            return bodies, server.accepted
+
+        bodies, accepted = _with_pool(scenario)
+        assert bodies == [f"/ok/{i}" for i in range(5)]
+        assert accepted == 1
+
+    def test_two_in_flight_exchanges_ride_two_sockets(self):
+        """Nothing is interleaved: each exchange in flight has a socket
+        to itself, each reply reaches its own request, and both sockets
+        are idle — and reused — afterwards."""
+        async def scenario(server, pool):
+            first = await asyncio.gather(
+                _body_of(pool, "/pair/x"), _body_of(pool, "/pair/y"))
+            in_flight = server.accepted
+            later = await asyncio.gather(
+                _body_of(pool, "/ok/1"), _body_of(pool, "/ok/2"))
+            return first, in_flight, later, server.accepted
+
+        first, in_flight, later, accepted = _with_pool(scenario)
+        assert first == ["/pair/x", "/pair/y"]
+        assert in_flight == 2
+        assert later == ["/ok/1", "/ok/2"]
+        assert accepted == 2
+
+    def test_a_broken_connection_is_dropped_its_idle_sibling_reused(self):
+        async def scenario(server, pool):
+            await asyncio.gather(
+                _body_of(pool, "/pair/x"), _body_of(pool, "/pair/y"))
+            assert server.accepted == 2
+            # No reply at all (loss, reset): that socket is gone ...
+            with pytest.raises(LiveConnectionClosed):
+                await _body_of(pool, "/drop")
+            # ... the sibling serves on, and nothing new is dialled.
+            assert await _body_of(pool, "/ok/1") == "/ok/1"
+            assert server.accepted == 2
+            # A truncated reply breaks the sibling too: the pool is empty.
+            with pytest.raises(LiveTruncationError):
+                await _body_of(pool, "/cut")
+            assert await _body_of(pool, "/ok/2") == "/ok/2"
+            return server.accepted
+
+        assert _with_pool(scenario) == 3
+
+    def test_a_connection_whose_peer_hung_up_is_not_handed_out(self):
+        """``is_open`` at check-out: the server side of an idle pooled
+        socket went away, so the next exchange dials a fresh one and
+        succeeds first time — there is no retry to lean on."""
+        async def scenario(server, pool):
+            await _body_of(pool, "/ok/1")
+            port = server.port
+            await server.close()
+            await server.start(port)
+            return await _body_of(pool, "/ok/2"), server.accepted
+
+        assert _with_pool(scenario) == ("/ok/2", 2)
+
+    def test_is_open_sees_the_hangup_without_io(self):
+        async def scenario(server, pool):
+            connection = LiveConnection(server.host, server.port)
+            assert not connection.is_open
+            await connection.request(Request("GET", "/ok"))
+            held = connection.is_open
+            await server.close()
+            await asyncio.sleep(0)
+            hung_up = connection.is_open
+            await connection.close()
+            return held, hung_up
+
+        assert _with_pool(scenario) == (True, False)
+
+
+class TestServerClose:
+    def test_idle_keepalive_handlers_are_hung_up_not_cancelled(self, caplog):
+        """A cancelled ``start_server`` handler makes Python 3.11's
+        stream protocol log ``Exception in callback``; an idle one must
+        leave through its own closed-connection path instead."""
+        async def scenario(server, pool):
+            await asyncio.gather(
+                _body_of(pool, "/pair/x"), _body_of(pool, "/pair/y"))
+            handlers = list(server._handlers)
+            await server.close()
+            return [task.cancelled() for task in handlers]
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            assert _with_pool(scenario) == [False, False]
+        assert not caplog.records
+
+    def test_a_handler_stuck_mid_exchange_is_still_cancelled(self):
+        async def scenario(server, pool):
+            stuck = asyncio.create_task(_body_of(pool, "/pair/alone"))
+            while not server._handlers:
+                await asyncio.sleep(0)
+            (handler,) = server._handlers
+            while handler in server._parked:
+                await asyncio.sleep(0)
+            await server.close()
+            with pytest.raises(LiveWireError):
+                await stuck
+            return handler.cancelled()
+
+        assert _with_pool(scenario) is True
