@@ -110,13 +110,12 @@ live:
 # Consistency-oracle gate (see docs/PROTOCOLS.md, "Invariants &
 # verification"): static analysis + typing first, then the request
 # step's transition table (a transition bug fails here, where it is
-# written) and the differential/metamorphic property suite, then replay
-# every experiment at reduced scale with each simulation checked
-# event-for-event against the brute-force spec model.
-verify: lint typecheck
+# written) and the differential/metamorphic property suite.  The
+# oracle-checked replay of every experiment at reduced scale (each
+# simulation checked event-for-event against the brute-force spec
+# model) is `snapshot-check`'s run — a prerequisite, not repeated here.
+verify: lint typecheck snapshot-check
 	$(PYTHON) -m pytest tests/core/test_step.py tests/verify/ -q
-	$(PYTHON) -m repro.experiments all --scale 0.25 --workers $(WORKERS) \
-	  --verify > /dev/null
 	@echo "verify: lint + typecheck + property suite + oracle-checked replay passed"
 
 # Regenerate the committed full-scale results snapshot and SVG figures.

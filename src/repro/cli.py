@@ -170,6 +170,16 @@ def _print_result(result: SimulationResult, title: str) -> None:
     ))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--step``: a non-positive step is an empty (or
+    never-ending) grid, so it is a usage error, not a run."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _step_grid(
     args: argparse.Namespace, alex_step: int, ttl_step: int
 ) -> list[float]:
@@ -703,7 +713,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("trace", type=Path)
     p_sweep.add_argument("--protocol", default="alex",
                          choices=["alex", "ttl"])
-    p_sweep.add_argument("--step", type=int, default=None)
+    p_sweep.add_argument("--step", type=_positive_int, default=None,
+                         help="grid step (default: 10 for alex, 50 for ttl)")
     p_sweep.add_argument("--mode", default="optimized",
                          choices=[m.value for m in SimulatorMode])
     p_sweep.add_argument(
@@ -737,7 +748,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="workload scale factor (default 0.05 — "
                              "profiling wants a quick run)")
     p_prof.add_argument("--seed", type=int, default=0)
-    p_prof.add_argument("--step", type=int, default=None,
+    p_prof.add_argument("--step", type=_positive_int, default=None,
                         help="grid step (default: 20 for alex, 100 for ttl)")
     p_prof.add_argument("--mode", default="optimized",
                         choices=[m.value for m in SimulatorMode])
@@ -833,7 +844,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_replay.add_argument(
         "--connections", type=int, default=1,
         help="size of the driver's connection pool (default 1: serial "
-             "replay; requests for distinct objects interleave when >1)",
+             "replay; requests for distinct objects interleave when >1; "
+             "a one-key replay — selftuning, --faults — is one bucket "
+             "on one socket whatever N)",
     )
     p_replay.add_argument(
         "--keepalive", action="store_true",

@@ -19,12 +19,13 @@ True
 from __future__ import annotations
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+#: SplitMix64's state increment (2**64 / golden ratio).
+GOLDEN = 0x9E3779B97F4A7C15
 
 
 def splitmix64(state: int) -> int:
     """One SplitMix64 step: advance ``state`` and finalize to 64 bits."""
-    z = (state + _GOLDEN) & _MASK64
+    z = (state + GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

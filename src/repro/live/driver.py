@@ -26,12 +26,13 @@ assembled here:
   no chaos.
 
 There is one replay path.  :func:`replay_pooled` partitions the stream
-by object across a pool of connections (per-object order preserved —
-exactly the ordering the proxy's per-object keys require), stamps every
-request with an ``X-Repro-Seq`` idempotency id, and retries transport
-failures — the committed reply replays, so accounting stays
-exactly-once over an at-least-once transport.  A pool of one connection
-without keep-alive is serial replay; nothing else distinguishes it.
+by object across the workers of one
+:class:`~repro.live.wire.ConnectionPool` (per-object order preserved —
+exactly the ordering the proxy's per-object keys require) and stamps
+every request with an ``X-Repro-Seq`` idempotency id; the pool retries
+transport failures — the committed reply replays, so accounting stays
+exactly-once over an at-least-once transport.  One worker without
+keep-alive is serial replay; nothing else distinguishes it.
 :func:`run_replay` boots the origin, optional
 :class:`~repro.live.chaos.ChaosRelay` hops and the proxy, and drives
 them.  ``crash_after`` decides only *where the proxy lives*: in this
@@ -81,14 +82,13 @@ from repro.live.wire import (
     SEQ_HEADER,
     TRACE_HEADER,
     X_CACHE,
-    LiveConnection,
+    ConnectionPool,
     LiveReplayError,
     LiveWireError,
     ensure_integral,
     exchange,
 )
 from repro.obs import clock as obs_clock
-from repro.obs import registry as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.timeline import role_trace_paths
 
@@ -278,8 +278,7 @@ def _partition(
     assigned round-robin by first appearance), and each bucket keeps
     its requests in stream order — so per-object request order is
     preserved, which is the only ordering the proxy's per-object keys
-    require.  Items carry their global stream index for sequence ids
-    and (when the proxy runs on one key) global-order gating.
+    require.  Items carry their global stream index for sequence ids.
     """
     bucket_of: dict[str, int] = {}
     buckets: list[list[tuple[int, float, str]]] = [
@@ -292,54 +291,6 @@ def _partition(
     return buckets
 
 
-async def _request_with_retry(
-    send: Callable[[], Awaitable[tuple[Response, str, int]]],
-    reset: Callable[[], Awaitable[None]],
-    what: str,
-    *,
-    attempts: int,
-    pause: float,
-    trace: Optional[str] = None,
-    sink: Optional[obs_trace.TraceSink] = None,
-) -> tuple[Response, str, int]:
-    """Drive one exchange to success over an at-least-once transport.
-
-    Any transport or framing failure closes the connection and resends
-    (the request's ``X-Repro-Seq`` makes the receiver replay, not
-    re-execute).  With ``pause``, every failed attempt waits before
-    reconnecting — that is what lets a driver ride through a proxy
-    restart, whose outage shows as a refused connection directly and as
-    a cleanly closed one (a :class:`LiveWireError`) behind a chaos
-    relay.
-
-    A retry mark is emitted next to the ``live.retries`` counter (same
-    branch, same count — ``repro trace summarize`` cross-checks the two)
-    whenever ``sink`` is present; ``trace`` carries the exchange's
-    propagated id.
-    """
-    last: Optional[BaseException] = None
-    for attempt in range(attempts):
-        if attempt:
-            obs_metrics.emit("live.retries")
-            if sink is not None:
-                sink.mark(
-                    "live.trace.retry",
-                    trace,
-                    obs_clock.monotonic(),
-                    hop="client",
-                )
-        try:
-            return await send()
-        except (LiveWireError, ConnectionError, OSError) as exc:
-            last = exc
-            await reset()
-            if pause > 0:
-                await asyncio.sleep(pause)
-    raise LiveWireError(
-        f"{what} failed after {attempts} attempts: {last!r}"
-    )
-
-
 async def replay_pooled(
     origin: LiveOrigin,
     proxy_host: str,
@@ -348,7 +299,6 @@ async def replay_pooled(
     *,
     connections: int = 2,
     keepalive: bool = True,
-    global_order: bool = False,
     lease: Optional[float] = None,
     attempts: int = 1,
     pause: float = 0.0,
@@ -358,15 +308,15 @@ async def replay_pooled(
     """Drive the request stream through a connection pool.
 
     The stream is partitioned by object (:func:`_partition`); each
-    bucket is driven by one worker over one keep-alive connection (or
-    one-shot exchanges when ``keepalive`` is off); one connection
-    without keep-alive *is* serial replay.  Every request carries
-    ``X-Repro-Seq: r<index>`` so retries are exactly-once.
-    ``global_order`` additionally gates every send on the global stream
-    index — required exactly when the proxy maps every object to one
-    key (:func:`repro.live.proxy.single_key`: cross-object protocol
-    state, or a fault plan's global timeline), because then only the
-    fully serialized order matches the simulator.
+    bucket is driven by one worker, and every worker sends through the
+    one :class:`~repro.live.wire.ConnectionPool` (kept-alive sockets,
+    or one-shot exchanges when ``keepalive`` is off), which retries
+    under ``attempts`` / ``pause``; one worker without keep-alive *is*
+    serial replay.  Every request carries ``X-Repro-Seq: r<index>`` so
+    retries are exactly-once.  A proxy that maps every object to one
+    key (:func:`repro.live.proxy.single_key`) matches the simulator
+    only in stream order: its caller passes ``connections=1`` — one
+    bucket, one worker, one socket.
 
     With ``trace``, requests additionally carry ``X-Repro-Trace``
     (same ``r<index>`` value as the sequence id) and the driver records
@@ -379,81 +329,59 @@ async def replay_pooled(
     """
     buckets = _partition(requests, max(1, connections))
     hits: list[tuple[float, str, Response]] = []
-    gate = asyncio.Condition() if global_order else None
-    state = {"next": 0}
+    pool = ConnectionPool(
+        proxy_host, proxy_port, keepalive=keepalive, hop="client",
+        trace=trace,
+    )
+
+    def mark_send(request: Request) -> None:
+        # One send mark per attempt: a retried exchange has several
+        # sends but one done, and the timeline's happens-before check
+        # uses the earliest send.
+        if trace is not None:
+            trace.mark(
+                "live.trace.send",
+                request.headers.get(TRACE_HEADER),
+                obs_clock.monotonic(),
+            )
 
     async def drive(bucket: list[tuple[int, float, str]]) -> None:
-        conn = LiveConnection(proxy_host, proxy_port)
-        try:
-            for index, t, object_id in bucket:
-                request = Request("GET", object_id)
-                request.headers.set_date(DATE, t)
-                request.headers.set(SEQ_HEADER, f"r{index}")
-                tid: Optional[str] = None
-                if trace is not None:
-                    tid = f"r{index}"
-                    request.headers.set(TRACE_HEADER, tid)
-
-                async def send() -> tuple[Response, str, int]:
-                    # One send mark per attempt: a retried exchange has
-                    # several sends but one done, and the timeline's
-                    # happens-before check uses the earliest send.
-                    if trace is not None:
-                        trace.mark(
-                            "live.trace.send", tid, obs_clock.monotonic()
-                        )
-                    if keepalive:
-                        return await conn.request(request)
-                    return await exchange(proxy_host, proxy_port, request)
-
-                if gate is not None:
-                    async with gate:
-                        await gate.wait_for(
-                            lambda: state["next"] == index  # noqa: B023
-                        )
-                exchange_started = (
-                    obs_clock.monotonic() if trace is not None else 0.0
+        for index, t, object_id in bucket:
+            seq = f"r{index}"
+            request = Request("GET", object_id)
+            request.headers.set_date(DATE, t)
+            request.headers.set(SEQ_HEADER, seq)
+            if trace is not None:
+                request.headers.set(TRACE_HEADER, seq)
+            exchange_started = (
+                obs_clock.monotonic() if trace is not None else 0.0
+            )
+            response, _, _ = await pool.request(
+                request, attempts=attempts, pause=pause, on_attempt=mark_send
+            )
+            if trace is not None:
+                done_clk = obs_clock.monotonic()
+                trace.mark("live.trace.done", seq, done_clk)
+                trace.span(
+                    "live.trace.exchange",
+                    done_clk - exchange_started,
+                    {
+                        "trace": seq,
+                        "clk": done_clk,
+                        "object": object_id,
+                        "t": float(t),
+                        "verdict": response.headers.get(X_CACHE),
+                    },
                 )
-                try:
-                    response, _, _ = await _request_with_retry(
-                        send,
-                        conn.close,
-                        f"request r{index} for {object_id!r}",
-                        attempts=attempts,
-                        pause=pause,
-                        trace=tid,
-                        sink=trace,
-                    )
-                finally:
-                    if gate is not None:
-                        async with gate:
-                            state["next"] = index + 1
-                            gate.notify_all()
-                if trace is not None:
-                    done_clk = obs_clock.monotonic()
-                    trace.mark("live.trace.done", tid, done_clk)
-                    trace.span(
-                        "live.trace.exchange",
-                        done_clk - exchange_started,
-                        {
-                            "trace": tid,
-                            "clk": done_clk,
-                            "object": object_id,
-                            "t": float(t),
-                            "verdict": response.headers.get(X_CACHE),
-                        },
-                    )
-                if response.status != 200:
-                    raise LiveWireError(
-                        f"proxy returned {response.status} for "
-                        f"{object_id!r} at t={t!r}"
-                    )
-                if response.headers.get(X_CACHE) == "HIT":
-                    hits.append((t, object_id, response))
-                if on_complete is not None:
-                    on_complete()
-        finally:
-            await conn.close()
+            if response.status != 200:
+                raise LiveWireError(
+                    f"proxy returned {response.status} for "
+                    f"{object_id!r} at t={t!r}"
+                )
+            if response.headers.get(X_CACHE) == "HIT":
+                hits.append((t, object_id, response))
+            if on_complete is not None:
+                on_complete()
 
     workers = [
         asyncio.create_task(drive(bucket)) for bucket in buckets if bucket
@@ -462,13 +390,14 @@ async def replay_pooled(
         await asyncio.gather(*workers)
     except BaseException:
         # First failure cancels the siblings: left alone they would
-        # keep retrying (240 attempts in crash mode), hold connections,
-        # and — global_order — wait forever on a gate that can no
-        # longer open.
+        # keep retrying (240 attempts in crash mode) and hold their
+        # connections.
         for worker in workers:
             worker.cancel()
         await asyncio.gather(*workers, return_exceptions=True)
         raise
+    finally:
+        await pool.close()
 
     stale_hits = 0
     stale_age_sum = 0.0
@@ -511,8 +440,8 @@ async def _drive(
     front of it); control exchanges always go to the proxy directly,
     they are the harness's measurement plane.  ``protocol`` and
     ``faults`` are what the proxy was built with: they decide the lease
-    bound of the staleness audit and whether sends are gated on the
-    global stream order.  ``settled`` is awaited between the last
+    bound of the staleness audit and whether the stream must arrive in
+    global order (one worker).  ``settled`` is awaited between the last
     request and the finish exchange (the crash monkey's respawn must be
     over before the proxy is asked for its totals).
 
@@ -531,9 +460,8 @@ async def _drive(
         client_host,
         client_port,
         requests,
-        connections=connections,
+        connections=1 if single_key(protocol, faults) else connections,
         keepalive=keepalive,
-        global_order=single_key(protocol, faults),
         lease=getattr(protocol, "lease", None),
         attempts=attempts,
         pause=pause,
@@ -693,7 +621,8 @@ async def run_replay(
     * ``faults`` — a compiled invalidation :class:`FaultPlan` replayed
       inside the proxy, mirroring ``simulate(faults=plan)``.  The
       schedule is a global timeline, so the proxy runs on one key and
-      the driver sends in global stream order, whatever the pool size.
+      the driver sends the stream over one connection, in order,
+      whatever ``connections`` says.
     * ``journal_path`` — commit-before-reply journaling, which is what
       a restarted proxy re-warms from.
     * ``crash_after`` — run the proxy as a child process

@@ -284,10 +284,10 @@ class LiveProxy(LiveServer):
         trace: Optional[obs_trace.TraceSink] = None,
     ) -> None:
         super().__init__()
-        self.origin_host = origin_host
-        self.origin_port = origin_port
         #: The upstream hop: pooled keep-alive sockets.
-        self._origin = ConnectionPool(origin_host, origin_port)
+        self._origin = ConnectionPool(
+            origin_host, origin_port, hop="upstream", trace=trace
+        )
         self.protocol = protocol
         self.mode = mode
         self.costs = costs
@@ -552,36 +552,18 @@ class LiveProxy(LiveServer):
     async def _origin_raw(
         self, request: Request
     ) -> tuple[Response, str, int]:
-        """One upstream exchange on a pooled keep-alive connection,
-        retried under a chaos-sized budget (the pool drops a failed
-        attempt's connection, so a retry dials afresh).
+        """One upstream exchange through the pool, retried under a
+        chaos-sized budget.
 
-        The wire tally is charged per completed attempt.  Retried
-        requests carry whatever ``X-Repro-Seq`` the caller stamped, so
-        the origin's counting dedups.
+        The wire tally is charged for the attempt that completed.
+        Retried requests carry whatever ``X-Repro-Seq`` the caller
+        stamped, so the origin's counting dedups.
         """
-        last: Optional[BaseException] = None
-        for attempt in range(self.upstream_attempts):
-            if attempt:
-                obs_metrics.emit("live.retries")
-                if self._trace is not None:
-                    self._trace.mark(
-                        "live.trace.retry",
-                        request.headers.get(TRACE_HEADER),
-                        obs_clock.monotonic(),
-                        hop="upstream",
-                    )
-            try:
-                response, body, nbytes = await self._origin.request(request)
-            except (LiveWireError, ConnectionError, OSError) as exc:
-                last = exc
-                continue
-            self.wire_bytes += nbytes
-            return response, body, nbytes
-        raise LiveWireError(
-            f"origin exchange for {request.path!r} failed after "
-            f"{self.upstream_attempts} attempts: {last}"
+        reply = await self._origin.request(
+            request, attempts=self.upstream_attempts
         )
+        self.wire_bytes += reply[2]
+        return reply
 
     async def _origin_get(
         self,

@@ -13,9 +13,10 @@ Connections carry one exchange by default (:func:`exchange`, the
 historical behaviour, byte-identical to PR 7).  A client that sends
 ``Connection: keep-alive`` — :class:`LiveConnection` does — keeps the
 socket open for further exchanges; the servers loop reading requests
-until the peer closes or drops the header.  The proxy→origin hop is
-always persistent: a :class:`ConnectionPool` of such connections, one
-per upstream exchange in flight.  The framing distinguishes
+until the peer closes or drops the header.  Every modelled exchange of
+either hop is sent by a :class:`ConnectionPool`, which also owns the
+live leg's one retry loop; the proxy→origin pool is always persistent,
+the driver→proxy pool as ``keepalive`` says.  The framing distinguishes
 three stream endings that HTTP/1.0 conflates: a clean close *between*
 messages (:class:`LiveConnectionClosed` — how keep-alive loops end), a
 close mid-head (:class:`LiveWireError`), and a body shorter than its
@@ -33,7 +34,7 @@ one-second granularity).
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Optional, TypeVar, Union
+from typing import Awaitable, Callable, Optional, TypeVar
 
 from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE
 from repro.http.messages import (
@@ -43,7 +44,9 @@ from repro.http.messages import (
     parse_request,
     parse_response,
 )
+from repro.obs import clock as obs_clock
 from repro.obs import registry as obs_metrics
+from repro.obs import trace as obs_trace
 
 #: Header carrying the request's simulation time (RFC 1123 date).
 DATE = "Date"
@@ -239,34 +242,6 @@ async def _finish_response(
     return response, body_text, len(head_text) + len(body_text)
 
 
-async def read_message(
-    reader: asyncio.StreamReader,
-) -> tuple[Union[Request, Response], str, int]:
-    """Read one message — request or response — off the stream.
-
-    The start line decides the shape: a head beginning ``HTTP/`` is a
-    response (with a ``Content-Length``-delimited body), anything else
-    is a request (bodiless).  Returns ``(message, body_text,
-    wire_bytes)`` where ``wire_bytes`` is the exact byte count consumed
-    and ``body_text`` is empty for requests.
-
-    Raises:
-        LiveWireError: on framing or parse errors;
-            :class:`LiveTruncationError` specifically for a body
-            shorter than its declared length, and
-            :class:`LiveConnectionClosed` for a clean close before any
-            byte of the message.
-    """
-    head_text = await _read_head(reader)
-    if head_text.startswith("HTTP/"):
-        return await _finish_response(reader, head_text)
-    try:
-        request = parse_request(head_text)
-    except HTTPParseError as exc:
-        raise LiveWireError(str(exc)) from exc
-    return request, "", len(head_text)
-
-
 async def write_message(writer: asyncio.StreamWriter, text: str) -> int:
     """Write a serialized message; returns the byte count sent."""
     payload = text.encode("latin-1")
@@ -280,9 +255,9 @@ async def exchange(
 ) -> tuple[Response, str, int]:
     """One full client exchange: connect, send, read, close.
 
-    Two callers remain, both in the driver: its control plane and
-    its ``keepalive=False`` client hop (the proxy's upstream hop is a
-    :class:`ConnectionPool`).
+    Its callers: a :class:`ConnectionPool` built with
+    ``keepalive=False``, the driver's control plane, and the tests
+    that talk to one server directly.
 
     Returns:
         ``(response, body_text, wire_bytes)`` where ``wire_bytes`` is
@@ -441,8 +416,6 @@ class LiveConnection:
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        #: Total bytes sent plus received over the connection's lifetime.
-        self.wire_bytes = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
@@ -473,7 +446,6 @@ class LiveConnection:
         request.headers.set(CONNECTION, KEEP_ALIVE)
         sent = await write_message(self._writer, request.serialize())
         response, body_text, received = await read_response(self._reader)
-        self.wire_bytes += sent + received
         return response, body_text, sent + received
 
     async def close(self) -> None:
@@ -490,21 +462,88 @@ class LiveConnection:
 
 
 class ConnectionPool:
-    """A free list of kept-alive connections to one server.
+    """The client side of one hop: every modelled exchange, and the
+    live leg's one retry loop.
 
-    Each exchange has a :class:`LiveConnection` to itself, so the pool
-    grows to the number in flight at once.  One whose exchange failed
-    in any way, or whose peer hung up while it sat idle, is closed and
-    dropped; retrying is the caller's business.
+    With ``keepalive`` (the hop's existing choice, passed through) each
+    exchange has a kept-alive :class:`LiveConnection` off a free list
+    to itself, so the pool grows to the number in flight at once; one
+    whose exchange failed in any way, or whose peer hung up while it
+    sat idle, is closed and dropped.  Without, each exchange is a
+    one-shot :func:`exchange`.  ``hop`` labels this pool's retry marks
+    in ``trace``, the owning role's sink.
     """
 
-    def __init__(self, host: str, port: int) -> None:
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        keepalive: bool = True,
+        hop: str = "",
+        trace: Optional[obs_trace.TraceSink] = None,
+    ) -> None:
         self.host = host
         self.port = port
+        self.keepalive = keepalive
+        self.hop = hop
+        self._trace = trace
         self._free: list[LiveConnection] = []
 
-    async def request(self, request: Request) -> tuple[Response, str, int]:
-        """One exchange, as :meth:`LiveConnection.request`."""
+    async def request(
+        self,
+        request: Request,
+        *,
+        attempts: int = 1,
+        pause: float = 0.0,
+        on_attempt: Optional[Callable[[Request], None]] = None,
+    ) -> tuple[Response, str, int]:
+        """Drive one exchange to success over an at-least-once
+        transport; returns ``(response, body_text, wire_bytes)`` of the
+        attempt that completed.
+
+        Any transport or framing failure drops that attempt's
+        connection and resends the same request on a fresh one — its
+        ``X-Repro-Seq`` makes the receiver replay, not re-execute.
+        With ``pause``, every failed attempt waits first: that is what
+        rides through a proxy restart, whose outage shows as a refused
+        connection directly and as a cleanly closed one behind a chaos
+        relay.  ``on_attempt(request)`` runs before each send.  The
+        retry mark sits beside the ``live.retries`` counter (same
+        branch, same count — ``repro trace summarize`` cross-checks the
+        two) under the request's own ``X-Repro-Trace`` id.
+
+        Raises:
+            LiveWireError: when ``attempts`` are spent, chained to the
+                last failure.
+        """
+        last: Optional[BaseException] = None
+        for attempt in range(attempts):
+            if attempt:
+                obs_metrics.emit("live.retries")
+                if self._trace is not None:
+                    self._trace.mark(
+                        "live.trace.retry",
+                        request.headers.get(TRACE_HEADER),
+                        obs_clock.monotonic(),
+                        hop=self.hop,
+                    )
+            if on_attempt is not None:
+                on_attempt(request)
+            try:
+                return await self._exchange(request)
+            except (LiveWireError, ConnectionError, OSError) as exc:
+                last = exc
+                if pause > 0:
+                    await asyncio.sleep(pause)
+        raise LiveWireError(
+            f"exchange with {self.host}:{self.port} for {request.path!r} "
+            f"failed after {attempts} attempts: {last!r}"
+        ) from last
+
+    async def _exchange(self, request: Request) -> tuple[Response, str, int]:
+        if not self.keepalive:
+            return await exchange(self.host, self.port, request)
         while self._free:
             connection = self._free.pop()
             if connection.is_open:

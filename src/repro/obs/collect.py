@@ -24,7 +24,7 @@ which is exactly why order matters.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Callable, TypeVar
 
 from repro.obs import profile, registry, trace
 
@@ -61,14 +61,12 @@ def captured(run: Callable[[], R]) -> tuple[R, dict[str, Any]]:
     return value, payload
 
 
-def merge(payload: Optional[dict[str, Any]]) -> None:
+def merge(payload: dict[str, Any]) -> None:
     """Apply one task's payload to this process's registry/sink/profile.
 
-    The engine calls this once per task, in submission order (``None``
-    is the payload of a task that ran with observability off).
+    The engine calls this once per task, in submission order (a task
+    that ran with observability off has an empty payload).
     """
-    if payload is None:
-        return
     active_registry = registry.active()
     if "metrics" in payload and active_registry is not None:
         active_registry.merge(payload["metrics"])

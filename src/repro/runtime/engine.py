@@ -3,9 +3,9 @@
 The unit of parallelism is one *task*: an independent computation (a
 sweep point, an experiment id) whose result does not depend on any other
 task.  :func:`map_ordered` runs a list of tasks either serially (the
-``workers=1`` fallback, byte-identical to the historical single-process
-code path) or on a ``ProcessPoolExecutor``, and reassembles results in
-submission order either way.
+``workers=1`` fallback: the tasks in order, in the calling process) or
+on a ``ProcessPoolExecutor``, and reassembles results in submission
+order either way.
 
 Two design points keep the engine both general and deterministic:
 
@@ -84,6 +84,7 @@ from typing import (
     TypeVar,
 )
 
+from repro.faults.rng import GOLDEN, splitmix64
 from repro.obs import clock as obs_clock
 from repro.obs import collect as obs_collect
 from repro.obs import profile as obs_profile
@@ -109,8 +110,6 @@ _pool_lock = threading.Lock()
 
 #: Pool rebuilds allowed after worker deaths before degrading to serial.
 _MAX_POOL_RESTARTS = 2
-
-_MASK64 = (1 << 64) - 1
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -164,15 +163,12 @@ def default_workers(workers: Optional[int]) -> Iterator[None]:
 def derive_seed(base_seed: int, index: int) -> int:
     """A deterministic 63-bit seed for task ``index`` under ``base_seed``.
 
-    SplitMix64 finalizer over ``base_seed`` advanced by the golden-ratio
+    One SplitMix64 step from ``base_seed`` advanced by the golden-ratio
     increment per index: adjacent indices land far apart, the mapping is
     stable across platforms and processes, and distinct (seed, index)
     pairs collide no more often than a random 63-bit draw.
     """
-    z = (int(base_seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & ((1 << 63) - 1)
+    return splitmix64(int(base_seed) + index * GOLDEN) & ((1 << 63) - 1)
 
 
 def _fork_available() -> bool:
@@ -185,17 +181,9 @@ def _mark_worker() -> None:
     _in_worker = True
 
 
-def _observability_on() -> bool:
-    """True when any obs consumer (registry, sink, profiler) is active."""
-    return (
-        obs_metrics.active() is not None
-        or obs_trace.active() is not None
-        or obs_profile.is_enabled()
-    )
-
-
 def _run_task(fn: Callable[[Any], Any], item: Any, index: int) -> Any:
-    """One instrumented task execution (observability known to be on).
+    """One task execution, instrumented (the emit and the span are
+    no-ops without a consumer).
 
     The ``engine.tasks`` bump and the ``engine.task`` span land *after*
     the task's own emissions, so the serial path and a worker's captured
@@ -213,21 +201,17 @@ def _run_task(fn: Callable[[Any], Any], item: Any, index: int) -> Any:
     return value
 
 
-def _run_indexed(
-    index: int,
-) -> tuple[int, Any, Optional[dict[str, Any]]]:
+def _run_indexed(index: int) -> tuple[int, Any, dict[str, Any]]:
     """Execute one task of the active map in a worker process.
 
     The third element is the task's observability payload (what its
     fresh metrics scope holds, its trace records, its profiling totals)
-    for the parent to merge in submission order — ``None`` when
+    for the parent to merge in submission order — empty when
     observability is off.
     """
     task = _active_task
     assert task is not None  # set before fork
     fn, items = task
-    if not _observability_on():
-        return index, fn(items[index]), None
     value, payload = obs_collect.captured(
         lambda: _run_task(fn, items[index], index)
     )
@@ -236,7 +220,7 @@ def _run_indexed(
 
 def _pool_round(
     indices: Sequence[int], count: int
-) -> tuple[dict[int, tuple[Any, Optional[dict[str, Any]]]], bool]:
+) -> tuple[dict[int, tuple[Any, dict[str, Any]]], bool]:
     """One pool attempt over ``indices`` of the active map.
 
     Returns the ``(value, obs payload)`` pairs harvested this round (by
@@ -252,7 +236,7 @@ def _pool_round(
     are actually forked lazily on first submit, so dispatch includes the
     forks themselves), and future collection as **harvest**.
     """
-    harvested: dict[int, tuple[Any, Optional[dict[str, Any]]]] = {}
+    harvested: dict[int, tuple[Any, dict[str, Any]]] = {}
     broken = False
     context = multiprocessing.get_context("fork")
     with obs_profile.phase("fork"):
@@ -291,9 +275,9 @@ def map_ordered(
     Results are always returned in the order of ``items`` (ordered
     reassembly), whichever worker finishes first.  With a resolved
     worker count of 1 — or fewer than two items, or inside a pool
-    worker, or on a platform without ``fork`` — this *is* the list
-    comprehension, so serial runs execute exactly the historical code
-    path.
+    worker, or on a platform without ``fork`` — the tasks run in
+    order in the calling process, each through the same instrumented
+    :func:`_run_task` a pool worker uses.
 
     ``fn`` may be any callable, including a closure over unpicklable
     state: workers are forked and inherit it (see the module docstring).
@@ -311,11 +295,8 @@ def map_ordered(
     """
     items = list(items)
     count = resolve_workers(workers)
-    obs_on = _observability_on()
+    map_started = obs_clock.monotonic()
     if count <= 1 or len(items) <= 1 or _in_worker or not _fork_available():
-        if not obs_on:
-            return [fn(item) for item in items]
-        map_started = obs_clock.monotonic()
         with obs_profile.phase("serial"):
             serial_results: list[R] = [
                 _run_task(fn, item, index) for index, item in enumerate(items)
@@ -329,9 +310,8 @@ def map_ordered(
         return serial_results
 
     global _active_task
-    map_started = obs_clock.monotonic() if obs_on else 0.0
     results: list[R] = [None] * len(items)  # type: ignore[list-item]
-    payloads: dict[int, Optional[dict[str, Any]]] = {}
+    payloads: dict[int, dict[str, Any]] = {}
     remaining = list(range(len(items)))
     with _pool_lock:
         _active_task = (fn, items)
@@ -358,16 +338,12 @@ def map_ordered(
         for index in sorted(payloads):
             obs_collect.merge(payloads[index])
     for index in remaining:
-        if obs_on:
-            obs_metrics.emit("engine.serial_fallback_tasks")
-            results[index] = _run_task(fn, items[index], index)
-        else:
-            results[index] = fn(items[index])
-    if obs_on:
-        obs_trace.span(
-            "engine.map",
-            obs_clock.monotonic() - map_started,
-            tasks=len(items),
-            workers=count,
-        )
+        obs_metrics.emit("engine.serial_fallback_tasks")
+        results[index] = _run_task(fn, items[index], index)
+    obs_trace.span(
+        "engine.map",
+        obs_clock.monotonic() - map_started,
+        tasks=len(items),
+        workers=count,
+    )
     return results

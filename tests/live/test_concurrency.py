@@ -10,9 +10,12 @@ in ``test_differential`` (:func:`check_cell`).
 """
 
 import asyncio
+import gc
+import warnings
 
 import pytest
 
+import repro.live.proxy as proxy_module
 from tests.live.test_differential import (
     _FACTORIES,
     _REQUESTS,
@@ -23,6 +26,26 @@ from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
 from repro.live import LiveReplayError, run_replay
 from repro.live.driver import _partition
+from repro.live.wire import CONTROL_PREFIX
+
+
+@pytest.fixture
+def data_connections(monkeypatch):
+    """Counts the non-control connections the proxy served (control
+    exchanges are one-shot, so a connection's first request says which
+    kind it is)."""
+    first: dict[asyncio.StreamReader, str] = {}
+    read_request = proxy_module.read_request
+
+    async def spy(reader):
+        request, nbytes = await read_request(reader)
+        first.setdefault(reader, request.path)
+        return request, nbytes
+
+    monkeypatch.setattr(proxy_module, "read_request", spy)
+    return lambda: sum(
+        not path.startswith(CONTROL_PREFIX) for path in first.values()
+    )
 
 
 class TestConcurrentDifferential:
@@ -33,32 +56,37 @@ class TestConcurrentDifferential:
     def test_single_connection_keepalive_matches(self):
         check_cell("invalidation", connections=1, keepalive=True)
 
-    def test_pessimistic_mode_matches_concurrently(self):
+    def test_pessimistic_mode_matches_concurrently(self, data_connections):
         check_cell("ttl", SimulatorMode.BASE, connections=3, keepalive=True)
+        assert data_connections() == 3
 
-    def test_cross_object_protocol_still_matches(self):
-        """Self-tuning couples state across objects; proxy and driver
-        must both fall back to one key / global-order dispatch and
-        still reconcile."""
+    def test_cross_object_protocol_still_matches(self, data_connections):
+        """Self-tuning couples state across objects; the proxy falls
+        back to one key and the driver to one bucket — one worker, one
+        socket, stream order by construction, whatever ``connections``
+        says — and they still reconcile."""
         check_cell("selftuning", connections=3, keepalive=True)
+        assert data_connections() == 1
 
-    def test_faults_under_the_pool_match_sim(self):
+    def test_faults_under_the_pool_match_sim(self, data_connections):
         """A fault plan is a global timeline, which used to make the
         pool refuse it.  It is the one-key case of the ordinary path:
-        faults × ``connections=2`` × keep-alive matches
-        ``simulate(faults=plan)``."""
+        faults × ``connections=3`` × keep-alive is one socket and
+        matches ``simulate(faults=plan)``."""
         _, _, report = check_cell(
             "invalidation", faults="loss-retries",
-            connections=2, keepalive=True,
+            connections=3, keepalive=True,
         )
         assert report.events_checked > len(_REQUESTS)
+        assert data_connections() == 1
 
 
 class TestWorkerFailure:
     def test_one_workers_failure_cancels_the_siblings(self):
-        """A worker raising must not strand the other drive tasks:
-        left unawaited they hold connections, keep retrying, and (for
-        global-order gating) can wait forever on the condition."""
+        """A worker raising must not strand the other drive tasks —
+        left unawaited they keep retrying — nor any pooled socket,
+        idle or in flight: the proxy's handlers all see their peer
+        hang up, and nothing is left for the collector to warn about."""
         from repro.live import LiveOrigin, LiveProxy
         from repro.live.driver import replay_pooled
         from repro.live.wire import LiveWireError
@@ -90,11 +118,21 @@ class TestWorkerFailure:
                     and "drive" in task.get_coro().__qualname__
                 ]
                 assert leaked == []
+
+                async def hung_up_on():
+                    while proxy._handlers:
+                        await asyncio.sleep(0.01)
+
+                await asyncio.wait_for(hung_up_on(), 5)
             finally:
                 await proxy.close()
                 await origin.close()
 
-        asyncio.run(run())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            asyncio.run(run())
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 class TestTimeOrderViolations:

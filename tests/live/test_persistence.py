@@ -436,29 +436,33 @@ class TestRetryPause:
         (0.05, [0.05, 0.05]), (0.0, []),
     ])
     def test_every_failed_attempt_pauses(self, monkeypatch, pause, expected):
-        import repro.live.driver as driver
-        from repro.live.wire import LiveConnectionClosed
+        import repro.live.wire as wire
+        from repro.http.messages import Request
 
         pauses = []
-        failures = [LiveConnectionClosed("relay hung up"),
+        sent = []
+        failures = [wire.LiveConnectionClosed("relay hung up"),
                     ConnectionRefusedError()]
 
         async def fake_sleep(seconds):
             pauses.append(seconds)
 
-        async def send():
+        async def fake_exchange(host, port, request):
+            sent.append(request)
             if failures:
                 raise failures.pop(0)
             return "reply"
 
-        async def reset():
-            pass
-
-        monkeypatch.setattr(driver.asyncio, "sleep", fake_sleep)
-        assert asyncio.run(driver._request_with_retry(
-            send, reset, "request r0", attempts=3, pause=pause,
-        )) == "reply"
+        monkeypatch.setattr(wire.asyncio, "sleep", fake_sleep)
+        monkeypatch.setattr(wire, "exchange", fake_exchange)
+        pool = wire.ConnectionPool("127.0.0.1", 1, keepalive=False)
+        request = Request("GET", "/a")
+        assert asyncio.run(
+            pool.request(request, attempts=3, pause=pause)
+        ) == "reply"
         assert pauses == expected
+        # A retry resends the same request object (same X-Repro-Seq).
+        assert len(sent) == 3 and all(r is request for r in sent)
 
 
 class TestChildProcess:

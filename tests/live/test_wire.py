@@ -11,6 +11,8 @@ import asyncio
 import pytest
 
 from repro.http.messages import Request, Response, make_ok
+from repro.obs import registry as obs_metrics
+from repro.obs import trace as obs_trace
 from repro.live.wire import (
     ConnectionPool,
     LiveConnection,
@@ -20,7 +22,6 @@ from repro.live.wire import (
     LiveWireError,
     LiveServer,
     ensure_integral,
-    read_message,
     read_request,
     read_response,
     write_message,
@@ -153,36 +154,44 @@ class TestReadResponse:
 
 
 class TestReadMessage:
+    """Each side reads the one message shape it can be sent (there is
+    no shape-sniffing reader): servers ``read_request``, clients
+    ``read_response``."""
+
     def test_request_shape(self):
         request = Request("GET", "/a")
         request.headers.set_date("Date", 120.0)
         text = request.serialize()
 
-        async def read():
-            return await read_message(_reader_with(text.encode("latin-1")))
+        async def read(text):
+            return await read_request(_reader_with(text.encode("latin-1")))
 
-        message, body, nbytes = asyncio.run(read())
+        message, nbytes = asyncio.run(read(text))
         assert isinstance(message, Request)
-        assert body == ""
         assert nbytes == len(text)
+        # A response where a request belongs is a framing error.
+        with pytest.raises(LiveWireError):
+            asyncio.run(read(make_ok(5).serialize()))
 
     def test_response_shape(self):
         response = make_ok(5, last_modified=10.0)
         text = response.serialize()
 
-        async def read():
-            return await read_message(_reader_with(text.encode("latin-1")))
+        async def read(text):
+            return await read_response(_reader_with(text.encode("latin-1")))
 
-        message, body, nbytes = asyncio.run(read())
+        message, body, nbytes = asyncio.run(read(text))
         assert isinstance(message, Response)
         assert body == "xxxxx"
         assert nbytes == len(text) == response.wire_size()
+        with pytest.raises(LiveWireError):
+            asyncio.run(read(Request("GET", "/a").serialize()))
 
     def test_short_body_raises_truncation(self):
         text = make_ok(50).serialize()[:-10]
 
         async def read():
-            return await read_message(_reader_with(text.encode("latin-1")))
+            return await read_response(_reader_with(text.encode("latin-1")))
 
         with pytest.raises(LiveTruncationError, match="promised 50 bytes"):
             asyncio.run(read())
@@ -192,13 +201,16 @@ class _Scripted(LiveServer):
     """A keep-alive server whose reply is chosen by the request path:
     ``/pair/*`` answers once two of them are waiting (so both are in
     flight at once), ``/drop`` hangs up with no reply (what a chaos
-    loss or reset looks like to the client), ``/cut`` sends a body
-    shorter than it declared (a truncation), anything else answers
-    with its own path as the body."""
+    loss or reset looks like to the client) and so does the first
+    ``/flaky``, ``/cut`` sends a body shorter than it declared (a
+    truncation), anything else answers with its own path as the body."""
 
     def __init__(self) -> None:
         super().__init__()
         self.accepted = 0
+        #: Each request's ``Connection`` header (None when absent).
+        self.connection_headers = []
+        self.paths = []
         self._waiting = 0
         self._paired = asyncio.Event()
 
@@ -216,7 +228,12 @@ class _Scripted(LiveServer):
                 except LiveConnectionClosed:
                     break
                 path = request.path
-                if path == "/drop":
+                self.connection_headers.append(
+                    request.headers.get("Connection"))
+                self.paths.append(path)
+                if path == "/drop" or (
+                    path == "/flaky" and self.paths.count(path) == 1
+                ):
                     break
                 if path.startswith("/pair/"):
                     self._waiting += 1
@@ -232,12 +249,12 @@ class _Scripted(LiveServer):
             writer.close()
 
 
-def _with_pool(scenario):
+def _with_pool(scenario, **options):
     """Run ``scenario(server, pool)`` against a started scripted server."""
     async def body():
         server = _Scripted()
         await server.start()
-        pool = ConnectionPool(server.host, server.port)
+        pool = ConnectionPool(server.host, server.port, **options)
         try:
             return await scenario(server, pool)
         finally:
@@ -262,6 +279,27 @@ class TestConnectionPool:
         assert bodies == [f"/ok/{i}" for i in range(5)]
         assert accepted == 1
 
+    def test_without_keepalive_every_exchange_dials_and_opts_out(self):
+        """``keepalive=False`` is the historical one-shot exchange:
+        a connection per request, no ``Connection`` header on the wire,
+        nothing left in the pool."""
+        async def scenario(server, pool):
+            bodies = [await _body_of(pool, f"/ok/{i}") for i in range(3)]
+            return bodies, server.accepted, pool._free
+
+        bodies, accepted, free = _with_pool(scenario, keepalive=False)
+        assert bodies == [f"/ok/{i}" for i in range(3)]
+        assert accepted == 3
+        assert free == []
+
+    def test_keepalive_is_on_the_wire_only_when_asked(self):
+        async def scenario(server, pool):
+            await _body_of(pool, "/ok")
+            return server.connection_headers
+
+        assert _with_pool(scenario) == ["keep-alive"]
+        assert _with_pool(scenario, keepalive=False) == [None]
+
     def test_two_in_flight_exchanges_ride_two_sockets(self):
         """Nothing is interleaved: each exchange in flight has a socket
         to itself, each reply reaches its own request, and both sockets
@@ -285,19 +323,48 @@ class TestConnectionPool:
             await asyncio.gather(
                 _body_of(pool, "/pair/x"), _body_of(pool, "/pair/y"))
             assert server.accepted == 2
-            # No reply at all (loss, reset): that socket is gone ...
-            with pytest.raises(LiveConnectionClosed):
+            # No reply at all (loss, reset): that socket is gone, and
+            # a budget of one attempt is spent — the pool's error,
+            # chained to what the wire saw ...
+            with pytest.raises(LiveWireError, match="1 attempts") as failed:
                 await _body_of(pool, "/drop")
+            assert type(failed.value) is LiveWireError
+            assert isinstance(failed.value.__cause__, LiveConnectionClosed)
             # ... the sibling serves on, and nothing new is dialled.
             assert await _body_of(pool, "/ok/1") == "/ok/1"
             assert server.accepted == 2
             # A truncated reply breaks the sibling too: the pool is empty.
-            with pytest.raises(LiveTruncationError):
+            with pytest.raises(LiveWireError) as failed:
                 await _body_of(pool, "/cut")
+            assert isinstance(failed.value.__cause__, LiveTruncationError)
             assert await _body_of(pool, "/ok/2") == "/ok/2"
             return server.accepted
 
         assert _with_pool(scenario) == 3
+
+    def test_a_retry_resends_on_a_fresh_connection(self):
+        """The one retry loop: the failed attempt's socket is closed
+        (its handler sees the hang-up) before the next dial, the same
+        request goes out again, and the retry is counted and marked in
+        the same breath."""
+        sink = obs_trace.TraceSink(proc="driver")
+        registry = obs_metrics.MetricsRegistry()
+
+        async def scenario(server, pool):
+            request = Request("GET", "/flaky")
+            request.headers.set("X-Repro-Trace", "r7")
+            attempts = []
+            _, body, _ = await pool.request(
+                request, attempts=2, on_attempt=attempts.append)
+            return body, attempts == [request] * 2, server.accepted
+
+        with obs_metrics.installed(registry):
+            assert _with_pool(scenario, hop="client", trace=sink) == (
+                "/flaky", True, 2)
+        assert registry.counter("live.retries").value == 1
+        (mark,) = sink.marks()
+        assert (mark["kind"], mark["trace"], mark["meta"]) == (
+            "live.trace.retry", "r7", {"hop": "client"})
 
     def test_a_connection_whose_peer_hung_up_is_not_handed_out(self):
         """``is_open`` at check-out: the server side of an idle pooled

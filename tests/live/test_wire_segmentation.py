@@ -3,10 +3,12 @@
 TCP gives no message boundaries — a peer's reply may arrive one byte
 at a time (the chaos relay's *dribble* mode does exactly this) or cut
 into chunks at any offsets.  These tests serialize real ``Request`` /
-``Response`` messages, feed them through :func:`repro.live.wire
-.read_message` under hypothesis-chosen segmentations, and require the
-parse to be byte-exact: the consumed count equals the payload length
-and the message round-trips to the identical serialization.
+``Response`` messages, feed each through the reader its receiving side
+uses (:func:`repro.live.wire.read_request` /
+:func:`~repro.live.wire.read_response`) under hypothesis-chosen
+segmentations, and require the parse to be byte-exact: the consumed
+count equals the payload length and the message round-trips to the
+identical serialization.
 """
 
 import asyncio
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.http.messages import Request, Response, make_ok
-from repro.live.wire import read_message
+from repro.live.wire import read_request, read_response
 
 
 def _requests() -> st.SearchStrategy[str]:
@@ -57,12 +59,22 @@ def _responses() -> st.SearchStrategy[str]:
     return build()
 
 
-def _messages() -> st.SearchStrategy[str]:
-    return st.one_of(_requests(), _responses())
+async def _read_request(reader: asyncio.StreamReader):
+    """``read_request`` in ``read_response``'s shape (bodiless)."""
+    request, nbytes = await read_request(reader)
+    return request, "", nbytes
+
+
+def _messages() -> st.SearchStrategy[tuple]:
+    """``(read, text)``: a serialized message and its side's reader."""
+    return st.one_of(
+        _requests().map(lambda text: (_read_request, text)),
+        _responses().map(lambda text: (read_response, text)),
+    )
 
 
 async def _read_segmented(
-    payload: bytes, cuts: list[int]
+    read, payload: bytes, cuts: list[int]
 ) -> tuple[object, str, int]:
     """Parse ``payload`` delivered in chunks split at ``cuts``.
 
@@ -86,7 +98,7 @@ async def _read_segmented(
 
     feeder = asyncio.ensure_future(feed())
     try:
-        return await read_message(reader)
+        return await read(reader)
     finally:
         await feeder
 
@@ -101,38 +113,43 @@ def _roundtrip(message: object, body: str) -> str:
 
 class TestSegmentedParsing:
     @settings(max_examples=60, deadline=None)
-    @given(text=_messages())
-    def test_byte_at_a_time_is_byte_exact(self, text):
+    @given(case=_messages())
+    def test_byte_at_a_time_is_byte_exact(self, case):
+        read, text = case
         payload = text.encode("latin-1")
         message, body, nbytes = asyncio.run(
-            _read_segmented(payload, list(range(len(payload))))
+            _read_segmented(read, payload, list(range(len(payload))))
         )
         assert nbytes == len(payload)
         assert _roundtrip(message, body) == text
 
     @settings(max_examples=120, deadline=None)
     @given(
-        text=_messages(),
+        case=_messages(),
         cuts=st.lists(st.integers(min_value=0, max_value=10**6),
                       max_size=12),
     )
-    def test_random_split_points_are_byte_exact(self, text, cuts):
+    def test_random_split_points_are_byte_exact(self, case, cuts):
+        read, text = case
         payload = text.encode("latin-1")
         message, body, nbytes = asyncio.run(
-            _read_segmented(payload, cuts)
+            _read_segmented(read, payload, cuts)
         )
         assert nbytes == len(payload)
         assert _roundtrip(message, body) == text
 
     @settings(max_examples=60, deadline=None)
     @given(
-        texts=st.lists(_messages(), min_size=2, max_size=4),
+        messages=st.lists(_messages(), min_size=2, max_size=4),
         cuts=st.lists(st.integers(min_value=0, max_value=10**6),
                       max_size=12),
     )
-    def test_back_to_back_messages_keep_their_boundaries(self, texts, cuts):
+    def test_back_to_back_messages_keep_their_boundaries(
+        self, messages, cuts
+    ):
         """Keep-alive framing: consecutive messages on one stream parse
         independently whatever the segmentation across them."""
+        texts = [text for _, text in messages]
         payload = "".join(texts).encode("latin-1")
         bounds = sorted({c % (len(payload) + 1) for c in cuts})
         chunks = [
@@ -152,7 +169,7 @@ class TestSegmentedParsing:
 
             feeder = asyncio.ensure_future(feed())
             try:
-                return [await read_message(reader) for _ in texts]
+                return [await read(reader) for read, _ in messages]
             finally:
                 await feeder
 

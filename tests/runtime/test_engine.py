@@ -71,6 +71,17 @@ class TestDeriveSeed:
             seed = derive_seed(123, i)
             assert 0 <= seed < 2 ** 63
 
+    @pytest.mark.parametrize("base,index,seed", [
+        (0, 0, 7070836379803831727),
+        (7, 3, 1529793891446696395),
+        (2 ** 64 - 1, 1000, 3988209136557760522),
+    ])
+    def test_pinned_values(self, base, index, seed):
+        """Literal values: the seeds behind ``ext-faults`` (and every
+        other per-task stochastic stage) must not drift when the mixer
+        is refactored."""
+        assert derive_seed(base, index) == seed
+
 
 class TestMapOrdered:
     def test_serial_is_list_comprehension(self):

@@ -211,6 +211,22 @@ class TestArgumentErrors:
                      "--step", "250", "--workers", "1"]) == 0
         assert clamped == capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "TRACE", "--step", "-5"],
+        ["sweep", "TRACE", "--protocol", "ttl", "--step", "0"],
+        ["profile", "--protocol", "alex", "--step", "-1"],
+    ])
+    def test_nonpositive_step_rejected(self, trace_file, capsys, argv):
+        # range(0, 101, -5) is an empty grid: the sweep used to print
+        # an inval-only table (and the profiler "no hooks timed") and
+        # exit 0.
+        argv = [str(trace_file) if arg == "TRACE" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--step" in err and "positive integer" in err
+
     def test_bad_workers_env_var_rejected(self, monkeypatch):
         from repro.runtime import resolve_workers
 
