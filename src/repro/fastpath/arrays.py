@@ -9,8 +9,14 @@ into parallel arrays indexed by a dense object index:
 * population arrays (:class:`CompiledServer`) — sizes, cacheability,
   creation times, Expires lifetimes, and every modification schedule
   flattened into one sorted ``mod_times`` array with per-object
-  ``[mod_lo, mod_lo + mod_count)`` slices, so "version at time t" is
-  a single bounded :func:`bisect.bisect_right`;
+  ``[mod_lo, mod_lo + mod_count)`` slices;
+* the request stream as columns (:func:`encode_requests`,
+  :func:`stream_columns`) — time and object index, and the two answers
+  the schedule gives about them: the origin's version of the object at
+  the request time and that version's Last-Modified.  Those depend on
+  the workload alone, never on the protocol or the cache, so they are
+  looked up (one bounded :func:`bisect.bisect_right` each) once per
+  stream rather than once per request of every run;
 * cache-state arrays (:class:`CacheState`) — the mutable per-entry
   fields the protocols consult (``validated_at``, ``last_modified``,
   ``valid``, generation, Expires stamps), replacing ``CacheEntry``;
@@ -24,9 +30,9 @@ grid point does not change are memoised next to it, one slot each per
 server and dying with it: a fault plan's action schedule
 (:func:`compile_schedule` — the columns of the last ``(plan,
 start_time)`` resolved against that server's feed, keyed by object
-index), the last encoded request stream (:func:`encode_requests`) and
-the preloaded state template (:func:`initial_state`, which hands each
-run its own copy).
+index), the last encoded request stream with its version and
+Last-Modified columns (:func:`encode_requests`) and the preloaded state
+template (:func:`initial_state`, which hands each run its own copy).
 
 Equivalence note (docs/FASTPATH.md): the compiled feed is the server's
 own :meth:`~repro.core.server.OriginServer.invalidation_feed` mapped to
@@ -309,21 +315,15 @@ def initial_state(
     if memo is not None and memo[0] == start_time:
         return memo[1].copy()
     state = CacheState(count)
-    mod_times = compiled.mod_times
+    versions, stamps = _columns(compiled, [start_time] * count, range(count))
     for i in range(count):
         if not compiled.cacheable[i]:
             continue
-        lo = compiled.mod_lo[i]
-        version = bisect_right(
-            mod_times, start_time, lo, lo + compiled.mod_count[i]
-        ) - lo
         state.resident[i] = True
         state.valid[i] = True
-        state.version[i] = version
+        state.version[i] = versions[i]
         state.validated_at[i] = start_time
-        state.last_modified[i] = (
-            compiled.created[i] if version == 0 else mod_times[lo + version - 1]
-        )
+        state.last_modified[i] = stamps[i]
         if compiled.has_expires[i]:
             state.has_server_expires[i] = True
             state.server_expires[i] = start_time + compiled.expires_after[i]
@@ -332,14 +332,55 @@ def initial_state(
 
 
 _Stream = tuple[list[float], list[int]]
+_Columns = tuple[list[int], list[float]]
 
 #: Per compiled server: the last successfully encoded list or tuple —
 #: held, so its identity cannot be recycled — the ``(length,
-#: start_time)`` it was encoded at, and its arrays.
+#: start_time)`` it was encoded at, its arrays and their columns.
 _STREAMS: (
     "weakref.WeakKeyDictionary[CompiledServer, "
-    "tuple[Sequence[tuple[float, str]], tuple[int, float], _Stream]]"
+    "tuple[Sequence[tuple[float, str]], tuple[int, float], _Stream, _Columns]]"
 ) = weakref.WeakKeyDictionary()
+
+
+def _columns(
+    compiled: CompiledServer, req_times: Sequence[float], req_objs: Sequence[int]
+) -> _Columns:
+    """Per request, ``version_at(t)`` and ``last_modified_at(t)`` of its
+    object, each column ending in one sentinel for the trailing flush
+    (:func:`initial_state` reads them at one time for every object)."""
+    mod_times = compiled.mod_times
+    mod_lo = compiled.mod_lo
+    mod_count = compiled.mod_count
+    created = compiled.created
+    versions: list[int] = []
+    stamps: list[float] = []
+    for t, i in zip(req_times, req_objs):
+        lo = mod_lo[i]
+        # A modification at exactly t is already visible at t.
+        v = bisect_right(mod_times, t, lo, lo + mod_count[i]) - lo
+        versions.append(v)
+        stamps.append(created[i] if v == 0 else mod_times[lo + v - 1])
+    versions.append(0)
+    stamps.append(0.0)
+    return versions, stamps
+
+
+def stream_columns(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int]
+) -> _Columns:
+    """The origin's version of each request's object at the request time,
+    and that version's Last-Modified (its creation time at version 0).
+
+    Each column holds one entry per request plus one sentinel, the row
+    of the trailing ``end_time`` flush.  The arrays :func:`encode_requests`
+    last remembered for ``compiled`` get the columns built with them;
+    any others get columns built for this call alone.
+    """
+    memo = _STREAMS.get(compiled)
+    if memo and memo[2][0] is req_times and memo[2][1] is req_objs:
+        return memo[3]
+    return _columns(compiled, req_times, req_objs)
 
 
 def encode_requests(
@@ -355,6 +396,7 @@ def encode_requests(
     its last successful encoding back — the runs of one stream are
     consecutive in every sweep — so callers treat them as read-only; an
     iterator is encoded every time, and a failure is never remembered.
+    A remembered stream's :func:`stream_columns` are built here, once.
 
     Raises:
         ValueError: when the stream is not time-ordered (the reference
@@ -382,5 +424,6 @@ def encode_requests(
         times.append(t)
         objs.append(obj)
     if isinstance(requests, (list, tuple)):
-        _STREAMS[compiled] = (requests, (len(times), start_time), (times, objs))
+        _STREAMS[compiled] = (requests, (len(times), start_time), (times, objs),
+                              _columns(compiled, times, objs))
     return times, objs

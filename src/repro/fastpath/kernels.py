@@ -30,6 +30,14 @@ compiled at all: a caller-supplied ``Cache`` — its replacement order,
 capacity, evictions and crashes, written back into it after the run —
 costs nothing in a kernel that keeps none.
 
+What the origin holds at a request's time — the object's version and
+its Last-Modified — is read by request position from two columns built
+once per stream (:func:`repro.fastpath.arrays.stream_columns`): a fresh
+hit is stale iff the entry's version is below the column's, and a
+not-fresh request is answered from the columns.  The request loop never
+searches a modification schedule; only an eager push, which happens at
+an action time, does.
+
 Delivery is pre-merged: one *action cursor* advances whenever the next
 request time passes the next action time, replacing the per-request
 feed peeks of the reference loop.  The cursor walks either a fault
@@ -73,6 +81,7 @@ from repro.fastpath.arrays import (
     NO_OBJECT,
     CacheState,
     CompiledServer,
+    stream_columns,
     write_back,
 )
 from repro.faults.plan import (
@@ -282,6 +291,8 @@ def run_kernel(
     mod_lo = compiled.mod_lo
     mod_count = compiled.mod_count
     file_type = compiled.file_type
+    # By request position: the origin's version and Last-Modified at t.
+    req_versions, req_stamps = stream_columns(compiled, req_times, req_objs)
     bind(params)
 
     resident = state.resident
@@ -436,8 +447,10 @@ def run_kernel(
 
     # The trailing flush is the last line of the stream: a request for
     # no object at the end of time, which stops once everything due
-    # (``act_count`` stops at the horizon) has been delivered.
-    for t, i in zip(req_times + [_INFINITY], req_objs + [NO_OBJECT]):
+    # (``act_count`` stops at the horizon) has been delivered.  The
+    # columns carry its sentinel row too (zip stops at the shortest).
+    for t, i, vt, lm in zip(req_times + [_INFINITY], req_objs + [NO_OBJECT],
+                            req_versions, req_stamps):
         if pending <= t:
             # -- deliver every action that is due -------------------------
             # RequestStep.fault / .deliver, kind for kind.
@@ -518,12 +531,13 @@ def run_kernel(
                     # Pre-optimization invalidation: the new copy rides
                     # with the notice — a GET at the action time, stored
                     # the way the store tail below stores.  Not a miss:
-                    # no request is waiting.
+                    # no request is waiting.  The one schedule search
+                    # left: it is at the action time, not a request's.
                     lo = mod_lo[mi]
-                    vt = br(mod_times, at, lo, lo + mod_count[mi]) - lo
-                    version[mi] = vt
+                    va = br(mod_times, at, lo, lo + mod_count[mi]) - lo
+                    version[mi] = va
                     last_modified[mi] = (
-                        obj_created[mi] if vt == 0 else mod_times[lo + vt - 1]
+                        obj_created[mi] if va == 0 else mod_times[lo + va - 1]
                     )
                     valid[mi] = True
                     validated_at[mi] = at
@@ -577,29 +591,22 @@ def run_kernel(
             if fresh:
                 hits += 1
                 v = version[i]
-                nm = mod_count[i]
-                # version_at(t) <= mod_count, so an entry at the final
-                # version can never test stale: skip the bisect entirely.
-                if v < nm:
-                    lo = mod_lo[i]
-                    hi = lo + nm
-                    if v < br(mod_times, t, lo, hi) - lo:
-                        stale_hits += 1
-                        # became_stale = next_change_after(last_modified):
-                        # the entry's Last-Modified is exactly mod_times
-                        # [lo + v - 1] (or created), so the first strictly
-                        # later change is mod_times[lo + v] — in range
-                        # because v < version_at(t) <= nm.
-                        age_stale = t - mod_times[lo + v]
-                        stale_age_sum += age_stale
-                        if collect:
-                            sa_counts[bl(sa_bounds, age_stale)] += 1
-                            acc(sa_partials, age_stale)
-                            sa_n += 1
-                        if notify is not None:
-                            notify("stale_hit", t, ids[i])
-                    elif notify is not None:
-                        notify("hit", t, ids[i])
+                # Stale iff the copy is older than the origin's version
+                # at t: the reference's ``v < version_at(t)``.
+                if v < vt:
+                    stale_hits += 1
+                    # became_stale = next_change_after(last_modified): the
+                    # entry's Last-Modified is exactly mod_times[lo + v - 1]
+                    # (or created), so the first strictly later change is
+                    # mod_times[lo + v] — in range because v < vt.
+                    age_stale = t - mod_times[mod_lo[i] + v]
+                    stale_age_sum += age_stale
+                    if collect:
+                        sa_counts[bl(sa_bounds, age_stale)] += 1
+                        acc(sa_partials, age_stale)
+                        sa_n += 1
+                    if notify is not None:
+                        notify("stale_hit", t, ids[i])
                 elif notify is not None:
                     notify("hit", t, ids[i])
                 continue
@@ -609,10 +616,7 @@ def run_kernel(
             refetch = True  # cold miss
 
         # -- not fresh: one server exchange, then the one store tail ------
-        lo = mod_lo[i]
-        vt = br(mod_times, t, lo, lo + mod_count[i]) - lo
-        lm = obj_created[i] if vt == 0 else mod_times[lo + vt - 1]
-
+        # The origin answers with version ``vt``, Last-Modified ``lm``.
         if refetch:
             ctl_full += full_control
             body_full += sizes[i]

@@ -1,5 +1,6 @@
 """The per-server memos of ``repro.fastpath.arrays``: the last encoded
-request stream and the preloaded-state template.
+request stream with its version and Last-Modified columns, and the
+preloaded-state template.
 
 A hit needs the same list *object* at the same length and
 ``start_time``; every run gets its own ``CacheState``; both memos die
@@ -9,28 +10,42 @@ on a server the memo has never seen.
 
 from __future__ import annotations
 
+import bisect
 import gc
+import sys
 import weakref
 
 import pytest
 
 from repro.analysis.sweep import sweep_alex
-from repro.core.clock import days
+from repro.core.clock import days, hours
 from repro.core.costs import DEFAULT_COSTS
-from repro.core.protocols import AlexProtocol, InvalidationProtocol
+from repro.core.protocols import (
+    AlexProtocol,
+    CERNPolicyProtocol,
+    InvalidationProtocol,
+    TTLProtocol,
+)
 from repro.core.results import result_to_dict
 from repro.core.server import OriginServer, UnknownObjectError
 from repro.core.simulator import SimulatorMode, simulate
 from repro.experiments import common
 from repro.fastpath import (
+    REFERENCE,
+    arrays,
     compile_protocol,
     compile_server,
     encode_requests,
     fast_simulate,
     initial_state,
+    kernels,
+    set_engine,
+    specialise,
 )
+from repro.fastpath.arrays import stream_columns
 from repro.fastpath.kernels import run_kernel
 from repro.faults import FaultPlan
+from tests.conftest import make_history
 
 OPTIMIZED = SimulatorMode.OPTIMIZED
 
@@ -123,6 +138,67 @@ class TestStreamMemo:
         assert encode_requests(compiled, requests, 0.0)[0] is first[0]
 
 
+class TestColumns:
+    """Per request, the origin's version at the request time and its
+    Last-Modified: what ``version_at`` / ``last_modified_at`` answer."""
+
+    def test_columns_are_the_origin_model(self, workload, server):
+        compiled = compile_server(server)
+        times, objs = encode_requests(compiled, workload.requests, 0.0)
+        versions, stamps = stream_columns(compiled, times, objs)
+        assert len(versions) == len(stamps) == len(workload.requests) + 1
+        expected = [
+            (server.version_at(oid, t), server.schedule(oid).last_modified_at(t))
+            for t, oid in workload.requests
+        ]
+        assert list(zip(versions, stamps))[:-1] == expected
+        assert 0 < max(versions)  # the fixture's objects do change
+
+    def test_edges(self):
+        server = OriginServer([
+            make_history("/changes", created=-100.0, changes=(10.0, 20.0)),
+            make_history("/static", created=-50.0),
+        ])
+        requests = [(5.0, "/changes"), (10.0, "/changes"), (15.0, "/static"),
+                    (20.0, "/changes"), (25.0, "/changes")]
+        compiled = compile_server(server)
+        versions, stamps = stream_columns(
+            compiled, *encode_requests(compiled, requests, 0.0)
+        )
+        # Before the first change: version 0, created.  At exactly a
+        # modification instant: the new version (bisect_right's tie).
+        # Never modified: version 0, created.
+        assert versions[:-1] == [0, 1, 0, 2, 2]
+        assert stamps[:-1] == [-100.0, 10.0, -50.0, 20.0, 20.0]
+
+    def test_trailing_flush_is_delivered(self):
+        """The last notice falls after the last request but by
+        ``end_time``: only the sentinel row of every column delivers it."""
+        server = OriginServer([
+            make_history("/a", changes=(hours(1), hours(30))),
+            make_history("/b", changes=(hours(2),)),
+        ])
+        requests = [(hours(3), "/a"), (hours(4), "/b"), (hours(5), "/a")]
+        runs = [
+            result_to_dict(run(server, InvalidationProtocol(), requests,
+                               end_time=hours(48)))
+            for run in (fast_simulate, simulate)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0]["counters"]["invalidations_received"] == 3
+
+    def test_a_memo_hit_returns_the_same_columns(self, workload, server):
+        compiled = compile_server(server)
+        times, objs = encode_requests(compiled, workload.requests, 0.0)
+        first = stream_columns(compiled, times, objs)
+        again = stream_columns(compiled, *encode_requests(
+            compiled, workload.requests, 0.0))
+        assert again[0] is first[0] and again[1] is first[1]
+        # Arrays the memo does not hold get columns of their own.
+        other = stream_columns(compiled, list(times), list(objs))
+        assert other == first and other[0] is not first[0]
+
+
 class TestIterators:
     """``fast_simulate`` is typed ``Iterable``: a one-shot generator has
     no ``len()`` and can be neither replayed nor remembered."""
@@ -144,6 +220,16 @@ class TestIterators:
         assert one == two == kept
         assert one[0] is not two[0] and one[0] is not kept[0]
         assert encode_requests(compiled, workload.requests, 0.0)[0] is kept[0]
+
+    def test_generator_columns_are_built_per_call(self, workload, server):
+        compiled = compile_server(server)
+        kept = stream_columns(compiled, *encode_requests(
+            compiled, workload.requests, 0.0))
+        once = stream_columns(compiled, *encode_requests(
+            compiled, iter(workload.requests), 0.0))
+        assert once == kept and once[0] is not kept[0]
+        assert stream_columns(compiled, *encode_requests(
+            compiled, workload.requests, 0.0))[0] is kept[0]
 
 
 class TestFailuresAreNeverRemembered:
@@ -205,7 +291,8 @@ class TestRunsAreIsolated:
     def test_kernel_leaves_the_request_arrays_alone(self, workload, server):
         compiled = compile_server(server)
         req_times, req_objs = encode_requests(compiled, workload.requests, 0.0)
-        before = (list(req_times), list(req_objs))
+        columns = stream_columns(compiled, req_times, req_objs)
+        before = [list(column) for column in (req_times, req_objs, *columns)]
         kind, p0, p1, p2, has_p2 = compile_protocol(alex())
         run_kernel(
             compiled, initial_state(compiled, 0.0, True), req_times, req_objs,
@@ -215,11 +302,19 @@ class TestRunsAreIsolated:
             end_time=workload.duration, protocol_name="alex",
             mode_value=OPTIMIZED.value,
         )
-        assert (req_times, req_objs) == before
+        assert [req_times, req_objs, *columns] == before
+        assert stream_columns(compiled, req_times, req_objs) is columns
 
 
 class Stream(list):
     """A request list a weak reference can watch."""
+
+
+def remembered_columns(server, stream):
+    """The columns the memo keeps for ``stream`` (a list cannot be
+    watched by a weak reference, so callers count its holders)."""
+    compiled = compile_server(server)
+    return stream_columns(compiled, *encode_requests(compiled, stream, 0.0))
 
 
 class TestLifetime:
@@ -229,12 +324,15 @@ class TestLifetime:
         fast_simulate(server, alex(), stream, end_time=workload.duration)
         watched = [weakref.ref(server), weakref.ref(stream),
                    weakref.ref(compile_server(server))]
+        columns = remembered_columns(server, stream)
+        held = sys.getrefcount(columns)
         del stream
         gc.collect()
         assert watched[1]() is not None  # held: its identity is the key
         del server
         gc.collect()
         assert [ref() for ref in watched] == [None, None, None]
+        assert sys.getrefcount(columns) == held - 1  # the memo let go
 
     def test_clear_caches_frees_them(self):
         workload = common.worrell_workload(0.02, 3)
@@ -243,12 +341,16 @@ class TestLifetime:
                       end_time=workload.duration)
         watched = [weakref.ref(workload.server()), weakref.ref(stream),
                    weakref.ref(compile_server(workload.server()))]
+        columns = remembered_columns(workload.server(), stream)
+        held = sys.getrefcount(columns)
         del workload, stream
         gc.collect()
         assert all(ref() is not None for ref in watched)
+        assert sys.getrefcount(columns) == held
         common.clear_caches()
         gc.collect()
         assert [ref() for ref in watched] == [None, None, None]
+        assert sys.getrefcount(columns) == held - 1
 
 
 class TestWorkers:
@@ -261,3 +363,70 @@ class TestWorkers:
         serial = sweep_alex([workload], OPTIMIZED, grid, workers=1)
         forked = sweep_alex([workload], OPTIMIZED, grid, workers=2)
         assert forked == serial
+
+    def test_forked_workers_read_the_parents_columns(self, workload):
+        # A worker forked with the sweep's own stream remembered reads
+        # the columns it inherits: they must give the reference's answers.
+        columns = remembered_columns(workload.server(), workload.requests)
+        assert remembered_columns(workload.server(), workload.requests) is columns
+        grid = (0.0, 10.0, 50.0, 100.0)
+        forked = sweep_alex([workload], OPTIMIZED, grid, workers=2)
+        set_engine(REFERENCE)
+        assert forked == sweep_alex([workload], OPTIMIZED, grid, workers=1)
+
+
+class TestNoScheduleSearchPerRequest:
+    """The request loop reads the columns.  A template edit that brings
+    a per-request ``bisect_right`` back fails here, not only in the
+    benchmark."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The sequences ``bisect_right`` is called on from now, by the
+        kernels (built afresh, so they bind the counting one) and by
+        ``repro.fastpath.arrays``."""
+        searched = []
+
+        def counting(a, x, *bounds):
+            searched.append(a)
+            return bisect.bisect_right(a, x, *bounds)
+
+        monkeypatch.setattr(kernels, "bisect_right", counting)
+        monkeypatch.setattr(arrays, "bisect_right", counting)
+        monkeypatch.setattr(specialise, "_KERNELS", weakref.WeakKeyDictionary())
+        return searched
+
+    CONFIGS = (
+        ("ttl", lambda: TTLProtocol(hours(24)), OPTIMIZED),
+        ("alex", alex, OPTIMIZED),
+        ("invalidation", InvalidationProtocol, OPTIMIZED),
+        ("cern", CERNPolicyProtocol, OPTIMIZED),
+        ("alex-base", alex, SimulatorMode.BASE),
+    )
+
+    @pytest.mark.parametrize("name,make,mode", CONFIGS,
+                             ids=[c[0] for c in CONFIGS])
+    def test_a_memo_hit_run_never_searches_a_schedule(
+        self, workload, server, searches, name, make, mode
+    ):
+        compiled = compile_server(server)
+        encode_requests(compiled, workload.requests, 0.0)
+        initial_state(compiled, 0.0, True)
+        searches.clear()
+        result = fast_simulate(server, make(), workload.requests, mode,
+                               end_time=workload.duration)
+        assert not [a for a in searches if a is compiled.mod_times]
+        # What is left bounds the action cursor, once per run.
+        assert len(searches) <= 2
+        assert result_to_dict(result) == result_to_dict(simulate(
+            OriginServer(workload.histories), make(), workload.requests, mode,
+            end_time=workload.duration,
+        ))
+
+    def test_an_eager_push_still_searches(self, workload, server, searches):
+        """The counter is live: a push happens at an action time, which
+        no request column answers."""
+        compiled = compile_server(server)
+        fast_simulate(server, InvalidationProtocol(eager=True),
+                      workload.requests, end_time=workload.duration)
+        assert any(a is compiled.mod_times for a in searches)
