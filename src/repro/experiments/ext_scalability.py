@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from zlib import crc32
 
+import numpy as np
+
 from repro.analysis.plots import Series, ascii_chart
 from repro.analysis.report import ExperimentReport, ShapeCheck, format_table
 from repro.core.protocols import AlexProtocol, InvalidationProtocol
@@ -34,18 +36,21 @@ TITLE = "Extension: origin server load vs number of caches (Section 1 claim)"
 CACHE_COUNTS = (1, 2, 4, 8, 16)
 
 
-def _partitioned_run(workload, protocol_factory, n_caches: int):
+def _partitioned_run(workload, hashes, protocol_factory, n_caches: int):
     """Run N independent caches over a client-partitioned request stream.
 
     Every cache is preloaded (each serves its own client community, as
     the paper's single-cache runs assume) and sees only its partition's
-    requests; the merged result reports origin-side totals.
+    requests (``hashes``, each request's client hash, modulo N); the
+    merged result reports origin-side totals.
     """
     server = workload.server()
-    clients = workload.clients
-    shards: list[list[tuple[float, str]]] = [[] for _ in range(n_caches)]
-    for index, (t, oid) in enumerate(workload.requests):
-        shards[crc32(clients[index].encode()) % n_caches].append((t, oid))
+    pick = workload.requests.__getitem__
+    shard_of = hashes % n_caches
+    shards = [
+        list(map(pick, np.flatnonzero(shard_of == shard).tolist()))
+        for shard in range(n_caches)
+    ]
     # The caches are fully independent, so each shard runs start-to-end
     # on its own (oracle-checkable) simulation; the interleaving of the
     # original stream does not affect any per-cache outcome.
@@ -62,13 +67,14 @@ def _partitioned_run(workload, protocol_factory, n_caches: int):
 def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
     """Measure origin load as the cache population grows."""
     workload = CampusWorkload(HCS, seed=seed + 2, request_scale=scale).build()
+    hashes = np.array([crc32(host.encode()) for host in workload.clients])
 
     rows = []
     inval_ops, alex_ops = [], []
     for n in CACHE_COUNTS:
-        inval = _partitioned_run(workload, InvalidationProtocol, n)
+        inval = _partitioned_run(workload, hashes, InvalidationProtocol, n)
         alex = _partitioned_run(
-            workload, lambda: AlexProtocol.from_percent(10), n
+            workload, hashes, lambda: AlexProtocol.from_percent(10), n
         )
         inval_ops.append(float(inval.server_operations))
         alex_ops.append(float(alex.server_operations))

@@ -41,14 +41,15 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
     # --- Microsoft side: access mix and sizes -----------------------------
     model = FileTypeModel()
     n_requests = max(1000, int(round(MICROSOFT_REQUESTS * scale)))
-    drawn_types = model.sample_types(rng, n_requests)
-    sizes_by_type: dict[str, list[int]] = {}
+    drawn_types = model.sample_type_indices(rng, n_requests)
+    sizes = model.sample_sizes(rng, drawn_types)
     counts: dict[str, int] = {}
-    for tname in drawn_types:
-        counts[tname] = counts.get(tname, 0) + 1
-        sizes_by_type.setdefault(tname, []).append(
-            model.sample_size(rng, tname)
-        )
+    sizes_by_type: dict[str, np.ndarray] = {}
+    for i, spec in enumerate(model.specs):
+        drawn = drawn_types == i
+        if drawn.any():
+            counts[spec.name] = int(drawn.sum())
+            sizes_by_type[spec.name] = sizes[drawn]
 
     ms_rows = []
     for spec in TABLE2_TYPES:

@@ -49,10 +49,11 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Generic, Sequence, TypeVar
 
-from repro.faults.rng import uniform01
+import numpy as np
+
+from repro.faults.rng import uniform01, uniform01_array
 from repro.obs import registry as obs_metrics
 
 #: Action kinds, in the vocabulary of the schedule.
@@ -62,12 +63,23 @@ DELIVER = "deliver"
 DROP = "drop"
 CRASH = "crash"
 
+#: The kinds by the integer code :meth:`FaultPlan.columns` sorts with.
+_KIND_NAMES = np.array(
+    [ATTEMPT_SENT, ATTEMPT_LOST, DELIVER, DROP, CRASH], dtype=object
+)
+_SENT, _LOST, _DELIVER, _DROP, _CRASH = range(len(_KIND_NAMES))
+
 #: The feed's key type: an object id for :meth:`FaultPlan.compile`, a
 #: dense object index on the fast path.
 K = TypeVar("K")
 
 
-@dataclass(frozen=True)
+def _objects(values: Sequence[object], at: np.ndarray) -> np.ndarray:
+    """``values[at]``, an object array of ``values``' own objects."""
+    return np.fromiter(values, dtype=object, count=len(values)).take(at)
+
+
+@dataclass(frozen=True, slots=True)
 class FaultAction:
     """One scheduled fault event.
 
@@ -251,42 +263,82 @@ class FaultPlan:
                 semantics.
 
         Returns:
-            Actions sorted by time; ties keep compile order (attempt
-            before its delivery, feed order across objects, crashes
-            last), so replay is deterministic.
+            Actions sorted by time; ties keep compile order (feed order
+            across notices, attempts in order, an attempt before its
+            delivery or drop, crashes last), so replay is deterministic.
+
+        The notices are resolved one attempt level at a time, as arrays:
+        attempt *k*'s send times for every notice still undelivered, the
+        downtime windows and loss draws as masks over them, and the lost
+        ones carried to level *k + 1*.  Every row is tagged with its
+        compile position (feed line, attempt, sub-step) before the one
+        stable sort on time.
         """
-        rows: list[tuple[float, str, K, float, int]] = []
-        for index, mod_time in enumerate(feed_times):
-            if mod_time <= start_time:
-                continue
-            key = feed_keys[index]
-            for attempt in range(self.retries + 1):
-                send_time = mod_time + self.backoff * float((1 << attempt) - 1)
-                if self.server_down(send_time):
-                    rows.append((send_time, DROP, key, mod_time, attempt))
-                    break
-                if self.attempt_lost(index, attempt):
-                    rows.append(
-                        (send_time, ATTEMPT_LOST, key, mod_time, attempt)
-                    )
-                    if attempt == self.retries:
-                        rows.append((send_time, DROP, key, mod_time, attempt))
-                    continue
-                rows.append((send_time, ATTEMPT_SENT, key, mod_time, attempt))
-                rows.append(
-                    (send_time + self.delay, DELIVER, key, mod_time, attempt)
-                )
+        mods = np.asarray(feed_times, dtype=np.float64)
+        lines = np.flatnonzero(~(mods <= start_time))
+        # One block per (attempt, outcome): feed lines, times, kind code,
+        # attempt, and sub-step within the attempt (0, or 1 for the drop
+        # after a final loss and the delivery after a send).
+        blocks: list[tuple[np.ndarray, np.ndarray, int, int, int]] = []
+        for attempt in range(self.retries + 1):
+            if not lines.size:
                 break
-        for crash_time in self.cache_crashes:
-            if crash_time > start_time:
-                rows.append(
-                    (float(crash_time), CRASH, crash_key, float(crash_time), 0)
+            sends = mods[lines] + self.backoff * float((1 << attempt) - 1)
+            down = np.zeros(lines.size, dtype=bool)
+            for window in self.downtime:
+                down |= (window.start <= sends) & (
+                    sends < window.start + window.length
                 )
-        rows.sort(key=itemgetter(0))
-        if not rows:
+            blocks.append((lines[down], sends[down], _DROP, attempt, 0))
+            lines, sends = lines[~down], sends[~down]
+            if self.loss_rate <= 0.0:
+                lost = np.zeros(lines.size, dtype=bool)
+            elif self.loss_rate >= 1.0:
+                lost = np.ones(lines.size, dtype=bool)
+            else:
+                lost = uniform01_array(self.seed, lines, attempt) < self.loss_rate
+            sent = ~lost
+            blocks.append((lines[sent], sends[sent], _SENT, attempt, 0))
+            blocks.append(
+                (lines[sent], sends[sent] + self.delay, _DELIVER, attempt, 1)
+            )
+            lines, sends = lines[lost], sends[lost]
+            blocks.append((lines, sends, _LOST, attempt, 0))
+            if attempt == self.retries:
+                blocks.append((lines, sends, _DROP, attempt, 1))
+        # A crash is its own line after the feed's, announcing its instant.
+        crashes = [float(t) for t in self.cache_crashes if t > start_time]
+        announced = np.append(mods, crashes)
+        crash_lines = np.arange(mods.size, announced.size)
+        blocks.append((crash_lines, announced[crash_lines], _CRASH, 0, 0))
+        row_lines = np.concatenate([block[0] for block in blocks])
+        if not row_lines.size:
             return ActionColumns((), (), (), (), ())
-        times, kinds, keys, mod_times, attempts = zip(*rows)
-        return ActionColumns(times, kinds, keys, mod_times, attempts)
+        row_times = np.concatenate([block[1] for block in blocks])
+        counts = [block[0].size for block in blocks]
+        row_kinds = np.repeat([block[2] for block in blocks], counts)
+        row_attempts = np.repeat([block[3] for block in blocks], counts)
+        compile_order = (row_lines * (self.retries + 1) + row_attempts) * 2
+        compile_order += np.repeat([block[4] for block in blocks], counts)
+        order = np.lexsort((compile_order, row_times))
+        at = row_lines[order]
+        row_times = row_times[order]
+        kinds = _KIND_NAMES.take(row_kinds[order])
+        attempts = row_attempts[order]
+        del blocks, mods, lines, compile_order, order, row_lines, row_kinds
+        # Keys and announced times are the feed's own objects, and so is
+        # every action time equal to its announced time bit for bit (a
+        # first attempt's send, its delivery without delay, a crash):
+        # ``float`` returns a float argument itself.
+        keys = _objects([*feed_keys, *[crash_key] * len(crashes)], at)
+        mod_times = _objects([*feed_times, *crashes], at)
+        times = _objects([*map(float, feed_times), *crashes], at)
+        fresh = row_times.view(np.int64) != announced[at].view(np.int64)
+        times[fresh] = row_times[fresh]
+        return ActionColumns(
+            tuple(times), tuple(kinds), tuple(keys), tuple(mod_times),
+            tuple(attempts.tolist()),
+        )
 
     def compile(
         self,

@@ -14,9 +14,19 @@ True
 True
 >>> uniform01(7, 3, 0) != uniform01(7, 3, 1)
 True
+
+:func:`uniform01_array` is the same chain over ``uint64`` arrays, for
+callers that draw a whole column at once (the fault schedule):
+
+>>> uniform01_array(7, np.arange(4), 0).tolist() == [
+...     uniform01(7, i, 0) for i in range(4)]
+True
 """
 
 from __future__ import annotations
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 _MASK64 = (1 << 64) - 1
 #: SplitMix64's state increment (2**64 / golden ratio).
@@ -51,3 +61,28 @@ def uniform01(seed: int, *streams: int) -> float:
     representable and identical on every platform.
     """
     return (mix(seed, *streams) >> 11) * (1.0 / (1 << 53))
+
+
+def _splitmix64_array(state: np.ndarray) -> np.ndarray:
+    """:func:`splitmix64` elementwise; ``uint64`` arithmetic wraps."""
+    z = state + np.uint64(GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def uniform01_array(seed: int, *streams: ArrayLike) -> np.ndarray:
+    """:func:`uniform01` for every element of broadcast stream arrays.
+
+    Element ``n`` equals ``uniform01(seed, *(s[n] for s in streams))``
+    bit for bit: the chain is the same, the 53-bit integer converts to a
+    float exactly, and the scaling is by a power of two.  Stream values
+    are taken modulo 2**64, as the scalar form does (a negative
+    ``int64`` wraps).
+    """
+    value = np.array(splitmix64(seed & _MASK64), dtype=np.uint64, ndmin=1)
+    for stream in streams:
+        value = _splitmix64_array(
+            value ^ np.asarray(stream).astype(np.uint64)
+        )
+    return (value >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))

@@ -213,8 +213,9 @@ class CampusWorkload:
         spec = self.spec
         model = self._model
 
-        type_names = model.sample_types(rng, spec.files)
-        sizes = [model.sample_size(rng, t) for t in type_names]
+        type_index = model.sample_type_indices(rng, spec.files)
+        type_names = [model.specs[i].name for i in type_index]
+        sizes = model.sample_sizes(rng, type_index).tolist()
 
         n_mut = spec.n_mutable
         mutable_ranks = choose_mutable_files_banded(
@@ -228,10 +229,8 @@ class CampusWorkload:
         # edited pages are also actively read — and a change the request
         # stream never straddles would be invisible to Table 1's
         # observation method in the first place.
-        counts_by_slot = self._change_counts(rng)
         change_count = np.zeros(spec.files, dtype=int)
-        for slot, rank in enumerate(mutable_ranks):
-            change_count[rank] = counts_by_slot[slot]
+        change_count[mutable_ranks] = self._change_counts(rng)
 
         histories: list[ObjectHistory] = []
         for i in range(spec.files):
@@ -303,23 +302,27 @@ class CampusWorkload:
         )
         # Map popularity rank -> file index.  Identity keeps rank 0 as
         # file 0; mutability was assigned against these same ranks.
-        request_list = [
-            (float(t),
-             dynamic_ids[int(dynamic_picks[i])] if is_dynamic[i]
-             else histories[int(r)].object_id)
-            for i, (t, r) in enumerate(zip(times, ranks))
-        ]
+        # Dynamic picks index the objects after the static files.
+        if dynamic_ids:
+            ranks = np.where(is_dynamic, spec.files + dynamic_picks, ranks)
+        object_ids = [h.object_id for h in histories]
+        request_list = list(zip(
+            times.tolist(), map(object_ids.__getitem__, ranks.tolist())
+        ))
         remote = rng.random(n_requests) < spec.pct_remote / 100.0
         remote_pool = [f"host{j:03d}.remote-isp.net" for j in range(97)]
         local_pool = [
             f"ws{j:02d}.{spec.name.lower()}.harvard.edu" for j in range(41)
         ]
-        clients = [
-            remote_pool[int(rng.integers(len(remote_pool)))]
-            if is_remote
-            else local_pool[int(rng.integers(len(local_pool)))]
-            for is_remote in remote
-        ]
+        # One draw per request from its side's pool: broadcasting ``high``
+        # consumes the generator exactly as one scalar
+        # ``integers(len(pool))`` call per request would.
+        hosts = rng.integers(
+            0, np.where(remote, len(remote_pool), len(local_pool))
+        )
+        hosts[~remote] += len(remote_pool)
+        pool = remote_pool + local_pool
+        clients = list(map(pool.__getitem__, hosts.tolist()))
         return Workload(
             histories=histories,
             requests=request_list,

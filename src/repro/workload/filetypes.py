@@ -121,6 +121,11 @@ class FileTypeModel:
         self._shares = np.array([s.access_share / total for s in chosen])
         self.size_sigma = size_sigma
         self._by_name = {s.name: s for s in chosen}
+        # Per-type lognormal ``mu`` preserving the mean size:
+        # ``mean = exp(mu + sigma^2/2)`` ⇒ ``mu = ln(mean) - sigma^2/2``.
+        self._size_mu = {
+            s.name: np.log(s.mean_size) - 0.5 * size_sigma**2 for s in chosen
+        }
 
     def spec(self, name: str) -> FileTypeSpec:
         """Look up a type by name.
@@ -130,24 +135,45 @@ class FileTypeModel:
         """
         return self._by_name[name]
 
+    def sample_type_indices(
+        self, rng: np.random.Generator, count: int
+    ) -> np.ndarray:
+        """Draw ``count`` types according to the access mix, as indices
+        into :attr:`specs`."""
+        return rng.choice(len(self.specs), size=count, p=self._shares)
+
     def sample_types(self, rng: np.random.Generator, count: int) -> list[str]:
         """Draw ``count`` type names according to the access mix."""
-        idx = rng.choice(len(self.specs), size=count, p=self._shares)
-        return [self.specs[i].name for i in idx]
+        drawn = self.sample_type_indices(rng, count)
+        return [self.specs[i].name for i in drawn]
 
     def sample_size(self, rng: np.random.Generator, type_name: str) -> int:
         """Draw one body size for ``type_name``.
 
-        Lognormal with the type's mean preserved:
-        ``mean = exp(mu + sigma^2/2)`` ⇒ ``mu = ln(mean) - sigma^2/2``.
-        Sizes are clamped to at least 64 bytes.
+        Lognormal with the type's mean preserved; sizes are clamped to
+        at least 64 bytes.
         """
         spec = self.spec(type_name)
         if self.size_sigma == 0:
             return spec.mean_size
-        mu = np.log(spec.mean_size) - 0.5 * self.size_sigma**2
+        mu = self._size_mu[type_name]
         size = rng.lognormal(mean=mu, sigma=self.size_sigma)
         return max(64, int(round(size)))
+
+    def sample_sizes(
+        self, rng: np.random.Generator, type_indices: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`sample_size` for every entry of ``type_indices``, in order.
+
+        One broadcast draw consumes the generator exactly as the scalar
+        calls would, and ``rint`` rounds half to even as ``round`` does.
+        """
+        if self.size_sigma == 0:
+            means = np.array([spec.mean_size for spec in self.specs])
+            return means[type_indices]
+        mus = np.array([self._size_mu[spec.name] for spec in self.specs])
+        sizes = rng.lognormal(mus[type_indices], self.size_sigma)
+        return np.maximum(np.rint(sizes), 64.0).astype(np.int64)
 
     def sample_initial_age(
         self, rng: np.random.Generator, type_name: str, sigma: float = 0.6

@@ -89,6 +89,16 @@ class TestFileTypeModel:
         model = FileTypeModel(size_sigma=0)
         assert model.sample_size(rng, "jpg") == 21608
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.8, 3.0])
+    def test_sample_sizes_is_the_scalar_loop(self, sigma):
+        model = FileTypeModel(size_sigma=sigma)
+        types = model.sample_type_indices(np.random.default_rng(5), 3000)
+        scalar = np.random.default_rng(11)
+        loop = [model.sample_size(scalar, model.specs[i].name) for i in types]
+        rng = np.random.default_rng(11)
+        assert model.sample_sizes(rng, types).tolist() == loop
+        assert rng.random() == scalar.random()
+
     def test_initial_age_positive_and_plausible(self, rng):
         model = FileTypeModel()
         ages = [model.sample_initial_age(rng, "gif") for _ in range(5000)]
