@@ -24,10 +24,10 @@ bench:
 experiments:
 	$(PYTHON) -m repro.experiments all
 
-# Static invariant analysis (RPR001-RPR007, see docs/DEVELOPING.md):
-# determinism, unit discipline (propagated through locals and calls),
-# protocol registration, oracle and metric-name alphabets, hygiene,
-# async/lock discipline.  Exit 1 on any finding not silenced by a
+# Static invariant analysis (RPR001, RPR002, RPR005, RPR007, see
+# docs/DEVELOPING.md): determinism, unit discipline (propagated through
+# locals and calls), hygiene, async/lock discipline.  Exit 1 on any
+# finding not silenced by a
 # '# repro: noqa[CODE]' comment.  '--format github' for CI annotations.
 lint:
 	$(PYTHON) -m repro.lint src examples
@@ -137,12 +137,15 @@ snapshot:
 # breaking a shape check.  (~10 s; engine output is byte-identical for
 # any WORKERS value, see docs/PERFORMANCE.md.)  --verify additionally
 # replays every simulation through the repro.verify oracle: any counter
-# or ledger divergence aborts the run before the diff.
+# or ledger divergence aborts the run before the diff.  --metrics
+# publishes every experiment's telemetry through a registry, which
+# refuses a metric name repro/obs/names.py does not declare.
 snapshot-check:
 	$(PYTHON) -m repro.experiments all --scale 0.25 --workers $(WORKERS) \
-	  --verify | grep -E '^(== |  -> )' > .snapshot-check.out
+	  --verify --metrics .snapshot-check.metrics.json \
+	  | grep -E '^(== |  -> )' > .snapshot-check.out
 	diff docs/snapshot-check.expected .snapshot-check.out \
-	  && rm .snapshot-check.out \
+	  && rm .snapshot-check.out .snapshot-check.metrics.json \
 	  && echo "snapshot-check: verdicts match docs/snapshot-check.expected"
 
 examples:

@@ -1,11 +1,11 @@
 """Static invariant analysis for the reproduction (``repro lint``).
 
-The paper's results rest on properties no unit test fully pins down:
-bit-identical determinism across worker counts (docs/PERFORMANCE.md),
-bytes-vs-seconds discipline in the bandwidth ledger behind Table 1 and
-Figures 4-8, and the PR-2 oracle replaying *every* observer event the
-simulator can emit.  This package enforces those properties at analysis
-time with a stdlib-``ast`` pass over the source tree:
+The paper's results rest on properties no test can see from the
+objects a run builds: bit-identical determinism across worker counts
+(docs/PERFORMANCE.md), bytes-vs-seconds discipline in the bandwidth
+ledger behind Table 1 and Figures 4-8, and the live leg's lock
+discipline.  This package enforces those properties at analysis time
+with a stdlib-``ast`` pass over the source tree:
 
 ========  ==============================================================
 RPR001    determinism: no global/unseeded RNG, wall clocks, ambient
@@ -15,14 +15,7 @@ RPR002    units: ``*_bytes`` / ``*_seconds`` / ``*_count`` quantities
           never meet in additive arithmetic, ordered comparisons or call
           arguments — by name everywhere, and propagated through locals,
           parameters and return values in repro.core / fastpath / live
-RPR003    conformance: protocol subclasses implement the hook set, are
-          exported, and have spec rules; experiment modules are
-          registered in experiments/registry.py
-RPR004    oracle exhaustiveness: EVENT_KINDS == the request step's
-          emissions == SpecModel replay alphabet
 RPR005    hygiene: no mutable default arguments or shadowed builtins
-RPR006    observability names: literal metric / span / mark names are
-          declared in repro/obs/names.py, and every declared name is used
 RPR007    async and lock discipline in repro.live / repro.runtime:
           blocking calls on the event loop, shared state mutated across
           an await outside the lock, lock-ordering hazards

@@ -30,8 +30,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant linter for the cache-consistency "
-            "reproduction (determinism, unit discipline, protocol "
-            "registration, oracle and metric alphabets, hygiene, "
+            "reproduction (determinism, unit discipline, hygiene, "
             "async lock discipline)."
         ),
     )

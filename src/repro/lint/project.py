@@ -3,8 +3,8 @@
 The engine parses every ``.py`` file once into a :class:`ModuleInfo`
 (source text, AST, dotted module name, per-line ``noqa`` suppressions)
 and bundles them into a :class:`Project` so cross-module checkers —
-protocol registration (RPR003), observer-event exhaustiveness (RPR004) —
-can resolve their counterpart files by dotted name instead of by path.
+unit propagation (RPR002), lock discipline (RPR007) — can resolve
+imported definitions by dotted name instead of by path.
 
 Module names are derived from the path: everything after a ``src``
 component (the repo layout), else everything from the first ``repro``
@@ -157,14 +157,6 @@ class Project:
 
             self._call_graph = CallGraph(self, self.symbols)
         return self._call_graph  # type: ignore[return-value]
-
-    def in_package(self, package: str) -> list[ModuleInfo]:
-        """All modules inside ``package`` (inclusive of its ``__init__``)."""
-        prefix = package + "."
-        return [
-            m for m in self.modules
-            if m.name == package or m.name.startswith(prefix)
-        ]
 
 
 class LintError(Exception):

@@ -9,8 +9,7 @@ implement either or both of:
   for purely local rules (RPR001, RPR005);
 * :meth:`Checker.check_project` — called once per run with the whole
   :class:`~repro.lint.project.Project`; the place for cross-module
-  invariants (RPR002 unit propagation, RPR003 registration, RPR004 /
-  RPR006 alphabets, RPR007 lock discipline).
+  invariants (RPR002 unit propagation, RPR007 lock discipline).
 
 Registering a second checker under an existing code raises — codes are
 the public contract (suppressions and docs key on them).

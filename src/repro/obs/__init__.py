@@ -11,8 +11,8 @@ One observability layer for the whole reproduction:
   self-time (``repro profile``);
 * :mod:`repro.obs.clock` — the single audited wall-clock entry point
   (the only ``# repro: noqa[RPR001]`` site in the package);
-* :mod:`repro.obs.names` — the declared alphabet of every metric and
-  span name, enforced project-wide by lint code RPR006;
+* :mod:`repro.obs.names` — the declared alphabet of every metric, span
+  and mark name; the registry and the trace sink refuse any other;
 * :mod:`repro.obs.collect` — ``captured`` / ``merge``, how the sweep
   engine keeps parallel runs equivalent to serial ones;
 * :func:`session` — the one ``--metrics`` / ``--trace`` scope both CLIs

@@ -1,13 +1,16 @@
-"""The observability alphabet: every metric and span name, in one place.
+"""The observability alphabet: every metric, span and mark name, in one place.
 
-The RPR006 lint checker (``repro.lint.checkers.obsnames``) enforces two
-directions of agreement between this module and the instrumentation
-sites spread across the tree:
+Two directions of agreement hold between this module and the
+instrumentation sites spread across the tree:
 
-* every string literal passed to :func:`repro.obs.registry.emit` /
-  ``observe`` / ``set_gauge`` or recorded as a span must be declared in
-  :data:`METRIC_NAMES` / :data:`SPAN_NAMES` here;
-* every declared name must actually be used somewhere, so the alphabet
+* a name must be declared here before it is published: a
+  :class:`~repro.obs.registry.MetricsRegistry` creates a series only
+  for a :data:`METRIC_NAMES` member, and a
+  :class:`~repro.obs.trace.TraceSink` records only :data:`SPAN_NAMES`
+  spans and :data:`TRACE_MARK_NAMES` marks — anything else raises
+  ``ValueError`` the first time it runs with metrics or tracing on;
+* every declared name must appear as a string constant in some other
+  ``repro`` module (``tests/obs/test_names.py``), so the alphabet
   cannot silently drift into dead entries.
 
 Names are dotted, lowercase, and stable — they are part of the trace
@@ -102,8 +105,8 @@ SPAN_NAMES: tuple[str, ...] = (
 
 #: Mark kinds the trace sink may record — instantaneous causal points
 #: of the live mode's cross-process trace (``repro.obs.timeline``
-#: orders and validates them).  RPR006 checks ``mark()`` call literals
-#: against this alphabet exactly as it does metrics and spans.
+#: orders and validates them).  ``TraceSink.mark`` checks its kind
+#: against this alphabet exactly as ``span`` checks span names.
 TRACE_MARK_NAMES: tuple[str, ...] = (
     "live.trace.chaos",
     "live.trace.done",

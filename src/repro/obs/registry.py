@@ -7,7 +7,9 @@ the oracle.  Publication goes through the module-level handle
 (:func:`emit` / :func:`observe` / :func:`set_gauge`): when no registry
 is installed each call is a single global load and a ``None`` test, so
 instrumented hot paths cost nothing measurable in the default
-(disabled) configuration.
+(disabled) configuration.  A series is created only under a name
+declared in :data:`repro.obs.names.METRIC_NAMES` (``ValueError``
+otherwise); publishing to an existing series skips that check.
 
 Determinism is the design constraint.  Histograms use *fixed*
 log-spaced bucket bounds keyed by metric name
@@ -41,10 +43,20 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
-from repro.obs.names import DEFAULT_BINS, HISTOGRAM_BINS
+from repro.obs.names import DEFAULT_BINS, HISTOGRAM_BINS, is_metric
 
 #: Dump-schema identifier written by :meth:`MetricsRegistry.as_dict`.
 SCHEMA = "repro.metrics/1"
+
+
+def _declared(name: str) -> str:
+    """``name``, once it is known to be declared: a typo must not
+    silently become a new series."""
+    if not is_metric(name):
+        raise ValueError(
+            f"undeclared metric name {name!r} (repro.obs.names.METRIC_NAMES)"
+        )
+    return name
 
 
 def _accumulate(partials: list[float], value: float) -> None:
@@ -149,21 +161,21 @@ class MetricsRegistry:
         """The counter registered under ``name`` (created on demand)."""
         metric = self._counters.get(name)
         if metric is None:
-            metric = self._counters[name] = Counter(name)
+            metric = self._counters[name] = Counter(_declared(name))
         return metric
 
     def gauge(self, name: str) -> Gauge:
         """The gauge registered under ``name`` (created on demand)."""
         metric = self._gauges.get(name)
         if metric is None:
-            metric = self._gauges[name] = Gauge(name)
+            metric = self._gauges[name] = Gauge(_declared(name))
         return metric
 
     def histogram(self, name: str) -> Histogram:
         """The histogram registered under ``name`` (created on demand)."""
         metric = self._histograms.get(name)
         if metric is None:
-            metric = self._histograms[name] = Histogram(name)
+            metric = self._histograms[name] = Histogram(_declared(name))
         return metric
 
     # -- output --------------------------------------------------------------

@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
 
 from repro.obs import registry as _metrics
+from repro.obs.names import is_mark, is_span
 
 #: Trace-schema identifier written into the JSONL header record.
 SCHEMA = "repro.trace/1"
@@ -116,7 +117,12 @@ class TraceSink:
     def span(
         self, name: str, wall: float, meta: Optional[dict[str, Any]] = None
     ) -> None:
-        """Record one timed region (``wall`` in host seconds)."""
+        """Record one timed region (``wall`` in host seconds) under a
+        declared span name (``ValueError`` otherwise)."""
+        if not is_span(name):
+            raise ValueError(
+                f"undeclared span name {name!r} (repro.obs.names.SPAN_NAMES)"
+            )
         record: dict[str, Any] = {"type": "span", "name": name, "wall": wall}
         if meta:
             record["meta"] = meta
@@ -129,7 +135,13 @@ class TraceSink:
 
         ``trace`` is the propagated ``X-Repro-Trace`` id, or ``None``
         for points outside any client exchange (control pulls, restore).
+        An undeclared ``kind`` raises ``ValueError``.
         """
+        if not is_mark(kind):
+            raise ValueError(
+                f"undeclared mark kind {kind!r} "
+                "(repro.obs.names.TRACE_MARK_NAMES)"
+            )
         record: dict[str, Any] = {
             "type": "mark", "kind": kind, "trace": trace, "clk": clk,
         }

@@ -2,10 +2,30 @@
 
 import pytest
 
+import repro.experiments
+from repro.experiments import registry
 from repro.experiments.registry import EXPERIMENTS, all_ids, run_experiment
+from tests.core.test_protocol_registry import submodules
+
+
+def check_experiment_modules() -> None:
+    """Every module defining ``EXPERIMENT_ID`` is in ``_MODULES``, or
+    ``python -m repro.experiments all`` silently skips it."""
+    unregistered = [
+        module.__name__
+        for module in submodules(repro.experiments)
+        if hasattr(module, "EXPERIMENT_ID")
+        and module not in registry._MODULES
+    ]
+    assert not unregistered, (
+        f"not in repro.experiments.registry._MODULES: {unregistered}"
+    )
 
 
 class TestRegistry:
+    def test_every_experiment_module_is_registered(self):
+        check_experiment_modules()
+
     def test_every_table_and_figure_registered(self):
         assert set(all_ids()) == {
             "figure1", "figure2", "figure3", "figure4", "figure5",

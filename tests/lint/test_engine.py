@@ -39,12 +39,10 @@ def write_fixture_tree(tmp_path: Path, source: str) -> Path:
 
 class TestRegistry:
     def test_all_checkers_registered(self):
-        # RPR008 and RPR009 are retired; ids are never reused.
-        assert checker_codes() == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006",
-            "RPR007",
-        ]
-        assert len(all_checkers()) == 7
+        # RPR003, RPR004, RPR006, RPR008 and RPR009 are retired; ids
+        # are never reused.
+        assert checker_codes() == ["RPR001", "RPR002", "RPR005", "RPR007"]
+        assert len(all_checkers()) == 4
 
     def test_unknown_select_code_raises(self):
         project = Project([])

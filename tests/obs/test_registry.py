@@ -95,11 +95,11 @@ class TestModuleHandle:
 class TestDump:
     def test_schema_and_sorted_keys(self):
         registry = MetricsRegistry()
-        registry.counter("b.two").add()
-        registry.counter("a.one").add()
+        registry.counter("server.gets").add()
+        registry.counter("cache.stores").add()
         dump = registry.as_dict()
         assert dump["schema"] == SCHEMA
-        assert list(dump["counters"]) == ["a.one", "b.two"]
+        assert list(dump["counters"]) == ["cache.stores", "server.gets"]
 
 
 class TestCaptureMerge:

@@ -99,7 +99,8 @@ class TestObserverTee:
 class TestEventAlphabet:
     def test_event_metrics_bijective_with_simulator_kinds(self):
         # Every simulator event kind has exactly one tee counter; the
-        # fault_* kinds included.  RPR006 keeps the values declared.
+        # fault_* kinds included.  Each value is declared, or the tee's
+        # first counter bump would raise.
         assert set(EVENT_METRICS) == set(EVENT_KINDS)
         values = list(EVENT_METRICS.values())
         assert len(values) == len(set(values))

@@ -25,7 +25,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import timeline
+from repro.obs import names, timeline
 from repro.obs import trace as obs_trace
 
 #: JSON-safe strings (no surrogates; utf-8 encodable).
@@ -34,6 +34,9 @@ _names = st.text(
     min_size=0,
     max_size=20,
 )
+#: The sink records only declared span names and mark kinds.
+_span_names = st.sampled_from(names.SPAN_NAMES)
+_mark_kinds = st.sampled_from(names.TRACE_MARK_NAMES)
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 _meta = st.dictionaries(
     st.text(alphabet="abcdefgh.", min_size=1, max_size=8),
@@ -51,10 +54,10 @@ def records(draw) -> dict:
         sink.event(draw(_names), draw(_floats), draw(_names))
     elif shape == "span":
         meta = draw(st.one_of(st.none(), _meta))
-        sink.span(draw(_names), draw(_floats), meta)
+        sink.span(draw(_span_names), draw(_floats), meta)
     else:
         trace_id = draw(st.one_of(st.none(), _names))
-        sink.mark(draw(_names), trace_id, draw(_floats), **draw(_meta))
+        sink.mark(draw(_mark_kinds), trace_id, draw(_floats), **draw(_meta))
     return sink.records[0]
 
 

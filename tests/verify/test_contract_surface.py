@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro.core import step
 from repro.core.clock import days, hours
 from repro.core.metrics import (
     CATEGORIES,
@@ -16,11 +17,13 @@ from repro.core.metrics import (
     LEDGER_TABLES,
     ConsistencyCounters,
 )
-from repro.core.protocols import TTLProtocol
+from repro.core.protocols import InvalidationProtocol, TTLProtocol
 from repro.core.results import diff_results, result_from_dict, result_to_dict
-from repro.core.simulator import SimulatorMode, simulate
+from repro.core.simulator import Simulation, SimulatorMode, simulate
 from repro.live import diff_live_vs_sim
 from repro.verify import ConsistencyViolation, spec, verify_simulation
+from tests.verify.test_oracle import mixed_origin, mixed_requests
+from tests.verify.test_oracle_faults import PLANS
 
 IDENTITY = ("protocol_name", "mode", "duration")
 COUNTER_CELLS = tuple(f"counters.{name}" for name in COUNTER_FIELDS)
@@ -62,7 +65,51 @@ def _perturb(result, cell: str, by: float = 1) -> None:
         getattr(holder, table)[category] += by
 
 
+def event_kinds_over_the_matrix() -> tuple[set[str], set[str]]:
+    """The event kinds the request step emits and the spec replays,
+    over runs that reach every kind: the mixed server (a dynamic object
+    included) under a TTL that serves stale hits and under eager
+    invalidation, then lazy invalidation under every fault plan of
+    ``test_oracle_faults`` (loss, retries, downtime and a cache crash —
+    the only run that emits ``fault_cache_crash``)."""
+    emitted: set[str] = set()
+    replayed: set[str] = set()
+    runs = [(TTLProtocol(hours(24)), None),
+            (InvalidationProtocol(eager=True), None)]
+    runs += [(InvalidationProtocol(), plan) for plan in PLANS]
+    for protocol, plan in runs:
+        server, rule = mixed_origin(), spec.rule_for(protocol)
+        Simulation(
+            server, protocol, SimulatorMode.OPTIMIZED, faults=plan,
+            observer=lambda kind, t, oid: emitted.add(kind),
+        ).run(mixed_requests(), end_time=days(8))
+        outcome = spec.SpecModel(
+            server, rule, SimulatorMode.OPTIMIZED, faults=plan
+        ).run(mixed_requests(), end_time=days(8))
+        replayed |= {kind for kind, _, _ in outcome.events}
+    return emitted, replayed
+
+
+def check_one_event_alphabet() -> None:
+    """``EVENT_KINDS`` is exactly what the step emits and exactly what
+    the spec replays: a kind outside it is never compared, a kind in it
+    that either side never produces is dead."""
+    declared = set(step.EVENT_KINDS)
+    emitted, replayed = event_kinds_over_the_matrix()
+    assert emitted == declared, (
+        f"step emits undeclared {sorted(emitted - declared)}, "
+        f"never emits {sorted(declared - emitted)}"
+    )
+    assert replayed == declared, (
+        f"spec replays undeclared {sorted(replayed - declared)}, "
+        f"has no handler for {sorted(declared - replayed)}"
+    )
+
+
 class TestOneAlphabet:
+    def test_step_and_spec_speak_exactly_the_event_kinds(self):
+        check_one_event_alphabet()
+
     def test_counter_fields_are_the_dataclass(self):
         assert COUNTER_FIELDS == tuple(
             f.name for f in dataclasses.fields(ConsistencyCounters)

@@ -11,6 +11,7 @@ from repro.core.protocols import (
     CERNPolicyProtocol,
     ExpiresTTLProtocol,
     InvalidationProtocol,
+    LeasedInvalidationProtocol,
     PollEveryRequestProtocol,
     SelfTuningProtocol,
     TTLProtocol,
@@ -29,8 +30,7 @@ from repro.verify import (
 from tests.conftest import make_history
 
 
-@pytest.fixture
-def mixed_server() -> OriginServer:
+def mixed_origin() -> OriginServer:
     """Static, changing, Expires-stamped, and dynamic objects together."""
     return OriginServer(
         [
@@ -46,6 +46,11 @@ def mixed_server() -> OriginServer:
     )
 
 
+@pytest.fixture
+def mixed_server() -> OriginServer:
+    return mixed_origin()
+
+
 def mixed_requests() -> list[tuple[float, str]]:
     ids = ["/static", "/hot", "/news", "/gif", "/cgi"]
     return sorted(
@@ -55,6 +60,9 @@ def mixed_requests() -> list[tuple[float, str]]:
     )
 
 
+#: Every concrete protocol class, at least once: the agreement test is
+#: the "has a spec rule" check, and tests/core/test_protocol_registry.py
+#: pins the classes these build to the ones the package defines.
 ALL_PROTOCOLS = (
     lambda: TTLProtocol(hours(24)),
     lambda: TTLProtocol(0.0),
@@ -62,6 +70,7 @@ ALL_PROTOCOLS = (
     lambda: AlexProtocol.from_percent(10),
     lambda: InvalidationProtocol(),
     lambda: InvalidationProtocol(eager=True),
+    lambda: LeasedInvalidationProtocol(hours(24)),
     lambda: PollEveryRequestProtocol(),
     lambda: CERNPolicyProtocol(0.1, hours(1), max_ttl=days(2)),
     lambda: SelfTuningProtocol(),
