@@ -99,19 +99,27 @@ def result_to_dict(result: SimulationResult, *, sparse: bool = False) -> dict:
     (one live transaction's journal record) is written in;
     :func:`result_from_dict` reads both.
     """
-    counters = {
-        name: getattr(result.counters, name) for name in COUNTER_FIELDS
-    }
-    bandwidth = {
-        table: dict(getattr(result.bandwidth, table))
-        for table in LEDGER_TABLES
-    }
     if sparse:
-        counters = {name: v for name, v in counters.items() if v}
+        counters = {
+            name: v for name in COUNTER_FIELDS
+            if (v := getattr(result.counters, name))
+        }
+        bandwidth: dict[str, dict[str, int]] = {}
+        for table in LEDGER_TABLES:
+            cells = {
+                category: v
+                for category, v in getattr(result.bandwidth, table).items()
+                if v
+            }
+            if cells:
+                bandwidth[table] = cells
+    else:
+        counters = {
+            name: getattr(result.counters, name) for name in COUNTER_FIELDS
+        }
         bandwidth = {
-            table: {category: v for category, v in cells.items() if v}
-            for table, cells in bandwidth.items()
-            if any(cells.values())
+            table: dict(getattr(result.bandwidth, table))
+            for table in LEDGER_TABLES
         }
     return {
         "protocol_name": result.protocol_name,

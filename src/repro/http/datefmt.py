@@ -15,6 +15,7 @@ reproducible.
 from __future__ import annotations
 
 import calendar
+import functools
 import math
 import time
 
@@ -28,6 +29,14 @@ _MONTHS = (
     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 )
 _MONTH_INDEX = {name: i + 1 for i, name in enumerate(_MONTHS)}
+_DAY = 86_400
+#: Calendar days whose facts are kept: a replay's dates fall on a few
+#: hundred days, so the calendar work is done once per day while the
+#: time of day is plain arithmetic.
+_DAYS_CACHED = 1024
+#: ``"00"`` .. ``"59"``: the clock fields, rendered without a format
+#: spec per field.
+_TWO_DIGITS = tuple(f"{n:02d}" for n in range(60))
 
 
 def sim_to_unix(t: float) -> int:
@@ -48,19 +57,47 @@ def unix_to_sim(ts: int | float) -> float:
     return float(ts) - SIM_EPOCH_UNIX
 
 
-def format_http_date(t: float) -> str:
-    """Format simulation time ``t`` as an RFC 1123 HTTP-date string."""
-    st = time.gmtime(sim_to_unix(t))
+@functools.lru_cache(maxsize=_DAYS_CACHED)
+def _day_text(days: int) -> str:
+    """``"Wdy, DD Mon YYYY"`` of the day ``days`` after 01 Jan 1970."""
+    st = time.gmtime(days * _DAY)
     weekday = _WEEKDAYS[st.tm_wday]
     month = _MONTHS[st.tm_mon - 1]
-    return (
-        f"{weekday}, {st.tm_mday:02d} {month} {st.tm_year:04d} "
-        f"{st.tm_hour:02d}:{st.tm_min:02d}:{st.tm_sec:02d} GMT"
-    )
+    return f"{weekday}, {st.tm_mday:02d} {month} {st.tm_year:04d}"
+
+
+def format_http_date(t: float) -> str:
+    """Format simulation time ``t`` as an RFC 1123 HTTP-date string."""
+    days, secs = divmod(sim_to_unix(t), _DAY)
+    hh, secs = divmod(secs, 3600)
+    mm, ss = divmod(secs, 60)
+    two = _TWO_DIGITS
+    return f"{_day_text(days)} {two[hh]}:{two[mm]}:{two[ss]} GMT"
 
 
 class HTTPDateError(ValueError):
     """Raised when an HTTP-date string cannot be parsed."""
+
+
+@functools.lru_cache(maxsize=_DAYS_CACHED)
+def _calendar_day(year: int, month: int, day: int) -> tuple[int, int, int]:
+    """``(month length, days since 01 Jan 1970, weekday index)``.
+
+    For a day past the month's end only the month length is meaningful
+    (the other two are 0): ``calendar.timegm`` silently *normalizes*
+    impossible days (31 Feb becomes 3 Mar), so a malformed header would
+    parse to a wrong timestamp instead of failing, and the caller must
+    check the month length first.
+
+    Raises:
+        ValueError: for a year the calendar cannot place.  Nothing is
+            cached then, so such a date fails the same way every time.
+    """
+    _, month_days = calendar.monthrange(year, month)
+    if day > month_days:
+        return month_days, 0, 0
+    days = calendar.timegm((year, month, day, 0, 0, 0, 0, 0, 0)) // _DAY
+    return month_days, days, calendar.weekday(year, month, day)
 
 
 def parse_http_date(value: str) -> float:
@@ -74,11 +111,12 @@ def parse_http_date(value: str) -> float:
     Raises:
         HTTPDateError: if ``value`` is not a well-formed RFC 1123 date.
     """
-    parts = value.strip().split()
+    parts = value.split()
     if len(parts) != 6 or parts[5] != "GMT":
         raise HTTPDateError(f"not an RFC 1123 HTTP-date: {value!r}")
     weekday, day_s, month_s, year_s, clock, _zone = parts
-    if weekday.rstrip(",") not in _WEEKDAYS or not weekday.endswith(","):
+    weekday_name = weekday.rstrip(",")
+    if weekday_name not in _WEEKDAYS or not weekday.endswith(","):
         raise HTTPDateError(f"bad weekday in HTTP-date: {value!r}")
     if month_s not in _MONTH_INDEX:
         raise HTTPDateError(f"bad month in HTTP-date: {value!r}")
@@ -92,30 +130,22 @@ def parse_http_date(value: str) -> float:
     if not (1 <= day <= 31 and 0 <= hh < 24 and 0 <= mm < 60 and 0 <= ss < 60):
         raise HTTPDateError(f"field out of range in HTTP-date: {value!r}")
     month = _MONTH_INDEX[month_s]
-    # calendar.timegm silently *normalizes* impossible days (31 Feb
-    # becomes 3 Mar), so a malformed header would parse to a wrong
-    # timestamp instead of failing; validate against the real month
-    # length first.
     try:
-        _, month_days = calendar.monthrange(year, month)
-    except ValueError as exc:
+        month_days, days, weekday_index = _calendar_day(year, month, day)
+    except (ValueError, OverflowError) as exc:
         raise HTTPDateError(f"invalid calendar date: {value!r}") from exc
     if day > month_days:
         raise HTTPDateError(
             f"impossible calendar day in HTTP-date: {value!r} "
             f"({month_s} {year} has {month_days} days)"
         )
-    try:
-        unix = calendar.timegm((year, month, day, hh, mm, ss, 0, 0, 0))
-    except (ValueError, OverflowError) as exc:
-        raise HTTPDateError(f"invalid calendar date: {value!r}") from exc
     # RFC 1123 dates are self-describing: the weekday token must match
     # the date.  Accepting a mismatch would parse a header that cannot
     # round-trip byte-identically through format_http_date.
-    actual_weekday = _WEEKDAYS[calendar.weekday(year, month, day)]
-    if weekday.rstrip(",") != actual_weekday:
+    actual_weekday = _WEEKDAYS[weekday_index]
+    if weekday_name != actual_weekday:
         raise HTTPDateError(
             f"weekday does not match date in HTTP-date: {value!r} "
             f"({day:02d} {month_s} {year} is a {actual_weekday})"
         )
-    return unix_to_sim(unix)
+    return unix_to_sim(days * _DAY + hh * 3600 + mm * 60 + ss)

@@ -114,9 +114,14 @@ class Response:
             raise ValueError(
                 f"body length {len(body)} != body_size {self.body_size}"
             )
+        return self.serialize_head() + body
+
+    def serialize_head(self) -> str:
+        """Render the status line and headers, blank line included:
+        everything :meth:`serialize` sends before the body."""
         lines = [self.status_line()]
         lines.extend(f"{name}: {value}" for name, value in self.headers)
-        return "\r\n".join(lines) + "\r\n\r\n" + body
+        return "\r\n".join(lines) + "\r\n\r\n"
 
 
 @dataclass

@@ -15,8 +15,10 @@ Record kinds (the proxy writes them, :meth:`LiveProxy.restore
   check against the restarted proxy's own configuration.
 * ``warm`` — the warmed cache (every entry's full field set) and the
   warm-time clock state.
-* ``txn`` — one committed transaction's deltas: the serialized reply
-  (keyed by ``X-Repro-Seq`` for replay-on-retry), non-zero counter and
+* ``txn`` — one committed transaction's deltas: the reply (keyed by
+  ``X-Repro-Seq`` for replay-on-retry) as its serialized head
+  (``payload``) and the length of its filler body (``body_size``; a
+  record without one holds the whole reply), non-zero counter and
   ledger deltas, emitted events, post-state of every touched cache
   entry, invalidation cursors, clocks, per-object upstream sequence
   counters, and the protocol's :meth:`state_snapshot

@@ -133,6 +133,17 @@ def _entry_dict(entry: CacheEntry) -> dict[str, object]:
     return {name: getattr(entry, name) for name in _ENTRY_FIELDS}
 
 
+def _committed_reply(head: str, body_size: int) -> str:
+    """A committed reply from what its journal record keeps.
+
+    Only 200s commit, and every 200 the proxy sends is the model's own
+    reply: a head and ``body_size`` filler bytes (the default body of
+    :meth:`Response.serialize`).  So a record holds the head and that
+    length, and the reply is rebuilt byte for byte.
+    """
+    return head + "x" * body_size
+
+
 def _file_type(response: Response) -> str:
     return response.headers.get(CONTENT_TYPE) or "other"
 
@@ -503,7 +514,12 @@ class LiveProxy(LiveServer):
             )
         seq = record.get("seq")
         if isinstance(seq, str):
-            self._done[seq] = str(record.get("payload", ""))
+            # A record without ``body_size`` predates the head-only
+            # payload and holds the whole reply.
+            self._done[seq] = _committed_reply(
+                str(record.get("payload", "")),
+                int(record.get("body_size", 0)),  # type: ignore[call-overload]
+            )
         delta = result_from_dict(
             {
                 "protocol_name": self.protocol.name,
@@ -854,21 +870,26 @@ class LiveProxy(LiveServer):
                 self._emit_decision_spans(
                     request, response, txn, object_started
                 )
-            payload = response.serialize(body)
-            if response.status == 200:
-                # Commit-before-reply: once the reply leaves, the
-                # transaction is journaled and applied — a crash after
-                # this point replays, never re-executes.
-                commit_started = obs_clock.monotonic()
-                await self._commit(txn, payload)
-                if traced:
-                    assert self._trace is not None
-                    commit_clk = obs_clock.monotonic()
-                    self._trace.span(
-                        "live.trace.commit",
-                        commit_clk - commit_started,
-                        {"trace": txn.trace, "clk": commit_clk},
-                    )
+            if response.status != 200:
+                return response.serialize(body)
+            # Commit-before-reply: once the reply leaves, the
+            # transaction is journaled and applied — a crash after
+            # this point replays, never re-executes.  A 200 is always
+            # the model's own reply, a filler body (``body is None``),
+            # so the journal keeps its head and ``body_size``.
+            assert body is None
+            commit_started = obs_clock.monotonic()
+            payload = await self._commit(
+                txn, response.serialize_head(), response.body_size
+            )
+            if traced:
+                assert self._trace is not None
+                commit_clk = obs_clock.monotonic()
+                self._trace.span(
+                    "live.trace.commit",
+                    commit_clk - commit_started,
+                    {"trace": txn.trace, "clk": commit_clk},
+                )
             return payload
 
     def _emit_decision_spans(
@@ -931,17 +952,19 @@ class LiveProxy(LiveServer):
         )
         return txn
 
-    async def _commit(self, txn: _Txn, payload: str) -> None:
-        """Fold one transaction into shared state (and the journal).
+    async def _commit(self, txn: _Txn, head: str, body_size: int) -> str:
+        """Fold one transaction into shared state (and the journal);
+        returns its reply, ``head`` and ``body_size`` filler bytes.
 
         The short critical section of the locking discipline: every
         mutation of cross-object aggregates happens here, under
         ``_state_lock``, after the request's work completed under its
         key's lock.
         """
+        payload = _committed_reply(head, body_size)
         async with self._state_lock:
             if self._journal is not None:
-                self._journal.append(self._txn_record(txn, payload))
+                self._journal.append(self._txn_record(txn, head, body_size))
             self.counters.merge(txn.counters)
             self.bandwidth.merge(txn.bandwidth)
             self.events.extend(txn.events)
@@ -953,10 +976,15 @@ class LiveProxy(LiveServer):
                 self._cursors[object_id] = cursor
             for object_id, n in txn.upstream.items():
                 self._upstream[object_id] = n
+        return payload
 
-    def _txn_record(self, txn: _Txn, payload: str) -> dict[str, object]:
+    def _txn_record(
+        self, txn: _Txn, head: str, body_size: int
+    ) -> dict[str, object]:
         """Serialize one transaction's deltas for the journal."""
-        record: dict[str, object] = {"kind": "txn", "payload": payload}
+        record: dict[str, object] = {
+            "kind": "txn", "payload": head, "body_size": body_size,
+        }
         if txn.seq is not None:
             record["seq"] = txn.seq
         # The deltas in the codec's sparse form: zero cells stripped.
@@ -1035,7 +1063,7 @@ class LiveProxy(LiveServer):
             txn = self._begin()
             await self._deliver(t, txn, object_id=None)
             self._now = float(t)
-            await self._commit(txn, "")
+            await self._commit(txn, "", 0)
             body = "ok\n"
             response = Response(200, body_size=len(body))
             response.headers.set(CONTENT_LENGTH, str(len(body)))
@@ -1067,7 +1095,9 @@ class LiveProxy(LiveServer):
 
     async def _object(
         self, request: Request, txn: _Txn
-    ) -> tuple[Response, str]:
+    ) -> tuple[Response, Optional[str]]:
+        """Serve one object request: a 200 with a filler body (``None``,
+        the model's own) or a plain-text error reply."""
         t = request.headers.get_date(DATE)
         if t is None:
             # Ad-hoc clients (curl) may omit Date; serve at the current
@@ -1120,17 +1150,17 @@ class LiveProxy(LiveServer):
 
     def _serve_from_cache(
         self, entry: CacheEntry, t: float, verdict: str
-    ) -> tuple[Response, str]:
+    ) -> tuple[Response, None]:
         response = make_ok(entry.size, last_modified=entry.last_modified)
         response.headers.set_date(DATE, t)
         response.headers.set(CONTENT_TYPE, entry.file_type)
         if entry.server_expires is not None:
             response.headers.set_date(EXPIRES, entry.server_expires)
         response.headers.set(X_CACHE, verdict)
-        return response, "x" * entry.size
+        return response, None
 
     def _forward(
         self, response: Response, verdict: str
-    ) -> tuple[Response, str]:
+    ) -> tuple[Response, None]:
         response.headers.set(X_CACHE, verdict)
-        return response, "x" * response.body_size
+        return response, None

@@ -234,10 +234,17 @@ async def _read_body(
 async def _finish_response(
     reader: asyncio.StreamReader, head_text: str
 ) -> tuple[Response, str, int]:
+    """Parse the head alone, then size the model by the body it framed.
+
+    The body is never copied or scanned; rebuilding the
+    :class:`Response` with its length re-runs the model's own checks,
+    so a 304 that carries a body is still refused.
+    """
     body_text = await _read_body(reader, head_text)
     try:
-        response = parse_response(head_text + body_text)
-    except HTTPParseError as exc:
+        head = parse_response(head_text)
+        response = Response(head.status, head.headers, len(body_text))
+    except ValueError as exc:  # HTTPParseError included
         raise LiveWireError(str(exc)) from exc
     return response, body_text, len(head_text) + len(body_text)
 

@@ -15,6 +15,35 @@ from repro.http.datefmt import (
     unix_to_sim,
 )
 
+#: The rejected inputs, hoisted so ``test_properties`` can parse each
+#: one with its calendar day cached and uncached.
+MALFORMED = [
+    "",
+    "not a date",
+    "Wed, 01 Mar 1995 00:00:00",          # missing zone
+    "Wed, 01 Mar 1995 00:00:00 PST",      # wrong zone
+    "Wed 01 Mar 1995 00:00:00 GMT",       # missing comma
+    "Xyz, 01 Mar 1995 00:00:00 GMT",      # bad weekday
+    "Wed, 01 Xyz 1995 00:00:00 GMT",      # bad month
+    "Wed, 41 Mar 1995 00:00:00 GMT",      # day out of range
+    "Wed, 01 Mar 1995 25:00:00 GMT",      # hour out of range
+    "Wed, 01 Mar 1995 00:61:00 GMT",      # minute out of range
+    "Wed, aa Mar 1995 00:00:00 GMT",      # non-numeric day
+]
+IMPOSSIBLE_DAYS = [
+    "Tue, 31 Feb 1995 00:00:00 GMT",   # February has 28 days
+    "Wed, 29 Feb 1995 00:00:00 GMT",   # 1995 is not a leap year
+    "Fri, 31 Apr 1995 00:00:00 GMT",   # April has 30 days
+    "Thu, 31 Jun 1995 00:00:00 GMT",
+    "Sat, 31 Sep 1995 00:00:00 GMT",
+    "Tue, 31 Nov 1995 00:00:00 GMT",
+]
+OUT_OF_CALENDAR_YEAR = "Mon, 01 Jan 99999 00:00:00 GMT"
+#: 06 Nov 1994 was a Sunday.
+MISMATCHED_WEEKDAY = "Mon, 06 Nov 1994 08:49:37 GMT"
+#: 01 Mar 1995 (the sim epoch) was a Wednesday.
+WRONG_EPOCH_WEEKDAYS = ["Mon", "Tue", "Thu", "Fri", "Sat", "Sun"]
+
 
 class TestEpochMapping:
     def test_epoch_is_fixed(self):
@@ -78,22 +107,7 @@ class TestParse:
     def test_whitespace_tolerated(self):
         assert parse_http_date("  Wed, 01 Mar 1995 00:00:00 GMT ") == 0.0
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "not a date",
-            "Wed, 01 Mar 1995 00:00:00",          # missing zone
-            "Wed, 01 Mar 1995 00:00:00 PST",      # wrong zone
-            "Wed 01 Mar 1995 00:00:00 GMT",       # missing comma
-            "Xyz, 01 Mar 1995 00:00:00 GMT",      # bad weekday
-            "Wed, 01 Xyz 1995 00:00:00 GMT",      # bad month
-            "Wed, 41 Mar 1995 00:00:00 GMT",      # day out of range
-            "Wed, 01 Mar 1995 25:00:00 GMT",      # hour out of range
-            "Wed, 01 Mar 1995 00:61:00 GMT",      # minute out of range
-            "Wed, aa Mar 1995 00:00:00 GMT",      # non-numeric day
-        ],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED)
     def test_rejects_malformed(self, bad):
         with pytest.raises(HTTPDateError):
             parse_http_date(bad)
@@ -102,17 +116,7 @@ class TestParse:
 class TestImpossibleCalendarDates:
     """Regression: timegm silently normalizes 31 Feb to 3 Mar."""
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "Tue, 31 Feb 1995 00:00:00 GMT",   # February has 28 days
-            "Wed, 29 Feb 1995 00:00:00 GMT",   # 1995 is not a leap year
-            "Fri, 31 Apr 1995 00:00:00 GMT",   # April has 30 days
-            "Thu, 31 Jun 1995 00:00:00 GMT",
-            "Sat, 31 Sep 1995 00:00:00 GMT",
-            "Tue, 31 Nov 1995 00:00:00 GMT",
-        ],
-    )
+    @pytest.mark.parametrize("bad", IMPOSSIBLE_DAYS)
     def test_rejects_impossible_day(self, bad):
         with pytest.raises(HTTPDateError):
             parse_http_date(bad)
@@ -123,7 +127,7 @@ class TestImpossibleCalendarDates:
 
     def test_out_of_calendar_year_rejected(self):
         with pytest.raises(HTTPDateError):
-            parse_http_date("Mon, 01 Jan 99999 00:00:00 GMT")
+            parse_http_date(OUT_OF_CALENDAR_YEAR)
 
 
 class TestWeekdayConsistency:
@@ -134,13 +138,10 @@ class TestWeekdayConsistency:
         # would never round-trip byte-identically through
         # format_http_date).
         with pytest.raises(HTTPDateError):
-            parse_http_date("Mon, 06 Nov 1994 08:49:37 GMT")
+            parse_http_date(MISMATCHED_WEEKDAY)
 
-    @pytest.mark.parametrize(
-        "wrong", ["Mon", "Tue", "Thu", "Fri", "Sat", "Sun"]
-    )
+    @pytest.mark.parametrize("wrong", WRONG_EPOCH_WEEKDAYS)
     def test_rejects_every_wrong_weekday(self, wrong):
-        # 01 Mar 1995 (the sim epoch) was a Wednesday.
         with pytest.raises(HTTPDateError):
             parse_http_date(f"{wrong}, 01 Mar 1995 00:00:00 GMT")
 

@@ -6,6 +6,9 @@ Two invariant families back the live wire layer (``repro.live``):
   for every whole-second simulation time, *including negative ones*
   (pre-epoch Last-Modified stamps for objects created before the trace
   window).  Fractional times floor onto the second containing them.
+  The codec keeps per-day calendar facts in a cache; a rendering must
+  match ``time.gmtime``'s fields, and a parse must not depend on
+  whether its day is cached.
 * **Serialization/size agreement** — ``len(msg.serialize())`` equals
   ``msg.wire_size()`` for requests and responses, so the 43-byte cost
   model's grounding and the live servers' actual socket writes can
@@ -13,12 +16,16 @@ Two invariant families back the live wire layer (``repro.live``):
 """
 
 import math
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.http import datefmt
 from repro.http.datefmt import (
     SIM_EPOCH_UNIX,
+    HTTPDateError,
     format_http_date,
     parse_http_date,
     sim_to_unix,
@@ -31,6 +38,13 @@ from repro.http.messages import (
     make_ok,
     parse_request,
     parse_response,
+)
+from tests.http.test_datefmt import (
+    IMPOSSIBLE_DAYS,
+    MALFORMED,
+    MISMATCHED_WEEKDAY,
+    OUT_OF_CALENDAR_YEAR,
+    WRONG_EPOCH_WEEKDAYS,
 )
 
 # calendar.monthrange / calendar.weekday (used by the parse-side
@@ -85,6 +99,56 @@ def test_formatted_date_is_fixed_length_rfc1123(t):
     # Fixed-length except the year, which the range can push to 4 digits
     # at most (years 1..9999 render %04d).
     assert len(text) == 29
+
+
+_WEEKDAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+@given(st.integers(min_value=-10**9, max_value=10**9))
+def test_http_date_matches_gmtime(t):
+    """The per-day text plus divmod clock is what ``time.gmtime`` says,
+    field for field, and parses back to ``t``."""
+    fields = time.gmtime(SIM_EPOCH_UNIX + t)
+    assert format_http_date(float(t)) == (
+        f"{_WEEKDAY_NAMES[fields.tm_wday]}, {fields.tm_mday:02d} "
+        f"{_MONTH_NAMES[fields.tm_mon - 1]} {fields.tm_year:04d} "
+        f"{fields.tm_hour:02d}:{fields.tm_min:02d}:{fields.tm_sec:02d} GMT"
+    )
+    assert parse_http_date(format_http_date(float(t))) == float(t)
+
+
+def _parsed(value):
+    """What parsing ``value`` gives: its time, or its error message."""
+    try:
+        return parse_http_date(value)
+    except HTTPDateError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("value", [
+    *MALFORMED,
+    *IMPOSSIBLE_DAYS,
+    OUT_OF_CALENDAR_YEAR,
+    MISMATCHED_WEEKDAY,
+    *(f"{wrong}, 01 Mar 1995 00:00:00 GMT" for wrong in WRONG_EPOCH_WEEKDAYS),
+    "Wed, 01 Mar 1995 00:00:00 GMT",
+    "Thu, 29 Feb 1996 12:00:00 GMT",
+])
+def test_a_parse_does_not_depend_on_the_day_cache(value):
+    """Every rejected input of ``test_datefmt`` (and two accepted ones)
+    parses the same with its calendar day uncached and cached: same
+    time, or same :class:`HTTPDateError` message."""
+    day_cache = datefmt._calendar_day
+    day_cache.cache_clear()
+    cold = _parsed(value)
+    cached = day_cache.cache_info().currsize
+    warm = _parsed(value)
+    assert warm == cold
+    # The second parse read the day the first one cached (an
+    # uncalendared year is never cached, and fails alike both times).
+    assert day_cache.cache_info().hits == cached
 
 
 # -- message serialization/size agreement -------------------------------------

@@ -172,6 +172,30 @@ class TestRestoreRoundTrip:
             for oid in ("/a", "/b", "/exp")
         }
 
+    def test_restore_rebuilds_the_replay_table_byte_for_byte(self, tmp_path):
+        """A txn record keeps the reply's head and its filler length,
+        not the filler; the ``X-Repro-Seq`` replay table a restore
+        rebuilds from them is the live proxy's, reply for reply."""
+        path = tmp_path / "j.jsonl"
+        before = self._replay_some(path, upto=len(_REQUESTS))
+
+        async def restore():
+            restored = LiveProxy(
+                "127.0.0.1", 1, _FACTORIES["invalidation"](),
+                journal=Journal(path),
+            )
+            assert await restored.restore()
+            return restored
+
+        after = asyncio.run(restore())
+        assert len(before._done) == len(_REQUESTS)
+        assert after._done == before._done
+        for record in Journal(path).load():
+            if record["kind"] == "txn" and "seq" in record:
+                head, size = record["payload"], record["body_size"]
+                assert head.endswith("\r\n\r\n")
+                assert before._done[record["seq"]] == head + "x" * size
+
     def test_restore_under_a_fault_plan_needs_no_origin(self, tmp_path):
         """The plan's schedule is compiled from the feed by the first
         delivery, like the fault-free queues — not by ``restore``."""
@@ -248,7 +272,8 @@ class TestRestoreRoundTrip:
         deltas, zero cells stripped) predates ``core.results`` owning
         the codec.  This record is the parent commit's own output for
         ``GET /a`` at t=45 under invalidation; it must restore to the
-        same totals."""
+        same totals.  Such records hold the whole reply in ``payload``
+        (and no ``body_size``); a retry must get that reply back."""
         journal = Journal(tmp_path / "parent.jsonl")
         journal.append({
             "kind": "config", "protocol": "invalidation",
@@ -270,6 +295,14 @@ class TestRestoreRoundTrip:
             "events": [["invalidation", 40.0, "/a"],
                        ["validation_200", 45.0, "/a"]],
         })
+        reply = (
+            "HTTP/1.0 200 OK\r\nContent-Length: 5\r\n"
+            "X-Cache: HIT\r\n\r\nxxxxx"
+        )
+        journal.append({
+            "kind": "txn", "seq": "r4", "payload": reply, "now": 50.0,
+            "obj_now": ["/a", 50.0],
+        })
 
         async def restore():
             proxy = LiveProxy(
@@ -285,12 +318,13 @@ class TestRestoreRoundTrip:
             SimulationResult("", "", proxy.counters, proxy.bandwidth),
             sparse=True,
         )
-        record = journal.load()[-1]
+        record = journal.load()[-2]
         assert totals["counters"] == record["counters"]
         assert totals["bandwidth"] == record["ledger"]
         assert proxy.bandwidth.total_bytes == 1000 + 43 + 86
         assert proxy.events == [("invalidation", 40.0, "/a"),
                                 ("validation_200", 45.0, "/a")]
+        assert proxy._done == {"r3": "", "r4": reply}
 
     def test_txn_records_keep_their_sparse_schema(self, tmp_path):
         path = tmp_path / "j.jsonl"

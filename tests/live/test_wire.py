@@ -91,6 +91,8 @@ class TestReadResponse:
         parsed, body, nbytes = asyncio.run(read())
         assert parsed.status == 200
         assert parsed.body_size == 9
+        # Only the head is parsed; the size comes from the framed body.
+        assert parsed.body_size == parsed.headers.content_length
         assert body == "x" * 9
         assert nbytes == len(text) == response.wire_size()
 
@@ -106,6 +108,16 @@ class TestReadResponse:
         assert parsed.status == 304
         assert body == ""
         assert nbytes == response.wire_size()
+
+        # A 304 that frames a body is refused, although the head that
+        # is parsed carries none.
+        raw = b"HTTP/1.0 304 Not Modified\r\nContent-Length: 3\r\n\r\nabc"
+
+        async def read_304_with_body():
+            return await read_response(_reader_with(raw))
+
+        with pytest.raises(LiveWireError, match="must not carry a body"):
+            asyncio.run(read_304_with_body())
 
     def test_body_read_by_content_length_not_eof(self):
         # Trailing bytes after Content-Length must not leak into the body.
