@@ -205,7 +205,9 @@ def compile_protocol(
     """Compile a protocol instance to ``(kind, p0, p1, p2, has_p2)``.
 
     ``kind`` is the kernel specialised for the protocol's *class*
-    (:mod:`repro.fastpath.specialise`, compiled once per class), ``p0``
+    (:mod:`repro.fastpath.specialise`, built once per class; a call
+    through ``run_kernel`` runs its variant for the call's ``observer``
+    and ``schedule``, compiled the first time one is asked for), ``p0``
     / ``p1`` / ``p2`` the values of the instance attributes its methods
     read, in order of first use (None stays None); ``has_p2`` is always
     False — the five-slot shape is the one ``bench/`` unpacks, enough

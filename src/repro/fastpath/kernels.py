@@ -21,14 +21,18 @@ ledger cells and then falls through one store tail that re-stamps the
 entry, so ``on_stored`` has one hole per place an entry is stored: the
 preload prologue, the store tail and the eager push; the tail's 304 /
 200 then reach ``on_validation_result``.  Calling ``run_kernel(...,
-kind=k)`` runs ``k``, the specialised kernel ``dispatch.compile_protocol``
-returned.
+kind=k)`` runs ``k``'s variant for this call, ``k`` being the
+specialised kernel ``dispatch.compile_protocol`` returned.
 
 The constant holes (``stamps``, ``tunes``, ``caches``, ...) are written
 into each kernel as literals, so what a ``False`` one guards is not
 compiled at all: a caller-supplied ``Cache`` — its replacement order,
 capacity, evictions and crashes, written back into it after the run —
-costs nothing in a kernel that keeps none.
+costs nothing in a kernel that keeps none.  Two of them are facts of
+the run, not of the class: whether an observer is attached, and
+whether anything is delivered.  The call decides them, from its own
+``observer`` and ``schedule``: an unobserved run that delivers nothing
+runs a variant with no event calls and no action cursor.
 
 What the origin holds at a request's time — the object's version and
 its Last-Modified — is read by request position from two columns built
@@ -94,10 +98,14 @@ from repro.faults.plan import (
 from repro.obs.names import DEFAULT_BINS, HISTOGRAM_BINS
 from repro.obs.registry import MetricsRegistry, _accumulate
 
-#: A kernel specialised for one protocol class: :func:`run_kernel` with
-#: its holes filled, called with ``run_kernel``'s own arguments.
-Kernel = Callable[..., SimulationResult]
-_K = TypeVar("_K", bound=Kernel)
+#: :func:`run_kernel` with its holes filled, the run facts included,
+#: called with ``run_kernel``'s own arguments.
+Variant = Callable[..., SimulationResult]
+_V = TypeVar("_V", bound=Variant)
+#: A kernel specialised for one protocol class and cache variant: called
+#: with a run's facts — is it observed, does it have a fault schedule —
+#: it returns the variant compiled for them.
+Kernel = Callable[[bool, bool], Variant]
 
 #: The one histogram a lowered ``on_stored`` may observe; the template
 #: tallies it in its ``rw_*`` locals.
@@ -165,15 +173,18 @@ class MetricsBatch:
         )
 
 
-def _runs_kind(template: _K) -> _K:
-    """Make ``run_kernel(..., kind=k, ...)`` run ``k`` — this template,
-    specialised for one protocol class — on the same arguments."""
+def _runs_kind(template: _V) -> _V:
+    """Make ``run_kernel(..., kind=k, ...)`` run ``k``'s variant for this
+    call — this template, specialised for one protocol class and the
+    call's own ``observer`` and ``schedule`` — on the same arguments."""
 
     @functools.wraps(template)
     def run_kernel(*args: Any, kind: Kernel, **options: Any) -> SimulationResult:
-        return kind(*args, kind=kind, **options)
+        variant = kind(options.get("observer") is not None,
+                       options.get("schedule") is not None)
+        return variant(*args, kind=kind, **options)
 
-    return cast(_K, run_kernel)
+    return cast(_V, run_kernel)
 
 
 def is_fresh(i: int, now: float) -> bool:
@@ -202,8 +213,11 @@ def bind(params: Sequence[Any]) -> None:
 #: ``is_fresh`` reads what ``on_stored`` stamps, whether ``on_stored``
 #: observes a metric, whether ``on_validation_result`` does anything.
 #: Facts about the cache: whether the run keeps a caller's ``Cache``,
-#: and whether its lookups reorder it (LRU).
+#: and whether its lookups reorder it (LRU).  Facts about the run:
+#: whether an observer is attached, and whether anything is delivered (a
+#: fault schedule, or a class that takes invalidations).
 wants_invalidations = stamps = observes = tunes = caches = touches = False
+observed = delivers = False
 
 
 @_runs_kind
@@ -249,8 +263,9 @@ def run_kernel(
 
     ``kind`` and ``p0`` / ``p1`` / ``p2`` are what
     :func:`repro.fastpath.dispatch.compile_protocol` returned: the
-    kernel specialised for the protocol's class — which is what a call
-    runs — and the values of the instance attributes its methods read
+    kernel specialised for the protocol's class — whose variant for
+    this call's ``observer`` and ``schedule`` is what the call runs —
+    and the values of the instance attributes its methods read
     (None travels as None; ``has_p2`` belongs to the call shape
     ``bench/`` pins and carries nothing).  ``params`` carries the rest:
     further attributes (``p3`` ...), then the per-run tables ``t0`` ...
@@ -319,33 +334,35 @@ def run_kernel(
         horizon = end_time
 
     # -- the action cursor --------------------------------------------------
-    faulty = schedule is not None
-    act_kinds: Sequence[str] = ()
-    act_mods: Sequence[float] = ()
-    act_attempts: Sequence[int] = ()
-    act_times: Sequence[float] = ()
-    act_keys: Sequence[int] = ()
-    slot = 0
-    if schedule is not None:
-        # Compiled against ``start_time`` already.
-        act_times, act_keys = schedule.times, schedule.keys
-        act_kinds, act_mods = schedule.kinds, schedule.mod_times
-        act_attempts = schedule.attempts
-    elif wants_invalidations:
-        act_times, act_keys = compiled.feed_times, compiled.feed_obj
-        # Modifications that predate the run are skipped: preloaded
-        # entries already reflect them (the reference's start-time
-        # fast-forward).
-        slot = br(act_times, start_time)
-    act_count = br(act_times, horizon)
-    pending = act_times[slot] if slot < act_count else _INFINITY
+    if delivers:
+        faulty = schedule is not None
+        act_kinds: Sequence[str] = ()
+        act_mods: Sequence[float] = ()
+        act_attempts: Sequence[int] = ()
+        act_times: Sequence[float] = ()
+        act_keys: Sequence[int] = ()
+        slot = 0
+        if schedule is not None:
+            # Compiled against ``start_time`` already.
+            act_times, act_keys = schedule.times, schedule.keys
+            act_kinds, act_mods = schedule.kinds, schedule.mod_times
+            act_attempts = schedule.attempts
+        elif wants_invalidations:
+            act_times, act_keys = compiled.feed_times, compiled.feed_obj
+            # Modifications that predate the run are skipped: preloaded
+            # entries already reflect them (the reference's start-time
+            # fast-forward).
+            slot = br(act_times, start_time)
+        act_count = br(act_times, horizon)
+        pending = act_times[slot] if slot < act_count else _INFINITY
 
     control_message, _ = costs.invalidation_notice()
     full_control, _ = costs.full_retrieval(0)
     per_modification = charge_per_modification
-    notify = observer
+    if observed:
+        assert observer is not None
+        notify = observer
 
-    requests = 0
     hits = 0
     misses = 0
     stale_hits = 0
@@ -445,13 +462,17 @@ def run_kernel(
             if resident[i]:
                 on_stored(i, st)
 
-    # The trailing flush is the last line of the stream: a request for
-    # no object at the end of time, which stops once everything due
-    # (``act_count`` stops at the horizon) has been delivered.  The
-    # columns carry its sentinel row too (zip stops at the shortest).
-    for t, i, vt, lm in zip(req_times + [_INFINITY], req_objs + [NO_OBJECT],
-                            req_versions, req_stamps):
-        if pending <= t:
+    # zip stops at the shortest: the columns carry one more row.
+    stream = zip(req_times, req_objs, req_versions, req_stamps)
+    if delivers:
+        # The trailing flush is the last line of the stream: a request
+        # for no object at the end of time, which stops once everything
+        # due (``act_count`` stops at the horizon) has been delivered.
+        # The columns' last row is its sentinel.
+        stream = zip(req_times + [_INFINITY], req_objs + [NO_OBJECT],
+                     req_versions, req_stamps)
+    for t, i, vt, lm in stream:
+        if delivers and pending <= t:
             # -- deliver every action that is due -------------------------
             # RequestStep.fault / .deliver, kind for kind.
             while slot < act_count:
@@ -473,7 +494,7 @@ def run_kernel(
                             order.clear()
                             used_bytes = 0
                         n_crashes += 1
-                        if notify is not None:
+                        if observed:
                             notify("fault_cache_crash", at, "")
                         continue
                     if not resident[mi]:
@@ -483,7 +504,7 @@ def run_kernel(
                         # copy valid: unbounded staleness begins here.
                         if valid[mi]:
                             n_dropped += 1
-                            if notify is not None:
+                            if observed:
                                 notify("fault_invalidation_dropped", at,
                                        ids[mi])
                         continue
@@ -495,7 +516,7 @@ def run_kernel(
                             ex_inv += 1
                             if act == ATTEMPT_LOST:
                                 n_lost += 1
-                                if notify is not None:
+                                if observed:
                                     notify("fault_invalidation_lost", at,
                                            ids[mi])
                         continue
@@ -522,10 +543,10 @@ def run_kernel(
                     invalidations_received += 1
                     if retried:
                         n_recovered += 1
-                        if notify is not None:
+                        if observed:
                             notify("fault_invalidation_recovered", at,
                                    ids[mi])
-                    if notify is not None:
+                    if observed:
                         notify("invalidation", at, ids[mi])
                 if eager:
                     # Pre-optimization invalidation: the new copy rides
@@ -558,30 +579,11 @@ def run_kernel(
                         on_stored(mi, at)
                     prefetches += 1
                     body_pre += sizes[mi]
-                    if notify is not None:
+                    if observed:
                         notify("prefetch", at, ids[mi])
             pending = act_times[slot] if slot < act_count else _INFINITY
             if i == NO_OBJECT:
                 break
-        requests += 1
-
-        if not cacheable[i]:
-            # Dynamic content: full fetch on every request, never stored.
-            ctl_full += full_control
-            body_full += sizes[i]
-            ex_full += 1
-            full_retrievals += 1
-            server_gets += 1
-            misses += 1
-            n_dynamic += 1
-            if collect:
-                tb_val = float(sizes[i])
-                tb_counts[bl(tb_bounds, tb_val)] += 1
-                acc(tb_partials, tb_val)
-                tb_n += 1
-            if notify is not None:
-                notify("dynamic_fetch", t, ids[i])
-            continue
 
         if resident[i]:
             if touches:
@@ -605,13 +607,31 @@ def run_kernel(
                         sa_counts[bl(sa_bounds, age_stale)] += 1
                         acc(sa_partials, age_stale)
                         sa_n += 1
-                    if notify is not None:
+                    if observed:
                         notify("stale_hit", t, ids[i])
-                elif notify is not None:
+                elif observed:
                     notify("hit", t, ids[i])
                 continue
             # Base simulator: unconditional refetch, even when unchanged.
             refetch = base_mode
+        elif not cacheable[i]:
+            # Dynamic content: full fetch on every request, never stored
+            # (so never resident).
+            ctl_full += full_control
+            body_full += sizes[i]
+            ex_full += 1
+            full_retrievals += 1
+            server_gets += 1
+            misses += 1
+            n_dynamic += 1
+            if collect:
+                tb_val = float(sizes[i])
+                tb_counts[bl(tb_bounds, tb_val)] += 1
+                acc(tb_partials, tb_val)
+                tb_n += 1
+            if observed:
+                notify("dynamic_fetch", t, ids[i])
+            continue
         else:
             refetch = True  # cold miss
 
@@ -695,9 +715,12 @@ def run_kernel(
         if tunes and not refetch:
             # RequestStep.validated: the 304 / 200 reaches the protocol.
             on_validation_result(i, t, body_moved)
-        if notify is not None:
+        if observed:
             notify(event, t, ids[i])
 
+    # Each request took exactly one of the paths above: check_invariants'
+    # ``hits + misses == requests`` checks that it landed in one bucket.
+    requests = len(req_times)
     if batch is not None:
         # Whole-run totals, mirroring every reference-loop publication
         # (preload included); zero counts are skipped so the registry's

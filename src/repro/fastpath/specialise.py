@@ -11,10 +11,12 @@ early returns ``if`` / ``else``; ``super().m(entry, ...)`` and
 ``self._helper(...)`` are inlined (inside an expression, a helper that
 is one ``return``) and ``obs_metrics.observe(REFRESH_WINDOW, v)``
 becomes the template's ``rw_*`` tally — so the arithmetic a kernel
-evaluates is the protocol's own expression tree.  One kernel is compiled
-per class and cache variant, memoised, its source registered with
-:mod:`linecache` as ``<repro.fastpath kernel module.Class>`` (a cache
-variant's name says which).
+evaluates is the protocol's own expression tree.  One kernel is built
+per class and cache variant, memoised; it compiles one variant per pair
+of run facts a call asks for (observed or not, delivering or not), each
+with its source registered with :mod:`linecache` as ``<repro.fastpath
+kernel module.Class>`` (the cache variant and the run facts that are on
+are named after the class).
 
 Anything outside the closed subset (docs/FASTPATH.md, "Derived, not
 transcribed") is a :class:`Refusal`: the run goes to the reference
@@ -69,10 +71,13 @@ _PLAIN = (ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
           ast.cmpop, ast.expr_context)
 #: The holes, each ``[target = ]method(index, now[, argument])``.
 _HOLES = ("is_fresh", "on_stored", "on_validation_result")
+#: The constant holes that are facts of a run, not of the class: each
+#: call decides them (:func:`repro.fastpath.kernels._runs_kind`).
+_RUN_FACTS = ("observed", "delivers")
 #: The constant holes (:mod:`repro.fastpath.kernels`), written into each
 #: kernel as literals.
-_CONSTANTS = frozenset(
-    ("wants_invalidations", "stamps", "observes", "tunes", "caches", "touches"))
+_CONSTANTS = frozenset(("wants_invalidations", "stamps", "observes", "tunes",
+                        "caches", "touches", *_RUN_FACTS))
 
 #: A class's kernel, the attribute names behind ``p0``, ``p1``, ... and
 #: those behind the per-type tables ``t0``, ``t1``, ...
@@ -523,21 +528,56 @@ def build(cls: type[ConsistencyProtocol], template: Optional[str] = None,
                  "stamps": lowering.stamps, "observes": lowering.observes,
                  "tunes": lowering.tunes, "caches": replacement is not None,
                  "touches": replacement == "lru"}
-    edits += [(start, end, repr(constants[name]))
+    # A run fact stays its name, between NUL bytes (which no source
+    # holds), until a call decides it.
+    edits += [(start, end, f"\0{name}\0" if name in _RUN_FACTS
+               else repr(constants[name]))
               for start, end, name in _constant_sites(text)]
     for start, end, replaced in sorted(edits, reverse=True):
         text = text[:start] + replaced + text[end:]
-    qualified = f"{cls.__module__}.{cls.__qualname__}"
-    text = (f"# run_kernel with its holes filled from {qualified}: "
-            f"{constants}\n{_prune(text)}")
-    variant = "" if replacement is None else f", keeping a {replacement} cache"
-    filename = f"<repro.fastpath kernel {qualified}{variant}>"
-    # No mtime: linecache.checkcache leaves such entries alone.
-    linecache.cache[filename] = (
-        len(text), None, text.splitlines(keepends=True), filename)
-    scope: dict[str, Any] = dict(vars(kernels))
-    exec(compile(text, filename, "exec"), scope)
-    return scope["run_kernel"], tuple(lowering.attrs), tuple(lowering.tables)
+    keeping = "" if replacement is None else f", keeping a {replacement} cache"
+    kernel = _Kernel(f"{cls.__module__}.{cls.__qualname__}{keeping}",
+                     constants, text.split("\0"))
+    return kernel, tuple(lowering.attrs), tuple(lowering.tables)
+
+
+class _Kernel:
+    """One class's kernel for one cache variant (a :data:`kernels.Kernel`):
+    the template filled in but for the run facts, compiled once per pair
+    of them that a call asks for.  A variant lives as long as its kernel,
+    so a kernel replaced in the memo takes its variants with it."""
+
+    def __init__(self, name: str, constants: dict[str, bool],
+                 pieces: list[str]) -> None:
+        self.name = name
+        self.constants = constants
+        #: The filled-in text, split around its run facts: every odd
+        #: piece names one.
+        self.pieces = pieces
+        self.variants: dict[tuple[bool, bool], kernels.Variant] = {}
+
+    def __call__(self, observed: bool, scheduled: bool) -> kernels.Variant:
+        facts = (observed, scheduled or self.constants["wants_invalidations"])
+        variant = self.variants.get(facts)
+        if variant is None:
+            variant = self.variants[facts] = self._compile(*facts)
+        return variant
+
+    def _compile(self, observed: bool, delivers: bool) -> kernels.Variant:
+        facts = {"observed": observed, "delivers": delivers}
+        text = "".join(repr(facts[piece]) if k % 2 else piece
+                       for k, piece in enumerate(self.pieces))
+        text = (f"# run_kernel with its holes filled from {self.name}: "
+                f"{self.constants | facts}\n{_prune(text)}")
+        filename = (f"<repro.fastpath kernel {self.name}"
+                    f"{', observed' if observed else ''}"
+                    f"{', delivering' if delivers else ''}>")
+        # No mtime: linecache.checkcache leaves such entries alone.
+        linecache.cache[filename] = (
+            len(text), None, text.splitlines(keepends=True), filename)
+        scope: dict[str, Any] = dict(vars(kernels))
+        exec(compile(text, filename, "exec"), scope)
+        return scope["run_kernel"]
 
 
 #: Per class, its kernel (or why it has none); per class and cache
@@ -553,7 +593,7 @@ _CACHE_KERNELS: (
 def specialise(cls: type[ConsistencyProtocol],
                replacement: Optional[str] = None) -> Union[Specialised, str]:
     """The kernel for ``cls`` and a cache variant (see :func:`build`) —
-    compiled once per pair — or, as a string, why it has none."""
+    built once per pair — or, as a string, why it has none."""
     memo: Any = _KERNELS if replacement is None else _CACHE_KERNELS.setdefault(cls, {})
     key = cls if replacement is None else replacement
     found = memo.get(key)

@@ -6,7 +6,9 @@ counters, all 15 bandwidth-ledger cells, the observer event stream
 event-for-event, the duration, and even error types and messages — and
 what a run leaves behind: an adaptive protocol's learned state and a
 caller-supplied ``Cache``.  No tolerance anywhere: these tests compare
-with ``==``, floats included.
+with ``==``, floats included.  The fast engine runs twice, observed and
+not: a call's observer chooses which kernel variant runs, and both must
+give the same result.
 """
 
 from __future__ import annotations
@@ -125,48 +127,65 @@ def cache_state(cache):
     return entries, cache.used_bytes, cache.evictions, victims
 
 
+#: ``diff_results`` / ``diff_events`` labels for the fast engine run again
+#: without an observer, against its observed run.
+UNOBSERVED = {"label": "unobserved", "sides": ("unobserved", "observed")}
+
+
 def run_all(workload, make_protocol, mode, *, charge, preload, faults=None,
             make_cache=None, kinds=None):
-    """One run on each engine: the diff of results, events and metrics,
-    plus the protocol's and the cache's state after the run."""
+    """One run on each engine, and the fast one again unobserved: the diff
+    of results, events and metrics, plus the protocol's and the cache's
+    state after the run.  The unobserved run is the variant users run;
+    it must leave what the observed one leaves."""
     server = workload.server()
-    protocols = [make_protocol(), make_protocol()]
-    caches = [None, None] if make_cache is None else [
-        make_cache(capacity_for(workload)) for _ in range(2)]
+    protocols = [make_protocol() for _ in range(3)]
+    caches = [None] * 3 if make_cache is None else [
+        make_cache(capacity_for(workload)) for _ in range(3)]
     events: list = [[], []]
-    registries = [obs_registry.MetricsRegistry(), obs_registry.MetricsRegistry()]
+    registries = [obs_registry.MetricsRegistry() for _ in range(3)]
     with obs_registry.installed(registries[0]):
         reference = Simulation(
             server, protocols[0], mode, preload=preload,
             charge_per_modification=charge, faults=faults, cache=caches[0],
             observer=lambda kind, t, oid: events[0].append((kind, t, oid)),
         ).run(workload.requests, end_time=workload.duration)
-    with obs_registry.installed(registries[1]):
-        fast = fast_simulate(
-            server, protocols[1], workload.requests, mode, preload=preload,
-            charge_per_modification=charge, end_time=workload.duration,
-            faults=faults, cache=caches[1],
-            observer=lambda kind, t, oid: events[1].append((kind, t, oid)),
-        )
+
+    def fast_run(k, observer):
+        with obs_registry.installed(registries[k]):
+            return fast_simulate(
+                server, protocols[k], workload.requests, mode,
+                preload=preload, charge_per_modification=charge,
+                end_time=workload.duration, faults=faults, cache=caches[k],
+                observer=observer,
+            )
+
+    fast = fast_run(1, lambda kind, t, oid: events[1].append((kind, t, oid)))
+    unobserved = fast_run(2, None)
     if kinds is not None:
         kinds.update(kind for kind, _, _ in events[1])
     diff = (
         diff_results(fast, reference)
         + diff_events(events[1], events[0])
         + diff_metrics(registries[1].as_dict(), registries[0].as_dict())
+        + diff_results(unobserved, fast, **UNOBSERVED)
+        + diff_metrics(registries[2].as_dict(), registries[1].as_dict(),
+                       label="unobserved.metrics")
     )
-    if protocol_state(protocols[1]) != protocol_state(protocols[0]):
-        diff.append(f"protocol: {protocol_state(protocols[1])!r} != "
-                    f"{protocol_state(protocols[0])!r}")
-    if cache_state(caches[1]) != cache_state(caches[0]):
-        diff.append(f"cache: {cache_state(caches[1])!r} != "
-                    f"{cache_state(caches[0])!r}")
+    for label, k in (("", 1), ("unobserved ", 2)):
+        if protocol_state(protocols[k]) != protocol_state(protocols[k - 1]):
+            diff.append(f"{label}protocol: {protocol_state(protocols[k])!r} "
+                        f"!= {protocol_state(protocols[k - 1])!r}")
+        if cache_state(caches[k]) != cache_state(caches[k - 1]):
+            diff.append(f"{label}cache: {cache_state(caches[k])!r} != "
+                        f"{cache_state(caches[k - 1])!r}")
     return diff
 
 
 def run_both(workload, make_protocol, mode, *, charge, preload, faults=None,
              kinds=None):
-    """One run on each engine, with event recording; returns the diff.
+    """One run on each engine, with event recording, and the fast one
+    again unobserved; returns the diff.
 
     ``kinds``, when given, collects the event kinds the fast run emitted.
     """
@@ -194,11 +213,17 @@ def run_both(workload, make_protocol, mode, *, charge, preload, faults=None,
         faults=faults,
         observer=lambda kind, t, oid: fast_events.append((kind, t, oid)),
     )
+    unobserved = fast_simulate(
+        server, make_protocol(), requests, mode, preload=preload,
+        charge_per_modification=charge, end_time=workload.duration,
+        faults=faults,
+    )
     if kinds is not None:
         kinds.update(kind for kind, _, _ in fast_events)
     return (
         diff_results(fast, reference)
         + diff_events(fast_events, ref_events)
+        + diff_results(unobserved, fast, **UNOBSERVED)
     )
 
 

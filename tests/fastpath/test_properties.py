@@ -15,6 +15,12 @@ row, the ``FaultAction`` tuple ``compile`` returns.  So does the cache
 side: any population under any compiled protocol, self-tuning included,
 with any caller-supplied cache the kernel keeps and cache crashes, leaves
 the protocol and the ``Cache`` exactly as the reference does.
+
+Each property also runs the fast engine without an observer — the
+variant users and the benchmark run, compiled without the event calls
+(and, with nothing to deliver, without the action cursor) — and
+requires the observed run's result, and its metrics where a registry
+is installed.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from tests.faults.test_properties import protocols as feed_protocols
 from tests.faults.test_properties import small_workloads
 from tests.verify.test_oracle_properties import DURATION, rich_workloads
 
-from .test_identity import cache_state, protocol_state
+from .test_identity import UNOBSERVED, cache_state, protocol_state
 from .test_specialise import (
     SloppyTTL,
     SoftTTL,
@@ -112,8 +118,13 @@ def test_fast_path_is_event_for_event_identical(
         end_time=DURATION,
         observer=lambda kind, t, oid: fast_events.append((kind, t, oid)),
     )
+    unobserved = fast_simulate(
+        server, make_protocol(), requests, mode, preload=preload,
+        charge_per_modification=per_modification, end_time=DURATION,
+    )
     assert diff_results(fast, reference) == []
     assert fast_events == ref_events
+    assert diff_results(unobserved, fast, **UNOBSERVED) == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -145,10 +156,11 @@ def test_caller_cache_is_left_as_the_reference_leaves_it(
 
     plan = FaultPlan(cache_crashes=tuple(crashes))
 
-    def run(fast):
+    def run(fast, observed=True):
         protocol, cache, events = make_protocol(), make_cache(), []
         config = dict(preload=preload, cache=cache, faults=plan,
-                      observer=lambda *event: events.append(event))
+                      observer=(lambda *event: events.append(event))
+                      if observed else None)
         with obs_registry.installed(obs_registry.MetricsRegistry()) as metrics:
             result = (
                 fast_simulate(server, protocol, requests, mode,
@@ -165,6 +177,11 @@ def test_caller_cache_is_left_as_the_reference_leaves_it(
     assert diff_metrics(fast[2], reference[2]) == []
     # The events, the protocol's state and the caller's cache.
     assert [fast[k] for k in (1, 3, 4)] == [reference[k] for k in (1, 3, 4)]
+    # The variant users run leaves what the observed one leaves.
+    unobserved = run(True, observed=False)
+    assert diff_results(unobserved[0], fast[0], **UNOBSERVED) == []
+    assert diff_metrics(unobserved[2], fast[2]) == []
+    assert [unobserved[k] for k in (3, 4)] == [fast[k] for k in (3, 4)]
 
 
 @st.composite
@@ -226,9 +243,17 @@ def test_delivery_schedule_is_event_for_event_identical(
             faults=plan,
             observer=lambda kind, t, oid: fast_events.append((kind, t, oid)),
         )
+    with obs_registry.installed(obs_registry.MetricsRegistry()) as metrics:
+        unobserved = fast_simulate(
+            server, make_protocol(), requests, mode, preload=preload,
+            charge_per_modification=per_modification,
+            end_time=FAULT_DURATION, faults=plan,
+        )
     assert diff_results(fast, reference) == []
     assert fast_events == ref_events
     assert diff_metrics(fast_metrics.as_dict(), ref_metrics.as_dict()) == []
+    assert diff_results(unobserved, fast, **UNOBSERVED) == []
+    assert diff_metrics(metrics.as_dict(), fast_metrics.as_dict()) == []
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,12 +21,14 @@ import pytest
 from repro.core.clock import hours
 from repro.core.protocols import (
     AlexProtocol,
+    CERNPolicyProtocol,
     InvalidationProtocol,
     PollEveryRequestProtocol,
     SelfTuningProtocol,
     TTLProtocol,
 )
 from repro.core.simulator import Simulation, SimulatorMode, simulate
+from repro.faults import FaultPlan
 from repro.fastpath import (
     UnsupportedFastPathError,
     compile_protocol,
@@ -40,6 +42,7 @@ from repro.fastpath import (
 )
 from repro.fastpath import specialise as specialiser
 from repro.obs import registry as obs_registry
+from repro.obs import trace as obs_trace
 
 from .test_identity import PLANS
 
@@ -329,17 +332,40 @@ class TestRefusals:
         assert unsupported_reason(TTLProtocol(hours(1))) is None
 
 
+def names(variant):
+    """Every name one of the variant's instructions loads or stores."""
+    return {i.argval for i in dis.get_instructions(variant)}
+
+
+@pytest.fixture
+def ran(monkeypatch):
+    """The variants ``run_kernel`` ran from now on, in call order."""
+    variants = []
+    choose = specialiser._Kernel.__call__
+
+    def spy(kernel, observed, scheduled):
+        variants.append(choose(kernel, observed, scheduled))
+        return variants[-1]
+
+    monkeypatch.setattr(specialiser._Kernel, "__call__", spy)
+    return variants
+
+
 class TestGeneratedCode:
-    def test_the_filled_in_source_is_what_tools_show(self, workload):
-        kernel = compile_protocol(AlexProtocol.from_percent(10))[0]
-        filename = kernel.__code__.co_filename
+    def test_the_filled_in_source_is_what_tools_show(self, workload, ran):
+        fast_simulate(workload.server(), AlexProtocol.from_percent(10),
+                      workload.requests, end_time=workload.duration)
+        (variant,) = ran
+        filename = variant.__code__.co_filename
         assert filename == (
             "<repro.fastpath kernel repro.core.protocols.alex.AlexProtocol>"
         )
         linecache.checkcache()  # a pseudo-file must survive the sweep
         assert filename in linecache.cache
-        source = inspect.getsource(kernel)
+        source = inspect.getsource(variant)
         assert "fresh = t - validated_at[i] < p0 * _age_0" in source
+        assert linecache.getlines(filename)[0].endswith(
+            "'observed': False, 'delivers': False}\n")
         assert not re.search(r"^ *(\w+ = )?(is_fresh|on_stored)\(", source, re.M)
         # A traceback through the kernel quotes the generated line.
         try:
@@ -351,32 +377,65 @@ class TestGeneratedCode:
             rendered = traceback.format_exc()
         assert f'File "{filename}"' in rendered
         assert "raise ValueError(" in rendered
+        fast_simulate(workload.server(), AlexProtocol.from_percent(10),
+                      workload.requests, end_time=workload.duration,
+                      observer=lambda *event: None)
+        assert ran[-1].__code__.co_filename == (
+            "<repro.fastpath kernel repro.core.protocols.alex.AlexProtocol, "
+            "observed>")
 
     def test_a_constant_hole_that_is_off_is_not_compiled(self):
         """The unbounded, non-adaptive kernels carry no trace of the
-        replacement order or the third hole: not in their source (no
-        dead ``if False:`` block), not in one instruction."""
+        replacement order or the third hole, and an unobserved run that
+        delivers nothing none of the event calls or the action cursor:
+        not in their source (no dead ``if False:`` block), not in one
+        instruction."""
         extra = {"touch", "evict", "order", "used_bytes", "fetched_at",
                  "stored", "t0", "p3"}
-
-        def names(kernel):
-            return {i.argval for i in dis.get_instructions(kernel)}
+        run = {"notify", "pending", "act_times", "slot"}
 
         for cls in (AlexProtocol, TTLProtocol, InvalidationProtocol):
             kernel = specialiser.specialise(cls)[0]
-            assert not names(kernel) & extra
-            assert "if False" not in inspect.getsource(kernel)
-        lru, fifo = (specialiser.specialise(AlexProtocol, replacement)[0]
-                     for replacement in ("lru", "fifo"))
+            for observed, scheduled in ((False, False), (True, True)):
+                variant = kernel(observed, scheduled)
+                assert not names(variant) & extra
+                assert "if False" not in inspect.getsource(variant)
+            if not cls.wants_invalidations:
+                assert not names(kernel(False, False)) & run
+        assert run <= names(specialiser.specialise(TTLProtocol)[0](True, True))
+        lru, fifo = (specialiser.specialise(AlexProtocol, replacement)[0](
+                     False, False) for replacement in ("lru", "fifo"))
         assert {"touch", "evict", "fetched_at"} <= names(lru) & names(fifo)
         # Only recency order moves an entry on a lookup.
         lookup = "Cache.lookup under LRU"
         assert lookup in inspect.getsource(lru)
         assert lookup not in inspect.getsource(fifo)
         assert {"t0", "t1", "p3", "p4"} <= names(
-            specialiser.specialise(SelfTuningProtocol)[0])
+            specialiser.specialise(SelfTuningProtocol)[0](False, False))
 
-    def test_one_kernel_per_class_parameters_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("make", [
+        lambda: TTLProtocol(hours(24)), lambda: AlexProtocol.from_percent(10),
+        CERNPolicyProtocol,
+    ], ids=["ttl", "alex", "cern"])
+    def test_the_call_chooses_the_variant(self, workload, ran, make):
+        """What ``run_kernel`` runs: an unobserved run with no plan loads
+        neither the observer nor the action cursor; an observer — a trace
+        sink's tee included — brings ``notify`` back, a plan the cursor."""
+        def run(**options):
+            fast_simulate(workload.server(), make(), workload.requests,
+                          end_time=workload.duration, **options)
+            return names(ran[-1])
+
+        assert not run() & {"notify", "pending", "act_times", "slot"}
+        assert "notify" in run(observer=lambda *event: None)
+        with obs_trace.installed(obs_trace.TraceSink()):
+            assert "notify" in run()
+        delivering = run(faults=FaultPlan(cache_crashes=(hours(30),)))
+        assert {"pending", "act_times", "slot"} <= delivering
+        assert "notify" not in delivering
+
+    def test_one_kernel_per_class_parameters_per_run(
+            self, monkeypatch, workload):
         built = []
         real_build = specialiser.build
 
@@ -395,3 +454,10 @@ class TestGeneratedCode:
         assert [p0 for _, p0, *_ in sweep] == [
             5 * k / 100.0 for k in range(21)
         ]
+        # The sweep itself compiles the one variant its runs ask for.
+        kind = sweep[0][0]
+        for k in range(21):
+            fast_simulate(workload.server(), AlexProtocol.from_percent(5 * k),
+                          workload.requests, end_time=workload.duration)
+        assert built == [AlexProtocol]
+        assert list(kind.variants) == [(False, False)]
