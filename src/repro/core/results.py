@@ -260,8 +260,13 @@ def average_results(results: Sequence[SimulationResult]) -> dict[str, float]:
     """
     if not results:
         raise ValueError("cannot average zero results")
-    n = len(results)
-    keys = results[0].summary().keys()
-    return {
-        key: sum(r.summary()[key] for r in results) / n for key in keys
-    }
+    summaries = [r.summary() for r in results]
+    averaged = {}
+    for key in summaries[0]:
+        # Left to right from 0.0 on every Python: builtin ``sum()``
+        # compensates since 3.12, which moves the last bits.
+        total = 0.0
+        for summary in summaries:
+            total += summary[key]
+        averaged[key] = total / len(results)
+    return averaged

@@ -48,6 +48,7 @@ from repro.experiments import (
     table1,
     table2,
 )
+from repro.fastpath import resolve_engine
 from repro.obs import clock as obs_clock
 from repro.runtime import RunStats, collecting, default_workers, resolve_workers
 from repro.verify.oracle import counted_runs
@@ -90,7 +91,7 @@ def run_experiment(
         The experiment's report with ``report.stats`` populated: wall
         time of the whole run, simulated requests summed over the sweeps
         that actually executed (memoized sweeps contribute zero), and
-        the resolved worker count.
+        the resolved worker count and engine.
 
     Raises:
         KeyError: for an unknown id (message lists the valid ones).
@@ -116,6 +117,8 @@ def run_experiment(
         workers=resolved,
     )
     # Not the sum of the sweeps' own counts: an experiment may also
-    # verify simulations outside any sweep.
-    report.stats = replace(stats, verified_runs=verified())
+    # verify simulations outside any sweep, or run none at all (and its
+    # runs still ran on the resolved engine).
+    report.stats = replace(stats, verified_runs=verified(),
+                           engine=resolve_engine())
     return report

@@ -31,8 +31,10 @@ server and dying with it: a fault plan's action schedule
 (:func:`compile_schedule` — the columns of the last ``(plan,
 start_time)`` resolved against that server's feed, keyed by object
 index), the last encoded request stream with its version and
-Last-Modified columns (:func:`encode_requests`) and the preloaded state
-template (:func:`initial_state`, which hands each run its own copy).
+Last-Modified columns (:func:`encode_requests`) and, once a run skipping
+hit runs asks, the same rows by object (:func:`stream_view`), and the
+preloaded state template (:func:`initial_state`, which hands each run
+its own copy).
 
 Equivalence note (docs/FASTPATH.md): the compiled feed is the server's
 own :meth:`~repro.core.server.OriginServer.invalidation_feed` mapped to
@@ -50,9 +52,13 @@ between runs that share them.
 from __future__ import annotations
 
 import weakref
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.core.cache import Cache, CacheEntry
 from repro.core.server import OriginServer, UnknownObjectError
@@ -333,13 +339,20 @@ def initial_state(
 
 _Stream = tuple[list[float], list[int]]
 _Columns = tuple[list[int], list[float]]
+#: The stream by object (:func:`stream_view`): per object index the end
+#: of its rows, then per row its time, object, version and Last-Modified,
+#: then the request position each row came from.
+StreamView = tuple[list[int], "array[float]", tuple[int, ...], "array[int]",
+                   "array[float]", "array[int]"]
 
 #: Per compiled server: the last successfully encoded list or tuple —
 #: held, so its identity cannot be recycled — the ``(length,
-#: start_time)`` it was encoded at, its arrays and their columns.
+#: start_time)`` it was encoded at, its arrays, their columns and, once a
+#: run has asked for it, their view by object.
 _STREAMS: (
     "weakref.WeakKeyDictionary[CompiledServer, "
-    "tuple[Sequence[tuple[float, str]], tuple[int, float], _Stream, _Columns]]"
+    "tuple[Sequence[tuple[float, str]], tuple[int, float], _Stream, _Columns, "
+    "Optional[StreamView]]]"
 ) = weakref.WeakKeyDictionary()
 
 
@@ -381,6 +394,49 @@ def stream_columns(
     if memo and memo[2][0] is req_times and memo[2][1] is req_objs:
         return memo[3]
     return _columns(compiled, req_times, req_objs)
+
+
+def stream_view(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int],
+    columns: _Columns,
+) -> StreamView:
+    """The stream and its ``columns`` by object: rows in object-then-time
+    order (a stable sort of ``req_objs``), object ``i``'s ending at
+    ``ends[i]``, then each row's request position.  Packed machine values
+    (eight bytes a row), not Python objects: read in object order, a
+    float is made next to the last one rather than fetched from wherever
+    the stream's own lies.  The arrays :func:`encode_requests` last
+    remembered for ``compiled`` get their view built once, by the first
+    run that asks; any others get one built for this call alone.
+    """
+    memo = _STREAMS.get(compiled)
+    kept = (memo if memo and memo[2][0] is req_times and memo[2][1] is req_objs
+            else None)
+    if kept is not None and kept[4] is not None:
+        return kept[4]
+    count = len(req_objs)
+    # Sorting 16-bit keys is a radix sort, several times a 64-bit one.
+    small = len(compiled.ids) <= 1 << 16
+    objs = np.fromiter(req_objs, np.uint16 if small else np.int64, count)
+    order = np.argsort(objs, kind="stable")
+    counts = np.bincount(objs, minlength=len(compiled.ids))
+    ends = np.cumsum(counts).tolist()
+
+    def rows(code: str, column: "np.ndarray[Any, Any]") -> "array[Any]":
+        return array(code, column[order].tobytes())
+
+    versions, stamps = columns  # their sentinel row is no request's
+    # A tuple, one index object per object: a run reads its row number
+    # off this column's iterator.
+    view = (ends, rows("d", np.fromiter(req_times, np.float64, count)),
+            tuple(chain.from_iterable(map(repeat, range(len(ends)),
+                                          counts.tolist()))),
+            rows("q", np.fromiter(versions, np.int64, count)),
+            rows("d", np.fromiter(stamps, np.float64, count)),
+            rows("q", np.arange(count, dtype=np.int64)))
+    if kept is not None:
+        _STREAMS[compiled] = (*kept[:4], view)
+    return view
 
 
 def encode_requests(
@@ -425,5 +481,5 @@ def encode_requests(
         objs.append(obj)
     if isinstance(requests, (list, tuple)):
         _STREAMS[compiled] = (requests, (len(times), start_time), (times, objs),
-                              _columns(compiled, times, objs))
+                              _columns(compiled, times, objs), None)
     return times, objs

@@ -28,11 +28,20 @@ The constant holes (``stamps``, ``tunes``, ``caches``, ...) are written
 into each kernel as literals, so what a ``False`` one guards is not
 compiled at all: a caller-supplied ``Cache`` — its replacement order,
 capacity, evictions and crashes, written back into it after the run —
-costs nothing in a kernel that keeps none.  Two of them are facts of
-the run, not of the class: whether an observer is attached, and
-whether anything is delivered.  The call decides them, from its own
-``observer`` and ``schedule``: an unobserved run that delivers nothing
-runs a variant with no event calls and no action cursor.
+costs nothing in a kernel that keeps none.  Three of them are facts of
+the run, not of the class: whether an observer is attached, whether
+anything is delivered, and whether the run skips its hit runs.  The
+call decides them, from its own ``observer``, ``schedule``, ``batch``
+and stream: an unobserved run that delivers nothing runs a variant with
+no event calls and no action cursor.
+
+Such a run that also keeps no cache, tunes nothing, batches no metrics,
+reads a stream whose origin changes rarely and has a class whose
+``is_fresh`` is proved monotone in ``now`` *skips*: it takes the stream
+by object (:func:`repro.fastpath.arrays.stream_view`) and jumps over
+each run of fresh hits, found by bisecting for the :func:`fresh_until`
+candidate; decisions run the same store tail, and stale ages are added
+up at the end in request order.
 
 What the origin holds at a request's time — the object's version and
 its Last-Modified — is read by request position from two columns built
@@ -64,9 +73,12 @@ reference engine — the kernel never approximates.
 from __future__ import annotations
 
 import functools
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Any, Callable, Optional, Sequence, TypeVar, cast
+from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar, cast
+
+import numpy as np
 
 from repro.core.cache import Cache
 from repro.core.costs import MessageCosts
@@ -86,6 +98,7 @@ from repro.fastpath.arrays import (
     CacheState,
     CompiledServer,
     stream_columns,
+    stream_view,
     write_back,
 )
 from repro.faults.plan import (
@@ -103,9 +116,9 @@ from repro.obs.registry import MetricsRegistry, _accumulate
 Variant = Callable[..., SimulationResult]
 _V = TypeVar("_V", bound=Variant)
 #: A kernel specialised for one protocol class and cache variant: called
-#: with a run's facts — is it observed, does it have a fault schedule —
-#: it returns the variant compiled for them.
-Kernel = Callable[[bool, bool], Variant]
+#: with a run's facts — is it observed, does it have a fault schedule,
+#: may it skip its hit runs — it returns the variant compiled for them.
+Kernel = Callable[[bool, bool, bool], Variant]
 
 #: The one histogram a lowered ``on_stored`` may observe; the template
 #: tallies it in its ``rw_*`` locals.
@@ -176,12 +189,19 @@ class MetricsBatch:
 def _runs_kind(template: _V) -> _V:
     """Make ``run_kernel(..., kind=k, ...)`` run ``k``'s variant for this
     call — this template, specialised for one protocol class and the
-    call's own ``observer`` and ``schedule`` — on the same arguments."""
+    call's own ``observer``, ``schedule``, ``batch`` and stream — on the
+    same arguments."""
 
     @functools.wraps(template)
     def run_kernel(*args: Any, kind: Kernel, **options: Any) -> SimulationResult:
+        compiled, _, req_times = args[:3]
+        # Skipping pays where runs of fresh hits are long.  Where the origin
+        # changes once per ten requests or more they are short, and walking
+        # every request is as fast (docs/FASTPATH.md, "Skipping hit runs").
+        sparse = 10 * len(compiled.mod_times) <= len(req_times)
         variant = kind(options.get("observer") is not None,
-                       options.get("schedule") is not None)
+                       options.get("schedule") is not None,
+                       sparse and options.get("batch") is None)
         return variant(*args, kind=kind, **options)
 
     return cast(_V, run_kernel)
@@ -202,6 +222,13 @@ def on_validation_result(i: int, now: float, was_modified: bool) -> None:
     raise NotImplementedError("a hole of run_kernel, never called")
 
 
+def fresh_until(i: int, now: float) -> float:
+    """Hole: where entry ``i``, fresh at ``now``, may first stop being
+    fresh — ``R`` for ``now < R``, ``E + R`` for ``now - E < R`` — a
+    candidate the walk bisects for and then fixes up with ``is_fresh``."""
+    raise NotImplementedError("a hole of run_kernel, never called")
+
+
 def bind(params: Sequence[Any]) -> None:
     """Hole: ``params`` unpacked into the names the lowered methods read."""
     raise NotImplementedError("a hole of run_kernel, never called")
@@ -214,10 +241,13 @@ def bind(params: Sequence[Any]) -> None:
 #: observes a metric, whether ``on_validation_result`` does anything.
 #: Facts about the cache: whether the run keeps a caller's ``Cache``,
 #: and whether its lookups reorder it (LRU).  Facts about the run:
-#: whether an observer is attached, and whether anything is delivered (a
-#: fault schedule, or a class that takes invalidations).
+#: whether an observer is attached, whether anything is delivered (a
+#: fault schedule, or a class that takes invalidations), and whether it
+#: skips its hit runs — a lean run, none of those nor a cache, tuning or
+#: a metrics batch, over a stream that changes rarely, of a class whose
+#: ``is_fresh`` is proved monotone.
 wants_invalidations = stamps = observes = tunes = caches = touches = False
-observed = delivers = False
+observed = delivers = skips = False
 
 
 @_runs_kind
@@ -471,6 +501,31 @@ def run_kernel(
         # The columns' last row is its sentinel.
         stream = zip(req_times + [_INFINITY], req_objs + [NO_OBJECT],
                      req_versions, req_stamps)
+    if skips:
+        # -- object by object, decision to decision -----------------------
+        # Nothing a run of this kind does to one object touches another,
+        # so the loop takes the same rows by object (arrays.stream_view);
+        # object ``i``'s rows end at ``ends[i]``.  The second fresh hit in
+        # a row (``streak`` is the object of a lone hit the row before, at
+        # ``streak_t``) counts the whole run of hits it continues, and the
+        # loop jumps past it to the next row is_fresh rejects.
+        ends, r_times, r_objs, r_versions, r_stamps, positions = stream_view(
+            compiled, req_times, req_objs, (req_versions, req_stamps))
+        # The cursors are the loop's position: a jump moves all four, and
+        # where the loop needs the current row ``k``, it is last - left().
+        cursors: list[Iterator[Any]] = [
+            iter(column) for column in (r_times, r_objs, r_versions, r_stamps)]
+        jt, jo, jv, js = [getattr(cursor, "__setstate__") for cursor in cursors]
+        left = getattr(cursors[1], "__length_hint__")
+        last = len(r_times) - 1
+        stream = zip(*cursors)
+        # Stale ages by request position, zero elsewhere: added up at the
+        # end from 0.0 in request order, as the per-request loop adds them
+        # (x + 0.0 == x; np.cumsum folds left to right, where builtin
+        # sum() compensates on 3.12 and np.sum pairs).
+        ages = array("d", [0.0]) * len(r_times)
+        streak = NO_OBJECT
+        streak_t = 0.0
     for t, i, vt, lm in stream:
         if delivers and pending <= t:
             # -- deliver every action that is due -------------------------
@@ -591,7 +646,48 @@ def run_kernel(
                 touch(i)
             fresh = is_fresh(i, t)
             if fresh:
+                if skips and i == streak:
+                    until = fresh_until(i, t)
+                    if t - streak_t < until - t:
+                        # More rows fit before the candidate boundary than
+                        # the gap just seen (else this is a lone hit too):
+                        # bisect for it, unless the next row is past it,
+                        # then move back while is_fresh rejects the row
+                        # before it (float rounding, equal times).  A fresh
+                        # row after it is simply the loop's next hit.
+                        k = last - left()
+                        j = k + 1
+                        end = ends[i]
+                        if j < end and r_times[j] < until:
+                            j = bl(r_times, until, j + 1, end)
+                        while j - 1 > k:
+                            u = r_times[j - 1]
+                            fresh = is_fresh(i, u)
+                            if fresh:
+                                break
+                            j = bl(r_times, u, k + 1, j)
+                        hits += j - k
+                        v = version[i]
+                        if v < r_versions[j - 1]:
+                            # Versions never decrease along an object's rows:
+                            # its stale hits are a suffix of the run, each aged
+                            # from the same change.
+                            s = k if v < vt else bl(r_versions, v + 1, k, j)
+                            stale_hits += j - s
+                            since = mod_times[mod_lo[i] + v]
+                            for row in range(s, j):
+                                ages[positions[row]] = r_times[row] - since
+                        if j - k > 1:
+                            jt(j)
+                            jo(j)
+                            jv(j)
+                            js(j)
+                        streak = NO_OBJECT
+                        continue
                 hits += 1
+                if skips:
+                    streak = i
+                    streak_t = t
                 v = version[i]
                 # Stale iff the copy is older than the origin's version
                 # at t: the reference's ``v < version_at(t)``.
@@ -603,6 +699,9 @@ def run_kernel(
                     # mod_times[lo + v] — in range because v < vt.
                     age_stale = t - mod_times[mod_lo[i] + v]
                     stale_age_sum += age_stale
+                    if skips:
+                        # Out of request order here: added at the end.
+                        ages[positions[last - left()]] = age_stale
                     if collect:
                         sa_counts[bl(sa_bounds, age_stale)] += 1
                         acc(sa_partials, age_stale)
@@ -612,19 +711,28 @@ def run_kernel(
                 elif observed:
                     notify("hit", t, ids[i])
                 continue
+            if skips:
+                streak = NO_OBJECT
             # Base simulator: unconditional refetch, even when unchanged.
             refetch = base_mode
         elif not cacheable[i]:
             # Dynamic content: full fetch on every request, never stored
             # (so never resident).
-            ctl_full += full_control
-            body_full += sizes[i]
-            ex_full += 1
-            full_retrievals += 1
-            server_gets += 1
-            misses += 1
-            n_dynamic += 1
+            n = 1
+            if skips:
+                # Each of the object's requests is one: all counted here.
+                n = ends[i] - (last - left())
+                for jump in (jt, jo, jv, js):
+                    jump(ends[i])
+            ctl_full += n * full_control
+            body_full += n * sizes[i]
+            ex_full += n
+            full_retrievals += n
+            server_gets += n
+            misses += n
+            n_dynamic += n
             if collect:
+                # One request: a run that skips batches nothing.
                 tb_val = float(sizes[i])
                 tb_counts[bl(tb_bounds, tb_val)] += 1
                 acc(tb_partials, tb_val)
@@ -718,6 +826,8 @@ def run_kernel(
         if observed:
             notify(event, t, ids[i])
 
+    if skips and stale_hits:
+        stale_age_sum = float(np.cumsum(np.frombuffer(ages))[-1])
     # Each request took exactly one of the paths above: check_invariants'
     # ``hits + misses == requests`` checks that it landed in one bucket.
     requests = len(req_times)

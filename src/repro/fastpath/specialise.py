@@ -12,11 +12,13 @@ early returns ``if`` / ``else``; ``super().m(entry, ...)`` and
 is one ``return``) and ``obs_metrics.observe(REFRESH_WINDOW, v)``
 becomes the template's ``rw_*`` tally — so the arithmetic a kernel
 evaluates is the protocol's own expression tree.  One kernel is built
-per class and cache variant, memoised; it compiles one variant per pair
-of run facts a call asks for (observed or not, delivering or not), each
-with its source registered with :mod:`linecache` as ``<repro.fastpath
-kernel module.Class>`` (the cache variant and the run facts that are on
-are named after the class).
+per class and cache variant, memoised; it compiles one variant per set
+of run facts a call asks for (observed or not, delivering or not,
+skipping hit runs or not), each with its source registered with
+:mod:`linecache` as ``<repro.fastpath kernel module.Class>`` (the cache
+variant and the run facts that are on are named after the class).  Its
+runs skip hit runs only once :func:`_fresh_until` proves its
+``is_fresh`` monotone in ``now``; else why not is ``unskippable``.
 
 Anything outside the closed subset (docs/FASTPATH.md, "Derived, not
 transcribed") is a :class:`Refusal`: the run goes to the reference
@@ -73,7 +75,7 @@ _PLAIN = (ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
 _HOLES = ("is_fresh", "on_stored", "on_validation_result")
 #: The constant holes that are facts of a run, not of the class: each
 #: call decides them (:func:`repro.fastpath.kernels._runs_kind`).
-_RUN_FACTS = ("observed", "delivers")
+_RUN_FACTS = ("observed", "delivers", "skips")
 #: The constant holes (:mod:`repro.fastpath.kernels`), written into each
 #: kernel as literals.
 _CONSTANTS = frozenset(("wants_invalidations", "stamps", "observes", "tunes",
@@ -132,8 +134,8 @@ class _Lowering(ast.NodeTransformer):
         self.frame: Any = None
         self.depth = 0
         #: is_fresh reads what on_stored stamps / on_stored observes /
-        #: on_validation_result does something.
-        self.stamps = self.observes = self.tunes = False
+        #: on_validation_result does something / a method writes a table.
+        self.stamps = self.observes = self.tunes = self.shares = False
 
     def hole(self, method: str, args: list[ast.expr],
              target: Optional[ast.expr]) -> list[ast.stmt]:
@@ -329,9 +331,11 @@ class _Lowering(ast.NodeTransformer):
             case ast.Subscript(value=ast.Attribute(
                     value=ast.Name(id=self.frame.self_name), attr=attr), slice=key):
                 table, index = self._table(attr, key)
+                self.shares = True
                 return ast.Subscript(value=table, slice=index, ctx=ast.Store())
             case ast.Subscript(value=ast.Name(id=local), slice=index) if (
                     local in self.frame.names):
+                self.shares = True
                 return ast.Subscript(value=self.frame.names[local],
                                      slice=self.visit(index), ctx=ast.Store())
         raise Refusal(f"assigns to {ast.unparse(node)}")
@@ -429,6 +433,7 @@ class _Lowering(ast.NodeTransformer):
                     attr="get" | "setdefault" as method),
                     args=[key, *default], keywords=[]) if len(default) < 2:
                 table, index = self._table(attr, key)
+                self.shares = self.shares or method == "setdefault"
                 return ast.Call(
                     func=ast.Attribute(value=table, attr=method, ctx=ast.Load()),
                     args=[index, *(self.visit(d) for d in default)], keywords=[])
@@ -446,6 +451,56 @@ class _Lowering(ast.NodeTransformer):
         if not isinstance(node, _PLAIN):
             raise Refusal(f"uses {ast.unparse(node)}")
         return super().generic_visit(node)
+
+
+def _fresh_until(body: list[ast.stmt], now: str,
+                 target: str) -> list[ast.stmt]:
+    """The lowered ``is_fresh`` ``body`` (its result landing in
+    ``target``) as its candidate boundary, once proved monotone in
+    ``now``: no test and no local reads ``now``, and each result is free
+    of it (the boundary is infinity), ``now < R`` (``R``) or
+    ``now - E < R`` (``E + R``).  Between two stores the state it reads
+    is fixed, so an entry fresh at a request stays fresh up to a
+    boundary and never after it."""
+    def reads(node: ast.AST) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == now for n in ast.walk(node))
+
+    def show(node: ast.AST) -> str:
+        return re.sub(rf"\b{now}\b", "now", ast.unparse(node))
+
+    def boundary(value: ast.expr) -> ast.expr:
+        match value:
+            case _ if not reads(value):
+                return _name("_INFINITY")
+            case ast.Compare(left=ast.Name(id=name), ops=[ast.Lt()],
+                             comparators=[bound]) if name == now and not reads(bound):
+                return bound
+            case ast.Compare(left=ast.BinOp(left=ast.Name(id=name), op=ast.Sub(),
+                                            right=origin),
+                             ops=[ast.Lt()], comparators=[bound]) if (
+                    name == now and not reads(origin) and not reads(bound)):
+                return ast.BinOp(left=origin, op=ast.Add(), right=bound)
+        raise Refusal(f"returns `{show(value)}`, neither `now < R` nor "
+                      "`now - E < R`")
+
+    out: list[ast.stmt] = []
+    for stmt in body:
+        match stmt:
+            case ast.If(test=test, body=arm, orelse=other):
+                if reads(test):
+                    raise Refusal(f"branches on now: `{show(test)}`")
+                out.append(ast.If(test=test, body=_fresh_until(arm, now, target),
+                                  orelse=_fresh_until(other, now, target)))
+            case ast.Assign(targets=[ast.Name(id=name)], value=value) if (
+                    name == target):
+                out.append(ast.Assign(targets=[_name(target)], value=boundary(value)))
+            case ast.Assign(targets=[ast.Name()], value=value) if not reads(value):
+                out.append(stmt)
+            case ast.Pass():
+                out.append(stmt)
+            case _:
+                raise Refusal(f"computes `{show(stmt)}`")
+    return out
 
 
 @functools.cache
@@ -521,6 +576,21 @@ def build(cls: type[ConsistencyProtocol], template: Optional[str] = None,
     # Attributes past the named slots, then the tables, from ``params``.
     bound = [f"p{k}" for k in range(_NAMED_SLOTS, len(lowering.attrs))] + [
         f"t{k}" for k in range(len(lowering.tables))]
+    # The candidate boundary is is_fresh lowered once more, then proved.
+    unskippable: Optional[str] = None
+    for hole in re.finditer(r"^( *)(\w+) = fresh_until\((\w+), (\w+)\)\n",
+                            text, flags=re.MULTILINE):
+        indent, target, index, now = hole.groups()
+        try:
+            body = _fresh_until(lowering.hole(
+                "is_fresh", [_name(index), _name(now)], _name(target)), now, target)
+        except Refusal as refusal:
+            unskippable, body = f"is_fresh is not monotone in now: {refusal}", []
+        edits.append((hole.start(), hole.end(), textwrap.indent(ast.unparse(
+            ast.fix_missing_locations(ast.Module(
+                body=body or [ast.Pass()], type_ignores=[]))) + "\n", indent)))
+    if lowering.shares:
+        unskippable = "a method writes a per-type table, which objects share"
     for hole in re.finditer(r"^( *)bind\((\w+)\)\n", text, flags=re.MULTILINE):
         edits.append((hole.start(), hole.end(), f"{hole[1]}[{', '.join(bound)}] "
                       f"= {hole[2]}\n" if bound else ""))
@@ -537,41 +607,51 @@ def build(cls: type[ConsistencyProtocol], template: Optional[str] = None,
         text = text[:start] + replaced + text[end:]
     keeping = "" if replacement is None else f", keeping a {replacement} cache"
     kernel = _Kernel(f"{cls.__module__}.{cls.__qualname__}{keeping}",
-                     constants, text.split("\0"))
+                     constants, text.split("\0"), unskippable)
     return kernel, tuple(lowering.attrs), tuple(lowering.tables)
 
 
 class _Kernel:
     """One class's kernel for one cache variant (a :data:`kernels.Kernel`):
-    the template filled in but for the run facts, compiled once per pair
+    the template filled in but for the run facts, compiled once per set
     of them that a call asks for.  A variant lives as long as its kernel,
     so a kernel replaced in the memo takes its variants with it."""
 
     def __init__(self, name: str, constants: dict[str, bool],
-                 pieces: list[str]) -> None:
+                 pieces: list[str], unskippable: Optional[str]) -> None:
         self.name = name
         self.constants = constants
         #: The filled-in text, split around its run facts: every odd
         #: piece names one.
         self.pieces = pieces
-        self.variants: dict[tuple[bool, bool], kernels.Variant] = {}
+        #: Why no run of this kernel skips its hit runs (None: lean runs
+        #: do).
+        self.unskippable = unskippable
+        self.variants: dict[tuple[bool, bool, bool], kernels.Variant] = {}
 
-    def __call__(self, observed: bool, scheduled: bool) -> kernels.Variant:
-        facts = (observed, scheduled or self.constants["wants_invalidations"])
+    def __call__(self, observed: bool, scheduled: bool,
+                 skippable: bool) -> kernels.Variant:
+        delivers = scheduled or self.constants["wants_invalidations"]
+        lean = not (observed or delivers or self.constants["caches"]
+                    or self.constants["tunes"])
+        facts = (observed, delivers,
+                 skippable and lean and self.unskippable is None)
         variant = self.variants.get(facts)
         if variant is None:
             variant = self.variants[facts] = self._compile(*facts)
         return variant
 
-    def _compile(self, observed: bool, delivers: bool) -> kernels.Variant:
-        facts = {"observed": observed, "delivers": delivers}
+    def _compile(self, observed: bool, delivers: bool,
+                 skips: bool) -> kernels.Variant:
+        facts = {"observed": observed, "delivers": delivers, "skips": skips}
         text = "".join(repr(facts[piece]) if k % 2 else piece
                        for k, piece in enumerate(self.pieces))
         text = (f"# run_kernel with its holes filled from {self.name}: "
                 f"{self.constants | facts}\n{_prune(text)}")
         filename = (f"<repro.fastpath kernel {self.name}"
                     f"{', observed' if observed else ''}"
-                    f"{', delivering' if delivers else ''}>")
+                    f"{', delivering' if delivers else ''}"
+                    f"{', skipping' if skips else ''}>")
         # No mtime: linecache.checkcache leaves such entries alone.
         linecache.cache[filename] = (
             len(text), None, text.splitlines(keepends=True), filename)

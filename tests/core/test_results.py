@@ -84,3 +84,23 @@ class TestAverageResults:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             average_results([])
+
+    def test_folds_left_to_right_on_every_python(self):
+        # Naively, 1e16 + 1.0 is 1e16 and the 1.0 is gone; builtin sum()
+        # on 3.12 compensates and keeps it.  Both CI legs must agree.
+        results = [make_result(ops=10**16), make_result(ops=1),
+                   make_result(ops=-10**16)]
+        assert average_results(results)["server_operations"] == 0.0
+
+    def test_one_summary_per_result(self, monkeypatch):
+        calls = []
+        summary = SimulationResult.summary
+
+        def counting(result):
+            calls.append(result)
+            return summary(result)
+
+        monkeypatch.setattr(SimulationResult, "summary", counting)
+        results = [make_result(), make_result(requests=20)]
+        average_results(results)
+        assert calls == results

@@ -52,6 +52,20 @@ class TestRegistry:
         assert report.experiment_id == "figure1"
         assert report.rendered
 
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_stats_name_the_engine_of_a_run_without_sweeps(self, engine):
+        # figure1 runs its simulations outside any sweep: no sweep's
+        # record carries the engine, so the run itself must.
+        from repro.fastpath import set_engine
+
+        previous = set_engine(engine)
+        try:
+            report = run_experiment("figure1")
+        finally:
+            set_engine(previous)
+        assert report.stats.engine == engine
+        assert f"engine {engine}" in report.stats.render()
+
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_verified_runs_is_the_verify_runs_delta(self, workers):

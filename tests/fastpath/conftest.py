@@ -41,6 +41,14 @@ def workload():
 
 
 @pytest.fixture(scope="module")
+def quiet_workload():
+    """``workload``'s shape with objects that live 20-40 days: under one
+    origin change per ten requests, so lean runs skip their hit runs."""
+    return WorrellWorkload(files=40, requests=3000, seed=11,
+                           min_lifetime=days(20), max_lifetime=days(40)).build()
+
+
+@pytest.fixture(scope="module")
 def mixed_workload():
     """Four hand-placed objects that reach what ``workload`` never does.
 

@@ -430,3 +430,82 @@ class TestNoScheduleSearchPerRequest:
         fast_simulate(server, InvalidationProtocol(eager=True),
                       workload.requests, end_time=workload.duration)
         assert any(a is compiled.mod_times for a in searches)
+
+
+class TestViewBuiltOncePerStream:
+    """A run that skips its hit runs reads the stream by object; the view
+    is built once per kept stream, not once per run of a sweep."""
+
+    @pytest.fixture
+    def workload(self, quiet_workload):
+        """A stream that changes rarely enough for lean runs to skip."""
+        return quiet_workload
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """How many views ``repro.fastpath.arrays`` packs from now on."""
+        built = []
+        real = arrays.stream_view
+
+        def counting(compiled, req_times, req_objs, columns):
+            view = real(compiled, req_times, req_objs, columns)
+            if not any(view is seen for seen in built):
+                built.append(view)
+            return view
+
+        monkeypatch.setattr(kernels, "stream_view", counting)
+        monkeypatch.setattr(specialise, "_KERNELS", weakref.WeakKeyDictionary())
+        return built
+
+    def test_a_sweep_over_one_stream_builds_one_view(
+        self, workload, server, builds
+    ):
+        for make in (alex, lambda: TTLProtocol(hours(24)), CERNPolicyProtocol):
+            for _ in range(3):
+                assert result_to_dict(fast_simulate(
+                    server, make(), workload.requests,
+                    end_time=workload.duration,
+                )) == result_to_dict(simulate(
+                    OriginServer(workload.histories), make(),
+                    workload.requests, end_time=workload.duration,
+                ))
+        assert len(builds) == 1
+        # Another list is another stream: its own view, kept instead.
+        copy = list(workload.requests)
+        fast(server, workload, copy)
+        fast(server, workload, copy)
+        assert len(builds) == 2
+
+    def test_a_stream_that_is_not_kept_gets_a_view_per_run(
+        self, workload, server, builds
+    ):
+        for _ in range(2):
+            assert fast(server, workload, iter(workload.requests)) == reference(
+                workload, workload.requests)
+        assert len(builds) == 2
+
+    def test_runs_that_do_not_skip_build_none(self, workload, server, builds):
+        fast(server, workload, workload.requests,
+             observer=lambda *event: None)
+        fast_simulate(server, InvalidationProtocol(), workload.requests,
+                      end_time=workload.duration)
+        assert builds == []
+
+    def test_the_view_is_the_stream_by_object(self, workload, server):
+        compiled = compile_server(server)
+        times, objs = encode_requests(compiled, workload.requests, 0.0)
+        columns = stream_columns(compiled, times, objs)
+        ends, *rows, positions = arrays.stream_view(
+            compiled, times, objs, columns)
+        # Packed values, no new Python floats; the index column is a
+        # tuple, whose iterator tells the run its row.
+        assert all(isinstance(rows[k], arrays.array) for k in (0, 2, 3))
+        assert rows[1] == tuple(objs[p] for p in positions.tolist())
+        assert sorted(positions.tolist()) == list(range(len(times)))
+        assert [(v, lm) for v, lm in zip(rows[2], rows[3])] == [
+            (columns[0][p], columns[1][p]) for p in positions.tolist()]
+        # Object by object, each in time order, as the stream has them.
+        assert list(rows[1]) == sorted(objs)
+        assert [(t, o) for t, o in zip(rows[0], rows[1])] == sorted(
+            zip(times, objs), key=lambda row: row[1])
+        assert ends[objs[0]] == sum(1 for o in objs if o <= objs[0])

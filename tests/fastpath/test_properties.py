@@ -20,16 +20,24 @@ Each property also runs the fast engine without an observer — the
 variant users and the benchmark run, compiled without the event calls
 (and, with nothing to deliver, without the action cursor) — and
 requires the observed run's result, and its metrics where a registry
-is installed.
+is installed.  One more runs that lean variant both ways — walking
+every request, and skipping each run of fresh hits by object — on
+streams built to find where the two could part: requests exactly at a
+TTL boundary and at equal times, at a modification's own instant, and
+stale ages from a millisecond to decades, whose sum shows its order.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import math
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import Cache
 from repro.core.clock import DAY, hours
+from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
 from repro.core.protocols import (
     AlexProtocol,
     CERNPolicyProtocol,
@@ -43,7 +51,13 @@ from repro.core.protocols import (
 from repro.core.replacement import FIFOPolicy, LRUPolicy
 from repro.core.server import OriginServer
 from repro.core.simulator import Simulation, SimulatorMode
-from repro.fastpath import diff_metrics, diff_results, fast_simulate
+from repro.fastpath import (
+    compile_protocol,
+    diff_metrics,
+    diff_results,
+    fast_simulate,
+)
+from repro.fastpath import specialise as specialiser
 from repro.faults import DowntimeWindow, FaultAction, FaultPlan
 from repro.obs import registry as obs_registry
 from tests.faults.test_properties import DURATION as FAULT_DURATION
@@ -182,6 +196,129 @@ def test_caller_cache_is_left_as_the_reference_leaves_it(
     assert diff_results(unobserved[0], fast[0], **UNOBSERVED) == []
     assert diff_metrics(unobserved[2], fast[2]) == []
     assert [unobserved[k] for k in (3, 4)] == [fast[k] for k in (3, 4)]
+
+
+#: The TTL of the hit-run streams: their grid of quarter TTLs lands
+#: requests exactly on ``validated_at + ttl`` and on each other.
+GRID_TTL = hours(6)
+
+
+@st.composite
+def hit_run_workloads(draw):
+    """Few objects, many requests each: instants on a grid of quarter
+    TTLs, just past one (1 ms, 0.7 s, 1000 s), or log-uniform from 1 ms
+    to 1e9 s, so that objects' stale ages of every size interleave;
+    modifications at such instants and requests at them too (a stale age
+    of 0.0), dynamic objects and Expires headers among the rest."""
+    instants = st.one_of(
+        st.integers(min_value=0, max_value=40).map(lambda k: k * GRID_TTL / 4),
+        st.tuples(st.integers(min_value=0, max_value=40),
+                  st.sampled_from([1e-3, 0.7, 1e3])).map(
+            lambda point: point[0] * GRID_TTL / 4 + point[1]),
+        st.floats(min_value=-3.0, max_value=9.0).map(lambda e: 10.0 ** e),
+    )
+    histories = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        created = -draw(st.floats(min_value=1.0, max_value=100.0)) * DAY
+        changes = sorted(draw(st.lists(instants, max_size=6, unique=True)))
+        cacheable = i == 0 or draw(st.booleans())
+        expires_after = draw(st.one_of(st.none(), st.just(GRID_TTL / 2)))
+        histories.append(ObjectHistory(
+            WebObject(f"/r{i}", size=100 + i, file_type="html",
+                      created=created, cacheable=cacheable,
+                      expires_after=expires_after if cacheable else None),
+            ModificationSchedule(created, changes),
+        ))
+    requested = draw(st.lists(
+        st.tuples(st.one_of(instants, st.sampled_from(
+            [t for h in histories for t in h.schedule.times] or [0.0])),
+            st.integers(min_value=0, max_value=len(histories) - 1)),
+        max_size=60,
+    ))
+    # The grid and the modification instants repeat: requests tie.
+    requests = sorted((t, histories[i].object_id) for t, i in requested)
+    return histories, requests
+
+
+def _interleaved_stale_ages():
+    """Two objects' stale hits interleaved in time, aged ~4e8, ~1e-3 and
+    ~6e8 s: added by object, not in request order, their sum moves."""
+    histories = [
+        ObjectHistory(WebObject(oid, size=100, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, [changed]))
+        for oid, changed in (("/a", 10.0), ("/b", 5e8))
+    ]
+    requests = [(4e8 + 0.3, "/a"), (5e8 + 1e-3, "/b"), (6e8 + 0.7, "/a")]
+    return histories, requests
+
+
+def _candidate_past_the_boundary():
+    """Validated at ``e``, the TTL's candidate ``e + ttl`` rounds up: a
+    request one ulp below it is already stale to ``now - e < ttl``."""
+    e = 8880.11005509299
+    histories = [ObjectHistory(
+        WebObject("/c", size=100, file_type="html", created=-DAY),
+        ModificationSchedule(-DAY, []))]
+    times = [e, e + 1.0, e + 2.0, math.nextafter(e + GRID_TTL, 0.0)]
+    return histories, [(t, "/c") for t in times]
+
+
+def skippable_protocols():
+    """Factories for classes whose ``is_fresh`` is proved monotone."""
+    return st.sampled_from([
+        lambda: TTLProtocol(GRID_TTL),
+        lambda: TTLProtocol(0.0),
+        lambda: TTLProtocol(1e9),
+        lambda: ExpiresTTLProtocol(GRID_TTL),
+        lambda: AlexProtocol.from_percent(10),
+        lambda: AlexProtocol.from_percent(0),
+        lambda: CERNPolicyProtocol(0.1, GRID_TTL),
+        lambda: CERNPolicyProtocol(0.5, hours(1), max_ttl=GRID_TTL),
+        lambda: PollEveryRequestProtocol(),
+        lambda: SoftTTL(GRID_TTL, 0.25),
+        lambda: SloppyTTL(GRID_TTL),
+    ])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workload=hit_run_workloads(),
+    make_protocol=skippable_protocols(),
+    mode=st.sampled_from(list(SimulatorMode)),
+    preload=st.booleans(),
+    start_time=st.sampled_from([0.0, GRID_TTL / 4]),
+)
+@example(workload=_interleaved_stale_ages(), make_protocol=lambda: TTLProtocol(1e9),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=0.0)
+@example(workload=_candidate_past_the_boundary(),
+         make_protocol=lambda: TTLProtocol(GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, preload=False, start_time=0.0)
+def test_skipping_hit_runs_changes_no_byte(
+    workload, make_protocol, mode, preload, start_time
+):
+    """The skipping variant, the per-request lean one and the reference
+    agree to the last bit of ``stale_age_sum``."""
+    histories, requests = workload
+    server = OriginServer(histories)
+    requests = [(t, oid) for t, oid in requests if t >= start_time]
+    config = dict(preload=preload, start_time=start_time, end_time=1e9 + 1)
+    reference = Simulation(
+        server, make_protocol(), mode, preload=preload, start_time=start_time,
+    ).run(requests, end_time=config["end_time"])
+    choose = specialiser._Kernel.__call__
+
+    def run(skippable):
+        # Whatever the stream's change rate: skipping only changes speed.
+        with mock.patch.object(specialiser._Kernel, "__call__",
+                               lambda kernel, *facts: choose(
+                                   kernel, *facts[:2], skippable)):
+            return fast_simulate(server, make_protocol(), requests, mode,
+                                 **config)
+
+    skipping, lean = run(True), run(False)
+    assert (False, False, True) in compile_protocol(make_protocol())[0].variants
+    assert diff_results(skipping, reference) == []
+    assert diff_results(lean, reference) == []
 
 
 @st.composite

@@ -22,7 +22,9 @@ from repro.core.clock import hours
 from repro.core.protocols import (
     AlexProtocol,
     CERNPolicyProtocol,
+    ExpiresTTLProtocol,
     InvalidationProtocol,
+    LeasedInvalidationProtocol,
     PollEveryRequestProtocol,
     SelfTuningProtocol,
     TTLProtocol,
@@ -343,8 +345,8 @@ def ran(monkeypatch):
     variants = []
     choose = specialiser._Kernel.__call__
 
-    def spy(kernel, observed, scheduled):
-        variants.append(choose(kernel, observed, scheduled))
+    def spy(kernel, *facts):
+        variants.append(choose(kernel, *facts))
         return variants[-1]
 
     monkeypatch.setattr(specialiser._Kernel, "__call__", spy)
@@ -365,8 +367,9 @@ class TestGeneratedCode:
         source = inspect.getsource(variant)
         assert "fresh = t - validated_at[i] < p0 * _age_0" in source
         assert linecache.getlines(filename)[0].endswith(
-            "'observed': False, 'delivers': False}\n")
-        assert not re.search(r"^ *(\w+ = )?(is_fresh|on_stored)\(", source, re.M)
+            "'observed': False, 'delivers': False, 'skips': False}\n")
+        assert not re.search(r"^ *(\w+ = )?(is_fresh|on_stored|fresh_until)\(",
+                             source, re.M)
         # A traceback through the kernel quotes the generated line.
         try:
             fast_simulate(
@@ -397,21 +400,22 @@ class TestGeneratedCode:
         for cls in (AlexProtocol, TTLProtocol, InvalidationProtocol):
             kernel = specialiser.specialise(cls)[0]
             for observed, scheduled in ((False, False), (True, True)):
-                variant = kernel(observed, scheduled)
+                variant = kernel(observed, scheduled, False)
                 assert not names(variant) & extra
                 assert "if False" not in inspect.getsource(variant)
             if not cls.wants_invalidations:
-                assert not names(kernel(False, False)) & run
-        assert run <= names(specialiser.specialise(TTLProtocol)[0](True, True))
+                assert not names(kernel(False, False, False)) & run
+        assert run <= names(
+            specialiser.specialise(TTLProtocol)[0](True, True, False))
         lru, fifo = (specialiser.specialise(AlexProtocol, replacement)[0](
-                     False, False) for replacement in ("lru", "fifo"))
+                     False, False, False) for replacement in ("lru", "fifo"))
         assert {"touch", "evict", "fetched_at"} <= names(lru) & names(fifo)
         # Only recency order moves an entry on a lookup.
         lookup = "Cache.lookup under LRU"
         assert lookup in inspect.getsource(lru)
         assert lookup not in inspect.getsource(fifo)
         assert {"t0", "t1", "p3", "p4"} <= names(
-            specialiser.specialise(SelfTuningProtocol)[0](False, False))
+            specialiser.specialise(SelfTuningProtocol)[0](False, False, False))
 
     @pytest.mark.parametrize("make", [
         lambda: TTLProtocol(hours(24)), lambda: AlexProtocol.from_percent(10),
@@ -460,4 +464,108 @@ class TestGeneratedCode:
             fast_simulate(workload.server(), AlexProtocol.from_percent(5 * k),
                           workload.requests, end_time=workload.duration)
         assert built == [AlexProtocol]
-        assert list(kind.variants) == [(False, False)]
+        assert list(kind.variants) == [(False, False, False)]
+
+
+class FreshFrom(TTLProtocol):
+    def is_fresh(self, entry, now):
+        return now >= entry.validated_at + self.ttl
+
+
+class NotBefore(TTLProtocol):
+    def is_fresh(self, entry, now):
+        return not (now < entry.validated_at + self.ttl)
+
+
+class CountsDown(TTLProtocol):
+    def is_fresh(self, entry, now):
+        return (entry.validated_at - now) < self.ttl
+
+
+class Outside(TTLProtocol):
+    def is_fresh(self, entry, now):
+        return (now < entry.validated_at + self.ttl
+                or now > entry.validated_at + 2 * self.ttl)
+
+
+class BranchesOnNow(TTLProtocol):
+    def is_fresh(self, entry, now):
+        if now - entry.validated_at < self.ttl:
+            return True
+        return False
+
+
+#: Shipped rules whose ``is_fresh`` is proved monotone in ``now``.
+PROVED = [TTLProtocol, ExpiresTTLProtocol, AlexProtocol, CERNPolicyProtocol,
+          PollEveryRequestProtocol, InvalidationProtocol, SoftTTL, SloppyTTL]
+
+#: Classes the specialiser compiles but whose runs do not skip, and why.
+NOT_PROVED = [
+    (FreshFrom, "returns `now >= validated_at[i] + p0`"),
+    (NotBefore, "returns `not now < validated_at[i] + p0`"),
+    (CountsDown, "returns `validated_at[i] - now < p0`"),
+    (Outside, "returns `now < validated_at[i] + p0 or now > "),
+    (BranchesOnNow, "branches on now: `now - validated_at[i] < p0`"),
+    (LeasedInvalidationProtocol, "returns `valid[i] and now - validated_at"),
+    (SelfTuningProtocol, "writes a per-type table"),
+]
+
+
+class TestMonotoneProof:
+    @pytest.mark.parametrize("cls", PROVED, ids=[c.__name__ for c in PROVED])
+    def test_every_shipped_rule_proves(self, cls):
+        assert specialiser.specialise(cls)[0].unskippable is None
+
+    @pytest.mark.parametrize("cls,detail", NOT_PROVED,
+                             ids=[c.__name__ for c, _ in NOT_PROVED])
+    def test_refused_with_a_reason_and_run_on_the_lean_variant(
+        self, quiet_workload, ran, cls, detail
+    ):
+        workload = quiet_workload
+        kernel = specialiser.specialise(cls)[0]
+        assert kernel.unskippable.startswith(
+            "is_fresh is not monotone in now: " if cls is not SelfTuningProtocol
+            else "a method writes")
+        assert detail in kernel.unskippable
+        make = cls if cls is SelfTuningProtocol else lambda: cls(hours(6))
+        fast = fast_simulate(workload.server(), make(), workload.requests,
+                             end_time=workload.duration)
+        assert ", skipping" not in ran[-1].__code__.co_filename
+        assert "jt" not in names(ran[-1])
+        assert diff_results(fast, simulate(
+            workload.server(), make(), workload.requests,
+            end_time=workload.duration)) == []
+
+
+class TestSkipVariant:
+    @pytest.mark.parametrize("make", [
+        lambda: TTLProtocol(hours(24)), lambda: AlexProtocol.from_percent(10),
+        CERNPolicyProtocol,
+    ], ids=["ttl", "alex", "cern"])
+    def test_a_lean_run_skips_its_hit_runs(self, quiet_workload, ran, make):
+        """Unobserved, no plan, no registry, a stream that changes rarely:
+        the skipping variant; an observer, a plan or a registry each bring
+        the per-request loop back."""
+        workload = quiet_workload
+        def run(**options):
+            return fast_simulate(workload.server(), make(), workload.requests,
+                                 end_time=workload.duration, **options)
+
+        skipping = run()
+        assert ran[-1].__code__.co_filename.endswith(", skipping>")
+        assert {"jt", "ends", "ages"} <= names(ran[-1])
+        for options in ({"observer": lambda *event: None},
+                        {"faults": FaultPlan(cache_crashes=(hours(30),))}):
+            run(**options)
+            assert "jt" not in names(ran[-1])
+        with obs_registry.installed(obs_registry.MetricsRegistry()):
+            batched = run()
+        assert "jt" not in names(ran[-1])
+        assert diff_results(skipping, batched) == []
+
+    def test_a_stream_that_changes_often_walks(self, workload, ran):
+        """One origin change per ten requests or more: runs of hits are
+        short, and the run walks every request."""
+        fast_simulate(workload.server(), AlexProtocol.from_percent(10),
+                      workload.requests, end_time=workload.duration)
+        assert "jt" not in names(ran[-1])
