@@ -148,8 +148,10 @@ snapshot-check:
 	  && rm .snapshot-check.out .snapshot-check.metrics.json \
 	  && echo "snapshot-check: verdicts match docs/snapshot-check.expected"
 
+# Every example script as a user runs it, default arguments; the first
+# one that fails fails the target.
 examples:
-	for f in examples/*.py; do echo "== $$f =="; $(PYTHON) "$$f"; done
+	for f in examples/*.py; do echo "== $$f =="; $(PYTHON) "$$f" || exit 1; done
 
 # Source-line ledger: `wc -l` of every module under src/, rolled up by
 # package (top-level modules listed by name) — the numbers

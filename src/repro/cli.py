@@ -86,7 +86,7 @@ from repro.verify import (
 )
 from repro.trace.reconstruct import server_from_trace, workload_from_trace
 from repro.trace.records import Trace
-from repro.trace.stats import mutability_from_trace
+from repro.trace.stats import daily_change_probability, mutability_from_trace
 from repro.trace.synthesis import read_trace, trace_from_workload, write_trace
 from repro.workload.base import Workload
 from repro.workload.campus import CAMPUS_SERVERS, CampusWorkload
@@ -205,8 +205,8 @@ def _add_engine_flag(
     parser.add_argument(
         "--engine", default=default, choices=list(ENGINES),
         help="simulator engine: 'fast' (batched repro.fastpath kernel, "
-             "byte-identical output, automatic reference fallback for "
-             "unsupported configurations) or 'reference' "
+             "byte-identical output, refuses configurations outside its "
+             "compiled subset) or 'reference' "
              "(repro.core.simulator throughout); default: $REPRO_ENGINE, "
              "else fast — see docs/FASTPATH.md"
              + (" (this subcommand defaults to reference)" if default
@@ -277,7 +277,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     ))
     days = trace.duration / 86_400 if trace.duration else 0.0
     if days and stats.files:
-        prob = stats.total_changes / (stats.files * days)
+        prob = daily_change_probability(stats.total_changes, stats.files, days)
         print(f"\nper-file per-day observed change probability: "
               f"{100 * prob:.2f}% over {days:.1f} days")
     return 0
@@ -388,8 +388,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     # Under the fast engine the protocol stays bare: the batched kernel
     # never calls the per-request hooks (there is nothing for a
-    # ProfiledProtocol wrapper to time — and the wrapper would force a
-    # reference fallback anyway).  The phase table shows the fast path's
+    # ProfiledProtocol wrapper to time — and the fast engine refuses
+    # the wrapper's class anyway).  The phase table shows the fast path's
     # own fastpath.compile / fastpath.simulate phases instead.
     def profiled_protocol(parameter: float) -> ConsistencyProtocol:
         protocol = build_protocol(args.protocol, parameter)
@@ -633,7 +633,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         proxy = LiveProxy(origin.host, origin.port, protocol, mode)
         await proxy.start(args.host, args.proxy_port)
         print(f"origin: http://{origin.host}:{origin.port}/ "
-              f"({len(server.object_ids())} objects)")
+              f"({len(server)} objects)")
         print(f"proxy:  http://{proxy.host}:{proxy.port}/ "
               f"({protocol.name}, {mode.value} mode)")
         print("control endpoints under /.well-known/repro/ "

@@ -10,8 +10,8 @@ to :mod:`repro.core.simulator`, which remains the oracle reference.
 The equivalence contract (what "byte-identical" covers, and how it is
 enforced) is documented in docs/FASTPATH.md; docs/PERFORMANCE.md shows
 the measured speedups.  Engine selection (``--engine fast|reference``,
-``REPRO_ENGINE``) and automatic reference fallback live in
-:mod:`repro.fastpath.dispatch`.
+``REPRO_ENGINE``) and the refusal of configurations outside the
+compiled subset live in :mod:`repro.fastpath.dispatch`.
 """
 
 from repro.fastpath.arrays import (

@@ -8,15 +8,15 @@ Three public seams live here:
   ``REPRO_ENGINE`` environment variable so forked *and* spawned sweep
   workers agree with the parent), then the environment variable, then
   the default — **fast**.
-* :func:`unsupported_reason` — the fallback predicate.  The fast path
+* :func:`unsupported_reason` — the refusal predicate.  The fast path
   refuses, rather than approximates, any configuration outside its
-  compiled subset; the reason string is what diagnostics and docs show.
+  compiled subset; the reason string is what the refusal carries.
 * :func:`engine_simulate` — the drop-in used by
-  :func:`repro.verify.checked_simulate`: routes to
-  :func:`fast_simulate` when the fast engine is selected and supported,
-  and to the reference :func:`repro.core.simulator.simulate` otherwise.
+  :func:`repro.verify.checked_simulate`: :func:`fast_simulate` when the
+  fast engine is selected, the reference
+  :func:`repro.core.simulator.simulate` when the reference one is.
 
-Automatic fallback to the reference engine happens for:
+The fast engine refuses, with :class:`UnsupportedFastPathError`:
 
 * a protocol whose class :func:`repro.fastpath.specialise.specialise`
   refuses — any class whose ``is_fresh`` / ``on_stored`` /
@@ -25,16 +25,9 @@ Automatic fallback to the reference engine happens for:
 * a caller-supplied ``cache`` that is pre-seeded, or whose replacement
   policy is not the built-in LRU, ``LRUPolicy`` or ``FIFOPolicy``.
 
-A ``faults`` plan does not: its schedule is compiled to index-keyed
-columns, memoised per server
-(:func:`repro.fastpath.arrays.compile_schedule`), and replayed by the
-kernel's action cursor under any compiled protocol — the TTL family,
-which takes no callbacks, sees the plan's crashes only.  Nor do the
-eager invalidation variants: the push is part of the same cursor.  Nor
-does ``SelfTuningProtocol``: its per-type thresholds are per-run tables.
-Nor does an empty caller-supplied cache, bounded or not: the kernel
-specialised to keep one (insertion or recency order) evicts as it does
-and leaves it as the reference would.
+Such a configuration runs under ``engine="reference"`` only.  Fault
+plans, the eager variants, ``SelfTuningProtocol`` and an empty caller
+cache all compile (docs/FASTPATH.md, "Refusals").
 """
 
 from __future__ import annotations
@@ -77,8 +70,7 @@ _engine_override: Optional[str] = None
 
 class UnsupportedFastPathError(ValueError):
     """Raised by :func:`fast_simulate` for configurations outside the
-    compiled subset (callers normally pre-check via
-    :func:`unsupported_reason` instead)."""
+    compiled subset; the message carries :func:`unsupported_reason`."""
 
 
 def _validated(engine: str) -> str:
@@ -233,8 +225,8 @@ def unsupported_reason(
 ) -> Optional[str]:
     """Why the fast path cannot run this configuration (None = it can).
 
-    This is the fallback predicate :func:`engine_simulate` consults; the
-    strings are stable enough to show in diagnostics and tests.  It
+    The strings are what :class:`UnsupportedFastPathError` carries and
+    are stable enough to show in diagnostics and tests.  It
     takes the whole configuration, but a ``faults`` plan is never a
     reason: every compiled protocol replays one.  A caller-supplied
     ``cache`` is one only when it is pre-seeded or its replacement
@@ -268,7 +260,7 @@ def fast_simulate(
     observer: Optional[EventObserver] = None,
     cache: Optional[Cache] = None,
 ) -> SimulationResult:
-    """Run one simulation on the fast path (no fallback).
+    """Run one simulation on the fast path.
 
     Byte-identical to :func:`repro.core.simulator.simulate` for every
     supported configuration — counters, ledger cells, the observer event
@@ -288,7 +280,7 @@ def fast_simulate(
             f"fast path cannot run this configuration: {reason}"
         )
     started = obs_clock.monotonic()
-    # Observability without fallback: an active sink gets the observer
+    # Observability on the kernel: an active sink gets the observer
     # event stream through a recording tee (the stream is contract-
     # pinned identical to the reference's), and an active registry gets
     # the run's metrics as one batched flush through the exact merge
@@ -381,28 +373,29 @@ def engine_simulate(
 ) -> SimulationResult:
     """Engine-dispatching drop-in for ``simulate``.
 
-    Runs the fast path when the resolved engine is ``fast`` and the
-    configuration is supported, falling back to the reference simulator
-    otherwise (and always under ``--engine reference``).  Output is
+    Runs :func:`fast_simulate` when the resolved engine is ``fast`` and
+    the reference simulator when it is ``reference``.  Output is
     byte-identical either way; only throughput differs.
+
+    Raises:
+        UnsupportedFastPathError: under the fast engine, for a
+            configuration outside the compiled subset (see
+            :func:`unsupported_reason`).
     """
     if resolve_engine(engine) == FAST:
-        reason = unsupported_reason(protocol, cache=cache, faults=faults)
-        if reason is None:
-            return fast_simulate(
-                server,
-                protocol,
-                requests,
-                mode,
-                costs=costs,
-                preload=preload,
-                start_time=start_time,
-                end_time=end_time,
-                charge_per_modification=charge_per_modification,
-                faults=faults,
-                cache=cache,
-            )
-        obs_metrics.emit("engine.fastpath_fallbacks")
+        return fast_simulate(
+            server,
+            protocol,
+            requests,
+            mode,
+            costs=costs,
+            preload=preload,
+            start_time=start_time,
+            end_time=end_time,
+            charge_per_modification=charge_per_modification,
+            faults=faults,
+            cache=cache,
+        )
     return simulate(
         server,
         protocol,

@@ -65,9 +65,9 @@ everything due has been delivered.
 
 Anything this kernel does not model (a protocol method outside the
 specialiser's closed subset, a pre-seeded cache, an LFU / SIZE / custom
-replacement policy) is refused upstream by
-:func:`repro.fastpath.dispatch.unsupported_reason` and routed to the
-reference engine — the kernel never approximates.
+replacement policy) is refused upstream with the reason
+:func:`repro.fastpath.dispatch.unsupported_reason` gives — the kernel
+never approximates.
 """
 
 from __future__ import annotations

@@ -31,13 +31,7 @@ adding checkers.
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import LintResult, check_project, run_lint
 from repro.lint.project import ModuleInfo, Project, load_project
-from repro.lint.registry import (
-    Checker,
-    all_checkers,
-    checker_codes,
-    get_checker,
-    register,
-)
+from repro.lint.registry import Checker, all_checkers, register
 
 __all__ = [
     "Checker",
@@ -47,8 +41,6 @@ __all__ = [
     "Project",
     "all_checkers",
     "check_project",
-    "checker_codes",
-    "get_checker",
     "load_project",
     "register",
     "run_lint",

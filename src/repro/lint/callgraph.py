@@ -85,7 +85,6 @@ class CallGraph:
         self.symbols = symbols
         self.functions: dict[str, FunctionInfo] = {}
         self._edges: dict[str, list[CallSite]] = {}
-        self._rev: dict[str, list[CallSite]] = {}
         for module in project.modules:
             for qualname, node in symbols.functions_in(module).items():
                 ref = f"{module.name}::{qualname}"
@@ -102,19 +101,8 @@ class CallGraph:
                 )
         for info in self.functions.values():
             self._edges[info.ref] = list(self._resolve_calls(info))
-        for edges in self._edges.values():
-            for edge in edges:
-                self._rev.setdefault(edge.callee, []).append(edge)
 
     # -- queries -------------------------------------------------------------
-
-    def callees(self, ref: str) -> list[CallSite]:
-        """Outgoing resolved call sites of ``ref``."""
-        return self._edges.get(ref, [])
-
-    def callers(self, ref: str) -> list[CallSite]:
-        """Incoming resolved call sites targeting ``ref``."""
-        return self._rev.get(ref, [])
 
     def reachable_from(
         self, roots: Iterable[str]

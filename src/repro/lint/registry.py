@@ -89,28 +89,6 @@ def all_checkers() -> list[Checker]:
     return [_REGISTRY[code]() for code in sorted(_REGISTRY)]
 
 
-def checker_codes() -> list[str]:
-    """Every registered code, sorted."""
-    _ensure_loaded()
-    return sorted(_REGISTRY)
-
-
-def get_checker(code: str) -> Checker:
-    """Instantiate the checker registered under ``code``.
-
-    Raises:
-        KeyError: for an unknown code (message lists the valid ones).
-    """
-    _ensure_loaded()
-    try:
-        return _REGISTRY[code.upper()]()
-    except KeyError:
-        raise KeyError(
-            f"unknown checker code {code!r}; valid codes: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
 def iter_registry() -> Iterator[tuple[str, Type[Checker]]]:
     """(code, class) pairs, sorted by code."""
     _ensure_loaded()

@@ -67,7 +67,6 @@ METRIC_NAMES: tuple[str, ...] = (
     "engine.pool_restarts",
     "engine.serial_fallback_tasks",
     "engine.fastpath_runs",
-    "engine.fastpath_fallbacks",
     "fastpath.metrics_flush",
     "verify.runs",
     # -- live origin/proxy mode (repro.live) ----------------------------

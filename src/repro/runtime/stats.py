@@ -46,8 +46,8 @@ class RunStats:
             ``repro.verify`` consistency oracle (0 when verification was
             off for the run).
         engine: the resolved simulator engine the run selected —
-            ``"fast"`` (the :mod:`repro.fastpath` batched kernel, with
-            automatic reference fallback per configuration) or
+            ``"fast"`` (the :mod:`repro.fastpath` batched kernel, which
+            refuses configurations outside its compiled subset) or
             ``"reference"`` (:mod:`repro.core.simulator` throughout).
     """
 

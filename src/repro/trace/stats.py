@@ -62,13 +62,6 @@ class MutabilityStats:
             round(self.pct_very_mutable, 2),
         )
 
-    @property
-    def daily_change_probability(self) -> Optional[float]:
-        """Average per-file per-day change probability — only computable
-        when the window length is attached externally; see
-        :func:`daily_change_probability`."""
-        return None
-
 
 def daily_change_probability(
     total_changes: int, files: int, window_days: float

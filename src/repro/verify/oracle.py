@@ -12,10 +12,9 @@ compares:
   (control bytes, body bytes, exchange counts, per category).
 
 Both comparisons are :mod:`repro.core.results`'s — the one exact differ
-(``==``, floats included) every leg calls.  When the fast path supports
-the configuration, the oracle also replays the run through
-:mod:`repro.fastpath` and holds it to the same standard (see
-:func:`_check_fastpath`).
+(``==``, floats included) every leg calls.  The oracle also replays the
+run through :mod:`repro.fastpath` and holds it to the same standard
+(see :func:`_check_fastpath`).
 
 Any divergence raises :class:`ConsistencyViolation` carrying the full
 diff.  :func:`checked_simulate` is the drop-in used by the experiment
@@ -47,12 +46,7 @@ from repro.core.protocols.base import ConsistencyProtocol
 from repro.core.results import SimulationResult, diff_events, diff_results
 from repro.core.server import OriginServer
 from repro.core.simulator import Simulation, SimulatorMode
-from repro.fastpath import (
-    diff_metrics,
-    engine_simulate,
-    fast_simulate,
-    unsupported_reason,
-)
+from repro.fastpath import diff_metrics, engine_simulate, fast_simulate
 from repro.faults.plan import FaultPlan
 from repro.obs import clock as obs_clock
 from repro.obs import registry as obs_metrics
@@ -200,18 +194,16 @@ def _check_fastpath(
     the primary run (costs, preload, start time, charging policy, fault
     plan), forwarded whole to the replay.
 
-    This is the third leg of the oracle: when :mod:`repro.fastpath`
-    supports the configuration, the same run executes on the compiled
-    arrays and must match the reference counter-for-counter,
-    ledger-cell-for-ledger-cell, and event-for-event — *exactly* (no
-    float tolerance; the contract in docs/FASTPATH.md) — and the
-    protocol state it leaves (``state_snapshot``) must be the reference
-    run's.  Fault plans, the eager variants and the self-tuning protocol
+    This is the third leg of the oracle: the same run executes on the
+    compiled arrays of :mod:`repro.fastpath` and must match the
+    reference counter-for-counter, ledger-cell-for-ledger-cell, and
+    event-for-event — *exactly* (no float tolerance; the contract in
+    docs/FASTPATH.md) — and the protocol state it leaves
+    (``state_snapshot``) must be the reference run's.  Fault plans, the eager variants and the self-tuning protocol
     are covered: the kernel replays the plan's own compiled schedule and
-    the protocol's per-type tables.  Unsupported configurations are
-    skipped: there the fast path would have fallen back to the very
-    simulator being verified.  Divergences are labelled ``fastpath.*``
-    in the report.
+    the protocol's per-type tables.  Every class with a spec rule
+    compiles, so the leg always runs.  Divergences are labelled
+    ``fastpath.*`` in the report.
 
     The metrics-equivalence clause rides along: the fast replay runs
     under a fresh registry (so the kernel's batched flush lands there),
@@ -228,8 +220,6 @@ def _check_fastpath(
     reference run started, not where it ended.  ``protocol`` is the
     reference run's instance, after that run.
     """
-    if unsupported_reason(fresh_protocol, faults=config["faults"]) is not None:
-        return
     fast_events: list[tuple[str, float, str]] = []
     fast_registry = obs_metrics.MetricsRegistry()
     previous_sink = obs_trace.install(None)

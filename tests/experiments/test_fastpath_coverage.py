@@ -1,13 +1,13 @@
-"""The zero-fallback gate (ROADMAP item 5(a), "asserted in CI").
+"""What the fast engine runs, and what it refuses.
 
 Every registered experiment runs its simulations through
-``engine_simulate``, so under the fast engine no experiment may record a
-single ``engine.fastpath_fallbacks``: fault plans (``ext-faults``) and
-eager pushes (``ext-latency``) included.  Nor may any shipped protocol
-with any cache the kernel keeps: none, ``Cache()``, or a bounded one
-under the built-in LRU, ``LRUPolicy`` or ``FIFOPolicy``.  What still
-falls back is pinned here by its reason string — the list the deletion
-of the fallback (ROADMAP item 5(b)) works against.
+``engine_simulate``, so under the fast engine every one of them must run
+on the kernel: fault plans (``ext-faults``) and eager pushes
+(``ext-latency``) included.  So must any shipped protocol with any cache
+the kernel keeps: none, ``Cache()``, or a bounded one under the built-in
+LRU, ``LRUPolicy`` or ``FIFOPolicy``.  What the fast engine refuses is
+pinned here by its reason string: it raises ``UnsupportedFastPathError``
+carrying that reason, and only ``engine="reference"`` runs it.
 """
 
 from __future__ import annotations
@@ -17,9 +17,18 @@ import pytest
 from repro.core.cache import Cache, CacheEntry
 from repro.core.protocols.factory import PROTOCOLS, build_protocol
 from repro.core.replacement import FIFOPolicy, LFUPolicy, LRUPolicy, SizePolicy
+from repro.core.simulator import simulate
 from repro.experiments import common
 from repro.experiments.registry import all_ids, run_experiment
-from repro.fastpath import FAST, engine_simulate, resolve_engine, unsupported_reason
+from repro.fastpath import (
+    FAST,
+    REFERENCE,
+    UnsupportedFastPathError,
+    diff_results,
+    engine_simulate,
+    resolve_engine,
+    unsupported_reason,
+)
 from repro.obs import registry as obs_registry
 from repro.workload.worrell import WorrellWorkload
 
@@ -56,36 +65,63 @@ def test_no_shipped_protocol_falls_back_under_any_kept_cache(
             end_time=workload.duration, cache=make_cache(capacity),
             engine=FAST,
         )
-    counters = registry.as_dict()["counters"]
-    assert counters.get("engine.fastpath_fallbacks", 0.0) == 0.0
-    assert counters["engine.fastpath_runs"] == 1.0
+    assert registry.as_dict()["counters"]["engine.fastpath_runs"] == 1.0
 
 
-def test_what_still_falls_back_is_pinned():
-    class CustomLRU(LRUPolicy):
-        pass
+class CustomLRU(LRUPolicy):
+    pass
 
-    seeded = Cache()
-    seeded.store(CacheEntry("/a", 0, 10, "html", 0.0, 0.0, 0.0))
+
+def _seeded(capacity):
+    cache = Cache()
+    cache.store(CacheEntry("/a", 0, 10, "html", 0.0, 0.0, 0.0))
+    return cache
+
+
+#: Each refused cache, by its capacity, with its reason string.
+REFUSED = [
+    (lambda capacity: Cache(capacity, LFUPolicy()),
+     "caller-supplied cache uses LFUPolicy, which has no compiled "
+     "replacement"),
+    (lambda capacity: Cache(capacity, SizePolicy()),
+     "caller-supplied cache uses SizePolicy, which has no compiled "
+     "replacement"),
+    (lambda capacity: Cache(capacity, CustomLRU()),
+     "caller-supplied cache uses CustomLRU, which has no compiled "
+     "replacement"),
+    (_seeded, "caller-supplied cache is pre-seeded (not empty at call time)"),
+]
+
+
+@pytest.mark.parametrize(
+    "make_cache,reason", REFUSED, ids=["lfu", "size", "custom", "seeded"]
+)
+def test_what_is_refused_is_pinned(workload, make_cache, reason):
+    capacity = sum(history.obj.size for history in workload.histories) // 2
     protocol = build_protocol("alex", 10.0)
-    assert [
-        unsupported_reason(protocol, cache=cache)
-        for cache in (Cache(1000, LFUPolicy()), Cache(1000, SizePolicy()),
-                      Cache(1000, CustomLRU()), seeded)
-    ] == [
-        "caller-supplied cache uses LFUPolicy, which has no compiled "
-        "replacement",
-        "caller-supplied cache uses SizePolicy, which has no compiled "
-        "replacement",
-        "caller-supplied cache uses CustomLRU, which has no compiled "
-        "replacement",
-        "caller-supplied cache is pre-seeded (not empty at call time)",
-    ]
+    assert unsupported_reason(protocol, cache=make_cache(capacity)) == reason
+    with pytest.raises(UnsupportedFastPathError) as refused:
+        engine_simulate(
+            workload.server(), build_protocol("alex", 10.0),
+            workload.requests, end_time=workload.duration,
+            cache=make_cache(capacity), engine=FAST,
+        )
+    assert reason in str(refused.value)
+    dispatched = engine_simulate(
+        workload.server(), build_protocol("alex", 10.0), workload.requests,
+        end_time=workload.duration, cache=make_cache(capacity),
+        engine=REFERENCE,
+    )
+    expected = simulate(
+        workload.server(), build_protocol("alex", 10.0), workload.requests,
+        end_time=workload.duration, cache=make_cache(capacity),
+    )
+    assert diff_results(dispatched, expected) == []
 
 
 def test_no_experiment_falls_back_to_the_reference_engine():
+    # A refused configuration would raise here instead of running.
     fast_runs = 0.0
-    fell_back = {}
     common.clear_caches()
     try:
         for experiment_id in all_ids():
@@ -94,13 +130,9 @@ def test_no_experiment_falls_back_to_the_reference_engine():
                 run_experiment(experiment_id, scale=0.02, seed=0, workers=1)
             counters = registry.as_dict()["counters"]
             fast_runs += counters.get("engine.fastpath_runs", 0.0)
-            if "engine.fastpath_fallbacks" in counters:
-                fell_back[experiment_id] = counters["engine.fastpath_fallbacks"]
     finally:
         common.clear_caches()
-    assert fell_back == {}
     if resolve_engine() == FAST:
         assert fast_runs > 0
     else:
-        # The reference leg never consults the fallback predicate.
         assert fast_runs == 0

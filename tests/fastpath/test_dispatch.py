@@ -1,4 +1,4 @@
-"""Engine selection, the fallback predicate, and dispatch equality."""
+"""Engine selection, the refusal predicate, and dispatch equality."""
 
 from __future__ import annotations
 
@@ -87,8 +87,8 @@ class TestUnsupportedReason:
         assert unsupported_reason(InvalidationProtocol()) is None
 
     def test_cache_and_adaptive_fall_back(self):
-        # The self-tuning protocol and empty caches compile; what falls
-        # back is a pre-seeded cache or a policy with no compiled
+        # The self-tuning protocol and empty caches compile; what is
+        # refused is a pre-seeded cache or a policy with no compiled
         # replacement.
         assert unsupported_reason(SelfTuningProtocol()) is None
         for cache in (Cache(), Cache(10_000), Cache(10_000, LRUPolicy()),
@@ -113,7 +113,7 @@ class TestUnsupportedReason:
         ):
             assert unsupported_reason(protocol) is None
             assert unsupported_reason(protocol, faults=plan) is None
-        # Only the documented fallbacks outrank a plan.
+        # Only the documented refusals outrank a plan.
         assert unsupported_reason(SelfTuningProtocol(), faults=plan) is None
         assert "no compiled replacement" in unsupported_reason(
             InvalidationProtocol(), cache=Cache(10_000, SizePolicy()),
@@ -175,9 +175,12 @@ class TestEngineSimulate:
         )
         assert diff_results(result, reference) == []
 
-    def test_fallback_runs_match_reference(self, changing_server):
+    def test_refused_runs_raise_and_match_on_the_reference(
+        self, changing_server
+    ):
         """The remaining reasons: a pre-seeded cache, and a policy with no
-        compiled replacement (LFU, SIZE, anything custom)."""
+        compiled replacement (LFU, SIZE, anything custom).  The fast
+        engine refuses them with the reason; the reference runs them."""
         set_engine("fast")
         requests = [(days(0.5), "/hot"), (days(1.5), "/hot")]
 
@@ -195,18 +198,25 @@ class TestEngineSimulate:
             (SelfTuningProtocol, lambda: {"cache": Cache(5000, SizePolicy())}),
             (InvalidationProtocol, lambda: {"cache": Cache(5000, CustomLRU())}),
         ):
+            reason = unsupported_reason(make_protocol(), **kwargs())
+            assert reason is not None
             with obs_registry.installed(obs_registry.MetricsRegistry()) as reg:
-                dispatched = engine_simulate(
-                    changing_server, make_protocol(), requests,
-                    end_time=days(3.0), **kwargs(),
-                )
+                with pytest.raises(UnsupportedFastPathError) as refused:
+                    engine_simulate(
+                        changing_server, make_protocol(), requests,
+                        end_time=days(3.0), **kwargs(),
+                    )
+            assert reason in str(refused.value)
+            assert reg.counter("engine.fastpath_runs").value == 0.0
+            dispatched = engine_simulate(
+                changing_server, make_protocol(), requests,
+                end_time=days(3.0), engine="reference", **kwargs(),
+            )
             expected = simulate(
                 changing_server, make_protocol(), requests,
                 end_time=days(3.0), **kwargs(),
             )
             assert diff_results(dispatched, expected) == []
-            assert reg.counter("engine.fastpath_fallbacks").value == 1.0
-            assert reg.counter("engine.fastpath_runs").value == 0.0
 
     def test_faults_and_eager_run_on_the_fast_engine(self, changing_server):
         set_engine("fast")
@@ -231,7 +241,6 @@ class TestEngineSimulate:
             )
             assert diff_results(dispatched, expected) == []
             assert reg.counter("engine.fastpath_runs").value == 1.0
-            assert reg.counter("engine.fastpath_fallbacks").value == 0.0
 
     def test_self_tuning_and_caches_run_on_the_fast_engine(
         self, changing_server
@@ -260,7 +269,6 @@ class TestEngineSimulate:
             )
             assert diff_results(dispatched, expected) == []
             assert reg.counter("engine.fastpath_runs").value == 1.0
-            assert reg.counter("engine.fastpath_fallbacks").value == 0.0
             if fast_cache is not None:
                 assert [e.object_id for e in fast_cache] == [
                     e.object_id for e in reference_cache]
@@ -280,7 +288,6 @@ class TestEngineSimulate:
             )
         finally:
             obs_registry.install(previous)
-        assert registry.counter("engine.fastpath_fallbacks").value == 0.0
         assert registry.counter("engine.fastpath_runs").value == 1.0
         assert registry.counter("fastpath.metrics_flush").value == 1.0
         assert registry.counter("cache.stores").value > 0.0

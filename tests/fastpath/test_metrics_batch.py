@@ -4,7 +4,7 @@ PR 6 made the fast engine step aside whenever a metrics registry or
 trace sink was active.  The kernel now tallies the same publications in
 flat locals and flushes them once per run through the registry's exact
 Shewchuk merge path, so with observability on the fast engine must (a)
-actually run — zero ``engine.fastpath_fallbacks`` — and (b) leave the
+actually run — one ``engine.fastpath_runs`` per run — and (b) leave the
 registry byte-identical to one the reference loop filled observation by
 observation (``contract.diff_metrics``; the docs/FASTPATH.md
 metrics-equivalence rule).
@@ -206,7 +206,6 @@ class TestDispatchStaysFast:
                 workload.server(), make_protocol(), workload.requests,
                 end_time=workload.duration,
             )
-        assert registry.counter("engine.fastpath_fallbacks").value == 0.0
         assert registry.counter("engine.fastpath_runs").value == 1.0
 
     def test_no_fallback_with_sink_active(self, workload):
@@ -222,7 +221,7 @@ class TestDispatchStaysFast:
                 workload.server(), TTLProtocol(hours(24)),
                 workload.requests, end_time=workload.duration,
             )
-        assert registry.counter("engine.fastpath_fallbacks").value == 0.0
+        assert registry.counter("engine.fastpath_runs").value == 1.0
         assert sink.events()  # the kernel's stream reached the sink
 
 

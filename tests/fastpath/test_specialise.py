@@ -165,7 +165,6 @@ class TestOneClass:
                 mixed_workload.requests, end_time=mixed_workload.duration,
             )
         assert reg.counter("engine.fastpath_runs").value == 1.0
-        assert reg.counter("engine.fastpath_fallbacks").value == 0.0
 
     @pytest.mark.parametrize(
         "name,make_protocol", LOCAL_PROTOCOLS,
@@ -310,17 +309,22 @@ class TestRefusals:
             fast_simulate(server, make_protocol(), mixed_workload.requests)
         set_engine("fast")
         with obs_registry.installed(obs_registry.MetricsRegistry()) as reg:
-            dispatched = engine_simulate(
-                server, make_protocol(), mixed_workload.requests,
-                end_time=mixed_workload.duration,
-            )
+            with pytest.raises(UnsupportedFastPathError) as refused:
+                engine_simulate(
+                    server, make_protocol(), mixed_workload.requests,
+                    end_time=mixed_workload.duration,
+                )
+        assert reason in str(refused.value)
+        assert reg.counter("engine.fastpath_runs").value == 0.0
+        dispatched = engine_simulate(
+            server, make_protocol(), mixed_workload.requests,
+            end_time=mixed_workload.duration, engine="reference",
+        )
         expected = simulate(
             server, make_protocol(), mixed_workload.requests,
             end_time=mixed_workload.duration,
         )
         assert diff_results(dispatched, expected) == []
-        assert reg.counter("engine.fastpath_fallbacks").value == 1.0
-        assert reg.counter("engine.fastpath_runs").value == 0.0
 
     def test_what_varies_per_instance_is_checked_per_instance(self):
         # The kernel is per class; an instance it would misrepresent is

@@ -19,7 +19,7 @@ from repro.lint.project import (
     module_name_for,
     parse_noqa,
 )
-from repro.lint.registry import all_checkers, checker_codes
+from repro.lint.registry import all_checkers
 
 BAD_CORE = (
     "import random\n"
@@ -41,8 +41,8 @@ class TestRegistry:
     def test_all_checkers_registered(self):
         # RPR003, RPR004, RPR006, RPR008 and RPR009 are retired; ids
         # are never reused.
-        assert checker_codes() == ["RPR001", "RPR002", "RPR005", "RPR007"]
-        assert len(all_checkers()) == 4
+        assert [checker.code for checker in all_checkers()] == [
+            "RPR001", "RPR002", "RPR005", "RPR007"]
 
     def test_unknown_select_code_raises(self):
         project = Project([])

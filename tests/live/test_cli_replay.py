@@ -1,4 +1,4 @@
-"""End-to-end tests for ``repro replay`` (and ``repro serve`` parsing).
+"""End-to-end tests for ``repro replay`` and ``repro serve``.
 
 The replay command is the entry point of the CI live gate (``make live``): synthesize a
 trace, replay it through real sockets, and (with ``--verify``) require
@@ -6,8 +6,16 @@ exact agreement with the simulator.  These tests run the real command
 functions against a reduced synthesized trace.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -115,3 +123,41 @@ class TestServeParsing:
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", str(trace_path), "--protocol", "bogus"])
         assert excinfo.value.code == 2
+
+
+class TestServe:
+    def test_serve_boots_answers_and_stops_on_interrupt(self, trace_path):
+        """The one command that runs until interrupted, run as a user
+        runs it: it prints both addresses, the proxy answers its stats
+        endpoint, and Ctrl-C stops it with status 0."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve",
+             str(trace_path), "--origin-port", "0", "--proxy-port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+            # A shell's background job starts with SIGINT ignored;
+            # Ctrl-C is what is under test, so the child gets it back.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            origin = proc.stdout.readline()
+            proxy = proc.stdout.readline()
+            assert origin.startswith("origin: http://127.0.0.1:"), origin
+            assert origin.rstrip().endswith(" objects)"), origin
+            assert proxy.startswith("proxy:  http://127.0.0.1:"), proxy
+            url = proxy.split()[1] + ".well-known/repro/stats"
+            with urllib.request.urlopen(url, timeout=10) as reply:
+                assert reply.status == 200
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                _, err = proc.communicate(timeout=30)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                _, err = proc.communicate()
+        assert proc.returncode == 0, err
+        assert "stopped" in err
