@@ -270,9 +270,9 @@ def write_back(
     replacement order through the cache's own methods, so its entry
     order, byte count and policy bookkeeping come out as the run's
     stores and lookups left them: a lookup reorders nothing but an LRU
-    cache (built in or ``LRUPolicy``).  Nothing is published — the run's
-    metrics were flushed already — and everything fits, so nothing is
-    evicted twice.
+    cache (built in or ``LRUPolicy``).  Nothing is published — the
+    kernel publishes the run's metrics itself, after this — and
+    everything fits, so nothing is evicted twice.
     """
     ids = compiled.ids
     resident = list(order)

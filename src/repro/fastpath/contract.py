@@ -44,9 +44,9 @@ def diff_metrics(
 
     ``fast`` and ``reference`` are
     :meth:`~repro.obs.registry.MetricsRegistry.as_dict` dumps of two
-    registries that each scoped one run — the kernel's batched flush on
-    one side, the reference loop's per-observation publication on the
-    other.  Equality is *byte* equality of the JSON serialization
+    registries that each scoped one run — the totals and samples the
+    kernel publishes once its run is over on one side, the reference
+    loop's per-observation publication on the other.  Equality is *byte* equality of the JSON serialization
     (so ``-0.0`` vs ``0.0`` or a missing lazily-created key counts as a
     divergence), after dropping :data:`ENGINE_METRIC_PREFIXES` names.
     """

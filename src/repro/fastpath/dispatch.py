@@ -50,7 +50,7 @@ from repro.fastpath.arrays import (
     encode_requests,
     initial_state,
 )
-from repro.fastpath.kernels import Kernel, MetricsBatch, run_kernel
+from repro.fastpath.kernels import Kernel, run_kernel
 from repro.fastpath.specialise import specialise
 from repro.obs import clock as obs_clock
 from repro.obs import profile as obs_profile
@@ -282,16 +282,14 @@ def fast_simulate(
     started = obs_clock.monotonic()
     # Observability on the kernel: an active sink gets the observer
     # event stream through a recording tee (the stream is contract-
-    # pinned identical to the reference's), and an active registry gets
-    # the run's metrics as one batched flush through the exact merge
-    # path — byte-equal totals, enforced by ``contract.diff_metrics``.
+    # pinned identical to the reference's); an active registry gets the
+    # run's metrics from the kernel itself, after the run — byte-equal
+    # totals, enforced by ``contract.diff_metrics``.
     sink = obs_trace.active()
-    registry = obs_metrics.active()
     kernel_observer = (
         obs_trace.sink_observer(sink, observer) if sink is not None
         else observer
     )
-    batch = MetricsBatch() if registry is not None else None
     with obs_profile.phase("fastpath.compile"):
         compiled = compile_server(server)
         req_times, req_objs = encode_requests(compiled, requests, start_time)
@@ -335,7 +333,6 @@ def fast_simulate(
             protocol_name=protocol.name,
             mode_value=mode.value,
             observer=kernel_observer,
-            batch=batch,
             schedule=schedule,
             eager=bool(getattr(protocol, "eager", False)),
             cache=cache,
@@ -343,9 +340,7 @@ def fast_simulate(
     for source, table in zip(sources, tables):
         for k, value in table.items():
             source[types[k]] = value
-    if batch is not None and registry is not None:
-        batch.flush(registry)
-        obs_metrics.emit("fastpath.metrics_flush")
+    obs_metrics.emit("fastpath.metrics_flush")
     obs_metrics.emit("engine.fastpath_runs")
     obs_trace.span(
         "fastpath.run",

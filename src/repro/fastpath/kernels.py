@@ -3,8 +3,8 @@
 This module is the fast path's inner loop.  It replays exactly the
 reference :class:`repro.core.simulator.Simulation` semantics — the same
 branch structure, the same arithmetic *expressions* in the same
-evaluation order (so float results are bit-identical), the same charge
-and counter increments, and the same observer event stream — but over
+evaluation order (so float results are bit-identical), the same
+charges and counters, and the same observer event stream — but over
 the parallel arrays of :mod:`repro.fastpath.arrays` instead of the
 object graph, with every hot name bound to a local.
 
@@ -16,8 +16,8 @@ with that class's own methods lowered onto the state arrays: the
 arithmetic a specialised kernel evaluates is the protocol's own
 expression tree, a ``dict`` attribute keyed by file type included (a
 per-run table, bound by the :func:`bind` hole).  Every not-fresh
-request — cold miss, base-mode refetch, 304, 200 — charges its own
-ledger cells and then falls through one store tail that re-stamps the
+request — cold miss, base-mode refetch, 304, 200 — counts itself in
+its own tally and then falls through one store tail that re-stamps the
 entry, so ``on_stored`` has one hole per place an entry is stored: the
 preload prologue, the store tail and the eager push; the tail's 304 /
 200 then reach ``on_validation_result``.  Calling ``run_kernel(...,
@@ -31,11 +31,19 @@ capacity, evictions and crashes, written back into it after the run —
 costs nothing in a kernel that keeps none.  Three of them are facts of
 the run, not of the class: whether an observer is attached, whether
 anything is delivered, and whether the run skips its hit runs.  The
-call decides them, from its own ``observer``, ``schedule``, ``batch``
-and stream: an unobserved run that delivers nothing runs a variant with
-no event calls and no action cursor.
+call decides them, from its own ``observer``, ``schedule`` and stream
+and the active metrics registry: an unobserved run that delivers nothing
+runs a variant with no event calls and no action cursor.
 
-Such a run that also keeps no cache, tunes nothing, batches no metrics,
+The loop keeps one tally per independent quantity — fresh and stale
+hits, stored misses, dynamic fetches, 304s, 200s, prefetches, notices
+sent and received, the bytes of each body that moves — and the 13
+counters and 15 ledger cells are built from them once, after it.  Under
+an active metrics registry the run then publishes what the reference
+engine publishes as it goes: whole-run counters, and the samples of its
+three histograms, kept in request order.
+
+Such a run that also keeps no cache, tunes nothing, publishes no metrics,
 reads a stream whose origin changes rarely and has a class whose
 ``is_fresh`` is proved monotone in ``now`` *skips*: it takes the stream
 by object (:func:`repro.fastpath.arrays.stream_view`) and jumps over
@@ -108,8 +116,7 @@ from repro.faults.plan import (
     DROP,
     ActionColumns,
 )
-from repro.obs.names import DEFAULT_BINS, HISTOGRAM_BINS
-from repro.obs.registry import MetricsRegistry, _accumulate
+from repro.obs import registry as obs_metrics
 
 #: :func:`run_kernel` with its holes filled, the run facts included,
 #: called with ``run_kernel``'s own arguments.
@@ -121,76 +128,17 @@ _V = TypeVar("_V", bound=Variant)
 Kernel = Callable[[bool, bool, bool], Variant]
 
 #: The one histogram a lowered ``on_stored`` may observe; the template
-#: tallies it in its ``rw_*`` locals.
+#: keeps its samples in ``rw_values``.
 REFRESH_WINDOW = "protocol.refresh_window_seconds"
 
 _INFINITY = float("inf")
 
 
-def _bins(name: str) -> tuple[float, ...]:
-    return HISTOGRAM_BINS.get(name, DEFAULT_BINS)
-
-
-class MetricsBatch:
-    """Per-run metric deltas, accumulated flat and flushed once.
-
-    The reference loop publishes ``cache.*`` / ``server.*`` / ``sim.*``
-    metrics from inside the hot path; the kernel instead tallies the
-    same increments and observations into plain locals during the fused
-    loop and lands them here.  :meth:`flush` applies the whole run as a
-    single :meth:`~repro.obs.registry.MetricsRegistry.merge` payload —
-    counters as whole-run totals (n unit increments sum to exactly
-    ``float(n)``), histograms as ``(bounds, bucket counts, Shewchuk
-    partials, count)``, the exact shape
-    :meth:`~repro.obs.registry.MetricsRegistry.delta` produces — so the
-    merged registry is byte-identical to one the reference engine filled
-    observation by observation (the docs/FASTPATH.md equivalence rule,
-    enforced by ``contract.diff_metrics``).
-
-    Zero counters and empty histograms are never recorded: lazily
-    created metric keys must match the reference's dump exactly.
-    """
-
-    __slots__ = ("counters", "histograms")
-
-    def __init__(self) -> None:
-        self.counters: dict[str, float] = {}
-        self.histograms: dict[str, Any] = {}
-
-    def count(self, name: str, n: int) -> None:
-        """Record a whole-run counter total (skipped when zero)."""
-        if n:
-            self.counters[name] = float(n)
-
-    def histogram(
-        self,
-        name: str,
-        bounds: tuple[float, ...],
-        bucket_counts: list[int],
-        partials: list[float],
-        count: int,
-    ) -> None:
-        """Record a whole-run histogram delta (skipped when empty)."""
-        if count:
-            self.histograms[name] = (list(bounds), bucket_counts,
-                                     partials, count)
-
-    def flush(self, registry: MetricsRegistry) -> None:
-        """Apply the batched deltas through the exact merge path."""
-        registry.merge(
-            {
-                "counters": self.counters,
-                "gauges": {},
-                "histograms": self.histograms,
-            }
-        )
-
-
 def _runs_kind(template: _V) -> _V:
     """Make ``run_kernel(..., kind=k, ...)`` run ``k``'s variant for this
     call — this template, specialised for one protocol class and the
-    call's own ``observer``, ``schedule``, ``batch`` and stream — on the
-    same arguments."""
+    call's own ``observer``, ``schedule`` and stream, and whether a
+    metrics registry is active — on the same arguments."""
 
     @functools.wraps(template)
     def run_kernel(*args: Any, kind: Kernel, **options: Any) -> SimulationResult:
@@ -201,7 +149,7 @@ def _runs_kind(template: _V) -> _V:
         sparse = 10 * len(compiled.mod_times) <= len(req_times)
         variant = kind(options.get("observer") is not None,
                        options.get("schedule") is not None,
-                       sparse and options.get("batch") is None)
+                       sparse and obs_metrics.active() is None)
         return variant(*args, kind=kind, **options)
 
     return cast(_V, run_kernel)
@@ -244,8 +192,8 @@ def bind(params: Sequence[Any]) -> None:
 #: whether an observer is attached, whether anything is delivered (a
 #: fault schedule, or a class that takes invalidations), and whether it
 #: skips its hit runs — a lean run, none of those nor a cache, tuning or
-#: a metrics batch, over a stream that changes rarely, of a class whose
-#: ``is_fresh`` is proved monotone.
+#: an active metrics registry, over a stream that changes rarely, of a
+#: class whose ``is_fresh`` is proved monotone.
 wants_invalidations = stamps = observes = tunes = caches = touches = False
 observed = delivers = skips = False
 
@@ -272,7 +220,6 @@ def run_kernel(
     protocol_name: str,
     mode_value: str,
     observer: Optional[EventObserver] = None,
-    batch: Optional[MetricsBatch] = None,
     schedule: Optional[ActionColumns[int]] = None,
     eager: bool = False,
     cache: Optional[Cache] = None,
@@ -287,8 +234,8 @@ def run_kernel(
     argument the entry's index, then the method's own; each hole is one
     line).  Lowered code reads the state arrays by their
     :class:`~repro.fastpath.arrays.CacheState` names, a per-type table
-    ``tN`` at ``file_type[i]``, tallies an observed refresh window in the
-    ``rw_*`` locals, and keeps its own locals in names of the form
+    ``tN`` at ``file_type[i]``, appends an observed refresh window to
+    ``rw_values``, and keeps its own locals in names of the form
     ``_x_N``.
 
     ``kind`` and ``p0`` / ``p1`` / ``p2`` are what
@@ -313,11 +260,11 @@ def run_kernel(
     (:func:`repro.fastpath.arrays.compile_schedule`); when None,
     delivery runs off the server's own feed.
 
-    When ``batch`` is given, the loop additionally tallies every metric
-    the reference engine would have published (``cache.stores``,
-    ``server.gets``, ``sim.transfer_bytes``, the ``sim.event.*`` family,
-    ...) into flat locals, landing the totals in the batch for a single
-    post-run flush.
+    Under an active metrics registry the run publishes, once it is
+    over, every metric the reference engine publishes as it goes
+    (``cache.stores``, ``server.gets``, ``sim.transfer_bytes``, the
+    ``sim.event.*`` family, ...): each counter's whole-run total, added
+    once, and each histogram's samples in request order.
 
     Raises:
         ValueError: when ``end_time`` precedes the last request (the
@@ -326,6 +273,7 @@ def run_kernel(
             check the reference ``finish`` runs).
     """
     br = bisect_right
+    bl = bisect_left
     ids = compiled.ids
     sizes = compiled.sizes
     cacheable = compiled.cacheable
@@ -393,56 +341,31 @@ def run_kernel(
         assert observer is not None
         notify = observer
 
-    hits = 0
-    misses = 0
+    # One tally per independent quantity; the counters and the ledger
+    # cells are built from them after the loop.
+    fresh_hits = 0  # is_fresh said yes: the stale ones included
     stale_hits = 0
     stale_age_sum = 0.0
-    validations = 0
-    validations_not_modified = 0
-    full_retrievals = 0
-    invalidations_received = 0
-    prefetches = 0
-    server_gets = 0
-    server_ims_queries = 0
-
-    ctl_full = 0
-    body_full = 0
-    ex_full = 0
-    ctl_304 = 0
+    stored_misses = 0  # cold misses and base-mode refetches
+    dynamic = 0
     ex_304 = 0
-    ctl_200 = 0
-    body_200 = 0
     ex_200 = 0
-    ex_inv = 0
+    prefetches = 0
+    ex_inv = 0  # notices sent
+    invalidations_received = 0
+    body_full = 0  # the bodies of stored misses and dynamic fetches
+    body_200 = 0
     body_pre = 0
+    went_invalid = lost = dropped = recovered = crashes = crash_drops = 0
 
-    # -- batched metric accumulation (leg of docs/FASTPATH.md's
-    # metrics-equivalence rule): tally what the reference engine would
-    # have published, flush once post-run via MetricsBatch.merge.
-    collect = batch is not None
-    bl = bisect_left
-    acc = _accumulate
-    n_dynamic = 0
-    n_store_miss = 0
-    n_went_invalid = 0
-    n_lost = 0
-    n_dropped = 0
-    n_recovered = 0
-    n_crashes = 0
-    n_crash_drops = 0
-    n_preloaded = resident.count(True) if collect else 0
-    tb_bounds = _bins("sim.transfer_bytes")
-    tb_counts = [0] * (len(tb_bounds) + 1)
-    tb_partials: list[float] = []
-    tb_n = 0
-    sa_bounds = _bins("sim.stale_age_seconds")
-    sa_counts = [0] * (len(sa_bounds) + 1)
-    sa_partials: list[float] = []
-    sa_n = 0
-    rw_bounds = _bins(REFRESH_WINDOW)
-    rw_counts = [0] * (len(rw_bounds) + 1)
-    rw_partials: list[float] = []
-    rw_n = 0
+    # What the reference engine publishes as it goes (docs/FASTPATH.md's
+    # metrics-equivalence rule) is published after the run: the counters
+    # from the tallies, the histograms from these samples.
+    collect = obs_metrics.active() is not None
+    preloaded = resident.count(True) if collect else 0
+    tb_values: list[float] = []
+    sa_values: list[float] = []
+    rw_values: list[float] = []
 
     if caches:
         # -- a caller's Cache -----------------------------------------------
@@ -543,12 +466,12 @@ def run_kernel(
                         wiped = resident.count(True)
                         if wiped:
                             resident[:] = [False] * len(resident)
-                            n_crash_drops += wiped
+                            crash_drops += wiped
                         if caches:
                             # Cache.clear: no evictions counted.
                             order.clear()
                             used_bytes = 0
-                        n_crashes += 1
+                        crashes += 1
                         if observed:
                             notify("fault_cache_crash", at, "")
                         continue
@@ -558,7 +481,7 @@ def run_kernel(
                         # Abandoned while the cache still believes the
                         # copy valid: unbounded staleness begins here.
                         if valid[mi]:
-                            n_dropped += 1
+                            dropped += 1
                             if observed:
                                 notify("fault_invalidation_dropped", at,
                                        ids[mi])
@@ -570,7 +493,7 @@ def run_kernel(
                         if valid[mi] or per_modification:
                             ex_inv += 1
                             if act == ATTEMPT_LOST:
-                                n_lost += 1
+                                lost += 1
                                 if observed:
                                     notify("fault_invalidation_lost", at,
                                            ids[mi])
@@ -593,11 +516,11 @@ def run_kernel(
                 # -- the notice arrives -----------------------------------
                 if flips:
                     valid[mi] = False
-                    n_went_invalid += 1
+                    went_invalid += 1
                 if flips or per_modification:
                     invalidations_received += 1
                     if retried:
-                        n_recovered += 1
+                        recovered += 1
                         if observed:
                             notify("fault_invalidation_recovered", at,
                                    ids[mi])
@@ -666,7 +589,7 @@ def run_kernel(
                             if fresh:
                                 break
                             j = bl(r_times, u, k + 1, j)
-                        hits += j - k
+                        fresh_hits += j - k
                         v = version[i]
                         if v < r_versions[j - 1]:
                             # Versions never decrease along an object's rows:
@@ -684,7 +607,7 @@ def run_kernel(
                             js(j)
                         streak = NO_OBJECT
                         continue
-                hits += 1
+                fresh_hits += 1
                 if skips:
                     streak = i
                     streak_t = t
@@ -703,9 +626,7 @@ def run_kernel(
                         # Out of request order here: added at the end.
                         ages[positions[last - left()]] = age_stale
                     if collect:
-                        sa_counts[bl(sa_bounds, age_stale)] += 1
-                        acc(sa_partials, age_stale)
-                        sa_n += 1
+                        sa_values.append(age_stale)
                     if observed:
                         notify("stale_hit", t, ids[i])
                 elif observed:
@@ -724,19 +645,11 @@ def run_kernel(
                 n = ends[i] - (last - left())
                 for jump in (jt, jo, jv, js):
                     jump(ends[i])
-            ctl_full += n * full_control
+            dynamic += n
             body_full += n * sizes[i]
-            ex_full += n
-            full_retrievals += n
-            server_gets += n
-            misses += n
-            n_dynamic += n
             if collect:
-                # One request: a run that skips batches nothing.
-                tb_val = float(sizes[i])
-                tb_counts[bl(tb_bounds, tb_val)] += 1
-                acc(tb_partials, tb_val)
-                tb_n += 1
+                # One request: a run that skips publishes nothing.
+                tb_values.append(float(sizes[i]))
             if observed:
                 notify("dynamic_fetch", t, ids[i])
             continue
@@ -746,46 +659,30 @@ def run_kernel(
         # -- not fresh: one server exchange, then the one store tail ------
         # The origin answers with version ``vt``, Last-Modified ``lm``.
         if refetch:
-            ctl_full += full_control
+            stored_misses += 1
             body_full += sizes[i]
-            ex_full += 1
-            full_retrievals += 1
-            server_gets += 1
-            misses += 1
-            n_store_miss += 1
             body_moved = True
             event = "miss"
+        elif lm <= last_modified[i]:
+            # Optimized simulator: conditional retrieval.  304 Not
+            # Modified: revalidate in place; on_stored below sees the
+            # entry's own Last-Modified.
+            ex_304 += 1
+            lm = last_modified[i]
+            body_moved = False
+            event = "validation_304"
         else:
-            # Optimized simulator: conditional retrieval.
-            validations += 1
-            server_ims_queries += 1
-            if lm <= last_modified[i]:
-                # 304 Not Modified: revalidate in place; on_stored below
-                # sees the entry's own Last-Modified.
-                ctl_304 += full_control
-                ex_304 += 1
-                validations_not_modified += 1
-                hits += 1
-                lm = last_modified[i]
-                body_moved = False
-                event = "validation_304"
-            else:
-                # 200: body moves; store the new version.
-                ctl_200 += full_control
-                body_200 += sizes[i]
-                ex_200 += 1
-                misses += 1
-                body_moved = True
-                event = "validation_200"
+            # 200: body moves; store the new version.
+            ex_200 += 1
+            body_200 += sizes[i]
+            body_moved = True
+            event = "validation_200"
 
         if body_moved:
             version[i] = vt
             last_modified[i] = lm
             if collect:
-                tb_val = float(sizes[i])
-                tb_counts[bl(tb_bounds, tb_val)] += 1
-                acc(tb_partials, tb_val)
-                tb_n += 1
+                tb_values.append(float(sizes[i]))
             if caches:
                 # Cache.store: the new copy goes to the back of the order;
                 # one not resident before evicts from the front until it
@@ -828,84 +725,72 @@ def run_kernel(
 
     if skips and stale_hits:
         stale_age_sum = float(np.cumsum(np.frombuffer(ages))[-1])
-    # Each request took exactly one of the paths above: check_invariants'
-    # ``hits + misses == requests`` checks that it landed in one bucket.
-    requests = len(req_times)
-    if batch is not None:
-        # Whole-run totals, mirroring every reference-loop publication
-        # (preload included); zero counts are skipped so the registry's
-        # lazily-created keys match the reference dump exactly.
-        batch.count(
-            "cache.stores", n_preloaded + n_store_miss + ex_200 + prefetches
-        )
-        batch.count("cache.invalidated", n_went_invalid)
-        batch.count("cache.crash_drops", n_crash_drops)
-        if caches:
-            batch.count("cache.evictions", evictions)
-        batch.count(
-            "server.gets", n_preloaded + full_retrievals + ex_200 + prefetches
-        )
-        batch.count("server.ims_queries", server_ims_queries)
-        batch.count(
-            "sim.event.hit", (hits - validations_not_modified) - stale_hits
-        )
-        batch.count("sim.event.stale_hit", stale_hits)
-        batch.count("sim.event.miss", n_store_miss)
-        batch.count("sim.event.validation_304", validations_not_modified)
-        batch.count("sim.event.validation_200", ex_200)
-        batch.count("sim.event.invalidation", invalidations_received)
-        batch.count("sim.event.prefetch", prefetches)
-        batch.count("sim.event.dynamic_fetch", n_dynamic)
-        batch.count("sim.event.fault_invalidation_lost", n_lost)
-        batch.count("sim.event.fault_invalidation_dropped", n_dropped)
-        batch.count("sim.event.fault_invalidation_recovered", n_recovered)
-        batch.count("sim.event.fault_cache_crash", n_crashes)
-        batch.histogram(
-            "sim.transfer_bytes", tb_bounds, tb_counts, tb_partials, tb_n
-        )
-        batch.histogram(
-            "sim.stale_age_seconds", sa_bounds, sa_counts, sa_partials, sa_n
-        )
-        batch.histogram(
-            REFRESH_WINDOW,
-            rw_bounds,
-            rw_counts,
-            rw_partials,
-            rw_n,
-        )
+    full_retrievals = stored_misses + dynamic
+    validations = ex_304 + ex_200
     if caches:
         assert cache is not None
         write_back(cache, compiled, state, order, stored, fetched_at, evictions)
+    if collect:
+        # Each total added once (n unit increments sum to exactly float(n)),
+        # preload included; a zero publishes nothing, so the registry
+        # creates the keys the reference run creates and no others.
+        for name, n in (
+            ("cache.stores", preloaded + stored_misses + ex_200 + prefetches),
+            ("cache.invalidated", went_invalid),
+            ("cache.crash_drops", crash_drops),
+            ("server.gets", preloaded + full_retrievals + ex_200 + prefetches),
+            ("server.ims_queries", validations),
+            ("sim.event.hit", fresh_hits - stale_hits),
+            ("sim.event.stale_hit", stale_hits),
+            ("sim.event.miss", stored_misses),
+            ("sim.event.validation_304", ex_304),
+            ("sim.event.validation_200", ex_200),
+            ("sim.event.invalidation", invalidations_received),
+            ("sim.event.prefetch", prefetches),
+            ("sim.event.dynamic_fetch", dynamic),
+            ("sim.event.fault_invalidation_lost", lost),
+            ("sim.event.fault_invalidation_dropped", dropped),
+            ("sim.event.fault_invalidation_recovered", recovered),
+            ("sim.event.fault_cache_crash", crashes),
+        ):
+            if n:
+                obs_metrics.emit(name, float(n))
+        if caches and evictions:
+            obs_metrics.emit("cache.evictions", float(evictions))
+        for name, values in (("sim.transfer_bytes", tb_values),
+                             ("sim.stale_age_seconds", sa_values),
+                             (REFRESH_WINDOW, rw_values)):
+            for value in values:
+                obs_metrics.observe(name, value)
 
+    # Each request took exactly one of the paths above: check_invariants'
+    # ``hits + misses == requests`` checks that it landed in one bucket.
     counters = ConsistencyCounters(
-        requests=requests,
-        hits=hits,
-        misses=misses,
+        requests=len(req_times),
+        hits=fresh_hits + ex_304,
+        misses=full_retrievals + ex_200,
         stale_hits=stale_hits,
         stale_age_sum=stale_age_sum,
         validations=validations,
-        validations_not_modified=validations_not_modified,
+        validations_not_modified=ex_304,
         full_retrievals=full_retrievals,
         invalidations_received=invalidations_received,
         prefetches=prefetches,
-        server_gets=server_gets + prefetches,
-        server_ims_queries=server_ims_queries,
+        server_gets=full_retrievals + prefetches,
+        server_ims_queries=validations,
         server_invalidations_sent=ex_inv,
     )
     bandwidth = BandwidthLedger()
-    bandwidth.control_bytes[FULL_RETRIEVAL] = ctl_full
-    bandwidth.body_bytes[FULL_RETRIEVAL] = body_full
-    bandwidth.exchanges[FULL_RETRIEVAL] = ex_full
-    bandwidth.control_bytes[VALIDATION_304] = ctl_304
-    bandwidth.exchanges[VALIDATION_304] = ex_304
-    bandwidth.control_bytes[VALIDATION_200] = ctl_200
-    bandwidth.body_bytes[VALIDATION_200] = body_200
-    bandwidth.exchanges[VALIDATION_200] = ex_200
-    bandwidth.control_bytes[INVALIDATION] = ex_inv * control_message
-    bandwidth.exchanges[INVALIDATION] = ex_inv
-    bandwidth.control_bytes[PREFETCH] = prefetches * full_control
-    bandwidth.body_bytes[PREFETCH] = body_pre
-    bandwidth.exchanges[PREFETCH] = prefetches
+    for category, exchanges, control, body in (
+        (FULL_RETRIEVAL, full_retrievals, full_control, body_full),
+        (VALIDATION_304, ex_304, full_control, 0),
+        (VALIDATION_200, ex_200, full_control, body_200),
+        (INVALIDATION, ex_inv, control_message, 0),
+        (PREFETCH, prefetches, full_control, body_pre),
+    ):
+        bandwidth.control_bytes[category] = exchanges * control
+        bandwidth.body_bytes[category] = body
+        bandwidth.exchanges[category] = exchanges
     result = SimulationResult(
         protocol_name=protocol_name,
         mode=mode_value,

@@ -10,7 +10,7 @@ table ``t0``, ... at ``file_type[i]``, ``now`` the hole's time argument,
 early returns ``if`` / ``else``; ``super().m(entry, ...)`` and
 ``self._helper(...)`` are inlined (inside an expression, a helper that
 is one ``return``) and ``obs_metrics.observe(REFRESH_WINDOW, v)``
-becomes the template's ``rw_*`` tally — so the arithmetic a kernel
+becomes ``rw_values.append(v)`` — so the arithmetic a kernel
 evaluates is the protocol's own expression tree.  One kernel is built
 per class and cache variant, memoised; it compiles one variant per set
 of run facts a call asks for (observed or not, delivering or not,
@@ -65,8 +65,9 @@ _OPTIONAL = frozenset(
 _STAMP = "expires_at"
 #: The field that keys per-type tables, and nothing else.
 _TYPE = "file_type"
-_TALLY = ("rw_val = {0}\nrw_counts[bl(rw_bounds, rw_val)] += 1\n"
-          "acc(rw_partials, rw_val)\nrw_n += 1")
+#: What a refresh-window observation becomes: one sample the kernel
+#: observes after the run.
+_SAMPLE = "rw_values.append({0})"
 #: Expression nodes lowered as they stand (their children are visited).
 _PLAIN = (ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
           ast.Constant, ast.List, ast.operator, ast.unaryop, ast.boolop,
@@ -293,12 +294,12 @@ class _Lowering(ast.NodeTransformer):
                         args=[ast.Constant(value=kernels.REFRESH_WINDOW), value],
                         keywords=[])) if frame.namespace.get(alias) is obs_metrics:
                     self.observes = True
-                    tally = ast.parse(
-                        _TALLY.format(ast.unparse(self.visit(value)))).body
+                    sample = ast.parse(
+                        _SAMPLE.format(ast.unparse(self.visit(value)))).body
                     # Under ``collect`` already unless something else
                     # forces the hole.
-                    out += [ast.If(test=_name("collect"), body=tally, orelse=[])
-                            ] if self.stamps or self.caches else tally
+                    out += [ast.If(test=_name("collect"), body=sample, orelse=[])
+                            ] if self.stamps or self.caches else sample
                 case ast.Expr(value=call) if self._method_call(call):
                     out += self._assign(None, call)
                 case ast.Pass() | ast.Expr(value=ast.Constant()):  # a docstring

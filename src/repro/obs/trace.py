@@ -238,9 +238,9 @@ def sink_observer(
     """An observer that records each event into ``sink`` and forwards.
 
     The fast engine uses this to reproduce the reference tee's sink
-    stream without the per-event counter bumps — those arrive in one
-    batched flush instead (see
-    :class:`repro.fastpath.kernels.MetricsBatch`).
+    stream without the per-event counter bumps — the kernel publishes
+    those as whole-run totals once the run is over (see
+    :func:`repro.fastpath.kernels.run_kernel`).
     """
 
     def tee(kind: str, t: float, object_id: str) -> None:

@@ -42,23 +42,9 @@ from repro.trace.synthesis import (
     trace_from_workload,
     write_trace,
 )
-from repro.trace.transform import (
-    anonymize_clients,
-    clip_window,
-    filter_paths,
-    merge_traces,
-    sample_every,
-    shift_times,
-)
 
 __all__ = [
     "CLFParseError",
-    "anonymize_clients",
-    "clip_window",
-    "filter_paths",
-    "merge_traces",
-    "sample_every",
-    "shift_times",
     "histories_from_trace",
     "server_from_trace",
     "workload_from_trace",

@@ -1,13 +1,13 @@
-"""Batched fastpath metrics: flushed totals byte-equal to reference.
+"""Fastpath metrics: the kernel's published totals byte-equal to reference.
 
-PR 6 made the fast engine step aside whenever a metrics registry or
-trace sink was active.  The kernel now tallies the same publications in
-flat locals and flushes them once per run through the registry's exact
-Shewchuk merge path, so with observability on the fast engine must (a)
-actually run — one ``engine.fastpath_runs`` per run — and (b) leave the
-registry byte-identical to one the reference loop filled observation by
-observation (``contract.diff_metrics``; the docs/FASTPATH.md
-metrics-equivalence rule).
+Under an active metrics registry the kernel publishes, once the run is
+over, what the reference loop publishes as it goes: each counter's
+whole-run total, built from the loop's tallies, and each histogram's
+samples, kept in request order.  So with observability on the fast
+engine must (a) actually run — one ``engine.fastpath_runs`` per run —
+and (b) leave the registry byte-identical to one the reference loop
+filled observation by observation (``contract.diff_metrics``; the
+docs/FASTPATH.md metrics-equivalence rule).
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ def _fast_dump(workload, make_protocol, mode, *, charge, preload,
 
 
 class TestFlushedTotalsByteEqual:
+    # ``quiet_workload`` is a stream a lean run skips: an active registry
+    # must bring the per-request loop back.
+    @pytest.mark.parametrize("stream", ["workload", "quiet_workload"])
     @pytest.mark.parametrize(
         "name,make_protocol", PROTOCOLS, ids=[n for n, _ in PROTOCOLS]
     )
@@ -66,8 +69,9 @@ class TestFlushedTotalsByteEqual:
     @pytest.mark.parametrize("charge", [True, False],
                              ids=["per-mod", "per-inval"])
     def test_registry_dump_identical(
-        self, workload, name, make_protocol, mode, charge
+        self, request, stream, name, make_protocol, mode, charge
     ):
+        workload = request.getfixturevalue(stream)
         fast = _fast_dump(
             workload, make_protocol, mode, charge=charge, preload=True
         )
