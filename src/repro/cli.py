@@ -214,6 +214,17 @@ def _add_engine_flag(
     )
 
 
+def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--protocol`` / ``--parameter`` / ``--mode`` flags of
+    the commands that run one protocol over a trace."""
+    parser.add_argument("--protocol", default="alex", choices=list(PROTOCOLS))
+    parser.add_argument("--parameter", type=float, default=10.0,
+                        help="alex/selftuning: threshold %%; ttl/leased: "
+                             "hours; cern: LM fraction %%")
+    parser.add_argument("--mode", default="optimized",
+                        choices=[m.value for m in SimulatorMode])
+
+
 def _add_obs_flags(
     parser: argparse.ArgumentParser,
     trace_help: str = "write a structured JSONL trace of every simulator "
@@ -687,13 +698,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate",
                            help="run one protocol over a trace")
     p_sim.add_argument("trace", type=Path)
-    p_sim.add_argument("--protocol", default="alex",
-                       choices=list(PROTOCOLS))
-    p_sim.add_argument("--parameter", type=float, default=10.0,
-                       help="alex/selftuning: threshold %%; ttl/leased: "
-                            "hours; cern: LM fraction %%")
-    p_sim.add_argument("--mode", default="optimized",
-                       choices=[m.value for m in SimulatorMode])
+    _add_protocol_flags(p_sim)
     p_sim.add_argument(
         "--verify", action="store_true",
         help="replay the run through the repro.verify consistency "
@@ -828,13 +833,7 @@ def make_parser() -> argparse.ArgumentParser:
              "on loopback sockets (docs/LIVE.md)",
     )
     p_replay.add_argument("trace", type=Path)
-    p_replay.add_argument("--protocol", default="alex",
-                          choices=list(PROTOCOLS))
-    p_replay.add_argument("--parameter", type=float, default=10.0,
-                          help="alex/selftuning: threshold %%; ttl/leased: "
-                               "hours; cern: LM fraction %%")
-    p_replay.add_argument("--mode", default="optimized",
-                          choices=[m.value for m in SimulatorMode])
+    _add_protocol_flags(p_replay)
     p_replay.add_argument(
         "--verify", action="store_true",
         help="also simulate the same trace and fail unless every counter, "
@@ -892,11 +891,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("trace", type=Path,
                          help="trace file defining the served population")
-    p_serve.add_argument("--protocol", default="alex",
-                         choices=list(PROTOCOLS))
-    p_serve.add_argument("--parameter", type=float, default=10.0)
-    p_serve.add_argument("--mode", default="optimized",
-                         choices=[m.value for m in SimulatorMode])
+    _add_protocol_flags(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--origin-port", type=int, default=8097,
                          help="origin port (default 8097; 0 = ephemeral)")

@@ -18,21 +18,21 @@ consistency protocols consult:
 The paper's simulations use an unbounded cache that never evicts valid
 entries ("since valid entries are never evicted from the cache, it also
 produces the near perfect cache miss rates").  Capacity-bounded
-operation — built-in LRU or any pluggable policy from
-:mod:`repro.core.replacement` — is supported as an extension knob for
-the ablation benchmarks and the capacity-planning example.
+operation is an extension knob for the ablation benchmarks and the
+capacity-planning example: a bounded cache keeps its entries in
+replacement order — a store appends at the back, a lookup under LRU
+moves the entry there — and evicts whatever its policy from
+:mod:`repro.core.replacement` chooses (LRU, the front, by default).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
+from repro.core.replacement import LRUPolicy, ReplacementPolicy
 from repro.core.server import FetchResult, OriginServer
 from repro.obs import registry as obs_metrics
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.replacement import ReplacementPolicy
 
 
 class CacheEntry:
@@ -136,7 +136,7 @@ class Cache:
             insertion evicts entries until the new entry fits.
         policy: replacement policy choosing eviction victims when the
             cache is bounded (see :mod:`repro.core.replacement`);
-            ``None`` selects the built-in LRU fast path.
+            ``None`` selects :class:`~repro.core.replacement.LRUPolicy`.
 
     Raises:
         ValueError: if ``capacity_bytes`` is negative or zero, or a
@@ -146,7 +146,7 @@ class Cache:
     def __init__(
         self,
         capacity_bytes: Optional[int] = None,
-        policy: Optional["ReplacementPolicy"] = None,
+        policy: Optional[ReplacementPolicy] = None,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes <= 0:
             raise ValueError(
@@ -159,6 +159,8 @@ class Cache:
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._capacity = capacity_bytes
         self._policy = policy
+        if capacity_bytes is not None and policy is None:
+            self._policy = LRUPolicy()
         self._used_bytes = 0
         self.evictions = 0
 
@@ -186,27 +188,27 @@ class Cache:
     # -- operations ------------------------------------------------------------
 
     @property
-    def policy(self) -> Optional["ReplacementPolicy"]:
-        """The replacement policy, or None for the built-in LRU."""
+    def policy(self) -> Optional[ReplacementPolicy]:
+        """The replacement policy of a bounded cache, None when unbounded."""
         return self._policy
 
     def lookup(self, object_id: str) -> Optional[CacheEntry]:
         """Return the entry for ``object_id`` (updating replacement
         bookkeeping), or None."""
         entry = self._entries.get(object_id)
-        if entry is not None and self._capacity is not None:
-            if self._policy is not None:
-                self._policy.on_access(entry)
-            else:
+        if entry is not None and self._policy is not None:
+            self._policy.on_access(entry)
+            if self._policy.touches:
                 self._entries.move_to_end(object_id)
         return entry
 
     def peek(self, object_id: str) -> Optional[CacheEntry]:
-        """Return the entry without touching LRU order (for inspection)."""
+        """Return the entry without touching the order (for inspection)."""
         return self._entries.get(object_id)
 
     def store(self, entry: CacheEntry) -> None:
-        """Insert or replace an entry, evicting LRU entries if over capacity.
+        """Insert or replace an entry at the back of the order, evicting
+        the policy's victims while over capacity.
 
         Raises:
             ValueError: when the entry alone exceeds a bounded capacity.
@@ -215,35 +217,22 @@ class Cache:
         old = self._entries.pop(entry.object_id, None)
         if old is not None:
             self._used_bytes -= old.size
-        if self._capacity is not None and entry.size > self._capacity:
+        capacity, policy = self._capacity, self._policy
+        if capacity is not None and entry.size > capacity:
             raise ValueError(
                 f"entry {entry.object_id!r} ({entry.size} B) exceeds cache "
-                f"capacity ({self._capacity} B)"
+                f"capacity ({capacity} B)"
             )
         self._entries[entry.object_id] = entry
         self._used_bytes += entry.size
-        if self._capacity is not None and self._policy is not None:
-            self._policy.on_store(entry)
-            while self._used_bytes > self._capacity:
-                try:
-                    victim_id = self._policy.choose_victim(
-                        self._entries, protect=entry.object_id
-                    )
-                except LookupError:
-                    break
-                victim = self._entries.pop(victim_id)
+        if capacity is not None and policy is not None:
+            policy.on_store(entry)
+            # The entry fits alone, so something else is always evictable.
+            while self._used_bytes > capacity:
+                victim = self._entries.pop(policy.choose_victim(
+                    self._entries, protect=entry.object_id))
                 self._used_bytes -= victim.size
-                self._policy.on_evict(victim)
-                self.evictions += 1
-                obs_metrics.emit("cache.evictions")
-        elif self._capacity is not None:
-            while self._used_bytes > self._capacity:
-                evicted_id, evicted = self._entries.popitem(last=False)
-                if evicted_id == entry.object_id:
-                    # Put the new entry back; nothing else left to evict.
-                    self._entries[evicted_id] = evicted
-                    break
-                self._used_bytes -= evicted.size
+                policy.on_evict(victim)
                 self.evictions += 1
                 obs_metrics.emit("cache.evictions")
 

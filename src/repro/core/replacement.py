@@ -16,122 +16,89 @@ assumption, and which policy loses the least under pressure:
   objects beat one big one when hits are what you optimize — the
   SIZE policy of Williams et al., 1996).
 
-A policy is a pure ranking: the cache asks it which resident entry to
-evict next.  Policies keep their own bookkeeping, updated through the
-``on_store``/``on_access``/``on_evict`` hooks.
+A policy chooses which resident entry the cache evicts next.  The
+cache keeps its entries in one order: a store appends the entry at the
+back, and a lookup under a policy whose class declares ``touches``
+moves it there too.  LRU and FIFO are that order itself: their victim
+is its front, found in O(1) by the default ``choose_victim``.  LFU and
+SIZE rank by their own keys, kept up to date through the ``on_store`` /
+``on_access`` / ``on_evict`` hooks (no-ops unless a policy needs them).
 """
 
 from __future__ import annotations
 
 import abc
 import itertools
-from typing import Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
-from repro.core.cache import CacheEntry
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.core.cache import CacheEntry
 
 
 class ReplacementPolicy(abc.ABC):
     """Chooses eviction victims for a capacity-bounded cache."""
+
+    #: Whether a lookup moves the entry to the back of the cache's order
+    #: (recency), a fact of the class like ``wants_invalidations``.
+    touches: ClassVar[bool] = False
 
     @property
     @abc.abstractmethod
     def name(self) -> str:
         """Short label (``lru``, ``fifo``, ``lfu``, ``size``)."""
 
-    @abc.abstractmethod
     def on_store(self, entry: CacheEntry) -> None:
         """An entry was inserted (or replaced)."""
 
-    @abc.abstractmethod
     def on_access(self, entry: CacheEntry) -> None:
         """An entry served a lookup."""
 
-    @abc.abstractmethod
     def on_evict(self, entry: CacheEntry) -> None:
         """An entry left the cache (eviction or explicit drop)."""
 
-    @abc.abstractmethod
     def choose_victim(
         self, resident: dict[str, CacheEntry], protect: Optional[str] = None
     ) -> str:
-        """Return the object id to evict next.
+        """Return the object id to evict next: by default the front of
+        the cache's order, in O(1) — the LRU / FIFO victim.
 
         Args:
-            resident: the currently resident entries by id (non-empty).
+            resident: the currently resident entries by id (non-empty),
+                in the cache's order: oldest store (or, under a
+                ``touches`` policy, least recent use) first.
             protect: an id that must not be chosen (the entry being
                 inserted), or None.
 
         Raises:
             LookupError: when every resident entry is protected.
         """
+        for oid in resident:
+            if oid != protect:
+                return oid
+        raise LookupError("no evictable entries (all protected)")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
 
 
-class _SequencedPolicy(ReplacementPolicy):
-    """Shared machinery: policies that rank by a per-entry sort key."""
-
-    def __init__(self) -> None:
-        self._ticks = itertools.count()
-        self._stamp: dict[str, int] = {}
-
-    def _tick(self, entry: CacheEntry) -> None:
-        self._stamp[entry.object_id] = next(self._ticks)
-
-    def on_evict(self, entry: CacheEntry) -> None:
-        self._stamp.pop(entry.object_id, None)
-
-    def _key(self, entry: CacheEntry) -> int:
-        raise NotImplementedError
-
-    def choose_victim(
-        self, resident: dict[str, CacheEntry], protect: Optional[str] = None
-    ) -> str:
-        candidates = [
-            entry for oid, entry in resident.items() if oid != protect
-        ]
-        if not candidates:
-            raise LookupError("no evictable entries (all protected)")
-        victim = min(candidates, key=self._key)
-        return victim.object_id
-
-
-class LRUPolicy(_SequencedPolicy):
+class LRUPolicy(ReplacementPolicy):
     """Least recently used: classic temporal locality."""
+
+    touches = True
 
     @property
     def name(self) -> str:
         return "lru"
 
-    def on_store(self, entry: CacheEntry) -> None:
-        self._tick(entry)
 
-    def on_access(self, entry: CacheEntry) -> None:
-        self._tick(entry)
-
-    def _key(self, entry: CacheEntry) -> int:
-        return self._stamp.get(entry.object_id, -1)
-
-
-class FIFOPolicy(_SequencedPolicy):
-    """First in, first out: insertion order only, accesses ignored."""
+class FIFOPolicy(ReplacementPolicy):
+    """First in, first out: insertion order only, accesses ignored.  A
+    refresh of a resident entry re-inserts it, so classic FIFO restamps
+    on every store."""
 
     @property
     def name(self) -> str:
         return "fifo"
-
-    def on_store(self, entry: CacheEntry) -> None:
-        # Replacing an entry re-inserts it; a refresh of the same object
-        # keeps its original queue position only if never removed —
-        # classic FIFO restamps on insert.
-        self._tick(entry)
-
-    def on_access(self, entry: CacheEntry) -> None:
-        pass
-
-    def _key(self, entry: CacheEntry) -> int:
-        return self._stamp.get(entry.object_id, -1)
 
 
 class LFUPolicy(ReplacementPolicy):
@@ -179,15 +146,6 @@ class SizePolicy(ReplacementPolicy):
     @property
     def name(self) -> str:
         return "size"
-
-    def on_store(self, entry: CacheEntry) -> None:
-        pass
-
-    def on_access(self, entry: CacheEntry) -> None:
-        pass
-
-    def on_evict(self, entry: CacheEntry) -> None:
-        pass
 
     def choose_victim(
         self, resident: dict[str, CacheEntry], protect: Optional[str] = None

@@ -257,28 +257,25 @@ def write_back(
     compiled: CompiledServer,
     state: CacheState,
     order: Iterable[int],
-    stored: list[int],
     fetched_at: list[float],
     evictions: int,
 ) -> None:
     """Leave in ``cache`` — empty when the run began — what the reference
     run would have left there.
 
-    ``order`` is the replacement order of the resident indices (the
-    front is evicted next), ``stored[i]`` ranks the last store of entry
-    ``i``.  The entries are stored in store order and then looked up in
-    replacement order through the cache's own methods, so its entry
-    order, byte count and policy bookkeeping come out as the run's
-    stores and lookups left them: a lookup reorders nothing but an LRU
-    cache (built in or ``LRUPolicy``).  Nothing is published — the
-    kernel publishes the run's metrics itself, after this — and
-    everything fits, so nothing is evicted twice.
+    ``order`` holds the resident indices in the cache's own order (the
+    front is evicted next), which is exactly the order a reference run
+    leaves its entries in: a store appends at the back and an LRU lookup
+    moves the entry there.  So the entries are stored in that order
+    through the cache's own ``store``, and its order and byte count come
+    out as the run left them.  Nothing is published — the kernel
+    publishes the run's metrics itself, after this — and everything
+    fits, so nothing is evicted twice.
     """
     ids = compiled.ids
-    resident = list(order)
     previous = obs_metrics.install(None)
     try:
-        for i in sorted(resident, key=stored.__getitem__):
+        for i in order:
             cache.store(CacheEntry(
                 ids[i], state.version[i], compiled.sizes[i],
                 compiled.file_types[compiled.file_type[i]], fetched_at[i],
@@ -287,8 +284,6 @@ def write_back(
                 state.server_expires[i] if state.has_server_expires[i]
                 else None,
             ))
-        for i in resident:
-            cache.lookup(ids[i])
     finally:
         obs_metrics.install(previous)
     cache.evictions += evictions

@@ -22,8 +22,9 @@ The fast engine refuses, with :class:`UnsupportedFastPathError`:
   refuses — any class whose ``is_fresh`` / ``on_stored`` /
   ``on_validation_result`` step outside the lowered subset (no shipped
   class does); a subclass compiles *its own* rule or not at all;
-* a caller-supplied ``cache`` that is pre-seeded, or whose replacement
-  policy is not the built-in LRU, ``LRUPolicy`` or ``FIFOPolicy``.
+* a caller-supplied ``cache`` that is pre-seeded, or bounded under a
+  replacement policy that is not exactly ``LRUPolicy`` or ``FIFOPolicy``
+  (the cache's own order).
 
 Such a configuration runs under ``engine="reference"`` only.  Fault
 plans, the eager variants, ``SelfTuningProtocol`` and an empty caller
@@ -130,31 +131,9 @@ CompiledProtocol = tuple[
     Kernel, Optional[float], Optional[float], Optional[float], bool
 ]
 
-#: The kernel variant keeping a caller's cache, by its policy's type:
-#: eviction in insertion order or in recency order.
-_REPLACEMENTS: dict[type, str] = {
-    type(None): "lru", LRUPolicy: "lru", FIFOPolicy: "fifo",
-}
-
-
-def _cache_reason(cache: Cache) -> Optional[str]:
-    """Why the kernel cannot keep the caller's ``cache`` (None: it can)."""
-    if len(cache):
-        return "caller-supplied cache is pre-seeded (not empty at call time)"
-    if type(cache.policy) not in _REPLACEMENTS:
-        return (f"caller-supplied cache uses {type(cache.policy).__name__}, "
-                "which has no compiled replacement")
-    return None
-
-
-def _replacement(cache: Optional[Cache]) -> Optional[str]:
-    """The kernel variant for ``cache``: None without one; an unbounded
-    cache evicts nothing and keeps insertion order."""
-    if cache is None:
-        return None
-    if cache.capacity_bytes is None:
-        return "fifo"
-    return _REPLACEMENTS[type(cache.policy)]
+#: The kernel variant keeping a caller's bounded cache, by its policy's
+#: exact type: eviction in insertion order or in recency order.
+_REPLACEMENTS: dict[type, str] = {LRUPolicy: "lru", FIFOPolicy: "fifo"}
 
 
 @dataclass(frozen=True)
@@ -189,6 +168,31 @@ def _compile(
             return f"self.{attr} is not a dict"
     # ``p0`` / ``p1`` / ``p2`` are always passed, read or not.
     return _Compiled(kernel, values + (0.0,) * (3 - len(values)), tables)
+
+
+def _compile_run(
+    protocol: ConsistencyProtocol, cache: Optional[Cache]
+) -> Union[_Compiled, str]:
+    """The kernel for the protocol and the caller's ``cache``, or why the
+    fast path cannot run them.  An unbounded cache evicts nothing and
+    keeps insertion order."""
+    replacement: Optional[str] = None
+    if cache is not None:
+        if len(cache):
+            return "caller-supplied cache is pre-seeded (not empty at call time)"
+        policy = cache.policy
+        if policy is None:
+            replacement = "fifo"
+        elif type(policy) in _REPLACEMENTS:
+            replacement = _REPLACEMENTS[type(policy)]
+        else:
+            return (f"caller-supplied cache uses {type(policy).__name__}, "
+                    "which has no compiled replacement")
+    compiled = _compile(protocol, replacement)
+    if isinstance(compiled, str):
+        return (f"protocol {type(protocol).__name__} has no compiled kernel "
+                f"({compiled})")
+    return compiled
 
 
 def compile_protocol(
@@ -230,19 +234,10 @@ def unsupported_reason(
     takes the whole configuration, but a ``faults`` plan is never a
     reason: every compiled protocol replays one.  A caller-supplied
     ``cache`` is one only when it is pre-seeded or its replacement
-    policy is neither the built-in LRU, ``LRUPolicy`` nor ``FIFOPolicy``.
+    policy is neither ``LRUPolicy`` nor ``FIFOPolicy``.
     """
-    if cache is not None:
-        reason = _cache_reason(cache)
-        if reason is not None:
-            return reason
-    compiled = _compile(protocol, _replacement(cache))
-    if isinstance(compiled, str):
-        return (
-            f"protocol {type(protocol).__name__} has no compiled kernel "
-            f"({compiled})"
-        )
-    return None
+    compiled = _compile_run(protocol, cache)
+    return compiled if isinstance(compiled, str) else None
 
 
 def fast_simulate(
@@ -272,12 +267,10 @@ def fast_simulate(
         UnsupportedFastPathError: for configurations outside the
             compiled subset (see :func:`unsupported_reason`).
     """
-    refused = None if cache is None else _cache_reason(cache)
-    compiled_protocol = refused or _compile(protocol, _replacement(cache))
+    compiled_protocol = _compile_run(protocol, cache)
     if isinstance(compiled_protocol, str):
-        reason = unsupported_reason(protocol, cache=cache)
         raise UnsupportedFastPathError(
-            f"fast path cannot run this configuration: {reason}"
+            f"fast path cannot run this configuration: {compiled_protocol}"
         )
     started = obs_clock.monotonic()
     # Observability on the kernel: an active sink gets the observer

@@ -251,8 +251,8 @@ def run_kernel(
 
     ``cache`` is the caller's empty ``Cache`` for a kernel specialised to
     keep one: the run stores, looks up, evicts and crashes the way
-    ``Cache`` does (its capacity, built-in LRU or its LRU / FIFO policy)
-    and leaves in it what the reference run would
+    ``Cache`` does (its capacity and its LRU / FIFO order) and leaves in
+    it what the reference run would
     (:func:`repro.fastpath.arrays.write_back`).
 
     ``schedule`` is a fault plan's compiled action schedule, keyed by
@@ -370,10 +370,9 @@ def run_kernel(
     if caches:
         # -- a caller's Cache -----------------------------------------------
         # Cache.store / .lookup / .clear over resident indices.  ``order``
-        # is the replacement order — its front is evicted next —
+        # is the cache's own order — its front is evicted next —
         # re-inserted by every store and, under LRU (``touches``), by
-        # every lookup; ``stored`` ranks each entry's last store,
-        # ``fetched_at`` dates it.
+        # every lookup; ``fetched_at`` dates each entry's last store.
         assert cache is not None
         capacity_bytes = cache.capacity_bytes or _INFINITY
         order: OrderedDict[int, None] = OrderedDict()
@@ -382,8 +381,6 @@ def run_kernel(
         used_bytes = 0
         evictions = 0
         fetched_at = [st] * len(ids)
-        stored = [0] * len(ids)
-        stores = 0
         if preload:
             # Cache.preload_from: every cacheable object stored in server
             # order, each evicting from the front until it fits.
@@ -397,8 +394,6 @@ def run_kernel(
                     order[i] = None
                     used_bytes += sizes[i]
                     expires_at[i] = None
-                    stored[i] = stores
-                    stores += 1
                     while used_bytes > capacity_bytes:
                         victim = evict(False)[0]
                         resident[victim] = False
@@ -551,8 +546,6 @@ def run_kernel(
                         touch(mi)
                         fetched_at[mi] = at
                         expires_at[mi] = None
-                        stored[mi] = stores
-                        stores += 1
                     if restamp:
                         on_stored(mi, at)
                     prefetches += 1
@@ -704,8 +697,6 @@ def run_kernel(
                         evictions += 1
                 fetched_at[i] = t
                 expires_at[i] = None
-                stored[i] = stores
-                stores += 1
         resident[i] = True
         valid[i] = True
         validated_at[i] = t
@@ -729,7 +720,7 @@ def run_kernel(
     validations = ex_304 + ex_200
     if caches:
         assert cache is not None
-        write_back(cache, compiled, state, order, stored, fetched_at, evictions)
+        write_back(cache, compiled, state, order, fetched_at, evictions)
     if collect:
         # Each total added once (n unit increments sum to exactly float(n)),
         # preload included; a zero publishes nothing, so the registry

@@ -11,11 +11,7 @@
   and the Bestavros popularity↔mutability selector.
 """
 
-from repro.workload.base import (
-    Workload,
-    diurnal_request_times,
-    sorted_request_times,
-)
+from repro.workload.base import Workload, sorted_request_times
 from repro.workload.bestavros import choose_mutable_files, expected_stale_exposure
 from repro.workload.bimodal import (
     burst_change_times,
@@ -62,7 +58,6 @@ __all__ = [
     "WorrellWorkload",
     "ZipfSampler",
     "build_campus_workloads",
-    "diurnal_request_times",
     "burst_change_times",
     "choose_mutable_files",
     "expected_stale_exposure",

@@ -91,54 +91,3 @@ def sorted_request_times(rng, count: int, duration: float) -> Sequence[float]:
     times = rng.uniform(0.0, duration, size=count)
     times.sort()
     return np.asarray(times, dtype=float)
-
-
-def diurnal_request_times(
-    rng,
-    count: int,
-    duration: float,
-    peak_hour: float = 14.0,
-    amplitude: float = 0.8,
-) -> Sequence[float]:
-    """Request timestamps with a daily intensity cycle.
-
-    Real proxy traffic is strongly diurnal (the Microsoft numbers are
-    quoted per *weekday*).  Arrival intensity is modulated as
-    ``1 + amplitude * cos(2*pi*(t - peak)/DAY)`` and sampled by thinning
-    a uniform proposal, so the marginal count is exact and the draw is
-    reproducible.
-
-    Args:
-        rng: randomness source.
-        count: number of timestamps.
-        duration: window length in seconds.
-        peak_hour: local hour of peak intensity (default mid-afternoon).
-        amplitude: modulation depth in [0, 1); 0 degenerates to uniform.
-
-    Raises:
-        ValueError: for out-of-range amplitude or non-positive duration.
-    """
-    import numpy as np
-
-    from repro.core.clock import DAY, HOUR
-
-    if not 0.0 <= amplitude < 1.0:
-        raise ValueError(f"amplitude must be in [0, 1): {amplitude}")
-    if duration <= 0:
-        raise ValueError(f"duration must be positive: {duration}")
-    if count == 0:
-        return np.empty(0, dtype=float)
-    peak = peak_hour * HOUR
-    accepted: list[float] = []
-    # Thinning: accept proposals with probability intensity/max_intensity.
-    while len(accepted) < count:
-        need = count - len(accepted)
-        proposals = rng.uniform(0.0, duration, size=max(need * 2, 16))
-        intensity = 1.0 + amplitude * np.cos(
-            2.0 * np.pi * (proposals - peak) / DAY
-        )
-        keep = rng.random(len(proposals)) < intensity / (1.0 + amplitude)
-        accepted.extend(proposals[keep][:need].tolist())
-    times = np.asarray(accepted, dtype=float)
-    times.sort()
-    return times

@@ -25,11 +25,7 @@ import numpy as np
 
 from repro.core.clock import DAY
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
-from repro.workload.base import (
-    Workload,
-    diurnal_request_times,
-    sorted_request_times,
-)
+from repro.workload.base import Workload, sorted_request_times
 from repro.workload.filetypes import FileTypeModel
 from repro.workload.zipf import ZipfSampler
 
@@ -51,9 +47,6 @@ class MicrosoftProxyWorkload:
         dynamic_fraction: share of requests answered by dynamic pages
             (paper: 10%).
         zipf_s: popularity skew across the whole object population.
-        diurnal_amplitude: daily traffic-cycle depth in [0, 1); 0 (the
-            default) spreads requests uniformly, matching the other
-            generators; ~0.8 models a pronounced office-hours peak.
         seed: RNG seed.
         type_model: Table 2 registry override.
     """
@@ -64,7 +57,6 @@ class MicrosoftProxyWorkload:
     duration: float = 1 * DAY
     dynamic_fraction: float = 0.10
     zipf_s: float = 0.9
-    diurnal_amplitude: float = 0.0
     seed: int = 0
     type_model: Optional[FileTypeModel] = None
     _model: FileTypeModel = field(init=False, repr=False)
@@ -138,13 +130,7 @@ class MicrosoftProxyWorkload:
                 histories.append(ObjectHistory(obj))
                 dynamic_ids.append(obj.object_id)
 
-        if self.diurnal_amplitude > 0:
-            times = diurnal_request_times(
-                rng, self.requests, self.duration,
-                amplitude=self.diurnal_amplitude,
-            )
-        else:
-            times = sorted_request_times(rng, self.requests, self.duration)
+        times = sorted_request_times(rng, self.requests, self.duration)
         # The Microsoft numbers are a property of the *request* stream
         # (55% of accesses are gif, ...), so draw each request's type
         # from the access mix first, then a Zipf-popular object within

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import Cache, CacheEntry
+from repro.core.protocols import AlexProtocol
 from repro.core.replacement import (
     FIFOPolicy,
     LFUPolicy,
@@ -13,6 +14,9 @@ from repro.core.replacement import (
     SizePolicy,
     make_policy,
 )
+from repro.core.results import result_to_dict
+from repro.core.simulator import simulate
+from repro.workload import MicrosoftProxyWorkload
 
 
 def entry(oid, size=100):
@@ -54,7 +58,17 @@ class TestLRU:
         assert "/a" in cache and "/c" in cache
 
     def test_matches_builtin_lru(self):
-        """The pluggable LRU and the OrderedDict fast path agree."""
+        """A bounded cache with no policy and one with ``LRUPolicy`` agree:
+        entries in the same order, bytes, evictions and victims, on a few
+        lookups and stores and on a simulator run (with the same result)."""
+        def state(cache):
+            pool, victims = {e.object_id: e for e in cache}, []
+            while pool:
+                victims.append(cache.policy.choose_victim(pool))
+                del pool[victims[-1]]
+            return ([e.object_id for e in cache], cache.used_bytes,
+                    cache.evictions, victims)
+
         pluggable = bounded_cache(LRUPolicy())
         builtin = Cache(capacity_bytes=250)
         ops = ["/a", "/b", "/a", "/c", "/d", "/b", "/e"]
@@ -62,9 +76,22 @@ class TestLRU:
             for cache in (pluggable, builtin):
                 if cache.lookup(oid) is None:
                     cache.store(entry(oid))
-        assert {e.object_id for e in pluggable} == {
-            e.object_id for e in builtin
-        }
+        assert state(pluggable) == state(builtin)
+
+        workload = MicrosoftProxyWorkload(
+            sites=5, files_per_site=40, requests=4000, seed=0
+        ).build()
+        capacity = sum(h.obj.size for h in workload.histories) // 10
+        runs = []
+        for cache in (Cache(capacity), Cache(capacity, LRUPolicy())):
+            result = simulate(
+                workload.server(), AlexProtocol.from_percent(20),
+                workload.requests, cache=cache, preload=False,
+                end_time=workload.duration,
+            )
+            runs.append((result_to_dict(result), state(cache)))
+        assert runs[0][1][2] > 1000
+        assert runs[1] == runs[0]
 
 
 class TestFIFO:

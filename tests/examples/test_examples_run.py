@@ -27,6 +27,32 @@ def run_example(name: str, argv: list[str], capsys) -> str:
     return capsys.readouterr().out
 
 
+#: ``capacity_planning.py --requests 4000``'s table, every policy on the
+#: reference engine: 16 capacity x policy rows and the unbounded one.
+CAPACITY_TABLE = [
+    "One weekday through the proxy, Alex(20%) consistency:",
+    "capacity   policy   hit rate  miss rate  MB from origin",
+    "---------  -------  --------  ---------  --------------",
+    "5%         fifo     25.32%    74.67%     23.5",
+    "5%         lfu      37.45%    62.55%     20.2",
+    "5%         lru      29.03%    70.97%     22.5",
+    "5%         size     33.15%    66.85%     26.4",
+    "15%        fifo     41.85%    58.15%     18.7",
+    "15%        lfu      50.95%    49.05%     15.9",
+    "15%        lru      46.95%    53.05%     17.3",
+    "15%        size     49.93%    50.08%     21.7",
+    "40%        fifo     59.10%    40.90%     13.0",
+    "40%        lfu      61.88%    38.12%     12.1",
+    "40%        lru      61.32%    38.67%     12.3",
+    "40%        size     63.10%    36.90%     13.8",
+    "100%       fifo     65.12%    34.88%     11.0",
+    "100%       lfu      65.12%    34.88%     11.0",
+    "100%       lru      65.12%    34.88%     11.0",
+    "100%       size     65.12%    34.88%     11.0",
+    "unbounded  (paper)  65.12%    34.88%     11.0",
+]
+
+
 class TestExamples:
     def test_quickstart(self, capsys):
         out = run_example("quickstart.py", [], capsys)
@@ -66,5 +92,6 @@ class TestExamples:
         out = run_example(
             "capacity_planning.py", ["--requests", "4000"], capsys
         )
-        assert "unbounded" in out
-        assert "lfu" in out
+        lines = [line.rstrip() for line in out.splitlines()]
+        start = lines.index(CAPACITY_TABLE[0])
+        assert lines[start:start + len(CAPACITY_TABLE)] == CAPACITY_TABLE
