@@ -51,9 +51,11 @@ typecheck:
 # under every option of the one replay path — the one-connection
 # default, a keep-alive pool, socket-level fault injection on both
 # hops, injected invalidation-message faults (alone, and under the pool
-# with socket chaos on top), a traced chaotic replay, and last the
-# hardest leg: all of it at once — fault plan, pool, socket chaos,
-# trace — across a SIGKILLed proxy restarting from its journal.  Every
+# with socket chaos on top), a traced chaotic replay, a self-tuning
+# pool across a SIGKILLed proxy (its learned thresholds survive only by
+# re-running the journal), and last the hardest leg: all of it at once
+# — fault plan, pool, socket chaos, trace — across a SIGKILLed proxy
+# restarting from its journal.  Every
 # leg must match a simulation of the same trace cell-for-cell and
 # event-for-event.  Each traced leg's three per-role repro.trace/1
 # files must merge into a violation-free repro.trace/2 timeline (`trace
@@ -62,8 +64,8 @@ typecheck:
 # schema id with its retry count equal to its own retry-mark count, the
 # crashed one's timeline exactly one live.trace.restore
 # (docs/OBSERVABILITY.md).
-LIVE_SCRATCH = .live.log .live-journal.jsonl .live-trace.jsonl \
-  .live-trace.proxy.jsonl .live-trace.origin.jsonl
+LIVE_SCRATCH = .live.log .live-journal.jsonl .live-journal-selftuning.jsonl \
+  .live-trace.jsonl .live-trace.proxy.jsonl .live-trace.origin.jsonl
 REPLAY = $(PYTHON) -m repro.cli replay .live.log --verify
 live:
 	rm -f $(LIVE_SCRATCH)
@@ -95,6 +97,8 @@ live:
 	  assert summary['exchanges'] > 0 and summary['chaos_injected'] > 0"
 	$(PYTHON) -m repro.cli trace critical-path .live-trace.jsonl \
 	  --format json > /dev/null
+	$(REPLAY) --protocol selftuning --parameter 4 --connections 4 \
+	  --keepalive --journal .live-journal-selftuning.jsonl --crash-after 200
 	$(REPLAY) --protocol invalidation \
 	  --faults "downtime=2h@50h,delay=30s,seed=3" \
 	  --chaos "loss=0.25,seed=7" --connections 2 --keepalive \

@@ -171,8 +171,9 @@ def _print_result(result: SimulationResult, title: str) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``--step``: a non-positive step is an empty (or
-    never-ending) grid, so it is a usage error, not a run."""
+    """argparse type of ``--step`` and ``replay --connections``: a
+    non-positive step is an empty (or never-ending) grid, a pool of no
+    connections sends nothing, so each is a usage error, not a run."""
     if not text.isdecimal() or int(text) == 0:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}"
@@ -841,7 +842,7 @@ def make_parser() -> argparse.ArgumentParser:
              "the live run exactly",
     )
     p_replay.add_argument(
-        "--connections", type=int, default=1,
+        "--connections", type=_positive_int, default=1,
         help="size of the driver's connection pool (default 1: serial "
              "replay; requests for distinct objects interleave when >1; "
              "a one-key replay — selftuning, --faults — is one bucket "

@@ -112,16 +112,8 @@ class SelfTuningProtocol(ConsistencyProtocol):
         return dict(self._thresholds)
 
     def state_snapshot(self) -> dict[str, object]:
-        """Thresholds + history, for the live proxy's crash journal."""
+        """Thresholds + history: the learned state oracle leg 3 compares."""
         return {
             "thresholds": dict(self._thresholds),
             "history": {k: list(v) for k, v in self.history.items()},
         }
-
-    def state_restore(self, state: dict[str, object]) -> None:
-        """Adopt a :meth:`state_snapshot` as the current learned state."""
-        thresholds = state.get("thresholds", {})
-        history = state.get("history", {})
-        assert isinstance(thresholds, dict) and isinstance(history, dict)
-        self._thresholds = {k: float(v) for k, v in thresholds.items()}
-        self.history = {k: [int(n) for n in v] for k, v in history.items()}

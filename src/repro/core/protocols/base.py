@@ -68,18 +68,15 @@ class ConsistencyProtocol(abc.ABC):
         """
 
     def state_snapshot(self) -> dict[str, object]:
-        """Serializable instance state beyond what cache entries carry.
+        """Instance state beyond what cache entries carry.
 
-        The live proxy's crash journal (:mod:`repro.live.journal`)
-        persists this with every committed transaction so a restarted
-        proxy resumes with identical protocol behaviour.  Stateless and
-        per-entry protocols have nothing to save; adaptive protocols
-        override both this and :meth:`state_restore`.
+        Oracle leg 3 (:mod:`repro.verify.oracle`) requires the fast
+        path to leave the state the reference run leaves.  Stateless
+        and per-entry protocols have none; adaptive protocols override
+        this.  (A restarted live proxy rebuilds it by re-executing its
+        journal, so nothing reads it back.)
         """
         return {}
-
-    def state_restore(self, state: dict[str, object]) -> None:
-        """Restore state produced by :meth:`state_snapshot`."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

@@ -90,50 +90,30 @@ class SimulationResult:
         }
 
 
-def result_to_dict(result: SimulationResult, *, sparse: bool = False) -> dict:
+def result_to_dict(result: SimulationResult) -> dict:
     """Serialize a result to a JSON-compatible dict.
 
     Everything a stored run needs to be compared later: protocol, mode,
     duration, full counters, and the per-category byte ledger.
-    ``sparse`` strips zero cells and empty tables — the form a delta
-    (one live transaction's journal record) is written in;
-    :func:`result_from_dict` reads both.
     """
-    if sparse:
-        counters = {
-            name: v for name in COUNTER_FIELDS
-            if (v := getattr(result.counters, name))
-        }
-        bandwidth: dict[str, dict[str, int]] = {}
-        for table in LEDGER_TABLES:
-            cells = {
-                category: v
-                for category, v in getattr(result.bandwidth, table).items()
-                if v
-            }
-            if cells:
-                bandwidth[table] = cells
-    else:
-        counters = {
-            name: getattr(result.counters, name) for name in COUNTER_FIELDS
-        }
-        bandwidth = {
-            table: dict(getattr(result.bandwidth, table))
-            for table in LEDGER_TABLES
-        }
     return {
         "protocol_name": result.protocol_name,
         "mode": result.mode,
         "duration": result.duration,
-        "counters": counters,
-        "bandwidth": bandwidth,
+        "counters": {
+            name: getattr(result.counters, name) for name in COUNTER_FIELDS
+        },
+        "bandwidth": {
+            table: dict(getattr(result.bandwidth, table))
+            for table in LEDGER_TABLES
+        },
     }
 
 
 def result_from_dict(data: dict) -> SimulationResult:
     """Rebuild a result serialized by :func:`result_to_dict`.
 
-    A cell the dict does not name (the sparse form) is zero.
+    A cell the dict does not name is zero.
 
     Raises:
         KeyError: when required fields are missing, or a counter is

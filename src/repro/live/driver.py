@@ -507,9 +507,8 @@ class _ChildProxy:
     Once ``crash_after`` requests have completed the monkey kills the
     child (a real ``SIGKILL`` of a real process; nothing in-process
     may stand in for it), respawns it on the same port, and the new
-    child re-warms from the journal (:meth:`LiveProxy.restore`) — it
-    reads the origin's feed again on its first delivery, and the
-    journaled per-object cursors say where in it each object resumes.
+    child re-runs its journal (:meth:`LiveProxy.restore`) — the
+    origin's feed included, so the run reads it once.
     Workers ride through the outage by retrying under their requests'
     sequence ids, so the final numbers must reconcile *exactly* with a
     crash-free simulation.

@@ -8,25 +8,26 @@ journal whose complete lines are exactly its committed transactions,
 plus at most one torn trailing line, which :meth:`Journal.load`
 discards and the restarted proxy's first append cuts off.
 
-Record kinds (the proxy writes them, :meth:`LiveProxy.restore
-<repro.live.proxy.LiveProxy.restore>` replays them):
+Records hold what came in, not what it did.  The proxy writes them,
+and :meth:`LiveProxy.restore <repro.live.proxy.LiveProxy.restore>` runs
+each again, in order, through the code that ran it the first time,
+answering upstream exchanges from the record's replies:
 
 * ``config`` — protocol name, mode, charging policy; a restore sanity
   check against the restarted proxy's own configuration.
-* ``warm`` — the warmed cache (every entry's full field set) and the
-  warm-time clock state.
-* ``txn`` — one committed transaction's deltas: the reply (keyed by
-  ``X-Repro-Seq`` for replay-on-retry) as its serialized head
-  (``payload``) and the length of its filler body (``body_size``; a
-  record without one holds the whole reply), non-zero counter and
-  ledger deltas, emitted events, post-state of every touched cache
-  entry, invalidation cursors, clocks, per-object upstream sequence
-  counters, and the protocol's :meth:`state_snapshot
-  <repro.core.protocols.base.ConsistencyProtocol.state_snapshot>`.
+* ``warm`` — the warm-up time and the upstream replies warm-up read.
+* ``feed`` — the origin's feed body, written once, before any request
+  that delivers from it can commit.
+* ``request`` — one committed request: the object, its resolved time,
+  its ``X-Repro-Seq`` (absent when the client sent none) and the
+  upstream replies it read, in order.
+* ``finish`` — its time and the upstream replies it read.
 
-The format is deltas-plus-touched-entries rather than full snapshots so
-journal size is proportional to work done, and restore is a single
-forward replay.
+A reply is ``[head, body]``: the serialized head, and the body's text
+for a control endpoint or its length for an object (the model's
+filler, which nobody reads).  Re-execution rebuilds all the state a
+run's result depends on, so a record's size follows the request's
+traffic, not the state it touched.
 """
 
 from __future__ import annotations

@@ -56,11 +56,13 @@ a :class:`_Txn`, committed (journaled, then applied) *before* the reply
 is sent, and the serialized reply is remembered under the request's
 ``X-Repro-Seq`` so an at-least-once transport (socket faults, proxy
 restarts) gets exactly-once accounting — a retry of a committed
-exchange replays the stored reply without touching state.  Upstream
-exchanges are made idempotent the same way: deterministic per-object
-sequence ids, journaled with the transaction, so even a proxy
-SIGKILLed mid-request retries its origin fetches under the same ids
-and the origin's counters cannot double-count.
+exchange replays the stored reply without touching state.  The journal
+holds what came in — the request and the upstream replies it read —
+and :meth:`LiveProxy.restore` runs it again through the same code.
+Upstream exchanges are made idempotent the same way: deterministic
+per-object sequence ids, which re-execution derives again, so even a
+proxy SIGKILLed mid-request retries its origin fetches under the same
+ids and the origin's counters cannot double-count.
 
 Simulation time comes exclusively from ``Date`` headers — the proxy
 never reads a wall clock (RPR001-scoped), which is what makes live
@@ -72,23 +74,20 @@ from __future__ import annotations
 import asyncio
 import json
 from bisect import bisect_right
+from collections import deque
 from typing import Optional
 
 from repro.core.cache import Cache, CacheEntry
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
 from repro.core.metrics import BandwidthLedger, ConsistencyCounters
 from repro.core.protocols.base import ConsistencyProtocol
-from repro.core.results import (
-    SimulationResult,
-    result_from_dict,
-    result_to_dict,
-)
+from repro.core.results import SimulationResult, result_to_dict
 from repro.core.server import FetchResult, NotModified
 from repro.core.step import RequestStep, SimulatorMode
-from repro.faults.plan import CRASH, FaultAction, FaultPlan
+from repro.faults.plan import FaultAction, FaultPlan
 from repro.http.datefmt import HTTPDateError, parse_http_date
 from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE, EXPIRES
-from repro.http.messages import Request, Response, make_ok
+from repro.http.messages import Request, Response, make_ok, parse_response
 from repro.live.journal import Journal
 from repro.live.wire import (
     CONTROL_PREFIX,
@@ -113,35 +112,17 @@ from repro.obs import clock as obs_clock
 from repro.obs import registry as obs_metrics
 from repro.obs import trace as obs_trace
 
-#: Cache-entry fields serialized into journal records, in constructor
-#: order (``CacheEntry(**dict)`` must round-trip).
-_ENTRY_FIELDS = (
-    "object_id",
-    "version",
-    "size",
-    "file_type",
-    "fetched_at",
-    "validated_at",
-    "last_modified",
-    "valid",
-    "expires_at",
-    "server_expires",
-)
+def _replayed(reply: list) -> tuple[Response, str, int]:
+    """An upstream reply as the journal keeps it, ``[head, body]``.
 
-
-def _entry_dict(entry: CacheEntry) -> dict[str, object]:
-    return {name: getattr(entry, name) for name in _ENTRY_FIELDS}
-
-
-def _committed_reply(head: str, body_size: int) -> str:
-    """A committed reply from what its journal record keeps.
-
-    Only 200s commit, and every 200 the proxy sends is the model's own
-    reply: a head and ``body_size`` filler bytes (the default body of
-    :meth:`Response.serialize`).  So a record holds the head and that
-    length, and the reply is rebuilt byte for byte.
+    The body is its text for a control endpoint and its length for an
+    object, whose filler nobody reads.  A replayed reply moved no bytes.
     """
-    return head + "x" * body_size
+    head, body = reply
+    parsed = parse_response(head)
+    if isinstance(body, int):
+        return Response(parsed.status, parsed.headers, body), "", 0
+    return Response(parsed.status, parsed.headers, len(body)), body, 0
 
 
 def _file_type(response: Response) -> str:
@@ -192,9 +173,8 @@ class _Txn:
     ._commit` folds it into the proxy — and the journal — in one short
     ``_state_lock`` critical section.  Cache entries and protocol state
     are mutated in place during processing (they are protected by the
-    key lock that serialized this request); the transaction records
-    which objects it may have touched so the journal can persist their
-    post-state (``None`` for one not resident).
+    key lock that serialized this request); the journal needs only the
+    upstream replies the request read, to run it again.
     """
 
     __slots__ = (
@@ -203,12 +183,10 @@ class _Txn:
         "counters",
         "bandwidth",
         "events",
-        "touched",
-        "cleared",
         "cursors",
         "clock",
-        "fault_idx",
         "upstream",
+        "replies",
         "trace",
         "upstream_wall",
     )
@@ -218,16 +196,16 @@ class _Txn:
         self.counters = ConsistencyCounters()
         self.bandwidth = BandwidthLedger()
         self.events: list[tuple[str, float, str]] = []
-        self.touched: set[str] = set()
-        self.cleared = False
         self.cursors: dict[str, float] = {}
         #: ``(key, time)`` this request advances its key's clock to.
         self.clock: Optional[tuple[str, float]] = None
-        self.fault_idx: Optional[int] = None
         #: Post-txn upstream sequence counters for objects this request
-        #: fetched — staged here (not in the shared dict) so the journal
-        #: never records another in-flight transaction's increments.
+        #: fetched — staged here (not in the shared dict) so a failed
+        #: request leaves the committed ids as they were.
         self.upstream: dict[str, int] = {}
+        #: The upstream replies this request read, journaled with it
+        #: (filled only when a journal is installed).
+        self.replies: list[list[object]] = []
         #: Propagated X-Repro-Trace id (None when the client sent none).
         self.trace: Optional[str] = None
         #: Wall seconds spent in upstream object fetches, accumulated so
@@ -260,8 +238,8 @@ class LiveProxy(LiveServer):
             the simulator's ``faults=`` knob.  The schedule is a global
             timeline, so every object then shares one key
             (:func:`single_key`).
-        journal: a :class:`~repro.live.journal.Journal` to write
-            commit-before-reply transaction records to; see
+        journal: a :class:`~repro.live.journal.Journal` to write each
+            committed request's inputs to, before its reply; see
             :meth:`restore`.
         upstream_attempts: retry budget for origin exchanges (used when
             a chaos relay sits on the upstream hop).  Origin fetches
@@ -337,6 +315,9 @@ class LiveProxy(LiveServer):
         self._fault_actions: tuple[FaultAction, ...] = ()
         self._fault_idx = 0
         self._journal = journal
+        #: While :meth:`restore` re-runs a record: the upstream replies
+        #: it read, which :meth:`_origin_raw` answers from.
+        self._replies: Optional[deque[list]] = None
         self._trace = trace
         self._state_lock = asyncio.Lock()
         self._control_lock = asyncio.Lock()
@@ -364,14 +345,19 @@ class LiveProxy(LiveServer):
         (:meth:`repro.core.cache.Cache.preload_from`): real warmup-tagged
         GETs fetch each population object at ``start_time``; neither
         side counts or charges them.  With a journal installed, the
-        warmed state is written as the journal's base records.
+        configuration and the replies warm-up read are written as the
+        journal's first records.
 
         Returns:
             The number of entries loaded.
         """
         warm_started = obs_clock.monotonic()
         listing = Request("GET", CONTROL_PREFIX + "population")
-        _, body, _ = await self._origin_raw(listing)
+        response, body, _ = await self._origin_raw(listing)
+        replies: list[list[object]] = (
+            [[response.serialize_head(), body]]
+            if self._journal is not None else []
+        )
         loaded = 0
         # Neither side counts or charges warm-up, so any step will do:
         # only its ``store`` (entry + protocol stamp) is used.
@@ -385,6 +371,10 @@ class LiveProxy(LiveServer):
                 raise LiveWireError(
                     f"warmup fetch of {object_id!r} returned "
                     f"{response.status}"
+                )
+            if self._journal is not None:
+                replies.append(
+                    [response.serialize_head(), response.body_size]
                 )
             store(
                 object_id, _file_type(response),
@@ -403,16 +393,7 @@ class LiveProxy(LiveServer):
                 }
             )
             self._journal.append(
-                {
-                    "kind": "warm",
-                    "t": float(start_time),
-                    "entries": [
-                        _entry_dict(entry)
-                        for entry in sorted(
-                            self.cache, key=lambda e: e.object_id
-                        )
-                    ],
-                }
+                {"kind": "warm", "t": float(start_time), "replies": replies}
             )
         obs_trace.span(
             "live.warmup",
@@ -424,16 +405,20 @@ class LiveProxy(LiveServer):
     # -- restore -------------------------------------------------------------
 
     async def restore(self) -> bool:
-        """Rebuild state from the journal after a crash.
+        """Rebuild state from the journal after a crash, by re-execution.
 
-        Replays the journal's config/warm/txn records in order: cache
-        entries, counters, ledger, events, cursors, clocks, committed
+        Each record runs again, in journal order, through the code that
+        ran it the first time — :meth:`warm`, :meth:`_process_object` or
+        :meth:`_finish` — while :meth:`_origin_raw` answers from the
+        upstream replies the record kept.  That rebuilds counters,
+        ledger, events, cache entries, cursors, clocks, committed
         replies (so retried in-flight requests replay rather than
-        re-execute), upstream sequence ids, and the protocol's adaptive
-        state — and, under a fault plan, the replay position in its
-        schedule.  No origin is needed: the feed is read again by the
-        first delivery that wants it (:meth:`_subscribe`), and the
-        restored cursors say where in it each object resumes.
+        re-execute), upstream sequence ids, the replay position in a
+        fault plan's schedule and the protocol's adaptive state.  No
+        origin is needed: a ``feed`` record hands back the feed the
+        killed proxy read.  While records re-run, the journal, the
+        metrics registry and the ambient trace sink are suspended, so a
+        re-run publishes and journals nothing.
 
         Returns:
             True when the journal held records (the proxy is warm);
@@ -442,9 +427,10 @@ class LiveProxy(LiveServer):
 
         Raises:
             LiveReplayError: when the journal's config record does not
-                match this proxy's configuration, or a record was
-                written by the removed global-watermark sync
-                (``last_sync``).
+                match this proxy's configuration, a record's kind is
+                unknown (the state-delta ``txn`` records of an older
+                proxy included), or a record's re-run asks for an
+                upstream reply it lacks or leaves one unused.
         """
         if self._journal is None:
             raise LiveReplayError("restore() needs a journal")
@@ -452,16 +438,17 @@ class LiveProxy(LiveServer):
         records = self._journal.load()
         if not records:
             return False
-        for record in records:
-            kind = record.get("kind")
-            if kind == "config":
-                self._check_config(record)
-            elif kind == "warm":
-                self._restore_warm(record)
-            elif kind == "txn":
-                self._apply_record(record)
-            else:
-                raise LiveReplayError(f"unknown journal record kind {kind!r}")
+        journal, self._journal = self._journal, None
+        registry = obs_metrics.install(None)
+        sink = obs_trace.install(None)
+        try:
+            for record in records:
+                await self._rerun(record)
+        finally:
+            self._journal = journal
+            self._replies = None
+            obs_metrics.install(registry)
+            obs_trace.install(sink)
         if self._trace is not None:
             self._trace.mark(
                 "live.trace.restore",
@@ -476,6 +463,38 @@ class LiveProxy(LiveServer):
         )
         return True
 
+    async def _rerun(self, record: dict[str, object]) -> None:
+        """Run one journal record again; see :meth:`restore`."""
+        kind = record.get("kind")
+        if kind == "config":
+            self._check_config(record)
+            return
+        if kind == "feed":
+            self._load_feed(str(record["body"]))
+            return
+        if kind not in ("warm", "request", "finish"):
+            raise LiveReplayError(f"unknown journal record kind {kind!r}")
+        replies = record.get("replies", [])
+        assert isinstance(replies, list)
+        self._replies = deque(replies)
+        t = float(record["t"])  # type: ignore[arg-type]
+        if kind == "warm":
+            await self.warm(t)
+        elif kind == "request":
+            request = Request("GET", str(record["object"]))
+            request.headers.set_date(DATE, t)
+            seq = record.get("seq")
+            if isinstance(seq, str):
+                request.headers.set(SEQ_HEADER, seq)
+            await self._process_object(request)
+        else:
+            await self._finish(t)
+        if self._replies:
+            raise LiveReplayError(
+                f"journal {kind} record at t={t!r} left "
+                f"{len(self._replies)} upstream replies unread"
+            )
+
     def _check_config(self, record: dict[str, object]) -> None:
         mine = {
             "protocol": self.protocol.name,
@@ -489,80 +508,6 @@ class LiveProxy(LiveServer):
                     f"{record.get(key)!r}, proxy has {expected!r}"
                 )
 
-    def _restore_warm(self, record: dict[str, object]) -> None:
-        t = float(record["t"])  # type: ignore[arg-type]
-        self._now = t
-        self._warm_time = t
-        entries = record.get("entries", [])
-        assert isinstance(entries, list)
-        for fields in entries:
-            entry = CacheEntry(**fields)
-            self.cache.store(entry)
-            self.protocol.on_stored(entry, t)
-
-    def _apply_record(self, record: dict[str, object]) -> None:
-        """Replay one committed transaction from the journal."""
-        if "last_sync" in record:
-            # Written by the removed global-watermark sync.  Replaying
-            # it against per-object cursors (all still at warm-up)
-            # would re-deliver, and double-charge, every invalidation
-            # since then.
-            raise LiveReplayError(
-                "journal record carries 'last_sync' (global-watermark "
-                "invalidation sync, no longer supported); it cannot be "
-                "restored onto per-object cursors"
-            )
-        seq = record.get("seq")
-        if isinstance(seq, str):
-            # A record without ``body_size`` predates the head-only
-            # payload and holds the whole reply.
-            self._done[seq] = _committed_reply(
-                str(record.get("payload", "")),
-                int(record.get("body_size", 0)),  # type: ignore[call-overload]
-            )
-        delta = result_from_dict(
-            {
-                "protocol_name": self.protocol.name,
-                "mode": self.mode.value,
-                "duration": 0.0,
-                "counters": record.get("counters", {}),
-                "bandwidth": record.get("ledger", {}),
-            }
-        )
-        self.counters.merge(delta.counters)
-        self.bandwidth.merge(delta.bandwidth)
-        events = record.get("events", [])
-        assert isinstance(events, list)
-        for kind, t, oid in events:
-            self.events.append((str(kind), float(t), str(oid)))
-        if record.get("cleared"):
-            self.cache.clear()
-        entries = record.get("entries", {})
-        assert isinstance(entries, dict)
-        for object_id, fields in entries.items():
-            if fields is None:
-                self.cache.drop(object_id)
-            else:
-                self.cache.store(CacheEntry(**fields))
-        cursors = record.get("cursors", {})
-        assert isinstance(cursors, dict)
-        for object_id, cursor in cursors.items():
-            self._cursors[object_id] = float(cursor)
-        if "now" in record:
-            self._now = max(self._now, float(record["now"]))  # type: ignore[arg-type]
-        clock = record.get("obj_now")
-        if isinstance(clock, list):
-            self._clocks[str(clock[0])] = float(clock[1])
-        upstream = record.get("upstream", {})
-        assert isinstance(upstream, dict)
-        for object_id, n in upstream.items():
-            self._upstream[object_id] = int(n)
-        if "fault_idx" in record:
-            self._fault_idx = int(record["fault_idx"])  # type: ignore[arg-type]
-        state = record.get("state")
-        if isinstance(state, dict):
-            self.protocol.state_restore(state)
-
     # -- origin exchanges ----------------------------------------------------
 
     async def _origin_raw(
@@ -573,8 +518,16 @@ class LiveProxy(LiveServer):
 
         The wire tally is charged for the attempt that completed.
         Retried requests carry whatever ``X-Repro-Seq`` the caller
-        stamped, so the origin's counting dedups.
+        stamped, so the origin's counting dedups.  While :meth:`restore`
+        re-runs a record, the record's next reply answers instead.
         """
+        if self._replies is not None:
+            if not self._replies:
+                raise LiveReplayError(
+                    f"journal record lacks the upstream reply its re-run "
+                    f"asks for ({request.path})"
+                )
+            return _replayed(self._replies.popleft())
         reply = await self._origin.request(
             request, attempts=self.upstream_attempts
         )
@@ -594,10 +547,10 @@ class LiveProxy(LiveServer):
         if since is not None:
             request.headers.set_date("If-Modified-Since", since)
         # Deterministic idempotency id: the k-th counted fetch of this
-        # object.  Staged in the transaction and journaled with it at
-        # commit, so a restarted proxy's re-execution of an uncommitted
-        # request — and any chaos retry — reuses the same ids and the
-        # origin cannot double-count.  (A SIGKILL can land after the
+        # object.  Staged in the transaction and applied at commit, so a
+        # restarted proxy's re-execution of an uncommitted request — and
+        # any chaos retry — reuses the same ids and the origin cannot
+        # double-count.  (A SIGKILL can land after the
         # origin counted a fetch but before the transaction committed;
         # the restarted proxy then re-executes the request.)
         base = self._upstream.get(object_id, 0)
@@ -619,6 +572,8 @@ class LiveProxy(LiveServer):
             raise LiveWireError(
                 f"origin returned {response.status} for {object_id!r}"
             )
+        if self._journal is not None:
+            txn.replies.append([response.serialize_head(), response.body_size])
         return response
 
     # -- invalidation delivery -----------------------------------------------
@@ -637,19 +592,19 @@ class LiveProxy(LiveServer):
         return mod_time, object_id
 
     async def _subscribe(self) -> None:
-        """Read the origin's modification feed — once per proxy lifetime.
+        """Read the origin's modification feed — once per run.
 
-        Run by the first delivery that needs the feed, never by
-        :meth:`restore` (which must work against a dead origin); first
-        requests arriving together queue on ``_feed_lock`` and find the
-        work done.  One fetch, two consumers: a fault plan compiles the
-        feed into its schedule exactly as ``Simulation.__init__`` does,
-        the fault-free path keeps it as per-object queues.
+        Run by the first delivery that needs the feed; first requests
+        arriving together queue on ``_feed_lock`` and find the work
+        done.  With a journal installed the body is journaled as a
+        ``feed`` record before any request that delivers from it can
+        commit, so a restarted proxy takes the feed from its journal
+        (:meth:`restore` must work against a dead origin).
         """
         async with self._feed_lock:
             if self._subscribed:
                 return
-            feed: list[tuple[float, str]] = []
+            body = ""
             if self.protocol.wants_invalidations:
                 fetch_started = obs_clock.monotonic()
                 request = Request("GET", CONTROL_PREFIX + "feed")
@@ -658,22 +613,29 @@ class LiveProxy(LiveServer):
                     raise LiveWireError(
                         f"feed endpoint returned {response.status}"
                     )
-                feed = [
-                    self._parse_feed_line(line) for line in body.splitlines()
-                ]
+                if self._journal is not None:
+                    self._journal.append({"kind": "feed", "body": body})
                 obs_trace.span(
                     "live.feed",
                     obs_clock.monotonic() - fetch_started,
-                    events=len(feed),
+                    events=len(body.splitlines()),
                 )
-            if self.faults is not None:
-                self._fault_actions = self.faults.compile(
-                    feed, start_time=self._warm_time
-                )
-            else:
-                for mod_time, object_id in feed:
-                    self._feed.setdefault(object_id, []).append(mod_time)
-            self._subscribed = True
+            self._load_feed(body)
+
+    def _load_feed(self, body: str) -> None:
+        """Take the feed's body, once.  One fetch, two consumers: a
+        fault plan compiles the feed into its schedule exactly as
+        ``Simulation.__init__`` does, the fault-free path keeps it as
+        per-object queues."""
+        feed = [self._parse_feed_line(line) for line in body.splitlines()]
+        if self.faults is not None:
+            self._fault_actions = self.faults.compile(
+                feed, start_time=self._warm_time
+            )
+        else:
+            for mod_time, object_id in feed:
+                self._feed.setdefault(object_id, []).append(mod_time)
+        self._subscribed = True
 
     async def _prefetch(self, object_id: str, t: float, txn: _Txn) -> None:
         response = await self._origin_get(object_id, t, txn)
@@ -681,7 +643,6 @@ class LiveProxy(LiveServer):
             object_id, t, _file_type(response),
             _fetch_result(object_id, response),
         )
-        txn.touched.add(object_id)
 
     async def _deliver(
         self, until: float, txn: _Txn, object_id: Optional[str]
@@ -736,28 +697,21 @@ class LiveProxy(LiveServer):
         # (time, id) is the order of the origin's feed.
         due.sort()
         for mod_time, oid in due:
-            txn.touched.add(oid)
             if txn.step.deliver(mod_time, oid):
                 await self._prefetch(oid, mod_time, txn)
 
     async def _replay_faults(self, until: float, txn: _Txn) -> None:
         """Hand the step every compiled action with a timestamp <=
-        ``until``, staging what each touches for the journal."""
+        ``until``."""
         actions = self._fault_actions
         idx = self._fault_idx
         n = len(actions)
         while idx < n and actions[idx].time <= until:
             action = actions[idx]
             idx += 1
-            if action.kind == CRASH:
-                txn.cleared = True
-                txn.touched.clear()
-            else:
-                txn.touched.add(action.object_id)
             if txn.step.fault(action):
                 await self._prefetch(action.object_id, action.time, txn)
         self._fault_idx = idx
-        txn.fault_idx = idx
 
     # -- request handling ----------------------------------------------------
 
@@ -872,16 +826,20 @@ class LiveProxy(LiveServer):
                 )
             if response.status != 200:
                 return response.serialize(body)
-            # Commit-before-reply: once the reply leaves, the
-            # transaction is journaled and applied — a crash after
-            # this point replays, never re-executes.  A 200 is always
-            # the model's own reply, a filler body (``body is None``),
-            # so the journal keeps its head and ``body_size``.
-            assert body is None
+            # Commit-before-reply: once the reply leaves, the request
+            # is journaled and applied — a crash after this point
+            # replays its reply, never re-executes it.  A 200 is always
+            # the model's own reply, a filler body (``body is None``).
+            assert body is None and txn.clock is not None
             commit_started = obs_clock.monotonic()
-            payload = await self._commit(
-                txn, response.serialize_head(), response.body_size
-            )
+            payload = response.serialize()
+            record: dict[str, object] = {
+                "kind": "request", "object": request.path,
+                "t": txn.clock[1],
+            }
+            if seq is not None:
+                record["seq"] = seq
+            await self._commit(txn, record, payload)
             if traced:
                 assert self._trace is not None
                 commit_clk = obs_clock.monotonic()
@@ -952,19 +910,23 @@ class LiveProxy(LiveServer):
         )
         return txn
 
-    async def _commit(self, txn: _Txn, head: str, body_size: int) -> str:
-        """Fold one transaction into shared state (and the journal);
-        returns its reply, ``head`` and ``body_size`` filler bytes.
+    async def _commit(
+        self, txn: _Txn, record: dict[str, object], payload: str = ""
+    ) -> None:
+        """Fold one transaction into shared state, journaling ``record``
+        (what came in) with the upstream replies it read first; a
+        request's ``payload`` is its reply, kept for retries.
 
         The short critical section of the locking discipline: every
         mutation of cross-object aggregates happens here, under
         ``_state_lock``, after the request's work completed under its
         key's lock.
         """
-        payload = _committed_reply(head, body_size)
         async with self._state_lock:
             if self._journal is not None:
-                self._journal.append(self._txn_record(txn, head, body_size))
+                if txn.replies:
+                    record["replies"] = txn.replies
+                self._journal.append(record)
             self.counters.merge(txn.counters)
             self.bandwidth.merge(txn.bandwidth)
             self.events.extend(txn.events)
@@ -976,57 +938,6 @@ class LiveProxy(LiveServer):
                 self._cursors[object_id] = cursor
             for object_id, n in txn.upstream.items():
                 self._upstream[object_id] = n
-        return payload
-
-    def _txn_record(
-        self, txn: _Txn, head: str, body_size: int
-    ) -> dict[str, object]:
-        """Serialize one transaction's deltas for the journal."""
-        record: dict[str, object] = {
-            "kind": "txn", "payload": head, "body_size": body_size,
-        }
-        if txn.seq is not None:
-            record["seq"] = txn.seq
-        # The deltas in the codec's sparse form: zero cells stripped.
-        delta = result_to_dict(
-            SimulationResult(
-                self.protocol.name, self.mode.value,
-                txn.counters, txn.bandwidth,
-            ),
-            sparse=True,
-        )
-        if delta["counters"]:
-            record["counters"] = delta["counters"]
-        if delta["bandwidth"]:
-            record["ledger"] = delta["bandwidth"]
-        if txn.events:
-            record["events"] = [list(event) for event in txn.events]
-        if txn.cleared:
-            record["cleared"] = True
-        if txn.touched or txn.cleared:
-            record["entries"] = {
-                object_id: (
-                    _entry_dict(entry) if entry is not None else None
-                )
-                for object_id in sorted(txn.touched)
-                for entry in (self.cache.peek(object_id),)
-            }
-        if txn.cursors:
-            record["cursors"] = dict(txn.cursors)
-        record["now"] = self._now
-        if txn.clock is not None:
-            record["obj_now"] = list(txn.clock)
-        if txn.upstream:
-            # Only this transaction's (committed) counters: the shared
-            # dict may hold increments staged by still-uncommitted
-            # siblings, which a restore must not see.
-            record["upstream"] = dict(txn.upstream)
-        if txn.fault_idx is not None:
-            record["fault_idx"] = txn.fault_idx
-        state = self.protocol.state_snapshot()
-        if state:
-            record["state"] = state
-        return record
 
     # -- control endpoints ---------------------------------------------------
 
@@ -1056,19 +967,24 @@ class LiveProxy(LiveServer):
                     400,
                     f"finish time {t!r} precedes current time {self._now!r}",
                 )
-            # The simulator's finish(end_time): trailing invalidations
-            # are still delivered (and charged) after the last request.
-            # Idempotent — a retried finish finds every cursor already
-            # advanced and delivers nothing.
-            txn = self._begin()
-            await self._deliver(t, txn, object_id=None)
-            self._now = float(t)
-            await self._commit(txn, "", 0)
+            await self._finish(t)
             body = "ok\n"
             response = Response(200, body_size=len(body))
             response.headers.set(CONTENT_LENGTH, str(len(body)))
             return response, body
         return error_response(404, f"unknown control endpoint {endpoint!r}")
+
+    async def _finish(self, t: float) -> None:
+        """The simulator's finish(end_time): trailing invalidations are
+        still delivered (and charged) after the last request.
+
+        Idempotent — a retried finish finds every cursor already
+        advanced and delivers nothing.
+        """
+        txn = self._begin()
+        await self._deliver(t, txn, object_id=None)
+        self._now = float(t)
+        await self._commit(txn, {"kind": "finish", "t": float(t)})
 
     def _stats(self) -> tuple[Response, str]:
         # The totals as the codec writes a result, plus what only a
@@ -1126,7 +1042,6 @@ class LiveProxy(LiveServer):
             # relabels stale hits from the origin's ground truth.
             step.hit(object_id, t)
             return self._serve_from_cache(entry, t, "HIT")
-        txn.touched.add(object_id)
         if entry is None:
             response = await self._origin_get(object_id, t, txn)
             # ``Pragma: no-cache`` (dynamic content) is forwarded, never

@@ -17,7 +17,8 @@ boundary with exactly four contracts:
   through the ``warm`` control endpoint; a non-empty journal means a
   post-crash restart — the proxy re-warms itself from disk via
   :meth:`~repro.live.proxy.LiveProxy.restore` before accepting traffic
-  (adaptive protocol state rides in the journal's transaction records);
+  (re-running the journal's records rebuilds adaptive protocol state
+  too);
 * it serves until killed, or until stdin reaches EOF: the parent holds
   the pipe open for as long as it lives, so a driver that dies any
   death (test timeout, Ctrl-C, CI cancel) leaves no orphan behind.

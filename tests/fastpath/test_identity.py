@@ -552,8 +552,8 @@ class TestSelfTuning:
         fast, reference = (SelfTuningProtocol(0.04, 0.02, 0.3, 2.0, 0.25)
                            for _ in range(2))
         for protocol in (fast, reference):
-            protocol.state_restore({"thresholds": {"css": 0.5},
-                                    "history": {"css": [1, 2]}})
+            protocol._thresholds = {"css": 0.5}
+            protocol.history = {"css": [1, 2]}
         for _ in range(2):
             simulate(mixed_workload.server(), reference,
                      mixed_workload.requests, end_time=mixed_workload.duration)

@@ -97,6 +97,15 @@ class TestReplayCommand:
                      "--trace", str(tmp_path / "t.jsonl")]) == 2
         assert "whole second" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("connections", ["0", "-3"])
+    def test_a_pool_of_no_connections_is_usage_error(
+        self, trace_path, capsys, connections
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", str(trace_path), "--connections", connections])
+        assert excinfo.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_unknown_protocol_is_usage_error(self, trace_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["replay", str(trace_path), "--protocol", "bogus"])

@@ -396,9 +396,9 @@ class TestFaultedDifferential:
 
 class TestFeedIsReadOnce:
     """The proxy subscribes: one read of the origin's ``feed`` endpoint
-    per proxy lifetime, whatever the pool size — the count the origin
-    reports in its stats (the two lifetimes of a ``crash_after`` replay
-    are counted in ``test_persistence``)."""
+    per run, whatever the pool size — the count the origin reports in
+    its stats (a ``crash_after`` replay, whose restarted proxy takes the
+    feed from its journal, is counted in ``test_persistence``)."""
 
     @pytest.mark.parametrize("name,options,reads", [
         ("invalidation", {}, 1),

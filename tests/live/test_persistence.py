@@ -162,20 +162,21 @@ class TestRestoreRoundTrip:
         assert after.bandwidth == before.bandwidth
         assert after.events == before.events
         assert sorted(after._done) == sorted(before._done)
-        from repro.live.proxy import _entry_dict
+        from repro.core.cache import CacheEntry
 
-        assert {
-            oid: _entry_dict(after.cache.peek(oid))
-            for oid in ("/a", "/b", "/exp")
-        } == {
-            oid: _entry_dict(before.cache.peek(oid))
-            for oid in ("/a", "/b", "/exp")
-        }
+        def fields(proxy):
+            return {
+                oid: {name: getattr(proxy.cache.peek(oid), name)
+                      for name in CacheEntry.__slots__}
+                for oid in ("/a", "/b", "/exp")
+            }
+
+        assert fields(after) == fields(before)
 
     def test_restore_rebuilds_the_replay_table_byte_for_byte(self, tmp_path):
-        """A txn record keeps the reply's head and its filler length,
-        not the filler; the ``X-Repro-Seq`` replay table a restore
-        rebuilds from them is the live proxy's, reply for reply."""
+        """A request record keeps what came in, not the reply; the
+        ``X-Repro-Seq`` replay table a restore rebuilds by re-running
+        the records is the live proxy's, reply for reply."""
         path = tmp_path / "j.jsonl"
         before = self._replay_some(path, upto=len(_REQUESTS))
 
@@ -190,11 +191,9 @@ class TestRestoreRoundTrip:
         after = asyncio.run(restore())
         assert len(before._done) == len(_REQUESTS)
         assert after._done == before._done
-        for record in Journal(path).load():
-            if record["kind"] == "txn" and "seq" in record:
-                head, size = record["payload"], record["body_size"]
-                assert head.endswith("\r\n\r\n")
-                assert before._done[record["seq"]] == head + "x" * size
+        seqs = [record["seq"] for record in Journal(path).load()
+                if record["kind"] == "request"]
+        assert sorted(seqs) == sorted(before._done)
 
     def test_restore_under_a_fault_plan_needs_no_origin(self, tmp_path):
         """The plan's schedule is compiled from the feed by the first
@@ -236,106 +235,143 @@ class TestRestoreRoundTrip:
         with pytest.raises(LiveReplayError, match="journal"):
             asyncio.run(restore_wrong())
 
-    def test_global_watermark_record_is_rejected(self, tmp_path):
-        """A ``last_sync`` record was written by the removed
-        global-watermark invalidation sync.  Restoring it onto
-        per-object cursors (all still at warm-up) would re-deliver and
-        double-charge every invalidation since then, so restore must
-        refuse the journal instead."""
+    def test_a_state_delta_journal_is_refused(self, tmp_path):
+        """An older proxy journaled each transaction's effects (a
+        ``txn`` record of counters, entries, cursors, ...) and its
+        warmed entries, which no re-execution can run: the ``warm``
+        record holds no upstream replies to warm from, and ``txn`` is
+        not a kind restore knows."""
         journal = Journal(tmp_path / "old.jsonl")
         journal.append({
             "kind": "config", "protocol": "invalidation",
             "mode": "optimized", "charge_per_modification": True,
-            "concurrent": False,
         })
         journal.append({"kind": "warm", "t": 0.0, "entries": []})
         journal.append({
-            "kind": "txn", "payload": "", "now": 45.0, "last_sync": 45.0,
-            "counters": {"invalidations_received": 1},
+            "kind": "txn", "seq": "r3", "payload": "", "body_size": 0,
+            "now": 45.0, "obj_now": ["/a", 45.0], "cursors": {"/a": 45.0},
+            "counters": {"invalidations_received": 1, "requests": 1},
         })
 
-        async def restore_old():
+        async def restore(records):
+            path = tmp_path / f"{records[-1]['kind']}.jsonl"
+            for record in records:
+                Journal(path).append(record)
             proxy = LiveProxy(
                 "127.0.0.1", 1, _FACTORIES["invalidation"](),
-                journal=journal,
+                journal=Journal(path),
             )
             await proxy.restore()
 
-        with pytest.raises(LiveReplayError, match="last_sync"):
-            asyncio.run(restore_old())
+        config, warm, txn = journal.load()
+        with pytest.raises(LiveReplayError, match="lacks the upstream"):
+            asyncio.run(restore([config, warm]))
+        with pytest.raises(LiveReplayError, match="kind 'txn'"):
+            asyncio.run(restore([config, txn]))
 
 
-    def test_records_written_before_the_shared_codec_still_restore(
-        self, tmp_path
-    ):
-        """The txn record schema (sparse ``counters`` / ``ledger``
-        deltas, zero cells stripped) predates ``core.results`` owning
-        the codec.  This record is the parent commit's own output for
-        ``GET /a`` at t=45 under invalidation; it must restore to the
-        same totals.  Such records hold the whole reply in ``payload``
-        (and no ``body_size``); a retry must get that reply back."""
-        journal = Journal(tmp_path / "parent.jsonl")
-        journal.append({
-            "kind": "config", "protocol": "invalidation",
-            "mode": "optimized", "charge_per_modification": True,
-        })
-        journal.append({"kind": "warm", "t": 0.0, "entries": []})
-        journal.append({
-            "kind": "txn", "seq": "r3", "payload": "", "now": 45.0,
-            "obj_now": ["/a", 45.0], "cursors": {"/a": 45.0},
-            "counters": {
-                "invalidations_received": 1, "misses": 1, "requests": 1,
-                "server_invalidations_sent": 1, "validations": 1,
-            },
-            "ledger": {
-                "body_bytes": {"validation_200": 1000},
-                "control_bytes": {"invalidation": 43, "validation_200": 86},
-                "exchanges": {"invalidation": 1, "validation_200": 1},
-            },
-            "events": [["invalidation", 40.0, "/a"],
-                       ["validation_200", 45.0, "/a"]],
-        })
-        reply = (
-            "HTTP/1.0 200 OK\r\nContent-Length: 5\r\n"
-            "X-Cache: HIT\r\n\r\nxxxxx"
-        )
-        journal.append({
-            "kind": "txn", "seq": "r4", "payload": reply, "now": 50.0,
-            "obj_now": ["/a", 50.0],
-        })
-
-        async def restore():
-            proxy = LiveProxy(
-                "127.0.0.1", 1, _FACTORIES["invalidation"](), journal=journal,
-            )
-            assert await proxy.restore()
-            return proxy
-
-        proxy = asyncio.run(restore())
-        from repro.core.results import SimulationResult, result_to_dict
-
-        totals = result_to_dict(
-            SimulationResult("", "", proxy.counters, proxy.bandwidth),
-            sparse=True,
-        )
-        record = journal.load()[-2]
-        assert totals["counters"] == record["counters"]
-        assert totals["bandwidth"] == record["ledger"]
-        assert proxy.bandwidth.total_bytes == 1000 + 43 + 86
-        assert proxy.events == [("invalidation", 40.0, "/a"),
-                                ("validation_200", 45.0, "/a")]
-        assert proxy._done == {"r3": "", "r4": reply}
-
-    def test_txn_records_keep_their_sparse_schema(self, tmp_path):
+    def test_records_hold_inputs_only(self, tmp_path):
+        """The journal holds what came in — times, objects, sequence
+        ids and the upstream replies read — never what it did."""
         path = tmp_path / "j.jsonl"
-        self._replay_some(path, upto=6)
-        txns = [r for r in Journal(path).load() if r["kind"] == "txn"]
-        assert txns and all("bandwidth" not in r for r in txns)
-        assert all(all(r.get("counters", {1: 1}).values()) for r in txns)
-        for record in txns:
-            for table, cells in record.get("ledger", {}).items():
-                assert table in ("control_bytes", "body_bytes", "exchanges")
-                assert cells and all(cells.values())
+        self._replay_some(path, upto=len(_REQUESTS))
+        records = Journal(path).load()
+        assert [r["kind"] for r in records[:2]] == ["config", "warm"]
+        assert {r["kind"] for r in records[2:]} == {"feed", "request"}
+        for record in records[1:]:
+            assert set(record) <= {"kind", "t", "object", "seq",
+                                   "replies", "body"}, record
+        requests = [r for r in records if r["kind"] == "request"]
+        assert [(r["t"], r["object"]) for r in requests] == _REQUESTS
+        for record in requests:
+            for head, body in record.get("replies", []):
+                assert head.startswith("HTTP/1.0 ")
+                assert head.endswith("\r\n\r\n")
+                assert isinstance(body, int)
+
+
+class TestEveryRecordBoundary:
+    """A journal's crash states are its prefixes, so enumerate them.
+
+    One uncrashed replay of ``_REQUESTS`` plus ``finish`` is journaled;
+    then, for every prefix from the ``warm`` record on, a new proxy
+    restores it, the whole stream is resent under the same sequence ids
+    against the same origin, and the run finishes.  Whatever the cut,
+    the proxy must end where the uncrashed one did, and the origin must
+    count no fetch twice.
+    """
+
+    async def _send(self, proxy):
+        from repro.http.messages import Request
+        from repro.live.wire import CONTROL_PREFIX, DATE, SEQ_HEADER, exchange
+
+        for index, (t, object_id) in enumerate(_REQUESTS):
+            request = Request("GET", object_id)
+            request.headers.set_date(DATE, t)
+            request.headers.set(SEQ_HEADER, f"r{index}")
+            response, _, _ = await exchange(proxy.host, proxy.port, request)
+            assert response.status == 200
+        finish = Request("GET", CONTROL_PREFIX + "finish")
+        finish.headers.set_date(DATE, 120.0)
+        response, _, _ = await exchange(proxy.host, proxy.port, finish)
+        assert response.status == 200
+
+    @staticmethod
+    def _state(proxy):
+        return (proxy.counters, proxy.bandwidth, proxy.events, proxy._done)
+
+    @pytest.mark.parametrize("name,faults", [
+        ("invalidation", None),
+        ("invalidation-eager", "cache-crash"),
+        ("selftuning", "loss-retries"),
+    ])
+    def test_every_prefix_restores_to_the_uncrashed_end(
+        self, tmp_path, name, faults
+    ):
+        from tests.live.test_differential import _FAULTS
+
+        plan = _FAULTS[faults] if faults is not None else None
+        full = tmp_path / "full.jsonl"
+
+        async def run():
+            origin = LiveOrigin(OriginServer(_histories()))
+            await origin.start()
+            try:
+                proxy = LiveProxy(
+                    origin.host, origin.port, _FACTORIES[name](),
+                    faults=plan, journal=Journal(full),
+                )
+                await proxy.start()
+                try:
+                    await proxy.warm(0.0)
+                    await self._send(proxy)
+                finally:
+                    await proxy.close()
+                expected, gets = self._state(proxy), origin.gets
+                lines = full.read_bytes().splitlines(keepends=True)
+                kinds = [record["kind"] for record in Journal(full).load()]
+                assert len(kinds) == len(lines)
+                first = kinds.index("warm") + 1
+                assert len(lines) > first + len(_REQUESTS)
+                for cut in range(first, len(lines) + 1):
+                    path = tmp_path / f"cut{cut}.jsonl"
+                    path.write_bytes(b"".join(lines[:cut]))
+                    restored = LiveProxy(
+                        origin.host, origin.port, _FACTORIES[name](),
+                        faults=plan, journal=Journal(path),
+                    )
+                    assert await restored.restore()
+                    await restored.start()
+                    try:
+                        await self._send(restored)
+                    finally:
+                        await restored.close()
+                    assert self._state(restored) == expected, cut
+                    assert origin.gets == gets, cut
+            finally:
+                await origin.close()
+
+        asyncio.run(run())
 
 
 class TestUpstreamIdempotency:
@@ -384,7 +420,7 @@ class TestUpstreamIdempotency:
             # disk: drop the request's transaction record, keeping the
             # origin (which already counted the fetch) alive.
             records = Journal(path).load()
-            assert records[-1]["kind"] == "txn"
+            assert records[-1]["kind"] == "request"
             os.unlink(path)
             rewritten = Journal(path)
             for record in records[:-1]:
@@ -412,10 +448,10 @@ class TestUpstreamIdempotency:
         asyncio.run(run())
 
     def test_txn_records_journal_only_their_own_upstream_ids(self, tmp_path):
-        """A transaction's journal record must carry only the upstream
-        counters it advanced itself — snapshotting the shared dict
-        would capture siblings' uncommitted increments, and a restore
-        from such a record over-advances the ids."""
+        """The journal keeps no upstream ids: re-executing its records
+        derives them again, so the restored per-object counters are
+        the live proxy's, each advanced only by its own object's
+        committed fetches."""
         path = tmp_path / "j.jsonl"
 
         async def run():
@@ -445,20 +481,16 @@ class TestUpstreamIdempotency:
             finally:
                 await proxy.close()
                 await origin.close()
+            restored = LiveProxy(
+                "127.0.0.1", 1, _FACTORIES["invalidation"](),
+                journal=Journal(path),
+            )
+            assert await restored.restore()
+            return proxy._upstream, restored._upstream
 
-        asyncio.run(run())
-        upstreams = [
-            record["upstream"] for record in Journal(path).load()
-            if record["kind"] == "txn" and "upstream" in record
-        ]
-        assert len(upstreams) == 3
-        # Each of these transactions fetched exactly one object; a
-        # shared-dict snapshot would accumulate earlier objects too.
-        assert [sorted(u) for u in upstreams] == [
-            ["/dyn"], ["/a"], ["/dyn"],
-        ]
-        assert upstreams[0]["/dyn"] == 1
-        assert upstreams[2]["/dyn"] == 2
+        live, restored = asyncio.run(run())
+        assert live == {"/dyn": 2, "/a": 1}
+        assert restored == live
 
 
 class TestRetryPause:
@@ -554,21 +586,20 @@ class TestCrashRestartDifferential:
         assert report.events_checked >= len(_REQUESTS)
 
     def test_each_proxy_lifetime_reads_the_feed_once(self, tmp_path):
-        """The killed proxy subscribed on its first request; its
-        successor restores without the origin and subscribes again on
-        its own first delivery — two reads, and the journaled cursors
-        keep the second from re-delivering anything."""
+        """The killed proxy subscribed on its first request and
+        journaled the feed; its successor restores without the origin
+        and takes the feed from its journal — one read for the run."""
         report = asyncio.run(run_replay(
             OriginServer(_histories()), _FACTORIES["invalidation"](),
             _REQUESTS, end_time=120.0, connections=2, keepalive=True,
             journal_path=tmp_path / "j.jsonl", crash_after=4,
         ))
-        assert report.origin_feed_reads == 2
+        assert report.origin_feed_reads == 1
 
     def test_the_journal_survived_a_real_kill(self, tmp_path):
-        """The journal left behind holds the config plus committed
-        transactions — evidence the restart actually re-warmed rather
-        than recomputed."""
+        """The journal left behind holds the config, warm-up, the feed,
+        every committed request and the finish — evidence the restart
+        re-ran the killed proxy's requests rather than starting cold."""
         path = tmp_path / "j.jsonl"
         live_vs_sim(
             OriginServer(_histories()), _FACTORIES["invalidation"],
@@ -578,10 +609,10 @@ class TestCrashRestartDifferential:
         )
         records = Journal(path).load()
         kinds = {record["kind"] for record in records}
-        assert kinds == {"config", "warm", "txn"}
+        assert kinds == {"config", "warm", "feed", "request", "finish"}
         seqs = [
-            record["seq"] for record in records if record["kind"] == "txn"
-            and "seq" in record
+            record["seq"] for record in records
+            if record["kind"] == "request" and "seq" in record
         ]
         assert len(seqs) == len(set(seqs)) >= len(_REQUESTS)
 

@@ -130,26 +130,12 @@ class TestOneAlphabet:
             **{name: 2 for name in COUNTER_FIELDS}
         )
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_codec_round_trips_every_cell(self, changing_server, sparse):
+    def test_codec_round_trips_every_cell(self, changing_server):
         result = _run(changing_server)
-        encoded = json.loads(json.dumps(result_to_dict(result, sparse=sparse)))
+        encoded = json.loads(json.dumps(result_to_dict(result)))
         rebuilt = result_from_dict(encoded)
         assert diff_results(rebuilt, result) == []
         assert result_to_dict(rebuilt) == result_to_dict(result)
-
-    def test_sparse_form_strips_zero_cells_and_empty_tables(self):
-        from repro.core.results import SimulationResult
-
-        delta = SimulationResult("p", "optimized")
-        delta.counters.invalidations_received = 1
-        delta.bandwidth.charge("invalidation", 43, 0)
-        encoded = result_to_dict(delta, sparse=True)
-        assert encoded["counters"] == {"invalidations_received": 1}
-        assert encoded["bandwidth"] == {
-            "control_bytes": {"invalidation": 43},
-            "exchanges": {"invalidation": 1},
-        }
 
 
 class TestEveryCellIsComparedByEveryLeg:
