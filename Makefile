@@ -24,11 +24,12 @@ bench:
 experiments:
 	$(PYTHON) -m repro.experiments all
 
-# Static invariant analysis (RPR001, RPR002, RPR005, RPR007, see
-# docs/DEVELOPING.md): determinism, unit discipline (propagated through
-# locals and calls), hygiene, async/lock discipline.  Exit 1 on any
-# finding not silenced by a
+# Static invariant analysis (RPR002, RPR007, see docs/DEVELOPING.md):
+# unit discipline (propagated through locals and calls) and async/lock
+# discipline.  Exit 1 on any finding not silenced by a
 # '# repro: noqa[CODE]' comment.  '--format github' for CI annotations.
+# Determinism and hygiene are tier-1 tests over the loaded code
+# (tests/test_loaded_code.py, the tripwire in tests/conftest.py).
 lint:
 	$(PYTHON) -m repro.lint src examples
 

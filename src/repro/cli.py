@@ -902,7 +902,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the static invariant linter (RPR001, RPR002, RPR005, RPR007)",
+        help="run the static invariant linter (RPR002, RPR007)",
     )
     p_lint.add_argument(
         "lint_args", nargs=argparse.REMAINDER, metavar="...",

@@ -12,7 +12,7 @@ The public surface mirrors the paper's apparatus:
 """
 
 from repro.core.cache import Cache, CacheEntry
-from repro.core.clock import DAY, HOUR, MINUTE, MONTH, SECOND, SimClock, days, hours
+from repro.core.clock import DAY, HOUR, MINUTE, MONTH, SECOND, days, hours
 from repro.core.costs import DEFAULT_COSTS, PAPER_MESSAGE_BYTES, MessageCosts
 from repro.core.hierarchy import (
     CacheNode,
@@ -45,7 +45,6 @@ __all__ = [
     "ModificationSchedule",
     "ObjectHistory",
     "OriginServer",
-    "SimClock",
     "Simulation",
     "SimulationResult",
     "SimulatorMode",

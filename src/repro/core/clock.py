@@ -5,15 +5,9 @@ simulation epoch (t = 0).  The paper talks about parameters in hours (TTL
 values of 0-500 hours), percentages of object age (Alex update thresholds),
 and trace durations in days, so this module centralizes the unit
 conversions to keep the rest of the code free of magic constants.
-
-The :class:`SimClock` is a tiny monotonic clock used by the simulation
-loops; it exists mostly so that invariants ("time never goes backwards")
-are checked in one place instead of being implicit in every loop.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 #: One second of simulated time.
 SECOND: float = 1.0
@@ -60,38 +54,3 @@ def to_days(t: float) -> float:
     """Convert a simulation time/interval ``t`` to days."""
     return t / DAY
 
-
-@dataclass
-class SimClock:
-    """A monotonically non-decreasing simulated clock.
-
-    The simulator advances the clock to each event's timestamp via
-    :meth:`advance_to`.  Moving backwards raises ``ValueError`` — event
-    streams handed to the simulator must already be time ordered, and this
-    clock is where that contract is enforced.
-    """
-
-    now: float = 0.0
-    _started: float = field(default=0.0, repr=False)
-
-    def __post_init__(self) -> None:
-        self._started = self.now
-
-    def advance_to(self, t: float) -> float:
-        """Advance the clock to time ``t`` and return it.
-
-        Raises:
-            ValueError: if ``t`` is earlier than the current time.
-        """
-        if t < self.now:
-            raise ValueError(
-                f"clock moved backwards: {t!r} < {self.now!r}; "
-                "event streams must be sorted by timestamp"
-            )
-        self.now = t
-        return self.now
-
-    @property
-    def elapsed(self) -> float:
-        """Simulated time elapsed since the clock was created."""
-        return self.now - self._started

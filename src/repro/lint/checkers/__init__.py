@@ -1,13 +1,11 @@
 """Built-in checkers; importing this package registers them all.
 
-* :mod:`repro.lint.checkers.determinism` — RPR001
 * :mod:`repro.lint.checkers.units` — RPR002
-* :mod:`repro.lint.checkers.hygiene` — RPR005
 * :mod:`repro.lint.checkers.asyncsafety` — RPR007
 
-RPR003, RPR004, RPR006, RPR008 and RPR009 are retired ids, never
-renumbered or reused (docs/DEVELOPING.md has the ledger and where their
-catches went).
+RPR001, RPR003, RPR004, RPR005, RPR006, RPR008 and RPR009 are retired
+ids, never renumbered or reused (docs/DEVELOPING.md has the ledger and
+where their catches went).
 
 Third-party checkers register the same way: subclass
 :class:`repro.lint.registry.Checker`, decorate with
@@ -17,14 +15,10 @@ calling the engine.
 
 from repro.lint.checkers import (  # noqa: F401  (registration side effects)
     asyncsafety,
-    determinism,
-    hygiene,
     units,
 )
 
 __all__ = [
     "asyncsafety",
-    "determinism",
-    "hygiene",
     "units",
 ]

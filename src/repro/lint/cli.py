@@ -30,8 +30,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant linter for the cache-consistency "
-            "reproduction (determinism, unit discipline, hygiene, "
-            "async lock discipline)."
+            "reproduction (unit discipline, async lock discipline)."
         ),
     )
     parser.add_argument(

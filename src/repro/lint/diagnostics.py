@@ -49,7 +49,7 @@ class Diagnostic:
             to the lint root when possible).
         line: 1-based line number.
         col: 1-based column number.
-        code: stable checker code, e.g. ``RPR001``.
+        code: stable checker code, e.g. ``RPR002``.
         message: human-readable explanation.
         because: optional cross-file explanation chain (outermost step
             first), e.g. the call path that makes a blocking call

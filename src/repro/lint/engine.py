@@ -2,9 +2,8 @@
 
 :func:`run_lint` is the one entry point both the CLI and the tests go
 through: it loads a :class:`~repro.lint.project.Project` from the given
-paths, runs every selected checker (per-module passes first, then the
-project-wide passes), and drops diagnostics suppressed by inline
-``# repro: noqa[CODE]`` comments.  The result is a :class:`LintResult`;
+paths, runs every selected checker over it, and drops diagnostics
+suppressed by inline ``# repro: noqa[CODE]`` comments.  The result is a :class:`LintResult`;
 rendering and exit codes are the CLI's business.
 """
 
@@ -66,8 +65,6 @@ def check_project(
     """
     found: list[Diagnostic] = []
     for checker in _selected(select):
-        for module in project.modules:
-            found.extend(checker.check_module(module, project))
         found.extend(checker.check_project(project))
 
     by_path = {m.path: m for m in project.modules}

@@ -14,8 +14,8 @@ rule by mimicking a ``src/repro/...`` layout, or by constructing
 
 Suppression syntax, checked per physical line::
 
-    something_noisy()  # repro: noqa[RPR001]
-    another()          # repro: noqa[RPR001, RPR005]
+    something_noisy()  # repro: noqa[RPR002]
+    another()          # repro: noqa[RPR002, RPR007]
     everything()       # repro: noqa
 
 A bare ``noqa`` suppresses every code on that line; the bracketed form

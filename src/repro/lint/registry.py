@@ -3,13 +3,9 @@
 A checker is a subclass of :class:`Checker` registered with the
 :func:`register` decorator.  Each has a stable ``code`` (``RPRxxx``) and a
 one-line ``summary`` (shown by ``repro lint --list-codes``).  Checkers
-implement either or both of:
-
-* :meth:`Checker.check_module` — called once per linted file; the place
-  for purely local rules (RPR001, RPR005);
-* :meth:`Checker.check_project` — called once per run with the whole
-  :class:`~repro.lint.project.Project`; the place for cross-module
-  invariants (RPR002 unit propagation, RPR007 lock discipline).
+implement :meth:`Checker.check_project`, called once per run with the
+whole :class:`~repro.lint.project.Project` (RPR002 unit propagation,
+RPR007 lock discipline).
 
 Registering a second checker under an existing code raises — codes are
 the public contract (suppressions and docs key on them).
@@ -20,25 +16,19 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Type
 
 from repro.lint.diagnostics import Because, Diagnostic
-from repro.lint.project import ModuleInfo, Project
+from repro.lint.project import Project
 
 
 class Checker:
     """Base class for one lint rule."""
 
-    #: Stable public code, e.g. ``RPR001``.
+    #: Stable public code, e.g. ``RPR002``.
     code: str = ""
     #: One-line description for ``--list-codes`` and docs.
     summary: str = ""
 
-    def check_module(
-        self, module: ModuleInfo, project: Project
-    ) -> Iterable[Diagnostic]:
-        """Per-file pass; yield diagnostics for ``module``."""
-        return ()
-
     def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        """Whole-project pass; yield cross-module diagnostics."""
+        """Whole-project pass; yield diagnostics."""
         return ()
 
     # -- helpers shared by the concrete checkers ----------------------------

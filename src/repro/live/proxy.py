@@ -65,8 +65,9 @@ proxy SIGKILLed mid-request retries its origin fetches under the same
 ids and the origin's counters cannot double-count.
 
 Simulation time comes exclusively from ``Date`` headers — the proxy
-never reads a wall clock (RPR001-scoped), which is what makes live
-replays reproducible.
+never reads a wall clock (no seeded package binds one:
+``tests/test_loaded_code.py``), which is what makes live replays
+reproducible.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ One observability layer for the whole reproduction:
 * :mod:`repro.obs.profile` — engine phase timers and per-protocol-hook
   self-time (``repro profile``);
 * :mod:`repro.obs.clock` — the single audited wall-clock entry point
-  (the only ``# repro: noqa[RPR001]`` site in the package);
+  (the one module of the seeded packages allowed to bind ``time``);
 * :mod:`repro.obs.names` — the declared alphabet of every metric, span
   and mark name; the registry and the trace sink refuse any other;
 * :mod:`repro.obs.collect` — ``captured`` / ``merge``, how the sweep

@@ -3,10 +3,10 @@
 Everything under ``repro.*`` that needs to *measure* real elapsed time
 (run instrumentation, engine phase timers, live trace spans) calls
 :func:`monotonic` — never ``time.perf_counter`` / ``time.time``
-directly.  The RPR001 determinism checker forbids wall-clock reads
-across the scoped packages (``repro.obs`` included); the suppression in
-this module is the *only* sanctioned one there, so an audit of
-host-time usage is a read of this file.
+directly.  No module of the seeded packages (``repro.obs`` included)
+may bind ``time`` or a function from it (``tests/test_loaded_code.py``);
+this module is the rule's one exception, so an audit of host-time
+usage is a read of this file.
 
 Simulated time is a different thing entirely: it comes from the request
 stream and ``repro.core.clock``, and must never be mixed with values
@@ -25,5 +25,5 @@ def monotonic() -> float:
     value is meaningless.  This is the single audited wall-clock read
     for all of ``repro`` (see the module docstring).
     """
-    return time.perf_counter()  # repro: noqa[RPR001]
+    return time.perf_counter()
 

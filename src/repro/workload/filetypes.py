@@ -192,10 +192,3 @@ class FileTypeModel:
         mean_days = spec.avg_age_days or DEFAULT_AGE_DAYS
         age = lognormal_with_mean(rng, mean_days, sigma) * DAY
         return max(age, 1.0 * DAY)
-
-    def mean_body_size(self) -> float:
-        """The access-share-weighted mean body size."""
-        return float(
-            sum(share * spec.mean_size
-                for share, spec in zip(self._shares, self.specs))
-        )

@@ -1,11 +1,54 @@
-"""Shared fixtures: small deterministic populations and request streams."""
+"""Shared fixtures: small deterministic populations and request streams,
+and the entropy tripwire every test runs under."""
 
 from __future__ import annotations
 
+import functools
 import os
+import sys
 
 import numpy as np
 import pytest
+
+#: Packages whose runs must be pure functions of their seeds.
+SCOPED_PACKAGES = ("repro.core", "repro.fastpath", "repro.workload",
+                   "repro.verify", "repro.faults", "repro.obs",
+                   "repro.live")
+
+
+def in_scope(module_name: str) -> bool:
+    """True for a module inside :data:`SCOPED_PACKAGES`."""
+    return any(module_name == package or module_name.startswith(package + ".")
+               for package in SCOPED_PACKAGES)
+
+
+def _tripwire(owner, name, refuses=lambda *args, **kwargs: True):
+    """Replace ``owner.name`` by a wrapper that raises when a scoped
+    module calls it with arguments ``refuses`` accepts."""
+    real = getattr(owner, name)
+
+    @functools.wraps(real)
+    def guarded(*args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if in_scope(caller) and refuses(*args, **kwargs):
+            raise AssertionError(
+                f"{caller} called {owner.__name__}.{name}: ambient entropy "
+                "in a seeded package (seed a numpy Generator through "
+                "repro.runtime.derive_seed)")
+        return real(*args, **kwargs)
+
+    setattr(owner, name, guarded)
+
+
+# Installed at import, before any repro module binds these names, so the
+# whole session and the sweep workers it forks run under it.
+_tripwire(os, "urandom")
+_tripwire(np.random, "default_rng",
+          lambda seed=None, *args, **kwargs: seed is None)
+for _name in dir(np.random):
+    if getattr(getattr(np.random, _name), "__self__", None) is (
+            np.random.mtrand._rand):
+        _tripwire(np.random, _name)
 
 from repro.core.clock import DAY, days
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject

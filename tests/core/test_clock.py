@@ -1,4 +1,4 @@
-"""Time units and the monotonic simulation clock."""
+"""Time units."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.core.clock import (
     HOUR,
     MINUTE,
     MONTH,
-    SimClock,
     days,
     hours,
     minutes,
@@ -38,27 +37,3 @@ class TestUnits:
         # Figures sweep TTL 0..500 hours; make the unit algebra explicit.
         assert to_days(hours(500)) == pytest.approx(20.833, abs=0.001)
 
-
-class TestSimClock:
-    def test_starts_at_zero(self):
-        assert SimClock().now == 0.0
-
-    def test_advance(self):
-        clock = SimClock()
-        assert clock.advance_to(10.0) == 10.0
-        assert clock.now == 10.0
-
-    def test_advance_to_same_time_ok(self):
-        clock = SimClock(now=5.0)
-        clock.advance_to(5.0)
-        assert clock.now == 5.0
-
-    def test_backwards_rejected(self):
-        clock = SimClock(now=10.0)
-        with pytest.raises(ValueError, match="backwards"):
-            clock.advance_to(9.9)
-
-    def test_elapsed(self):
-        clock = SimClock(now=100.0)
-        clock.advance_to(250.0)
-        assert clock.elapsed == 150.0

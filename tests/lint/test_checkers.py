@@ -3,26 +3,34 @@
 Each test builds a tiny in-memory project (``ModuleInfo.from_source``
 with an explicit dotted name, so scoping rules apply) containing one
 deliberate violation, asserts the checker reports it, and asserts the
-corrected twin stays clean.  The retired codes' classes (RPR003,
-RPR004, RPR006) seed the same defects into the real objects instead,
-and show the tests that replaced those checkers catching them.
+corrected twin stays clean.  The retired codes' classes (RPR001,
+RPR003, RPR004, RPR005, RPR006) seed the same defects into the real
+objects instead, and show the checks that replaced those checkers
+catching them.
 """
 
 from __future__ import annotations
 
+import importlib
+import os
+import re
+import subprocess
 import sys
 import textwrap
+import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro
 from repro import experiments
 from repro.core import protocols, step
 from repro.core.protocols import CERNPolicyProtocol
 from repro.core.simulator import SimulatorMode
-from repro.lint.checkers.determinism import DeterminismChecker
 from repro.lint.checkers.units import UnitFlow, UnitsChecker
-from repro.lint.checkers.hygiene import HygieneChecker
 from repro.lint.project import ModuleInfo, Project
+from repro.obs import clock as obs_clock
 from repro.obs import names
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
@@ -31,6 +39,11 @@ from repro.verify import UnsupportedProtocolError, oracle, spec
 from tests.core.test_protocol_registry import check_protocol_classes
 from tests.experiments.test_registry import check_experiment_modules
 from tests.obs.test_names import dead_names, source_constants
+from tests.test_loaded_code import (
+    entropy_globals,
+    mutable_defaults,
+    shadowed_builtins,
+)
 from tests.verify import test_oracle
 from tests.verify.test_contract_surface import (
     check_one_event_alphabet,
@@ -44,123 +57,165 @@ def mod(source: str, name: str, path: str = "fixture.py") -> ModuleInfo:
     )
 
 
-def run_module(checker, module: ModuleInfo, *extra: ModuleInfo):
-    project = Project([module, *extra])
-    return list(checker.check_module(module, project))
-
-
 def run_project(checker, *modules: ModuleInfo):
     return list(checker.check_project(Project(list(modules))))
 
 
-# -- RPR001 determinism -------------------------------------------------------
+@pytest.fixture
+def seed_module(tmp_path, monkeypatch):
+    """``seed(package, name, source)`` adds ``package.name`` to a real
+    package for one test and returns it imported."""
+    added = []
+
+    def seed(package, name, source):
+        (tmp_path / f"{name}.py").write_text(textwrap.dedent(source))
+        monkeypatch.setattr(package, "__path__", [*package.__path__,
+                                                  str(tmp_path)])
+        added.append(f"{package.__name__}.{name}")
+        return importlib.import_module(added[-1])
+
+    yield seed
+    for module in added:
+        sys.modules.pop(module, None)
+        package, _, name = module.rpartition(".")
+        vars(sys.modules[package]).pop(name, None)
+
+
+# -- retired: RPR001 determinism ---------------------------------------------
+#
+# Each former fixture is planted in a real scoped package.  The namespace
+# rule (tests/test_loaded_code.py) refuses a bound entropy module or
+# function, the tripwire (tests/conftest.py) an entropy call, and set
+# order shows as counters that move with PYTHONHASHSEED.
+
+#: One bounded-LRU Alex run per order, with ``Cache.preload_from``
+#: walking ``ORDER(server.histories())``: the preload order decides
+#: which quarter of the population the LRU keeps.
+HASH_ORDER_RUN = """
+import inspect, textwrap
+from repro.core import Cache, SimulatorMode, cache, simulate
+from repro.core.protocols import AlexProtocol
+from repro.workload import MicrosoftProxyWorkload
+
+source = textwrap.dedent(inspect.getsource(Cache.preload_from))
+planted = source.replace(
+    "for oid, history in server.histories().items():",
+    "for oid in ORDER(server.histories()):\\n"
+    "        history = server.histories()[oid]")
+assert planted != source
+workload = MicrosoftProxyWorkload(
+    sites=5, files_per_site=40, requests=3000, seed=0).build()
+population = sum(h.obj.size for h in workload.histories if h.obj.cacheable)
+for order in ("set", "sorted"):
+    namespace = {}
+    exec(planted.replace("ORDER", order), vars(cache), namespace)
+    Cache.preload_from = namespace["preload_from"]
+    result = simulate(
+        workload.server(), AlexProtocol.from_percent(20), workload.requests,
+        SimulatorMode.OPTIMIZED, cache=Cache(capacity_bytes=population // 4),
+        preload=True, end_time=workload.duration)
+    print(order, result.counters)
+"""
+
+
+def hash_order_counters(hash_seed: str) -> dict[str, str]:
+    """``HASH_ORDER_RUN``'s counters per order under one hash seed."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", HASH_ORDER_RUN], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    return dict(line.split(" ", 1) for line in out.splitlines())
 
 
 class TestDeterminism:
-    checker = DeterminismChecker()
-
-    def test_global_random_call_flagged_in_core(self):
-        bad = mod(
-            """
+    def test_global_random_call_flagged_in_core(self, seed_module):
+        bad = seed_module(repro.core, "bad", """
             import random
 
             def jitter():
                 return random.random()
-            """,
-            name="repro.core.bad",
-        )
-        found = run_module(self.checker, bad)
-        assert len(found) == 1
-        assert found[0].code == "RPR001"
-        assert "random.random()" in found[0].message
+        """)
+        assert entropy_globals(bad) == [
+            "repro.core.bad.random is the random module"]
 
-    def test_seeded_random_and_out_of_scope_clean(self):
-        seeded = mod(
-            """
+    def test_seeded_random_and_out_of_scope_clean(self, seed_module):
+        # Stricter than the AST rule: the scoped packages draw from numpy
+        # Generators and repro.faults' counter RNG only, so a seeded
+        # random.Random is refused too.
+        seeded = seed_module(repro.core, "ok", """
             import random
 
             def jitter(seed):
                 return random.Random(seed).random()
-            """,
-            name="repro.core.ok",
-        )
-        assert run_module(self.checker, seeded) == []
-        # Same bad code outside the scoped packages: not this checker's
-        # business (instrumentation may read clocks).
-        elsewhere = mod(
-            "import time\nt = time.time()\n", name="repro.runtime.stats"
-        )
-        assert run_module(self.checker, elsewhere) == []
+        """)
+        assert entropy_globals(seeded) != []
+        # The same binding outside the scoped packages is allowed
+        # (instrumentation may read clocks).
+        elsewhere = seed_module(repro.runtime, "clocked",
+                                "import time\nt = time.time()\n")
+        assert entropy_globals(elsewhere) == []
 
-    def test_unseeded_default_rng_flagged_seeded_ok(self):
-        bad = mod(
-            """
+    def test_unseeded_default_rng_flagged_seeded_ok(self, seed_module):
+        bad = seed_module(repro.workload, "bad", """
             import numpy as np
 
             def draw():
                 return np.random.default_rng().random()
-            """,
-            name="repro.workload.bad",
-        )
-        found = run_module(self.checker, bad)
-        assert [d.code for d in found] == ["RPR001"]
-        assert "unseeded" in found[0].message
+        """)
+        with pytest.raises(AssertionError,
+                           match="repro.workload.bad called numpy.random"):
+            bad.draw()
 
-        good = mod(
-            """
+        good = seed_module(repro.workload, "ok", """
             import numpy as np
 
             def draw(seed):
                 return np.random.default_rng(seed).random()
-            """,
-            name="repro.workload.ok",
-        )
-        assert run_module(self.checker, good) == []
+        """)
+        assert good.draw(3) == np.random.default_rng(3).random()
+        np.random.default_rng().random()  # out of scope: this module
 
-    def test_legacy_numpy_global_api_flagged(self):
-        bad = mod(
-            "import numpy as np\nx = np.random.rand(3)\n",
-            name="repro.verify.bad",
-        )
-        found = run_module(self.checker, bad)
-        assert len(found) == 1 and "legacy global numpy RNG" in found[0].message
+    def test_legacy_numpy_global_api_flagged(self, seed_module):
+        with pytest.raises(AssertionError, match="numpy.random.rand"):
+            seed_module(repro.verify, "bad",
+                        "import numpy as np\nx = np.random.rand(3)\n")
 
-    def test_wall_clock_read_flagged(self):
-        bad = mod(
-            "import time\n\ndef stamp():\n    return time.time()\n",
-            name="repro.core.clockish",
-        )
-        found = run_module(self.checker, bad)
-        assert len(found) == 1 and "wall-clock" in found[0].message
+    def test_ambient_entropy_call_flagged(self, seed_module):
+        bad = seed_module(repro.workload, "token", """
+            import os
+
+            def token():
+                return os.urandom(4)
+        """)
+        with pytest.raises(AssertionError, match="os.urandom"):
+            bad.token()
+        assert len(os.urandom(4)) == 4  # out of scope: this module
+
+    def test_wall_clock_read_flagged(self, seed_module):
+        bad = seed_module(repro.core, "clockish", """
+            import time
+
+            def stamp():
+                return time.time()
+        """)
+        assert entropy_globals(bad) == [
+            "repro.core.clockish.time is the time module"]
 
     def test_set_iteration_flagged_sorted_ok(self):
-        bad = mod(
-            """
-            def order(ids):
-                for x in set(ids):
-                    yield x
-            """,
-            name="repro.core.iter",
-        )
-        found = run_module(self.checker, bad)
-        assert len(found) == 1 and "set order" in found[0].message
+        # Hash seeds 1 and 2 order these object ids differently (2 and
+        # 3 happen not to), so the pair is pinned.
+        one, two = hash_order_counters("1"), hash_order_counters("2")
+        assert one["set"] != two["set"]
+        assert one["sorted"] == two["sorted"]
 
-        good = mod(
-            """
-            def order(ids):
-                for x in sorted(set(ids)):
-                    yield x
-            """,
-            name="repro.core.iter",
-        )
-        assert run_module(self.checker, good) == []
-
-    def test_import_from_random_flagged(self):
-        bad = mod(
-            "from random import shuffle\n", name="repro.workload.imports"
-        )
-        found = run_module(self.checker, bad)
-        assert len(found) == 1 and "global-state" in found[0].message
+    def test_import_from_random_flagged(self, seed_module):
+        bad = seed_module(repro.workload, "imports",
+                          "from random import shuffle\n")
+        assert entropy_globals(bad) == [
+            "repro.workload.imports.shuffle is random.Random.shuffle"]
 
 
 # -- RPR002 units -------------------------------------------------------------
@@ -282,25 +337,6 @@ class TestUnits:
 # that replaced the checker failing on it (or passing, for a clean twin).
 
 
-@pytest.fixture
-def seed_module(tmp_path, monkeypatch):
-    """``seed(package, name, source)`` adds ``package.name`` to a real
-    package for one test."""
-    added = []
-
-    def seed(package, name, source):
-        (tmp_path / f"{name}.py").write_text(textwrap.dedent(source))
-        monkeypatch.setattr(package, "__path__", [*package.__path__,
-                                                  str(tmp_path)])
-        added.append(f"{package.__name__}.{name}")
-
-    yield seed
-    for module in added:
-        sys.modules.pop(module, None)
-        package, _, name = module.rpartition(".")
-        vars(sys.modules[package]).pop(name, None)
-
-
 class TestConformance:
     def test_conforming_protocol_clean(self):
         check_protocol_classes()
@@ -402,54 +438,68 @@ class TestEventExhaustiveness:
             check_one_event_alphabet()
 
 
-# -- RPR005 hygiene -----------------------------------------------------------
+# -- retired: RPR005 hygiene --------------------------------------------------
+
+
+def shadowed(module) -> list[str]:
+    """The builtin names ``shadowed_builtins`` reports for ``module``."""
+    return re.findall(r"binds '(\w+)'", "\n".join(shadowed_builtins(module)))
 
 
 class TestHygiene:
-    checker = HygieneChecker()
-
     @pytest.mark.parametrize("default", ["[]", "{}", "set()", "list()",
                                          "dict()"])
-    def test_mutable_default_flagged(self, default):
-        bad = mod(
-            f"def f(x, acc={default}):\n    return acc\n", name="anything"
-        )
-        found = run_module(self.checker, bad)
-        assert len(found) == 1
-        assert found[0].code == "RPR005"
-        assert "mutable default" in found[0].message
+    def test_mutable_default_flagged(self, default, seed_module):
+        bad = seed_module(repro.core, "bad",
+                          f"def f(x, acc={default}):\n    return acc\n")
+        (found,) = mutable_defaults(bad)
+        assert found.startswith("repro.core.bad.f() defaults to a shared")
 
-    def test_none_default_clean(self):
-        good = mod(
-            "def f(x, acc=None):\n    acc = acc or []\n    return acc\n",
-            name="anything",
-        )
-        assert run_module(self.checker, good) == []
+    def test_none_default_clean(self, seed_module):
+        good = seed_module(repro.core, "ok", """
+            def f(x, acc=None):
+                acc = acc or []
+                return acc
+        """)
+        assert mutable_defaults(good) == shadowed_builtins(good) == []
 
-    def test_shadowed_builtin_assignment_flagged(self):
-        bad = mod("list = [1, 2]\n", name="anything")
-        found = run_module(self.checker, bad)
-        assert len(found) == 1 and "shadows the builtin" in found[0].message
+    def test_shadowed_builtin_assignment_flagged(self, seed_module):
+        bad = seed_module(repro.core, "bad", "list = [1, 2]\n")
+        assert shadowed(bad) == ["list"]
 
-    def test_shadowed_builtin_param_and_loop_flagged(self):
-        bad = mod(
-            """
+    def test_shadowed_builtin_param_and_loop_flagged(self, seed_module):
+        bad = seed_module(repro.core, "bad", """
             def f(id):
                 for type in range(3):
                     pass
-            """,
-            name="anything",
-        )
-        found = run_module(self.checker, bad)
-        assert sorted("id" in d.message or "type" in d.message
-                      for d in found) == [True, True]
+        """)
+        assert shadowed(bad) == ["id", "type"]
 
-    def test_domain_names_not_flagged(self):
-        good = mod(
-            "size_bytes = 10\nrequest_count = 2\nentry_id = 'x'\n",
-            name="anything",
-        )
-        assert run_module(self.checker, good) == []
+    def test_loaded_code_variants_flagged(self, seed_module):
+        # Forms the AST rule listed node type by node type.
+        bad = seed_module(repro.core, "bad", """
+            class Box:
+                def put(self, *, into={}):
+                    try:
+                        return [len for len in into]
+                    except KeyError as hash:
+                        return hash
+        """)
+        assert mutable_defaults(bad) == [
+            "repro.core.bad.Box.put() defaults to a shared dict"]
+        assert sorted(shadowed(bad)) == ["hash", "len"]
+
+    def test_domain_names_not_flagged(self, seed_module):
+        good = seed_module(repro.core, "ok", """
+            size_bytes = 10
+            request_count = 2
+            entry_id = 'x'
+
+            def set(): pass
+
+            class type: pass
+        """)
+        assert mutable_defaults(good) == shadowed_builtins(good) == []
 
 
 # -- retired: RPR006 observability names --------------------------------------
@@ -524,10 +574,14 @@ class TestObsNames:
         assert obs_registry.active() is None
         obs_registry.emit("cache.storse")
 
-    def test_obs_package_in_determinism_scope(self):
-        # Satellite guarantee: repro.obs itself is held to RPR001, so
-        # only the audited clock shim may read wall time.
-        bad = mod("import time\nt = time.perf_counter()\n",
-                  name="repro.obs.registry")
-        found = run_module(DeterminismChecker(), bad)
-        assert len(found) == 1 and "wall-clock" in found[0].message
+    def test_obs_package_in_determinism_scope(self, monkeypatch):
+        # repro.obs itself is held to RPR001's scope: only the audited
+        # clock shim may bind time.
+        assert entropy_globals(obs_clock) == entropy_globals(
+            obs_registry) == []
+        monkeypatch.setattr(obs_registry, "time", time, raising=False)
+        monkeypatch.setattr(obs_registry, "perf_counter", time.perf_counter,
+                            raising=False)
+        assert entropy_globals(obs_registry) == [
+            "repro.obs.registry.time is the time module",
+            "repro.obs.registry.perf_counter is time.perf_counter"]

@@ -7,10 +7,8 @@ from pathlib import Path
 from repro.lint.cli import main as lint_main
 
 BAD_CORE = (
-    "import random\n"
-    "\n"
-    "def jitter():\n"
-    "    return random.random()\n"
+    "def account(total_bytes, delay_s):\n"
+    "    return total_bytes + delay_s\n"
 )
 
 
@@ -32,8 +30,8 @@ class TestExitCodes:
         src = fixture_tree(tmp_path)
         assert lint_main([str(src)]) == 1
         out = capsys.readouterr().out
-        assert "RPR001" in out
-        assert "bad.py:4:" in out
+        assert "RPR002" in out
+        assert "bad.py:2:" in out
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert lint_main([str(tmp_path / "ghost")]) == 2
@@ -42,7 +40,7 @@ class TestExitCodes:
     def test_unknown_select_code_exits_two(self, tmp_path, capsys):
         # A retired id is as unknown as one never issued.
         src = fixture_tree(tmp_path, "x = 1\n")
-        for code in ("RPR999", "RPR003"):
+        for code in ("RPR999", "RPR001", "RPR003", "RPR005"):
             assert lint_main([str(src), "--select", code]) == 2
             assert code in capsys.readouterr().err
 
@@ -52,7 +50,7 @@ class TestFlags:
         assert lint_main(["--list-codes"]) == 0
         out = capsys.readouterr().out
         assert [line.split()[0] for line in out.splitlines()] == [
-            "RPR001", "RPR002", "RPR005", "RPR007",
+            "RPR002", "RPR007",
         ]
 
     def test_format_github_annotations(self, tmp_path, capsys):
@@ -60,7 +58,7 @@ class TestFlags:
         assert lint_main([str(src), "--format", "github"]) == 1
         out = capsys.readouterr().out
         assert "::error file=" in out
-        assert ",line=4," in out and "title=RPR001::" in out
+        assert ",line=2," in out and "title=RPR002::" in out
 
     def test_format_github_clean_tree(self, tmp_path, capsys):
         src = fixture_tree(tmp_path, "x = 1\n")
@@ -72,8 +70,8 @@ class TestFlags:
         src = fixture_tree(
             tmp_path,
             BAD_CORE.replace(
-                "return random.random()",
-                "return random.random()  # repro: noqa[RPR001]",
+                "return total_bytes + delay_s",
+                "return total_bytes + delay_s  # repro: noqa[RPR002]",
             ),
         )
         assert lint_main([str(src)]) == 0

@@ -22,10 +22,8 @@ from repro.lint.project import (
 from repro.lint.registry import all_checkers
 
 BAD_CORE = (
-    "import random\n"
-    "\n"
-    "def jitter():\n"
-    "    return random.random()\n"
+    "def account(total_bytes, delay_s):\n"
+    "    return total_bytes + delay_s\n"
 )
 
 
@@ -39,10 +37,10 @@ def write_fixture_tree(tmp_path: Path, source: str) -> Path:
 
 class TestRegistry:
     def test_all_checkers_registered(self):
-        # RPR003, RPR004, RPR006, RPR008 and RPR009 are retired; ids
-        # are never reused.
+        # RPR001, RPR003, RPR004, RPR005, RPR006, RPR008 and RPR009 are
+        # retired; ids are never reused.
         assert [checker.code for checker in all_checkers()] == [
-            "RPR001", "RPR002", "RPR005", "RPR007"]
+            "RPR002", "RPR007"]
 
     def test_unknown_select_code_raises(self):
         project = Project([])
@@ -81,26 +79,26 @@ class TestNoqa:
 
     def test_noqa_suppresses_matching_code_only(self):
         suppressed_src = BAD_CORE.replace(
-            "return random.random()",
-            "return random.random()  # repro: noqa[RPR001]",
+            "return total_bytes + delay_s",
+            "return total_bytes + delay_s  # repro: noqa[RPR002]",
         )
         module = ModuleInfo.from_source(
             suppressed_src, path="bad.py", name="repro.core.bad"
         )
         reportable, suppressed = check_project(Project([module]))
         assert reportable == []
-        assert [d.code for d in suppressed] == ["RPR001"]
+        assert [d.code for d in suppressed] == ["RPR002"]
 
     def test_wrong_code_noqa_does_not_suppress(self):
         src = BAD_CORE.replace(
-            "return random.random()",
-            "return random.random()  # repro: noqa[RPR005]",
+            "return total_bytes + delay_s",
+            "return total_bytes + delay_s  # repro: noqa[RPR007]",
         )
         module = ModuleInfo.from_source(
             src, path="bad.py", name="repro.core.bad"
         )
         reportable, suppressed = check_project(Project([module]))
-        assert [d.code for d in reportable] == ["RPR001"]
+        assert [d.code for d in reportable] == ["RPR002"]
         assert suppressed == []
 
 
@@ -108,15 +106,13 @@ class TestRunLint:
     def test_finds_seeded_violation(self, tmp_path):
         src = write_fixture_tree(tmp_path, BAD_CORE)
         result = run_lint([src], root=tmp_path)
-        assert [d.code for d in result.diagnostics] == ["RPR001"]
+        assert [d.code for d in result.diagnostics] == ["RPR002"]
         assert result.files_checked == 1
 
     def test_select_restricts_checkers(self, tmp_path):
-        src = write_fixture_tree(
-            tmp_path, BAD_CORE + "\nlist = [1]\n"
-        )
-        only_hygiene = run_lint([src], select=["RPR005"], root=tmp_path)
-        assert [d.code for d in only_hygiene.diagnostics] == ["RPR005"]
+        src = write_fixture_tree(tmp_path, BAD_CORE)
+        only_async = run_lint([src], select=["RPR007"], root=tmp_path)
+        assert only_async.diagnostics == []
 
     def test_missing_path_raises(self, tmp_path):
         with pytest.raises(LintError, match="no such file"):

@@ -114,11 +114,6 @@ class TestFileTypeModel:
         with pytest.raises(KeyError):
             FileTypeModel().spec("webp")
 
-    def test_mean_body_size_weighted(self):
-        model = FileTypeModel()
-        expected = sum(s.access_share * s.mean_size for s in TABLE2_TYPES)
-        assert model.mean_body_size() == pytest.approx(expected)
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             FileTypeModel(size_sigma=-1)
