@@ -30,9 +30,13 @@ _MONTHS = (
 )
 _MONTH_INDEX = {name: i + 1 for i, name in enumerate(_MONTHS)}
 _DAY = 86_400
+#: Distinct values each conversion memo keeps: a live round converts
+#: about 1.7k distinct whole-second times, most of them many times
+#: over (every live time is a whole second, ``wire.ensure_integral``).
+_VALUES_CACHED = 4096
 #: Calendar days whose facts are kept: a replay's dates fall on a few
-#: hundred days, so the calendar work is done once per day while the
-#: time of day is plain arithmetic.
+#: hundred days, so a memo miss does the calendar work once per day
+#: while the time of day is plain arithmetic.
 _DAYS_CACHED = 1024
 #: ``"00"`` .. ``"59"``: the clock fields, rendered without a format
 #: spec per field.
@@ -66,8 +70,12 @@ def _day_text(days: int) -> str:
     return f"{weekday}, {st.tm_mday:02d} {month} {st.tm_year:04d}"
 
 
+@functools.lru_cache(maxsize=_VALUES_CACHED)
 def format_http_date(t: float) -> str:
-    """Format simulation time ``t`` as an RFC 1123 HTTP-date string."""
+    """Format simulation time ``t`` as an RFC 1123 HTTP-date string.
+
+    Memoised by value: a repeated time costs one cache lookup.
+    """
     days, secs = divmod(sim_to_unix(t), _DAY)
     hh, secs = divmod(secs, 3600)
     mm, ss = divmod(secs, 60)
@@ -100,8 +108,12 @@ def _calendar_day(year: int, month: int, day: int) -> tuple[int, int, int]:
     return month_days, days, calendar.weekday(year, month, day)
 
 
+@functools.lru_cache(maxsize=_VALUES_CACHED)
 def parse_http_date(value: str) -> float:
     """Parse an RFC 1123 HTTP-date string into simulation time.
+
+    Memoised by value, like :func:`format_http_date`; a rejected value
+    is not kept, so it fails the same way every time.
 
     Only the RFC 1123 fixed-length format is accepted (the format this
     library emits).  The obsolete RFC 850 and asctime formats that HTTP/1.0

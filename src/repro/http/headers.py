@@ -44,6 +44,15 @@ class Headers:
             for name, value in items.items():
                 self.set(name, value)
 
+    @classmethod
+    def from_table(cls, fields: dict[str, tuple[str, str]]) -> "Headers":
+        """Wrap a table already keyed by lower-cased name, each entry
+        ``(first-inserted casing, value)`` — what a parser builds in
+        one pass — without re-inserting its fields."""
+        headers = cls.__new__(cls)
+        headers._fields = fields
+        return headers
+
     def set(self, name: str, value: str) -> None:
         """Set header ``name`` to ``value``, replacing any existing value."""
         key = name.lower()

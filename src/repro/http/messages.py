@@ -63,9 +63,7 @@ class Request:
 
     def serialize(self) -> str:
         """Render the full request text."""
-        lines = [self.request_line()]
-        lines.extend(f"{name}: {value}" for name, value in self.headers)
-        return "\r\n".join(lines) + "\r\n\r\n"
+        return _serialize(self.request_line(), self.headers)
 
 
 @dataclass
@@ -119,9 +117,12 @@ class Response:
     def serialize_head(self) -> str:
         """Render the status line and headers, blank line included:
         everything :meth:`serialize` sends before the body."""
-        lines = [self.status_line()]
-        lines.extend(f"{name}: {value}" for name, value in self.headers)
-        return "\r\n".join(lines) + "\r\n\r\n"
+        return _serialize(self.status_line(), self.headers)
+
+
+def _serialize(start: str, headers: Headers) -> str:
+    """A start line and its headers, blank line included, in one join."""
+    return "\r\n".join([start, *map(": ".join, headers), "", ""])
 
 
 @dataclass
@@ -149,6 +150,52 @@ class HTTPParseError(ValueError):
     """Raised when a serialized HTTP message cannot be parsed."""
 
 
+def _split(text: str) -> tuple[list[str], Optional[int]]:
+    """A serialized message's head lines, and its body's length.
+
+    Lines end in CRLF or a bare LF (real 1995 clients produced both);
+    the head ends at the first empty line.  The body's length is taken
+    after its line ends are normalized too; it is ``None`` when no
+    empty line ends the head.
+    """
+    head, sep, body = text.replace("\r\n", "\n").partition("\n\n")
+    return head.split("\n"), len(body) if sep else None
+
+
+def _fields(
+    lines: list[str],
+) -> tuple[dict[str, tuple[str, str]], tuple[str, ...]]:
+    """The header lines after the start line, in one pass, as a
+    :class:`Headers` table, and the lower-cased names whose repeats
+    carry different values.
+
+    A repeated name keeps its first casing and takes its last value,
+    as :meth:`Headers.set` does; empty lines are skipped.
+
+    Raises:
+        HTTPParseError: for a line with no ``:`` or no name.
+    """
+    table: dict[str, tuple[str, str]] = {}
+    clashes: tuple[str, ...] = ()
+    for line in lines[1:]:
+        name, sep, value = line.partition(":")
+        name = name.strip()
+        if sep and name:
+            key = name.lower()
+            if key in table:
+                first, last = table[key]
+                value = value.strip()
+                if value != last:
+                    clashes += (key,)
+                table[key] = (first, value)
+            else:
+                table[key] = (name, value.strip())
+        elif line:
+            lineno = lines.index(line, 1) + 1
+            raise HTTPParseError(f"bad header on line {lineno}: {line!r}")
+    return table, clashes
+
+
 def parse_request(text: str) -> Request:
     """Parse a serialized HTTP/1.0 request back into a :class:`Request`.
 
@@ -159,24 +206,28 @@ def parse_request(text: str) -> Request:
     Raises:
         HTTPParseError: for malformed request lines or header fields.
     """
-    normalized = text.replace("\r\n", "\n")
-    head, _, _body = normalized.partition("\n\n")
-    lines = head.split("\n")
+    lines, _ = _split(text)
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise HTTPParseError(f"bad request line: {lines[0]!r}")
     method, path, _version = parts
     if not path.startswith("/"):
         raise HTTPParseError(f"bad request path: {path!r}")
-    request = Request(method, path)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if not sep or not name.strip():
-            raise HTTPParseError(f"bad header on line {lineno}: {line!r}")
-        request.headers.set(name.strip(), value.strip())
-    return request
+    table, _ = _fields(lines)
+    return Request(method, path, Headers.from_table(table))
+
+
+def _status(lines: list[str], body_size: Optional[int]) -> int:
+    """The status code of a head split by :func:`_split`."""
+    if body_size is None:
+        raise HTTPParseError("response lacks a blank-line terminator")
+    parts = lines[0].split(" ", 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
+        raise HTTPParseError(f"bad status line: {lines[0]!r}")
+    try:
+        return int(parts[1])
+    except ValueError as exc:
+        raise HTTPParseError(f"bad status code: {lines[0]!r}") from exc
 
 
 def parse_response(text: str) -> Response:
@@ -190,30 +241,33 @@ def parse_response(text: str) -> Response:
     Raises:
         HTTPParseError: for malformed status lines or header fields.
     """
-    normalized = text.replace("\r\n", "\n")
-    head, sep, body = normalized.partition("\n\n")
-    if not sep:
-        raise HTTPParseError("response lacks a blank-line terminator")
-    lines = head.split("\n")
-    parts = lines[0].split(" ", 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-        raise HTTPParseError(f"bad status line: {lines[0]!r}")
+    lines, body_size = _split(text)
+    status = _status(lines, body_size)
+    assert body_size is not None
     try:
-        status = int(parts[1])
-    except ValueError as exc:
-        raise HTTPParseError(f"bad status code: {lines[0]!r}") from exc
-    try:
-        response = Response(status, body_size=len(body))
+        response = Response(status, body_size=body_size)
     except ValueError as exc:  # e.g. a 304 carrying a body
         raise HTTPParseError(str(exc)) from exc
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        name, header_sep, value = line.partition(":")
-        if not header_sep or not name.strip():
-            raise HTTPParseError(f"bad header on line {lineno}: {line!r}")
-        response.headers.set(name.strip(), value.strip())
+    table, _ = _fields(lines)
+    response.headers = Headers.from_table(table)
     return response
+
+
+def parse_response_head(text: str) -> tuple[int, Headers, tuple[str, ...]]:
+    """A response head's status and headers, parsed as
+    :func:`parse_response` parses them, whatever follows the head.
+
+    Also returns the lower-cased names of fields repeated with
+    different values: a reader that frames the body by
+    ``Content-Length`` must refuse a head that gives two.
+
+    Raises:
+        HTTPParseError: for malformed status lines or header fields.
+    """
+    lines, body_size = _split(text)
+    status = _status(lines, body_size)
+    table, clashes = _fields(lines)
+    return status, Headers.from_table(table), clashes
 
 
 def make_get(path: str) -> Request:

@@ -48,7 +48,7 @@ from repro.live.wire import (
     TRACE_HEADER,
     LiveServer,
     LiveWireError,
-    _body_length,
+    _frame,
     _read_head,
 )
 from repro.obs import clock as obs_clock
@@ -319,7 +319,7 @@ class ChaosRelay(LiveServer):
                 await upstream_writer.drain()
                 try:
                     reply_head = await _read_head(upstream_reader)
-                    length = _body_length(reply_head)
+                    _, _, length = _frame(reply_head)
                     reply_body = (
                         await upstream_reader.readexactly(length)
                         if length

@@ -88,7 +88,7 @@ from repro.core.step import RequestStep, SimulatorMode
 from repro.faults.plan import FaultAction, FaultPlan
 from repro.http.datefmt import HTTPDateError, parse_http_date
 from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE, EXPIRES
-from repro.http.messages import Request, Response, make_ok, parse_response
+from repro.http.messages import Request, Response, make_ok, parse_response_head
 from repro.live.journal import Journal
 from repro.live.wire import (
     CONTROL_PREFIX,
@@ -120,10 +120,10 @@ def _replayed(reply: list) -> tuple[Response, str, int]:
     object, whose filler nobody reads.  A replayed reply moved no bytes.
     """
     head, body = reply
-    parsed = parse_response(head)
+    status, headers, _ = parse_response_head(head)
     if isinstance(body, int):
-        return Response(parsed.status, parsed.headers, body), "", 0
-    return Response(parsed.status, parsed.headers, len(body)), body, 0
+        return Response(status, headers, body), "", 0
+    return Response(status, headers, len(body)), body, 0
 
 
 def _file_type(response: Response) -> str:

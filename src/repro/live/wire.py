@@ -36,13 +36,13 @@ from __future__ import annotations
 import asyncio
 from typing import Awaitable, Callable, Optional, TypeVar
 
-from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE
+from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE, Headers
 from repro.http.messages import (
     HTTPParseError,
     Request,
     Response,
     parse_request,
-    parse_response,
+    parse_response_head,
 )
 from repro.obs import clock as obs_clock
 from repro.obs import registry as obs_metrics
@@ -85,6 +85,8 @@ TRACE_HEADER = "X-Repro-Trace"
 _MAX_HEAD_BYTES = 65536
 
 _HEAD_TERMINATOR = b"\r\n\r\n"
+
+_CONTENT_LENGTH_KEY = CONTENT_LENGTH.lower()
 
 _T = TypeVar("_T")
 
@@ -154,21 +156,33 @@ async def _read_head(reader: asyncio.StreamReader) -> str:
         raise LiveWireError("undecodable message head") from exc
 
 
-def _body_length(head_text: str) -> int:
-    """Content-Length declared in a serialized head (0 when absent)."""
-    for line in head_text.split("\r\n")[1:]:
-        name, sep, value = line.partition(":")
-        if sep and name.strip().lower() == CONTENT_LENGTH.lower():
-            try:
-                length = int(value.strip())
-            except ValueError as exc:
-                raise LiveWireError(
-                    f"bad Content-Length: {value.strip()!r}"
-                ) from exc
-            if length < 0:
-                raise LiveWireError(f"negative Content-Length: {length}")
-            return length
-    return 0
+def _frame(head_text: str) -> tuple[int, Headers, int]:
+    """Parse a response head once: its status, its headers, and the
+    body length its ``Content-Length`` declares (0 when absent).
+
+    The body is framed by the same field the model reads, so a head
+    giving two different lengths is refused (RFC 7230 §3.3.2): framed
+    by one and modelled by the other, its leftover bytes would be read
+    as the next message.  Identical repeats are accepted.
+    """
+    try:
+        status, headers, clashes = parse_response_head(head_text)
+    except HTTPParseError as exc:
+        raise LiveWireError(str(exc)) from exc
+    raw = headers.get(CONTENT_LENGTH)
+    if raw is None:
+        return status, headers, 0
+    if _CONTENT_LENGTH_KEY in clashes:
+        raise LiveWireError(
+            f"conflicting Content-Length fields (the last says {raw!r})"
+        )
+    try:
+        length = int(raw)
+    except ValueError as exc:
+        raise LiveWireError(f"bad Content-Length: {raw!r}") from exc
+    if length < 0:
+        raise LiveWireError(f"negative Content-Length: {length}")
+    return status, headers, length
 
 
 async def read_request(
@@ -208,17 +222,14 @@ async def read_response(
     return await _finish_response(reader, head_text)
 
 
-async def _read_body(
-    reader: asyncio.StreamReader, head_text: str
-) -> str:
-    """Read the ``Content-Length``-delimited body declared by a head.
+async def _read_body(reader: asyncio.StreamReader, length: int) -> str:
+    """Read a ``Content-Length``-delimited body of ``length`` bytes.
 
     Raises:
         LiveTruncationError: when the stream ends before the declared
             byte count — a short body is a framing fault distinct from
             a clean connection close.
     """
-    length = _body_length(head_text)
     if not length:
         return ""
     try:
@@ -234,17 +245,17 @@ async def _read_body(
 async def _finish_response(
     reader: asyncio.StreamReader, head_text: str
 ) -> tuple[Response, str, int]:
-    """Parse the head alone, then size the model by the body it framed.
+    """Parse the head once, read the body it frames, and build the one
+    :class:`Response`, sized by that body.
 
-    The body is never copied or scanned; rebuilding the
-    :class:`Response` with its length re-runs the model's own checks,
-    so a 304 that carries a body is still refused.
+    The body is never copied or scanned; the model's own checks still
+    refuse a 304 that carries one.
     """
-    body_text = await _read_body(reader, head_text)
+    status, headers, length = _frame(head_text)
+    body_text = await _read_body(reader, length)
     try:
-        head = parse_response(head_text)
-        response = Response(head.status, head.headers, len(body_text))
-    except ValueError as exc:  # HTTPParseError included
+        response = Response(status, headers, len(body_text))
+    except ValueError as exc:
         raise LiveWireError(str(exc)) from exc
     return response, body_text, len(head_text) + len(body_text)
 

@@ -164,6 +164,32 @@ class TestReadResponse:
         with pytest.raises(LiveWireError, match="Content-Length"):
             asyncio.run(read())
 
+    def test_conflicting_content_lengths_are_refused(self):
+        # Framed by the first and modelled by the last, this reply would
+        # read as a 3-byte body whose header says 5, and its leftover
+        # "deXY" as the next message.
+        raw = (b"HTTP/1.0 200 OK\r\nContent-Length: 3\r\n"
+               b"Content-Length: 5\r\n\r\nabcdeXY")
+
+        async def read():
+            return await read_response(_reader_with(raw))
+
+        with pytest.raises(LiveWireError, match="conflicting Content-Length"):
+            asyncio.run(read())
+
+    def test_the_body_is_framed_by_the_fields_the_model_reads(self):
+        # A bare LF before the field: it is a header of the parsed head,
+        # so it frames the body too.
+        raw = b"HTTP/1.0 200 OK\nContent-Length: 3\r\n\r\nabcXY"
+
+        async def read():
+            return await read_response(_reader_with(raw))
+
+        parsed, body, nbytes = asyncio.run(read())
+        assert body == "abc"
+        assert parsed.body_size == parsed.headers.content_length == 3
+        assert nbytes == len(raw) - len("XY")
+
 
 class TestReadMessage:
     """Each side reads the one message shape it can be sent (there is

@@ -13,11 +13,12 @@ identical serialization.
 
 import asyncio
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.http.messages import Request, Response, make_ok
-from repro.live.wire import read_request, read_response
+from repro.live.wire import LiveWireError, read_request, read_response
 
 
 def _requests() -> st.SearchStrategy[str]:
@@ -180,3 +181,35 @@ class TestSegmentedParsing:
         assert [
             _roundtrip(message, body) for message, body, _ in parsed
         ] == texts
+
+
+class TestRepeatedContentLength:
+    """A head that repeats ``Content-Length`` is framed by the value its
+    model reads, whatever the segmentation: two different values are
+    refused before any body byte is taken, identical ones frame the
+    body they name and leave the rest for the next message."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=st.lists(st.integers(min_value=0, max_value=10**6),
+                         max_size=12))
+    def test_conflicting_values_are_refused(self, cuts):
+        payload = (b"HTTP/1.0 200 OK\r\nContent-Length: 3\r\n"
+                   b"Content-Length: 5\r\n\r\nabcdeXY")
+        with pytest.raises(LiveWireError, match="conflicting"):
+            asyncio.run(_read_segmented(read_response, payload, cuts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cuts=st.lists(st.integers(min_value=0, max_value=10**6),
+                         max_size=12))
+    def test_identical_values_frame_one_body(self, cuts):
+        head = (b"HTTP/1.0 200 OK\r\nContent-Length: 5\r\n"
+                b"CONTENT-LENGTH: 5\r\n\r\n")
+        payload = head + b"abcde" + make_ok(2).serialize().encode("latin-1")
+
+        async def read_two(reader: asyncio.StreamReader):
+            return [await read_response(reader), await read_response(reader)]
+
+        first, second = asyncio.run(_read_segmented(read_two, payload, cuts))
+        assert first[1:] == ("abcde", len(head) + 5)
+        assert first[0].body_size == 5
+        assert second[1] == "xx"
