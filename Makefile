@@ -4,7 +4,7 @@ PYTHON ?= python
 # Process-pool size for experiment runs (see docs/PERFORMANCE.md).
 WORKERS ?= 2
 
-.PHONY: install dev test bench experiments lint typecheck verify live snapshot snapshot-check examples ledger clean
+.PHONY: install dev test bench experiments typecheck verify live snapshot snapshot-check examples ledger clean
 
 install:
 	pip install -e .
@@ -23,15 +23,6 @@ bench:
 
 experiments:
 	$(PYTHON) -m repro.experiments all
-
-# Static invariant analysis (RPR002, RPR007, see docs/DEVELOPING.md):
-# unit discipline (propagated through locals and calls) and async/lock
-# discipline.  Exit 1 on any finding not silenced by a
-# '# repro: noqa[CODE]' comment.  '--format github' for CI annotations.
-# Determinism and hygiene are tier-1 tests over the loaded code
-# (tests/test_loaded_code.py, the tripwire in tests/conftest.py).
-lint:
-	$(PYTHON) -m repro.lint src examples
 
 # Strict typing gate over the simulation core, the fast path, the
 # sweep engine, the differential oracle, the fault layer, the
@@ -113,15 +104,15 @@ live:
 	  "traced replays matched simulation exactly"
 
 # Consistency-oracle gate (see docs/PROTOCOLS.md, "Invariants &
-# verification"): static analysis + typing first, then the request
+# verification"): typing first, then the request
 # step's transition table (a transition bug fails here, where it is
 # written) and the differential/metamorphic property suite.  The
 # oracle-checked replay of every experiment at reduced scale (each
 # simulation checked event-for-event against the brute-force spec
 # model) is `snapshot-check`'s run — a prerequisite, not repeated here.
-verify: lint typecheck snapshot-check
+verify: typecheck snapshot-check
 	$(PYTHON) -m pytest tests/core/test_step.py tests/verify/ -q
-	@echo "verify: lint + typecheck + property suite + oracle-checked replay passed"
+	@echo "verify: typecheck + property suite + oracle-checked replay passed"
 
 # Regenerate the committed full-scale results snapshot and SVG figures.
 snapshot:

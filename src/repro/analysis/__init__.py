@@ -1,6 +1,6 @@
 """Analysis: parameter sweeps, shape checks, reports, ASCII figures, CSV export."""
 
-from repro.analysis.export import read_csv_rows, write_rows_csv, write_sweep_csv
+from repro.analysis.export import read_csv_rows, write_rows_csv
 from repro.analysis.plots import Series, ascii_chart, assign_glyphs
 from repro.analysis.replication import Replication, all_hold, replicate
 from repro.analysis.theory import (
@@ -33,7 +33,6 @@ __all__ = [
     "ALEX_THRESHOLDS_PERCENT",
     "read_csv_rows",
     "write_rows_csv",
-    "write_sweep_csv",
     "Replication",
     "all_hold",
     "replicate",

@@ -1,10 +1,9 @@
-"""CSV export of sweeps and experiment data.
+"""CSV export of experiment data.
 
 The ASCII panels are for the terminal; anyone who wants to re-plot the
 figures with real tooling (gnuplot, matplotlib, a spreadsheet) gets the
-underlying series here.  One row per swept parameter, one column per
-metric, plus the invalidation baseline repeated in its own columns so a
-single file is self-contained.
+underlying series here: ``--csv`` writes each experiment's data as CSV
+files (:func:`dump_experiment_data`).
 """
 
 from __future__ import annotations
@@ -12,8 +11,6 @@ from __future__ import annotations
 import csv
 from pathlib import Path
 from typing import Sequence, Union
-
-from repro.analysis.sweep import SweepResult
 
 
 def write_rows_csv(
@@ -37,40 +34,6 @@ def write_rows_csv(
         writer.writerow(headers)
         writer.writerows(rows)
     return len(rows)
-
-
-def write_sweep_csv(
-    sweep: SweepResult,
-    path: Union[str, Path],
-    parameter_name: str = "parameter",
-) -> int:
-    """Export one sweep (plus its invalidation baseline) to CSV.
-
-    Columns: the parameter, every metric of the sweep's points, and —
-    when the sweep carries an invalidation baseline — one
-    ``invalidation_<metric>`` column per metric with the constant
-    baseline value.
-
-    Returns:
-        The number of data rows written.
-
-    Raises:
-        ValueError: for a sweep with no points.
-    """
-    if not sweep.points:
-        raise ValueError("cannot export an empty sweep")
-    metric_names = sorted(sweep.points[0].metrics)
-    headers = [parameter_name, *metric_names]
-    baseline_names = sorted(sweep.invalidation) if sweep.invalidation else []
-    headers.extend(f"invalidation_{name}" for name in baseline_names)
-
-    rows = []
-    for point in sweep.points:
-        row = [point.parameter]
-        row.extend(point.metrics[name] for name in metric_names)
-        row.extend(sweep.invalidation[name] for name in baseline_names)
-        rows.append(row)
-    return write_rows_csv(headers, rows, path)
 
 
 def dump_experiment_data(

@@ -14,8 +14,6 @@ The subcommands cover the workflows a downstream user has:
   print the engine phase breakdown plus per-protocol-hook self-time.
 * ``repro metrics`` — render a ``--metrics`` JSON dump (pretty JSON or
   Prometheus 0.0.4 text exposition).
-* ``repro lint`` — run the :mod:`repro.lint` static invariant analysis
-  over a source tree (see docs/DEVELOPING.md for the checker codes).
 * ``repro replay`` — replay a trace through the live asyncio
   origin+proxy pair (:mod:`repro.live`) on loopback sockets;
   ``--verify`` additionally simulates the same trace and fails unless
@@ -663,16 +661,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Forward to the :mod:`repro.lint` CLI (``repro lint [...]``)."""
-    from repro.lint.cli import main as lint_main
-
-    forwarded = args.lint_args
-    if forwarded and forwarded[0] == "--":
-        forwarded = forwarded[1:]
-    return lint_main(forwarded)
-
-
 def make_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -899,17 +887,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--proxy-port", type=int, default=8098,
                          help="proxy port (default 8098; 0 = ephemeral)")
     p_serve.set_defaults(func=cmd_serve)
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="run the static invariant linter (RPR002, RPR007)",
-    )
-    p_lint.add_argument(
-        "lint_args", nargs=argparse.REMAINDER, metavar="...",
-        help="arguments forwarded to repro-lint (try 'repro lint -- "
-             "--list-codes')",
-    )
-    p_lint.set_defaults(func=cmd_lint)
     return parser
 
 

@@ -30,8 +30,8 @@ are comparable cell-for-cell), while :attr:`LiveProxy.wire_bytes`
 separately tallies the *actual* bytes moved on sockets — the real
 HTTP/1.0 framing overhead the 43-byte model abstracts away.
 
-Locking discipline (RPR007-checked).  There is one rule — lock
-granularity follows state scope:
+Locking discipline (checked on this source by ``tests/lint/locks.py``).
+There is one rule — lock granularity follows state scope:
 
 * every request is processed under the **lock of its key**, and each
   key keeps its own request clock (a key's requests must be

@@ -313,8 +313,9 @@ class LiveServer:
 
     A subclass's ``start`` hands its own connection handler to
     :meth:`start_server` — the hand-off stays in the subclass (and keeps
-    asyncio's name) because that call is what RPR007 reads as the
-    class's concurrency entry point.  Its handler calls :meth:`_pin`
+    asyncio's name) because that call is what the lock-discipline check
+    (``tests/lint/locks.py``) reads as the class's concurrency entry
+    point.  Its handler calls :meth:`_pin`
     first and awaits each next request through :meth:`_idle`.
     ``_state_lock`` is each server's own (lock attributes are declared
     where their critical sections are).

@@ -10,7 +10,8 @@ usage is a read of this file.
 
 Simulated time is a different thing entirely: it comes from the request
 stream and ``repro.core.clock``, and must never be mixed with values
-from here (RPR002 guards the arithmetic).
+from here (a simulated quantity that took one on would differ from the
+differential oracle's independent recomputation).
 """
 
 from __future__ import annotations

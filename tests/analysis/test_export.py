@@ -2,17 +2,7 @@
 
 import pytest
 
-from repro.analysis.export import read_csv_rows, write_rows_csv, write_sweep_csv
-from repro.analysis.sweep import SweepPoint, SweepResult
-
-
-def make_sweep(with_baseline=True) -> SweepResult:
-    points = [
-        SweepPoint(0.0, {"total_mb": 5.0, "stale_hit_rate": 0.0}),
-        SweepPoint(50.0, {"total_mb": 2.0, "stale_hit_rate": 0.01}),
-    ]
-    baseline = {"total_mb": 3.0, "stale_hit_rate": 0.0} if with_baseline else {}
-    return SweepResult(family="alex", points=points, invalidation=baseline)
+from repro.analysis.export import read_csv_rows, write_rows_csv
 
 
 class TestWriteRows:
@@ -34,39 +24,3 @@ class TestWriteRows:
         assert headers == ["a"] and rows == []
 
 
-class TestWriteSweep:
-    def test_columns_and_values(self, tmp_path):
-        path = tmp_path / "sweep.csv"
-        assert write_sweep_csv(make_sweep(), path, "threshold") == 2
-        headers, rows = read_csv_rows(path)
-        assert headers == [
-            "threshold", "stale_hit_rate", "total_mb",
-            "invalidation_stale_hit_rate", "invalidation_total_mb",
-        ]
-        assert rows[0] == ["0.0", "0.0", "5.0", "0.0", "3.0"]
-        assert rows[1][0] == "50.0"
-
-    def test_baseline_optional(self, tmp_path):
-        path = tmp_path / "s.csv"
-        write_sweep_csv(make_sweep(with_baseline=False), path)
-        headers, _ = read_csv_rows(path)
-        assert headers == ["parameter", "stale_hit_rate", "total_mb"]
-
-    def test_empty_sweep_rejected(self, tmp_path):
-        empty = SweepResult(family="ttl", points=[])
-        with pytest.raises(ValueError):
-            write_sweep_csv(empty, tmp_path / "x.csv")
-
-    def test_real_sweep_exports(self, tmp_path):
-        from repro.analysis.sweep import sweep_ttl
-        from repro.core.simulator import SimulatorMode
-        from repro.workload.worrell import WorrellWorkload
-
-        workload = WorrellWorkload(files=50, requests=500, seed=1).build()
-        sweep = sweep_ttl([workload], SimulatorMode.OPTIMIZED,
-                          ttl_hours=(0, 100))
-        path = tmp_path / "real.csv"
-        assert write_sweep_csv(sweep, path, "ttl_hours") == 2
-        headers, rows = read_csv_rows(path)
-        assert "total_mb" in headers
-        assert len(rows) == 2

@@ -1,11 +1,18 @@
 """Shared fixtures: small deterministic populations and request streams,
-and the entropy tripwire every test runs under."""
+and the two tripwires every test runs under: ambient entropy in a seeded
+package, and a blocking call on a running event loop."""
 
 from __future__ import annotations
 
+import asyncio
+import builtins
 import functools
 import os
+import socket
+import subprocess
 import sys
+import time
+import urllib.request
 
 import numpy as np
 import pytest
@@ -16,32 +23,44 @@ SCOPED_PACKAGES = ("repro.core", "repro.fastpath", "repro.workload",
                    "repro.live")
 
 
-def in_scope(module_name: str) -> bool:
-    """True for a module inside :data:`SCOPED_PACKAGES`."""
+#: Packages that run an asyncio event loop, or run beside one.
+LOOP_PACKAGES = ("repro.live", "repro.runtime")
+
+_ENTROPY = ("ambient entropy in a seeded package (seed a numpy Generator "
+            "through repro.runtime.derive_seed)")
+_BLOCKING = ("a blocking call on a running event loop (use the asyncio "
+             "equivalent, or run_in_executor)")
+
+
+def in_scope(module_name: str, packages=SCOPED_PACKAGES) -> bool:
+    """True for a module inside one of ``packages``."""
     return any(module_name == package or module_name.startswith(package + ".")
-               for package in SCOPED_PACKAGES)
+               for package in packages)
 
 
-def _tripwire(owner, name, refuses=lambda *args, **kwargs: True):
-    """Replace ``owner.name`` by a wrapper that raises when a scoped
-    module calls it with arguments ``refuses`` accepts."""
+def _tripwire(owner, name, refuses=lambda *args, **kwargs: True,
+              packages=SCOPED_PACKAGES, why=_ENTROPY):
+    """Replace ``owner.name`` by a wrapper that raises when a module of
+    ``packages`` calls it with arguments ``refuses`` accepts."""
     real = getattr(owner, name)
 
     @functools.wraps(real)
     def guarded(*args, **kwargs):
         caller = sys._getframe(1).f_globals.get("__name__", "")
-        if in_scope(caller) and refuses(*args, **kwargs):
+        if in_scope(caller, packages) and refuses(*args, **kwargs):
             raise AssertionError(
-                f"{caller} called {owner.__name__}.{name}: ambient entropy "
-                "in a seeded package (seed a numpy Generator through "
-                "repro.runtime.derive_seed)")
+                f"{caller} called {owner.__name__}.{name}: {why}")
         return real(*args, **kwargs)
 
     setattr(owner, name, guarded)
 
 
+def _loop_running(*args, **kwargs) -> bool:
+    return asyncio._get_running_loop() is not None
+
+
 # Installed at import, before any repro module binds these names, so the
-# whole session and the sweep workers it forks run under it.
+# whole session and the sweep workers it forks run under them.
 _tripwire(os, "urandom")
 _tripwire(np.random, "default_rng",
           lambda seed=None, *args, **kwargs: seed is None)
@@ -49,6 +68,15 @@ for _name in dir(np.random):
     if getattr(getattr(np.random, _name), "__self__", None) is (
             np.random.mtrand._rand):
         _tripwire(np.random, _name)
+for _owner, _names in ((time, ("sleep",)),
+                       (subprocess, ("run", "Popen", "call", "check_call",
+                                     "check_output")),
+                       (socket, ("create_connection",)),
+                       (os, ("system",)),
+                       (urllib.request, ("urlopen",)),
+                       (builtins, ("open",))):
+    for _name in _names:
+        _tripwire(_owner, _name, _loop_running, LOOP_PACKAGES, _BLOCKING)
 
 from repro.core.clock import DAY, days
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject

@@ -1,16 +1,24 @@
-"""RPR007 — async-safety / lock-discipline checker."""
+"""Retired RPR007: async safety, now a tripwire and a tier-1 walk.
 
-from repro.lint.checkers.asyncsafety import AsyncSafetyChecker
-from repro.lint.project import ModuleInfo, Project
+A blocking call on a running event loop raises when it runs: the
+tripwire ``tests/conftest.py`` installs for every test.  Lock
+discipline is not visible in any run (a critical section with no
+``await`` is atomic on every interleaving), so it stays a check on the
+source: :func:`tests.lint.locks.lock_findings`, one module's ``ast`` at
+a time.
+"""
 
+import asyncio
+import importlib
+import inspect
+import pkgutil
 
-def _project(source: str, name: str = "repro.live.fixture") -> Project:
-    path = "src/" + name.replace(".", "/") + ".py"
-    return Project([ModuleInfo.from_source(source, path=path, name=name)])
+import pytest
 
-
-def _run(source: str, name: str = "repro.live.fixture"):
-    return list(AsyncSafetyChecker().check_project(_project(source, name)))
+import repro
+from repro import live, runtime
+from repro.live import proxy
+from tests.lint.locks import lock_findings
 
 
 RACY_PROXY = '''
@@ -38,14 +46,13 @@ class Proxy:
 
 class TestUnlockedTransactions:
     def test_write_after_await_flagged(self):
-        diags = _run(RACY_PROXY)
+        diags = lock_findings(RACY_PROXY)
         assert len(diags) == 1
         d = diags[0]
-        assert d.code == "RPR007"
         assert "self.wire_bytes" in d.message
         assert "self._lock" in d.message
         # The because chain cites the transaction start and the await.
-        notes = [b.note for b in d.because]
+        notes = list(d.because)
         assert any("self.hits" in n for n in notes)
         assert any("await" in n for n in notes)
 
@@ -61,7 +68,7 @@ class TestUnlockedTransactions:
             body = await self._fetch(data)
             self.wire_bytes += len(body)""",
         )
-        assert _run(safe) == []
+        assert lock_findings(safe) == []
 
     def test_method_not_handed_to_event_loop_is_not_analyzed(self):
         # No start_server/create_task: nothing can interleave, so the
@@ -70,7 +77,7 @@ class TestUnlockedTransactions:
             'self._listener = await asyncio.start_server(self._handle, "h", 0)',
             "pass",
         )
-        assert _run(no_entry) == []
+        assert lock_findings(no_entry) == []
 
     def test_touch_via_helper_method_counts(self):
         source = '''
@@ -91,7 +98,7 @@ class Proxy:
         await writer.drain()
         self._bump()
 '''
-        diags = _run(source)
+        diags = lock_findings(source)
         assert len(diags) == 1
         assert "self.count" in diags[0].message
 
@@ -119,7 +126,7 @@ class Proxy:
         async with self._lock:
             await self._respond()
 '''
-        assert _run(source) == []
+        assert lock_findings(source) == []
 
     def test_read_modify_write_straddling_await(self):
         source = '''
@@ -138,7 +145,7 @@ class Counter:
     async def _cost(self):
         return 1
 '''
-        diags = _run(source)
+        diags = lock_findings(source)
         assert len(diags) == 1
         assert "read-modify-write" in diags[0].message
 
@@ -161,7 +168,7 @@ class Feed:
     async def _flush(self):
         return None
 '''
-        diags = _run(source)
+        diags = lock_findings(source)
         assert len(diags) == 1
         assert "self.pending" in diags[0].message
 
@@ -190,7 +197,7 @@ class Proxy:
     async def _send(self, writer, data):
         return len(data)
 '''
-        assert _run(source) == []
+        assert lock_findings(source) == []
 
     def test_loop_carries_transaction_across_iterations(self):
         source = '''
@@ -211,65 +218,86 @@ class Feed:
     async def _tick(self):
         return None
 '''
-        diags = _run(source)
+        diags = lock_findings(source)
         assert len(diags) == 1
         assert "self.seen" in diags[0].message
 
 
 class TestBlockingCalls:
-    def test_blocking_call_two_hops_from_async_def(self):
-        source = '''
-import time
+    def test_blocking_call_two_hops_from_async_def(self, seed_module):
+        chain = seed_module(live, "poller", """
+            import time
 
-def _backoff(n):
-    time.sleep(n)
+            def _backoff(n):
+                time.sleep(n)
 
-def _retry(n):
-    _backoff(n)
+            def _retry(n):
+                _backoff(n)
 
-async def poll_origin(n):
-    _retry(n)
-'''
-        diags = _run(source)
-        assert len(diags) == 1
-        d = diags[0]
-        assert "time.sleep" in d.message
-        assert "poll_origin" in d.message
-        # Proof path: async root, then each call hop.
-        assert len(d.because) == 3
+            async def poll_origin(n):
+                _retry(n)
+        """)
+        with pytest.raises(AssertionError, match=(
+                "repro.live.poller called time.sleep: a blocking call on a "
+                "running event loop")):
+            asyncio.run(chain.poll_origin(0))
+        # The same chain with no loop running blocks no one.
+        chain._retry(0)
 
-    def test_blocking_call_not_reachable_from_async_is_clean(self):
-        source = '''
-import time
+    def test_blocking_call_not_reachable_from_async_is_clean(
+            self, seed_module):
+        clean = seed_module(live, "sleeper", """
+            import time
 
-def sync_only(n):
-    time.sleep(n)
+            def sync_only(n):
+                time.sleep(n)
 
-async def handler(n):
-    return n
-'''
-        assert _run(source) == []
+            async def handler(n):
+                return n
+        """)
+        clean.sync_only(0)
+        assert asyncio.run(clean.handler(3)) == 3
 
-    def test_out_of_scope_async_def_is_not_a_root(self):
-        source = '''
-import time
+    def test_out_of_scope_async_def_is_not_a_root(self, seed_module):
+        elsewhere = seed_module(repro.core, "simulator2", """
+            import time
 
-async def handler(n):
-    time.sleep(n)
-'''
-        assert _run(source, name="repro.core.simulator2") == []
+            async def handler(n):
+                time.sleep(n)
+        """)
+        asyncio.run(elsewhere.handler(0))
 
-    def test_subprocess_and_socket_flagged(self):
-        source = '''
-import socket
-import subprocess
+    def test_subprocess_and_socket_flagged(self, seed_module):
+        # Every guarded call raises before it does anything.
+        calls = seed_module(runtime, "blocking", """
+            import os
+            import socket
+            import subprocess
+            import urllib.request
 
-async def handler():
-    subprocess.run(["ls"])
-    socket.create_connection(("h", 80))
-'''
-        diags = _run(source)
-        assert {d.line for d in diags} == {6, 7}
+            CALLS = {
+                "subprocess.run": lambda: subprocess.run(["true"]),
+                "subprocess.Popen": lambda: subprocess.Popen(["true"]),
+                "subprocess.call": lambda: subprocess.call(["true"]),
+                "subprocess.check_call": lambda: subprocess.check_call(
+                    ["true"]),
+                "subprocess.check_output": lambda: subprocess.check_output(
+                    ["true"]),
+                "socket.create_connection": lambda: socket.create_connection(
+                    ("h", 80)),
+                "os.system": lambda: os.system("true"),
+                "urllib.request.urlopen": lambda: urllib.request.urlopen(
+                    "http://h/"),
+                "builtins.open": lambda: open(os.devnull),
+            }
+
+            async def handler(name):
+                CALLS[name]()
+        """)
+        for name in calls.CALLS:
+            with pytest.raises(AssertionError, match=(
+                    f"repro.runtime.blocking called {name}: a blocking")):
+                asyncio.run(calls.handler(name))
 
 
 class TestLockNesting:
@@ -283,7 +311,7 @@ async def drain(queue):
     with _pool_lock:
         await queue.get()
 '''
-        diags = _run(source)
+        diags = lock_findings(source)
         assert len(diags) == 1
         assert "synchronous lock" in diags[0].message
 
@@ -294,7 +322,7 @@ async def nested(a_lock, b_lock):
         async with b_lock:
             pass
 '''
-        diags = _run(source)
+        diags = lock_findings(source)
         assert len(diags) == 1
         assert "nested lock acquisition" in diags[0].message
 
@@ -304,7 +332,7 @@ async def serialized(a_lock, queue):
     async with a_lock:
         await queue.get()
 '''
-        assert _run(source) == []
+        assert lock_findings(source) == []
 
 
     # -- three defects the rule shipped with, one bad / clean pair each ------
@@ -325,7 +353,7 @@ class Proxy:
 
     def test_class_lock_attribute_without_lock_in_its_name(self):
         # Neither name says "lock"; the class's Lock() assignments do.
-        diags = _run(self.CLASS_LOCKS)
+        diags = lock_findings(self.CLASS_LOCKS)
         assert len(diags) == 1
         assert "acquires self._state while already holding self._gate" in (
             diags[0].message
@@ -337,7 +365,7 @@ class Proxy:
             "            pass\n        async with self._state:\n            pass",
         )
         assert in_turn != self.CLASS_LOCKS
-        assert _run(in_turn) == []
+        assert lock_findings(in_turn) == []
 
     NESTED_DEF = '''
 import threading
@@ -354,7 +382,7 @@ def schedule(queue):
     def test_nested_def_does_not_run_under_the_enclosing_lock(self):
         # ``later`` is only defined under the lock; it awaits after the
         # ``with`` block has long been left.
-        assert _run(self.NESTED_DEF) == []
+        assert lock_findings(self.NESTED_DEF) == []
 
     def test_await_beside_a_nested_def_is_still_flagged(self):
         beside = self.NESTED_DEF.replace(
@@ -362,7 +390,7 @@ def schedule(queue):
         ).replace(
             "    return later", "        await queue.join()\n    return later"
         )
-        diags = _run(beside)
+        diags = lock_findings(beside)
         assert [d.line for d in diags] == [10]
         assert "synchronous lock" in diags[0].message
 
@@ -378,41 +406,43 @@ def schedule(queue):
             await queue.get()
     return later
 '''
-        diags = _run(source)
+        diags = lock_findings(source)
         assert len(diags) == 1
         assert "synchronous lock" in diags[0].message
         released = source.replace(
             "            await queue.get()",
             "            pending = queue\n        await pending.get()",
         )
-        assert _run(released) == []
+        assert lock_findings(released) == []
 
 
 class TestShippedTree:
-    def test_live_and_runtime_are_clean_as_shipped(self, shipped_project):
-        assert list(AsyncSafetyChecker().check_project(shipped_project)) == []
+    def test_live_and_runtime_are_clean_as_shipped(self):
+        modules = [
+            importlib.import_module(info.name)
+            for package in (live, runtime)
+            for info in pkgutil.walk_packages(
+                package.__path__, package.__name__ + ".")
+        ]
+        assert proxy in modules
+        assert {module.__name__: lock_findings(inspect.getsource(module))
+                for module in modules} == {
+                    module.__name__: [] for module in modules}
 
 
 class TestShippedProxy:
-    """RPR007 against the file it guards: one-line mutations of
+    """The walk against the file it guards: one-line mutations of
     ``src/repro/live/proxy.py``, applied in memory, must each draw a
     finding that names the state left unprotected."""
 
     @staticmethod
-    def _mutated(project: Project, old: str, new: str):
-        proxy = project.module("repro.live.proxy")
-        assert proxy is not None and proxy.source.count(old) == 1
-        mutant = ModuleInfo.from_source(
-            proxy.source.replace(old, new), path=proxy.path, name=proxy.name
-        )
-        modules = [mutant if m is proxy else m for m in project.modules]
-        found = list(AsyncSafetyChecker().check_project(Project(modules)))
-        assert {d.path for d in found} <= {proxy.path}
-        return found
+    def _mutated(old: str, new: str):
+        source = inspect.getsource(proxy)
+        assert source.count(old) == 1
+        return lock_findings(source.replace(old, new))
 
-    def test_account_wire_without_the_state_lock(self, shipped_project):
+    def test_account_wire_without_the_state_lock(self):
         found = self._mutated(
-            shipped_project,
             "        async with self._state_lock:\n"
             "            self.wire_bytes += nbytes\n",
             "        if nbytes:\n"
@@ -420,9 +450,8 @@ class TestShippedProxy:
         )
         assert found and all("self.wire_bytes" in d.message for d in found)
 
-    def test_process_object_without_its_key_lock(self, shipped_project):
+    def test_process_object_without_its_key_lock(self):
         found = self._mutated(
-            shipped_project,
             "        async with lock:\n"
             "            seq = request.headers.get(SEQ_HEADER)\n",
             "        if lock:\n"

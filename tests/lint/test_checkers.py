@@ -1,22 +1,18 @@
-"""Fixture tests: every RPR checker fires on a seeded-bad snippet.
+"""The retired lint codes' fixtures, planted in real code.
 
-Each test builds a tiny in-memory project (``ModuleInfo.from_source``
-with an explicit dotted name, so scoping rules apply) containing one
-deliberate violation, asserts the checker reports it, and asserts the
-corrected twin stays clean.  The retired codes' classes (RPR001,
-RPR003, RPR004, RPR005, RPR006) seed the same defects into the real
-objects instead, and show the checks that replaced those checkers
-catching them.
+Every code the linter had is retired (docs/DEVELOPING.md, "Retired"
+sections).  Each former fixture keeps its test id here: its defect is
+seeded into the real objects, a real module or a real function, and the
+check that replaced the checker is shown catching it — or passing, for
+a clean twin.
 """
 
 from __future__ import annotations
 
-import importlib
 import os
 import re
 import subprocess
 import sys
-import textwrap
 import time
 from pathlib import Path
 
@@ -25,11 +21,16 @@ import pytest
 
 import repro
 from repro import experiments
-from repro.core import protocols, step
-from repro.core.protocols import CERNPolicyProtocol
+from repro.core import protocols, simulator, step
+from repro.core.clock import days, hours
+from repro.core.protocols import (
+    CERNPolicyProtocol,
+    InvalidationProtocol,
+    TTLProtocol,
+)
 from repro.core.simulator import SimulatorMode
-from repro.lint.checkers.units import UnitFlow, UnitsChecker
-from repro.lint.project import ModuleInfo, Project
+from repro.fastpath import specialise
+from repro.faults import FaultPlan
 from repro.obs import clock as obs_clock
 from repro.obs import names
 from repro.obs import registry as obs_registry
@@ -44,6 +45,7 @@ from tests.test_loaded_code import (
     mutable_defaults,
     shadowed_builtins,
 )
+from tests.lint.conftest import oracle_cell
 from tests.verify import test_oracle
 from tests.verify.test_contract_surface import (
     check_one_event_alphabet,
@@ -51,34 +53,10 @@ from tests.verify.test_contract_surface import (
 )
 
 
-def mod(source: str, name: str, path: str = "fixture.py") -> ModuleInfo:
-    return ModuleInfo.from_source(
-        textwrap.dedent(source), path=path, name=name
-    )
-
-
-def run_project(checker, *modules: ModuleInfo):
-    return list(checker.check_project(Project(list(modules))))
-
-
-@pytest.fixture
-def seed_module(tmp_path, monkeypatch):
-    """``seed(package, name, source)`` adds ``package.name`` to a real
-    package for one test and returns it imported."""
-    added = []
-
-    def seed(package, name, source):
-        (tmp_path / f"{name}.py").write_text(textwrap.dedent(source))
-        monkeypatch.setattr(package, "__path__", [*package.__path__,
-                                                  str(tmp_path)])
-        added.append(f"{package.__name__}.{name}")
-        return importlib.import_module(added[-1])
-
-    yield seed
-    for module in added:
-        sys.modules.pop(module, None)
-        package, _, name = module.rpartition(".")
-        vars(sys.modules[package]).pop(name, None)
+def cern():
+    """CERN as the oracle's agreement matrix builds it: the Last-Modified
+    fraction, a default TTL, and the max-TTL clamp."""
+    return CERNPolicyProtocol(0.1, hours(1), max_ttl=days(2))
 
 
 # -- retired: RPR001 determinism ---------------------------------------------
@@ -218,115 +196,99 @@ class TestDeterminism:
             "repro.workload.imports.shuffle is random.Random.shuffle"]
 
 
-# -- RPR002 units -------------------------------------------------------------
+# -- retired: RPR002 units ---------------------------------------------------
+#
+# Each former fixture's mix is planted at a real site of repro.core or
+# repro.fastpath, and one small oracle cell fails on it: the SpecModel
+# leg (``spec.*``) and the fast-vs-reference leg (``fastpath.*``) diff
+# all 13 counters and 15 ledger cells exactly.
 
 
 class TestUnits:
-    checker = UnitsChecker()
+    def test_additive_mix_flagged(self, plant):
+        # body_bytes + elapsed_seconds: a 200's body charged with the
+        # seconds since the copy was last validated added on.
+        plant(step.RequestStep, "validated",
+              "charge(VALIDATION_200, control, body)",
+              "charge(VALIDATION_200, control, body + t - entry.validated_at)")
+        assert "spec.bandwidth.body_bytes[validation_200]" in oracle_cell(
+            TTLProtocol(hours(24)))
 
-    def test_infer_unit_suffixes_and_table(self):
-        import ast as astmod
+    def test_augmented_mix_and_comparison_flagged(self, plant):
+        # total_bytes += stale_seconds: the copy's age (seconds) added to
+        # the byte cell of the GET that fetched it.  And stale_seconds >
+        # request_count: the copy's version (a count of modifications)
+        # compared with the seconds since it was validated.  Each plant
+        # moves its own cells.
+        plant(step.RequestStep, "fetched",
+              "self.counters.full_retrievals += 1",
+              "self.counters.full_retrievals += 1\n"
+              "self.bandwidth.body_bytes[FULL_RETRIEVAL] += "
+              "t - result.last_modified")
+        plant(simulator.Simulation, "step",
+              "stale = entry.version < schedule.version_at(t)",
+              "stale = entry.version < t - entry.validated_at")
+        assert {"spec.bandwidth.body_bytes[full_retrieval]",
+                "fastpath.bandwidth.body_bytes[full_retrieval]",
+                "spec.counters.stale_hits",
+                "fastpath.counters.stale_hits"} <= oracle_cell(
+            TTLProtocol(hours(24)))
 
-        flow = UnitFlow(Project([]))
+    def test_same_unit_and_conversions_clean(self, plant):
+        # header_bytes + body_bytes, and seconds = fraction * seconds
+        # written the other way round: the same values.
+        plant(step.RequestStep, "fetched",
+              "self.bandwidth.charge(FULL_RETRIEVAL, control, body)",
+              "total_bytes = control + body\n"
+              "self.bandwidth.charge(FULL_RETRIEVAL, control, "
+              "total_bytes - control)")
+        plant(CERNPolicyProtocol, "_derive_expiry",
+              "ttl = self.lm_fraction * age", "ttl = age * self.lm_fraction")
+        assert oracle_cell(TTLProtocol(hours(24))) == set()
+        assert oracle_cell(cern()) == set()
 
-        def unit_of(expr: str):
-            found = flow.infer(astmod.parse(expr, mode="eval").body, {}, None)
-            return found.unit if found is not None else None
+    def test_delay_s_suffix_in_augmented_assignment(self, plant):
+        # total_bytes += delay_s: a delayed notice's delay (seconds)
+        # added to the invalidation byte cell when it arrives.
+        plant(step.RequestStep, "fault",
+              "if kind == DELIVER:",
+              "if kind == DELIVER:\n"
+              "    delay_s = action.time - action.mod_time\n"
+              "    self.bandwidth.control_bytes[INVALIDATION] += delay_s")
+        assert "spec.bandwidth.control_bytes[invalidation]" in oracle_cell(
+            InvalidationProtocol(), FaultPlan(delay=hours(2), seed=4))
 
-        assert unit_of("total_bytes") == "bytes"
-        assert unit_of("self.stale_seconds") == "seconds"
-        assert unit_of("hit_count") == "count"
-        assert unit_of("costs.control_message") == "bytes"
-        assert unit_of("ttl") == "seconds"
-        assert unit_of("mystery") is None
+    def test_min_max_mixing_units(self, plant, plant_kernel):
+        # min(seconds, bytes): CERN's max-TTL clamp against the body size.
+        # The fast path cannot lower entry.size, so it keeps the kernel
+        # it specialised from the shipped clamp before the plant.
+        specialise.specialise(CERNPolicyProtocol)
+        plant(CERNPolicyProtocol, "_derive_expiry",
+              "ttl = min(ttl, self.max_ttl)", "ttl = min(ttl, entry.size)")
+        # max(count, seconds, 0): the kernel charges the invalidation
+        # body cell the larger of the notice count and the run's length.
+        plant_kernel("(INVALIDATION, ex_inv, control_message, 0)",
+                     "(INVALIDATION, ex_inv, control_message, "
+                     "max(ex_inv, horizon - st, 0))")
+        assert {"spec.counters.hits", "fastpath.counters.hits"} <= (
+            oracle_cell(cern()))
+        assert oracle_cell(InvalidationProtocol()) == {
+            "fastpath.bandwidth.body_bytes[invalidation]"}
 
-    def test_additive_mix_flagged(self):
-        bad = mod(
-            "total = body_bytes + elapsed_seconds\n", name="repro.core.mix"
-        )
-        found = run_project(self.checker, bad)
-        assert len(found) == 1
-        assert found[0].code == "RPR002"
-        assert "bytes" in found[0].message and "seconds" in found[0].message
+    def test_min_max_agreeing_units_propagate(self, plant_kernel):
+        # min(bytes, bytes) is bytes, and bytes + seconds is a mix: the
+        # kernel adds a body's size to each stale hit's age.
+        plant_kernel("stale_age_sum += age_stale",
+                     "stale_age_sum += min(sizes[i], full_control) + "
+                     "age_stale")
+        assert oracle_cell(TTLProtocol(hours(24))) == {
+            "fastpath.counters.stale_age_sum"}
 
-    def test_augmented_mix_and_comparison_flagged(self):
-        bad = mod(
-            """
-            def account(ledger, stale_seconds, request_count):
-                ledger.total_bytes += stale_seconds
-                if stale_seconds > request_count:
-                    return True
-            """,
-            name="repro.core.mix2",
-        )
-        found = run_project(self.checker, bad)
-        assert len(found) == 2
-        assert {"augmented" in d.message or "comparison" in d.message
-                for d in found} == {True}
-
-    def test_same_unit_and_conversions_clean(self):
-        good = mod(
-            """
-            def account(header_bytes, body_bytes, seconds_per_byte):
-                total_bytes = header_bytes + body_bytes
-                transfer_seconds = total_bytes * seconds_per_byte
-                return total_bytes, transfer_seconds
-            """,
-            name="repro.core.okunits",
-        )
-        assert run_project(self.checker, good) == []
-
-    # -- PR 8 blind-spot regressions (these passed unflagged before) ---------
-
-    def test_delay_s_suffix_in_augmented_assignment(self):
-        # Blind spot 1: ``_s`` (the repo's delay_s spelling) carried no
-        # unit, so this accounting bug sailed through.
-        bad = mod(
-            """
-            def account(ledger, delay_s):
-                ledger.total_bytes += delay_s
-            """,
-            name="repro.core.blind1",
-        )
-        found = run_project(self.checker, bad)
-        assert len(found) == 1
-        assert "augmented assignment" in found[0].message
-        assert "seconds" in found[0].message
-
-    def test_min_max_mixing_units(self):
-        # Blind spot 2: min()/max() arguments were never compared.
-        bad = mod(
-            """
-            def clamp(total_bytes, delay_s, hit_count):
-                a = min(total_bytes, delay_s)
-                b = max(hit_count, delay_s, 0)
-                return a, b
-            """,
-            name="repro.core.blind2",
-        )
-        found = run_project(self.checker, bad)
-        assert len(found) == 2
-        assert all("min()" in d.message or "max()" in d.message
-                   for d in found)
-        assert all("meaningless" in d.message for d in found)
-
-    def test_min_max_agreeing_units_propagate(self):
-        # min() of two byte counts *is* bytes — and that unit carries
-        # into the surrounding expression.
-        bad = mod(
-            "worst = min(header_bytes, body_bytes) + stale_seconds\n",
-            name="repro.core.blind3",
-        )
-        found = run_project(self.checker, bad)
-        assert len(found) == 1
-        assert "additive arithmetic" in found[0].message
-
-    def test_min_max_of_unknowns_is_clean(self):
-        good = mod(
-            "low = min(a, b)\nhigh = max(a, 0, key_thing)\n",
-            name="repro.core.blind4",
-        )
-        assert run_project(self.checker, good) == []
+    def test_min_max_of_unknowns_is_clean(self, plant):
+        # min() of two seconds values, arguments swapped: the same clamp.
+        plant(CERNPolicyProtocol, "_derive_expiry",
+              "ttl = min(ttl, self.max_ttl)", "ttl = min(self.max_ttl, ttl)")
+        assert oracle_cell(cern()) == set()
 
 
 # -- retired: RPR003 conformance ---------------------------------------------

@@ -275,6 +275,14 @@ class TestArgumentErrors:
             main([])
         assert excinfo.value.code == 2
 
+    def test_lint_is_an_unknown_subcommand(self, capsys):
+        # The linter was retired into tier-1 checks (docs/DEVELOPING.md,
+        # "Retired: RPR002, RPR007"); its subcommand went with it.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "--", "--list-codes"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+
 
 class TestVerifyScaleCombos:
     """--verify composes with --scale / --workers on every entry point."""

@@ -158,7 +158,9 @@ def entropy_globals(module: types.ModuleType) -> list[str]:
 
 def test_walk_covers_the_tree_and_the_examples():
     names = [module.__name__ for module in loaded_modules()]
-    assert len(names) > 120 and "repro.live.proxy" in names
+    sources = list(Path(repro.__file__).parent.rglob("*.py"))
+    assert sum(name.startswith("repro") for name in names) == len(sources)
+    assert "repro.live.proxy" in names
     assert sum(name.startswith("examples.") for name in names) == 7
 
 
