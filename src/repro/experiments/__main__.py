@@ -26,9 +26,9 @@ import sys
 from repro import obs
 from repro.analysis.report import ExperimentReport
 from repro.cli import _add_engine_flag, _add_obs_flags, apply_run_flags
-from repro.experiments.common import warm_shared_sweeps
+from repro.experiments.common import shared_uses, warm_shared_sweeps
 from repro.experiments.registry import all_ids, run_experiment
-from repro.runtime import default_workers, map_ordered, resolve_workers
+from repro.runtime import RunStats, default_workers, map_ordered, resolve_workers
 from repro.verify import counted_runs
 
 
@@ -37,17 +37,26 @@ def _run_all_parallel(
 ) -> list[ExperimentReport]:
     """Run many experiments across a process pool (warm caches first)."""
     with default_workers(workers):
-        warm_shared_sweeps(scale=scale, seed=seed)
+        warmed = warm_shared_sweeps(scale=scale, seed=seed)
+
+    def run(experiment_id: str) -> tuple[ExperimentReport, list[tuple]]:
+        with shared_uses() as used:
+            report = run_experiment(experiment_id, scale=scale, seed=seed,
+                                    workers=1)
+        return report, used
+
     # Each forked worker inherits the warmed sweep caches; within a
     # worker the sweeps that remain run serially (workers=1) — the pool
-    # is already saturated at the experiment level.
-    return map_ordered(
-        lambda experiment_id: run_experiment(
-            experiment_id, scale=scale, seed=seed, workers=1
-        ),
-        ids,
-        workers=workers,
-    )
+    # is already saturated at the experiment level.  A warmed sweep is
+    # credited to the first experiment that uses it, as a serial run
+    # credits it.
+    reports = []
+    for report, used in map_ordered(run, ids, workers=workers):
+        credit = [stats for key in used for stats in warmed.pop(key, ())]
+        if credit and report.stats is not None:
+            report.stats = RunStats.combine([report.stats, *credit])
+        reports.append(report)
+    return reports
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,7 +13,11 @@ in seconds.  ``scale=1.0`` is the paper-calibrated size.
 
 from __future__ import annotations
 
+import functools
+import inspect
+from contextlib import contextmanager
 from functools import lru_cache
+from typing import Any, Callable, Iterator
 
 from repro.analysis.sweep import (
     ALEX_THRESHOLDS_PERCENT,
@@ -23,6 +27,7 @@ from repro.analysis.sweep import (
     sweep_ttl,
 )
 from repro.core.simulator import SimulatorMode
+from repro.runtime import RunStats, collecting
 from repro.workload.base import Workload
 from repro.workload.campus import build_campus_workloads
 from repro.workload.worrell import WorrellWorkload
@@ -82,7 +87,41 @@ def campus_workloads(scale: float = 1.0, seed: int = 0) -> tuple[Workload, ...]:
     return tuple(built.values())
 
 
-@lru_cache(maxsize=8)
+#: The keys of the shared sweeps called inside each active
+#: :func:`shared_uses`.
+_uses: list[list[tuple]] = []
+
+
+@contextmanager
+def shared_uses() -> Iterator[list[tuple]]:
+    """Collect the key of every shared sweep called inside the context,
+    memo hits included: ``(function name, *arguments)``."""
+    used: list[tuple] = []
+    _uses.append(used)
+    try:
+        yield used
+    finally:
+        _uses.remove(used)
+
+
+def _shared(sweeps: Callable[..., Any]) -> Any:
+    """``sweeps`` memoised, each call noted by :func:`shared_uses`."""
+    memo = lru_cache(maxsize=8)(sweeps)
+    signature = inspect.signature(sweeps)
+
+    @functools.wraps(sweeps)
+    def shared(*args: Any, **keywords: Any) -> Any:
+        bound = signature.bind(*args, **keywords)
+        bound.apply_defaults()
+        for used in _uses:
+            used.append((sweeps.__name__, *bound.args))
+        return memo(*bound.args)
+
+    shared.cache_clear = memo.cache_clear  # type: ignore[attr-defined]
+    return shared
+
+
+@_shared
 def worrell_sweeps(
     mode_value: str, scale: float = 1.0, seed: int = 0
 ) -> tuple[SweepResult, SweepResult]:
@@ -96,7 +135,7 @@ def worrell_sweeps(
     )
 
 
-@lru_cache(maxsize=8)
+@_shared
 def campus_sweeps(
     scale: float = 1.0, seed: int = 0
 ) -> tuple[SweepResult, SweepResult]:
@@ -114,7 +153,9 @@ def campus_sweeps(
     )
 
 
-def warm_shared_sweeps(scale: float = 1.0, seed: int = 0) -> None:
+def warm_shared_sweeps(
+    scale: float = 1.0, seed: int = 0
+) -> dict[tuple, list[RunStats]]:
     """Pre-compute the sweep groups shared by several experiments.
 
     Figures 2/3 share the base Worrell sweep, Figures 4/5 the optimized
@@ -125,10 +166,20 @@ def warm_shared_sweeps(scale: float = 1.0, seed: int = 0) -> None:
     workers inherit the warmed memo caches instead of each recomputing
     them.  Serial runs get the same effect implicitly from the
     ``lru_cache`` memoization.
+
+    Returns what each group cost, by its :func:`shared_uses` key: the
+    records of the sweeps it ran (none for a group already memoised), to
+    be credited to the first experiment that uses it, as a serial run
+    credits them.
     """
-    worrell_sweeps("base", scale, seed)
-    worrell_sweeps("optimized", scale, seed)
-    campus_sweeps(scale, seed)
+    warmed: dict[tuple, list[RunStats]] = {}
+    for sweeps, args in ((worrell_sweeps, ("base", scale, seed)),
+                         (worrell_sweeps, ("optimized", scale, seed)),
+                         (campus_sweeps, (scale, seed))):
+        with collecting() as recorded, shared_uses() as used:
+            sweeps(*args)
+        warmed[used[0]] = recorded
+    return warmed
 
 
 def clear_caches() -> None:

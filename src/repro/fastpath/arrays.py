@@ -32,9 +32,10 @@ server and dying with it: a fault plan's action schedule
 start_time)`` resolved against that server's feed, keyed by object
 index), the last encoded request stream with its version and
 Last-Modified columns (:func:`encode_requests`) and, once a run skipping
-hit runs asks, the same rows by object (:func:`stream_view`), and the
-preloaded state template (:func:`initial_state`, which hands each run
-its own copy).
+hit runs asks, the same rows by object (:func:`stream_view`) — or by
+step, once a run stepping its objects in lockstep asks
+(:func:`step_view`) — and the preloaded state template
+(:func:`initial_state`, which hands each run its own copy).
 
 Equivalence note (docs/FASTPATH.md): the compiled feed is the server's
 own :meth:`~repro.core.server.OriginServer.invalidation_feed` mapped to
@@ -252,6 +253,30 @@ class CacheState:
         return clone
 
 
+class LaneState:
+    """A lockstep run's :class:`CacheState`: the same fields, gathered by
+    lane (:class:`StepView`) into numpy arrays.  The lowered methods of a
+    lockstep kernel read and write these.  Nothing is delivered in such a
+    run, so an entry is valid iff it is resident: ``valid`` is
+    ``resident``."""
+
+    __slots__ = CacheState.__slots__
+
+    resident: "np.ndarray[Any, Any]"
+    valid: "np.ndarray[Any, Any]"
+    version: "np.ndarray[Any, Any]"
+    validated_at: "np.ndarray[Any, Any]"
+    last_modified: "np.ndarray[Any, Any]"
+    has_server_expires: "np.ndarray[Any, Any]"
+    server_expires: "np.ndarray[Any, Any]"
+    expires_at: "np.ndarray[Any, Any]"
+
+    def __init__(self, state: CacheState, lanes: "np.ndarray[Any, Any]") -> None:
+        for name in self.__slots__:
+            setattr(self, name, np.array(getattr(state, name))[lanes])
+        self.valid = self.resident
+
+
 def write_back(
     cache: Cache,
     compiled: CompiledServer,
@@ -340,15 +365,75 @@ _Columns = tuple[list[int], list[float]]
 StreamView = tuple[list[int], "array[float]", tuple[int, ...], "array[int]",
                    "array[float]", "array[int]"]
 
-#: Per compiled server: the last successfully encoded list or tuple —
-#: held, so its identity cannot be recycled — the ``(length,
-#: start_time)`` it was encoded at, its arrays, their columns and, once a
-#: run has asked for it, their view by object.
-_STREAMS: (
-    "weakref.WeakKeyDictionary[CompiledServer, "
-    "tuple[Sequence[tuple[float, str]], tuple[int, float], _Stream, _Columns, "
-    "Optional[StreamView]]]"
-) = weakref.WeakKeyDictionary()
+
+@dataclass(frozen=True, eq=False)
+class StepView:
+    """The stream by step (:func:`step_view`): step ``k`` holds the
+    ``k``-th request of every cacheable object requested more than ``k``
+    times, one *lane* per object.  Lanes are objects in descending order
+    of their request counts (ties by index), so step ``k``'s lanes are
+    the prefix ``[0, widths[k])`` and its rows the slice that starts
+    where step ``k - 1``'s ends.  Non-cacheable objects have no lane:
+    each of their requests is a dynamic fetch, counted here."""
+
+    #: Per lane, its object index.
+    lanes: "np.ndarray[Any, Any]"
+    #: Per step, how many lanes it holds.
+    widths: list[int]
+    #: Per row, step-major: its time, the origin's version and
+    #: Last-Modified then, and the request position it came from.
+    times: "np.ndarray[Any, Any]"
+    versions: "np.ndarray[Any, Any]"
+    stamps: "np.ndarray[Any, Any]"
+    positions: "np.ndarray[Any, Any]"
+    #: Per lane, its object's size, Expires lifetime and whether it has
+    #: one, and where its modifications start in ``mod_times``.
+    sizes: "np.ndarray[Any, Any]"
+    expires_after: "np.ndarray[Any, Any]"
+    has_expires: "np.ndarray[Any, Any]"
+    mod_lo: "np.ndarray[Any, Any]"
+    mod_times: "np.ndarray[Any, Any]"
+    #: The requests for non-cacheable objects, and their bodies' bytes.
+    dynamic: int
+    dynamic_bytes: int
+
+
+class _Memo:
+    """What one compiled server remembers of its last encoded stream."""
+
+    __slots__ = ("requests", "key", "arrays", "columns", "view", "busiest",
+                 "steps")
+
+    def __init__(self, requests: Sequence[tuple[float, str]],
+                 key: tuple[int, float], arrays: _Stream,
+                 columns: _Columns) -> None:
+        #: The list or tuple encoded — held, so its identity cannot be
+        #: recycled — and the ``(length, start_time)`` it was encoded at.
+        self.requests = requests
+        self.key = key
+        self.arrays = arrays
+        self.columns = columns
+        #: Built by the first run that asks: the rows by object, the most
+        #: requests any cacheable object gets, the rows by step.
+        self.view: Optional[StreamView] = None
+        self.busiest: Optional[int] = None
+        self.steps: Optional[StepView] = None
+
+
+#: Per compiled server: the last successfully encoded list or tuple, its
+#: arrays, their columns and what runs have derived from them.
+_STREAMS: "weakref.WeakKeyDictionary[CompiledServer, _Memo]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _kept(compiled: CompiledServer, req_times: list[float],
+          req_objs: list[int]) -> Optional[_Memo]:
+    """The memo of ``compiled``, if these are its stream's arrays."""
+    memo = _STREAMS.get(compiled)
+    if memo and memo.arrays[0] is req_times and memo.arrays[1] is req_objs:
+        return memo
+    return None
 
 
 def _columns(
@@ -385,9 +470,9 @@ def stream_columns(
     last remembered for ``compiled`` get the columns built with them;
     any others get columns built for this call alone.
     """
-    memo = _STREAMS.get(compiled)
-    if memo and memo[2][0] is req_times and memo[2][1] is req_objs:
-        return memo[3]
+    memo = _kept(compiled, req_times, req_objs)
+    if memo is not None:
+        return memo.columns
     return _columns(compiled, req_times, req_objs)
 
 
@@ -404,11 +489,9 @@ def stream_view(
     remembered for ``compiled`` get their view built once, by the first
     run that asks; any others get one built for this call alone.
     """
-    memo = _STREAMS.get(compiled)
-    kept = (memo if memo and memo[2][0] is req_times and memo[2][1] is req_objs
-            else None)
-    if kept is not None and kept[4] is not None:
-        return kept[4]
+    memo = _kept(compiled, req_times, req_objs)
+    if memo is not None and memo.view is not None:
+        return memo.view
     count = len(req_objs)
     # Sorting 16-bit keys is a radix sort, several times a 64-bit one.
     small = len(compiled.ids) <= 1 << 16
@@ -429,8 +512,97 @@ def stream_view(
             rows("q", np.fromiter(versions, np.int64, count)),
             rows("d", np.fromiter(stamps, np.float64, count)),
             rows("q", np.arange(count, dtype=np.int64)))
-    if kept is not None:
-        _STREAMS[compiled] = (*kept[:4], view)
+    if memo is not None:
+        memo.view = view
+    return view
+
+
+def _requests_per_object(
+    compiled: CompiledServer, req_objs: list[int]
+) -> tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]",
+           "np.ndarray[Any, Any]"]:
+    """The stream's objects, and per object its requests: all of them,
+    and only a cacheable object's (a non-cacheable one gets no lane,
+    :class:`StepView`)."""
+    # Sorting 16-bit keys is a radix sort, several times a 64-bit one.
+    small = len(compiled.ids) <= 1 << 16
+    objs = np.fromiter(req_objs, np.uint16 if small else np.int64, len(req_objs))
+    counts = np.bincount(objs, minlength=len(compiled.ids))
+    cacheable = np.array(compiled.cacheable, dtype=bool)
+    return objs, counts, np.where(cacheable, counts, 0)
+
+
+def busiest(compiled: CompiledServer, req_times: list[float],
+            req_objs: list[int]) -> int:
+    """The most requests any one cacheable object gets in the stream: how
+    many steps :func:`step_view` takes.  Remembered with the stream's
+    arrays, like the views."""
+    memo = _kept(compiled, req_times, req_objs)
+    if memo is not None and memo.busiest is not None:
+        return memo.busiest
+    most = int(_requests_per_object(compiled, req_objs)[2].max(initial=0))
+    if memo is not None:
+        memo.busiest = most
+    return most
+
+
+def step_view(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int],
+    columns: _Columns,
+) -> StepView:
+    """The stream and its ``columns`` by step (:class:`StepView`); for the
+    arrays :func:`encode_requests` last remembered for ``compiled``,
+    built once, by the first run that asks."""
+    memo = _kept(compiled, req_times, req_objs)
+    if memo is not None and memo.steps is not None:
+        return memo.steps
+    objs, counts, lane_counts = _requests_per_object(compiled, req_objs)
+    lanes = np.argsort(-lane_counts, kind="stable")[
+        :np.count_nonzero(lane_counts)]
+    ranked = lane_counts[lanes]  # descending
+    # Step k holds every lane with more than k requests; its rows start
+    # where step k - 1's end.
+    widths = np.searchsorted(-ranked, -np.arange(ranked.max(initial=0)))
+    starts = np.cumsum(widths) - widths
+    lane_of = np.full(len(compiled.ids), -1, dtype=np.int64)
+    lane_of[lanes] = np.arange(len(lanes))
+    # Rows by object, then time: a row's rank among its object's is its
+    # step, and its object's lane its place in that step.  (Each stream
+    # long temporary is dropped as soon as it has served.)
+    order = np.argsort(objs, kind="stable")
+    objs = objs[order]
+    lane = lane_of[objs]
+    kept = lane >= 0
+    rank = np.flatnonzero(kept)
+    rank -= (np.cumsum(counts) - counts)[objs[rank]]
+    del objs
+    slots = starts[rank]
+    del rank
+    slots += lane[kept]
+    del lane
+    positions = np.empty(len(slots), dtype=np.int64)
+    positions[slots] = order[kept]
+    del slots, order, kept
+    versions, stamps = columns
+    sizes = np.array(compiled.sizes, dtype=np.int64)
+    dynamic = counts - lane_counts  # each request a fetch of its own
+    view = StepView(
+        lanes=lanes,
+        widths=widths.tolist(),
+        times=np.array(req_times, dtype=np.float64)[positions],
+        versions=np.array(versions, dtype=np.int64)[positions],
+        stamps=np.array(stamps, dtype=np.float64)[positions],
+        positions=positions,
+        sizes=sizes[lanes],
+        expires_after=np.array(compiled.expires_after, dtype=np.float64)[lanes],
+        has_expires=np.array(compiled.has_expires, dtype=bool)[lanes],
+        mod_lo=np.array(compiled.mod_lo, dtype=np.int64)[lanes],
+        mod_times=np.array(compiled.mod_times, dtype=np.float64),
+        dynamic=int(dynamic.sum()),
+        dynamic_bytes=int((dynamic * sizes).sum()),
+    )
+    if memo is not None:
+        memo.steps = view
     return view
 
 
@@ -456,8 +628,9 @@ def encode_requests(
             does not hold.
     """
     memo = _STREAMS.get(compiled)
-    if memo and memo[0] is requests and memo[1] == (len(memo[0]), start_time):
-        return memo[2]
+    if memo and memo.requests is requests and memo.key == (
+            len(requests), start_time):
+        return memo.arrays
     times: list[float] = []
     objs: list[int] = []
     index = compiled.index
@@ -475,6 +648,6 @@ def encode_requests(
         times.append(t)
         objs.append(obj)
     if isinstance(requests, (list, tuple)):
-        _STREAMS[compiled] = (requests, (len(times), start_time), (times, objs),
-                              _columns(compiled, times, objs), None)
+        _STREAMS[compiled] = _Memo(requests, (len(times), start_time),
+                                   (times, objs), _columns(compiled, times, objs))
     return times, objs

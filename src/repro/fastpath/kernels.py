@@ -28,12 +28,13 @@ The constant holes (``stamps``, ``tunes``, ``caches``, ...) are written
 into each kernel as literals, so what a ``False`` one guards is not
 compiled at all: a caller-supplied ``Cache`` — its replacement order,
 capacity, evictions and crashes, written back into it after the run —
-costs nothing in a kernel that keeps none.  Three of them are facts of
+costs nothing in a kernel that keeps none.  Four of them are facts of
 the run, not of the class: whether an observer is attached, whether
-anything is delivered, and whether the run skips its hit runs.  The
-call decides them, from its own ``observer``, ``schedule`` and stream
-and the active metrics registry: an unobserved run that delivers nothing
-runs a variant with no event calls and no action cursor.
+anything is delivered, whether the run skips its hit runs and whether
+it steps its objects in lockstep.  The call decides them, from its own
+``observer``, ``schedule`` and stream and the active metrics registry:
+an unobserved run that delivers nothing runs a variant with no event
+calls and no action cursor.
 
 The loop keeps one tally per independent quantity — fresh and stale
 hits, stored misses, dynamic fetches, 304s, 200s, prefetches, notices
@@ -49,7 +50,13 @@ reads a stream whose origin changes rarely and has a class whose
 by object (:func:`repro.fastpath.arrays.stream_view`) and jumps over
 each run of fresh hits, found by bisecting for the :func:`fresh_until`
 candidate; decisions run the same store tail, and stale ages are added
-up at the end in request order.
+up at the end in request order.  Such a run over a stream whose origin
+changes often, with its requests spread evenly enough over its objects,
+of a class whose methods vectorise, *steps*: it takes the stream by step
+(:func:`repro.fastpath.arrays.step_view`), one request of every object
+still requested at once, and runs the loop's body on all of them with
+numpy — the lowered methods if-converted (the :func:`is_fresh_each` and
+:func:`on_stored_each` holes), the store tail as masked writes.
 
 What the origin holds at a request's time — the object's version and
 its Last-Modified — is read by request position from two columns built
@@ -105,6 +112,9 @@ from repro.fastpath.arrays import (
     NO_OBJECT,
     CacheState,
     CompiledServer,
+    LaneState,
+    busiest,
+    step_view,
     stream_columns,
     stream_view,
     write_back,
@@ -124,14 +134,21 @@ Variant = Callable[..., SimulationResult]
 _V = TypeVar("_V", bound=Variant)
 #: A kernel specialised for one protocol class and cache variant: called
 #: with a run's facts — is it observed, does it have a fault schedule,
-#: may it skip its hit runs — it returns the variant compiled for them.
-Kernel = Callable[[bool, bool, bool], Variant]
+#: may it skip its hit runs, may it step its objects in lockstep — it
+#: returns the variant compiled for them.
+Kernel = Callable[[bool, bool, bool, bool], Variant]
 
 #: The one histogram a lowered ``on_stored`` may observe; the template
 #: keeps its samples in ``rw_values``.
 REFRESH_WINDOW = "protocol.refresh_window_seconds"
 
 _INFINITY = float("inf")
+
+#: Stepping pays where the stream holds at least this many requests per
+#: step, a step being one request of every object still requested: below
+#: it numpy's fixed cost per step outweighs the requests it interprets at
+#: once (docs/FASTPATH.md, "Stepping objects in lockstep").
+STEP_BREAK_EVEN = 200
 
 
 def _runs_kind(template: _V) -> _V:
@@ -142,14 +159,20 @@ def _runs_kind(template: _V) -> _V:
 
     @functools.wraps(template)
     def run_kernel(*args: Any, kind: Kernel, **options: Any) -> SimulationResult:
-        compiled, _, req_times = args[:3]
+        compiled, _, req_times, req_objs = args[:4]
         # Skipping pays where runs of fresh hits are long.  Where the origin
         # changes once per ten requests or more they are short, and walking
-        # every request is as fast (docs/FASTPATH.md, "Skipping hit runs").
+        # every request is as fast as skipping (docs/FASTPATH.md, "Skipping
+        # hit runs"); stepping every object at once is faster there when
+        # each step covers STEP_BREAK_EVEN requests or more ("Stepping
+        # objects in lockstep").
         sparse = 10 * len(compiled.mod_times) <= len(req_times)
+        lean = obs_metrics.active() is None
         variant = kind(options.get("observer") is not None,
                        options.get("schedule") is not None,
-                       sparse and obs_metrics.active() is None)
+                       sparse and lean,
+                       not sparse and lean and STEP_BREAK_EVEN * busiest(
+                           compiled, req_times, req_objs) <= len(req_times))
         return variant(*args, kind=kind, **options)
 
     return cast(_V, run_kernel)
@@ -177,6 +200,18 @@ def fresh_until(i: int, now: float) -> float:
     raise NotImplementedError("a hole of run_kernel, never called")
 
 
+def is_fresh_each(state: LaneState, lanes: slice, now: Any) -> Any:
+    """Hole: the protocol's ``is_fresh`` for every lane of ``lanes`` at
+    once, ``now`` holding each lane's time: its value per lane."""
+    raise NotImplementedError("a hole of run_kernel, never called")
+
+
+def on_stored_each(state: LaneState, lanes: slice, now: Any, where: Any) -> None:
+    """Hole: the protocol's ``on_stored`` for the lanes of ``lanes`` that
+    ``where`` selects, ``now`` holding each lane's time."""
+    raise NotImplementedError("a hole of run_kernel, never called")
+
+
 def bind(params: Sequence[Any]) -> None:
     """Hole: ``params`` unpacked into the names the lowered methods read."""
     raise NotImplementedError("a hole of run_kernel, never called")
@@ -190,12 +225,14 @@ def bind(params: Sequence[Any]) -> None:
 #: Facts about the cache: whether the run keeps a caller's ``Cache``,
 #: and whether its lookups reorder it (LRU).  Facts about the run:
 #: whether an observer is attached, whether anything is delivered (a
-#: fault schedule, or a class that takes invalidations), and whether it
+#: fault schedule, or a class that takes invalidations), whether it
 #: skips its hit runs — a lean run, none of those nor a cache, tuning or
 #: an active metrics registry, over a stream that changes rarely, of a
-#: class whose ``is_fresh`` is proved monotone.
+#: class whose ``is_fresh`` is proved monotone — and whether it steps its
+#: objects in lockstep: a lean run over a stream that changes often and
+#: needs few steps, of a class whose methods vectorise.
 wants_invalidations = stamps = observes = tunes = caches = touches = False
-observed = delivers = skips = False
+observed = delivers = skips = steps = False
 
 
 @_runs_kind
@@ -444,6 +481,86 @@ def run_kernel(
         ages = array("d", [0.0]) * len(r_times)
         streak = NO_OBJECT
         streak_t = 0.0
+    if steps:
+        # -- every object at once, one request each per step --------------
+        # Nothing a run of this kind does to one object touches another,
+        # so the loop takes the stream by step (arrays.step_view): step k
+        # is the k-th request of every object with more than k, one lane
+        # each, and runs the per-request loop below on all of them at
+        # once: the lowered methods if-converted, each branch a mask.
+        view = step_view(compiled, req_times, req_objs,
+                         (req_versions, req_stamps))
+        dynamic += view.dynamic
+        body_full += view.dynamic_bytes
+        by_lane = LaneState(state, view.lanes)
+        lane_sizes = view.sizes
+        lane_expires = view.has_expires
+        expiring = bool(lane_expires.any())
+        # Stale ages by request position, added up as the skipping walk
+        # adds them.
+        ages = array("d", [0.0]) * len(req_times)
+        aged = np.frombuffer(ages)
+        hi = 0
+        # Python's float +, - and * never trap; numpy's must not warn.
+        with np.errstate(all="ignore"):
+            for m in view.widths:
+                lo, hi = hi, hi + m
+                lanes = slice(0, m)
+                now = view.times[lo:hi]
+                now_version = view.versions[lo:hi]
+                now_stamp = view.stamps[lo:hi]
+                held = by_lane.resident[lanes]
+                hit = is_fresh_each(by_lane, lanes, now)
+                hit = np.logical_and(held, hit)
+                hits = np.count_nonzero(hit)
+                if hits:
+                    fresh_hits += hits
+                    kept = by_lane.version[lanes]
+                    stale = hit & (kept < now_version)
+                    if stale.any():
+                        # became_stale, as the per-request loop finds it.
+                        changed_at = view.mod_times[view.mod_lo[lanes][stale]
+                                                    + kept[stale]]
+                        aged[view.positions[lo:hi][stale]] = (
+                            now[stale] - changed_at)
+                        stale_hits += np.count_nonzero(stale)
+                    if hits == m:
+                        continue
+                # -- not fresh: the store tail, lane by lane ------------------
+                todo = ~hit
+                if base_mode:
+                    moved = todo
+                    stored_misses += m - hits
+                    body_full += lane_sizes[lanes][todo].sum()
+                else:
+                    cold = todo & ~held
+                    asked = todo & held
+                    unchanged = asked & (now_stamp <= by_lane.last_modified[lanes])
+                    changed = asked ^ unchanged
+                    moved = cold | changed
+                    stored_misses += np.count_nonzero(cold)
+                    body_full += lane_sizes[lanes][cold].sum()
+                    ex_304 += np.count_nonzero(unchanged)
+                    ex_200 += np.count_nonzero(changed)
+                    body_200 += lane_sizes[lanes][changed].sum()
+                np.copyto(by_lane.version[lanes], now_version, where=moved)
+                np.copyto(by_lane.last_modified[lanes], now_stamp, where=moved)
+                by_lane.resident[lanes] = True
+                np.copyto(by_lane.validated_at[lanes], now, where=todo)
+                if expiring:
+                    np.copyto(by_lane.has_server_expires[lanes],
+                              lane_expires[lanes], where=todo)
+                    np.copyto(by_lane.server_expires[lanes],
+                              now + view.expires_after[lanes],
+                              where=todo & lane_expires[lanes])
+                if restamp:
+                    on_stored_each(by_lane, lanes, now, todo)
+        # numpy counts in its own integers; the results hold Python's.
+        fresh_hits, stale_hits, stored_misses = (
+            int(fresh_hits), int(stale_hits), int(stored_misses))
+        ex_304, ex_200 = int(ex_304), int(ex_200)
+        body_full, body_200 = int(body_full), int(body_200)
+        stream = zip()
     for t, i, vt, lm in stream:
         if delivers and pending <= t:
             # -- deliver every action that is due -------------------------
@@ -714,7 +831,7 @@ def run_kernel(
         if observed:
             notify(event, t, ids[i])
 
-    if skips and stale_hits:
+    if (skips or steps) and stale_hits:
         stale_age_sum = float(np.cumsum(np.frombuffer(ages))[-1])
     full_retrievals = stored_misses + dynamic
     validations = ex_304 + ex_200

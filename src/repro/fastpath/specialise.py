@@ -74,9 +74,13 @@ _PLAIN = (ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
           ast.cmpop, ast.expr_context)
 #: The holes, each ``[target = ]method(index, now[, argument])``.
 _HOLES = ("is_fresh", "on_stored", "on_validation_result")
+#: The same methods for every lane at once, each
+#: ``[target = ]method_each(state, lanes, now[, where])``
+#: (:class:`_Lockstep`).
+_EACH = ("is_fresh", "on_stored")
 #: The constant holes that are facts of a run, not of the class: each
 #: call decides them (:func:`repro.fastpath.kernels._runs_kind`).
-_RUN_FACTS = ("observed", "delivers", "skips")
+_RUN_FACTS = ("observed", "delivers", "skips", "steps")
 #: The constant holes (:mod:`repro.fastpath.kernels`), written into each
 #: kernel as literals.
 _CONSTANTS = frozenset(("wants_invalidations", "stamps", "observes", "tunes",
@@ -504,6 +508,172 @@ def _fresh_until(body: list[ast.stmt], now: str,
     return out
 
 
+def _np(function: str, *args: ast.expr, **keywords: ast.expr) -> ast.Call:
+    """``np.function(*args, **keywords)``."""
+    return ast.Call(func=ast.Attribute(value=_name("np"), attr=function,
+                                       ctx=ast.Load()),
+                    args=list(args),
+                    keywords=[ast.keyword(arg=k, value=v)
+                              for k, v in keywords.items()])
+
+
+class _Lockstep:
+    """A lowered hole for a slice of lanes at once, by if-conversion.
+
+    An entry read ``x[lanes]`` — which becomes ``state.x[lanes]``, the
+    :class:`~repro.fastpath.arrays.LaneState` — and ``now`` hold one
+    value per lane; so does any local computed from one.  A test on such
+    a value becomes a mask: both arms run on every lane, and what an arm
+    assigns lands only where its mask holds — ``np.where`` for a local
+    defined outside the arm, ``np.copyto(..., where=)`` for the stamp.
+    A test on parameters alone stays a Python ``if``.  On lanes, ``+``, ``-``, ``*`` and one
+    comparison are numpy's, which round as Python's, and ``min(a, b)``
+    is ``np.where(b < a, b, a)``: the builtin's own choice between its
+    operands, so even ±0 comes out as Python's.  Anything else on lanes
+    is a :class:`Refusal`, and so is what numpy would evaluate otherwise
+    than Python anywhere: a quotient (numpy does not raise, and both
+    arms run), a per-type table lookup, a stamp that may be None."""
+
+    def __init__(self, state: str, lanes: str, now: str) -> None:
+        self.state = state
+        self.lanes = lanes
+        self.now = now
+        #: The names holding one value per lane (once one, always); every
+        #: entry read is indexed by ``lanes``.
+        self.vectors = {lanes, now}
+        #: Per local, the arm it was first assigned in (0: no arm).
+        self.owner: dict[str, int] = {}
+        self.arms = 0
+
+    def convert(self, body: list[ast.stmt],
+                where: Optional[ast.expr]) -> list[ast.stmt]:
+        """``body`` for the lanes ``where`` selects (None: all of them)."""
+        return self._block(body, where, 0)
+
+    def _show(self, node: ast.AST) -> str:
+        return re.sub(rf"\b{self.now}\b", "now", ast.unparse(node).splitlines()[0])
+
+    def _per_lane(self, node: ast.AST) -> bool:
+        return any(isinstance(n, ast.Name) and n.id in self.vectors
+                   for n in ast.walk(node))
+
+    def _read(self, node: ast.Subscript) -> ast.expr:
+        """An entry read ``x[lanes]`` as ``state.x[lanes]``; any other
+        subscript is a per-type table's."""
+        match node:
+            case ast.Subscript(value=ast.Name(id=array), slice=ast.Name(
+                    id=self.lanes) as lanes) if array != _TYPE:
+                return ast.Subscript(value=ast.Attribute(
+                    value=_name(self.state), attr=array, ctx=ast.Load()),
+                    slice=lanes, ctx=ast.Load())
+        raise Refusal(f"keeps a per-type table: `{self._show(node)}`")
+
+    def _temporary(self, stem: str, value: ast.expr) -> tuple[ast.Name, ast.stmt]:
+        self.arms += 1
+        name = _name(f"_{stem}{self.arms}")
+        return name, ast.Assign(targets=[name], value=value)
+
+    def _block(self, stmts: list[ast.stmt], mask: Optional[ast.expr],
+               arm: int) -> list[ast.stmt]:
+        out: list[ast.stmt] = []
+        for stmt in stmts:
+            match stmt:
+                case ast.Assign(targets=[ast.Name(id=local)], value=value):
+                    out.append(self._local(local, value, mask, arm))
+                case ast.Assign(targets=[ast.Subscript(
+                        value=ast.Name(id=array)) as stamp], value=value) if (
+                        array == _STAMP):
+                    if any(isinstance(n, ast.Constant) and n.value is None
+                           for n in ast.walk(value)):
+                        raise Refusal(f"stamps entry.{_STAMP} with "
+                                      f"`{self._show(value)}`, which may be None")
+                    target, value = self._read(stamp), self._expr(value)
+                    out.append(ast.Assign(targets=[target], value=value)
+                               if mask is None else ast.Expr(value=_np(
+                                   "copyto", target, value, where=mask)))
+                case ast.If(test=ast.Name(id="collect")):
+                    pass  # a lockstep run never collects
+                case ast.If(test=test, body=body, orelse=orelse):
+                    test = self._expr(test)
+                    if not self._per_lane(test):
+                        out.append(ast.If(
+                            test=test, body=self._block(body, mask, arm)
+                            or [ast.Pass()], orelse=self._block(orelse, mask, arm)))
+                        continue
+                    taken, assign = self._temporary("c", _np(
+                        "asarray", test, dtype=_name("bool")))
+                    out.append(assign)
+                    for arm_stmts, where in ((body, taken), (orelse, ast.UnaryOp(
+                            op=ast.Invert(), operand=taken))):
+                        arm_mask, assign = self._temporary(
+                            "w", where if mask is None else ast.BinOp(
+                                left=mask, op=ast.BitAnd(), right=where))
+                        lowered = self._block(arm_stmts, arm_mask, self.arms)
+                        # An arm that only defines its own locals needs
+                        # no mask.
+                        if any(isinstance(n, ast.Name) and n.id == arm_mask.id
+                               for s in lowered for n in ast.walk(s)):
+                            out.append(assign)
+                        out += lowered
+                case ast.Expr(value=ast.Call(func=ast.Attribute(
+                        value=ast.Name(id="rw_values")))) | ast.Pass():
+                    pass  # a lockstep run never collects
+                case _:
+                    raise Refusal(f"uses `{self._show(stmt)}` "
+                                  "on every lane")
+        return out
+
+    def _local(self, local: str, value: ast.expr, mask: Optional[ast.expr],
+               arm: int) -> ast.stmt:
+        """``local = value``, where ``mask`` holds if ``local`` was first
+        assigned outside this arm."""
+        value = self._expr(value)
+        if mask is not None and self.owner.setdefault(local, arm) != arm:
+            value = _np("where", mask, value, _name(local))
+        if self._per_lane(value):
+            self.vectors.add(local)
+        return ast.Assign(targets=[_name(local)], value=value)
+
+    def _expr(self, node: ast.expr) -> ast.expr:
+        """``node`` for every lane; one that reads no lane is left to
+        Python, evaluated once."""
+        for inner in ast.walk(node):
+            match inner:
+                case ast.BinOp(op=ast.Div() | ast.FloorDiv() | ast.Mod()):
+                    raise Refusal(f"divides: `{self._show(inner)}`")
+                case ast.Subscript():
+                    self._read(inner)
+                case ast.Call(func=ast.Attribute(attr="get" | "setdefault")):
+                    raise Refusal(f"keeps a per-type table: `{self._show(inner)}`")
+        if not self._per_lane(node):
+            return node
+        match node:
+            case ast.Name():
+                return node
+            case ast.Subscript():
+                return self._read(node)
+            case ast.BinOp(left=left, op=ast.Add() | ast.Sub() | ast.Mult() as op,
+                           right=right):
+                return ast.BinOp(left=self._expr(left), op=op,
+                                 right=self._expr(right))
+            case ast.Compare(left=left, ops=[ast.Lt() | ast.LtE() | ast.Gt()
+                                             | ast.GtE() | ast.Eq() | ast.NotEq()],
+                             comparators=[right]):
+                return ast.Compare(left=self._expr(left), ops=node.ops,
+                                   comparators=[self._expr(right)])
+            case ast.Call(func=ast.Name(id="min" | "max" as builtin),
+                          args=[_, _, *_] as args, keywords=[]):
+                # The builtin keeps the first of equals: the next argument
+                # replaces it only where strictly smaller (larger).
+                best, *rest = map(self._expr, args)
+                for arg in rest:
+                    best = _np("where", ast.Compare(
+                        left=arg, ops=[ast.Lt() if builtin == "min" else ast.Gt()],
+                        comparators=[best]), arg, best)
+                return best
+        raise Refusal(f"uses `{self._show(node)}` on every lane")
+
+
 @functools.cache
 def _constant_sites(text: str) -> tuple[tuple[int, int, str], ...]:
     """Where ``text`` names a constant hole in code (not in a comment,
@@ -592,6 +762,24 @@ def build(cls: type[ConsistencyProtocol], template: Optional[str] = None,
                 body=body or [ast.Pass()], type_ignores=[]))) + "\n", indent)))
     if lowering.shares:
         unskippable = "a method writes a per-type table, which objects share"
+    # The lockstep holes are the same methods lowered once more, for a
+    # slice of lanes, then if-converted.
+    unsteppable: Optional[str] = None
+    for hole in re.finditer(
+            rf"^( *)(?:(\w+) = )?({'|'.join(_EACH)})_each\((\w+), (\w+), "
+            r"(\w+)(?:, (\w+))?\)\n", text, flags=re.MULTILINE):
+        indent, target, method, state, lanes, now, where = hole.groups()
+        try:
+            body = _Lockstep(state, lanes, now).convert(lowering.hole(
+                method, [_name(lanes), _name(now)],
+                _name(target) if target else None),
+                _name(where) if where else None)
+        except Refusal as refusal:
+            unsteppable = unsteppable or f"its methods do not vectorise: {refusal}"
+            body = []
+        edits.append((hole.start(), hole.end(), textwrap.indent(ast.unparse(
+            ast.fix_missing_locations(ast.Module(
+                body=body or [ast.Pass()], type_ignores=[]))) + "\n", indent)))
     for hole in re.finditer(r"^( *)bind\((\w+)\)\n", text, flags=re.MULTILINE):
         edits.append((hole.start(), hole.end(), f"{hole[1]}[{', '.join(bound)}] "
                       f"= {hole[2]}\n" if bound else ""))
@@ -608,7 +796,7 @@ def build(cls: type[ConsistencyProtocol], template: Optional[str] = None,
         text = text[:start] + replaced + text[end:]
     keeping = "" if replacement is None else f", keeping a {replacement} cache"
     kernel = _Kernel(f"{cls.__module__}.{cls.__qualname__}{keeping}",
-                     constants, text.split("\0"), unskippable)
+                     constants, text.split("\0"), unskippable, unsteppable)
     return kernel, tuple(lowering.attrs), tuple(lowering.tables)
 
 
@@ -619,7 +807,8 @@ class _Kernel:
     so a kernel replaced in the memo takes its variants with it."""
 
     def __init__(self, name: str, constants: dict[str, bool],
-                 pieces: list[str], unskippable: Optional[str]) -> None:
+                 pieces: list[str], unskippable: Optional[str],
+                 unsteppable: Optional[str]) -> None:
         self.name = name
         self.constants = constants
         #: The filled-in text, split around its run facts: every odd
@@ -628,23 +817,28 @@ class _Kernel:
         #: Why no run of this kernel skips its hit runs (None: lean runs
         #: do).
         self.unskippable = unskippable
-        self.variants: dict[tuple[bool, bool, bool], kernels.Variant] = {}
+        #: Why no run of this kernel steps its objects in lockstep (None:
+        #: lean runs do).
+        self.unsteppable = unsteppable
+        self.variants: dict[tuple[bool, bool, bool, bool], kernels.Variant] = {}
 
-    def __call__(self, observed: bool, scheduled: bool,
-                 skippable: bool) -> kernels.Variant:
+    def __call__(self, observed: bool, scheduled: bool, skippable: bool,
+                 steppable: bool = False) -> kernels.Variant:
         delivers = scheduled or self.constants["wants_invalidations"]
         lean = not (observed or delivers or self.constants["caches"]
                     or self.constants["tunes"])
-        facts = (observed, delivers,
-                 skippable and lean and self.unskippable is None)
+        skips = skippable and lean and self.unskippable is None
+        facts = (observed, delivers, skips, steppable and lean and not skips
+                 and self.unsteppable is None)
         variant = self.variants.get(facts)
         if variant is None:
             variant = self.variants[facts] = self._compile(*facts)
         return variant
 
-    def _compile(self, observed: bool, delivers: bool,
-                 skips: bool) -> kernels.Variant:
-        facts = {"observed": observed, "delivers": delivers, "skips": skips}
+    def _compile(self, observed: bool, delivers: bool, skips: bool,
+                  steps: bool) -> kernels.Variant:
+        facts = {"observed": observed, "delivers": delivers, "skips": skips,
+                 "steps": steps}
         text = "".join(repr(facts[piece]) if k % 2 else piece
                        for k, piece in enumerate(self.pieces))
         text = (f"# run_kernel with its holes filled from {self.name}: "
@@ -652,7 +846,8 @@ class _Kernel:
         filename = (f"<repro.fastpath kernel {self.name}"
                     f"{', observed' if observed else ''}"
                     f"{', delivering' if delivers else ''}"
-                    f"{', skipping' if skips else ''}>")
+                    f"{', skipping' if skips else ''}"
+                    f"{', stepping' if steps else ''}>")
         # No mtime: linecache.checkcache leaves such entries alone.
         linecache.cache[filename] = (
             len(text), None, text.splitlines(keepends=True), filename)

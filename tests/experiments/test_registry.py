@@ -118,6 +118,30 @@ class TestCLI:
         assert "workers 2" in out
         assert "ALL CHECKS PASSED" in out
 
+    def test_both_worker_counts_credit_the_same_simulated_requests(
+            self, capsys):
+        """Under ``--workers 2`` the shared sweeps run before the fan-out;
+        each is credited to the first experiment that uses it, the one a
+        serial run credits, so every stats line counts the same requests."""
+        import re
+
+        from repro.experiments import common
+        from repro.experiments.__main__ import main
+
+        counts = []
+        for workers in ("1", "2"):
+            common.clear_caches()
+            try:
+                main(["all", "--scale", "0.02", "--workers", workers])
+            finally:
+                common.clear_caches()
+            counts.append(re.findall(r"^  \(.* ([\d,]+) simulated requests",
+                                     capsys.readouterr().out, re.M))
+        serial, parallel = counts
+        assert len(serial) == len(all_ids())
+        assert parallel == serial
+        assert serial.count("0") < len(serial) - 3  # the shared sweeps count
+
     def test_help_documents_workers_env_var(self, capsys):
         from repro.experiments.__main__ import main
 

@@ -49,6 +49,14 @@ def quiet_workload():
 
 
 @pytest.fixture(scope="module")
+def flat_workload():
+    """The Worrell shape at 15 % of the paper's size: every object
+    changes often and none gets more than a 200th of the requests, so
+    lean runs step their objects in lockstep."""
+    return WorrellWorkload(files=312, requests=15_000, seed=11).build()
+
+
+@pytest.fixture(scope="module")
 def mixed_workload():
     """Four hand-placed objects that reach what ``workload`` never does.
 

@@ -29,6 +29,7 @@ stale ages from a millisecond to decades, whose sum shows its order.
 
 from __future__ import annotations
 
+import json
 import math
 from unittest import mock
 
@@ -37,6 +38,7 @@ from hypothesis import strategies as st
 
 from repro.core.cache import Cache
 from repro.core.clock import DAY, hours
+from repro.core.costs import DEFAULT_COSTS
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
 from repro.core.protocols import (
     AlexProtocol,
@@ -49,13 +51,17 @@ from repro.core.protocols import (
     TTLProtocol,
 )
 from repro.core.replacement import FIFOPolicy, LRUPolicy
+from repro.core.results import result_to_dict
 from repro.core.server import OriginServer
 from repro.core.simulator import Simulation, SimulatorMode
 from repro.fastpath import (
     compile_protocol,
+    compile_server,
     diff_metrics,
     diff_results,
+    encode_requests,
     fast_simulate,
+    initial_state,
 )
 from repro.fastpath import specialise as specialiser
 from repro.faults import DowntimeWindow, FaultAction, FaultPlan
@@ -204,7 +210,7 @@ GRID_TTL = hours(6)
 
 
 @st.composite
-def hit_run_workloads(draw):
+def hit_run_workloads(draw, objects=3):
     """Few objects, many requests each: instants on a grid of quarter
     TTLs, just past one (1 ms, 0.7 s, 1000 s), or log-uniform from 1 ms
     to 1e9 s, so that objects' stale ages of every size interleave;
@@ -218,7 +224,7 @@ def hit_run_workloads(draw):
         st.floats(min_value=-3.0, max_value=9.0).map(lambda e: 10.0 ** e),
     )
     histories = []
-    for i in range(draw(st.integers(min_value=1, max_value=3))):
+    for i in range(draw(st.integers(min_value=1, max_value=objects))):
         created = -draw(st.floats(min_value=1.0, max_value=100.0)) * DAY
         changes = sorted(draw(st.lists(instants, max_size=6, unique=True)))
         cacheable = i == 0 or draw(st.booleans())
@@ -316,9 +322,96 @@ def test_skipping_hit_runs_changes_no_byte(
                                  **config)
 
     skipping, lean = run(True), run(False)
-    assert (False, False, True) in compile_protocol(make_protocol())[0].variants
+    assert (False, False, True, False) in compile_protocol(
+        make_protocol())[0].variants
     assert diff_results(skipping, reference) == []
     assert diff_results(lean, reference) == []
+
+
+def _ages_of_zero():
+    """Validated at a modification's own instant (preloaded at one, then
+    refetched at the next): an Alex age of 0, not fresh however soon
+    asked again; and two objects' requests at equal times."""
+    histories = [
+        ObjectHistory(WebObject(oid, size=100, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, [GRID_TTL / 4, GRID_TTL]))
+        for oid in ("/a", "/b")
+    ]
+    requests = [(t, oid) for t in (GRID_TTL / 4, GRID_TTL / 4, GRID_TTL,
+                                   GRID_TTL, 2 * GRID_TTL)
+                for oid in ("/a", "/b")]
+    return histories, requests
+
+
+def _steps_out_of_request_order():
+    """Two objects' stale hits whose steps take them out of request order
+    (the second step holds /a at 10.3 before /b at 1.1): summed step by
+    step, the ages come to 12.000000000000002, not 12.0."""
+    histories = [
+        ObjectHistory(WebObject(oid, size=100, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, [0.1]))
+        for oid in ("/a", "/b")
+    ]
+    requests = [(0.3, "/a"), (0.7, "/b"), (1.1, "/b"), (10.3, "/a")]
+    return histories, requests
+
+
+def run_variant(variant, server, protocol, requests, mode, preload,
+                start_time, end_time):
+    """One run of a kernel variant, with the arguments fast_simulate
+    passes ``run_kernel``."""
+    kind, p0, p1, p2, _ = compile_protocol(protocol)
+    compiled = compile_server(server)
+    req_times, req_objs = encode_requests(compiled, requests, start_time)
+    return variant(
+        compiled, initial_state(compiled, start_time, preload), req_times,
+        req_objs, kind=kind, p0=p0, p1=p1, p2=p2,
+        base_mode=mode is SimulatorMode.BASE, costs=DEFAULT_COSTS,
+        charge_per_modification=True, preload=preload, start_time=start_time,
+        end_time=end_time, protocol_name=protocol.name, mode_value=mode.value,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workload=hit_run_workloads(objects=6),
+    make_protocol=skippable_protocols(),
+    mode=st.sampled_from(list(SimulatorMode)),
+    preload=st.booleans(),
+    start_time=st.sampled_from([0.0, GRID_TTL / 4]),
+)
+@example(workload=_ages_of_zero(), make_protocol=lambda: AlexProtocol.from_percent(10),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=GRID_TTL / 4)
+@example(workload=_interleaved_stale_ages(), make_protocol=lambda: TTLProtocol(1e9),
+         mode=SimulatorMode.BASE, preload=False, start_time=0.0)
+@example(workload=_steps_out_of_request_order(),
+         make_protocol=lambda: TTLProtocol(1e9), mode=SimulatorMode.OPTIMIZED,
+         preload=True, start_time=0.0)
+def test_lockstep_changes_no_byte(
+    workload, make_protocol, mode, preload, start_time
+):
+    """The lockstep variant, the per-request lean one and the reference
+    agree to the last bit of ``stale_age_sum``, each variant called
+    whatever the stream's shape."""
+    histories, requests = workload
+    server = OriginServer(histories)
+    requests = [(t, oid) for t, oid in requests if t >= start_time]
+    end_time = 1e9 + 1
+    reference = Simulation(
+        server, make_protocol(), mode, preload=preload, start_time=start_time,
+    ).run(requests, end_time=end_time)
+    kind = compile_protocol(make_protocol())[0]
+    assert kind.unsteppable is None
+    stepping, walking = kind(False, False, False, True), kind(False, False, False)
+    assert stepping.__code__.co_filename.endswith(", stepping>")
+    assert "stepping" not in walking.__code__.co_filename
+    results = [run_variant(variant, server, make_protocol(), requests, mode,
+                           preload, start_time, end_time)
+               for variant in (stepping, walking)]
+    for result in results:
+        assert diff_results(result, reference) == []
+        # Python's numbers, not numpy's: the result serialises.
+        json.dumps(result_to_dict(result))
 
 
 @st.composite

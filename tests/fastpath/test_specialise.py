@@ -371,7 +371,8 @@ class TestGeneratedCode:
         source = inspect.getsource(variant)
         assert "fresh = t - validated_at[i] < p0 * _age_0" in source
         assert linecache.getlines(filename)[0].endswith(
-            "'observed': False, 'delivers': False, 'skips': False}\n")
+            "'observed': False, 'delivers': False, 'skips': False, "
+            "'steps': False}\n")
         assert not re.search(r"^ *(\w+ = )?(is_fresh|on_stored|fresh_until)\(",
                              source, re.M)
         # A traceback through the kernel quotes the generated line.
@@ -468,7 +469,7 @@ class TestGeneratedCode:
             fast_simulate(workload.server(), AlexProtocol.from_percent(5 * k),
                           workload.requests, end_time=workload.duration)
         assert built == [AlexProtocol]
-        assert list(kind.variants) == [(False, False, False)]
+        assert list(kind.variants) == [(False, False, False, False)]
 
 
 class FreshFrom(TTLProtocol):
@@ -573,3 +574,106 @@ class TestSkipVariant:
         fast_simulate(workload.server(), AlexProtocol.from_percent(10),
                       workload.requests, end_time=workload.duration)
         assert "jt" not in names(ran[-1])
+
+
+class Divides(AlexProtocol):
+    """Alex's rule as a quotient."""
+
+    def is_fresh(self, entry, now):
+        age = entry.validated_at - entry.last_modified
+        if age <= 0.0:
+            return False
+        return (now - entry.validated_at) / age < self.threshold
+
+
+class PerTypeTTL(TTLProtocol):
+    """A TTL per file type, read and never written."""
+
+    def __init__(self, ttl):
+        super().__init__(ttl)
+        self.ttls = {"html": ttl / 2}
+
+    def is_fresh(self, entry, now):
+        return (now - entry.validated_at) < self.ttls.get(entry.file_type,
+                                                          self.ttl)
+
+
+class MaybeStamped(TTLProtocol):
+    """A stamp that is None when the TTL is zero."""
+
+    def is_fresh(self, entry, now):
+        return now < entry.expires_at
+
+    def on_stored(self, entry, now):
+        entry.expires_at = now + self.ttl if self.ttl > 0 else None
+
+
+#: Shipped rules whose methods vectorise.
+STEPPED = [TTLProtocol, ExpiresTTLProtocol, AlexProtocol, CERNPolicyProtocol,
+           PollEveryRequestProtocol]
+
+#: Classes the specialiser compiles but whose runs do not step, and why.
+NOT_STEPPED = [
+    (lambda: Divides.from_percent(10),
+     "divides: `(now - validated_at[lanes]) / _age_0`"),
+    (lambda: PerTypeTTL(hours(6)), "keeps a per-type table: `t0.get("),
+    (lambda: MaybeStamped(hours(6)), "stamps entry.expires_at with "
+     "`now + p0 if p0 > 0 else None`, which may be None"),
+]
+
+
+class TestLockstepLowering:
+    @pytest.mark.parametrize("cls", STEPPED, ids=[c.__name__ for c in STEPPED])
+    def test_every_shipped_rule_vectorises(self, cls):
+        assert specialiser.specialise(cls)[0].unsteppable is None
+
+    @pytest.mark.parametrize("make,detail", NOT_STEPPED,
+                             ids=[type(make()).__name__ for make, _ in NOT_STEPPED])
+    def test_refused_with_a_reason_and_run_on_the_scalar_variant(
+        self, flat_workload, ran, make, detail
+    ):
+        workload = flat_workload
+        kernel = specialiser.specialise(type(make()))[0]
+        assert kernel.unsteppable.startswith("its methods do not vectorise: ")
+        assert detail in kernel.unsteppable
+        fast = fast_simulate(workload.server(), make(), workload.requests,
+                             end_time=workload.duration)
+        assert ran[-1].__code__.co_filename.endswith(f"{type(make()).__name__}>")
+        assert diff_results(fast, simulate(
+            workload.server(), make(), workload.requests,
+            end_time=workload.duration)) == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: TTLProtocol(hours(24)), lambda: AlexProtocol.from_percent(10),
+        CERNPolicyProtocol,
+    ], ids=["ttl", "alex", "cern"])
+    def test_a_lean_run_over_a_flat_stream_steps(self, flat_workload, ran, make):
+        """Unobserved, no plan, no registry, a stream that changes often
+        and needs few steps: the lockstep variant; an observer, a plan or
+        a registry each bring the per-request loop back."""
+        workload = flat_workload
+        def run(**options):
+            return fast_simulate(workload.server(), make(), workload.requests,
+                                 end_time=workload.duration, **options)
+
+        stepping = run()
+        assert ran[-1].__code__.co_filename.endswith(", stepping>")
+        assert {"view", "lanes", "ages"} <= names(ran[-1])
+        for options in ({"observer": lambda *event: None},
+                        {"faults": FaultPlan(cache_crashes=(hours(30),))}):
+            run(**options)
+            assert "lanes" not in names(ran[-1])
+        with obs_registry.installed(obs_registry.MetricsRegistry()):
+            batched = run()
+        assert "lanes" not in names(ran[-1])
+        assert diff_results(stepping, batched) == []
+        assert diff_results(stepping, simulate(
+            workload.server(), make(), workload.requests,
+            end_time=workload.duration)) == []
+
+    def test_a_stream_that_needs_many_steps_walks(self, workload, ran):
+        """40 objects share 3,000 requests: each step would interpret
+        fewer than 200 of them, and the run walks every request."""
+        fast_simulate(workload.server(), AlexProtocol.from_percent(10),
+                      workload.requests, end_time=workload.duration)
+        assert ran[-1].__code__.co_filename.endswith("AlexProtocol>")
