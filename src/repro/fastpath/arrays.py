@@ -256,9 +256,9 @@ class CacheState:
 class LaneState:
     """A lockstep run's :class:`CacheState`: the same fields, gathered by
     lane (:class:`StepView`) into numpy arrays.  The lowered methods of a
-    lockstep kernel read and write these.  Nothing is delivered in such a
-    run, so an entry is valid iff it is resident: ``valid`` is
-    ``resident``."""
+    lockstep kernel read and write these.  A run that is ``delivering``
+    the server's feed keeps ``valid`` of its own; in any other an entry
+    is valid iff it is resident, and ``valid`` is ``resident``."""
 
     __slots__ = CacheState.__slots__
 
@@ -271,10 +271,12 @@ class LaneState:
     server_expires: "np.ndarray[Any, Any]"
     expires_at: "np.ndarray[Any, Any]"
 
-    def __init__(self, state: CacheState, lanes: "np.ndarray[Any, Any]") -> None:
+    def __init__(self, state: CacheState, lanes: "np.ndarray[Any, Any]",
+                 delivering: bool) -> None:
         for name in self.__slots__:
             setattr(self, name, np.array(getattr(state, name))[lanes])
-        self.valid = self.resident
+        if not delivering:
+            self.valid = self.resident
 
 
 def write_back(
@@ -371,12 +373,14 @@ class StepView:
     """The stream by step (:func:`step_view`): step ``k`` holds the
     ``k``-th request of every cacheable object requested more than ``k``
     times, one *lane* per object.  Lanes are objects in descending order
-    of their request counts (ties by index), so step ``k``'s lanes are
+    of the requests they hold (ties by index), so step ``k``'s lanes are
     the prefix ``[0, widths[k])`` and its rows the slice that starts
-    where step ``k - 1``'s ends.  Non-cacheable objects have no lane:
-    each of their requests is a dynamic fetch, counted here."""
+    where step ``k - 1``'s ends.  Every object has a lane — one no step
+    holds still takes the feed up to the horizon — but a non-cacheable
+    object's requests are in no step: each is a dynamic fetch, counted
+    here."""
 
-    #: Per lane, its object index.
+    #: Per lane, its object index: every object's.
     lanes: "np.ndarray[Any, Any]"
     #: Per step, how many lanes it holds.
     widths: list[int]
@@ -393,6 +397,8 @@ class StepView:
     has_expires: "np.ndarray[Any, Any]"
     mod_lo: "np.ndarray[Any, Any]"
     mod_times: "np.ndarray[Any, Any]"
+    #: Per modification, in ``mod_times`` order, its object's lane.
+    mod_lanes: "np.ndarray[Any, Any]"
     #: The requests for non-cacheable objects, and their bodies' bytes.
     dynamic: int
     dynamic_bytes: int
@@ -557,14 +563,13 @@ def step_view(
     if memo is not None and memo.steps is not None:
         return memo.steps
     objs, counts, lane_counts = _requests_per_object(compiled, req_objs)
-    lanes = np.argsort(-lane_counts, kind="stable")[
-        :np.count_nonzero(lane_counts)]
+    lanes = np.argsort(-lane_counts, kind="stable")
     ranked = lane_counts[lanes]  # descending
     # Step k holds every lane with more than k requests; its rows start
     # where step k - 1's end.
     widths = np.searchsorted(-ranked, -np.arange(ranked.max(initial=0)))
     starts = np.cumsum(widths) - widths
-    lane_of = np.full(len(compiled.ids), -1, dtype=np.int64)
+    lane_of = np.empty_like(lanes)
     lane_of[lanes] = np.arange(len(lanes))
     # Rows by object, then time: a row's rank among its object's is its
     # step, and its object's lane its place in that step.  (Each stream
@@ -572,7 +577,7 @@ def step_view(
     order = np.argsort(objs, kind="stable")
     objs = objs[order]
     lane = lane_of[objs]
-    kept = lane >= 0
+    kept = lane_counts[objs] > 0  # a non-cacheable object's rows are in no step
     rank = np.flatnonzero(kept)
     rank -= (np.cumsum(counts) - counts)[objs[rank]]
     del objs
@@ -598,6 +603,7 @@ def step_view(
         has_expires=np.array(compiled.has_expires, dtype=bool)[lanes],
         mod_lo=np.array(compiled.mod_lo, dtype=np.int64)[lanes],
         mod_times=np.array(compiled.mod_times, dtype=np.float64),
+        mod_lanes=np.repeat(lane_of, compiled.mod_count),
         dynamic=int(dynamic.sum()),
         dynamic_bytes=int((dynamic * sizes).sum()),
     )

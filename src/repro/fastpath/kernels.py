@@ -56,7 +56,11 @@ of a class whose methods vectorise, *steps*: it takes the stream by step
 (:func:`repro.fastpath.arrays.step_view`), one request of every object
 still requested at once, and runs the loop's body on all of them with
 numpy — the lowered methods if-converted (the :func:`is_fresh_each` and
-:func:`on_stored_each` holes), the store tail as masked writes.
+:func:`on_stored_each` holes), the store tail as masked writes.  So does
+one that delivers the server's own feed and nothing else (no fault
+schedule, no eager push): the lines each object received since its
+previous request are counted from the origin's versions, and applied
+before the step.
 
 What the origin holds at a request's time — the object's version and
 its Last-Modified — is read by request position from two columns built
@@ -168,10 +172,13 @@ def _runs_kind(template: _V) -> _V:
         # objects in lockstep").
         sparse = 10 * len(compiled.mod_times) <= len(req_times)
         lean = obs_metrics.active() is None
+        # The eager push stores at an action's time, not a request's: it
+        # walks.
         variant = kind(options.get("observer") is not None,
                        options.get("schedule") is not None,
                        sparse and lean,
-                       not sparse and lean and STEP_BREAK_EVEN * busiest(
+                       not sparse and lean and not options.get("eager")
+                       and STEP_BREAK_EVEN * busiest(
                            compiled, req_times, req_objs) <= len(req_times))
         return variant(*args, kind=kind, **options)
 
@@ -229,8 +236,9 @@ def bind(params: Sequence[Any]) -> None:
 #: skips its hit runs — a lean run, none of those nor a cache, tuning or
 #: an active metrics registry, over a stream that changes rarely, of a
 #: class whose ``is_fresh`` is proved monotone — and whether it steps its
-#: objects in lockstep: a lean run over a stream that changes often and
-#: needs few steps, of a class whose methods vectorise.
+#: objects in lockstep: a lean run, or one delivering only the server's
+#: own feed, over a stream that changes often and needs few steps, of a
+#: class whose methods vectorise.
 wants_invalidations = stamps = observes = tunes = caches = touches = False
 observed = delivers = skips = steps = False
 
@@ -449,11 +457,12 @@ def run_kernel(
 
     # zip stops at the shortest: the columns carry one more row.
     stream = zip(req_times, req_objs, req_versions, req_stamps)
-    if delivers:
+    if delivers and not steps:
         # The trailing flush is the last line of the stream: a request
         # for no object at the end of time, which stops once everything
         # due (``act_count`` stops at the horizon) has been delivered.
-        # The columns' last row is its sentinel.
+        # The columns' last row is its sentinel.  (A stepping run has
+        # its own flush, the last step.)
         stream = zip(req_times + [_INFINITY], req_objs + [NO_OBJECT],
                      req_versions, req_stamps)
     if skips:
@@ -483,16 +492,17 @@ def run_kernel(
         streak_t = 0.0
     if steps:
         # -- every object at once, one request each per step --------------
-        # Nothing a run of this kind does to one object touches another,
-        # so the loop takes the stream by step (arrays.step_view): step k
-        # is the k-th request of every object with more than k, one lane
-        # each, and runs the per-request loop below on all of them at
-        # once: the lowered methods if-converted, each branch a mask.
+        # Nothing a run of this kind does to one object touches another —
+        # a feed line concerns one object too — so the loop takes the
+        # stream by step (arrays.step_view): step k is the k-th request of
+        # every object with more than k, one lane each, and runs the
+        # per-request loop below on all of them at once: the lowered
+        # methods if-converted, each branch a mask.
         view = step_view(compiled, req_times, req_objs,
                          (req_versions, req_stamps))
         dynamic += view.dynamic
         body_full += view.dynamic_bytes
-        by_lane = LaneState(state, view.lanes)
+        by_lane = LaneState(state, view.lanes, delivers)
         lane_sizes = view.sizes
         lane_expires = view.has_expires
         expiring = bool(lane_expires.any())
@@ -500,16 +510,50 @@ def run_kernel(
         # adds them.
         ages = array("d", [0.0]) * len(req_times)
         aged = np.frombuffer(ages)
+        widths = view.widths
+        versions = view.versions
+        if delivers:
+            # The feed lines a lane's object received since its previous
+            # request are the origin's versions between the two.  ``seen``
+            # holds the version at that request; before the first, at
+            # start_time, as initial_state read it (a lane not preloaded
+            # is not resident, and counts no lines).  Not the kept copy's
+            # version: a hit may keep an invalidated copy, older than that.
+            # The trailing flush is one more step: every lane, at the
+            # horizon, stopping once its feed is delivered.
+            seen = by_lane.version.copy()
+            rows = len(view.times)
+            widths = widths + [len(view.lanes)]
+            versions = np.concatenate((versions, np.bincount(
+                view.mod_lanes[view.mod_times <= horizon],
+                minlength=len(view.lanes))))
         hi = 0
         # Python's float +, - and * never trap; numpy's must not warn.
         with np.errstate(all="ignore"):
-            for m in view.widths:
+            for m in widths:
                 lo, hi = hi, hi + m
                 lanes = slice(0, m)
-                now = view.times[lo:hi]
-                now_version = view.versions[lo:hi]
-                now_stamp = view.stamps[lo:hi]
+                now_version = versions[lo:hi]
                 held = by_lane.resident[lanes]
+                if delivers:
+                    # -- the feed since each lane's previous request ------
+                    # A resident lane's lines, sent and delivered: the
+                    # first flips a valid copy; each is charged under §4.1
+                    # charging, else only the flip.
+                    gap = now_version - seen[lanes]
+                    seen[lanes] = now_version
+                    flips = by_lane.valid[lanes] & (gap > 0)
+                    flipped = np.count_nonzero(flips)
+                    if flipped:
+                        np.copyto(by_lane.valid[lanes], False, where=flips)
+                        went_invalid += flipped
+                    notices = gap[held].sum() if per_modification else flipped
+                    ex_inv += notices
+                    invalidations_received += notices
+                    if lo == rows:
+                        break
+                now = view.times[lo:hi]
+                now_stamp = view.stamps[lo:hi]
                 hit = is_fresh_each(by_lane, lanes, now)
                 hit = np.logical_and(held, hit)
                 hits = np.count_nonzero(hit)
@@ -546,6 +590,8 @@ def run_kernel(
                 np.copyto(by_lane.version[lanes], now_version, where=moved)
                 np.copyto(by_lane.last_modified[lanes], now_stamp, where=moved)
                 by_lane.resident[lanes] = True
+                if delivers:
+                    np.copyto(by_lane.valid[lanes], True, where=todo)
                 np.copyto(by_lane.validated_at[lanes], now, where=todo)
                 if expiring:
                     np.copyto(by_lane.has_server_expires[lanes],
@@ -560,6 +606,8 @@ def run_kernel(
             int(fresh_hits), int(stale_hits), int(stored_misses))
         ex_304, ex_200 = int(ex_304), int(ex_200)
         body_full, body_200 = int(body_full), int(body_200)
+        ex_inv, invalidations_received = int(ex_inv), int(invalidations_received)
+        went_invalid = int(went_invalid)
         stream = zip()
     for t, i, vt, lm in stream:
         if delivers and pending <= t:

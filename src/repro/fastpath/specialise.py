@@ -825,9 +825,11 @@ class _Kernel:
     def __call__(self, observed: bool, scheduled: bool, skippable: bool,
                  steppable: bool = False) -> kernels.Variant:
         delivers = scheduled or self.constants["wants_invalidations"]
-        lean = not (observed or delivers or self.constants["caches"]
+        # The server's own feed is per object, as a lockstep run is; a
+        # fault schedule is not.
+        lean = not (observed or scheduled or self.constants["caches"]
                     or self.constants["tunes"])
-        skips = skippable and lean and self.unskippable is None
+        skips = skippable and lean and not delivers and self.unskippable is None
         facts = (observed, delivers, skips, steppable and lean and not skips
                  and self.unsteppable is None)
         variant = self.variants.get(facts)

@@ -25,6 +25,8 @@ every request, and skipping each run of fresh hits by object — on
 streams built to find where the two could part: requests exactly at a
 TTL boundary and at equal times, at a modification's own instant, and
 stale ages from a millisecond to decades, whose sum shows its order.
+The lockstep variant is run both ways too, and so is its delivering
+form, which counts each object's feed lines from the origin's versions.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from tests.verify.test_oracle_properties import DURATION, rich_workloads
 
 from .test_identity import UNOBSERVED, cache_state, protocol_state
 from .test_specialise import (
+    ListeningTTL,
     SloppyTTL,
     SoftTTL,
     StampedInvalidation,
@@ -357,7 +360,7 @@ def _steps_out_of_request_order():
 
 
 def run_variant(variant, server, protocol, requests, mode, preload,
-                start_time, end_time):
+                start_time, end_time, charge_per_modification=True):
     """One run of a kernel variant, with the arguments fast_simulate
     passes ``run_kernel``."""
     kind, p0, p1, p2, _ = compile_protocol(protocol)
@@ -367,8 +370,9 @@ def run_variant(variant, server, protocol, requests, mode, preload,
         compiled, initial_state(compiled, start_time, preload), req_times,
         req_objs, kind=kind, p0=p0, p1=p1, p2=p2,
         base_mode=mode is SimulatorMode.BASE, costs=DEFAULT_COSTS,
-        charge_per_modification=True, preload=preload, start_time=start_time,
-        end_time=end_time, protocol_name=protocol.name, mode_value=mode.value,
+        charge_per_modification=charge_per_modification, preload=preload,
+        start_time=start_time, end_time=end_time, protocol_name=protocol.name,
+        mode_value=mode.value,
     )
 
 
@@ -411,6 +415,58 @@ def test_lockstep_changes_no_byte(
     for result in results:
         assert diff_results(result, reference) == []
         # Python's numbers, not numpy's: the result serialises.
+        json.dumps(result_to_dict(result))
+
+
+def _kept_copy_behind_the_feed():
+    """A TTL hit keeps the copy the first change invalidated; the second
+    change reaches it still invalid.  Counted from the kept copy's
+    version, the second request would be charged both lines: 3 notices
+    where the reference sends 2."""
+    histories = [ObjectHistory(
+        WebObject("/k", size=100, file_type="html", created=-DAY),
+        ModificationSchedule(-DAY, [10.0, 20.0]))]
+    return histories, [(15.0, "/k"), (25.0, "/k")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workload=hit_run_workloads(objects=6),
+    make_protocol=st.sampled_from([
+        InvalidationProtocol, lambda: ListeningTTL(GRID_TTL),
+        lambda: ListeningTTL(1e9)]),
+    mode=st.sampled_from(list(SimulatorMode)),
+    per_modification=st.booleans(),
+    preload=st.booleans(),
+    start_time=st.sampled_from([0.0, GRID_TTL / 4]),
+    end_time=st.sampled_from([None, 1e9 + 1]),
+)
+@example(workload=_kept_copy_behind_the_feed(),
+         make_protocol=lambda: ListeningTTL(1e9), mode=SimulatorMode.OPTIMIZED,
+         per_modification=True, preload=True, start_time=0.0, end_time=None)
+def test_the_feed_by_lane_changes_no_byte(
+    workload, make_protocol, mode, per_modification, preload, start_time,
+    end_time,
+):
+    """A run that takes the server's feed steps its objects in lockstep,
+    counting each lane's lines from the origin's versions; it, the
+    per-request delivering variant and the reference agree, notices
+    after the last request included."""
+    histories, requests = workload
+    server = OriginServer(histories)
+    requests = [(t, oid) for t, oid in requests if t >= start_time]
+    reference = Simulation(
+        server, make_protocol(), mode, preload=preload, start_time=start_time,
+        charge_per_modification=per_modification,
+    ).run(requests, end_time=end_time)
+    kind = compile_protocol(make_protocol())[0]
+    stepping, walking = kind(False, False, False, True), kind(False, False, False)
+    assert stepping.__code__.co_filename.endswith(", delivering, stepping>")
+    assert walking.__code__.co_filename.endswith(", delivering>")
+    for variant in (stepping, walking):
+        result = run_variant(variant, server, make_protocol(), requests, mode,
+                             preload, start_time, end_time, per_modification)
+        assert diff_results(result, reference) == []
         json.dumps(result_to_dict(result))
 
 

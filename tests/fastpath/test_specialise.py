@@ -70,6 +70,13 @@ class SloppyTTL(TTLProtocol):
         return True
 
 
+class ListeningTTL(TTLProtocol):
+    """A TTL that takes the server's feed: a hit keeps an invalidated copy,
+    which may be stale."""
+
+    wants_invalidations = True
+
+
 class StampedInvalidation(InvalidationProtocol):
     """Eager callbacks plus a stamp ``is_fresh`` reads: the push must run
     ``on_stored`` or the copy it delivers expires on the old stamp."""
@@ -422,6 +429,21 @@ class TestGeneratedCode:
         assert {"t0", "t1", "p3", "p4"} <= names(
             specialiser.specialise(SelfTuningProtocol)[0](False, False, False))
 
+    def test_the_feed_steps_by_lane(self):
+        """A stepping run that takes the server's feed counts it by lane
+        (``seen``, ``gap``) and calls no observer; one that takes none,
+        and a walking one that does, load neither name."""
+        by_lane = {"seen", "gap", "rows"}
+        kernel = specialiser.specialise(InvalidationProtocol)[0]
+        stepping = kernel(False, False, False, True)
+        assert stepping.__code__.co_filename.endswith(", delivering, stepping>")
+        assert by_lane | {"view", "lanes"} <= names(stepping)
+        assert "notify" not in names(stepping)
+        assert not names(kernel(False, False, False)) & by_lane
+        lean = specialiser.specialise(TTLProtocol)[0](False, False, False, True)
+        assert lean.__code__.co_filename.endswith("TTLProtocol, stepping>")
+        assert not names(lean) & (by_lane | {"pending", "act_times"})
+
     @pytest.mark.parametrize("make", [
         lambda: TTLProtocol(hours(24)), lambda: AlexProtocol.from_percent(10),
         CERNPolicyProtocol,
@@ -645,12 +667,13 @@ class TestLockstepLowering:
 
     @pytest.mark.parametrize("make", [
         lambda: TTLProtocol(hours(24)), lambda: AlexProtocol.from_percent(10),
-        CERNPolicyProtocol,
-    ], ids=["ttl", "alex", "cern"])
+        CERNPolicyProtocol, InvalidationProtocol,
+    ], ids=["ttl", "alex", "cern", "invalidation"])
     def test_a_lean_run_over_a_flat_stream_steps(self, flat_workload, ran, make):
         """Unobserved, no plan, no registry, a stream that changes often
-        and needs few steps: the lockstep variant; an observer, a plan or
-        a registry each bring the per-request loop back."""
+        and needs few steps: the lockstep variant, the server's own feed
+        included; an observer, a plan or a registry each bring the
+        per-request loop back."""
         workload = flat_workload
         def run(**options):
             return fast_simulate(workload.server(), make(), workload.requests,
@@ -668,6 +691,26 @@ class TestLockstepLowering:
         assert "lanes" not in names(ran[-1])
         assert diff_results(stepping, batched) == []
         assert diff_results(stepping, simulate(
+            workload.server(), make(), workload.requests,
+            end_time=workload.duration)) == []
+
+    @pytest.mark.parametrize("make,why", [
+        (lambda: InvalidationProtocol(eager=True), None),
+        (lambda: LeasedInvalidationProtocol(hours(12)),
+         "uses `valid[lanes] and now - validated_at[lanes] < p0` on every lane"),
+    ], ids=["eager", "leased"])
+    def test_a_push_or_a_lease_walks_the_feed(self, flat_workload, ran, make, why):
+        """The eager push stores at a modification's time, not a
+        request's, and a lease's ``and`` is refused on lanes: both walk
+        the feed request by request."""
+        workload = flat_workload
+        assert specialiser.specialise(type(make()))[0].unsteppable == (
+            why and f"its methods do not vectorise: {why}")
+        fast = fast_simulate(workload.server(), make(), workload.requests,
+                             end_time=workload.duration)
+        assert ran[-1].__code__.co_filename.endswith(
+            f"{type(make()).__name__}, delivering>")
+        assert diff_results(fast, simulate(
             workload.server(), make(), workload.requests,
             end_time=workload.duration)) == []
 
