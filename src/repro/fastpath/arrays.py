@@ -34,7 +34,8 @@ index), the last encoded request stream with its version and
 Last-Modified columns (:func:`encode_requests`) and, once a run skipping
 hit runs asks, the same rows by object (:func:`stream_view`) — or by
 step, once a run stepping its objects in lockstep asks
-(:func:`step_view`) — and the preloaded state template
+(:func:`step_view`), with a fault schedule by object for them
+(:func:`lane_actions`) — and the preloaded state template
 (:func:`initial_state`, which hands each run its own copy).
 
 Equivalence note (docs/FASTPATH.md): the compiled feed is the server's
@@ -63,7 +64,8 @@ import numpy as np
 
 from repro.core.cache import Cache, CacheEntry
 from repro.core.server import OriginServer, UnknownObjectError
-from repro.faults.plan import ActionColumns, FaultPlan
+from repro.faults.plan import (ATTEMPT_LOST, ATTEMPT_SENT, CRASH, DELIVER,
+                               KINDS, ActionColumns, FaultPlan)
 from repro.obs import registry as obs_metrics
 
 
@@ -211,6 +213,91 @@ def compile_schedule(
     schedule = plan.columns(feed_times, feed_obj, NO_OBJECT, start_time)
     _SCHEDULES[server] = (key, schedule)
     return schedule
+
+
+@dataclass(frozen=True, eq=False)
+class LaneActions:
+    """A fault schedule by object (:func:`lane_actions`): its actions but
+    the crashes, by object, then slot (docs/FASTPATH.md, "Faults by
+    lane")."""
+
+    #: Per action ``object * (slots + 1) + slot``: ascending.
+    keys: "np.ndarray[Any, Any]"
+    #: The schedule's times by slot; its crashes' slots.
+    at: "np.ndarray[Any, Any]"
+    crashes: "np.ndarray[Any, Any]"
+    #: Prefix counts of the notices sent (lost ones too) and delivered,
+    #: and prefix maxima of what an action demands of a copy it flips: a
+    #: delivery one more than its modification's place in ``mod_times``,
+    #: any other action its object's ``mod_lo``.  A version counts every
+    #: modification up to a time, equal times alike, so ``mod_lo +
+    #: version < demand`` is the generation guard.
+    charged: "np.ndarray[Any, Any]"
+    delivered: "np.ndarray[Any, Any]"
+    reach: "np.ndarray[Any, Any]"
+
+    def upto(self, objs: "np.ndarray[Any, Any]",
+             slots: "np.ndarray[Any, Any]") -> "np.ndarray[Any, Any]":
+        """Per object of ``objs``, the end of its actions before the
+        matching slot."""
+        # Object by object the searches ascend, each starting where the
+        # last ended: several times faster.
+        order = np.argsort(objs.astype(np.uint16) if len(objs) and objs.max()
+                           < 1 << 16 else objs, kind="stable")
+        ends = np.empty(len(objs), dtype=np.int64)
+        ends[order] = np.searchsorted(
+            self.keys, objs[order] * (len(self.at) + 1) + slots[order])
+        return ends
+
+
+def lane_actions(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int],
+    view: StepView, schedule: ActionColumns[int],
+) -> tuple[LaneActions, "np.ndarray[Any, Any]"]:
+    """``schedule`` (:func:`compile_schedule`'s, for ``compiled``) by
+    object, built from its numpy columns, and per row of the stream by
+    step ``view`` (:func:`step_view`'s) the end of its object's actions up
+    to its time: for the arrays :func:`encode_requests` last remembered,
+    once per schedule (whose ``at`` column it keeps)."""
+    memo = _kept(compiled, req_times, req_objs)
+    if memo is not None and memo.actions is not None and (
+            memo.actions[0].at is schedule.at):
+        return memo.actions
+    feed_obj = np.array(compiled.feed_obj, dtype=np.int64)
+    # Stably sorted by object, the feed is mod_times.
+    places = np.empty_like(feed_obj)
+    places[np.argsort(feed_obj, kind="stable")] = np.arange(len(feed_obj))
+    code = KINDS.index
+    crash = schedule.codes == code(CRASH)
+    slots = np.flatnonzero(~crash)
+    objs = feed_obj[schedule.lines[slots]]
+    slots = slots[np.argsort(objs.astype(np.uint16) if len(compiled.ids)
+                             <= 1 << 16 else objs, kind="stable")]
+    lines, kinds = schedule.lines[slots], schedule.codes[slots]
+    objs = feed_obj[lines]
+    # The slots up to each request: both ascend, so they are merged by
+    # counting, not searched.
+    times = np.fromiter(req_times, np.float64, len(req_times))
+    upto = np.cumsum(np.bincount(np.searchsorted(times, schedule.at),
+                                 minlength=len(times)))[view.positions]
+    widths = np.array(view.widths, dtype=np.int64)
+    lanes = np.arange(len(view.times)) - np.repeat(np.cumsum(widths) - widths,
+                                                   widths)
+    actions = LaneActions(
+        keys=objs * (len(schedule.at) + 1) + slots,
+        at=schedule.at,
+        crashes=np.flatnonzero(crash),
+        charged=np.cumsum(np.append(0, (kinds == code(ATTEMPT_SENT))
+                                    | (kinds == code(ATTEMPT_LOST)))),
+        delivered=np.cumsum(np.append(0, kinds == code(DELIVER))),
+        reach=np.maximum.accumulate(np.append(0, np.where(
+            kinds == code(DELIVER), places[lines] + 1,
+            np.array(compiled.mod_lo, dtype=np.int64)[objs]))),
+    )
+    found = actions, actions.upto(view.lanes[lanes], upto)
+    if memo is not None:
+        memo.actions = found
+    return found
 
 
 class CacheState:
@@ -408,7 +495,7 @@ class _Memo:
     """What one compiled server remembers of its last encoded stream."""
 
     __slots__ = ("requests", "key", "arrays", "columns", "view", "busiest",
-                 "steps")
+                 "steps", "actions")
 
     def __init__(self, requests: Sequence[tuple[float, str]],
                  key: tuple[int, float], arrays: _Stream,
@@ -420,10 +507,12 @@ class _Memo:
         self.arrays = arrays
         self.columns = columns
         #: Built by the first run that asks: the rows by object, the most
-        #: requests any cacheable object gets, the rows by step.
+        #: requests any cacheable object gets, the rows by step, the last
+        #: fault schedule by object.
         self.view: Optional[StreamView] = None
         self.busiest: Optional[int] = None
         self.steps: Optional[StepView] = None
+        self.actions: Optional[tuple[LaneActions, "np.ndarray[Any, Any]"]] = None
 
 
 #: Per compiled server: the last successfully encoded list or tuple, its

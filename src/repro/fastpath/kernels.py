@@ -57,10 +57,11 @@ of a class whose methods vectorise, *steps*: it takes the stream by step
 still requested at once, and runs the loop's body on all of them with
 numpy — the lowered methods if-converted (the :func:`is_fresh_each` and
 :func:`on_stored_each` holes), the store tail as masked writes.  So does
-one that delivers the server's own feed and nothing else (no fault
-schedule, no eager push): the lines each object received since its
-previous request are counted from the origin's versions, and applied
-before the step.
+one that delivers, but for the eager push: before each step, each lane
+takes what reached its object since its previous request — feed lines
+counted from the origin's versions, or a fault schedule's actions as
+prefix counts over the schedule by object
+(:func:`repro.fastpath.arrays.lane_actions`).
 
 What the origin holds at a request's time — the object's version and
 its Last-Modified — is read by request position from two columns built
@@ -70,17 +71,18 @@ not-fresh request is answered from the columns.  The request loop never
 searches a modification schedule; only an eager push, which happens at
 an action time, does.
 
-Delivery is pre-merged: one *action cursor* advances whenever the next
-request time passes the next action time, replacing the per-request
-feed peeks of the reference loop.  The cursor walks either a fault
-plan's compiled schedule (:class:`repro.faults.plan.ActionColumns`,
-keyed by object index) or the fault-free ``(feed_times, feed_obj)``
-arrays, whose every line is a notice sent *and* delivered at its
-modification time.  Crashes, lost and dropped attempts, guarded
-deliveries and the eager push are interpreted in that one loop; the
-trailing ``end_time`` flush is not a second copy of it but the last
-line of the request stream — a request for no object that stops once
-everything due has been delivered.
+A walking run pre-merges delivery: one *action cursor* advances
+whenever the next request time passes the next action time, replacing
+the per-request feed peeks of the reference loop.  The cursor walks
+either a fault plan's compiled schedule
+(:class:`repro.faults.plan.ActionColumns`, keyed by object index) or the
+fault-free ``(feed_times, feed_obj)`` arrays, whose every line is a
+notice sent *and* delivered at its modification time.  Crashes, lost and
+dropped attempts, guarded deliveries and the eager push are interpreted
+in that one loop; the trailing ``end_time`` flush is the last line of
+the request stream — a request for no object that stops once everything
+due has been delivered — or, stepping, one more step of every lane.  A
+stepping variant compiles no cursor and no walk.
 
 Anything this kernel does not model (a protocol method outside the
 specialiser's closed subset, a pre-seeded cache, an LFU / SIZE / custom
@@ -118,6 +120,7 @@ from repro.fastpath.arrays import (
     CompiledServer,
     LaneState,
     busiest,
+    lane_actions,
     step_view,
     stream_columns,
     stream_view,
@@ -236,8 +239,8 @@ def bind(params: Sequence[Any]) -> None:
 #: skips its hit runs — a lean run, none of those nor a cache, tuning or
 #: an active metrics registry, over a stream that changes rarely, of a
 #: class whose ``is_fresh`` is proved monotone — and whether it steps its
-#: objects in lockstep: a lean run, or one delivering only the server's
-#: own feed, over a stream that changes often and needs few steps, of a
+#: objects in lockstep: a lean run, delivering or not but for the eager
+#: push, over a stream that changes often and needs few steps, of a
 #: class whose methods vectorise.
 wants_invalidations = stamps = observes = tunes = caches = touches = False
 observed = delivers = skips = steps = False
@@ -356,29 +359,6 @@ def run_kernel(
     else:
         horizon = end_time
 
-    # -- the action cursor --------------------------------------------------
-    if delivers:
-        faulty = schedule is not None
-        act_kinds: Sequence[str] = ()
-        act_mods: Sequence[float] = ()
-        act_attempts: Sequence[int] = ()
-        act_times: Sequence[float] = ()
-        act_keys: Sequence[int] = ()
-        slot = 0
-        if schedule is not None:
-            # Compiled against ``start_time`` already.
-            act_times, act_keys = schedule.times, schedule.keys
-            act_kinds, act_mods = schedule.kinds, schedule.mod_times
-            act_attempts = schedule.attempts
-        elif wants_invalidations:
-            act_times, act_keys = compiled.feed_times, compiled.feed_obj
-            # Modifications that predate the run are skipped: preloaded
-            # entries already reflect them (the reference's start-time
-            # fast-forward).
-            slot = br(act_times, start_time)
-        act_count = br(act_times, horizon)
-        pending = act_times[slot] if slot < act_count else _INFINITY
-
     control_message, _ = costs.invalidation_notice()
     full_control, _ = costs.full_retrieval(0)
     per_modification = charge_per_modification
@@ -455,49 +435,15 @@ def run_kernel(
             if resident[i]:
                 on_stored(i, st)
 
-    # zip stops at the shortest: the columns carry one more row.
-    stream = zip(req_times, req_objs, req_versions, req_stamps)
-    if delivers and not steps:
-        # The trailing flush is the last line of the stream: a request
-        # for no object at the end of time, which stops once everything
-        # due (``act_count`` stops at the horizon) has been delivered.
-        # The columns' last row is its sentinel.  (A stepping run has
-        # its own flush, the last step.)
-        stream = zip(req_times + [_INFINITY], req_objs + [NO_OBJECT],
-                     req_versions, req_stamps)
-    if skips:
-        # -- object by object, decision to decision -----------------------
-        # Nothing a run of this kind does to one object touches another,
-        # so the loop takes the same rows by object (arrays.stream_view);
-        # object ``i``'s rows end at ``ends[i]``.  The second fresh hit in
-        # a row (``streak`` is the object of a lone hit the row before, at
-        # ``streak_t``) counts the whole run of hits it continues, and the
-        # loop jumps past it to the next row is_fresh rejects.
-        ends, r_times, r_objs, r_versions, r_stamps, positions = stream_view(
-            compiled, req_times, req_objs, (req_versions, req_stamps))
-        # The cursors are the loop's position: a jump moves all four, and
-        # where the loop needs the current row ``k``, it is last - left().
-        cursors: list[Iterator[Any]] = [
-            iter(column) for column in (r_times, r_objs, r_versions, r_stamps)]
-        jt, jo, jv, js = [getattr(cursor, "__setstate__") for cursor in cursors]
-        left = getattr(cursors[1], "__length_hint__")
-        last = len(r_times) - 1
-        stream = zip(*cursors)
-        # Stale ages by request position, zero elsewhere: added up at the
-        # end from 0.0 in request order, as the per-request loop adds them
-        # (x + 0.0 == x; np.cumsum folds left to right, where builtin
-        # sum() compensates on 3.12 and np.sum pairs).
-        ages = array("d", [0.0]) * len(r_times)
-        streak = NO_OBJECT
-        streak_t = 0.0
     if steps:
         # -- every object at once, one request each per step --------------
         # Nothing a run of this kind does to one object touches another —
-        # a feed line concerns one object too — so the loop takes the
-        # stream by step (arrays.step_view): step k is the k-th request of
-        # every object with more than k, one lane each, and runs the
-        # per-request loop below on all of them at once: the lowered
-        # methods if-converted, each branch a mask.
+        # a feed line or a fault action concerns one object too, and a
+        # crash wipes each alike — so the loop takes the stream by step
+        # (arrays.step_view): step k is the k-th request of every object
+        # with more than k, one lane each, and runs the per-request loop
+        # below on all of them at once: the lowered methods if-converted,
+        # each branch a mask.
         view = step_view(compiled, req_times, req_objs,
                          (req_versions, req_stamps))
         dynamic += view.dynamic
@@ -513,17 +459,29 @@ def run_kernel(
         widths = view.widths
         versions = view.versions
         if delivers:
-            # The feed lines a lane's object received since its previous
-            # request are the origin's versions between the two.  ``seen``
-            # holds the version at that request; before the first, at
-            # start_time, as initial_state read it (a lane not preloaded
-            # is not resident, and counts no lines).  Not the kept copy's
-            # version: a hit may keep an invalidated copy, older than that.
-            # The trailing flush is one more step: every lane, at the
-            # horizon, stopping once its feed is delivered.
-            seen = by_lane.version.copy()
+            # Each lane takes what reached it since its previous request
+            # before the step; the trailing flush is one more step, of
+            # every lane at the horizon.
             rows = len(view.times)
             widths = widths + [len(view.lanes)]
+        if delivers and schedule is not None:
+            # A lane's actions since its previous request run from
+            # ``cursor`` to ``cut`` in the schedule by object; ``epoch``
+            # counts the crashes up to that request.
+            acts, cuts = lane_actions(compiled, req_times, req_objs, view,
+                                      schedule)
+            cut = np.concatenate((cuts, acts.upto(view.lanes, np.full(
+                len(view.lanes), np.searchsorted(acts.at, horizon, "right")))))
+            cursor = acts.upto(view.lanes, np.zeros_like(view.lanes))
+            epoch = np.zeros(len(view.lanes), dtype=np.int64)
+            epochs = np.searchsorted(acts.at[acts.crashes],
+                                     np.append(view.times, horizon), "right")
+        elif wants_invalidations:
+            # A lane's feed lines since its previous request are the
+            # origin's versions since ``seen``, the version then (at first,
+            # initial_state's) — not the kept copy's, which a hit on an
+            # invalidated copy leaves older.
+            seen = by_lane.version.copy()
             versions = np.concatenate((versions, np.bincount(
                 view.mod_lanes[view.mod_times <= horizon],
                 minlength=len(view.lanes))))
@@ -535,7 +493,39 @@ def run_kernel(
                 lanes = slice(0, m)
                 now_version = versions[lo:hi]
                 held = by_lane.resident[lanes]
-                if delivers:
+                if delivers and schedule is not None:
+                    # -- the schedule since each lane's previous request --
+                    # A resident copy takes its actions until a crash
+                    # wipes it; a valid one is flipped by its first
+                    # delivery past the generation guard.  A notice is
+                    # charged while the copy is valid, a delivery received
+                    # where it flips, each always under §4.1 charging.
+                    start = cursor[lanes].copy()
+                    stop = cursor[lanes] = cut[lo:hi]
+                    crashed = epochs[lo:hi] > epoch[lanes]
+                    if crashed.any():
+                        stop = stop.copy()
+                        stop[crashed] = np.minimum(stop[crashed], acts.upto(
+                            view.lanes[lanes][crashed],
+                            acts.crashes[epoch[lanes][crashed]]))
+                        epoch[lanes] = epochs[lo:hi]
+                    stop = np.where(held, stop, start)
+                    live = held & by_lane.valid[lanes]
+                    # No delivery before a valid copy's gap passes its
+                    # guard, so one in the gap does iff its prefix does.
+                    need = view.mod_lo[lanes] + by_lane.version[lanes] + 1
+                    flips = live & (acts.reach[stop] >= need)
+                    if per_modification:
+                        sent = (acts.charged[stop] - acts.charged[start]).sum()
+                        received = (acts.delivered[stop]
+                                    - acts.delivered[start]).sum()
+                    else:
+                        stop = np.where(live, stop, start)
+                        stop[flips] = np.searchsorted(acts.reach, need[flips])
+                        sent = (acts.charged[stop] - acts.charged[start]).sum()
+                        received = np.count_nonzero(flips)
+                    np.copyto(held, False, where=crashed)
+                elif wants_invalidations:
                     # -- the feed since each lane's previous request ------
                     # A resident lane's lines, sent and delivered: the
                     # first flips a valid copy; each is charged under §4.1
@@ -543,13 +533,12 @@ def run_kernel(
                     gap = now_version - seen[lanes]
                     seen[lanes] = now_version
                     flips = by_lane.valid[lanes] & (gap > 0)
-                    flipped = np.count_nonzero(flips)
-                    if flipped:
-                        np.copyto(by_lane.valid[lanes], False, where=flips)
-                        went_invalid += flipped
-                    notices = gap[held].sum() if per_modification else flipped
-                    ex_inv += notices
-                    invalidations_received += notices
+                    sent = received = (gap[held].sum() if per_modification
+                                       else np.count_nonzero(flips))
+                if delivers:
+                    np.copyto(by_lane.valid[lanes], False, where=flips)
+                    ex_inv += sent
+                    invalidations_received += received
                     if lo == rows:
                         break
                 now = view.times[lo:hi]
@@ -607,277 +596,332 @@ def run_kernel(
         ex_304, ex_200 = int(ex_304), int(ex_200)
         body_full, body_200 = int(body_full), int(body_200)
         ex_inv, invalidations_received = int(ex_inv), int(invalidations_received)
-        went_invalid = int(went_invalid)
-        stream = zip()
-    for t, i, vt, lm in stream:
-        if delivers and pending <= t:
-            # -- deliver every action that is due -------------------------
-            # RequestStep.fault / .deliver, kind for kind.
-            while slot < act_count:
-                at = act_times[slot]
-                if at > t:
-                    break
-                row = slot
-                slot += 1
-                mi = act_keys[row]
-                if faulty:
-                    act = act_kinds[row]
-                    if act == CRASH:
-                        wiped = resident.count(True)
-                        if wiped:
-                            resident[:] = [False] * len(resident)
-                            crash_drops += wiped
-                        if caches:
-                            # Cache.clear: no evictions counted.
-                            order.clear()
-                            used_bytes = 0
-                        crashes += 1
-                        if observed:
-                            notify("fault_cache_crash", at, "")
-                        continue
-                    if not resident[mi]:
-                        continue
-                    if act == DROP:
-                        # Abandoned while the cache still believes the
-                        # copy valid: unbounded staleness begins here.
-                        if valid[mi]:
-                            dropped += 1
-                            if observed:
-                                notify("fault_invalidation_dropped", at,
-                                       ids[mi])
-                        continue
-                    if act != DELIVER:
-                        # ATTEMPT_SENT / ATTEMPT_LOST: a notice leaves
-                        # the server, charged like a feed line's; a lost
-                        # one costs the same bytes and never arrives.
-                        if valid[mi] or per_modification:
-                            ex_inv += 1
-                            if act == ATTEMPT_LOST:
-                                lost += 1
-                                if observed:
-                                    notify("fault_invalidation_lost", at,
-                                           ids[mi])
-                        continue
-                    # DELIVER, behind the generation guard: a refetch
-                    # since the modification already reflects it
-                    # (Cache.invalidate's ``modified_at``).
-                    flips = valid[mi] and last_modified[mi] < act_mods[row]
-                    retried = act_attempts[row] > 0
-                elif not resident[mi]:
-                    continue
-                else:
-                    # A feed line: sent — charged while the server
-                    # believes the copy valid, or on every modification
-                    # (§4.1) — and delivered, both now.
-                    flips = valid[mi]
-                    if flips or per_modification:
-                        ex_inv += 1
-                    retried = False
-                # -- the notice arrives -----------------------------------
-                if flips:
-                    valid[mi] = False
-                    went_invalid += 1
-                if flips or per_modification:
-                    invalidations_received += 1
-                    if retried:
-                        recovered += 1
-                        if observed:
-                            notify("fault_invalidation_recovered", at,
-                                   ids[mi])
-                    if observed:
-                        notify("invalidation", at, ids[mi])
-                if eager:
-                    # Pre-optimization invalidation: the new copy rides
-                    # with the notice — a GET at the action time, stored
-                    # the way the store tail below stores.  Not a miss:
-                    # no request is waiting.  The one schedule search
-                    # left: it is at the action time, not a request's.
-                    lo = mod_lo[mi]
-                    va = br(mod_times, at, lo, lo + mod_count[mi]) - lo
-                    version[mi] = va
-                    last_modified[mi] = (
-                        obj_created[mi] if va == 0 else mod_times[lo + va - 1]
-                    )
-                    valid[mi] = True
-                    validated_at[mi] = at
-                    if has_expires[mi]:
-                        has_server_expires[mi] = True
-                        server_expires[mi] = at + expires_after[mi]
-                    else:
-                        has_server_expires[mi] = False
-                    if caches:
-                        # Cache.store of a resident copy of the same size:
-                        # to the back of the order, nothing evicted.
-                        touch(mi)
-                        fetched_at[mi] = at
-                        expires_at[mi] = None
-                    if restamp:
-                        on_stored(mi, at)
-                    prefetches += 1
-                    body_pre += sizes[mi]
-                    if observed:
-                        notify("prefetch", at, ids[mi])
+    if not steps:
+        # -- the action cursor ------------------------------------------------
+        if delivers:
+            faulty = schedule is not None
+            act_kinds: Sequence[str] = ()
+            act_mods: Sequence[float] = ()
+            act_attempts: Sequence[int] = ()
+            act_times: Sequence[float] = ()
+            act_keys: Sequence[int] = ()
+            slot = 0
+            if schedule is not None:
+                # Compiled against ``start_time`` already.
+                act_times, act_keys = schedule.times, schedule.keys
+                act_kinds, act_mods = schedule.kinds, schedule.mod_times
+                act_attempts = schedule.attempts
+            elif wants_invalidations:
+                act_times, act_keys = compiled.feed_times, compiled.feed_obj
+                # Modifications that predate the run are skipped: preloaded
+                # entries already reflect them (the reference's start-time
+                # fast-forward).
+                slot = br(act_times, start_time)
+            act_count = br(act_times, horizon)
             pending = act_times[slot] if slot < act_count else _INFINITY
-            if i == NO_OBJECT:
-                break
-
-        if resident[i]:
-            if touches:
-                # Cache.lookup under LRU: the entry moves to the back.
-                touch(i)
-            fresh = is_fresh(i, t)
-            if fresh:
-                if skips and i == streak:
-                    until = fresh_until(i, t)
-                    if t - streak_t < until - t:
-                        # More rows fit before the candidate boundary than
-                        # the gap just seen (else this is a lone hit too):
-                        # bisect for it, unless the next row is past it,
-                        # then move back while is_fresh rejects the row
-                        # before it (float rounding, equal times).  A fresh
-                        # row after it is simply the loop's next hit.
-                        k = last - left()
-                        j = k + 1
-                        end = ends[i]
-                        if j < end and r_times[j] < until:
-                            j = bl(r_times, until, j + 1, end)
-                        while j - 1 > k:
-                            u = r_times[j - 1]
-                            fresh = is_fresh(i, u)
-                            if fresh:
-                                break
-                            j = bl(r_times, u, k + 1, j)
-                        fresh_hits += j - k
-                        v = version[i]
-                        if v < r_versions[j - 1]:
-                            # Versions never decrease along an object's rows:
-                            # its stale hits are a suffix of the run, each aged
-                            # from the same change.
-                            s = k if v < vt else bl(r_versions, v + 1, k, j)
-                            stale_hits += j - s
-                            since = mod_times[mod_lo[i] + v]
-                            for row in range(s, j):
-                                ages[positions[row]] = r_times[row] - since
-                        if j - k > 1:
-                            jt(j)
-                            jo(j)
-                            jv(j)
-                            js(j)
-                        streak = NO_OBJECT
+        # zip stops at the shortest: the columns carry one more row.
+        stream = zip(req_times, req_objs, req_versions, req_stamps)
+        if delivers:
+            # The trailing flush is the last line of the stream: a request
+            # for no object at the end of time, which stops once everything
+            # due (``act_count`` stops at the horizon) has been delivered.
+            # The columns' last row is its sentinel.
+            stream = zip(req_times + [_INFINITY], req_objs + [NO_OBJECT],
+                         req_versions, req_stamps)
+        if skips:
+            # -- object by object, decision to decision -----------------------
+            # Nothing a run of this kind does to one object touches another,
+            # so the loop takes the same rows by object (arrays.stream_view);
+            # object ``i``'s rows end at ``ends[i]``.  The second fresh hit in
+            # a row (``streak`` is the object of a lone hit the row before, at
+            # ``streak_t``) counts the whole run of hits it continues, and the
+            # loop jumps past it to the next row is_fresh rejects.
+            ends, r_times, r_objs, r_versions, r_stamps, positions = stream_view(
+                compiled, req_times, req_objs, (req_versions, req_stamps))
+            # The cursors are the loop's position: a jump moves all four, and
+            # where the loop needs the current row ``k``, it is last - left().
+            cursors: list[Iterator[Any]] = [
+                iter(column) for column in (r_times, r_objs, r_versions, r_stamps)]
+            jt, jo, jv, js = [getattr(cursor, "__setstate__") for cursor in cursors]
+            left = getattr(cursors[1], "__length_hint__")
+            last = len(r_times) - 1
+            stream = zip(*cursors)
+            # Stale ages by request position, zero elsewhere: added up at the
+            # end from 0.0 in request order, as the per-request loop adds them
+            # (x + 0.0 == x; np.cumsum folds left to right, where builtin
+            # sum() compensates on 3.12 and np.sum pairs).
+            ages = array("d", [0.0]) * len(r_times)
+            streak = NO_OBJECT
+            streak_t = 0.0
+        for t, i, vt, lm in stream:
+            if delivers and pending <= t:
+                # -- deliver every action that is due -------------------------
+                # RequestStep.fault / .deliver, kind for kind.
+                while slot < act_count:
+                    at = act_times[slot]
+                    if at > t:
+                        break
+                    row = slot
+                    slot += 1
+                    mi = act_keys[row]
+                    if faulty:
+                        act = act_kinds[row]
+                        if act == CRASH:
+                            wiped = resident.count(True)
+                            if wiped:
+                                resident[:] = [False] * len(resident)
+                                crash_drops += wiped
+                            if caches:
+                                # Cache.clear: no evictions counted.
+                                order.clear()
+                                used_bytes = 0
+                            crashes += 1
+                            if observed:
+                                notify("fault_cache_crash", at, "")
+                            continue
+                        if not resident[mi]:
+                            continue
+                        if act == DROP:
+                            # Abandoned while the cache still believes the
+                            # copy valid: unbounded staleness begins here.
+                            if valid[mi]:
+                                dropped += 1
+                                if observed:
+                                    notify("fault_invalidation_dropped", at,
+                                           ids[mi])
+                            continue
+                        if act != DELIVER:
+                            # ATTEMPT_SENT / ATTEMPT_LOST: a notice leaves
+                            # the server, charged like a feed line's; a lost
+                            # one costs the same bytes and never arrives.
+                            if valid[mi] or per_modification:
+                                ex_inv += 1
+                                if act == ATTEMPT_LOST:
+                                    lost += 1
+                                    if observed:
+                                        notify("fault_invalidation_lost", at,
+                                               ids[mi])
+                            continue
+                        # DELIVER, behind the generation guard: a refetch
+                        # since the modification already reflects it
+                        # (Cache.invalidate's ``modified_at``).
+                        flips = valid[mi] and last_modified[mi] < act_mods[row]
+                        retried = act_attempts[row] > 0
+                    elif not resident[mi]:
                         continue
-                fresh_hits += 1
-                if skips:
-                    streak = i
-                    streak_t = t
-                v = version[i]
-                # Stale iff the copy is older than the origin's version
-                # at t: the reference's ``v < version_at(t)``.
-                if v < vt:
-                    stale_hits += 1
-                    # became_stale = next_change_after(last_modified): the
-                    # entry's Last-Modified is exactly mod_times[lo + v - 1]
-                    # (or created), so the first strictly later change is
-                    # mod_times[lo + v] — in range because v < vt.
-                    age_stale = t - mod_times[mod_lo[i] + v]
-                    stale_age_sum += age_stale
-                    if skips:
-                        # Out of request order here: added at the end.
-                        ages[positions[last - left()]] = age_stale
-                    if collect:
-                        sa_values.append(age_stale)
-                    if observed:
-                        notify("stale_hit", t, ids[i])
-                elif observed:
-                    notify("hit", t, ids[i])
-                continue
-            if skips:
-                streak = NO_OBJECT
-            # Base simulator: unconditional refetch, even when unchanged.
-            refetch = base_mode
-        elif not cacheable[i]:
-            # Dynamic content: full fetch on every request, never stored
-            # (so never resident).
-            n = 1
-            if skips:
-                # Each of the object's requests is one: all counted here.
-                n = ends[i] - (last - left())
-                for jump in (jt, jo, jv, js):
-                    jump(ends[i])
-            dynamic += n
-            body_full += n * sizes[i]
-            if collect:
-                # One request: a run that skips publishes nothing.
-                tb_values.append(float(sizes[i]))
-            if observed:
-                notify("dynamic_fetch", t, ids[i])
-            continue
-        else:
-            refetch = True  # cold miss
-
-        # -- not fresh: one server exchange, then the one store tail ------
-        # The origin answers with version ``vt``, Last-Modified ``lm``.
-        if refetch:
-            stored_misses += 1
-            body_full += sizes[i]
-            body_moved = True
-            event = "miss"
-        elif lm <= last_modified[i]:
-            # Optimized simulator: conditional retrieval.  304 Not
-            # Modified: revalidate in place; on_stored below sees the
-            # entry's own Last-Modified.
-            ex_304 += 1
-            lm = last_modified[i]
-            body_moved = False
-            event = "validation_304"
-        else:
-            # 200: body moves; store the new version.
-            ex_200 += 1
-            body_200 += sizes[i]
-            body_moved = True
-            event = "validation_200"
-
-        if body_moved:
-            version[i] = vt
-            last_modified[i] = lm
-            if collect:
-                tb_values.append(float(sizes[i]))
-            if caches:
-                # Cache.store: the new copy goes to the back of the order;
-                # one not resident before evicts from the front until it
-                # fits (it fits alone, so the front is never itself).
-                if resident[i]:
-                    touch(i)
-                else:
-                    if sizes[i] > capacity_bytes:
-                        raise ValueError(
-                            f"entry {ids[i]!r} ({sizes[i]} B) exceeds cache "
-                            f"capacity ({capacity_bytes} B)"
+                    else:
+                        # A feed line: sent — charged while the server
+                        # believes the copy valid, or on every modification
+                        # (§4.1) — and delivered, both now.
+                        flips = valid[mi]
+                        if flips or per_modification:
+                            ex_inv += 1
+                        retried = False
+                    # -- the notice arrives -----------------------------------
+                    if flips:
+                        valid[mi] = False
+                        went_invalid += 1
+                    if flips or per_modification:
+                        invalidations_received += 1
+                        if retried:
+                            recovered += 1
+                            if observed:
+                                notify("fault_invalidation_recovered", at,
+                                       ids[mi])
+                        if observed:
+                            notify("invalidation", at, ids[mi])
+                    if eager:
+                        # Pre-optimization invalidation: the new copy rides
+                        # with the notice — a GET at the action time, stored
+                        # the way the store tail below stores.  Not a miss:
+                        # no request is waiting.  The one schedule search
+                        # left: it is at the action time, not a request's.
+                        lo = mod_lo[mi]
+                        va = br(mod_times, at, lo, lo + mod_count[mi]) - lo
+                        version[mi] = va
+                        last_modified[mi] = (
+                            obj_created[mi] if va == 0 else mod_times[lo + va - 1]
                         )
-                    order[i] = None
-                    used_bytes += sizes[i]
-                    while used_bytes > capacity_bytes:
-                        victim = evict(False)[0]
-                        resident[victim] = False
-                        used_bytes -= sizes[victim]
-                        evictions += 1
-                fetched_at[i] = t
-                expires_at[i] = None
-        resident[i] = True
-        valid[i] = True
-        validated_at[i] = t
-        if has_expires[i]:
-            has_server_expires[i] = True
-            server_expires[i] = t + expires_after[i]
-        else:
-            has_server_expires[i] = False
-        # on_stored runs on every store and on a 304 alike.
-        if restamp:
-            on_stored(i, t)
-        if tunes and not refetch:
-            # RequestStep.validated: the 304 / 200 reaches the protocol.
-            on_validation_result(i, t, body_moved)
-        if observed:
-            notify(event, t, ids[i])
+                        valid[mi] = True
+                        validated_at[mi] = at
+                        if has_expires[mi]:
+                            has_server_expires[mi] = True
+                            server_expires[mi] = at + expires_after[mi]
+                        else:
+                            has_server_expires[mi] = False
+                        if caches:
+                            # Cache.store of a resident copy of the same size:
+                            # to the back of the order, nothing evicted.
+                            touch(mi)
+                            fetched_at[mi] = at
+                            expires_at[mi] = None
+                        if restamp:
+                            on_stored(mi, at)
+                        prefetches += 1
+                        body_pre += sizes[mi]
+                        if observed:
+                            notify("prefetch", at, ids[mi])
+                pending = act_times[slot] if slot < act_count else _INFINITY
+                if i == NO_OBJECT:
+                    break
+
+            if resident[i]:
+                if touches:
+                    # Cache.lookup under LRU: the entry moves to the back.
+                    touch(i)
+                fresh = is_fresh(i, t)
+                if fresh:
+                    if skips and i == streak:
+                        until = fresh_until(i, t)
+                        if t - streak_t < until - t:
+                            # More rows fit before the candidate boundary than
+                            # the gap just seen (else this is a lone hit too):
+                            # bisect for it, unless the next row is past it,
+                            # then move back while is_fresh rejects the row
+                            # before it (float rounding, equal times).  A fresh
+                            # row after it is simply the loop's next hit.
+                            k = last - left()
+                            j = k + 1
+                            end = ends[i]
+                            if j < end and r_times[j] < until:
+                                j = bl(r_times, until, j + 1, end)
+                            while j - 1 > k:
+                                u = r_times[j - 1]
+                                fresh = is_fresh(i, u)
+                                if fresh:
+                                    break
+                                j = bl(r_times, u, k + 1, j)
+                            fresh_hits += j - k
+                            v = version[i]
+                            if v < r_versions[j - 1]:
+                                # Versions never decrease along an object's rows:
+                                # its stale hits are a suffix of the run, each aged
+                                # from the same change.
+                                s = k if v < vt else bl(r_versions, v + 1, k, j)
+                                stale_hits += j - s
+                                since = mod_times[mod_lo[i] + v]
+                                for row in range(s, j):
+                                    ages[positions[row]] = r_times[row] - since
+                            if j - k > 1:
+                                jt(j)
+                                jo(j)
+                                jv(j)
+                                js(j)
+                            streak = NO_OBJECT
+                            continue
+                    fresh_hits += 1
+                    if skips:
+                        streak = i
+                        streak_t = t
+                    v = version[i]
+                    # Stale iff the copy is older than the origin's version
+                    # at t: the reference's ``v < version_at(t)``.
+                    if v < vt:
+                        stale_hits += 1
+                        # became_stale = next_change_after(last_modified): the
+                        # entry's Last-Modified is exactly mod_times[lo + v - 1]
+                        # (or created), so the first strictly later change is
+                        # mod_times[lo + v] — in range because v < vt.
+                        age_stale = t - mod_times[mod_lo[i] + v]
+                        stale_age_sum += age_stale
+                        if skips:
+                            # Out of request order here: added at the end.
+                            ages[positions[last - left()]] = age_stale
+                        if collect:
+                            sa_values.append(age_stale)
+                        if observed:
+                            notify("stale_hit", t, ids[i])
+                    elif observed:
+                        notify("hit", t, ids[i])
+                    continue
+                if skips:
+                    streak = NO_OBJECT
+                # Base simulator: unconditional refetch, even when unchanged.
+                refetch = base_mode
+            elif not cacheable[i]:
+                # Dynamic content: full fetch on every request, never stored
+                # (so never resident).
+                n = 1
+                if skips:
+                    # Each of the object's requests is one: all counted here.
+                    n = ends[i] - (last - left())
+                    for jump in (jt, jo, jv, js):
+                        jump(ends[i])
+                dynamic += n
+                body_full += n * sizes[i]
+                if collect:
+                    # One request: a run that skips publishes nothing.
+                    tb_values.append(float(sizes[i]))
+                if observed:
+                    notify("dynamic_fetch", t, ids[i])
+                continue
+            else:
+                refetch = True  # cold miss
+
+            # -- not fresh: one server exchange, then the one store tail ------
+            # The origin answers with version ``vt``, Last-Modified ``lm``.
+            if refetch:
+                stored_misses += 1
+                body_full += sizes[i]
+                body_moved = True
+                event = "miss"
+            elif lm <= last_modified[i]:
+                # Optimized simulator: conditional retrieval.  304 Not
+                # Modified: revalidate in place; on_stored below sees the
+                # entry's own Last-Modified.
+                ex_304 += 1
+                lm = last_modified[i]
+                body_moved = False
+                event = "validation_304"
+            else:
+                # 200: body moves; store the new version.
+                ex_200 += 1
+                body_200 += sizes[i]
+                body_moved = True
+                event = "validation_200"
+
+            if body_moved:
+                version[i] = vt
+                last_modified[i] = lm
+                if collect:
+                    tb_values.append(float(sizes[i]))
+                if caches:
+                    # Cache.store: the new copy goes to the back of the order;
+                    # one not resident before evicts from the front until it
+                    # fits (it fits alone, so the front is never itself).
+                    if resident[i]:
+                        touch(i)
+                    else:
+                        if sizes[i] > capacity_bytes:
+                            raise ValueError(
+                                f"entry {ids[i]!r} ({sizes[i]} B) exceeds cache "
+                                f"capacity ({capacity_bytes} B)"
+                            )
+                        order[i] = None
+                        used_bytes += sizes[i]
+                        while used_bytes > capacity_bytes:
+                            victim = evict(False)[0]
+                            resident[victim] = False
+                            used_bytes -= sizes[victim]
+                            evictions += 1
+                    fetched_at[i] = t
+                    expires_at[i] = None
+            resident[i] = True
+            valid[i] = True
+            validated_at[i] = t
+            if has_expires[i]:
+                has_server_expires[i] = True
+                server_expires[i] = t + expires_after[i]
+            else:
+                has_server_expires[i] = False
+            # on_stored runs on every store and on a 304 alike.
+            if restamp:
+                on_stored(i, t)
+            if tunes and not refetch:
+                # RequestStep.validated: the 304 / 200 reaches the protocol.
+                on_validation_result(i, t, body_moved)
+            if observed:
+                notify(event, t, ids[i])
 
     if (skips or steps) and stale_hits:
         stale_age_sum = float(np.cumsum(np.frombuffer(ages))[-1])

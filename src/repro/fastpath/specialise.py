@@ -671,6 +671,15 @@ class _Lockstep:
                         left=arg, ops=[ast.Lt() if builtin == "min" else ast.Gt()],
                         comparators=[best]), arg, best)
                 return best
+            case ast.BoolOp(op=op, values=values) if all(
+                    isinstance(value, (ast.Compare, ast.BoolOp))
+                    or ast.unparse(value) == f"valid[{self.lanes}]"
+                    for value in values):
+                # Over truth values ``and`` / ``or`` are ``&`` / ``|``: the
+                # subset's operands have no side effect and never raise.
+                bit = ast.BitAnd() if isinstance(op, ast.And) else ast.BitOr()
+                return functools.reduce(lambda left, right: ast.BinOp(
+                    left=left, op=bit, right=right), map(self._expr, values))
         raise Refusal(f"uses `{self._show(node)}` on every lane")
 
 
@@ -693,10 +702,10 @@ def _constant_sites(text: str) -> tuple[tuple[int, int, str], ...]:
 
 
 def _prune(text: str) -> str:
-    """``text`` without the blocks an ``if False`` guards: a kernel's
-    source is the code it runs, and a constant hole that is off costs
-    nothing — not even the ``NOP`` the compiler leaves for a dead
-    ``if``."""
+    """``text`` without the blocks an ``if False`` or ``if not True``
+    guards: a kernel's source is the code it runs, and a constant hole
+    that is off costs nothing — not even the ``NOP`` the compiler leaves
+    for a dead ``if``."""
     kept: list[str] = []
     dead: Optional[int] = None  # the indent of the ``if`` being deleted
     for line in text.splitlines(keepends=True):
@@ -704,7 +713,7 @@ def _prune(text: str) -> str:
         if dead is not None and (not line.strip() or indent > dead):
             continue
         dead = None
-        if re.match(r" *(el)?if False( and .*)?:\n", line):
+        if re.match(r" *(el)?if (False|not True)( and .*)?:\n", line):
             dead = indent
         else:
             kept.append(line)
@@ -825,9 +834,10 @@ class _Kernel:
     def __call__(self, observed: bool, scheduled: bool, skippable: bool,
                  steppable: bool = False) -> kernels.Variant:
         delivers = scheduled or self.constants["wants_invalidations"]
-        # The server's own feed is per object, as a lockstep run is; a
-        # fault schedule is not.
-        lean = not (observed or scheduled or self.constants["caches"]
+        # The server's feed and a fault schedule are per object, as a
+        # lockstep run is, but for their crashes, which wipe each object
+        # alike.
+        lean = not (observed or self.constants["caches"]
                     or self.constants["tunes"])
         skips = skippable and lean and not delivers and self.unskippable is None
         facts = (observed, delivers, skips, steppable and lean and not skips

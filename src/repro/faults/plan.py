@@ -48,7 +48,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Generic, Sequence, TypeVar
 
 import numpy as np
@@ -64,10 +64,9 @@ DROP = "drop"
 CRASH = "crash"
 
 #: The kinds by the integer code :meth:`FaultPlan.columns` sorts with.
-_KIND_NAMES = np.array(
-    [ATTEMPT_SENT, ATTEMPT_LOST, DELIVER, DROP, CRASH], dtype=object
-)
-_SENT, _LOST, _DELIVER, _DROP, _CRASH = range(len(_KIND_NAMES))
+KINDS = (ATTEMPT_SENT, ATTEMPT_LOST, DELIVER, DROP, CRASH)
+_KIND_NAMES = np.array(KINDS, dtype=object)
+_SENT, _LOST, _DELIVER, _DROP, _CRASH = range(len(KINDS))
 
 #: The feed's key type: an object id for :meth:`FaultPlan.compile`, a
 #: dense object index on the fast path.
@@ -127,7 +126,8 @@ class ActionColumns(Generic[K]):
     Slot ``n`` of every column describes the same action — the fields of
     :class:`FaultAction`, with ``keys`` standing for ``object_id`` in
     whatever key the feed was given in.  Slots are sorted by ``times``;
-    ties keep compile order.
+    ties keep compile order.  :meth:`FaultPlan.columns` also keeps, as
+    numpy arrays, each slot's feed line, kind code and time.
     """
 
     times: Sequence[float]
@@ -135,6 +135,12 @@ class ActionColumns(Generic[K]):
     keys: Sequence[K]
     mod_times: Sequence[float]
     attempts: Sequence[int]
+    lines: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64),
+                              compare=False, repr=False)
+    codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64),
+                              compare=False, repr=False)
+    at: np.ndarray = field(default_factory=lambda: np.empty(0),
+                           compare=False, repr=False)
 
     def publish_metrics(self) -> None:
         """Publish the schedule's per-kind ``faults.*`` counts.
@@ -323,7 +329,7 @@ class FaultPlan:
         order = np.lexsort((compile_order, row_times))
         at = row_lines[order]
         row_times = row_times[order]
-        kinds = _KIND_NAMES.take(row_kinds[order])
+        codes = row_kinds[order]
         attempts = row_attempts[order]
         del blocks, mods, lines, compile_order, order, row_lines, row_kinds
         # Keys and announced times are the feed's own objects, and so is
@@ -336,8 +342,8 @@ class FaultPlan:
         fresh = row_times.view(np.int64) != announced[at].view(np.int64)
         times[fresh] = row_times[fresh]
         return ActionColumns(
-            tuple(times), tuple(kinds), tuple(keys), tuple(mod_times),
-            tuple(attempts.tolist()),
+            tuple(times), tuple(_KIND_NAMES.take(codes)), tuple(keys),
+            tuple(mod_times), tuple(attempts.tolist()), at, codes, row_times,
         )
 
     def compile(

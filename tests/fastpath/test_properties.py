@@ -26,7 +26,8 @@ streams built to find where the two could part: requests exactly at a
 TTL boundary and at equal times, at a modification's own instant, and
 stale ages from a millisecond to decades, whose sum shows its order.
 The lockstep variant is run both ways too, and so is its delivering
-form, which counts each object's feed lines from the origin's versions.
+form, which counts each object's feed lines from the origin's versions,
+or applies a fault plan's actions to each object between its requests.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ from repro.fastpath import (
     initial_state,
 )
 from repro.fastpath import specialise as specialiser
+from repro.fastpath.arrays import compile_schedule
 from repro.faults import DowntimeWindow, FaultAction, FaultPlan
 from repro.obs import registry as obs_registry
 from tests.faults.test_properties import DURATION as FAULT_DURATION
@@ -360,7 +362,8 @@ def _steps_out_of_request_order():
 
 
 def run_variant(variant, server, protocol, requests, mode, preload,
-                start_time, end_time, charge_per_modification=True):
+                start_time, end_time, charge_per_modification=True,
+                schedule=None):
     """One run of a kernel variant, with the arguments fast_simulate
     passes ``run_kernel``."""
     kind, p0, p1, p2, _ = compile_protocol(protocol)
@@ -372,7 +375,7 @@ def run_variant(variant, server, protocol, requests, mode, preload,
         base_mode=mode is SimulatorMode.BASE, costs=DEFAULT_COSTS,
         charge_per_modification=charge_per_modification, preload=preload,
         start_time=start_time, end_time=end_time, protocol_name=protocol.name,
-        mode_value=mode.value,
+        mode_value=mode.value, schedule=schedule,
     )
 
 
@@ -487,6 +490,95 @@ def fault_plans(draw):
         cache_crashes=tuple(draw(st.lists(instants, max_size=3))),
         seed=draw(st.integers(min_value=0, max_value=2**32)),
     )
+
+
+def _crash_at_a_request():
+    """A crash at a request's own instant, and at the notices' of a
+    modification then: it wipes the copies after the notices and before
+    the request."""
+    histories = [ObjectHistory(
+        WebObject(oid, size=100, file_type="html", created=-DAY),
+        ModificationSchedule(-DAY, [10.0])) for oid in ("/a", "/b")]
+    requests = [(5.0, "/a"), (10.0, "/a"), (10.0, "/b"), (30.0, "/a")]
+    return (histories, requests), FaultPlan(cache_crashes=(10.0,))
+
+
+def _an_older_notice_after_a_newer():
+    """/a's first notice (100 s) is lost and its retry delivered at 600 s,
+    after the second's (200 s) and the refetch at 300 s that reflects
+    both: the generation guard ignores it."""
+    histories = [ObjectHistory(
+        WebObject("/a", size=100, file_type="html", created=-DAY),
+        ModificationSchedule(-DAY, [100.0, 200.0]))]
+    requests = [(t, "/a") for t in (50.0, 150.0, 300.0, 700.0)]
+    return (histories, requests), FaultPlan(
+        loss_rate=0.5, retries=1, backoff=500.0, seed=18)
+
+
+def _modified_twice_at_once():
+    """/a changes twice at 10 s, as /b does once; the notices, delayed,
+    reach copies fetched at 10 s that already reflect both."""
+    histories = [
+        ObjectHistory(WebObject("/a", size=100, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, [10.0, 10.0, 20.0])),
+        ObjectHistory(WebObject("/b", size=100, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, [10.0]))]
+    requests = [(t, oid) for t in (5.0, 10.0, 15.0, 45.0) for oid in ("/a", "/b")]
+    return (histories, requests), FaultPlan(delay=30.0)
+
+
+def _fault_example(case, make_protocol=InvalidationProtocol):
+    workload, plan = case
+    return example(workload=workload, make_protocol=make_protocol, plan=plan,
+                   mode=SimulatorMode.OPTIMIZED, per_modification=False,
+                   preload=True, start_time=0.0, end_time=None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workload=hit_run_workloads(objects=6),
+    make_protocol=st.sampled_from([
+        InvalidationProtocol, lambda: LeasedInvalidationProtocol(GRID_TTL),
+        lambda: ListeningTTL(GRID_TTL), lambda: TTLProtocol(GRID_TTL)]),
+    plan=fault_plans(),
+    mode=st.sampled_from(list(SimulatorMode)),
+    per_modification=st.booleans(),
+    preload=st.booleans(),
+    start_time=st.sampled_from([0.0, GRID_TTL / 4]),
+    end_time=st.sampled_from([None, 1e9 + 1]),
+)
+@_fault_example(_crash_at_a_request())
+@_fault_example(_crash_at_a_request(), lambda: TTLProtocol(GRID_TTL))
+@_fault_example(_an_older_notice_after_a_newer())
+@_fault_example(_modified_twice_at_once())
+def test_faults_by_lane_change_no_byte(
+    workload, make_protocol, plan, mode, per_modification, preload,
+    start_time, end_time,
+):
+    """A run under a fault plan steps its objects in lockstep, applying
+    each lane's actions between its requests; it, the per-request
+    delivering variant and the reference agree, crashes, losses, retries,
+    delays and downtime included."""
+    histories, requests = workload
+    server = OriginServer(histories)
+    requests = [(t, oid) for t, oid in requests if t >= start_time]
+    protocol = make_protocol()
+    reference = Simulation(
+        server, make_protocol(), mode, preload=preload, start_time=start_time,
+        charge_per_modification=per_modification, faults=plan,
+    ).run(requests, end_time=end_time)
+    schedule = compile_schedule(server, plan, start_time,
+                                protocol.wants_invalidations)
+    kind = compile_protocol(protocol)[0]
+    stepping, walking = kind(False, True, False, True), kind(False, True, False)
+    assert stepping.__code__.co_filename.endswith(", delivering, stepping>")
+    assert walking.__code__.co_filename.endswith(", delivering>")
+    for variant in (stepping, walking):
+        result = run_variant(variant, server, make_protocol(), requests, mode,
+                             preload, start_time, end_time, per_modification,
+                             schedule)
+        assert diff_results(result, reference) == []
+        json.dumps(result_to_dict(result))
 
 
 @settings(max_examples=120, deadline=None)

@@ -18,6 +18,7 @@ import traceback
 
 import pytest
 
+from repro.core.cache import Cache
 from repro.core.clock import hours
 from repro.core.protocols import (
     AlexProtocol,
@@ -431,18 +432,31 @@ class TestGeneratedCode:
 
     def test_the_feed_steps_by_lane(self):
         """A stepping run that takes the server's feed counts it by lane
-        (``seen``, ``gap``) and calls no observer; one that takes none,
-        and a walking one that does, load neither name."""
+        (``seen``, ``gap``), one under a fault schedule applies it by lane
+        (``cursor``, ``cut``), and neither calls an observer; one that
+        takes neither, and a walking one that takes the feed, load none of
+        those names.  No stepping variant compiles the walk's action
+        cursor."""
         by_lane = {"seen", "gap", "rows"}
+        walk = {"pending", "act_times", "slot"}
         kernel = specialiser.specialise(InvalidationProtocol)[0]
         stepping = kernel(False, False, False, True)
         assert stepping.__code__.co_filename.endswith(", delivering, stepping>")
-        assert by_lane | {"view", "lanes"} <= names(stepping)
+        assert by_lane | {"view", "lanes", "cursor", "cut"} <= names(stepping)
         assert "notify" not in names(stepping)
-        assert not names(kernel(False, False, False)) & by_lane
+        assert not names(kernel(False, False, False)) & (by_lane | {"cut"})
         lean = specialiser.specialise(TTLProtocol)[0](False, False, False, True)
         assert lean.__code__.co_filename.endswith("TTLProtocol, stepping>")
-        assert not names(lean) & (by_lane | {"pending", "act_times"})
+        assert not names(lean) & (by_lane | {"cut"})
+        for cls in (InvalidationProtocol, LeasedInvalidationProtocol, TTLProtocol):
+            for scheduled in (False, True):
+                variant = specialiser.specialise(cls)[0](
+                    False, scheduled, False, True)
+                assert variant.__code__.co_filename.endswith(", stepping>")
+                assert not names(variant) & walk
+        faulted = specialiser.specialise(TTLProtocol)[0](False, True, False, True)
+        assert {"cursor", "cut", "rows"} <= names(faulted)
+        assert not names(faulted) & {"seen", "gap", "notify"}
 
     @pytest.mark.parametrize("make", [
         lambda: TTLProtocol(hours(24)), lambda: AlexProtocol.from_percent(10),
@@ -620,6 +634,13 @@ class PerTypeTTL(TTLProtocol):
                                                           self.ttl)
 
 
+class NumberAnd(TTLProtocol):
+    """``and`` over a number: on lanes ``&`` would not be its value."""
+
+    def is_fresh(self, entry, now):
+        return entry.validated_at and now - entry.validated_at < self.ttl
+
+
 class MaybeStamped(TTLProtocol):
     """A stamp that is None when the TTL is zero."""
 
@@ -641,6 +662,8 @@ NOT_STEPPED = [
     (lambda: PerTypeTTL(hours(6)), "keeps a per-type table: `t0.get("),
     (lambda: MaybeStamped(hours(6)), "stamps entry.expires_at with "
      "`now + p0 if p0 > 0 else None`, which may be None"),
+    (lambda: NumberAnd(hours(6)), "uses `validated_at[lanes] and now - "
+     "validated_at[lanes] < p0` on every lane"),
 ]
 
 
@@ -670,49 +693,78 @@ class TestLockstepLowering:
         CERNPolicyProtocol, InvalidationProtocol,
     ], ids=["ttl", "alex", "cern", "invalidation"])
     def test_a_lean_run_over_a_flat_stream_steps(self, flat_workload, ran, make):
-        """Unobserved, no plan, no registry, a stream that changes often
-        and needs few steps: the lockstep variant, the server's own feed
-        included; an observer, a plan or a registry each bring the
+        """Unobserved, no registry, a stream that changes often and needs
+        few steps: the lockstep variant, the server's own feed and a
+        fault plan included; an observer or a registry each bring the
         per-request loop back."""
         workload = flat_workload
         def run(**options):
             return fast_simulate(workload.server(), make(), workload.requests,
                                  end_time=workload.duration, **options)
 
+        def reference(**options):
+            return simulate(workload.server(), make(), workload.requests,
+                            end_time=workload.duration, **options)
+
         stepping = run()
         assert ran[-1].__code__.co_filename.endswith(", stepping>")
         assert {"view", "lanes", "ages"} <= names(ran[-1])
-        for options in ({"observer": lambda *event: None},
-                        {"faults": FaultPlan(cache_crashes=(hours(30),))}):
-            run(**options)
-            assert "lanes" not in names(ran[-1])
+        crash = {"faults": FaultPlan(cache_crashes=(hours(30),))}
+        assert diff_results(run(**crash), reference(**crash)) == []
+        assert ran[-1].__code__.co_filename.endswith(", delivering, stepping>")
+        run(observer=lambda *event: None)
+        assert "lanes" not in names(ran[-1])
         with obs_registry.installed(obs_registry.MetricsRegistry()):
             batched = run()
         assert "lanes" not in names(ran[-1])
         assert diff_results(stepping, batched) == []
-        assert diff_results(stepping, simulate(
-            workload.server(), make(), workload.requests,
-            end_time=workload.duration)) == []
+        assert diff_results(stepping, reference()) == []
 
-    @pytest.mark.parametrize("make,why", [
-        (lambda: InvalidationProtocol(eager=True), None),
-        (lambda: LeasedInvalidationProtocol(hours(12)),
-         "uses `valid[lanes] and now - validated_at[lanes] < p0` on every lane"),
+    @pytest.mark.parametrize("make,ending", [
+        (lambda: InvalidationProtocol(eager=True), ", delivering>"),
+        (lambda: LeasedInvalidationProtocol(hours(12)), ", delivering, stepping>"),
     ], ids=["eager", "leased"])
-    def test_a_push_or_a_lease_walks_the_feed(self, flat_workload, ran, make, why):
+    def test_a_push_walks_and_a_lease_steps(self, flat_workload, ran, make, ending):
         """The eager push stores at a modification's time, not a
-        request's, and a lease's ``and`` is refused on lanes: both walk
-        the feed request by request."""
+        request's, so it walks the feed request by request; a lease's
+        ``and`` over two truth values is ``&`` on lanes, and it steps.
+        Both agree with the reference."""
         workload = flat_workload
-        assert specialiser.specialise(type(make()))[0].unsteppable == (
-            why and f"its methods do not vectorise: {why}")
+        assert specialiser.specialise(type(make()))[0].unsteppable is None
         fast = fast_simulate(workload.server(), make(), workload.requests,
                              end_time=workload.duration)
         assert ran[-1].__code__.co_filename.endswith(
-            f"{type(make()).__name__}, delivering>")
+            f"{type(make()).__name__}{ending}")
         assert diff_results(fast, simulate(
             workload.server(), make(), workload.requests,
             end_time=workload.duration)) == []
+
+    @pytest.mark.parametrize("make,options", [
+        (InvalidationProtocol, lambda: {"observer": lambda *event: None}),
+        (InvalidationProtocol, lambda: {"cache": Cache()}),
+        (SelfTuningProtocol, dict),
+        (lambda: InvalidationProtocol(eager=True), dict),
+    ], ids=["observed", "cache", "selftuning", "eager"])
+    def test_under_a_plan_a_lean_run_steps_and_these_walk(
+            self, flat_workload, ran, make, options):
+        """Under a lossy, retrying plan over a dense Worrell stream a lean
+        run steps its objects in lockstep; an observed run, one that keeps
+        a caller's ``Cache``, a tuning protocol and the eager push walk.
+        Each agrees with the reference."""
+        workload = flat_workload
+        plan = FaultPlan(loss_rate=0.2, retries=3, backoff=300.0, seed=1)
+
+        def run(simulator, make, **extra):
+            return simulator(workload.server(), make(), workload.requests,
+                             end_time=workload.duration, faults=plan, **extra)
+
+        lean = run(fast_simulate, InvalidationProtocol)
+        assert ran[-1].__code__.co_filename.endswith(", delivering, stepping>")
+        assert diff_results(lean, run(simulate, InvalidationProtocol)) == []
+        walked = run(fast_simulate, make, **options())
+        assert "stepping" not in ran[-1].__code__.co_filename
+        reference = {k: v for k, v in options().items() if k != "observer"}
+        assert diff_results(walked, run(simulate, make, **reference)) == []
 
     def test_a_stream_that_needs_many_steps_walks(self, workload, ran):
         """40 objects share 3,000 requests: each step would interpret

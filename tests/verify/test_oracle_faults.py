@@ -127,7 +127,7 @@ class TestFastPathLeg:
         simulator and the spec still agree, so every divergence is leg
         3's, labelled ``fastpath.*``."""
         source = inspect.getsource(kernels.run_kernel)
-        charge = "ex_inv += 1\n                            if act == ATTEMPT_LOST:"
+        charge = "ex_inv += 1\n                                if act == ATTEMPT_LOST:"
         assert source.count(charge) == 1
         # Specialised from the mutated template, in place of the memoised
         # kernel; dropped afterwards so the next run builds the real one.
