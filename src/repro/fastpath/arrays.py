@@ -53,9 +53,11 @@ between runs that share them.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from array import array
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Any, Iterable, Optional, Sequence
@@ -100,6 +102,15 @@ class CompiledServer:
     #: order of first appearance): what keys a protocol's per-type tables.
     file_type: list[int]
     file_types: list[str]
+
+    @functools.cached_property
+    def feed_places(self) -> tuple["np.ndarray[Any, Any]", ...]:
+        """As numpy arrays: the feed's objects, each line's place in
+        ``mod_times`` (the feed stably sorted by object), ``mod_lo``."""
+        feed_obj = np.array(self.feed_obj, dtype=np.int64)
+        places = np.empty_like(feed_obj)
+        places[np.argsort(feed_obj, kind="stable")] = np.arange(len(feed_obj))
+        return feed_obj, places, np.array(self.mod_lo, dtype=np.int64)
 
 
 _COMPILED: "weakref.WeakKeyDictionary[OriginServer, CompiledServer]" = (
@@ -215,6 +226,13 @@ def compile_schedule(
     return schedule
 
 
+def _by_object(objs: "np.ndarray[Any, Any]") -> "np.ndarray[Any, Any]":
+    """``objs``' stable sort order: on 16-bit keys where they fit, a radix
+    sort, several times a 64-bit one."""
+    return np.argsort(objs.astype(np.uint16) if len(objs) and objs.max()
+                      < 1 << 16 else objs, kind="stable")
+
+
 @dataclass(frozen=True, eq=False)
 class LaneActions:
     """A fault schedule by object (:func:`lane_actions`): its actions but
@@ -236,14 +254,13 @@ class LaneActions:
     delivered: "np.ndarray[Any, Any]"
     reach: "np.ndarray[Any, Any]"
 
-    def upto(self, objs: "np.ndarray[Any, Any]",
-             slots: "np.ndarray[Any, Any]") -> "np.ndarray[Any, Any]":
+    def upto(self, objs: "np.ndarray[Any, Any]", slots: "np.ndarray[Any, Any]",
+             order: "Optional[np.ndarray[Any, Any]]" = None) -> "np.ndarray[Any, Any]":
         """Per object of ``objs``, the end of its actions before the
-        matching slot."""
+        matching slot; ``order`` is ``objs``' own, if known."""
         # Object by object the searches ascend, each starting where the
         # last ended: several times faster.
-        order = np.argsort(objs.astype(np.uint16) if len(objs) and objs.max()
-                           < 1 << 16 else objs, kind="stable")
+        order = _by_object(objs) if order is None else order
         ends = np.empty(len(objs), dtype=np.int64)
         ends[order] = np.searchsorted(
             self.keys, objs[order] * (len(self.at) + 1) + slots[order])
@@ -263,26 +280,28 @@ def lane_actions(
     if memo is not None and memo.actions is not None and (
             memo.actions[0].at is schedule.at):
         return memo.actions
-    feed_obj = np.array(compiled.feed_obj, dtype=np.int64)
-    # Stably sorted by object, the feed is mod_times.
-    places = np.empty_like(feed_obj)
-    places[np.argsort(feed_obj, kind="stable")] = np.arange(len(feed_obj))
+    feed_obj, places, mod_lo = compiled.feed_places
+    if memo is not None and memo.rows is not None:
+        times, row_objs, row_order = memo.rows
+    else:
+        times = np.fromiter(req_times, np.float64, len(req_times))
+        widths = np.array(view.widths, dtype=np.int64)
+        row_objs = view.lanes[np.arange(len(view.times)) - np.repeat(
+            np.cumsum(widths) - widths, widths)]
+        row_order = _by_object(row_objs)
+        if memo is not None:
+            memo.rows = times, row_objs, row_order
     code = KINDS.index
     crash = schedule.codes == code(CRASH)
     slots = np.flatnonzero(~crash)
     objs = feed_obj[schedule.lines[slots]]
-    slots = slots[np.argsort(objs.astype(np.uint16) if len(compiled.ids)
-                             <= 1 << 16 else objs, kind="stable")]
+    slots = slots[_by_object(objs)]
     lines, kinds = schedule.lines[slots], schedule.codes[slots]
     objs = feed_obj[lines]
     # The slots up to each request: both ascend, so they are merged by
     # counting, not searched.
-    times = np.fromiter(req_times, np.float64, len(req_times))
     upto = np.cumsum(np.bincount(np.searchsorted(times, schedule.at),
                                  minlength=len(times)))[view.positions]
-    widths = np.array(view.widths, dtype=np.int64)
-    lanes = np.arange(len(view.times)) - np.repeat(np.cumsum(widths) - widths,
-                                                   widths)
     actions = LaneActions(
         keys=objs * (len(schedule.at) + 1) + slots,
         at=schedule.at,
@@ -291,10 +310,9 @@ def lane_actions(
                                     | (kinds == code(ATTEMPT_LOST)))),
         delivered=np.cumsum(np.append(0, kinds == code(DELIVER))),
         reach=np.maximum.accumulate(np.append(0, np.where(
-            kinds == code(DELIVER), places[lines] + 1,
-            np.array(compiled.mod_lo, dtype=np.int64)[objs]))),
+            kinds == code(DELIVER), places[lines] + 1, mod_lo[objs]))),
     )
-    found = actions, actions.upto(view.lanes[lanes], upto)
+    found = actions, actions.upto(row_objs, upto, row_order)
     if memo is not None:
         memo.actions = found
     return found
@@ -364,6 +382,15 @@ class LaneState:
             setattr(self, name, np.array(getattr(state, name))[lanes])
         if not delivering:
             self.valid = self.resident
+
+
+def by_object(lanes: "np.ndarray[Any, Any]",
+              column: "np.ndarray[Any, Any]") -> list[Any]:
+    """A column by lane (:class:`StepView`; every object has one) as a
+    list by object, of Python's numbers."""
+    values = np.empty_like(column)
+    values[lanes] = column
+    return values.tolist()
 
 
 def write_back(
@@ -495,7 +522,7 @@ class _Memo:
     """What one compiled server remembers of its last encoded stream."""
 
     __slots__ = ("requests", "key", "arrays", "columns", "view", "busiest",
-                 "steps", "actions")
+                 "steps", "rows", "actions", "residency")
 
     def __init__(self, requests: Sequence[tuple[float, str]],
                  key: tuple[int, float], arrays: _Stream,
@@ -507,12 +534,15 @@ class _Memo:
         self.arrays = arrays
         self.columns = columns
         #: Built by the first run that asks: the rows by object, the most
-        #: requests any cacheable object gets, the rows by step, the last
-        #: fault schedule by object.
+        #: requests any cacheable object gets, the rows by step (and for
+        #: lane_actions the times, each row's object, their order by
+        #: object), the last fault schedule by object and LRU residency.
         self.view: Optional[StreamView] = None
         self.busiest: Optional[int] = None
         self.steps: Optional[StepView] = None
+        self.rows: Optional[tuple["np.ndarray[Any, Any]", ...]] = None
         self.actions: Optional[tuple[LaneActions, "np.ndarray[Any, Any]"]] = None
+        self.residency: Optional[tuple[tuple[float, bool], Residency]] = None
 
 
 #: Per compiled server: the last successfully encoded list or tuple, its
@@ -699,6 +729,66 @@ def step_view(
     if memo is not None:
         memo.steps = view
     return view
+
+
+#: Per request position, is its object resident just before it; the final
+#: order, front first; the evictions (:func:`lru_residency`).
+Residency = tuple["np.ndarray[Any, Any]", "OrderedDict[int, None]", int]
+
+
+def lru_residency(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int],
+    capacity: float, preload: bool,
+) -> Residency:
+    """What an LRU cache of ``capacity`` bytes holds over the stream, the
+    ``preload`` first (every cacheable object, in server order): every
+    request for a cacheable object leaves it at the back of the order, a
+    lookup or a store alike, and evictions come from the front, so this
+    is the reference string's, whatever the protocol decides (Mattson et
+    al.'s stack property).  One pass with the walk's store, touch and
+    evict; kept, for the arrays :func:`encode_requests` last remembered,
+    for the last ``(capacity, preload)``.
+
+    Raises:
+        ValueError: for an object larger than ``capacity`` that would be
+            stored (the walk's message).
+    """
+    memo = _kept(compiled, req_times, req_objs)
+    if memo is not None and memo.residency is not None and (
+            memo.residency[0] == (capacity, preload)):
+        return memo.residency[1]
+    ids, sizes, cacheable = compiled.ids, compiled.sizes, compiled.cacheable
+    order: OrderedDict[int, None] = OrderedDict()
+    evict = order.popitem
+    used = evictions = 0
+
+    def store(i: int) -> None:
+        nonlocal used, evictions
+        if sizes[i] > capacity:
+            raise ValueError(f"entry {ids[i]!r} ({sizes[i]} B) exceeds cache "
+                             f"capacity ({capacity} B)")
+        order[i] = None
+        used += sizes[i]
+        while used > capacity:
+            used -= sizes[evict(False)[0]]
+            evictions += 1
+
+    if preload:
+        for i in range(len(ids)):
+            if cacheable[i]:
+                store(i)
+    held = bytearray(len(req_objs))
+    touch = order.move_to_end
+    for k, i in enumerate(req_objs):
+        if i in order:
+            held[k] = 1
+            touch(i)
+        elif cacheable[i]:
+            store(i)
+    found = np.frombuffer(held, dtype=bool), order, evictions
+    if memo is not None:
+        memo.residency = (capacity, preload), found
+    return found
 
 
 def encode_requests(

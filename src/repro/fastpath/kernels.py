@@ -49,40 +49,40 @@ reads a stream whose origin changes rarely and has a class whose
 ``is_fresh`` is proved monotone in ``now`` *skips*: it takes the stream
 by object (:func:`repro.fastpath.arrays.stream_view`) and jumps over
 each run of fresh hits, found by bisecting for the :func:`fresh_until`
-candidate; decisions run the same store tail, and stale ages are added
-up at the end in request order.  Such a run over a stream whose origin
-changes often, with its requests spread evenly enough over its objects,
-of a class whose methods vectorise, *steps*: it takes the stream by step
+candidate; stale ages are added up at the end in request order.  Such a
+run over a stream whose origin changes often, with its requests spread
+evenly enough over its objects, of a class whose methods vectorise,
+*steps*: it takes the stream by step
 (:func:`repro.fastpath.arrays.step_view`), one request of every object
 still requested at once, and runs the loop's body on all of them with
 numpy — the lowered methods if-converted (the :func:`is_fresh_each` and
 :func:`on_stored_each` holes), the store tail as masked writes.  So does
-one that delivers, but for the eager push: before each step, each lane
-takes what reached its object since its previous request — feed lines
-counted from the origin's versions, or a fault schedule's actions as
-prefix counts over the schedule by object
-(:func:`repro.fastpath.arrays.lane_actions`).
+one that delivers: before each step, each lane takes what reached its
+object since its previous request — feed lines counted from the
+origin's versions, the eager push's included, or a fault schedule's
+actions as prefix counts over the schedule by object
+(:func:`repro.fastpath.arrays.lane_actions`) — and one that keeps an
+LRU cache with nothing delivered, whose residency is the stream's own
+(:func:`repro.fastpath.arrays.lru_residency`).
 
 What the origin holds at a request's time — the object's version and
 its Last-Modified — is read by request position from two columns built
 once per stream (:func:`repro.fastpath.arrays.stream_columns`): a fresh
 hit is stale iff the entry's version is below the column's, and a
 not-fresh request is answered from the columns.  The request loop never
-searches a modification schedule; only an eager push, which happens at
-an action time, does.
+searches a modification schedule; only a walking eager push, which
+happens at an action time, does.
 
 A walking run pre-merges delivery: one *action cursor* advances
-whenever the next request time passes the next action time, replacing
-the per-request feed peeks of the reference loop.  The cursor walks
-either a fault plan's compiled schedule
-(:class:`repro.faults.plan.ActionColumns`, keyed by object index) or the
-fault-free ``(feed_times, feed_obj)`` arrays, whose every line is a
-notice sent *and* delivered at its modification time.  Crashes, lost and
-dropped attempts, guarded deliveries and the eager push are interpreted
-in that one loop; the trailing ``end_time`` flush is the last line of
-the request stream — a request for no object that stops once everything
-due has been delivered — or, stepping, one more step of every lane.  A
-stepping variant compiles no cursor and no walk.
+whenever the next request time passes the next action time.  It walks a
+fault plan's compiled schedule (:class:`repro.faults.plan.ActionColumns`,
+keyed by object index) or the fault-free ``(feed_times, feed_obj)``
+arrays, whose every line is a notice sent *and* delivered at its
+modification time.  Crashes, lost and dropped attempts, guarded
+deliveries and the eager push are interpreted in that one loop; the
+trailing ``end_time`` flush is the last line of the request stream — a
+request for no object that stops once everything due has been
+delivered — or, stepping, one more step of every lane.
 
 Anything this kernel does not model (a protocol method outside the
 specialiser's closed subset, a pre-seeded cache, an LFU / SIZE / custom
@@ -120,7 +120,9 @@ from repro.fastpath.arrays import (
     CompiledServer,
     LaneState,
     busiest,
+    by_object,
     lane_actions,
+    lru_residency,
     step_view,
     stream_columns,
     stream_view,
@@ -175,12 +177,12 @@ def _runs_kind(template: _V) -> _V:
         # objects in lockstep").
         sparse = 10 * len(compiled.mod_times) <= len(req_times)
         lean = obs_metrics.active() is None
-        # The eager push stores at an action's time, not a request's: it
-        # walks.
-        variant = kind(options.get("observer") is not None,
-                       options.get("schedule") is not None,
+        scheduled = options.get("schedule") is not None
+        # The eager push steps on the feed ("The eager push by lane"), and
+        # walks under a fault plan.
+        variant = kind(options.get("observer") is not None, scheduled,
                        sparse and lean,
-                       not sparse and lean and not options.get("eager")
+                       not sparse and lean and not (scheduled and options.get("eager"))
                        and STEP_BREAK_EVEN * busiest(
                            compiled, req_times, req_objs) <= len(req_times))
         return variant(*args, kind=kind, **options)
@@ -239,9 +241,9 @@ def bind(params: Sequence[Any]) -> None:
 #: skips its hit runs — a lean run, none of those nor a cache, tuning or
 #: an active metrics registry, over a stream that changes rarely, of a
 #: class whose ``is_fresh`` is proved monotone — and whether it steps its
-#: objects in lockstep: a lean run, delivering or not but for the eager
-#: push, over a stream that changes often and needs few steps, of a
-#: class whose methods vectorise.
+#: objects in lockstep: a lean run, delivering or not, keeping an LRU cache
+#: only where nothing is delivered, over a stream that changes often and
+#: needs few steps, of a class whose methods vectorise.
 wants_invalidations = stamps = observes = tunes = caches = touches = False
 observed = delivers = skips = steps = False
 
@@ -397,33 +399,28 @@ def run_kernel(
         # Cache.store / .lookup / .clear over resident indices.  ``order``
         # is the cache's own order — its front is evicted next —
         # re-inserted by every store and, under LRU (``touches``), by
-        # every lookup; ``fetched_at`` dates each entry's last store.
+        # every lookup (a stepping run reads it off the stream);
+        # ``fetched_at`` dates each entry's last store.
         assert cache is not None
         capacity_bytes = cache.capacity_bytes or _INFINITY
-        order: OrderedDict[int, None] = OrderedDict()
-        evict = order.popitem
-        touch = order.move_to_end
-        used_bytes = 0
-        evictions = 0
         fetched_at = [st] * len(ids)
-        if preload:
-            # Cache.preload_from: every cacheable object stored in server
-            # order, each evicting from the front until it fits.
-            for i in range(len(ids)):
-                if resident[i]:
-                    if sizes[i] > capacity_bytes:
-                        raise ValueError(
-                            f"entry {ids[i]!r} ({sizes[i]} B) exceeds cache "
-                            f"capacity ({capacity_bytes} B)"
-                        )
-                    order[i] = None
+        if not steps:
+            order: OrderedDict[int, None] = OrderedDict()
+            used_bytes = 0
+            evictions = 0
+            if preload:
+                # Cache.preload_from: every cacheable object stored in server
+                # order, each evicting from the front until it fits — an LRU
+                # cache's residency with no request, under FIFO alike.
+                _, order, evictions = lru_residency(compiled, [], [],
+                                                    capacity_bytes, True)
+                resident[:] = [False] * len(ids)
+                for i in order:
+                    resident[i] = True
                     used_bytes += sizes[i]
                     expires_at[i] = None
-                    while used_bytes > capacity_bytes:
-                        victim = evict(False)[0]
-                        resident[victim] = False
-                        used_bytes -= sizes[victim]
-                        evictions += 1
+            evict = order.popitem
+            touch = order.move_to_end
 
     # on_stored runs only where the run can observe it: through the stamp
     # is_fresh reads, the metric it publishes, or the caller's Cache.
@@ -485,6 +482,14 @@ def run_kernel(
             versions = np.concatenate((versions, np.bincount(
                 view.mod_lanes[view.mod_times <= horizon],
                 minlength=len(view.lanes))))
+        if caches:
+            # -- an LRU cache: which lanes hold a copy before each request is
+            # the stream's (arrays.lru_residency); one that does not is a
+            # cold miss, whose store writes every field.
+            held_at, order, evictions = lru_residency(
+                compiled, req_times, req_objs, capacity_bytes, preload)
+            held_at = held_at[view.positions]
+            fetched = np.full(len(view.lanes), st)
         hi = 0
         # Python's float +, - and * never trap; numpy's must not warn.
         with np.errstate(all="ignore"):
@@ -493,6 +498,8 @@ def run_kernel(
                 lanes = slice(0, m)
                 now_version = versions[lo:hi]
                 held = by_lane.resident[lanes]
+                if caches:
+                    held = held_at[lo:hi]
                 if delivers and schedule is not None:
                     # -- the schedule since each lane's previous request --
                     # A resident copy takes its actions until a crash
@@ -534,7 +541,25 @@ def run_kernel(
                     seen[lanes] = now_version
                     flips = by_lane.valid[lanes] & (gap > 0)
                     sent = received = (gap[held].sum() if per_modification
-                                       else np.count_nonzero(flips))
+                                       or eager else np.count_nonzero(flips))
+                    if eager and flips.any():
+                        # -- the eager push: a resident copy is valid again
+                        # after each, so every line is sent, received and
+                        # pushed, and the last push's store is the lane's.
+                        pushed, flips = flips, np.zeros_like(flips)
+                        prefetches += sent
+                        body_pre += (gap * lane_sizes[lanes])[held].sum()
+                        at = view.mod_times[np.where(
+                            pushed, view.mod_lo[lanes] + now_version - 1, 0)]
+                        np.copyto(by_lane.version[lanes], now_version, where=pushed)
+                        np.copyto(by_lane.last_modified[lanes], at, where=pushed)
+                        np.copyto(by_lane.validated_at[lanes], at, where=pushed)
+                        if expiring:
+                            np.copyto(by_lane.server_expires[lanes],
+                                      at + view.expires_after[lanes],
+                                      where=pushed & lane_expires[lanes])
+                        if restamp:
+                            on_stored_each(by_lane, lanes, at, pushed)
                 if delivers:
                     np.copyto(by_lane.valid[lanes], False, where=flips)
                     ex_inv += sent
@@ -578,6 +603,10 @@ def run_kernel(
                     body_200 += lane_sizes[lanes][changed].sum()
                 np.copyto(by_lane.version[lanes], now_version, where=moved)
                 np.copyto(by_lane.last_modified[lanes], now_stamp, where=moved)
+                if caches:
+                    # on_stored stamps every path (or the run walks): no
+                    # None is left for expires_at.
+                    np.copyto(fetched[lanes], now, where=moved)
                 by_lane.resident[lanes] = True
                 if delivers:
                     np.copyto(by_lane.valid[lanes], True, where=todo)
@@ -596,6 +625,12 @@ def run_kernel(
         ex_304, ex_200 = int(ex_304), int(ex_200)
         body_full, body_200 = int(body_full), int(body_200)
         ex_inv, invalidations_received = int(ex_inv), int(invalidations_received)
+        prefetches, body_pre = int(prefetches), int(body_pre)
+        if caches:
+            # What write_back reads, by object again.
+            for name in CacheState.__slots__:
+                setattr(state, name, by_object(view.lanes, getattr(by_lane, name)))
+            fetched_at = by_object(view.lanes, fetched)
     if not steps:
         # -- the action cursor ------------------------------------------------
         if delivers:

@@ -141,6 +141,8 @@ class _Lowering(ast.NodeTransformer):
         #: is_fresh reads what on_stored stamps / on_stored observes /
         #: on_validation_result does something / a method writes a table.
         self.stamps = self.observes = self.tunes = self.shares = False
+        #: on_stored stamps on every path / reads the stamp it writes.
+        self.stamped = self.rereads = False
 
     def hole(self, method: str, args: list[ast.expr],
              target: Optional[ast.expr]) -> list[ast.stmt]:
@@ -155,7 +157,8 @@ class _Lowering(ast.NodeTransformer):
         if method == "on_validation_result":
             self.tunes = bool(body)
             return body
-        if self.stamps and _STAMP not in self.known:
+        self.stamped = _STAMP in self.known
+        if self.stamps and not self.stamped:
             raise Refusal(f"is_fresh reads entry.{_STAMP}, which on_stored "
                           "does not stamp on every path")
         # The template guards the hole with ``stamps or caches or
@@ -358,6 +361,8 @@ class _Lowering(ast.NodeTransformer):
             raise Refusal(f"uses entry.{name}, which has no state array")
         if name == _STAMP and self.method == "is_fresh":
             self.stamps = True
+        elif name == _STAMP and self.method == "on_stored":
+            self.rereads = True
         return name not in _OPTIONAL or name in self.known
 
     def _slot(self, attr: str, kind: list[str], other: list[str]) -> int:
@@ -789,6 +794,12 @@ def build(cls: type[ConsistencyProtocol], template: Optional[str] = None,
         edits.append((hole.start(), hole.end(), textwrap.indent(ast.unparse(
             ast.fix_missing_locations(ast.Module(
                 body=body or [ast.Pass()], type_ignores=[]))) + "\n", indent)))
+    if lowering.rereads and cls.wants_invalidations:
+        unsteppable = unsteppable or (f"on_stored reads entry.{_STAMP}: the "
+                                      "eager push by lane stamps once a gap")
+    if replacement == "lru" and not lowering.stamped:
+        unsteppable = unsteppable or (f"on_stored leaves entry.{_STAMP} None "
+                                      "on a path, as a kept cache's store")
     for hole in re.finditer(r"^( *)bind\((\w+)\)\n", text, flags=re.MULTILINE):
         edits.append((hole.start(), hole.end(), f"{hole[1]}[{', '.join(bound)}] "
                       f"= {hole[2]}\n" if bound else ""))
@@ -836,12 +847,16 @@ class _Kernel:
         delivers = scheduled or self.constants["wants_invalidations"]
         # The server's feed and a fault schedule are per object, as a
         # lockstep run is, but for their crashes, which wipe each object
-        # alike.
-        lean = not (observed or self.constants["caches"]
-                    or self.constants["tunes"])
-        skips = skippable and lean and not delivers and self.unskippable is None
+        # alike.  So is a kept LRU cache's residency where nothing is
+        # delivered (arrays.lru_residency); a delivery could evict in the
+        # middle of a lane's gap, and a FIFO order is the protocol's.
+        lean = not (observed or self.constants["tunes"])
+        kept, touches = self.constants["caches"], self.constants["touches"]
+        skips = skippable and lean and not (kept or delivers) and (
+            self.unskippable is None)
         facts = (observed, delivers, skips, steppable and lean and not skips
-                 and self.unsteppable is None)
+                 and self.unsteppable is None
+                 and (not kept or touches and not delivers))
         variant = self.variants.get(facts)
         if variant is None:
             variant = self.variants[facts] = self._compile(*facts)

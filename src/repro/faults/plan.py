@@ -48,8 +48,9 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Generic, Sequence, TypeVar
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Generic, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -71,6 +72,8 @@ _SENT, _LOST, _DELIVER, _DROP, _CRASH = range(len(KINDS))
 #: The feed's key type: an object id for :meth:`FaultPlan.compile`, a
 #: dense object index on the fast path.
 K = TypeVar("K")
+#: The tuple columns of :class:`ActionColumns`, in field order.
+_COLUMNS = ("times", "kinds", "keys", "mod_times", "attempts")
 
 
 def _objects(values: Sequence[object], at: np.ndarray) -> np.ndarray:
@@ -99,6 +102,23 @@ class FaultAction:
     attempt: int
 
 
+def _rows(feed_times: Sequence[float], feed_keys: Sequence[K], crash_key: K,
+          crashes: list[float], announced: np.ndarray, at: np.ndarray,
+          row_times: np.ndarray, codes: np.ndarray, attempts: np.ndarray,
+          ) -> tuple[Sequence[Any], ...]:
+    """:meth:`FaultPlan.columns`' tuple columns, in field order."""
+    # Keys and announced times are the feed's own objects, and so is
+    # every action time equal to its announced time bit for bit (a first
+    # attempt's send, its delivery without delay, a crash): ``float``
+    # returns a float argument itself.
+    keys = _objects([*feed_keys, *[crash_key] * len(crashes)], at)
+    mod_times = _objects([*feed_times, *crashes], at)
+    times = _objects([*map(float, feed_times), *crashes], at)
+    fresh = row_times.view(np.int64) != announced[at].view(np.int64)
+    times[fresh] = row_times[fresh]
+    return times, _KIND_NAMES.take(codes), keys, mod_times, attempts.tolist()
+
+
 @dataclass(frozen=True)
 class DowntimeWindow:
     """A half-open interval ``[start, start + length)`` of server outage.
@@ -119,28 +139,37 @@ class DowntimeWindow:
         return self.start <= t < self.start + self.length
 
 
-@dataclass(frozen=True)
 class ActionColumns(Generic[K]):
     """A compiled schedule as parallel columns, one slot per action.
 
     Slot ``n`` of every column describes the same action — the fields of
     :class:`FaultAction`, with ``keys`` standing for ``object_id`` in
     whatever key the feed was given in.  Slots are sorted by ``times``;
-    ties keep compile order.  :meth:`FaultPlan.columns` also keeps, as
-    numpy arrays, each slot's feed line, kind code and time.
+    ties keep compile order.  :meth:`FaultPlan.columns` keeps, as numpy
+    arrays, each slot's feed line, kind code and time, and builds the
+    five tuple columns from them on first read (``rows``): a run that
+    takes the schedule by object reads the arrays alone.
     """
 
-    times: Sequence[float]
-    kinds: Sequence[str]
-    keys: Sequence[K]
-    mod_times: Sequence[float]
-    attempts: Sequence[int]
-    lines: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64),
-                              compare=False, repr=False)
-    codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64),
-                              compare=False, repr=False)
-    at: np.ndarray = field(default_factory=lambda: np.empty(0),
-                           compare=False, repr=False)
+    times: tuple[float, ...]
+    kinds: tuple[str, ...]
+    keys: tuple[K, ...]
+    mod_times: tuple[float, ...]
+    attempts: tuple[int, ...]
+
+    def __init__(self, *columns: Sequence[Any], lines: Optional[np.ndarray] = None,
+                 codes: Optional[np.ndarray] = None, at: Optional[np.ndarray] = None,
+                 rows: Optional[Callable[[], Sequence[Any]]] = None) -> None:
+        self.lines = np.empty(0, np.int64) if lines is None else lines
+        self.codes = np.empty(0, np.int64) if codes is None else codes
+        self.at = np.empty(0) if at is None else at
+        self._rows = rows or (lambda: columns or ((),) * len(_COLUMNS))
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        self.__dict__.update(zip(_COLUMNS, map(tuple, self._rows())))
+        return self.__dict__[name]
 
     def publish_metrics(self) -> None:
         """Publish the schedule's per-kind ``faults.*`` counts.
@@ -151,13 +180,13 @@ class ActionColumns(Generic[K]):
         """
         if obs_metrics.active() is None:
             return
-        count = self.kinds.count
+        count = np.bincount(self.codes, minlength=len(KINDS)).tolist()
         totals = {
-            "faults.attempts": count(ATTEMPT_SENT) + count(ATTEMPT_LOST),
-            "faults.lost": count(ATTEMPT_LOST),
-            "faults.dropped": count(DROP),
-            "faults.delivered": count(DELIVER),
-            "faults.crashes": count(CRASH),
+            "faults.attempts": count[_SENT] + count[_LOST],
+            "faults.lost": count[_LOST],
+            "faults.dropped": count[_DROP],
+            "faults.delivered": count[_DELIVER],
+            "faults.crashes": count[_CRASH],
         }
         for name, total in totals.items():
             if total:
@@ -319,7 +348,7 @@ class FaultPlan:
         blocks.append((crash_lines, announced[crash_lines], _CRASH, 0, 0))
         row_lines = np.concatenate([block[0] for block in blocks])
         if not row_lines.size:
-            return ActionColumns((), (), (), (), ())
+            return ActionColumns()
         row_times = np.concatenate([block[1] for block in blocks])
         counts = [block[0].size for block in blocks]
         row_kinds = np.repeat([block[2] for block in blocks], counts)
@@ -332,19 +361,9 @@ class FaultPlan:
         codes = row_kinds[order]
         attempts = row_attempts[order]
         del blocks, mods, lines, compile_order, order, row_lines, row_kinds
-        # Keys and announced times are the feed's own objects, and so is
-        # every action time equal to its announced time bit for bit (a
-        # first attempt's send, its delivery without delay, a crash):
-        # ``float`` returns a float argument itself.
-        keys = _objects([*feed_keys, *[crash_key] * len(crashes)], at)
-        mod_times = _objects([*feed_times, *crashes], at)
-        times = _objects([*map(float, feed_times), *crashes], at)
-        fresh = row_times.view(np.int64) != announced[at].view(np.int64)
-        times[fresh] = row_times[fresh]
-        return ActionColumns(
-            tuple(times), tuple(_KIND_NAMES.take(codes)), tuple(keys),
-            tuple(mod_times), tuple(attempts.tolist()), at, codes, row_times,
-        )
+        return ActionColumns(lines=at, codes=codes, at=row_times, rows=partial(
+            _rows, feed_times, feed_keys, crash_key, crashes, announced, at,
+            row_times, codes, attempts))
 
     def compile(
         self,

@@ -34,6 +34,7 @@ from repro.fastpath import diff_events, diff_metrics, diff_results, fast_simulat
 from repro.faults import DowntimeWindow, FaultPlan
 from repro.obs import registry as obs_registry
 from repro.workload.base import Workload
+from repro.workload.worrell import WorrellWorkload
 from tests.conftest import make_history
 
 PROTOCOLS = [
@@ -654,6 +655,28 @@ class TestCallerCache:
             assert error(fast_simulate, preload) == error(simulate, preload)
         assert error(fast_simulate, True) == (
             "entry '/expires' (1500 B) exceeds cache capacity (1000 B)")
+
+
+    def test_the_benchmarks_bounded_configuration_at_a_held_out_seed(self):
+        """The bounded configuration of the simulator benchmark — Alex
+        10 % keeping a 2 MB LRU cache over the dense Worrell stream, which
+        steps on the stream's residency — at a seed no digest pins and
+        whose oracle skips it: its result and ``Cache`` are the
+        reference's."""
+        workload = WorrellWorkload(files=2085, requests=25_000, seed=5).build()
+        server = workload.server()
+
+        def run(simulator):
+            cache = Cache(capacity_bytes=2_000_000)
+            result = simulator(server, AlexProtocol.from_percent(10),
+                               workload.requests, SimulatorMode.OPTIMIZED,
+                               end_time=workload.duration, cache=cache)
+            return result, cache_state(cache)
+
+        (fast, kept), (reference, cached) = run(fast_simulate), run(simulate)
+        assert diff_results(fast, reference) == []
+        assert kept == cached
+        assert cached[2] > 0  # it evicts
 
 
 class TestErrorParity:

@@ -68,6 +68,7 @@ from repro.fastpath import (
 )
 from repro.fastpath import specialise as specialiser
 from repro.fastpath.arrays import compile_schedule
+from repro.fastpath.dispatch import _compile_run as compile_run
 from repro.faults import DowntimeWindow, FaultAction, FaultPlan
 from repro.obs import registry as obs_registry
 from tests.faults.test_properties import DURATION as FAULT_DURATION
@@ -168,7 +169,10 @@ def test_caller_cache_is_left_as_the_reference_leaves_it(
     """Any population, protocol and cache — unbounded, or bounded between
     the largest object and the whole population under the built-in LRU,
     LRUPolicy or FIFOPolicy — with cache crashes: results, events,
-    metrics, the protocol's state and the caller's ``Cache``."""
+    metrics, the protocol's state and the caller's ``Cache``.  Without
+    crashes, a lean run's variant called whatever the stream's shape —
+    stepping on the stream's residency, for an LRU cache with nothing
+    delivered — leaves the same."""
     histories, requests = workload
     server = OriginServer(histories)
     sizes = [history.obj.size for history in histories]
@@ -207,6 +211,14 @@ def test_caller_cache_is_left_as_the_reference_leaves_it(
     assert diff_results(unobserved[0], fast[0], **UNOBSERVED) == []
     assert diff_metrics(unobserved[2], fast[2]) == []
     assert [unobserved[k] for k in (3, 4)] == [fast[k] for k in (3, 4)]
+    protocol, cache = make_protocol(), make_cache()
+    lean = compile_run(protocol, cache).kernel(False, False, False, True)
+    if not crashes and lean.__code__.co_filename.endswith(", stepping>"):
+        result = run_variant(lean, server, protocol, requests, mode, preload,
+                             0.0, DURATION, cache=cache)
+        assert diff_results(result, reference[0]) == []
+        assert [protocol_state(protocol), cache_state(cache)] == [
+            reference[k] for k in (3, 4)]
 
 
 #: The TTL of the hit-run streams: their grid of quarter TTLs lands
@@ -363,19 +375,22 @@ def _steps_out_of_request_order():
 
 def run_variant(variant, server, protocol, requests, mode, preload,
                 start_time, end_time, charge_per_modification=True,
-                schedule=None):
+                schedule=None, cache=None):
     """One run of a kernel variant, with the arguments fast_simulate
-    passes ``run_kernel``."""
-    kind, p0, p1, p2, _ = compile_protocol(protocol)
+    passes ``run_kernel``; ``cache`` the caller's, for a variant of the
+    kernel that keeps one."""
+    compiled_protocol = compile_run(protocol, cache)
+    p0, p1, p2 = compiled_protocol.values[:3]
     compiled = compile_server(server)
     req_times, req_objs = encode_requests(compiled, requests, start_time)
     return variant(
         compiled, initial_state(compiled, start_time, preload), req_times,
-        req_objs, kind=kind, p0=p0, p1=p1, p2=p2,
+        req_objs, kind=compiled_protocol.kernel, p0=p0, p1=p1, p2=p2,
         base_mode=mode is SimulatorMode.BASE, costs=DEFAULT_COSTS,
         charge_per_modification=charge_per_modification, preload=preload,
         start_time=start_time, end_time=end_time, protocol_name=protocol.name,
         mode_value=mode.value, schedule=schedule,
+        eager=bool(getattr(protocol, "eager", False)), cache=cache,
     )
 
 
@@ -470,6 +485,139 @@ def test_the_feed_by_lane_changes_no_byte(
         result = run_variant(variant, server, make_protocol(), requests, mode,
                              preload, start_time, end_time, per_modification)
         assert diff_results(result, reference) == []
+        json.dumps(result_to_dict(result))
+
+
+def _pushed_twice_at_once():
+    """/a changes twice at 10 s and once at 20 s, /b once at 10 s: a push
+    at 10 s stores the version both changes made, stamped 10 s."""
+    histories = [
+        ObjectHistory(WebObject("/a", size=100, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, [10.0, 10.0, 20.0])),
+        ObjectHistory(WebObject("/b", size=200, file_type="html", created=-DAY,
+                                expires_after=GRID_TTL / 2),
+                      ModificationSchedule(-DAY, [10.0]))]
+    return histories, [(5.0, "/a"), (10.0, "/a"), (15.0, "/b"), (45.0, "/a")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workload=hit_run_workloads(objects=6),
+    make_protocol=st.sampled_from([
+        lambda: InvalidationProtocol(eager=True),
+        lambda: StampedInvalidation(GRID_TTL)]),
+    mode=st.sampled_from(list(SimulatorMode)),
+    per_modification=st.booleans(),
+    preload=st.booleans(),
+    start_time=st.sampled_from([0.0, GRID_TTL / 4]),
+    end_time=st.sampled_from([None, 1e9 + 1]),
+)
+@example(workload=_pushed_twice_at_once(),
+         make_protocol=lambda: StampedInvalidation(GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, per_modification=False, preload=True,
+         start_time=0.0, end_time=None)
+def test_the_eager_push_by_lane_changes_no_byte(
+    workload, make_protocol, mode, per_modification, preload, start_time,
+    end_time,
+):
+    """The eager push steps on the feed: every line to a resident lane is
+    sent, received and pushed, and the lane keeps the last push's store,
+    ``on_stored`` included.  It, the walking variant and the reference
+    agree, pushes after the last request included."""
+    histories, requests = workload
+    server = OriginServer(histories)
+    requests = [(t, oid) for t, oid in requests if t >= start_time]
+    reference = Simulation(
+        server, make_protocol(), mode, preload=preload, start_time=start_time,
+        charge_per_modification=per_modification,
+    ).run(requests, end_time=end_time)
+    kind = compile_protocol(make_protocol())[0]
+    assert kind.unsteppable is None
+    stepping, walking = kind(False, False, False, True), kind(False, False, False)
+    assert stepping.__code__.co_filename.endswith(", delivering, stepping>")
+    assert walking.__code__.co_filename.endswith(", delivering>")
+    for variant in (stepping, walking):
+        result = run_variant(variant, server, make_protocol(), requests, mode,
+                             preload, start_time, end_time, per_modification)
+        assert diff_results(result, reference) == []
+        json.dumps(result_to_dict(result))
+
+
+def _objects_of(*sizes):
+    return [ObjectHistory(
+        WebObject(f"/s{k}", size=size, file_type="html", created=-DAY),
+        ModificationSchedule(-DAY, [GRID_TTL * k])) for k, size in enumerate(sizes)]
+
+
+def _lru_example(histories, requests, capacity, preload):
+    return example(workload=(histories, requests),
+                   make_protocol=lambda: AlexProtocol.from_percent(10),
+                   capacity=capacity, mode=SimulatorMode.OPTIMIZED,
+                   preload=preload, start_time=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workload=hit_run_workloads(objects=6),
+    make_protocol=st.sampled_from([
+        lambda: TTLProtocol(GRID_TTL), lambda: AlexProtocol.from_percent(10),
+        lambda: CERNPolicyProtocol(0.1, hours(1))]),
+    capacity=st.integers(min_value=50, max_value=700),
+    mode=st.sampled_from(list(SimulatorMode)),
+    preload=st.booleans(),
+    start_time=st.sampled_from([0.0, GRID_TTL / 4]),
+)
+# Room for one object: every other request evicts.
+@_lru_example(_objects_of(100, 100), [(t * 60.0, f"/s{t % 2}") for t in range(8)],
+              100, True)
+# The preload overflows: it evicts the first objects it stored.
+@_lru_example(_objects_of(100, 100, 100), [(60.0, "/s0"), (120.0, "/s2")],
+              250, True)
+# An object larger than the capacity, stored by a request or by preload.
+@_lru_example(_objects_of(100, 300), [(60.0, "/s0"), (120.0, "/s1")], 200,
+              False)
+@_lru_example(_objects_of(100, 300), [(60.0, "/s0")], 200, True)
+def test_an_lru_cache_by_residency_changes_no_byte(
+    workload, make_protocol, capacity, mode, preload, start_time,
+):
+    """A kept LRU cache steps on the stream's own residency
+    (``arrays.lru_residency``); it, the walking variant and the reference
+    agree, and leave the caller's ``Cache`` alike — entries and their
+    order, bytes, evictions — or raise the same message."""
+    histories, requests = workload
+    server = OriginServer(histories)
+    requests = [(t, oid) for t, oid in requests if t >= start_time]
+
+    def run(variant=None):
+        cache = Cache(capacity)
+        try:
+            if variant is None:
+                result = Simulation(
+                    server, make_protocol(), mode, preload=preload,
+                    start_time=start_time, cache=cache,
+                ).run(requests, end_time=None)
+            else:
+                result = run_variant(variant, server, make_protocol(), requests,
+                                     mode, preload, start_time, None,
+                                     cache=cache)
+        except ValueError as error:
+            return str(error), None
+        return result, cache_state(cache)
+
+    kind = compile_run(make_protocol(), Cache(capacity)).kernel
+    assert kind.unsteppable is None
+    stepping, walking = kind(False, False, False, True), kind(False, False, False)
+    assert stepping.__code__.co_filename.endswith(
+        ", keeping a lru cache, stepping>")
+    assert walking.__code__.co_filename.endswith(", keeping a lru cache>")
+    reference, cached = run()
+    for variant in (stepping, walking):
+        result, kept = run(variant)
+        if isinstance(reference, str):
+            assert result == reference
+            continue
+        assert diff_results(result, reference) == []
+        assert kept == cached
         json.dumps(result_to_dict(result))
 
 

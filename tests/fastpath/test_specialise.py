@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.cache import Cache
 from repro.core.clock import hours
+from repro.core.replacement import FIFOPolicy
 from repro.core.protocols import (
     AlexProtocol,
     CERNPolicyProtocol,
@@ -47,7 +48,7 @@ from repro.fastpath import specialise as specialiser
 from repro.obs import registry as obs_registry
 from repro.obs import trace as obs_trace
 
-from .test_identity import PLANS
+from .test_identity import PLANS, cache_state
 
 
 class SoftTTL(TTLProtocol):
@@ -427,6 +428,11 @@ class TestGeneratedCode:
         lookup = "Cache.lookup under LRU"
         assert lookup in inspect.getsource(lru)
         assert lookup not in inspect.getsource(fifo)
+        # A stepping LRU run reads its order off the stream: no walk.
+        stepping = specialiser.specialise(AlexProtocol, "lru")[0](
+            False, False, False, True)
+        assert "lru_residency" in names(stepping)
+        assert not names(stepping) & {"touch", "evict", "used_bytes"}
         assert {"t0", "t1", "p3", "p4"} <= names(
             specialiser.specialise(SelfTuningProtocol)[0](False, False, False))
 
@@ -720,21 +726,20 @@ class TestLockstepLowering:
         assert diff_results(stepping, batched) == []
         assert diff_results(stepping, reference()) == []
 
-    @pytest.mark.parametrize("make,ending", [
-        (lambda: InvalidationProtocol(eager=True), ", delivering>"),
-        (lambda: LeasedInvalidationProtocol(hours(12)), ", delivering, stepping>"),
+    @pytest.mark.parametrize("make", [
+        lambda: InvalidationProtocol(eager=True),
+        lambda: LeasedInvalidationProtocol(hours(12)),
     ], ids=["eager", "leased"])
-    def test_a_push_walks_and_a_lease_steps(self, flat_workload, ran, make, ending):
-        """The eager push stores at a modification's time, not a
-        request's, so it walks the feed request by request; a lease's
-        ``and`` over two truth values is ``&`` on lanes, and it steps.
-        Both agree with the reference."""
+    def test_a_push_and_a_lease_step(self, flat_workload, ran, make):
+        """The eager push steps on the feed, each lane keeping its last
+        push's store; a lease's ``and`` over two truth values is ``&`` on
+        lanes, and it steps.  Both agree with the reference."""
         workload = flat_workload
         assert specialiser.specialise(type(make()))[0].unsteppable is None
         fast = fast_simulate(workload.server(), make(), workload.requests,
                              end_time=workload.duration)
         assert ran[-1].__code__.co_filename.endswith(
-            f"{type(make()).__name__}{ending}")
+            f"{type(make()).__name__}, delivering, stepping>")
         assert diff_results(fast, simulate(
             workload.server(), make(), workload.requests,
             end_time=workload.duration)) == []
@@ -742,15 +747,17 @@ class TestLockstepLowering:
     @pytest.mark.parametrize("make,options", [
         (InvalidationProtocol, lambda: {"observer": lambda *event: None}),
         (InvalidationProtocol, lambda: {"cache": Cache()}),
+        (InvalidationProtocol, lambda: {"cache": Cache(500_000)}),
         (SelfTuningProtocol, dict),
         (lambda: InvalidationProtocol(eager=True), dict),
-    ], ids=["observed", "cache", "selftuning", "eager"])
+    ], ids=["observed", "cache", "lru", "selftuning", "eager"])
     def test_under_a_plan_a_lean_run_steps_and_these_walk(
             self, flat_workload, ran, make, options):
         """Under a lossy, retrying plan over a dense Worrell stream a lean
         run steps its objects in lockstep; an observed run, one that keeps
-        a caller's ``Cache``, a tuning protocol and the eager push walk.
-        Each agrees with the reference."""
+        a caller's ``Cache`` (an LRU one too: a crash or a delivery in a
+        lane's gap is not the stream's), a tuning protocol and the eager
+        push walk.  Each agrees with the reference."""
         workload = flat_workload
         plan = FaultPlan(loss_rate=0.2, retries=3, backoff=300.0, seed=1)
 
@@ -765,6 +772,63 @@ class TestLockstepLowering:
         assert "stepping" not in ran[-1].__code__.co_filename
         reference = {k: v for k, v in options().items() if k != "observer"}
         assert diff_results(walked, run(simulate, make, **reference)) == []
+
+    @pytest.mark.parametrize("make,options,ending", [
+        (lambda: InvalidationProtocol(eager=True), dict,
+         ", delivering, stepping>"),
+        (lambda: AlexProtocol.from_percent(10),
+         lambda: {"cache": Cache(1_000_000)},
+         ", keeping a lru cache, stepping>"),
+        (lambda: TTLProtocol(hours(24)), lambda: {"cache": Cache(1_000_000)},
+         ", keeping a lru cache, stepping>"),
+    ], ids=["eager", "lru-alex", "lru-ttl"])
+    def test_a_push_and_an_lru_cache_step(self, flat_workload, ran, make,
+                                          options, ending):
+        """Over a dense Worrell stream with no plan, the eager push steps
+        on the feed, and a kept LRU cache on the stream's own residency:
+        the result and the caller's ``Cache`` are the reference's."""
+        workload = flat_workload
+        fast_options, reference_options = options(), options()
+        fast = fast_simulate(workload.server(), make(), workload.requests,
+                             end_time=workload.duration, **fast_options)
+        assert ran[-1].__code__.co_filename.endswith(ending)
+        assert diff_results(fast, simulate(
+            workload.server(), make(), workload.requests,
+            end_time=workload.duration, **reference_options)) == []
+        if "cache" in fast_options:
+            assert fast_options["cache"].evictions > 0
+            assert cache_state(fast_options["cache"]) == cache_state(
+                reference_options["cache"])
+
+    @pytest.mark.parametrize("make,options", [
+        (lambda: InvalidationProtocol(eager=True),
+         lambda: {"observer": lambda *event: None}),
+        (lambda: AlexProtocol.from_percent(10),
+         lambda: {"cache": Cache(1_000_000, FIFOPolicy())}),
+        (InvalidationProtocol, lambda: {"cache": Cache(1_000_000)}),
+        (SelfTuningProtocol, dict),
+        (lambda: AlexProtocol.from_percent(10), lambda: {"registry": True}),
+    ], ids=["eager-observed", "fifo", "lru-feed", "selftuning", "registry"])
+    def test_without_a_plan_these_walk(self, flat_workload, ran, make,
+                                       options):
+        """With no plan over the same stream these walk: the eager push
+        with an observer, a FIFO cache (its order is the protocol's
+        stores), an LRU cache under the feed (a notice could meet an
+        evicted copy in a lane's gap), a tuning protocol and a run under an
+        active metrics registry.  Each agrees with the reference."""
+        workload = flat_workload
+
+        def run(simulator, **extra):
+            registry = obs_registry.MetricsRegistry() if extra.pop(
+                "registry", False) else None
+            with obs_registry.installed(registry):
+                return simulator(workload.server(), make(), workload.requests,
+                                 end_time=workload.duration, **extra)
+
+        walked = run(fast_simulate, **options())
+        assert "stepping" not in ran[-1].__code__.co_filename
+        reference = {k: v for k, v in options().items() if k != "observer"}
+        assert diff_results(walked, run(simulate, **reference)) == []
 
     def test_a_stream_that_needs_many_steps_walks(self, workload, ran):
         """40 objects share 3,000 requests: each step would interpret

@@ -126,16 +126,18 @@ class TestFastPathLeg:
         """Mutation: a kernel that sends lost attempts for free.  The
         simulator and the spec still agree, so every divergence is leg
         3's, labelled ``fastpath.*``."""
-        source = inspect.getsource(kernels.run_kernel)
-        charge = "ex_inv += 1\n                                if act == ATTEMPT_LOST:"
-        assert source.count(charge) == 1
+        lines = inspect.getsource(kernels.run_kernel).splitlines(keepends=True)
+        # Anchored on one line, whatever its indent: the charge just above
+        # the walk's one test for a lost attempt.
+        (lost,) = [k for k, line in enumerate(lines)
+                   if line.strip() == "if act == ATTEMPT_LOST:"]
+        assert lines[lost - 1].strip() == "ex_inv += 1"
+        lines[lost - 1] = lines[lost - 1].replace(
+            "+= 1", "+= act != ATTEMPT_LOST")
         # Specialised from the mutated template, in place of the memoised
         # kernel; dropped afterwards so the next run builds the real one.
         specialise._KERNELS[InvalidationProtocol] = specialise.build(
-            InvalidationProtocol,
-            source.replace(
-                charge, charge.replace("+= 1", "+= act != ATTEMPT_LOST")
-            ),
+            InvalidationProtocol, "".join(lines),
         )
         try:
             plan = FaultPlan(loss_rate=0.5, retries=3, backoff=hours(1), seed=1)
