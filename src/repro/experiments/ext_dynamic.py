@@ -32,11 +32,12 @@ FRACTIONS = (0.0, 0.01, 0.05, 0.10, 0.20, 0.30)
 def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
     """Sweep the dynamic request fraction on an HCS-shaped workload."""
     rows, series = [], {"mb": [], "rtt": [], "ops": [], "stale": []}
-    for fraction in FRACTIONS:
-        workload = CampusWorkload(
-            HCS, seed=seed + 1, request_scale=scale,
-            dynamic_fraction=fraction,
-        ).build()
+    # One workload per fraction, built one at a time; the positive
+    # fractions share one draw (CampusWorkload.build_fractions).
+    workloads = CampusWorkload(
+        HCS, seed=seed + 1, request_scale=scale,
+    ).build_fractions(FRACTIONS)
+    for fraction, workload in zip(FRACTIONS, workloads):
         result = checked_simulate(
             workload.server(), AlexProtocol.from_percent(10),
             workload.requests, SimulatorMode.OPTIMIZED,

@@ -36,13 +36,14 @@ TITLE = "Extension: origin server load vs number of caches (Section 1 claim)"
 CACHE_COUNTS = (1, 2, 4, 8, 16)
 
 
-def _partitioned_run(workload, hashes, protocol_factory, n_caches: int):
-    """Run N independent caches over a client-partitioned request stream.
+def _partitioned_runs(workload, hashes, n_caches: int):
+    """Run N independent caches over a client-partitioned request stream,
+    once under invalidation and once under Alex(10%).
 
     Every cache is preloaded (each serves its own client community, as
     the paper's single-cache runs assume) and sees only its partition's
-    requests (``hashes``, each request's client hash, modulo N); the
-    merged result reports origin-side totals.
+    requests (``hashes``, each request's client hash, modulo N); each
+    protocol's merged result reports origin-side totals.
     """
     server = workload.server()
     pick = workload.requests.__getitem__
@@ -53,15 +54,18 @@ def _partitioned_run(workload, hashes, protocol_factory, n_caches: int):
     ]
     # The caches are fully independent, so each shard runs start-to-end
     # on its own (oracle-checkable) simulation; the interleaving of the
-    # original stream does not affect any per-cache outcome.
-    results = [
-        checked_simulate(
-            server, protocol_factory(), shard_requests,
-            SimulatorMode.OPTIMIZED, end_time=workload.duration,
-        )
-        for shard_requests in shards
-    ]
-    return merge_results(results)
+    # original stream does not affect any per-cache outcome.  Both
+    # protocols run on a shard back to back, so the second reuses its
+    # encoding (repro.fastpath.arrays.encode_requests).
+    inval, alex = [], []
+    for shard_requests in shards:
+        for results, protocol in ((inval, InvalidationProtocol()),
+                                  (alex, AlexProtocol.from_percent(10))):
+            results.append(checked_simulate(
+                server, protocol, shard_requests,
+                SimulatorMode.OPTIMIZED, end_time=workload.duration,
+            ))
+    return merge_results(inval), merge_results(alex)
 
 
 def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
@@ -72,10 +76,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
     rows = []
     inval_ops, alex_ops = [], []
     for n in CACHE_COUNTS:
-        inval = _partitioned_run(workload, hashes, InvalidationProtocol, n)
-        alex = _partitioned_run(
-            workload, hashes, lambda: AlexProtocol.from_percent(10), n
-        )
+        inval, alex = _partitioned_runs(workload, hashes, n)
         inval_ops.append(float(inval.server_operations))
         alex_ops.append(float(alex.server_operations))
         rows.append(

@@ -24,9 +24,8 @@ from repro.experiments.common import campus_workloads
 from repro.trace.stats import (
     daily_change_probability,
     mutability_from_histories,
-    mutability_from_trace,
 )
-from repro.trace.synthesis import trace_from_workload
+from repro.trace.synthesis import observed_mutability
 from repro.workload.campus import CAMPUS_SERVERS
 
 EXPERIMENT_ID = "table1"
@@ -62,7 +61,9 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentReport:
             / len(workload.clients),
         )
         truth_rows.append(truth.as_row())
-        observed = mutability_from_trace(trace_from_workload(workload))
+        # The log's row, counted from the columns the sweeps encode (the
+        # same memo entry), with no record built.
+        observed = observed_mutability(workload)
         observed_rows.append(observed.as_row())
         change_probs[spec.name] = daily_change_probability(
             truth.total_changes, truth.files, workload.duration / DAY

@@ -13,12 +13,16 @@ Two computation paths are provided:
   changes *observed* through the request log's Last-Modified extension.
   Changes that no request straddles are invisible, so observed counts
   lower-bound the truth; the tests quantify the gap.
+  :func:`mutability_from_columns` counts the same row from a request
+  stream's columns, with no log record built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.core.objects import ObjectHistory
 from repro.trace.records import Trace
@@ -154,6 +158,51 @@ def mutability_from_trace(
         files=len(paths),
         requests=len(trace),
         pct_remote=_percent(remote, len(trace)),
+        total_changes=total,
+        pct_mutable=pct_mut,
+        pct_very_mutable=pct_very,
+    )
+
+
+def mutability_from_columns(
+    objs: Sequence[int],
+    stamps: Sequence[float],
+    logged: Sequence[bool],
+    clients: Sequence[str],
+    *,
+    name: str,
+) -> MutabilityStats:
+    """:func:`mutability_from_trace`'s row for the trace a request stream
+    would log, counted from the stream's columns.
+
+    Args:
+        objs: per request, its object's index.
+        stamps: per request, the object's Last-Modified then; rows past
+            the requests (a trailing sentinel) are ignored.
+        logged: per object index, whether its requests log a
+            Last-Modified (dynamic content does not).
+        clients: per request, the client host its log line names; the
+            remote share uses :func:`default_is_remote`.
+        name: the row's label.
+    """
+    count = len(objs)
+    requested = np.fromiter(objs, np.int64, count)
+    stamp = np.fromiter(stamps, np.float64, count)
+    # Each object's requests in order: a change is a request logging
+    # another Last-Modified than the same object's request before it.
+    order = np.argsort(requested, kind="stable")
+    by_object, stamp = requested[order], stamp[order]
+    later = by_object[1:]
+    changed = ((later == by_object[:-1]) & (stamp[1:] != stamp[:-1])
+               & np.asarray(logged, dtype=bool)[later])
+    changes = np.bincount(later[changed], minlength=len(logged))
+    counts = changes[np.bincount(requested, minlength=len(logged)) > 0]
+    total, pct_mut, pct_very = _mutability_percentages(counts.tolist())
+    return MutabilityStats(
+        name=name,
+        files=len(counts),
+        requests=count,
+        pct_remote=_percent(sum(map(default_is_remote, clients)), count),
         total_changes=total,
         pct_mutable=pct_mut,
         pct_very_mutable=pct_very,

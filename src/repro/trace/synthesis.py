@@ -11,14 +11,42 @@ granularity — the granularity of the real log format.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
+from repro.fastpath.arrays import (
+    CompiledServer,
+    compile_server,
+    encode_requests,
+    stream_columns,
+)
 from repro.trace.clf import read_clf, write_clf
 from repro.trace.records import Trace, TraceRecord
+from repro.trace.stats import MutabilityStats, mutability_from_columns
 from repro.workload.base import Workload
 
 #: Client name used when a workload carries no per-request client info.
 DEFAULT_CLIENT = "client.example.net"
+
+
+def _logged_clients(workload: Workload) -> list[str]:
+    """Per request, the client host its log line names: the workload's
+    own, or :data:`DEFAULT_CLIENT` when it carries none."""
+    return workload.clients or [DEFAULT_CLIENT] * len(workload.requests)
+
+
+def _logged_columns(
+    workload: Workload,
+) -> tuple[CompiledServer, list[int], Sequence[float]]:
+    """The workload's compiled server and, per request, its object's
+    index and that object's Last-Modified then
+    (:func:`repro.fastpath.arrays.stream_columns`; one trailing sentinel
+    row).  Encoded from 0.0, the sweeps' memo entry, unless the stream
+    starts earlier."""
+    compiled = compile_server(workload.server())
+    requests = workload.requests
+    start = min(0.0, requests[0][0]) if requests else 0.0
+    times, objs = encode_requests(compiled, requests, start)
+    return compiled, objs, stream_columns(compiled, times, objs)[1]
 
 
 def trace_from_workload(workload: Workload) -> Trace:
@@ -26,29 +54,35 @@ def trace_from_workload(workload: Workload) -> Trace:
 
     Every record carries the object's true Last-Modified at request time
     (the paper's log extension) and the object's size, except dynamic
-    objects, which log size but no Last-Modified.
+    objects, which log size but no Last-Modified.  Both are read off the
+    compiled server and the stream's Last-Modified column.
     """
-    server = workload.server()
-    clients = workload.clients
-    records = []
-    for index, (t, oid) in enumerate(workload.requests):
-        obj = server.object(oid)
-        last_modified: Optional[float]
-        if obj.cacheable:
-            last_modified = server.schedule(oid).last_modified_at(t)
-        else:
-            last_modified = None
-        records.append(
-            TraceRecord(
-                timestamp=t,
-                client=clients[index] if clients else DEFAULT_CLIENT,
-                path=oid,
-                status=200,
-                size=obj.size,
-                last_modified=last_modified,
-            )
+    compiled, objs, stamps = _logged_columns(workload)
+    sizes, cacheable = compiled.sizes, compiled.cacheable
+    records = [
+        TraceRecord(
+            timestamp=t,
+            client=client,
+            path=oid,
+            status=200,
+            size=sizes[i],
+            last_modified=stamp if cacheable[i] else None,
         )
+        for (t, oid), i, stamp, client in zip(
+            workload.requests, objs, stamps, _logged_clients(workload))
+    ]
     return Trace(records, name=workload.name)
+
+
+def observed_mutability(workload: Workload) -> MutabilityStats:
+    """``mutability_from_trace(trace_from_workload(workload))``: the
+    Table 1 row the workload's log shows, counted from the same columns
+    with no record built."""
+    compiled, objs, stamps = _logged_columns(workload)
+    return mutability_from_columns(
+        objs, stamps, compiled.cacheable, _logged_clients(workload),
+        name=workload.name,
+    )
 
 
 def write_trace(trace: Trace, path: Union[str, Path]) -> int:

@@ -23,8 +23,8 @@ reported total).  EXPERIMENTS.md records the deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -209,6 +209,30 @@ class CampusWorkload:
 
     def build(self) -> Workload:
         """Generate the workload deterministically from the seed."""
+        return self._assemble(self._draw())
+
+    def build_fractions(self, fractions: Iterable[float]) -> Iterator[Workload]:
+        """Per fraction, the workload ``build()`` gives at that
+        ``dynamic_fraction``, one at a time.
+
+        Every positive fraction consumes the generator alike — it only
+        moves the ``uniforms < fraction`` cut of the dynamic draw — so
+        they share one draw; a zero fraction draws no dynamic objects
+        and gets its own.
+        """
+        shared: Optional[_Draw] = None
+        for fraction in fractions:
+            builder = replace(self, dynamic_fraction=fraction)
+            if fraction == 0:
+                yield builder.build()
+                continue
+            if shared is None:
+                shared = builder._draw()
+            yield builder._assemble(shared)
+
+    def _draw(self) -> "_Draw":
+        """Everything the seed's generator gives ``build()``; the dynamic
+        draws only when ``dynamic_fraction`` is positive."""
         rng = np.random.default_rng(self.seed)
         spec = self.spec
         model = self._model
@@ -289,26 +313,11 @@ class CampusWorkload:
         sampler = ZipfSampler(spec.files, self.zipf_s)
         times = sorted_request_times(rng, n_requests, spec.duration)
         ranks = sampler.sample(rng, n_requests)
-        is_dynamic = (
-            rng.random(n_requests) < self.dynamic_fraction
-            if dynamic_ids else np.zeros(n_requests, dtype=bool)
-        )
-        dynamic_sampler = (
-            ZipfSampler(len(dynamic_ids), self.zipf_s) if dynamic_ids else None
-        )
-        dynamic_picks = (
-            dynamic_sampler.sample(rng, n_requests) if dynamic_sampler
-            else None
-        )
-        # Map popularity rank -> file index.  Identity keeps rank 0 as
-        # file 0; mutability was assigned against these same ranks.
-        # Dynamic picks index the objects after the static files.
+        uniforms = dynamic_picks = None
         if dynamic_ids:
-            ranks = np.where(is_dynamic, spec.files + dynamic_picks, ranks)
-        object_ids = [h.object_id for h in histories]
-        request_list = list(zip(
-            times.tolist(), map(object_ids.__getitem__, ranks.tolist())
-        ))
+            uniforms = rng.random(n_requests)
+            dynamic_picks = ZipfSampler(len(dynamic_ids), self.zipf_s).sample(
+                rng, n_requests)
         remote = rng.random(n_requests) < spec.pct_remote / 100.0
         remote_pool = [f"host{j:03d}.remote-isp.net" for j in range(97)]
         local_pool = [
@@ -322,14 +331,51 @@ class CampusWorkload:
         )
         hosts[~remote] += len(remote_pool)
         pool = remote_pool + local_pool
-        clients = list(map(pool.__getitem__, hosts.tolist()))
-        return Workload(
+        return _Draw(
             histories=histories,
-            requests=request_list,
+            times=times.tolist(),
+            ranks=ranks,
+            uniforms=uniforms,
+            dynamic_picks=dynamic_picks,
+            clients=list(map(pool.__getitem__, hosts.tolist())),
+        )
+
+    def _assemble(self, draw: "_Draw") -> Workload:
+        """The workload of ``draw`` with ``dynamic_fraction`` of its
+        requests sent to the dynamic objects (their uniform draw under
+        it)."""
+        spec = self.spec
+        ranks = draw.ranks
+        # Map popularity rank -> file index.  Identity keeps rank 0 as
+        # file 0; mutability was assigned against these same ranks.
+        # Dynamic picks index the objects after the static files.
+        if draw.uniforms is not None:
+            ranks = np.where(draw.uniforms < self.dynamic_fraction,
+                             spec.files + draw.dynamic_picks, ranks)
+        object_ids = [h.object_id for h in draw.histories]
+        return Workload(
+            histories=draw.histories,
+            requests=list(zip(
+                draw.times, map(object_ids.__getitem__, ranks.tolist())
+            )),
             duration=spec.duration,
-            clients=clients,
+            clients=draw.clients,
             name=spec.name,
         )
+
+
+@dataclass(frozen=True)
+class _Draw:
+    """What :meth:`CampusWorkload._draw` took from the generator: the
+    population, per request its time, popularity rank and client, and
+    with dynamic objects per request a uniform and a dynamic pick."""
+
+    histories: list[ObjectHistory]
+    times: list[float]
+    ranks: np.ndarray
+    uniforms: Optional[np.ndarray]
+    dynamic_picks: Optional[np.ndarray]
+    clients: list[str]
 
 
 def build_campus_workloads(

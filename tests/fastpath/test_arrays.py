@@ -261,6 +261,70 @@ class TestFailuresAreNeverRemembered:
                          "/no-such-object")
 
 
+def outcome(call):
+    """What ``call`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as error:
+        return type(error), str(error)
+
+
+def _swapped(requests):
+    requests[10], requests[40] = requests[40], requests[10]
+
+
+def _replaced(*edits):
+    """Each ``(position, make)`` replaces that request ``r`` by ``make(r)``."""
+    def edit(requests):
+        for position, make in edits:
+            requests[position] = make(requests[position])
+    return edit
+
+
+_NAN = float("nan")
+
+#: Per case, an edit of a good stream and the start time to encode it at.
+EDITS = {
+    "out-of-order": (_swapped, 0.0),
+    "before-start-time": (_replaced(), days(2)),
+    "unknown-object": (_replaced((25, lambda r: (r[0], "/no-such-object"))),
+                       0.0),
+    "nan-time": (_replaced((25, lambda r: (_NAN, r[1]))), 0.0),
+    "earlier-after-nan": (_replaced((25, lambda r: (_NAN, r[1])),
+                                    (26, lambda r: (0.0, r[1]))), 0.0),
+    "three-items": (_replaced((25, lambda r: (*r, 0))), 0.0),
+    "not-iterable": (_replaced((25, lambda r: 7)), 0.0),
+}
+
+
+class TestEncodeChecksAreTheReferences:
+    """``encode_requests`` accepts a stream, as a list, a tuple or an
+    iterator, exactly when the reference simulator does, and otherwise
+    raises the reference's error; an accepted stream's arrays are its
+    times and its objects' indices."""
+
+    @pytest.mark.parametrize("container", [list, tuple, iter])
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_same_verdict_as_the_reference(self, workload, server, case,
+                                           container):
+        edit, start_time = EDITS[case]
+        requests = list(workload.requests[:50])
+        edit(requests)
+        compiled = compile_server(server)
+        encoded = outcome(lambda: encode_requests(
+            compiled, container(requests), start_time))
+        reference = outcome(lambda: simulate(
+            OriginServer(workload.histories), alex(), container(requests),
+            start_time=start_time, end_time=workload.duration))
+        # A NaN time passes: no comparison with it is true.
+        assert isinstance(reference, tuple) == ("nan" not in case)
+        if isinstance(reference, tuple):
+            assert encoded == reference
+            return
+        assert encoded == ([t for t, _ in requests],
+                           [compiled.index[oid] for _, oid in requests])
+
+
 class TestRunsAreIsolated:
     def test_plain_run_after_crash_and_eager_runs(self, workload, server):
         requests, end = workload.requests, workload.duration

@@ -1,17 +1,21 @@
 """Workload → trace rendering and on-disk round trips."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.clock import days
+from repro.trace.records import Trace, TraceRecord
 from repro.trace.stats import mutability_from_trace
 from repro.trace.synthesis import (
     DEFAULT_CLIENT,
+    observed_mutability,
     read_trace,
     trace_from_workload,
     write_trace,
 )
 from repro.workload.base import Workload
-from repro.workload.campus import FAS, CampusWorkload
+from repro.workload.campus import DAS, FAS, HCS, CampusWorkload
 from tests.conftest import make_history
 
 
@@ -101,3 +105,70 @@ class TestEndToEndStatistics:
             for h in workload.histories
         )
         assert stats.total_changes <= truth
+
+
+def per_request_trace(workload: Workload) -> list[TraceRecord]:
+    """The records as a per-request walk derives them: each object's size
+    off the server and its Last-Modified off its schedule."""
+    server = workload.server()
+    records = []
+    for index, (t, oid) in enumerate(workload.requests):
+        obj = server.object(oid)
+        records.append(TraceRecord(
+            timestamp=t,
+            client=(workload.clients[index] if workload.clients
+                    else DEFAULT_CLIENT),
+            path=oid,
+            status=200,
+            size=obj.size,
+            last_modified=(server.schedule(oid).last_modified_at(t)
+                           if obj.cacheable else None),
+        ))
+    return records
+
+
+#: DAS, FAS and HCS at seeds 0-2; HCS with dynamic pages, whose paths
+#: log no Last-Modified; a workload without clients.
+CAMPUS_CASES = [
+    *(pytest.param(spec, seed, 0.0, True, id=f"{spec.name}-seed{seed}")
+      for spec in (DAS, FAS, HCS) for seed in range(3)),
+    pytest.param(HCS, 1, 0.1, True, id="HCS-dynamic"),
+    pytest.param(FAS, 2, 0.0, False, id="FAS-no-clients"),
+]
+
+
+def campus(spec, seed, dynamic_fraction, with_clients) -> Workload:
+    workload = CampusWorkload(spec, seed=seed, request_scale=0.1,
+                              dynamic_fraction=dynamic_fraction).build()
+    if not with_clients:
+        workload = replace(workload, clients=None)
+    return workload
+
+
+@pytest.mark.parametrize("spec, seed, dynamic_fraction, with_clients",
+                         CAMPUS_CASES)
+class TestFromTheColumns:
+    """``trace_from_workload`` reads sizes and Last-Modified off the
+    compiled server and the stream's columns, and ``table1`` counts its
+    observed row off the same columns: both equal the per-request
+    derivation."""
+
+    def test_the_records_are_the_per_request_walks(
+            self, spec, seed, dynamic_fraction, with_clients):
+        workload = campus(spec, seed, dynamic_fraction, with_clients)
+        assert list(trace_from_workload(workload)) == per_request_trace(
+            workload)
+
+    def test_the_columns_row_is_the_logs_row(
+            self, spec, seed, dynamic_fraction, with_clients):
+        workload = campus(spec, seed, dynamic_fraction, with_clients)
+        row = observed_mutability(workload)
+        expected = mutability_from_trace(Trace(per_request_trace(workload),
+                                               name=workload.name))
+        assert row == expected
+        if dynamic_fraction:  # dynamic paths count, as files never changed
+            static = {oid for _, oid in workload.requests
+                      if workload.server().object(oid).cacheable}
+            assert row.files > len(static)
+        if not with_clients:
+            assert row.pct_remote == 100.0

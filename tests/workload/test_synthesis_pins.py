@@ -16,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.experiments import table2
+from repro.experiments import ext_dynamic, table2
 from repro.workload.campus import DAS, FAS, HCS, CampusWorkload
 
 
@@ -99,6 +99,33 @@ def test_campus_build_is_pinned(server, seed, scale, dynamic):
     ).build()
     assert workload_digest(workload) == CAMPUS_DIGESTS[
         server, seed, scale, dynamic]
+
+
+def workload_fields(workload) -> tuple:
+    """Everything a workload holds, comparable with ``==`` (a schedule
+    compares by identity, so by its creation and change times here)."""
+    return ([(h.obj, h.schedule.created, h.schedule.times)
+             for h in workload.histories],
+            workload.requests, workload.clients, workload.duration,
+            workload.name)
+
+
+@pytest.mark.parametrize("spec,seed", [(HCS, 1), (HCS, 3), (DAS, 2)],
+                         ids=["HCS-1", "HCS-3", "DAS-2"])
+def test_build_fractions_yields_each_fractions_build(spec, seed):
+    """The split builder gives, per fraction, ``build()``'s workload field
+    for field; the positive fractions share one draw."""
+    builder = CampusWorkload(spec, seed=seed, request_scale=0.1)
+    built = list(builder.build_fractions(ext_dynamic.FRACTIONS))
+    assert len(built) == len(ext_dynamic.FRACTIONS)
+    for fraction, workload in zip(ext_dynamic.FRACTIONS, built):
+        expected = CampusWorkload(spec, seed=seed, request_scale=0.1,
+                                  dynamic_fraction=fraction).build()
+        assert workload_fields(workload) == workload_fields(expected)
+        assert workload_digest(workload) == workload_digest(expected)
+    shared = [w for f, w in zip(ext_dynamic.FRACTIONS, built) if f > 0]
+    assert all(w.histories[0] is shared[0].histories[0] for w in shared)
+    assert built[0].histories[0] is not shared[0].histories[0]
 
 
 TABLE2_RENDERED = (
