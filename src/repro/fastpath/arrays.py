@@ -478,7 +478,7 @@ _Columns = tuple[list[int], list[float]]
 #: The stream by object (:func:`stream_view`): per object index the end
 #: of its rows, then per row its time, object, version and Last-Modified,
 #: then the request position each row came from.
-StreamView = tuple[list[int], "array[float]", tuple[int, ...], "array[int]",
+StreamView = tuple[list[int], list[float], tuple[int, ...], "array[int]",
                    "array[float]", "array[int]"]
 
 
@@ -518,11 +518,35 @@ class StepView:
     dynamic_bytes: int
 
 
+@dataclass(frozen=True, eq=False)
+class PreloadView:
+    """A skipping run's preloaded copies (:func:`preload_view`).  Per lane
+    — a cacheable object the stream requests, in object order — its
+    object, where its rows start and end in the stream by object, its
+    first row whose version is newer than the copy's (its end, if none)
+    and when that change happened; per row its time, request position and
+    ``object * span + time`` (ascending); per lane ``object * span``; per
+    object and one past the last, its first row to decide if no run is
+    counted; the state by lane, whose ``expires_at`` a run stamps."""
+
+    lanes: "np.ndarray[Any, Any]"
+    starts: "np.ndarray[Any, Any]"
+    ends: "np.ndarray[Any, Any]"
+    changed: "np.ndarray[Any, Any]"
+    since: "np.ndarray[Any, Any]"
+    times: "np.ndarray[Any, Any]"
+    positions: "np.ndarray[Any, Any]"
+    keys: "np.ndarray[Any, Any]"
+    offsets: "np.ndarray[Any, Any]"
+    decided: "np.ndarray[Any, Any]"
+    state: LaneState
+
+
 class _Memo:
     """What one compiled server remembers of its last encoded stream."""
 
-    __slots__ = ("requests", "key", "arrays", "columns", "view", "busiest",
-                 "steps", "rows", "actions", "residency")
+    __slots__ = ("requests", "key", "arrays", "columns", "view", "preload",
+                 "busiest", "steps", "rows", "actions", "residency")
 
     def __init__(self, requests: Sequence[tuple[float, str]],
                  key: tuple[int, float], arrays: _Stream,
@@ -533,16 +557,18 @@ class _Memo:
         self.key = key
         self.arrays = arrays
         self.columns = columns
-        #: Built by the first run that asks: the rows by object, the most
-        #: requests any cacheable object gets, the rows by step (and for
-        #: lane_actions the times, each row's object, their order by
-        #: object), the last fault schedule by object and LRU residency.
+        #: Built by the first run that asks: the rows by object and the
+        #: preloaded copies over them, the most requests any cacheable
+        #: object gets, the rows by step (and for lane_actions the times,
+        #: each row's object, their order by object), the last fault
+        #: schedule by object and LRU residency per ``(capacity, preload)``.
         self.view: Optional[StreamView] = None
+        self.preload: Optional[PreloadView] = None
         self.busiest: Optional[int] = None
         self.steps: Optional[StepView] = None
         self.rows: Optional[tuple["np.ndarray[Any, Any]", ...]] = None
         self.actions: Optional[tuple[LaneActions, "np.ndarray[Any, Any]"]] = None
-        self.residency: Optional[tuple[tuple[float, bool], Residency]] = None
+        self.residency: dict[tuple[float, bool], Residency] = {}
 
 
 #: Per compiled server: the last successfully encoded list or tuple, its
@@ -607,10 +633,11 @@ def stream_view(
 ) -> StreamView:
     """The stream and its ``columns`` by object: rows in object-then-time
     order (a stable sort of ``req_objs``), object ``i``'s ending at
-    ``ends[i]``, then each row's request position.  Packed machine values
-    (eight bytes a row), not Python objects: read in object order, a
-    float is made next to the last one rather than fetched from wherever
-    the stream's own lies.  The arrays :func:`encode_requests` last
+    ``ends[i]``, then each row's request position.  The times are floats
+    made in object order, next to each other rather than wherever the
+    stream's own lie, so that a bisect compares them without making any;
+    the other columns are packed machine values (eight bytes a row), each
+    made as it is read.  The arrays :func:`encode_requests` last
     remembered for ``compiled`` get their view built once, by the first
     run that asks; any others get one built for this call alone.
     """
@@ -618,11 +645,8 @@ def stream_view(
     if memo is not None and memo.view is not None:
         return memo.view
     count = len(req_objs)
-    # Sorting 16-bit keys is a radix sort, several times a 64-bit one.
-    small = len(compiled.ids) <= 1 << 16
-    objs = np.fromiter(req_objs, np.uint16 if small else np.int64, count)
+    objs, counts, _ = _requests_per_object(compiled, req_objs)
     order = np.argsort(objs, kind="stable")
-    counts = np.bincount(objs, minlength=len(compiled.ids))
     ends = np.cumsum(counts).tolist()
 
     def rows(code: str, column: "np.ndarray[Any, Any]") -> "array[Any]":
@@ -631,7 +655,7 @@ def stream_view(
     versions, stamps = columns  # their sentinel row is no request's
     # A tuple, one index object per object: a run reads its row number
     # off this column's iterator.
-    view = (ends, rows("d", np.fromiter(req_times, np.float64, count)),
+    view = (ends, np.fromiter(req_times, np.float64, count)[order].tolist(),
             tuple(chain.from_iterable(map(repeat, range(len(ends)),
                                           counts.tolist()))),
             rows("q", np.fromiter(versions, np.int64, count)),
@@ -640,6 +664,48 @@ def stream_view(
     if memo is not None:
         memo.view = view
     return view
+
+
+def preload_view(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int],
+    view: StreamView, state: CacheState,
+) -> PreloadView:
+    """The preloaded copies (:class:`PreloadView`) over the stream by
+    object ``view`` (:func:`stream_view`'s), ``state`` holding them as
+    preloaded at the stream's ``start_time``; for the arrays
+    :func:`encode_requests` last remembered, built once, by the first run
+    that asks."""
+    memo = _kept(compiled, req_times, req_objs)
+    if memo is not None and memo.preload is not None:
+        return memo.preload
+    ends, r_times, _, r_versions, _, positions = view
+    object_ends = np.array(ends, dtype=np.int64)
+    counts = np.diff(object_ends, prepend=0)
+    lanes = np.flatnonzero((counts > 0) & np.array(state.resident, dtype=bool))
+    starts, lane_ends = (object_ends - counts)[lanes], object_ends[lanes]
+    # Every row is at start_time or later: no version below the copy's.
+    bounds = list(zip(lanes.tolist(), starts.tolist(), lane_ends.tolist()))
+    changed = [bisect_right(r_versions, state.version[i], start, end)
+               for i, start, end in bounds]
+    since = [compiled.mod_times[compiled.mod_lo[i] + state.version[i]]
+             if row < end else 0.0 for (i, _, end), row in zip(bounds, changed)]
+    times = np.array(r_times)
+    # Rows ascend by object, then time; |time| < span / 2 keeps objects apart.
+    span = 2.0 * (float(np.abs(times).max(initial=0.0)) + 1.0)
+    found = PreloadView(
+        lanes=lanes, starts=starts, ends=lane_ends,
+        changed=np.array(changed, dtype=np.int64),
+        since=np.array(since, dtype=np.float64),
+        times=times, positions=np.frombuffer(positions, dtype=np.int64),
+        keys=np.repeat(np.arange(len(ends)) * span, counts) + times,
+        offsets=lanes * span,
+        decided=np.append(np.where(counts > 0, object_ends - counts,
+                                   len(times)), len(times)),
+        state=LaneState(state, lanes, False),
+    )
+    if memo is not None:
+        memo.preload = found
+    return found
 
 
 def _requests_per_object(
@@ -747,16 +813,15 @@ def lru_residency(
     is the reference string's, whatever the protocol decides (Mattson et
     al.'s stack property).  One pass with the walk's store, touch and
     evict; kept, for the arrays :func:`encode_requests` last remembered,
-    for the last ``(capacity, preload)``.
+    per ``(capacity, preload)``.
 
     Raises:
         ValueError: for an object larger than ``capacity`` that would be
             stored (the walk's message).
     """
     memo = _kept(compiled, req_times, req_objs)
-    if memo is not None and memo.residency is not None and (
-            memo.residency[0] == (capacity, preload)):
-        return memo.residency[1]
+    if memo is not None and (capacity, preload) in memo.residency:
+        return memo.residency[capacity, preload]
     ids, sizes, cacheable = compiled.ids, compiled.sizes, compiled.cacheable
     order: OrderedDict[int, None] = OrderedDict()
     evict = order.popitem
@@ -787,7 +852,7 @@ def lru_residency(
             store(i)
     found = np.frombuffer(held, dtype=bool), order, evictions
     if memo is not None:
-        memo.residency = (capacity, preload), found
+        memo.residency[capacity, preload] = found
     return found
 
 

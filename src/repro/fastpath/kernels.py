@@ -47,9 +47,9 @@ three histograms, kept in request order.
 Such a run that also keeps no cache, tunes nothing, publishes no metrics,
 reads a stream whose origin changes rarely and has a class whose
 ``is_fresh`` is proved monotone in ``now`` *skips*: it takes the stream
-by object (:func:`repro.fastpath.arrays.stream_view`) and jumps over
-each run of fresh hits, found by bisecting for the :func:`fresh_until`
-candidate; stale ages are added up at the end in request order.  Such a
+by object (:func:`repro.fastpath.arrays.stream_view`), counts every
+preloaded copy's run of fresh hits at once and jumps over each later
+one, found by bisecting for the :func:`fresh_until` candidate.  Such a
 run over a stream whose origin changes often, with its requests spread
 evenly enough over its objects, of a class whose methods vectorise,
 *steps*: it takes the stream by step
@@ -123,6 +123,7 @@ from repro.fastpath.arrays import (
     by_object,
     lane_actions,
     lru_residency,
+    preload_view,
     step_view,
     stream_columns,
     stream_view,
@@ -218,6 +219,11 @@ def is_fresh_each(state: LaneState, lanes: slice, now: Any) -> Any:
     raise NotImplementedError("a hole of run_kernel, never called")
 
 
+def fresh_until_each(state: LaneState, lanes: slice, now: Any) -> Any:
+    """Hole: :func:`fresh_until` for every lane of ``lanes`` at once."""
+    raise NotImplementedError("a hole of run_kernel, never called")
+
+
 def on_stored_each(state: LaneState, lanes: slice, now: Any, where: Any) -> None:
     """Hole: the protocol's ``on_stored`` for the lanes of ``lanes`` that
     ``where`` selects, ``now`` holding each lane's time."""
@@ -233,8 +239,9 @@ def bind(params: Sequence[Any]) -> None:
 #: the code an ``if False:`` guards is never compiled).  Facts about the
 #: protocol class: the ``wants_invalidations`` declaration, whether
 #: ``is_fresh`` reads what ``on_stored`` stamps, whether ``on_stored``
-#: observes a metric, whether ``on_validation_result`` does anything.
-#: Facts about the cache: whether the run keeps a caller's ``Cache``,
+#: observes a metric, whether ``on_validation_result`` does anything,
+#: whether ``is_fresh`` and its candidate boundary hold for many lanes at
+#: once.  Facts about the cache: whether the run keeps a caller's ``Cache``,
 #: and whether its lookups reorder it (LRU).  Facts about the run:
 #: whether an observer is attached, whether anything is delivered (a
 #: fault schedule, or a class that takes invalidations), whether it
@@ -244,8 +251,8 @@ def bind(params: Sequence[Any]) -> None:
 #: objects in lockstep: a lean run, delivering or not, keeping an LRU cache
 #: only where nothing is delivered, over a stream that changes often and
 #: needs few steps, of a class whose methods vectorise.
-wants_invalidations = stamps = observes = tunes = caches = touches = False
-observed = delivers = skips = steps = False
+wants_invalidations = stamps = observes = tunes = vectorises = False
+caches = touches = observed = delivers = skips = steps = False
 
 
 @_runs_kind
@@ -667,12 +674,54 @@ def run_kernel(
             # -- object by object, decision to decision -----------------------
             # Nothing a run of this kind does to one object touches another,
             # so the loop takes the same rows by object (arrays.stream_view);
-            # object ``i``'s rows end at ``ends[i]``.  The second fresh hit in
-            # a row (``streak`` is the object of a lone hit the row before, at
-            # ``streak_t``) counts the whole run of hits it continues, and the
-            # loop jumps past it to the next row is_fresh rejects.
-            ends, r_times, r_objs, r_versions, r_stamps, positions = stream_view(
-                compiled, req_times, req_objs, (req_versions, req_stamps))
+            # object ``i``'s rows end at ``ends[i]``.  A fresh hit counts the
+            # whole run of hits it opens, and the loop jumps past it to the
+            # next row is_fresh rejects.
+            ends, r_times, r_objs, r_versions, r_stamps, positions = view = (
+                stream_view(compiled, req_times, req_objs, (req_versions, req_stamps)))
+            # Stale ages by request position, zero elsewhere: added up at the
+            # end from 0.0 in request order, as the per-request loop adds them
+            # (x + 0.0 == x; np.cumsum folds left to right, where builtin
+            # sum() compensates on 3.12 and np.sum pairs).
+            ages = array("d", [0.0]) * len(r_times)
+            # The first row left to decide of object ``i`` or a later one:
+            # the loop starts at ``later[0]``, goes on at ``later[i + 1]``
+            # past object ``i``'s rows, and jumps to ``later[i]`` from before.
+            later = [0, *ends]
+            if vectorises and preload:
+                # -- every preloaded copy's run of fresh hits, at once ---------
+                # One search over every object's rows finds each copy's
+                # candidate end; it stands where is_fresh holds at the row
+                # before it (a fresh row from it on is the loop's next hit),
+                # and any other object's first row is the loop's.
+                pre = preload_view(compiled, req_times, req_objs, view, state)
+                by_lane = pre.state
+                if stamps:
+                    by_lane.expires_at = np.array(expires_at)[pre.lanes]
+                every = slice(None)
+                with np.errstate(all="ignore"):
+                    now = pre.times[pre.starts]
+                    fresh = is_fresh_each(by_lane, every, now)
+                    if np.any(fresh):
+                        until = fresh_until_each(by_lane, every, now)
+                        j = np.minimum(np.maximum(np.searchsorted(
+                            pre.keys, pre.offsets + until), pre.starts), pre.ends)
+                        now = pre.times[np.maximum(j - 1, pre.starts)]
+                        before = is_fresh_each(by_lane, every, now)
+                        first = np.where(before, j, pre.starts)
+                        fresh_hits += int((first - pre.starts).sum())
+                        # Versions only grow along a lane: its stale hits follow.
+                        stale = np.maximum(first - pre.changed, 0)
+                        if stale.any():
+                            stale_hits += int(stale.sum())
+                            rows = np.repeat(pre.changed - np.cumsum(stale) + stale,
+                                             stale) + np.arange(stale.sum())
+                            np.frombuffer(ages)[pre.positions[rows]] = (
+                                pre.times[rows] - np.repeat(pre.since, stale))
+                        decide = pre.decided.copy()
+                        decide[pre.lanes] = np.where(first < pre.ends, first,
+                                                     len(r_times))
+                        later = np.minimum.accumulate(decide[::-1])[::-1].tolist()
             # The cursors are the loop's position: a jump moves all four, and
             # where the loop needs the current row ``k``, it is last - left().
             cursors: list[Iterator[Any]] = [
@@ -680,14 +729,9 @@ def run_kernel(
             jt, jo, jv, js = [getattr(cursor, "__setstate__") for cursor in cursors]
             left = getattr(cursors[1], "__length_hint__")
             last = len(r_times) - 1
+            for jump in (jt, jo, jv, js):
+                jump(later[0])
             stream = zip(*cursors)
-            # Stale ages by request position, zero elsewhere: added up at the
-            # end from 0.0 in request order, as the per-request loop adds them
-            # (x + 0.0 == x; np.cumsum folds left to right, where builtin
-            # sum() compensates on 3.12 and np.sum pairs).
-            ages = array("d", [0.0]) * len(r_times)
-            streak = NO_OBJECT
-            streak_t = 0.0
         for t, i, vt, lm in stream:
             if delivers and pending <= t:
                 # -- deliver every action that is due -------------------------
@@ -806,26 +850,27 @@ def run_kernel(
                     touch(i)
                 fresh = is_fresh(i, t)
                 if fresh:
-                    if skips and i == streak:
-                        until = fresh_until(i, t)
-                        if t - streak_t < until - t:
-                            # More rows fit before the candidate boundary than
-                            # the gap just seen (else this is a lone hit too):
-                            # bisect for it, unless the next row is past it,
-                            # then move back while is_fresh rejects the row
-                            # before it (float rounding, equal times).  A fresh
-                            # row after it is simply the loop's next hit.
-                            k = last - left()
+                    if skips:
+                        # -- the run of fresh hits this row opens -------------
+                        # Up to the next row is_fresh rejects: bisect for the
+                        # candidate boundary, unless the next row is past it,
+                        # then move back while is_fresh rejects the row before
+                        # it (float rounding, equal times); a fresh row after
+                        # it is the loop's next hit.  A counted run is jumped.
+                        k = last - left()
+                        j = later[i]
+                        if j <= k:
+                            until = fresh_until(i, t)
                             j = k + 1
                             end = ends[i]
                             if j < end and r_times[j] < until:
                                 j = bl(r_times, until, j + 1, end)
-                            while j - 1 > k:
-                                u = r_times[j - 1]
-                                fresh = is_fresh(i, u)
-                                if fresh:
-                                    break
-                                j = bl(r_times, u, k + 1, j)
+                                while j - 1 > k:
+                                    u = r_times[j - 1]
+                                    fresh = is_fresh(i, u)
+                                    if fresh:
+                                        break
+                                    j = bl(r_times, u, k + 1, j)
                             fresh_hits += j - k
                             v = version[i]
                             if v < r_versions[j - 1]:
@@ -837,17 +882,15 @@ def run_kernel(
                                 since = mod_times[mod_lo[i] + v]
                                 for row in range(s, j):
                                     ages[positions[row]] = r_times[row] - since
-                            if j - k > 1:
-                                jt(j)
-                                jo(j)
-                                jv(j)
-                                js(j)
-                            streak = NO_OBJECT
-                            continue
+                            if j == end:
+                                j = later[i + 1]
+                        if j - k > 1:
+                            jt(j)
+                            jo(j)
+                            jv(j)
+                            js(j)
+                        continue
                     fresh_hits += 1
-                    if skips:
-                        streak = i
-                        streak_t = t
                     v = version[i]
                     # Stale iff the copy is older than the origin's version
                     # at t: the reference's ``v < version_at(t)``.
@@ -859,9 +902,6 @@ def run_kernel(
                         # mod_times[lo + v] — in range because v < vt.
                         age_stale = t - mod_times[mod_lo[i] + v]
                         stale_age_sum += age_stale
-                        if skips:
-                            # Out of request order here: added at the end.
-                            ages[positions[last - left()]] = age_stale
                         if collect:
                             sa_values.append(age_stale)
                         if observed:
@@ -869,8 +909,6 @@ def run_kernel(
                     elif observed:
                         notify("hit", t, ids[i])
                     continue
-                if skips:
-                    streak = NO_OBJECT
                 # Base simulator: unconditional refetch, even when unchanged.
                 refetch = base_mode
             elif not cacheable[i]:
@@ -881,7 +919,7 @@ def run_kernel(
                     # Each of the object's requests is one: all counted here.
                     n = ends[i] - (last - left())
                     for jump in (jt, jo, jv, js):
-                        jump(ends[i])
+                        jump(later[i + 1])
                 dynamic += n
                 body_full += n * sizes[i]
                 if collect:
@@ -959,7 +997,12 @@ def run_kernel(
                 notify(event, t, ids[i])
 
     if (skips or steps) and stale_hits:
-        stale_age_sum = float(np.cumsum(np.frombuffer(ages))[-1])
+        # Only the ages written: each is >= 0 and the sum starts at +0.0,
+        # so a dropped + 0.0 changes nothing.
+        aged = np.frombuffer(ages)
+        aged = aged[aged != 0.0]
+        if len(aged):
+            stale_age_sum = float(np.cumsum(aged)[-1])
     full_retrievals = stored_misses + dynamic
     validations = ex_304 + ex_200
     if caches:

@@ -76,15 +76,15 @@ _PLAIN = (ast.BinOp, ast.UnaryOp, ast.BoolOp, ast.Compare, ast.IfExp,
 _HOLES = ("is_fresh", "on_stored", "on_validation_result")
 #: The same methods for every lane at once, each
 #: ``[target = ]method_each(state, lanes, now[, where])``
-#: (:class:`_Lockstep`).
-_EACH = ("is_fresh", "on_stored")
+#: (:class:`_Lockstep`), and ``is_fresh``'s candidate boundary.
+_EACH = ("is_fresh", "on_stored", "fresh_until")
 #: The constant holes that are facts of a run, not of the class: each
 #: call decides them (:func:`repro.fastpath.kernels._runs_kind`).
 _RUN_FACTS = ("observed", "delivers", "skips", "steps")
 #: The constant holes (:mod:`repro.fastpath.kernels`), written into each
 #: kernel as literals.
 _CONSTANTS = frozenset(("wants_invalidations", "stamps", "observes", "tunes",
-                        "caches", "touches", *_RUN_FACTS))
+                        "vectorises", "caches", "touches", *_RUN_FACTS))
 
 #: A class's kernel, the attribute names behind ``p0``, ``p1``, ... and
 #: those behind the per-type tables ``t0``, ``t1``, ...
@@ -777,19 +777,27 @@ def build(cls: type[ConsistencyProtocol], template: Optional[str] = None,
     if lowering.shares:
         unskippable = "a method writes a per-type table, which objects share"
     # The lockstep holes are the same methods lowered once more, for a
-    # slice of lanes, then if-converted.
+    # slice of lanes, then if-converted; so is the candidate boundary,
+    # which only the skipping preload pass reads.
     unsteppable: Optional[str] = None
+    vectorises = True
     for hole in re.finditer(
             rf"^( *)(?:(\w+) = )?({'|'.join(_EACH)})_each\((\w+), (\w+), "
             r"(\w+)(?:, (\w+))?\)\n", text, flags=re.MULTILINE):
         indent, target, method, state, lanes, now, where = hole.groups()
         try:
-            body = _Lockstep(state, lanes, now).convert(lowering.hole(
-                method, [_name(lanes), _name(now)],
-                _name(target) if target else None),
-                _name(where) if where else None)
+            body = lowering.hole(method.replace("fresh_until", "is_fresh"),
+                                 [_name(lanes), _name(now)],
+                                 _name(target) if target else None)
+            if method == "fresh_until":
+                body = _fresh_until(body, now, target)
+            body = _Lockstep(state, lanes, now).convert(
+                body, _name(where) if where else None)
         except Refusal as refusal:
-            unsteppable = unsteppable or f"its methods do not vectorise: {refusal}"
+            vectorises = vectorises and method == "on_stored"
+            if method != "fresh_until":
+                unsteppable = unsteppable or (
+                    f"its methods do not vectorise: {refusal}")
             body = []
         edits.append((hole.start(), hole.end(), textwrap.indent(ast.unparse(
             ast.fix_missing_locations(ast.Module(
@@ -805,7 +813,8 @@ def build(cls: type[ConsistencyProtocol], template: Optional[str] = None,
                       f"= {hole[2]}\n" if bound else ""))
     constants = {"wants_invalidations": bool(cls.wants_invalidations),
                  "stamps": lowering.stamps, "observes": lowering.observes,
-                 "tunes": lowering.tunes, "caches": replacement is not None,
+                 "tunes": lowering.tunes, "vectorises": vectorises,
+                 "caches": replacement is not None,
                  "touches": replacement == "lru"}
     # A run fact stays its name, between NUL bytes (which no source
     # holds), until a call decides it.

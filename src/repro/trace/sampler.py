@@ -33,6 +33,7 @@ shape-level checks (ordering and ballpark), not digit matches.
 from __future__ import annotations
 
 import statistics
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -93,17 +94,19 @@ class DailySampler:
         self.days = int(self.window // DAY)
 
     def run(self) -> list[DailySample]:
-        """Produce the day-by-day observation log."""
-        samples = []
-        for day in range(1, self.days + 1):
-            start, end = (day - 1) * DAY, day * DAY
-            changed = frozenset(
-                h.object_id
-                for h in self.histories
-                if h.schedule.changes_in(start, end) > 0
-            )
-            samples.append(DailySample(day=day, changed=changed))
-        return samples
+        """Produce the day-by-day observation log: day ``d`` holds the
+        files with a change in ``((d - 1) * DAY, d * DAY]``.  Each
+        schedule's changes are put into their days once."""
+        bounds = [day * DAY for day in range(self.days + 1)]
+        changed: list[list[str]] = [[] for _ in bounds]
+        for h in self.histories:
+            for t in h.schedule.times:
+                # The first bound at or past t closes t's day.
+                day = bisect_left(bounds, t)
+                if 0 < day <= self.days:
+                    changed[day].append(h.object_id)
+        return [DailySample(day=day, changed=frozenset(changed[day]))
+                for day in range(1, self.days + 1)]
 
     def observed_change_days(
         self, samples: Sequence[DailySample]

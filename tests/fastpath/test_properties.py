@@ -36,9 +36,11 @@ import json
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sweep import ALEX_THRESHOLDS_PERCENT, TTL_HOURS
 from repro.core.cache import Cache
 from repro.core.clock import DAY, hours
 from repro.core.costs import DEFAULT_COSTS
@@ -74,11 +76,13 @@ from repro.obs import registry as obs_registry
 from tests.faults.test_properties import DURATION as FAULT_DURATION
 from tests.faults.test_properties import protocols as feed_protocols
 from tests.faults.test_properties import small_workloads
+from repro.workload.campus import build_campus_workloads
 from tests.verify.test_oracle_properties import DURATION, rich_workloads
 
 from .test_identity import UNOBSERVED, cache_state, protocol_state
 from .test_specialise import (
     ListeningTTL,
+    PerTypeTTL,
     SloppyTTL,
     SoftTTL,
     StampedInvalidation,
@@ -286,6 +290,49 @@ def _candidate_past_the_boundary():
     return histories, [(t, "/c") for t in times]
 
 
+def _candidate_short_of_the_boundary():
+    """Preloaded at ``e``, the TTL's candidate ``e + ttl`` rounds down: a
+    request at it is still fresh to ``now - e < ttl``, after the run the
+    preload counted."""
+    e = 255433.16407361455
+    histories = [ObjectHistory(
+        WebObject("/s", size=100, file_type="html", created=-DAY),
+        ModificationSchedule(-DAY, []))]
+    edge = e + GRID_TTL
+    times = [e + 1.0, edge, edge, math.nextafter(edge, math.inf), edge + 1.0]
+    return histories, [(t, "/s") for t in times]
+
+
+def _preloaded_runs():
+    """Preloaded at ``GRID_TTL / 4``: /fresh is requested only while its
+    copy is fresh, /edge first exactly at the TTL's boundary, /changed
+    stale from a modification's own instant on (a stale age of 0.0), /zero
+    modified at the preload itself (an Alex age of 0), /exp under a server
+    Expires that ends at a request, /dyn never cacheable."""
+    st = GRID_TTL / 4
+
+    def history(oid, changes=(), cacheable=True, expires_after=None):
+        return ObjectHistory(
+            WebObject(oid, size=100, file_type="html", created=-DAY,
+                      cacheable=cacheable, expires_after=expires_after),
+            ModificationSchedule(-DAY, changes))
+
+    histories = [history("/fresh"), history("/edge"),
+                 history("/changed", [st + 100.0]), history("/zero", [st]),
+                 history("/exp", expires_after=GRID_TTL / 2),
+                 history("/dyn", cacheable=False)]
+    requests = sorted([
+        (st, "/fresh"), (st + 1.0, "/fresh"), (st + GRID_TTL / 2, "/fresh"),
+        (st + GRID_TTL, "/edge"), (st + GRID_TTL, "/edge"),
+        (st + GRID_TTL + 1.0, "/edge"), (st + 50.0, "/changed"),
+        (st + 100.0, "/changed"), (st + 100.0, "/changed"),
+        (st + 200.0, "/changed"), (st + 1.0, "/zero"), (st + 2.0, "/zero"),
+        (st + 10.0, "/exp"), (st + GRID_TTL / 2, "/exp"),
+        (st + GRID_TTL, "/exp"), (st, "/dyn"), (st + 5.0, "/dyn"),
+    ])
+    return histories, requests
+
+
 def skippable_protocols():
     """Factories for classes whose ``is_fresh`` is proved monotone."""
     return st.sampled_from([
@@ -316,6 +363,27 @@ def skippable_protocols():
 @example(workload=_candidate_past_the_boundary(),
          make_protocol=lambda: TTLProtocol(GRID_TTL),
          mode=SimulatorMode.OPTIMIZED, preload=False, start_time=0.0)
+# Each preloaded copy's run counted at once: with and without a preload,
+# under a TTL, Alex, a server Expires and CERN.
+@example(workload=_preloaded_runs(), make_protocol=lambda: TTLProtocol(GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=GRID_TTL / 4)
+@example(workload=_preloaded_runs(), make_protocol=lambda: TTLProtocol(GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, preload=False, start_time=GRID_TTL / 4)
+@example(workload=_preloaded_runs(),
+         make_protocol=lambda: AlexProtocol.from_percent(10),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=GRID_TTL / 4)
+@example(workload=_preloaded_runs(),
+         make_protocol=lambda: ExpiresTTLProtocol(GRID_TTL),
+         mode=SimulatorMode.BASE, preload=True, start_time=GRID_TTL / 4)
+@example(workload=_preloaded_runs(),
+         make_protocol=lambda: CERNPolicyProtocol(0.1, GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=GRID_TTL / 4)
+# Its is_fresh does not if-convert: no preload pass, the loop's bisect.
+@example(workload=_preloaded_runs(), make_protocol=lambda: PerTypeTTL(GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=GRID_TTL / 4)
+@example(workload=_candidate_short_of_the_boundary(),
+         make_protocol=lambda: TTLProtocol(GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=255433.16407361455)
 def test_skipping_hit_runs_changes_no_byte(
     workload, make_protocol, mode, preload, start_time
 ):
@@ -811,3 +879,23 @@ def test_columns_are_the_rows_compile_returns(plan, feed_times, start_time):
     # A later start trims the schedule, it does not re-key the draws.
     whole = plan.compile(tuple(zip(times, ids)))
     assert rows == tuple(a for a in whole if a.mod_time > start_time)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_skipping_walk_on_the_campus_sweeps(seed):
+    """Every TTL and Alex grid point of the paper's sweeps, on the three
+    campus streams: the skipping variant, the walking one and the
+    reference agree to the last bit."""
+    factories = [lambda h=h: TTLProtocol(hours(h)) for h in TTL_HOURS] + [
+        lambda p=p: AlexProtocol.from_percent(p) for p in ALEX_THRESHOLDS_PERCENT]
+    for workload in build_campus_workloads(seed=seed, request_scale=0.1).values():
+        server = workload.server()
+        for make in factories:
+            reference = Simulation(server, make(), SimulatorMode.OPTIMIZED).run(
+                workload.requests, end_time=workload.duration)
+            kernel = compile_protocol(make())[0]
+            for skips in (True, False):
+                run = run_variant(kernel(False, False, skips), server, make(),
+                                  workload.requests, SimulatorMode.OPTIMIZED,
+                                  True, 0.0, workload.duration)
+                assert diff_results(run, reference) == [], (make().name, skips)

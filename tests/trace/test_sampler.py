@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.clock import DAY, days
 from repro.trace.sampler import DailySampler
+from repro.workload.boston import BU_WINDOW, BostonPopulation
 from tests.conftest import make_history
 
 
@@ -105,3 +106,39 @@ class TestEstimators:
         )
         est = sampler.estimate_lifespans(sampler.run())["html"]
         assert est.median_lifespan_days == pytest.approx(2.0)
+
+
+def _per_day(sampler):
+    """Day by day, every file's changes in ``((d - 1) * DAY, d * DAY]``
+    counted by its schedule: the log as the sampler once derived it."""
+    return [
+        frozenset(h.object_id for h in sampler.histories
+                  if h.schedule.changes_in((day - 1) * DAY, day * DAY) > 0)
+        for day in range(1, sampler.days + 1)
+    ]
+
+
+class TestBucketedOnce:
+    """``run`` puts each change into its day once; the log is the one the
+    per-day count over every (day, file) pair gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_bu_population(self, seed):
+        sampler = DailySampler(
+            BostonPopulation(files=600, seed=seed + 1).build(), BU_WINDOW)
+        assert [s.changed for s in sampler.run()] == _per_day(sampler)
+
+    def test_changes_at_day_bounds_and_at_zero(self):
+        bounds = (0.0, DAY, 2 * DAY, days(3), 5 * DAY, days(5) + 1e-9)
+        sampler = DailySampler([
+            make_history("/bounds", changes=bounds),
+            make_history("/zero", changes=(0.0,)),
+            make_history("/before", changes=(-DAY, -1e-9)),
+            make_history("/after", changes=(days(5.5), days(6))),
+            make_history("/last", changes=(5 * DAY,)),
+        ], window=days(5.5))
+        samples = sampler.run()
+        assert [s.changed for s in samples] == _per_day(sampler)
+        # A change exactly at a day's end is that day's; at 0, no day's.
+        assert [sorted(s.changed) for s in samples] == [
+            ["/bounds"], ["/bounds"], ["/bounds"], [], ["/bounds", "/last"]]
