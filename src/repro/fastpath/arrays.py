@@ -561,14 +561,14 @@ class _Memo:
         #: preloaded copies over them, the most requests any cacheable
         #: object gets, the rows by step (and for lane_actions the times,
         #: each row's object, their order by object), the last fault
-        #: schedule by object and LRU residency per ``(capacity, preload)``.
+        #: schedule by object and LRU residency.
         self.view: Optional[StreamView] = None
         self.preload: Optional[PreloadView] = None
         self.busiest: Optional[int] = None
         self.steps: Optional[StepView] = None
         self.rows: Optional[tuple["np.ndarray[Any, Any]", ...]] = None
         self.actions: Optional[tuple[LaneActions, "np.ndarray[Any, Any]"]] = None
-        self.residency: dict[tuple[float, bool], Residency] = {}
+        self.residency: Optional[tuple[tuple[float, bool], Residency]] = None
 
 
 #: Per compiled server: the last successfully encoded list or tuple, its
@@ -813,15 +813,16 @@ def lru_residency(
     is the reference string's, whatever the protocol decides (Mattson et
     al.'s stack property).  One pass with the walk's store, touch and
     evict; kept, for the arrays :func:`encode_requests` last remembered,
-    per ``(capacity, preload)``.
+    for the last ``(capacity, preload)``.
 
     Raises:
         ValueError: for an object larger than ``capacity`` that would be
             stored (the walk's message).
     """
     memo = _kept(compiled, req_times, req_objs)
-    if memo is not None and (capacity, preload) in memo.residency:
-        return memo.residency[capacity, preload]
+    if memo is not None and memo.residency is not None and (
+            memo.residency[0] == (capacity, preload)):
+        return memo.residency[1]
     ids, sizes, cacheable = compiled.ids, compiled.sizes, compiled.cacheable
     order: OrderedDict[int, None] = OrderedDict()
     evict = order.popitem
@@ -852,7 +853,7 @@ def lru_residency(
             store(i)
     found = np.frombuffer(held, dtype=bool), order, evictions
     if memo is not None:
-        memo.residency[capacity, preload] = found
+        memo.residency = (capacity, preload), found
     return found
 
 

@@ -576,27 +576,3 @@ class TestViewBuiltOncePerStream:
             zip(times, objs), key=lambda row: row[1])
         assert ends[objs[0]] == sum(1 for o in objs if o <= objs[0])
 
-
-class TestResidencyPerCapacity:
-    """A kept stream's LRU residency is remembered per ``(capacity,
-    preload)``: a sweep over cache capacities pays each pass once."""
-
-    def test_alternating_capacities_compute_each_once(self, workload, server):
-        compiled = compile_server(server)
-        times, objs = encode_requests(compiled, workload.requests, 0.0)
-        total = sum(size for size, kept in zip(compiled.sizes, compiled.cacheable)
-                    if kept)
-        capacities = [max(max(compiled.sizes), total // k) for k in (2, 5)]
-        first = [arrays.lru_residency(compiled, times, objs, c, True)
-                 for c in capacities]
-        again = [arrays.lru_residency(compiled, times, objs, c, True)
-                 for c in capacities for _ in range(2)]
-        assert [id(found) for found in again] == [
-            id(found) for found in first for _ in range(2)]
-        assert first[0][2] != first[1][2]  # two capacities, two passes
-        # A stream that is not kept is computed for the call: the same.
-        for capacity, (held, order, evictions) in zip(capacities, first):
-            fresh = arrays.lru_residency(compiled, list(times), list(objs),
-                                         capacity, True)
-            assert fresh[0].tolist() == held.tolist()
-            assert (list(fresh[1]), fresh[2]) == (list(order), evictions)
