@@ -383,6 +383,44 @@ class LaneState:
         if not delivering:
             self.valid = self.resident
 
+    def copy(self, delivering: bool) -> "LaneState":
+        """A state no write to which is visible through this one, for a
+        run that is or is not ``delivering``."""
+        clone = LaneState.__new__(LaneState)
+        for name in self.__slots__:
+            setattr(clone, name, getattr(self, name).copy())
+        if not delivering:
+            clone.valid = clone.resident
+        return clone
+
+
+def lane_state(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int],
+    lanes: "np.ndarray[Any, Any]", state: CacheState, start_time: float,
+    preload: bool, delivering: bool,
+) -> LaneState:
+    """``state`` by lane (:class:`LaneState`) for a stepping run over the
+    stream whose :func:`step_view` ``lanes`` are.
+
+    ``state`` is :func:`initial_state`'s for ``(start_time, preload)``,
+    and by the time a run gathers it the kernel has written only
+    ``expires_at`` (a lowered ``on_stored`` writes nothing else).  So
+    every other field is the same for every such run, ``valid`` equal to
+    ``resident`` whether the run is ``delivering`` or not: for the
+    arrays :func:`encode_requests` last remembered, the gathered state
+    is kept as a template for the last ``(start_time, preload)``, and
+    each run gets a copy with its own ``expires_at``.
+    """
+    memo = _kept(compiled, req_times, req_objs)
+    if memo is None:
+        return LaneState(state, lanes, delivering)
+    key = (start_time, preload)
+    if memo.lanes is None or memo.lanes[0] != key:
+        memo.lanes = (key, LaneState(state, lanes, True))
+    by_lane = memo.lanes[1].copy(delivering)
+    by_lane.expires_at = np.array(state.expires_at)[lanes]
+    return by_lane
+
 
 def by_object(lanes: "np.ndarray[Any, Any]",
               column: "np.ndarray[Any, Any]") -> list[Any]:
@@ -546,7 +584,7 @@ class _Memo:
     """What one compiled server remembers of its last encoded stream."""
 
     __slots__ = ("requests", "key", "arrays", "columns", "view", "preload",
-                 "busiest", "steps", "rows", "actions", "residency")
+                 "busiest", "steps", "rows", "actions", "residency", "lanes")
 
     def __init__(self, requests: Sequence[tuple[float, str]],
                  key: tuple[int, float], arrays: _Stream,
@@ -561,7 +599,7 @@ class _Memo:
         #: preloaded copies over them, the most requests any cacheable
         #: object gets, the rows by step (and for lane_actions the times,
         #: each row's object, their order by object), the last fault
-        #: schedule by object and LRU residency.
+        #: schedule by object, LRU residency and lane-state template.
         self.view: Optional[StreamView] = None
         self.preload: Optional[PreloadView] = None
         self.busiest: Optional[int] = None
@@ -569,6 +607,7 @@ class _Memo:
         self.rows: Optional[tuple["np.ndarray[Any, Any]", ...]] = None
         self.actions: Optional[tuple[LaneActions, "np.ndarray[Any, Any]"]] = None
         self.residency: Optional[tuple[tuple[float, bool], Residency]] = None
+        self.lanes: Optional[tuple[tuple[float, bool], LaneState]] = None
 
 
 #: Per compiled server: the last successfully encoded list or tuple, its

@@ -122,6 +122,7 @@ from repro.fastpath.arrays import (
     busiest,
     by_object,
     lane_actions,
+    lane_state,
     lru_residency,
     preload_view,
     step_view,
@@ -452,7 +453,8 @@ def run_kernel(
                          (req_versions, req_stamps))
         dynamic += view.dynamic
         body_full += view.dynamic_bytes
-        by_lane = LaneState(state, view.lanes, delivers)
+        by_lane = lane_state(compiled, req_times, req_objs, view.lanes, state,
+                             st, preload, delivers)
         lane_sizes = view.sizes
         lane_expires = view.has_expires
         expiring = bool(lane_expires.any())

@@ -12,15 +12,15 @@ shapes, exactly the operations the simulator's origin answers:
   "send this file if it has changed since a specific date": ``304``
   (with a *re-stamped* ``Expires``, matching
   :class:`repro.core.server.NotModified`) or a full ``200``;
-* control endpoints under ``/.well-known/repro/`` — the cacheable
-  population listing, the modification feed (``feed``: the live
-  transport of :meth:`~repro.core.server.OriginServer
-  .invalidation_feed`, which a proxy reads once and delivers from), and
-  a JSON counter dump.  Control exchanges never count as server load.
+* control endpoints under ``/.well-known/repro/`` — every cacheable
+  object's head (``population``, which a proxy warms from), the
+  modification feed (``feed``: the live transport of :meth:`~repro.core
+  .server.OriginServer.invalidation_feed`, which a proxy reads once and
+  delivers from) and a JSON counter dump; never counted as server load.
 
 The origin keeps its own exchange counters (``gets``, ``ims_queries``)
 so the driver can assemble Figure-8-style server-load numbers; warming
-fetches (tagged ``X-Repro-Warmup``) are served but not counted,
+from ``population`` is a control exchange, so it is not counted,
 mirroring the simulator's uncounted preload.  ``feed_reads`` counts the
 feed endpoint's exchanges — not server load in the paper's sense, but
 the number that shows a proxy subscribing once instead of polling.
@@ -49,7 +49,7 @@ from repro.core.server import (
     UnknownObjectError,
 )
 from repro.http.datefmt import HTTPDateError, format_http_date
-from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE, EXPIRES
+from repro.http.headers import CONTENT_TYPE, EXPIRES
 from repro.http.messages import Request, Response, make_ok
 from repro.live.wire import (
     CONTROL_PREFIX,
@@ -57,24 +57,17 @@ from repro.live.wire import (
     PRAGMA,
     SEQ_HEADER,
     TRACE_HEADER,
-    WARMUP_HEADER,
     LiveConnectionClosed,
     LiveServer,
     LiveWireError,
     error_response,
     read_request,
+    text_reply,
     wants_keepalive,
     write_message,
 )
 from repro.obs import clock as obs_clock
 from repro.obs import trace as obs_trace
-
-
-def _text_ok(body: str) -> tuple[Response, str]:
-    response = Response(200, body_size=len(body))
-    response.headers.set(CONTENT_LENGTH, str(len(body)))
-    response.headers.set(CONTENT_TYPE, "text")
-    return response, body
 
 
 class LiveOrigin(LiveServer):
@@ -98,9 +91,9 @@ class LiveOrigin(LiveServer):
         super().__init__()
         self.server = server
         self._trace = trace
-        #: Counted (non-warmup) full-retrieval exchanges served.
+        #: Counted full-retrieval exchanges served.
         self.gets = 0
-        #: Counted (non-warmup) If-Modified-Since exchanges served.
+        #: Counted If-Modified-Since exchanges served.
         self.ims_queries = 0
         #: Exchanges served by the ``feed`` control endpoint.
         self.feed_reads = 0
@@ -195,12 +188,7 @@ class LiveOrigin(LiveServer):
     def _control(self, request: Request) -> tuple[Response, str]:
         endpoint = request.path[len(CONTROL_PREFIX):]
         if endpoint == "population":
-            lines = [
-                oid
-                for oid, history in self.server.histories().items()
-                if history.obj.cacheable
-            ]
-            return _text_ok("".join(line + "\n" for line in lines))
+            return self._population(request)
         if endpoint == "feed":
             # The full modification feed, time-ordered: what
             # Simulation.__init__ reads from the model in process.
@@ -209,9 +197,9 @@ class LiveOrigin(LiveServer):
                 f"{format_http_date(mod_time)}\t{oid}\n"
                 for mod_time, oid in self.server.invalidation_feed()
             ]
-            return _text_ok("".join(lines))
+            return text_reply("".join(lines))
         if endpoint == "stats":
-            return _text_ok(
+            return text_reply(
                 json.dumps(
                     {
                         "gets": self.gets,
@@ -223,6 +211,27 @@ class LiveOrigin(LiveServer):
                 + "\n"
             )
         return error_response(404, f"unknown control endpoint {endpoint!r}")
+
+    def _population(self, request: Request) -> tuple[Response, str]:
+        """Each cacheable object's head at the request's ``Date`` as a
+        GET would carry it, read through the same ``OriginServer.get``:
+        one ``id, Last-Modified, Expires (empty when none),
+        Content-Length, Content-Type`` line each, tab-separated."""
+        try:
+            t = request.headers.get_date(DATE)
+        except HTTPDateError as exc:
+            return error_response(400, str(exc))
+        if t is None:
+            return error_response(400, "population needs a Date header")
+        lines = []
+        for oid, history in self.server.histories().items():
+            if history.obj.cacheable:
+                got = self.server.get(oid, t)
+                expires = (format_http_date(got.expires)
+                           if got.expires is not None else "")
+                lines.append(f"{oid}\t{format_http_date(got.last_modified)}"
+                             f"\t{expires}\t{got.size}\t{history.obj.file_type}\n")
+        return text_reply("".join(lines))
 
     # -- object retrievals ---------------------------------------------------
 
@@ -237,14 +246,13 @@ class LiveOrigin(LiveServer):
             history = self.server.history(request.path)
         except UnknownObjectError:
             return error_response(404, f"no such object: {request.path!r}")
-        warmup = WARMUP_HEADER in request.headers
         if request.is_conditional:
             try:
                 since = request.headers.if_modified_since
             except HTTPDateError as exc:
                 return error_response(400, str(exc))
             assert since is not None  # is_conditional implies presence
-            if not warmup and self._fresh_seq(request):
+            if self._fresh_seq(request):
                 self.ims_queries += 1
             result = self.server.if_modified_since(request.path, t, since)
             if isinstance(result, NotModified):
@@ -254,7 +262,7 @@ class LiveOrigin(LiveServer):
                     response.headers.set_date(EXPIRES, result.expires)
                 return response, ""
         else:
-            if not warmup and self._fresh_seq(request):
+            if self._fresh_seq(request):
                 self.gets += 1
             result = self.server.get(request.path, t)
         return self._full_response(request.path, t, result)

@@ -53,10 +53,10 @@ There is one rule — lock granularity follows state scope:
 
 Transactions make chaos survivable: a request's effects are staged in
 a :class:`_Txn`, committed (journaled, then applied) *before* the reply
-is sent, and the serialized reply is remembered under the request's
-``X-Repro-Seq`` so an at-least-once transport (socket faults, proxy
-restarts) gets exactly-once accounting — a retry of a committed
-exchange replays the stored reply without touching state.  The journal
+is sent, and the reply's head and body length are remembered under the
+request's ``X-Repro-Seq`` so an at-least-once transport (socket faults,
+proxy restarts) gets exactly-once accounting — a retry of a committed
+exchange gets the same bytes back without touching state.  The journal
 holds what came in — the request and the upstream replies it read —
 and :meth:`LiveProxy.restore` runs it again through the same code.
 Upstream exchanges are made idempotent the same way: deterministic
@@ -87,7 +87,7 @@ from repro.core.server import FetchResult, NotModified
 from repro.core.step import RequestStep, SimulatorMode
 from repro.faults.plan import FaultAction, FaultPlan
 from repro.http.datefmt import HTTPDateError, parse_http_date
-from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE, EXPIRES
+from repro.http.headers import CONTENT_TYPE, EXPIRES
 from repro.http.messages import Request, Response, make_ok, parse_response_head
 from repro.live.journal import Journal
 from repro.live.wire import (
@@ -96,7 +96,6 @@ from repro.live.wire import (
     PRAGMA,
     SEQ_HEADER,
     TRACE_HEADER,
-    WARMUP_HEADER,
     X_CACHE,
     ConnectionPool,
     LiveConnectionClosed,
@@ -106,6 +105,7 @@ from repro.live.wire import (
     ensure_integral,
     error_response,
     read_request,
+    text_reply,
     wants_keepalive,
     write_message,
 )
@@ -128,6 +128,19 @@ def _replayed(reply: list) -> tuple[Response, str, int]:
 
 def _file_type(response: Response) -> str:
     return response.headers.get(CONTENT_TYPE) or "other"
+
+
+def _population_entry(line: str) -> tuple[str, str, FetchResult]:
+    """One ``population`` line — id, Last-Modified, Expires (empty when
+    none), Content-Length, Content-Type — as a GET's head carries it."""
+    try:
+        object_id, last_modified, expires, size, file_type = line.split("\t")
+        return object_id, file_type or "other", FetchResult(
+            0, parse_http_date(last_modified), int(size),
+            parse_http_date(expires) if expires else None,
+        )
+    except ValueError as exc:
+        raise LiveWireError(f"bad population line: {line!r}") from exc
 
 
 def _fetch_result(object_id: str, response: Response) -> FetchResult:
@@ -309,8 +322,8 @@ class LiveProxy(LiveServer):
         self._subscribed = False
         #: Per-key request clocks (the time-order check).
         self._clocks: dict[str, float] = {}
-        #: Committed serialized replies by X-Repro-Seq (retry replay).
-        self._done: dict[str, str] = {}
+        #: Committed replies as ``(head, body_size)`` by X-Repro-Seq.
+        self._done: dict[str, tuple[str, int]] = {}
         #: Next upstream sequence number per object (idempotent fetches).
         self._upstream: dict[str, int] = {}
         self._fault_actions: tuple[FaultAction, ...] = ()
@@ -343,45 +356,27 @@ class LiveProxy(LiveServer):
 
         The live counterpart of the paper's "cache is pre-loaded with
         valid copies of all the files" configuration
-        (:meth:`repro.core.cache.Cache.preload_from`): real warmup-tagged
-        GETs fetch each population object at ``start_time``; neither
-        side counts or charges them.  With a journal installed, the
-        configuration and the replies warm-up read are written as the
-        journal's first records.
+        (:meth:`repro.core.cache.Cache.preload_from`): one control
+        exchange, which neither side counts or charges, reads every
+        cacheable object's head from the origin's ``population`` at
+        ``start_time``.  With a journal installed, the configuration and
+        that reply are written as the journal's first records.
 
         Returns:
             The number of entries loaded.
         """
         warm_started = obs_clock.monotonic()
         listing = Request("GET", CONTROL_PREFIX + "population")
+        listing.headers.set_date(DATE, start_time)
         response, body, _ = await self._origin_raw(listing)
-        replies: list[list[object]] = (
-            [[response.serialize_head(), body]]
-            if self._journal is not None else []
-        )
-        loaded = 0
+        if response.status != 200:
+            raise LiveWireError(f"population returned {response.status}")
         # Neither side counts or charges warm-up, so any step will do:
         # only its ``store`` (entry + protocol stamp) is used.
         store = self._begin().step.store
-        for object_id in body.splitlines():
-            request = Request("GET", object_id)
-            request.headers.set_date(DATE, start_time)
-            request.headers.set(WARMUP_HEADER, "1")
-            response, _, _ = await self._origin_raw(request)
-            if response.status != 200:
-                raise LiveWireError(
-                    f"warmup fetch of {object_id!r} returned "
-                    f"{response.status}"
-                )
-            if self._journal is not None:
-                replies.append(
-                    [response.serialize_head(), response.body_size]
-                )
-            store(
-                object_id, _file_type(response),
-                _fetch_result(object_id, response), start_time,
-            )
-            loaded += 1
+        lines = body.splitlines()
+        for line in lines:
+            store(*_population_entry(line), start_time)
         self._now = float(start_time)
         self._warm_time = float(start_time)
         if self._journal is not None:
@@ -393,15 +388,16 @@ class LiveProxy(LiveServer):
                     "charge_per_modification": self.charge_per_modification,
                 }
             )
+            reply = [response.serialize_head(), body]
             self._journal.append(
-                {"kind": "warm", "t": float(start_time), "replies": replies}
+                {"kind": "warm", "t": float(start_time), "replies": [reply]}
             )
         obs_trace.span(
             "live.warmup",
             obs_clock.monotonic() - warm_started,
-            entries=loaded,
+            entries=len(lines),
         )
-        return loaded
+        return len(lines)
 
     # -- restore -------------------------------------------------------------
 
@@ -811,7 +807,8 @@ class LiveProxy(LiveServer):
                 if committed is not None:
                     # Exactly-once over at-least-once transport: the
                     # first arrival committed; replay its reply.
-                    return committed
+                    head, body_size = committed
+                    return head + "x" * body_size
             txn = self._begin(seq)
             txn.trace = request.headers.get(TRACE_HEADER)
             traced = self._trace is not None and txn.trace is not None
@@ -833,14 +830,14 @@ class LiveProxy(LiveServer):
             # the model's own reply, a filler body (``body is None``).
             assert body is None and txn.clock is not None
             commit_started = obs_clock.monotonic()
-            payload = response.serialize()
+            head = response.serialize_head()
             record: dict[str, object] = {
                 "kind": "request", "object": request.path,
                 "t": txn.clock[1],
             }
             if seq is not None:
                 record["seq"] = seq
-            await self._commit(txn, record, payload)
+            await self._commit(txn, record, (head, response.body_size))
             if traced:
                 assert self._trace is not None
                 commit_clk = obs_clock.monotonic()
@@ -849,7 +846,7 @@ class LiveProxy(LiveServer):
                     commit_clk - commit_started,
                     {"trace": txn.trace, "clk": commit_clk},
                 )
-            return payload
+            return head + "x" * response.body_size
 
     def _emit_decision_spans(
         self,
@@ -912,11 +909,15 @@ class LiveProxy(LiveServer):
         return txn
 
     async def _commit(
-        self, txn: _Txn, record: dict[str, object], payload: str = ""
+        self,
+        txn: _Txn,
+        record: dict[str, object],
+        reply: tuple[str, int] = ("", 0),
     ) -> None:
         """Fold one transaction into shared state, journaling ``record``
         (what came in) with the upstream replies it read first; a
-        request's ``payload`` is its reply, kept for retries.
+        request's ``reply`` is its head and body length, kept for
+        retries.
 
         The short critical section of the locking discipline: every
         mutation of cross-object aggregates happens here, under
@@ -932,7 +933,7 @@ class LiveProxy(LiveServer):
             self.bandwidth.merge(txn.bandwidth)
             self.events.extend(txn.events)
             if txn.seq is not None:
-                self._done[txn.seq] = payload
+                self._done[txn.seq] = reply
             if txn.clock is not None:
                 self._clocks[txn.clock[0]] = txn.clock[1]
             for object_id, cursor in txn.cursors.items():
@@ -946,34 +947,22 @@ class LiveProxy(LiveServer):
         endpoint = request.path[len(CONTROL_PREFIX):]
         if endpoint == "stats":
             return self._stats()
+        if endpoint not in ("warm", "finish"):
+            return error_response(
+                404, f"unknown control endpoint {endpoint!r}"
+            )
+        # Both take their time (start, end) from the Date header.
+        t = request.headers.get_date(DATE)
+        if t is None:
+            return error_response(400, f"{endpoint} needs a Date header")
         if endpoint == "warm":
-            t = request.headers.get_date(DATE)
-            if t is None:
-                return error_response(
-                    400, "warm needs a Date header (start time)"
-                )
-            loaded = await self.warm(t)
-            body = f"{loaded}\n"
-            response = Response(200, body_size=len(body))
-            response.headers.set(CONTENT_LENGTH, str(len(body)))
-            return response, body
-        if endpoint == "finish":
-            t = request.headers.get_date(DATE)
-            if t is None:
-                return error_response(
-                    400, "finish needs a Date header (end time)"
-                )
-            if t < self._now:
-                return error_response(
-                    400,
-                    f"finish time {t!r} precedes current time {self._now!r}",
-                )
-            await self._finish(t)
-            body = "ok\n"
-            response = Response(200, body_size=len(body))
-            response.headers.set(CONTENT_LENGTH, str(len(body)))
-            return response, body
-        return error_response(404, f"unknown control endpoint {endpoint!r}")
+            return text_reply(f"{await self.warm(t)}\n", None)
+        if t < self._now:
+            return error_response(
+                400, f"finish time {t!r} precedes current time {self._now!r}"
+            )
+        await self._finish(t)
+        return text_reply("ok\n", None)
 
     async def _finish(self, t: float) -> None:
         """The simulator's finish(end_time): trailing invalidations are
@@ -1002,11 +991,7 @@ class LiveProxy(LiveServer):
             "events": [list(event) for event in self.events],
             "protocol": self.protocol.name,
         }
-        body = json.dumps(payload, sort_keys=True) + "\n"
-        response = Response(200, body_size=len(body))
-        response.headers.set(CONTENT_LENGTH, str(len(body)))
-        response.headers.set(CONTENT_TYPE, "json")
-        return response, body
+        return text_reply(json.dumps(payload, sort_keys=True) + "\n", "json")
 
     # -- one request: the shared step, with real exchanges in between -------
 

@@ -57,9 +57,6 @@ X_CACHE = "X-Cache"
 #: HTTP/1.0 non-cacheability marker the origin attaches to dynamic
 #: objects ("Pragma: no-cache"); the proxy never stores such responses.
 PRAGMA = "Pragma"
-#: Marks cache-warming fetches; the origin serves but does not count
-#: them, mirroring the simulator's uncounted preload.
-WARMUP_HEADER = "X-Repro-Warmup"
 #: Path prefix for the out-of-band control endpoints (population,
 #: invalidation feed, stats); control exchanges are never counted.
 CONTROL_PREFIX = "/.well-known/repro/"
@@ -298,13 +295,22 @@ def wants_keepalive(request: Request) -> bool:
     return value is not None and value.strip().lower() == KEEP_ALIVE
 
 
-def error_response(status: int, message: str) -> tuple[Response, str]:
-    """A plain-text error reply, as ``(response, body)``."""
-    body = message + "\n"
+def text_reply(
+    body: str, content_type: Optional[str] = "text", status: int = 200
+) -> tuple[Response, str]:
+    """A reply carrying ``body``, as ``(response, body)``: a control
+    endpoint's (no ``Content-Type`` when ``content_type`` is None) or an
+    error's."""
     response = Response(status, body_size=len(body))
     response.headers.set(CONTENT_LENGTH, str(len(body)))
-    response.headers.set(CONTENT_TYPE, "text")
+    if content_type is not None:
+        response.headers.set(CONTENT_TYPE, content_type)
     return response, body
+
+
+def error_response(status: int, message: str) -> tuple[Response, str]:
+    """A plain-text error reply, as ``(response, body)``."""
+    return text_reply(message + "\n", status=status)
 
 
 class LiveServer:

@@ -370,6 +370,45 @@ class TestRunsAreIsolated:
         assert stream_columns(compiled, req_times, req_objs) is columns
 
 
+class TestLaneTemplate:
+    """A stepping run copies its lanes' state from a template kept with
+    the stream for the last ``(start_time, preload)``, delivering or
+    not, and gathers only ``expires_at`` from its own state."""
+
+    def test_one_gather_per_key_and_every_run_equals_the_reference(
+        self, flat_workload, monkeypatch
+    ):
+        gathered = []
+
+        class Counting(arrays.LaneState):
+            def __init__(self, state, lanes, delivering):
+                gathered.append(state)
+                super().__init__(state, lanes, delivering)
+
+        monkeypatch.setattr(arrays, "LaneState", Counting)
+        workload = flat_workload
+        server = OriginServer(workload.histories)
+        configs = [
+            # Of these only CERN reads the stamp its on_stored puts on
+            # each preloaded copy: the template Alex made holds none.
+            (alex, {}), (alex, {}), (CERNPolicyProtocol, {}),
+            (lambda: TTLProtocol(hours(12)), {}),
+            (InvalidationProtocol, {}), (InvalidationProtocol, {}),
+            (alex, {"preload": False}), (alex, {}),
+        ]
+        for make, config in configs:
+            assert result_to_dict(fast_simulate(
+                server, make(), workload.requests,
+                end_time=workload.duration, **config,
+            )) == result_to_dict(simulate(
+                OriginServer(workload.histories), make(), workload.requests,
+                end_time=workload.duration, **config,
+            ))
+        # The delivering runs share the others' key; each change of key
+        # gathers once.
+        assert len(gathered) == 3
+
+
 class Stream(list):
     """A request list a weak reference can watch."""
 

@@ -16,7 +16,7 @@ from repro.core.server import OriginServer
 from repro.http.datefmt import format_http_date
 from repro.http.messages import Request
 from repro.live.origin import LiveOrigin
-from repro.live.wire import CONTROL_PREFIX, DATE, PRAGMA, WARMUP_HEADER, exchange
+from repro.live.wire import CONTROL_PREFIX, DATE, PRAGMA, exchange
 
 
 def _server() -> OriginServer:
@@ -43,15 +43,12 @@ def _run(coro_fn, server=None):
     return asyncio.run(body())
 
 
-def _get(path: str, t: float = None, since: float = None,
-         warmup: bool = False) -> Request:
+def _get(path: str, t: float = None, since: float = None) -> Request:
     request = Request("GET", path)
     if t is not None:
         request.headers.set_date(DATE, t)
     if since is not None:
         request.headers.set_date("If-Modified-Since", since)
-    if warmup:
-        request.headers.set(WARMUP_HEADER, "1")
     return request
 
 
@@ -148,28 +145,46 @@ class TestCounting:
         stats = _run(scenario)
         assert stats == {"gets": 1, "ims_queries": 1, "feed_reads": 0}
 
-    def test_warmup_fetches_are_not_counted(self):
-        async def scenario(origin):
-            await exchange(origin.host, origin.port,
-                           _get("/a", 5.0, warmup=True))
-            _, stats, _ = await exchange(
-                origin.host, origin.port,
-                _get(CONTROL_PREFIX + "stats"))
-            return json.loads(stats)
-
-        stats = _run(scenario)
-        assert stats == {"gets": 0, "ims_queries": 0, "feed_reads": 0}
-
 
 class TestControlEndpoints:
-    def test_population_lists_only_cacheable_objects(self):
+    def test_population_is_each_cacheable_objects_head_at_date(self):
+        """One tab-separated line per cacheable object — id,
+        Last-Modified, Expires (empty when none), Content-Length,
+        Content-Type — equal to what ``OriginServer.get`` answers at
+        the ``Date`` sent (after ``/a`` changed at 40); ``/dyn`` is
+        absent, and none of it counts."""
+        t = 50.0
         async def scenario(origin):
-            _, body, _ = await exchange(
+            response, body, _ = await exchange(
+                origin.host, origin.port,
+                _get(CONTROL_PREFIX + "population", t))
+            _, stats, _ = await exchange(
+                origin.host, origin.port, _get(CONTROL_PREFIX + "stats"))
+            return response.status, body, json.loads(stats)
+
+        status, body, stats = _run(scenario)
+        model = _server()
+        expected = []
+        for oid in ("/a", "/exp"):
+            result = model.get(oid, t)
+            expires = ("" if result.expires is None
+                       else format_http_date(result.expires))
+            expected.append([
+                oid, format_http_date(result.last_modified), expires,
+                str(result.size), model.object(oid).file_type,
+            ])
+        assert status == 200
+        assert [line.split("\t") for line in body.splitlines()] == expected
+        assert stats == {"gets": 0, "ims_queries": 0, "feed_reads": 0}
+
+    def test_population_without_date_is_400(self):
+        async def scenario(origin):
+            return await exchange(
                 origin.host, origin.port,
                 _get(CONTROL_PREFIX + "population"))
-            return body
 
-        assert _run(scenario).splitlines() == ["/a", "/exp"]
+        response, _, _ = _run(scenario)
+        assert response.status == 400
 
     def test_feed_is_time_ordered_date_tab_id_lines(self):
         async def scenario(origin):

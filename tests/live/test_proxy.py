@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.core.cache import Cache
 from repro.core.costs import DEFAULT_COSTS
 from repro.core.metrics import FULL_RETRIEVAL, VALIDATION_304
 from repro.core.objects import ModificationSchedule, ObjectHistory, WebObject
@@ -23,12 +24,13 @@ from repro.core.protocols import (
 )
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
+from repro.http.datefmt import format_http_date
 from repro.http.messages import Request
 from repro.live import live_vs_sim, parse_chaos, run_replay
 from repro.live import wire
 from repro.live.origin import LiveOrigin
 from repro.live.proxy import LiveProxy
-from repro.live.wire import CONTROL_PREFIX, DATE, X_CACHE, exchange
+from repro.live.wire import CONTROL_PREFIX, DATE, SEQ_HEADER, X_CACHE, exchange
 
 
 def _server() -> OriginServer:
@@ -70,6 +72,21 @@ async def _client_get(proxy, path, t):
     return await exchange(proxy.host, proxy.port, request)
 
 
+async def _raw_get(proxy, path, t, seq):
+    """One exchange under ``X-Repro-Seq`` ``seq``: the reply's bytes."""
+    request = Request("GET", path)
+    request.headers.set_date(DATE, t)
+    request.headers.set(SEQ_HEADER, seq)
+    reader, writer = await asyncio.open_connection(proxy.host, proxy.port)
+    try:
+        writer.write(request.serialize().encode("latin-1"))
+        writer.write_eof()
+        return await reader.read()
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
 class TestServingVerdicts:
     def test_fresh_entry_hits_without_origin_traffic(self):
         async def scenario(origin, proxy):
@@ -101,15 +118,25 @@ class TestServingVerdicts:
         assert proxy.bandwidth.control_bytes[VALIDATION_304] == control
 
     def test_expired_changed_entry_transfers_body(self):
+        """A retry of the committed exchange (same ``X-Repro-Seq``) gets
+        the first reply's bytes back, filler included, while the proxy
+        keeps only its head and body length."""
         async def scenario(origin, proxy):
             # /a changes at t=40; by t=80 the warmed copy is both
             # expired (TTL 30) and out of date.
-            response, _, _ = await _client_get(proxy, "/a", 80.0)
-            return response
+            first = await _raw_get(proxy, "/a", 80.0, "r0")
+            retry = await _raw_get(proxy, "/a", 80.0, "r0")
+            return first, retry, origin.ims_queries
 
-        response, proxy = _run(scenario)
-        assert response.headers.get(X_CACHE) == "MISS"
-        assert response.headers.last_modified == 40.0
+        (first, retry, ims), proxy = _run(scenario)
+        assert retry == first
+        head, body_size = proxy._done["r0"]
+        assert (head.encode("latin-1") + b"x" * body_size) == first
+        assert body_size == 1000 and head.endswith("\r\n\r\n")
+        assert b"X-Cache: MISS\r\n" in first
+        assert b"Last-Modified: " + format_http_date(40.0).encode() in first
+        assert ims == 1
+        assert proxy.counters.requests == 1
         assert proxy.counters.misses == 1
         assert proxy.counters.validations == 1
         assert proxy.counters.validations_not_modified == 0
@@ -136,6 +163,56 @@ class TestServingVerdicts:
         assert gets == 2
         assert proxy.counters.misses == 2
         assert proxy.cache.peek("/dyn") is None
+
+
+class TestWarm:
+    def test_warm_is_one_exchange_loading_what_preload_from_loads(
+        self, monkeypatch
+    ):
+        """``warm`` reads the origin's ``population`` once and stores
+        the entries ``Cache.preload_from`` builds over the same server:
+        ids, Last-Modified, Expires, size and type."""
+        served = []
+        respond = LiveOrigin._respond
+
+        def counting(self, request):
+            served.append(request.path)
+            return respond(self, request)
+
+        monkeypatch.setattr(LiveOrigin, "_respond", counting)
+        server = OriginServer([
+            ObjectHistory(WebObject("/a", size=1000, created=-500.0),
+                          ModificationSchedule(-500.0, (40.0, 90.0))),
+            ObjectHistory(WebObject("/b.gif", size=7, file_type="gif",
+                                    created=-60.0, expires_after=45.0)),
+            ObjectHistory(WebObject("/dyn", size=50, created=-10.0,
+                                    cacheable=False)),
+        ])
+
+        async def body():
+            origin = LiveOrigin(server)
+            await origin.start()
+            proxy = LiveProxy(origin.host, origin.port, TTLProtocol(30.0))
+            try:
+                return await proxy.warm(50.0), proxy.cache
+            finally:
+                await proxy.close()
+                await origin.close()
+
+        loaded, cache = asyncio.run(body())
+        expected = Cache()
+        assert loaded == expected.preload_from(server, at=50.0) == 2
+        assert served == [CONTROL_PREFIX + "population"]
+
+        def fields(entries):
+            return [(e.object_id, e.last_modified, e.server_expires,
+                     e.size, e.file_type) for e in entries]
+
+        assert fields(cache) == fields(expected)
+        assert fields(cache) == [
+            ("/a", 40.0, None, 1000, "html"),
+            ("/b.gif", -60.0, 95.0, 7, "gif"),
+        ]
 
 
 class TestTimeDiscipline:
