@@ -34,7 +34,7 @@ index), the last encoded request stream with its version and
 Last-Modified columns (:func:`encode_requests`) and, once a run skipping
 hit runs asks, the same rows by object (:func:`stream_view`) — or by
 step, once a run stepping its objects in lockstep asks
-(:func:`step_view`), with a fault schedule by object for them
+(:func:`step_view`), with a fault schedule by lane for them
 (:func:`lane_actions`) — and the preloaded state template
 (:func:`initial_state`, which hands each run its own copy).
 
@@ -235,86 +235,139 @@ def _by_object(objs: "np.ndarray[Any, Any]") -> "np.ndarray[Any, Any]":
 
 @dataclass(frozen=True, eq=False)
 class LaneActions:
-    """A fault schedule by object (:func:`lane_actions`): its actions but
-    the crashes, by object, then slot (docs/FASTPATH.md, "Faults by
-    lane")."""
+    """A fault schedule by lane (:func:`lane_actions`; docs/FASTPATH.md,
+    "Faults by lane").  Its rows are the stream by step's, then one per
+    lane for the trailing flush; each covers its lane's actions since the
+    lane's previous row, up to its time and cut at a crash between."""
 
-    #: Per action ``object * (slots + 1) + slot``: ascending.
-    keys: "np.ndarray[Any, Any]"
-    #: The schedule's times by slot; its crashes' slots.
-    at: "np.ndarray[Any, Any]"
-    crashes: "np.ndarray[Any, Any]"
-    #: Prefix counts of the notices sent (lost ones too) and delivered,
-    #: and prefix maxima of what an action demands of a copy it flips: a
-    #: delivery one more than its modification's place in ``mod_times``,
-    #: any other action its object's ``mod_lo``.  A version counts every
-    #: modification up to a time, equal times alike, so ``mod_lo +
-    #: version < demand`` is the generation guard.
+    #: Per row, the most its actions demand of a copy less its object's
+    #: ``mod_lo`` and one, so that a valid copy at version ``v`` is flipped
+    #: iff ``v <= guard``; whether a crash wipes the lane (None: the
+    #: schedule has none); its place in the rows by object, in which order
+    #: ``starts`` and ``stops`` say where its actions start and end in the
+    #: schedule by object (its actions but the crashes, by object, then slot).
+    guard: "np.ndarray[Any, Any]"
+    wiped: "Optional[np.ndarray[Any, Any]]"
+    rank: "np.ndarray[Any, Any]"
+    starts: "np.ndarray[Any, Any]"
+    stops: "np.ndarray[Any, Any]"
+    #: Prefix counts of the notices sent (lost ones too), and prefix maxima
+    #: of what an action demands of a copy it flips: a delivery one more
+    #: than its modification's place in ``mod_times``, any other action
+    #: its object's ``mod_lo``.  A version counts every modification up to
+    #: a time, equal times alike, so ``mod_lo + version < demand`` is the
+    #: generation guard.
     charged: "np.ndarray[Any, Any]"
-    delivered: "np.ndarray[Any, Any]"
     reach: "np.ndarray[Any, Any]"
-
-    def upto(self, objs: "np.ndarray[Any, Any]", slots: "np.ndarray[Any, Any]",
-             order: "Optional[np.ndarray[Any, Any]]" = None) -> "np.ndarray[Any, Any]":
-        """Per object of ``objs``, the end of its actions before the
-        matching slot; ``order`` is ``objs``' own, if known."""
-        # Object by object the searches ascend, each starting where the
-        # last ended: several times faster.
-        order = _by_object(objs) if order is None else order
-        ends = np.empty(len(objs), dtype=np.int64)
-        ends[order] = np.searchsorted(
-            self.keys, objs[order] * (len(self.at) + 1) + slots[order])
-        return ends
+    #: The notices sent to resident copies and delivered to them, as §4.1
+    #: charging counts them: over the rows after each lane's first, and over
+    #: the first rows of cacheable lanes (resident iff preloaded).
+    sent: tuple[int, int]
+    delivered: tuple[int, int]
 
 
 def lane_actions(
     compiled: CompiledServer, req_times: list[float], req_objs: list[int],
-    view: StepView, schedule: ActionColumns[int],
-) -> tuple[LaneActions, "np.ndarray[Any, Any]"]:
-    """``schedule`` (:func:`compile_schedule`'s, for ``compiled``) by
-    object, built from its numpy columns, and per row of the stream by
-    step ``view`` (:func:`step_view`'s) the end of its object's actions up
-    to its time: for the arrays :func:`encode_requests` last remembered,
-    once per schedule (whose ``at`` column it keeps)."""
+    view: StepView, schedule: ActionColumns[int], horizon: float,
+) -> LaneActions:
+    """``schedule`` (:func:`compile_schedule`'s, for ``compiled``) by lane
+    over the stream by step ``view`` (:func:`step_view`'s), flushed at
+    ``horizon``: for the arrays :func:`encode_requests` last remembered,
+    built once per schedule (whose ``at`` column it keeps) and horizon."""
     memo = _kept(compiled, req_times, req_objs)
     if memo is not None and memo.actions is not None and (
-            memo.actions[0].at is schedule.at):
-        return memo.actions
+            memo.actions[0] is schedule.at and memo.actions[1] == horizon):
+        return memo.actions[2]
     feed_obj, places, mod_lo = compiled.feed_places
+    count = len(req_times)
     if memo is not None and memo.rows is not None:
-        times, row_objs, row_order = memo.rows
+        times, objs, rank, keys, mods, landed = memo.rows
     else:
-        times = np.fromiter(req_times, np.float64, len(req_times))
+        # The rows by object, each lane's in time order, each row's place
+        # there and the keys ``object * (count + 2) + position`` (the
+        # flush's at ``count``); the row each modification reaches.
+        times = np.fromiter(req_times, np.float64, count)
         widths = np.array(view.widths, dtype=np.int64)
-        row_objs = view.lanes[np.arange(len(view.times)) - np.repeat(
-            np.cumsum(widths) - widths, widths)]
-        row_order = _by_object(row_objs)
+        objs = view.lanes[np.append(np.arange(len(view.times)) - np.repeat(
+            np.cumsum(widths) - widths, widths), np.arange(len(view.lanes)))]
+        order = _by_object(objs)
+        objs = objs[order]
+        keys = objs * (count + 2) + np.append(view.positions, np.full(
+            len(view.lanes), count))[order]
+        rank = np.argsort(order)
+        mods = np.array(compiled.feed_times, dtype=np.float64)
+        landed = np.searchsorted(keys, feed_obj * (count + 2) + np.searchsorted(
+            times, mods))
         if memo is not None:
-            memo.rows = times, row_objs, row_order
+            memo.rows = times, objs, rank, keys, mods, landed
     code = KINDS.index
     crash = schedule.codes == code(CRASH)
     slots = np.flatnonzero(~crash)
-    objs = feed_obj[schedule.lines[slots]]
-    slots = slots[_by_object(objs)]
-    lines, kinds = schedule.lines[slots], schedule.codes[slots]
-    objs = feed_obj[lines]
-    # The slots up to each request: both ascend, so they are merged by
-    # counting, not searched.
-    upto = np.cumsum(np.bincount(np.searchsorted(times, schedule.at),
-                                 minlength=len(times)))[view.positions]
-    actions = LaneActions(
-        keys=objs * (len(schedule.at) + 1) + slots,
-        at=schedule.at,
-        crashes=np.flatnonzero(crash),
-        charged=np.cumsum(np.append(0, (kinds == code(ATTEMPT_SENT))
-                                    | (kinds == code(ATTEMPT_LOST)))),
-        delivered=np.cumsum(np.append(0, kinds == code(DELIVER))),
-        reach=np.maximum.accumulate(np.append(0, np.where(
-            kinds == code(DELIVER), places[lines] + 1, mod_lo[objs]))),
-    )
-    found = actions, actions.upto(row_objs, upto, row_order)
+    lines, at = schedule.lines[slots], schedule.at[slots]
+    # Per action, the row it reaches: its object's first at or after it
+    # (the flush if none, the one after it past the horizon).  At its
+    # modification's time that is the modification's row; the others are
+    # searched, their requests in time order, their rows by object.
+    late = at != mods[lines]
+    after = np.zeros(len(slots), dtype=np.int64)
+    after[late] = np.searchsorted(times, at[late])
+    by = _by_object(feed_obj[lines])
+    slots, lines, at, late, after = slots[by], lines[by], at[by], late[by], after[by]
+    kinds, acted = schedule.codes[slots], feed_obj[lines]
+    reached = landed[lines]
+    late = np.flatnonzero(late)
+    reached[late] = np.searchsorted(keys, acted[late] * (count + 2) + after[late])
+    reached += at > horizon
+    # Per row, the end of its object's actions up to its time: those that
+    # reach it or an earlier row; its gap starts where the lane's previous
+    # one ended (every object has a lane).
+    stops = cuts = np.cumsum(np.bincount(reached, minlength=len(keys) + 1))[
+        :len(keys)]
+    first = np.append(True, objs[1:] != objs[:-1])[:len(objs)]
+    counts = np.bincount(acted, minlength=len(compiled.ids))
+    starts = np.roll(cuts, 1)
+    starts[first] = firsts = np.cumsum(counts) - counts
+    wiped = None
+    crashes = np.flatnonzero(crash)
+    if len(crashes):
+        # A crash at an action's time sorts after it, at a request's
+        # before it: a gap ends at the first crash since the previous row.
+        epochs = np.searchsorted(schedule.at[crashes], np.append(
+            times, horizon)[keys % (count + 2)], "right")
+        before = np.where(first, 0, np.roll(epochs, 1))
+        wiped = epochs > before
+        span = len(schedule.at) + 1
+        stops = cuts.copy()
+        stops[wiped] = np.searchsorted(acted * span + slots, objs[wiped] * span
+                                       + crashes[before[wiped]])
+    sends = (kinds == code(ATTEMPT_SENT)) | (kinds == code(ATTEMPT_LOST))
+    charged = np.cumsum(np.append(0, sends))
+    delivers = kinds == code(DELIVER)
+    reach = np.maximum.accumulate(np.append(0, np.where(
+        delivers, places[lines] + 1, mod_lo[acted])))
+    # A lane's gaps tile its actions up to the flush but where a crash cuts
+    # one short; its first is resident iff preloaded, and cacheable.
+    heads = np.flatnonzero(first)
+    tails = np.append(heads[1:], len(objs)) - 1
+    cacheable = np.array(compiled.cacheable, dtype=bool)
+
+    def counted(prefix: "np.ndarray[Any, Any]") -> tuple[int, int]:
+        ends = prefix[cuts[heads]]
+        later = prefix[cuts[tails]].sum() - ends.sum()
+        then = (ends - prefix[firsts])[cacheable].sum()
+        if wiped is not None:
+            lost = prefix[cuts[wiped]] - prefix[stops[wiped]]
+            later -= lost[~first[wiped]].sum()
+            then -= lost[(first & cacheable[objs])[wiped]].sum()
+        return int(later), int(then)
+
+    found = LaneActions(
+        guard=(reach[stops] - mod_lo[objs] - 1)[rank],
+        wiped=None if wiped is None else wiped[rank], rank=rank, starts=starts,
+        stops=stops, charged=charged, reach=reach, sent=counted(charged),
+        delivered=counted(np.cumsum(np.append(0, delivers))))
     if memo is not None:
-        memo.actions = found
+        memo.actions = schedule.at, horizon, found
     return found
 
 
@@ -598,14 +651,16 @@ class _Memo:
         #: Built by the first run that asks: the rows by object and the
         #: preloaded copies over them, the most requests any cacheable
         #: object gets, the rows by step (and for lane_actions the times,
-        #: each row's object, their order by object), the last fault
-        #: schedule by object, LRU residency and lane-state template.
+        #: the step rows by object and where each modification lands), the
+        #: last fault schedule by lane, LRU residency and lane-state
+        #: template.
         self.view: Optional[StreamView] = None
         self.preload: Optional[PreloadView] = None
         self.busiest: Optional[int] = None
         self.steps: Optional[StepView] = None
         self.rows: Optional[tuple["np.ndarray[Any, Any]", ...]] = None
-        self.actions: Optional[tuple[LaneActions, "np.ndarray[Any, Any]"]] = None
+        self.actions: Optional[tuple["np.ndarray[Any, Any]", float,
+                                     LaneActions]] = None
         self.residency: Optional[tuple[tuple[float, bool], Residency]] = None
         self.lanes: Optional[tuple[tuple[float, bool], LaneState]] = None
 

@@ -60,8 +60,8 @@ numpy — the lowered methods if-converted (the :func:`is_fresh_each` and
 one that delivers: before each step, each lane takes what reached its
 object since its previous request — feed lines counted from the
 origin's versions, the eager push's included, or a fault schedule's
-actions as prefix counts over the schedule by object
-(:func:`repro.fastpath.arrays.lane_actions`) — and one that keeps an
+flips, from each row's guard, its §4.1 charges counted once per stream
+and schedule (:func:`repro.fastpath.arrays.lane_actions`) — and one that keeps an
 LRU cache with nothing delivered, whose residency is the stream's own
 (:func:`repro.fastpath.arrays.lru_residency`).
 
@@ -471,17 +471,18 @@ def run_kernel(
             rows = len(view.times)
             widths = widths + [len(view.lanes)]
         if delivers and schedule is not None:
-            # A lane's actions since its previous request run from
-            # ``cursor`` to ``cut`` in the schedule by object; ``epoch``
-            # counts the crashes up to that request.
-            acts, cuts = lane_actions(compiled, req_times, req_objs, view,
-                                      schedule)
-            cut = np.concatenate((cuts, acts.upto(view.lanes, np.full(
-                len(view.lanes), np.searchsorted(acts.at, horizon, "right")))))
-            cursor = acts.upto(view.lanes, np.zeros_like(view.lanes))
-            epoch = np.zeros(len(view.lanes), dtype=np.int64)
-            epochs = np.searchsorted(acts.at[acts.crashes],
-                                     np.append(view.times, horizon), "right")
+            # Each row's actions since its lane's previous one, cut at a
+            # crash between (arrays.lane_actions).  Under §4.1 charging a
+            # resident copy is sent and delivered each, whatever its state:
+            # the charges are counted once.  Else the lane's cursor and cut.
+            acts = lane_actions(compiled, req_times, req_objs, view, schedule, horizon)
+            sent = received = 0
+            if per_modification:
+                ex_inv += acts.sent[0] + preload * acts.sent[1]
+                invalidations_received += (acts.delivered[0]
+                                           + preload * acts.delivered[1])
+            else:
+                cursor, cut = acts.starts[acts.rank], acts.stops[acts.rank]
         elif wants_invalidations:
             # A lane's feed lines since its previous request are the
             # origin's versions since ``seen``, the version then (at first,
@@ -511,36 +512,23 @@ def run_kernel(
                     held = held_at[lo:hi]
                 if delivers and schedule is not None:
                     # -- the schedule since each lane's previous request --
-                    # A resident copy takes its actions until a crash
-                    # wipes it; a valid one is flipped by its first
-                    # delivery past the generation guard.  A notice is
+                    # A valid copy (so a resident one: a crash's request
+                    # stores it again) is flipped by a delivery past the
+                    # generation guard.  Without §4.1 charging a notice is
                     # charged while the copy is valid, a delivery received
-                    # where it flips, each always under §4.1 charging.
-                    start = cursor[lanes].copy()
-                    stop = cursor[lanes] = cut[lo:hi]
-                    crashed = epochs[lo:hi] > epoch[lanes]
-                    if crashed.any():
-                        stop = stop.copy()
-                        stop[crashed] = np.minimum(stop[crashed], acts.upto(
-                            view.lanes[lanes][crashed],
-                            acts.crashes[epoch[lanes][crashed]]))
-                        epoch[lanes] = epochs[lo:hi]
-                    stop = np.where(held, stop, start)
-                    live = held & by_lane.valid[lanes]
-                    # No delivery before a valid copy's gap passes its
-                    # guard, so one in the gap does iff its prefix does.
-                    need = view.mod_lo[lanes] + by_lane.version[lanes] + 1
-                    flips = live & (acts.reach[stop] >= need)
-                    if per_modification:
-                        sent = (acts.charged[stop] - acts.charged[start]).sum()
-                        received = (acts.delivered[stop]
-                                    - acts.delivered[start]).sum()
-                    else:
-                        stop = np.where(live, stop, start)
-                        stop[flips] = np.searchsorted(acts.reach, need[flips])
+                    # where it flips.  A crash in the gap wipes the copy
+                    # after its actions.
+                    live = by_lane.valid[lanes]
+                    flips = live & (acts.guard[lo:hi] >= by_lane.version[lanes])
+                    if not per_modification:
+                        start = cursor[lo:hi]
+                        stop = np.where(live, cut[lo:hi], start)
+                        stop[flips] = np.searchsorted(acts.reach, (
+                            view.mod_lo[lanes] + by_lane.version[lanes] + 1)[flips])
                         sent = (acts.charged[stop] - acts.charged[start]).sum()
                         received = np.count_nonzero(flips)
-                    np.copyto(held, False, where=crashed)
+                    if acts.wiped is not None:
+                        np.copyto(held, False, where=acts.wiped[lo:hi])
                 elif wants_invalidations:
                     # -- the feed since each lane's previous request ------
                     # A resident lane's lines, sent and delivered: the

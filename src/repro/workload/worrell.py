@@ -111,10 +111,10 @@ class WorrellWorkload:
             )
         times = sorted_request_times(rng, self.requests, self.duration)
         picks = rng.integers(0, self.files, size=self.requests)
-        request_list = [
-            (float(t), histories[int(i)].object_id)
-            for t, i in zip(times, picks)
-        ]
+        # Python's floats and the histories' own ids, gathered in C.
+        ids = np.array([history.obj.object_id for history in histories],
+                       dtype=object)
+        request_list = list(zip(np.asarray(times).tolist(), ids[picks].tolist()))
         return Workload(
             histories=histories,
             requests=request_list,

@@ -743,11 +743,32 @@ def _modified_twice_at_once():
     return (histories, requests), FaultPlan(delay=30.0)
 
 
-def _fault_example(case, make_protocol=InvalidationProtocol):
+def _crashes_between_notices():
+    """Crashes in the middle of /a's gaps, between notices sent before and
+    after them (lost, retried, delayed); one before the notices to /idle,
+    which no request names, and one after /b's, first requested past it,
+    and the never cacheable /dyn's: the charges a crash cuts off, and a
+    first gap's."""
+    histories = [
+        ObjectHistory(WebObject(oid, size=100, file_type="html", created=-DAY,
+                                cacheable=oid != "/dyn"),
+                      ModificationSchedule(-DAY, changes))
+        for oid, changes in (("/a", [10.0, 20.0, 40.0, 70.0]),
+                             ("/idle", [15.0, 55.0, 80.0]), ("/b", [2.0]),
+                             ("/dyn", [3.0]))]
+    requests = [(5.0, "/a"), (25.0, "/a"), (35.0, "/a"), (40.0, "/b"),
+                (60.0, "/a")]
+    return (histories, requests), FaultPlan(
+        cache_crashes=(12.0, 30.0, 50.0), delay=5.0, loss_rate=0.5,
+        retries=1, backoff=20.0, seed=7)
+
+
+def _fault_example(case, make_protocol=InvalidationProtocol, **config):
     workload, plan = case
-    return example(workload=workload, make_protocol=make_protocol, plan=plan,
-                   mode=SimulatorMode.OPTIMIZED, per_modification=False,
-                   preload=True, start_time=0.0, end_time=None)
+    return example(**{**dict(
+        workload=workload, make_protocol=make_protocol, plan=plan,
+        mode=SimulatorMode.OPTIMIZED, per_modification=False, preload=True,
+        start_time=0.0, end_time=None), **config})
 
 
 @settings(max_examples=150, deadline=None)
@@ -767,6 +788,18 @@ def _fault_example(case, make_protocol=InvalidationProtocol):
 @_fault_example(_crash_at_a_request(), lambda: TTLProtocol(GRID_TTL))
 @_fault_example(_an_older_notice_after_a_newer())
 @_fault_example(_modified_twice_at_once())
+# The charges a crash cuts off, under both charging policies, counted once
+# per stream and plan; with and without a preload, up to the last request
+# and past it.
+@_fault_example(_crash_at_a_request(), per_modification=True)
+@_fault_example(_crashes_between_notices())
+@_fault_example(_crashes_between_notices(), per_modification=True)
+@_fault_example(_crashes_between_notices(), per_modification=True,
+                end_time=1e9 + 1)
+@_fault_example(_crashes_between_notices(), per_modification=True,
+                preload=False)
+@_fault_example(_crashes_between_notices(), lambda: ListeningTTL(GRID_TTL),
+                per_modification=True, end_time=1e9 + 1)
 def test_faults_by_lane_change_no_byte(
     workload, make_protocol, plan, mode, per_modification, preload,
     start_time, end_time,
