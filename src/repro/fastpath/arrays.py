@@ -190,7 +190,7 @@ def _compile(server: OriginServer) -> CompiledServer:
 #: schedule: crashes concern no object.
 NO_OBJECT = -1
 
-_ScheduleKey = tuple[FaultPlan, float, bool]
+_ScheduleKey = tuple[tuple[Any, ...], float, bool]
 
 _SCHEDULES: (
     "weakref.WeakKeyDictionary[OriginServer, "
@@ -206,13 +206,14 @@ def compile_schedule(
 ) -> ActionColumns[int]:
     """``plan``'s action schedule against ``server``'s feed, by index.
 
-    A frozen plan is its own key.  Only the last schedule per server is
-    kept — the runs of one plan over one workload are consecutive in
-    every sweep — so the memo holds one schedule's columns per server.
-    Protocols without callbacks (``wants_feed`` False) get the schedule
-    of an empty feed: the plan's crashes.
+    Keyed by what it depends on (:attr:`FaultPlan.schedule_key`: at loss
+    rate 0 not a plan's retries or backoff).  Only the last schedule per
+    server is kept — the runs of one plan over one workload are
+    consecutive in every sweep — so the memo holds one schedule's columns
+    per server.  Protocols without callbacks (``wants_feed`` False) get the
+    schedule of an empty feed: the plan's crashes.
     """
-    key = (plan, start_time, wants_feed)
+    key = (plan.schedule_key, start_time, wants_feed)
     memo = _SCHEDULES.get(server)
     if memo is not None and memo[0] == key:
         return memo[1]
@@ -243,12 +244,10 @@ class LaneActions:
     #: Per row, the most its actions demand of a copy less its object's
     #: ``mod_lo`` and one, so that a valid copy at version ``v`` is flipped
     #: iff ``v <= guard``; whether a crash wipes the lane (None: the
-    #: schedule has none); its place in the rows by object, in which order
-    #: ``starts`` and ``stops`` say where its actions start and end in the
-    #: schedule by object (its actions but the crashes, by object, then slot).
+    #: schedule has none); where its actions start and end in the schedule
+    #: by object (its actions but the crashes, by object, then slot).
     guard: "np.ndarray[Any, Any]"
     wiped: "Optional[np.ndarray[Any, Any]]"
-    rank: "np.ndarray[Any, Any]"
     starts: "np.ndarray[Any, Any]"
     stops: "np.ndarray[Any, Any]"
     #: Prefix counts of the notices sent (lost ones too), and prefix maxima
@@ -363,8 +362,8 @@ def lane_actions(
 
     found = LaneActions(
         guard=(reach[stops] - mod_lo[objs] - 1)[rank],
-        wiped=None if wiped is None else wiped[rank], rank=rank, starts=starts,
-        stops=stops, charged=charged, reach=reach, sent=counted(charged),
+        wiped=None if wiped is None else wiped[rank], starts=starts[rank],
+        stops=stops[rank], charged=charged, reach=reach, sent=counted(charged),
         delivered=counted(np.cumsum(np.append(0, delivers))))
     if memo is not None:
         memo.actions = schedule.at, horizon, found
@@ -595,9 +594,8 @@ class StepView:
     versions: "np.ndarray[Any, Any]"
     stamps: "np.ndarray[Any, Any]"
     positions: "np.ndarray[Any, Any]"
-    #: Per lane, its object's size, Expires lifetime and whether it has
-    #: one, and where its modifications start in ``mod_times``.
-    sizes: "np.ndarray[Any, Any]"
+    #: Per lane, its object's Expires lifetime and whether it has one, and
+    #: where its modifications start in ``mod_times``.
     expires_after: "np.ndarray[Any, Any]"
     has_expires: "np.ndarray[Any, Any]"
     mod_lo: "np.ndarray[Any, Any]"
@@ -607,6 +605,13 @@ class StepView:
     #: The requests for non-cacheable objects, and their bodies' bytes.
     dynamic: int
     dynamic_bytes: int
+    #: Per row, then one per lane for the trailing flush (int32 where
+    #: exact): its lane's size and ``mod_lo``, which a run's tallies are
+    #: folded with after its loop, and its version less its lane's previous
+    #: row's — a first row's less 0, a flush row's version taken as 0.
+    row_sizes: "np.ndarray[Any, Any]"
+    row_mod_lo: "np.ndarray[Any, Any]"
+    gaps: "np.ndarray[Any, Any]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -867,24 +872,41 @@ def step_view(
     positions = np.empty(len(slots), dtype=np.int64)
     positions[slots] = order[kept]
     del slots, order, kept
+    # Versions and places in mod_times are at most len(mod_times), plus one.
+    index = np.int32 if len(compiled.mod_times) < (1 << 31) - 1 else np.int64
     versions, stamps = columns
+    versions = np.array(versions, dtype=index)[positions]
     sizes = np.array(compiled.sizes, dtype=np.int64)
+    mod_lo = np.array(compiled.mod_lo, dtype=np.int64)[lanes]
     dynamic = counts - lane_counts  # each request a fetch of its own
+    rows = len(positions)
+    row_lanes = np.append(np.arange(rows) - np.repeat(starts, widths),
+                          np.arange(len(lanes)))
+    # A row of step k >= 1 follows its lane's row of step k - 1, one step's
+    # width before it; a lane's last row is in the step before its count.
+    gaps = np.append(versions, np.zeros(len(lanes), dtype=index))
+    later = np.arange(widths[0] if rows else 0, rows)
+    gaps[later] -= versions[later - np.repeat(widths[:-1], widths[1:])]
+    requested = np.flatnonzero(ranked)
+    gaps[rows + requested] -= versions[starts[ranked[requested] - 1] + requested]
     view = StepView(
         lanes=lanes,
         widths=widths.tolist(),
         times=np.array(req_times, dtype=np.float64)[positions],
-        versions=np.array(versions, dtype=np.int64)[positions],
+        versions=versions,
         stamps=np.array(stamps, dtype=np.float64)[positions],
         positions=positions,
-        sizes=sizes[lanes],
         expires_after=np.array(compiled.expires_after, dtype=np.float64)[lanes],
         has_expires=np.array(compiled.has_expires, dtype=bool)[lanes],
-        mod_lo=np.array(compiled.mod_lo, dtype=np.int64)[lanes],
+        mod_lo=mod_lo,
         mod_times=np.array(compiled.mod_times, dtype=np.float64),
         mod_lanes=np.repeat(lane_of, compiled.mod_count),
         dynamic=int(dynamic.sum()),
         dynamic_bytes=int((dynamic * sizes).sum()),
+        row_sizes=sizes[lanes][row_lanes].astype(
+            np.int32 if sizes.max(initial=0) < 1 << 31 else np.int64),
+        row_mod_lo=mod_lo[row_lanes].astype(index),
+        gaps=gaps,
     )
     if memo is not None:
         memo.steps = view

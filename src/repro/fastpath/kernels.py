@@ -56,7 +56,8 @@ evenly enough over its objects, of a class whose methods vectorise,
 (:func:`repro.fastpath.arrays.step_view`), one request of every object
 still requested at once, and runs the loop's body on all of them with
 numpy — the lowered methods if-converted (the :func:`is_fresh_each` and
-:func:`on_stored_each` holes), the store tail as masked writes.  So does
+:func:`on_stored_each` holes), the store tail as masked writes — its
+tallies folded once, after the loop, from what each step wrote by row.  So does
 one that delivers: before each step, each lane takes what reached its
 object since its previous request — feed lines counted from the
 origin's versions, the eager push's included, or a fault schedule's
@@ -448,50 +449,61 @@ def run_kernel(
         # (arrays.step_view): step k is the k-th request of every object
         # with more than k, one lane each, and runs the per-request loop
         # below on all of them at once: the lowered methods if-converted,
-        # each branch a mask.
+        # each branch a mask.  It only writes state and what each step
+        # decided, by row; the tallies are folded from the rows after it.
         view = step_view(compiled, req_times, req_objs,
                          (req_versions, req_stamps))
         dynamic += view.dynamic
         body_full += view.dynamic_bytes
         by_lane = lane_state(compiled, req_times, req_objs, view.lanes, state,
                              st, preload, delivers)
-        lane_sizes = view.sizes
         lane_expires = view.has_expires
         expiring = bool(lane_expires.any())
-        # Stale ages by request position, added up as the skipping walk
-        # adds them.
-        ages = array("d", [0.0]) * len(req_times)
-        aged = np.frombuffer(ages)
         widths = view.widths
         versions = view.versions
+        # Per row: a fresh hit, whether a 304 would answer it, a copy held,
+        # its version and (delivering) whether a delivery flipped it.
+        was_hit = np.zeros(len(view.times), dtype=bool)
+        same = np.zeros_like(was_hit)
+        was_held = np.zeros(len(view.times) + delivers * len(view.lanes),
+                            dtype=bool)
+        kept = np.zeros(len(was_held), dtype=view.row_mod_lo.dtype)
         if delivers:
             # Each lane takes what reached it since its previous request
             # before the step; the trailing flush is one more step, of
-            # every lane at the horizon.
+            # every lane at the horizon, with rows of its own.
             rows = len(view.times)
             widths = widths + [len(view.lanes)]
+            flipped = np.zeros_like(was_held)
         if delivers and schedule is not None:
             # Each row's actions since its lane's previous one, cut at a
             # crash between (arrays.lane_actions).  Under §4.1 charging a
             # resident copy is sent and delivered each, whatever its state:
-            # the charges are counted once.  Else the lane's cursor and cut.
+            # the charges are counted once, else folded from each row.
             acts = lane_actions(compiled, req_times, req_objs, view, schedule, horizon)
-            sent = received = 0
+            live_at = np.zeros_like(was_held)
             if per_modification:
                 ex_inv += acts.sent[0] + preload * acts.sent[1]
                 invalidations_received += (acts.delivered[0]
                                            + preload * acts.delivered[1])
             else:
-                cursor, cut = acts.starts[acts.rank], acts.stops[acts.rank]
+                cursor, cut = acts.starts, acts.stops
         elif wants_invalidations:
             # A lane's feed lines since its previous request are the
-            # origin's versions since ``seen``, the version then (at first,
-            # initial_state's) — not the kept copy's, which a hit on an
-            # invalidated copy leaves older.
-            seen = by_lane.version.copy()
-            versions = np.concatenate((versions, np.bincount(
-                view.mod_lanes[view.mod_times <= horizon],
-                minlength=len(view.lanes))))
+            # origin's versions since its previous row (arrays.step_view's
+            # gaps), or before its first since ``seen``, initial_state's —
+            # not since the kept copy's, which a hit on an invalidated copy
+            # leaves older.  The flush's are counted up to the horizon.
+            seen = by_lane.version
+            flush = np.bincount(view.mod_lanes[view.mod_times <= horizon],
+                                minlength=len(view.lanes))
+            versions = np.concatenate((versions, flush))
+            gap = view.gaps.astype(np.int64)
+            gap[rows:] += flush
+            first = view.widths[0] if rows else 0
+            gap[:first] -= seen[:first]
+            gap[rows + first:] -= seen[first:]
+            news = gap > 0
         if caches:
             # -- an LRU cache: which lanes hold a copy before each request is
             # the stream's (arrays.lru_residency); one that does not is a
@@ -514,38 +526,23 @@ def run_kernel(
                     # -- the schedule since each lane's previous request --
                     # A valid copy (so a resident one: a crash's request
                     # stores it again) is flipped by a delivery past the
-                    # generation guard.  Without §4.1 charging a notice is
-                    # charged while the copy is valid, a delivery received
-                    # where it flips.  A crash in the gap wipes the copy
+                    # generation guard.  A crash in the gap wipes the copy
                     # after its actions.
                     live = by_lane.valid[lanes]
                     flips = live & (acts.guard[lo:hi] >= by_lane.version[lanes])
-                    if not per_modification:
-                        start = cursor[lo:hi]
-                        stop = np.where(live, cut[lo:hi], start)
-                        stop[flips] = np.searchsorted(acts.reach, (
-                            view.mod_lo[lanes] + by_lane.version[lanes] + 1)[flips])
-                        sent = (acts.charged[stop] - acts.charged[start]).sum()
-                        received = np.count_nonzero(flips)
+                    live_at[lo:hi] = live
                     if acts.wiped is not None:
                         np.copyto(held, False, where=acts.wiped[lo:hi])
                 elif wants_invalidations:
                     # -- the feed since each lane's previous request ------
                     # A resident lane's lines, sent and delivered: the
-                    # first flips a valid copy; each is charged under §4.1
-                    # charging, else only the flip.
-                    gap = now_version - seen[lanes]
-                    seen[lanes] = now_version
-                    flips = by_lane.valid[lanes] & (gap > 0)
-                    sent = received = (gap[held].sum() if per_modification
-                                       or eager else np.count_nonzero(flips))
+                    # first flips a valid copy.
+                    flips = by_lane.valid[lanes] & news[lo:hi]
                     if eager and flips.any():
                         # -- the eager push: a resident copy is valid again
                         # after each, so every line is sent, received and
                         # pushed, and the last push's store is the lane's.
                         pushed, flips = flips, np.zeros_like(flips)
-                        prefetches += sent
-                        body_pre += (gap * lane_sizes[lanes])[held].sum()
                         at = view.mod_times[np.where(
                             pushed, view.mod_lo[lanes] + now_version - 1, 0)]
                         np.copyto(by_lane.version[lanes], now_version, where=pushed)
@@ -557,49 +554,32 @@ def run_kernel(
                                       where=pushed & lane_expires[lanes])
                         if restamp:
                             on_stored_each(by_lane, lanes, at, pushed)
+                was_held[lo:hi] = held
+                kept[lo:hi] = by_lane.version[lanes]
                 if delivers:
                     np.copyto(by_lane.valid[lanes], False, where=flips)
-                    ex_inv += sent
-                    invalidations_received += received
+                    flipped[lo:hi] = flips
                     if lo == rows:
                         break
                 now = view.times[lo:hi]
-                now_stamp = view.stamps[lo:hi]
                 hit = is_fresh_each(by_lane, lanes, now)
                 hit = np.logical_and(held, hit)
-                hits = np.count_nonzero(hit)
-                if hits:
-                    fresh_hits += hits
-                    kept = by_lane.version[lanes]
-                    stale = hit & (kept < now_version)
-                    if stale.any():
-                        # became_stale, as the per-request loop finds it.
-                        changed_at = view.mod_times[view.mod_lo[lanes][stale]
-                                                    + kept[stale]]
-                        aged[view.positions[lo:hi][stale]] = (
-                            now[stale] - changed_at)
-                        stale_hits += np.count_nonzero(stale)
-                    if hits == m:
-                        continue
+                was_hit[lo:hi] = hit
+                if np.count_nonzero(hit) == m:
+                    continue
                 # -- not fresh: the store tail, lane by lane ------------------
+                # A cold miss or a 200 moves a body; a 304 keeps the copy.
                 todo = ~hit
                 if base_mode:
                     moved = todo
-                    stored_misses += m - hits
-                    body_full += lane_sizes[lanes][todo].sum()
                 else:
-                    cold = todo & ~held
-                    asked = todo & held
-                    unchanged = asked & (now_stamp <= by_lane.last_modified[lanes])
-                    changed = asked ^ unchanged
-                    moved = cold | changed
-                    stored_misses += np.count_nonzero(cold)
-                    body_full += lane_sizes[lanes][cold].sum()
-                    ex_304 += np.count_nonzero(unchanged)
-                    ex_200 += np.count_nonzero(changed)
-                    body_200 += lane_sizes[lanes][changed].sum()
+                    unchanged = np.less_equal(view.stamps[lo:hi],
+                                              by_lane.last_modified[lanes],
+                                              out=same[lo:hi])
+                    moved = ~(hit | (held & unchanged))
                 np.copyto(by_lane.version[lanes], now_version, where=moved)
-                np.copyto(by_lane.last_modified[lanes], now_stamp, where=moved)
+                np.copyto(by_lane.last_modified[lanes], view.stamps[lo:hi],
+                          where=moved)
                 if caches:
                     # on_stored stamps every path (or the run walks): no
                     # None is left for expires_at.
@@ -616,6 +596,48 @@ def run_kernel(
                               where=todo & lane_expires[lanes])
                 if restamp:
                     on_stored_each(by_lane, lanes, now, todo)
+        # -- the fold: every tally from the rows the steps wrote ------------
+        n = len(was_hit)
+        hit, held, version_at = was_hit, was_held[:n], kept[:n]
+        fresh_hits = np.count_nonzero(hit)
+        stale = hit & (version_at < view.versions)
+        stale_hits = np.count_nonzero(stale)
+        if stale_hits:
+            # became_stale, as the per-request loop finds it, by request
+            # position: added up as the skipping walk adds them.
+            ages = array("d", [0.0]) * len(req_times)
+            at = np.flatnonzero(stale)
+            np.frombuffer(ages)[view.positions[at]] = view.times[at] - (
+                view.mod_times[view.row_mod_lo[at] + version_at[at]])
+        # A fresh hit holds its copy: the held rows but the hits asked.  (A
+        # product sums a scattered mask's sizes faster than a gather does.)
+        missed = ~hit if base_mode else ~held
+        asked = (held ^ hit) & ~missed
+        changed = asked & ~same
+        stored_misses = np.count_nonzero(missed)
+        body_full += (view.row_sizes[:n] * missed).sum()
+        ex_200 = np.count_nonzero(changed)
+        ex_304 = np.count_nonzero(asked) - ex_200
+        body_200 = (view.row_sizes[:n] * changed).sum()
+        if delivers and schedule is not None and not per_modification:
+            # A lane is charged its gap's sends while valid, up to the
+            # flipping delivery (one search over the flipped rows), and
+            # receives the flip.
+            stop = np.where(live_at, cut, cursor)
+            stop[flipped] = np.searchsorted(
+                acts.reach, view.row_mod_lo[flipped] + kept[flipped] + 1)
+            ex_inv += (acts.charged[stop] - acts.charged[cursor]).sum()
+            invalidations_received += np.count_nonzero(flipped)
+        elif wants_invalidations and schedule is None:
+            # Each line to a resident lane under §4.1 charging, or pushed;
+            # else one per flip.
+            sent = (gap[was_held].sum() if per_modification or eager
+                    else np.count_nonzero(flipped))
+            ex_inv += sent
+            invalidations_received += sent
+            if eager:
+                prefetches += sent
+                body_pre += (gap * view.row_sizes)[was_held].sum()
         # numpy counts in its own integers; the results hold Python's.
         fresh_hits, stale_hits, stored_misses = (
             int(fresh_hits), int(stale_hits), int(stored_misses))

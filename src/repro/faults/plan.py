@@ -48,6 +48,7 @@ True
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Generic, Optional, Sequence, TypeVar
@@ -256,6 +257,22 @@ class FaultPlan:
             and not self.downtime
             and not self.cache_crashes
         )
+
+    @property
+    def schedule_key(self) -> tuple[Any, ...]:
+        """What :meth:`columns` reads of the plan: two plans with equal
+        keys resolve every feed into equal columns.  Where no attempt is
+        lost only the first is made, and it leaves at its modification's
+        own time for a positive, finite ``backoff`` (``backoff * 0``), so
+        ``retries`` and ``backoff`` drop out; only a rate strictly between
+        0 and 1 draws, so only there does ``seed`` count.  Plan equality
+        is unchanged: a key is for memoising schedules."""
+        lossy = self.loss_rate > 0.0
+        return (self.loss_rate, self.delay, self.downtime, self.cache_crashes,
+                self.retries if lossy else 0,
+                self.backoff if lossy or not 0.0 < self.backoff < math.inf
+                else None,
+                self.seed if 0.0 < self.loss_rate < 1.0 else None)
 
     def server_down(self, t: float) -> bool:
         """True when any downtime window covers instant ``t``."""

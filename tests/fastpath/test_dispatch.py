@@ -301,7 +301,7 @@ class TestCompileCache:
         plan = FaultPlan(loss_rate=0.5, retries=1, seed=3)
         twin = FaultPlan(loss_rate=0.5, retries=1, seed=3)
         first = compile_schedule(changing_server, plan, 0.0, True)
-        # A frozen plan is its own key: an equal plan is a hit.
+        # An equal plan has an equal schedule key: a hit.
         assert compile_schedule(changing_server, twin, 0.0, True) is first
         later = compile_schedule(changing_server, plan, days(2.5), True)
         assert later is not first
@@ -311,6 +311,23 @@ class TestCompileCache:
         crash_only = compile_schedule(changing_server, crashing, 0.0, False)
         assert list(crash_only.kinds) == ["crash"]
         assert list(crash_only.keys) == [NO_OBJECT]
+
+    def test_plans_that_resolve_alike_share_one_schedule(self, changing_server):
+        # At loss rate 0 no retry is ever sent: ext-faults' ``none`` and
+        # ``retry`` plans, unequal as plans, resolve to one schedule.
+        none = FaultPlan(retries=0, seed=4)
+        retry = FaultPlan(retries=3, backoff=300.0, seed=4)
+        assert none != retry
+        first = compile_schedule(changing_server, none, 0.0, True)
+        assert compile_schedule(changing_server, retry, 0.0, True) is first
+        # A loss rate that draws: retries, backoff and seed are read.
+        for plan in (FaultPlan(loss_rate=0.5, seed=4),
+                     FaultPlan(loss_rate=0.5, retries=3, seed=4),
+                     FaultPlan(loss_rate=0.5, retries=3, backoff=60.0, seed=4),
+                     FaultPlan(loss_rate=0.5, retries=3, backoff=60.0, seed=5)):
+            again = compile_schedule(changing_server, plan, 0.0, True)
+            assert again is not first
+            first = again
 
     def test_schedule_counters_publish_on_a_memo_hit(self, changing_server):
         plan = FaultPlan(loss_rate=0.5, retries=1, seed=3)

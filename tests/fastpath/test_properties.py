@@ -441,6 +441,39 @@ def _steps_out_of_request_order():
     return histories, requests
 
 
+def _hits_then_misses():
+    """/a never changes, /b changes at the TTL: the first step is all hits
+    (the early exit), the second a hit and a 200, the third a 304 and a
+    hit."""
+    histories = [
+        ObjectHistory(WebObject(oid, size=size, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, changes))
+        for oid, size, changes in (("/a", 100, []), ("/b", 200, [GRID_TTL]))]
+    requests = [(1.0, "/a"), (2.0, "/b"), (3.0, "/a"), (GRID_TTL + 1.0, "/b"),
+                (2 * GRID_TTL, "/a"), (2 * GRID_TTL + 1.0, "/b")]
+    return histories, requests
+
+
+def _no_lane_hits():
+    """Under a TTL of 0 no request is fresh: every step is all 304s, 200s
+    or cold misses, and no row is a hit."""
+    histories = [
+        ObjectHistory(WebObject(oid, size=size, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, [15.0]))
+        for oid, size in (("/a", 100), ("/b", 300))]
+    return histories, [(t, oid) for t in (10.0, 20.0, 30.0) for oid in ("/a", "/b")]
+
+
+def _only_a_stale_hit():
+    """/s, preloaded and changed at 10 s, is asked once, at 20 s: its lane's
+    one row is a stale hit aged 10 s, beside a lane of many rows."""
+    histories = [
+        ObjectHistory(WebObject(oid, size=100, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, changes))
+        for oid, changes in (("/s", [10.0]), ("/t", [5.0]))]
+    return histories, sorted([(20.0, "/s")] + [(t, "/t") for t in (1.0, 8.0, 30.0)])
+
+
 def run_variant(variant, server, protocol, requests, mode, preload,
                 start_time, end_time, charge_per_modification=True,
                 schedule=None, cache=None):
@@ -477,6 +510,22 @@ def run_variant(variant, server, protocol, requests, mode, preload,
 @example(workload=_steps_out_of_request_order(),
          make_protocol=lambda: TTLProtocol(1e9), mode=SimulatorMode.OPTIMIZED,
          preload=True, start_time=0.0)
+# The tallies are folded from each step's rows after the loop: a step that
+# exits early, one without a hit, a lane of one stale hit, cold misses.
+@example(workload=_hits_then_misses(), make_protocol=lambda: TTLProtocol(GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=0.0)
+@example(workload=_hits_then_misses(), make_protocol=lambda: TTLProtocol(GRID_TTL),
+         mode=SimulatorMode.BASE, preload=True, start_time=0.0)
+@example(workload=_no_lane_hits(), make_protocol=lambda: TTLProtocol(0.0),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=0.0)
+@example(workload=_no_lane_hits(), make_protocol=lambda: TTLProtocol(0.0),
+         mode=SimulatorMode.BASE, preload=True, start_time=0.0)
+@example(workload=_only_a_stale_hit(), make_protocol=lambda: TTLProtocol(1e9),
+         mode=SimulatorMode.OPTIMIZED, preload=True, start_time=0.0)
+@example(workload=_hits_then_misses(), make_protocol=lambda: TTLProtocol(GRID_TTL),
+         mode=SimulatorMode.OPTIMIZED, preload=False, start_time=0.0)
+@example(workload=_hits_then_misses(), make_protocol=lambda: TTLProtocol(GRID_TTL),
+         mode=SimulatorMode.BASE, preload=False, start_time=0.0)
 def test_lockstep_changes_no_byte(
     workload, make_protocol, mode, preload, start_time
 ):
@@ -502,6 +551,23 @@ def test_lockstep_changes_no_byte(
         assert diff_results(result, reference) == []
         # Python's numbers, not numpy's: the result serialises.
         json.dumps(result_to_dict(result))
+
+
+def _lines_before_and_after_the_start():
+    """/a and /idle change before ``GRID_TTL / 4`` and after it, /idle only
+    where no request names it: a lane's first gap counts from the version
+    its preload holds, and the flush's from its last request's, or, for a
+    lane with none, from the preload's."""
+    histories = [
+        ObjectHistory(WebObject(oid, size=size, file_type="html", created=-DAY),
+                      ModificationSchedule(-DAY, changes))
+        for oid, size, changes in (
+            ("/a", 100, [1.0, GRID_TTL / 2, GRID_TTL / 2, 2 * GRID_TTL]),
+            ("/idle", 300, [2.0, GRID_TTL, 3 * GRID_TTL]),
+            ("/b", 200, [3.0]))]
+    requests = [(GRID_TTL / 3, "/a"), (GRID_TTL / 3, "/b"),
+                (GRID_TTL, "/a"), (GRID_TTL + 1.0, "/a")]
+    return histories, requests
 
 
 def _kept_copy_behind_the_feed():
@@ -530,6 +596,19 @@ def _kept_copy_behind_the_feed():
 @example(workload=_kept_copy_behind_the_feed(),
          make_protocol=lambda: ListeningTTL(1e9), mode=SimulatorMode.OPTIMIZED,
          per_modification=True, preload=True, start_time=0.0, end_time=None)
+# The notices are folded from each row's gap and flip after the loop.
+@example(workload=_lines_before_and_after_the_start(),
+         make_protocol=InvalidationProtocol, mode=SimulatorMode.OPTIMIZED,
+         per_modification=True, preload=True, start_time=GRID_TTL / 4,
+         end_time=1e9 + 1)
+@example(workload=_lines_before_and_after_the_start(),
+         make_protocol=lambda: ListeningTTL(GRID_TTL), mode=SimulatorMode.BASE,
+         per_modification=False, preload=True, start_time=GRID_TTL / 4,
+         end_time=1e9 + 1)
+@example(workload=_lines_before_and_after_the_start(),
+         make_protocol=InvalidationProtocol, mode=SimulatorMode.OPTIMIZED,
+         per_modification=True, preload=False, start_time=GRID_TTL / 4,
+         end_time=None)
 def test_the_feed_by_lane_changes_no_byte(
     workload, make_protocol, mode, per_modification, preload, start_time,
     end_time,
@@ -584,6 +663,15 @@ def _pushed_twice_at_once():
          make_protocol=lambda: StampedInvalidation(GRID_TTL),
          mode=SimulatorMode.OPTIMIZED, per_modification=False, preload=True,
          start_time=0.0, end_time=None)
+# The pushes and their bodies are folded from each row's gap after the loop.
+@example(workload=_lines_before_and_after_the_start(),
+         make_protocol=lambda: InvalidationProtocol(eager=True),
+         mode=SimulatorMode.OPTIMIZED, per_modification=False, preload=True,
+         start_time=GRID_TTL / 4, end_time=1e9 + 1)
+@example(workload=_lines_before_and_after_the_start(),
+         make_protocol=lambda: InvalidationProtocol(eager=True),
+         mode=SimulatorMode.BASE, per_modification=True, preload=False,
+         start_time=GRID_TTL / 4, end_time=None)
 def test_the_eager_push_by_lane_changes_no_byte(
     workload, make_protocol, mode, per_modification, preload, start_time,
     end_time,
@@ -800,6 +888,12 @@ def _fault_example(case, make_protocol=InvalidationProtocol, **config):
                 preload=False)
 @_fault_example(_crashes_between_notices(), lambda: ListeningTTL(GRID_TTL),
                 per_modification=True, end_time=1e9 + 1)
+# Without §4.1 charging the sends and flips are folded from each row's
+# validity and flip after the loop, the flush's rows included.
+@_fault_example(_crashes_between_notices(), end_time=1e9 + 1)
+@_fault_example(_crashes_between_notices(), preload=False, end_time=1e9 + 1)
+@_fault_example(_an_older_notice_after_a_newer(), mode=SimulatorMode.BASE,
+                end_time=1e9 + 1)
 def test_faults_by_lane_change_no_byte(
     workload, make_protocol, plan, mode, per_modification, preload,
     start_time, end_time,

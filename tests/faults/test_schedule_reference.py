@@ -12,6 +12,7 @@ types, same signed zeros.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from operator import itemgetter
 
 from hypothesis import example, given, settings
@@ -146,6 +147,31 @@ def test_columns_equal_the_row_loop(schedule, by_index):
         plan.columns(feed, keys, crash_key, start_time),
         reference_columns(plan, feed, keys, crash_key, start_time),
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=schedules(), retries=st.integers(min_value=0, max_value=4),
+       backoff=st.floats(min_value=0.5, max_value=200.0),
+       seed=st.integers(min_value=0, max_value=2**32))
+@example(schedule=(FaultPlan(retries=0), [5.0, -0.0, 7.0], -1.0), retries=3,
+         backoff=300.0, seed=0)
+def test_plans_with_one_schedule_key_resolve_alike(schedule, retries, backoff,
+                                                   seed):
+    """At loss rate 0 the columns do not depend on ``retries`` or
+    ``backoff`` (nor, where nothing is drawn, on ``seed``): every plan whose
+    ``schedule_key`` equals another's resolves any feed as it does."""
+    plan, feed, start_time = schedule
+    twin = replace(plan, retries=retries, backoff=backoff, seed=seed)
+    if plan.loss_rate == 0.0:
+        assert twin.schedule_key == plan.schedule_key
+    if twin.schedule_key != plan.schedule_key:
+        return
+    keys = list(range(len(feed)))
+    got = twin.columns(feed, keys, -1, start_time)
+    want = plan.columns(feed, keys, -1, start_time)
+    assert_same_columns(got, want)
+    for name in ("lines", "codes", "at"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
 
 
 def test_mod_times_are_the_feeds_own_floats():
