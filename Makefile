@@ -53,8 +53,9 @@ typecheck:
 # files must merge into a violation-free repro.trace/2 timeline (`trace
 # merge` exits 1 on any happens-before violation: send <= recv, commit
 # <= reply, kill <= restore); the chaotic one's summary must carry the
-# schema id with its retry count equal to its own retry-mark count, the
-# crashed one's timeline exactly one live.trace.restore
+# schema id with its retry count equal to its own retry-mark count and
+# both client hops' write / head / body spans, the crashed one's
+# timeline exactly one live.trace.restore
 # (docs/OBSERVABILITY.md).
 LIVE_SCRATCH = .live.log .live-journal.jsonl .live-journal-selftuning.jsonl \
   .live-trace.jsonl .live-trace.proxy.jsonl .live-trace.origin.jsonl
@@ -86,7 +87,10 @@ live:
 	  summary = json.load(sys.stdin); \
 	  assert summary['schema'] == 'repro.trace.summary/1', summary['schema']; \
 	  assert summary['retries'] == summary['marks'].get('live.trace.retry', 0); \
-	  assert summary['exchanges'] > 0 and summary['chaos_injected'] > 0"
+	  assert summary['exchanges'] > 0 and summary['chaos_injected'] > 0; \
+	  hops = {f'live.trace.{hop}.{part}' for hop in ('client', 'upstream') \
+	          for part in ('write', 'head', 'body')}; \
+	  assert hops <= set(summary['spans']), sorted(summary['spans'])"
 	$(PYTHON) -m repro.cli trace critical-path .live-trace.jsonl \
 	  --format json > /dev/null
 	$(REPLAY) --protocol selftuning --parameter 4 --connections 4 \

@@ -82,8 +82,7 @@ class Response:
 
     def status_line(self) -> str:
         """The HTTP/1.0 status line, without the trailing CRLF."""
-        reason = _REASONS.get(self.status, "Unknown")
-        return f"HTTP/1.0 {self.status} {reason}"
+        return status_line(self.status)
 
     def header_size(self) -> int:
         """Bytes of status line + headers + blank line (excluding body)."""
@@ -118,6 +117,12 @@ class Response:
         """Render the status line and headers, blank line included:
         everything :meth:`serialize` sends before the body."""
         return _serialize(self.status_line(), self.headers)
+
+
+def status_line(status: int) -> str:
+    """The HTTP/1.0 status line of ``status``, without the trailing
+    CRLF: what a head rendered straight from its fields starts with."""
+    return f"HTTP/1.0 {status} {_REASONS.get(status, 'Unknown')}"
 
 
 def _serialize(start: str, headers: Headers) -> str:

@@ -49,6 +49,7 @@ from repro.live.wire import (
     LiveServer,
     LiveWireError,
     _frame,
+    _head_value,
     _read_head,
 )
 from repro.obs import clock as obs_clock
@@ -355,15 +356,6 @@ class ChaosRelay(LiveServer):
             writer.close()
             if upstream_writer is not None:
                 upstream_writer.close()
-
-
-def _head_value(head: str, header: str) -> Optional[str]:
-    """The value of ``header`` in a serialized request head, if any."""
-    needle = header.lower() + ":"
-    for line in head.split("\r\n")[1:]:
-        if line.lower().startswith(needle):
-            return line.partition(":")[2].strip()
-    return None
 
 
 def _exchange_key(head: str) -> str:

@@ -71,7 +71,8 @@ from repro.core.results import SimulationResult, result_from_dict
 from repro.core.server import OriginServer
 from repro.core.simulator import SimulatorMode
 from repro.faults.plan import FaultPlan
-from repro.http.messages import Request, Response
+from repro.http.datefmt import format_http_date
+from repro.http.messages import Response
 from repro.live.chaos import ChaosRelay, WireFaultPlan
 from repro.live.journal import Journal
 from repro.live.origin import LiveOrigin
@@ -85,6 +86,8 @@ from repro.live.wire import (
     ConnectionPool,
     LiveReplayError,
     LiveWireError,
+    Outgoing,
+    _head_value,
     ensure_integral,
     exchange,
 )
@@ -180,16 +183,27 @@ async def _control_get(
     *,
     date: Optional[float] = None,
 ) -> str:
-    request = Request("GET", CONTROL_PREFIX + endpoint)
-    if date is not None:
-        request.headers.set_date(DATE, date)
-    response, body, _ = await exchange(host, port, request)
+    dated = f"{DATE}: {format_http_date(date)}\r\n" if date is not None else ""
+    response, body, _ = await exchange(
+        host, port, f"GET {CONTROL_PREFIX}{endpoint} HTTP/1.0\r\n{dated}\r\n"
+    )
     if response.status != 200:
         raise LiveWireError(
             f"control endpoint {endpoint!r} returned {response.status}: "
             f"{body.strip()!r}"
         )
     return body
+
+
+def _request_head(object_id: str, t: float, seq: str, traced: bool) -> str:
+    """One replayed request's head, rendered straight from its fields:
+    ``Date``, the ``X-Repro-Seq`` id and, when traced, the same id as
+    ``X-Repro-Trace``."""
+    traced_field = f"{TRACE_HEADER}: {seq}\r\n" if traced else ""
+    return (
+        f"GET {object_id} HTTP/1.0\r\n{DATE}: {format_http_date(t)}\r\n"
+        f"{SEQ_HEADER}: {seq}\r\n{traced_field}\r\n"
+    )
 
 
 def _audit_hit(
@@ -334,30 +348,27 @@ async def replay_pooled(
         trace=trace,
     )
 
-    def mark_send(request: Request) -> None:
+    def mark_send(head: Outgoing) -> None:
         # One send mark per attempt: a retried exchange has several
         # sends but one done, and the timeline's happens-before check
         # uses the earliest send.
-        if trace is not None:
-            trace.mark(
-                "live.trace.send",
-                request.headers.get(TRACE_HEADER),
-                obs_clock.monotonic(),
-            )
+        assert trace is not None and isinstance(head, str)
+        trace.mark(
+            "live.trace.send",
+            _head_value(head, TRACE_HEADER),
+            obs_clock.monotonic(),
+        )
+
+    on_attempt = mark_send if trace is not None else None
 
     async def drive(bucket: list[tuple[int, float, str]]) -> None:
         for index, t, object_id in bucket:
             seq = f"r{index}"
-            request = Request("GET", object_id)
-            request.headers.set_date(DATE, t)
-            request.headers.set(SEQ_HEADER, seq)
+            head = _request_head(object_id, t, seq, trace is not None)
             if trace is not None:
-                request.headers.set(TRACE_HEADER, seq)
-            exchange_started = (
-                obs_clock.monotonic() if trace is not None else 0.0
-            )
+                exchange_started = obs_clock.monotonic()
             response, _, _ = await pool.request(
-                request, attempts=attempts, pause=pause, on_attempt=mark_send
+                head, attempts=attempts, pause=pause, on_attempt=on_attempt
             )
             if trace is not None:
                 done_clk = obs_clock.monotonic()

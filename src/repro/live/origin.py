@@ -42,6 +42,7 @@ import asyncio
 import json
 from typing import Optional
 
+from repro.core.objects import WebObject
 from repro.core.server import (
     FetchResult,
     NotModified,
@@ -49,8 +50,13 @@ from repro.core.server import (
     UnknownObjectError,
 )
 from repro.http.datefmt import HTTPDateError, format_http_date
-from repro.http.headers import CONTENT_TYPE, EXPIRES
-from repro.http.messages import Request, Response, make_ok
+from repro.http.headers import (
+    CONTENT_LENGTH,
+    CONTENT_TYPE,
+    EXPIRES,
+    LAST_MODIFIED,
+)
+from repro.http.messages import Request
 from repro.live.wire import (
     CONTROL_PREFIX,
     DATE,
@@ -68,6 +74,34 @@ from repro.live.wire import (
 )
 from repro.obs import clock as obs_clock
 from repro.obs import trace as obs_trace
+
+
+def _ok_head(obj: WebObject, t: float, result: FetchResult) -> str:
+    """A full retrieval's head, rendered straight from its fields."""
+    expires = (
+        f"{EXPIRES}: {format_http_date(result.expires)}\r\n"
+        if result.expires is not None else ""
+    )
+    pragma = "" if obj.cacheable else f"{PRAGMA}: no-cache\r\n"
+    return (
+        f"HTTP/1.0 200 OK\r\n{CONTENT_LENGTH}: {result.size}\r\n"
+        f"{LAST_MODIFIED}: {format_http_date(result.last_modified)}\r\n"
+        f"{DATE}: {format_http_date(t)}\r\n"
+        f"{CONTENT_TYPE}: {obj.file_type}\r\n{expires}{pragma}\r\n"
+    )
+
+
+def _not_modified_head(t: float, expires: Optional[float]) -> str:
+    """A 304's head — ``Date`` and the re-stamped ``Expires`` — rendered
+    straight from its fields."""
+    expires_field = (
+        f"{EXPIRES}: {format_http_date(expires)}\r\n"
+        if expires is not None else ""
+    )
+    return (
+        f"HTTP/1.0 304 Not Modified\r\n"
+        f"{DATE}: {format_http_date(t)}\r\n{expires_field}\r\n"
+    )
 
 
 class LiveOrigin(LiveServer):
@@ -123,8 +157,7 @@ class LiveOrigin(LiveServer):
                 except LiveConnectionClosed:
                     break
                 except LiveWireError as exc:
-                    response, body = error_response(400, str(exc))
-                    await write_message(writer, response.serialize(body))
+                    await write_message(writer, error_response(400, str(exc)))
                     break
                 keep = wants_keepalive(request)
                 tid = request.headers.get(TRACE_HEADER)
@@ -134,7 +167,7 @@ class LiveOrigin(LiveServer):
                     )
                 async with self._state_lock:
                     served_started = obs_clock.monotonic()
-                    response, body = self._respond(request)
+                    text = self._respond(request)
                     if self._trace is not None and tid is not None:
                         served_clk = obs_clock.monotonic()
                         self._trace.span(
@@ -146,7 +179,7 @@ class LiveOrigin(LiveServer):
                                 "object": request.path,
                             },
                         )
-                await write_message(writer, response.serialize(body))
+                await write_message(writer, text)
                 if not keep:
                     break
         except asyncio.CancelledError:
@@ -158,7 +191,8 @@ class LiveOrigin(LiveServer):
         finally:
             writer.close()
 
-    def _respond(self, request: Request) -> tuple[Response, str]:
+    def _respond(self, request: Request) -> str:
+        """The reply, rendered whole."""
         if request.method != "GET":
             return error_response(
                 400, f"unsupported method {request.method!r}"
@@ -185,7 +219,7 @@ class LiveOrigin(LiveServer):
 
     # -- control endpoints ---------------------------------------------------
 
-    def _control(self, request: Request) -> tuple[Response, str]:
+    def _control(self, request: Request) -> str:
         endpoint = request.path[len(CONTROL_PREFIX):]
         if endpoint == "population":
             return self._population(request)
@@ -212,7 +246,7 @@ class LiveOrigin(LiveServer):
             )
         return error_response(404, f"unknown control endpoint {endpoint!r}")
 
-    def _population(self, request: Request) -> tuple[Response, str]:
+    def _population(self, request: Request) -> str:
         """Each cacheable object's head at the request's ``Date`` as a
         GET would carry it, read through the same ``OriginServer.get``:
         one ``id, Last-Modified, Expires (empty when none),
@@ -235,7 +269,7 @@ class LiveOrigin(LiveServer):
 
     # -- object retrievals ---------------------------------------------------
 
-    def _object(self, request: Request) -> tuple[Response, str]:
+    def _object(self, request: Request) -> str:
         try:
             t = request.headers.get_date(DATE)
         except HTTPDateError as exc:
@@ -256,26 +290,9 @@ class LiveOrigin(LiveServer):
                 self.ims_queries += 1
             result = self.server.if_modified_since(request.path, t, since)
             if isinstance(result, NotModified):
-                response = Response(304)
-                response.headers.set_date(DATE, t)
-                if result.expires is not None:
-                    response.headers.set_date(EXPIRES, result.expires)
-                return response, ""
+                return _not_modified_head(t, result.expires)
         else:
             if self._fresh_seq(request):
                 self.gets += 1
             result = self.server.get(request.path, t)
-        return self._full_response(request.path, t, result)
-
-    def _full_response(
-        self, object_id: str, t: float, result: FetchResult
-    ) -> tuple[Response, str]:
-        obj = self.server.object(object_id)
-        response = make_ok(result.size, last_modified=result.last_modified)
-        response.headers.set_date(DATE, t)
-        response.headers.set(CONTENT_TYPE, obj.file_type)
-        if result.expires is not None:
-            response.headers.set_date(EXPIRES, result.expires)
-        if not obj.cacheable:
-            response.headers.set(PRAGMA, "no-cache")
-        return response, "x" * result.size
+        return _ok_head(history.obj, t, result) + "x" * result.size

@@ -76,7 +76,8 @@ import asyncio
 import json
 from bisect import bisect_right
 from collections import deque
-from typing import Optional
+from dataclasses import fields
+from typing import Optional, cast
 
 from repro.core.cache import Cache, CacheEntry
 from repro.core.costs import DEFAULT_COSTS, MessageCosts
@@ -86,9 +87,15 @@ from repro.core.results import SimulationResult, result_to_dict
 from repro.core.server import FetchResult, NotModified
 from repro.core.step import RequestStep, SimulatorMode
 from repro.faults.plan import FaultAction, FaultPlan
-from repro.http.datefmt import HTTPDateError, parse_http_date
-from repro.http.headers import CONTENT_TYPE, EXPIRES
-from repro.http.messages import Request, Response, make_ok, parse_response_head
+from repro.http.datefmt import HTTPDateError, format_http_date, parse_http_date
+from repro.http.headers import (
+    CONTENT_LENGTH,
+    CONTENT_TYPE,
+    EXPIRES,
+    IF_MODIFIED_SINCE,
+    LAST_MODIFIED,
+)
+from repro.http.messages import Request, Response, parse_response_head
 from repro.live.journal import Journal
 from repro.live.wire import (
     CONTROL_PREFIX,
@@ -102,6 +109,7 @@ from repro.live.wire import (
     LiveReplayError,
     LiveServer,
     LiveWireError,
+    _head_value,
     ensure_integral,
     error_response,
     read_request,
@@ -165,6 +173,43 @@ def _fetch_result(object_id: str, response: Response) -> FetchResult:
     )
 
 
+def _upstream_head(
+    object_id: str,
+    t: float,
+    since: Optional[float],
+    seq: str,
+    trace: Optional[str],
+) -> str:
+    """An upstream GET's head, rendered straight from its fields:
+    ``Date``, ``If-Modified-Since`` when validating, the idempotency id
+    and, when traced, the client's trace id."""
+    since_field = (
+        f"{IF_MODIFIED_SINCE}: {format_http_date(since)}\r\n"
+        if since is not None else ""
+    )
+    traced_field = f"{TRACE_HEADER}: {trace}\r\n" if trace is not None else ""
+    return (
+        f"GET {object_id} HTTP/1.0\r\n{DATE}: {format_http_date(t)}\r\n"
+        f"{since_field}{SEQ_HEADER}: {seq}\r\n{traced_field}\r\n"
+    )
+
+
+def _cached_head(entry: CacheEntry, t: float, verdict: str) -> str:
+    """The head of a reply served from ``entry``, rendered straight
+    from its fields in the order the origin's 200 carries them."""
+    expires = (
+        f"{EXPIRES}: {format_http_date(entry.server_expires)}\r\n"
+        if entry.server_expires is not None else ""
+    )
+    return (
+        f"HTTP/1.0 200 OK\r\n{CONTENT_LENGTH}: {entry.size}\r\n"
+        f"{LAST_MODIFIED}: {format_http_date(entry.last_modified)}\r\n"
+        f"{DATE}: {format_http_date(t)}\r\n"
+        f"{CONTENT_TYPE}: {entry.file_type}\r\n"
+        f"{expires}{X_CACHE}: {verdict}\r\n\r\n"
+    )
+
+
 def single_key(
     protocol: ConsistencyProtocol, faults: Optional[FaultPlan]
 ) -> bool:
@@ -179,11 +224,31 @@ def single_key(
     return protocol.cross_object_state or faults is not None
 
 
+class _Deltas:
+    """The counters one step moved, and only those: a counter reads its
+    default (a class attribute) until the step first adds to it, which
+    makes it the instance's own — and :meth:`LiveProxy._commit` folds
+    the instance's own."""
+
+
+for _field in fields(ConsistencyCounters):
+    setattr(_Deltas, _field.name, _field.default)
+
+
+class _Charges(list[tuple[str, int, int]]):
+    """The ledger charges one step made, ``(category, control, body)``
+    each, in order; :meth:`LiveProxy._commit` makes each on the ledger."""
+
+    def charge(self, category: str, control: int, body: int) -> None:
+        self.append((category, control, body))
+
+
 class _Txn:
     """One request's staged effects, applied atomically at commit.
 
     Everything a request adds to *shared* state accumulates here while
-    the request runs under its key's lock; :meth:`LiveProxy
+    the request runs under its key's lock — the counters and ledger
+    charges its step moved, nothing else — and :meth:`LiveProxy
     ._commit` folds it into the proxy — and the journal — in one short
     ``_state_lock`` critical section.  Cache entries and protocol state
     are mutated in place during processing (they are protected by the
@@ -195,7 +260,7 @@ class _Txn:
         "seq",
         "step",
         "counters",
-        "bandwidth",
+        "charges",
         "events",
         "cursors",
         "clock",
@@ -207,8 +272,8 @@ class _Txn:
 
     def __init__(self, seq: Optional[str] = None) -> None:
         self.seq = seq
-        self.counters = ConsistencyCounters()
-        self.bandwidth = BandwidthLedger()
+        self.counters = _Deltas()
+        self.charges = _Charges()
         self.events: list[tuple[str, float, str]] = []
         self.cursors: dict[str, float] = {}
         #: ``(key, time)`` this request advances its key's clock to.
@@ -220,7 +285,8 @@ class _Txn:
         #: The upstream replies this request read, journaled with it
         #: (filled only when a journal is installed).
         self.replies: list[list[object]] = []
-        #: Propagated X-Repro-Trace id (None when the client sent none).
+        #: Propagated X-Repro-Trace id (None when the client sent none
+        #: or this proxy records no trace).
         self.trace: Optional[str] = None
         #: Wall seconds spent in upstream object fetches, accumulated so
         #: the decision span can be reported net of upstream time.
@@ -366,9 +432,10 @@ class LiveProxy(LiveServer):
             The number of entries loaded.
         """
         warm_started = obs_clock.monotonic()
-        listing = Request("GET", CONTROL_PREFIX + "population")
-        listing.headers.set_date(DATE, start_time)
-        response, body, _ = await self._origin_raw(listing)
+        response, body, _ = await self._origin_raw(
+            f"GET {CONTROL_PREFIX}population HTTP/1.0\r\n"
+            f"{DATE}: {format_http_date(start_time)}\r\n\r\n"
+        )
         if response.status != 200:
             raise LiveWireError(f"population returned {response.status}")
         # Neither side counts or charges warm-up, so any step will do:
@@ -507,11 +574,9 @@ class LiveProxy(LiveServer):
 
     # -- origin exchanges ----------------------------------------------------
 
-    async def _origin_raw(
-        self, request: Request
-    ) -> tuple[Response, str, int]:
-        """One upstream exchange through the pool, retried under a
-        chaos-sized budget.
+    async def _origin_raw(self, head: str) -> tuple[Response, str, int]:
+        """One upstream exchange of the request ``head`` through the
+        pool, retried under a chaos-sized budget.
 
         The wire tally is charged for the attempt that completed.
         Retried requests carry whatever ``X-Repro-Seq`` the caller
@@ -520,13 +585,14 @@ class LiveProxy(LiveServer):
         """
         if self._replies is not None:
             if not self._replies:
+                path = head.split(" ", 2)[1]
                 raise LiveReplayError(
                     f"journal record lacks the upstream reply its re-run "
-                    f"asks for ({request.path})"
+                    f"asks for ({path})"
                 )
             return _replayed(self._replies.popleft())
         reply = await self._origin.request(
-            request, attempts=self.upstream_attempts
+            head, attempts=self.upstream_attempts
         )
         self.wire_bytes += reply[2]
         return reply
@@ -538,11 +604,8 @@ class LiveProxy(LiveServer):
         txn: _Txn,
         since: Optional[float] = None,
     ) -> Response:
-        """One real GET (conditional when ``since`` is given) upstream."""
-        request = Request("GET", object_id)
-        request.headers.set_date(DATE, t)
-        if since is not None:
-            request.headers.set_date("If-Modified-Since", since)
+        """One real GET (conditional when ``since`` is given) upstream,
+        its head rendered straight from its fields."""
         # Deterministic idempotency id: the k-th counted fetch of this
         # object.  Staged in the transaction and applied at commit, so a
         # restarted proxy's re-execution of an uncommitted request — and
@@ -553,18 +616,21 @@ class LiveProxy(LiveServer):
         base = self._upstream.get(object_id, 0)
         k = txn.upstream.get(object_id, base)
         txn.upstream[object_id] = k + 1
-        request.headers.set(SEQ_HEADER, f"{object_id}@{k}")
+        seq = f"{object_id}@{k}"
         if self._trace is not None and txn.trace is not None:
             # Propagate the client's trace id on the upstream hop so
             # the origin's spans join the same causal timeline.
-            request.headers.set(TRACE_HEADER, txn.trace)
             fetch_started = obs_clock.monotonic()
             try:
-                response, _, _ = await self._origin_raw(request)
+                response, _, _ = await self._origin_raw(
+                    _upstream_head(object_id, t, since, seq, txn.trace)
+                )
             finally:
                 txn.upstream_wall += obs_clock.monotonic() - fetch_started
         else:
-            response, _, _ = await self._origin_raw(request)
+            response, _, _ = await self._origin_raw(
+                _upstream_head(object_id, t, since, seq, None)
+            )
         if response.status not in (200, 304):
             raise LiveWireError(
                 f"origin returned {response.status} for {object_id!r}"
@@ -604,8 +670,9 @@ class LiveProxy(LiveServer):
             body = ""
             if self.protocol.wants_invalidations:
                 fetch_started = obs_clock.monotonic()
-                request = Request("GET", CONTROL_PREFIX + "feed")
-                response, body, _ = await self._origin_raw(request)
+                response, body, _ = await self._origin_raw(
+                    f"GET {CONTROL_PREFIX}feed HTTP/1.0\r\n\r\n"
+                )
                 if response.status != 200:
                     raise LiveWireError(
                         f"feed endpoint returned {response.status}"
@@ -688,9 +755,11 @@ class LiveProxy(LiveServer):
             if until <= cursor:
                 continue
             txn.cursors[oid] = float(until)
-            times = self._feed.get(oid, ())
-            lo, hi = bisect_right(times, cursor), bisect_right(times, until)
-            due += [(mod_time, oid) for mod_time in times[lo:hi]]
+            times = self._feed.get(oid)
+            if times:
+                lo = bisect_right(times, cursor)
+                hi = bisect_right(times, until, lo)
+                due += [(mod_time, oid) for mod_time in times[lo:hi]]
         # (time, id) is the order of the origin's feed.
         due.sort()
         for mod_time, oid in due:
@@ -718,7 +787,8 @@ class LiveProxy(LiveServer):
         self._pin()
         try:
             while True:
-                parse_started = obs_clock.monotonic()
+                if self._trace is not None:
+                    parse_started = obs_clock.monotonic()
                 try:
                     request, received = await self._idle(
                         writer, read_request(reader)
@@ -726,13 +796,15 @@ class LiveProxy(LiveServer):
                 except LiveConnectionClosed:
                     break
                 except LiveWireError as exc:
-                    response, body = error_response(400, str(exc))
                     sent = await write_message(
-                        writer, response.serialize(body)
+                        writer, error_response(400, str(exc))
                     )
                     await self._account_wire(sent)
                     break
-                tid = request.headers.get(TRACE_HEADER)
+                tid = (
+                    request.headers.get(TRACE_HEADER)
+                    if self._trace is not None else None
+                )
                 if self._trace is not None and tid is not None:
                     # Parse wall includes keep-alive idle time between
                     # requests — it measures request arrival-to-parsed,
@@ -746,7 +818,8 @@ class LiveProxy(LiveServer):
                     )
                 keep = wants_keepalive(request)
                 payload = await self._process(request)
-                reply_started = obs_clock.monotonic()
+                if tid is not None:
+                    reply_started = obs_clock.monotonic()
                 sent = await write_message(writer, payload)
                 if self._trace is not None and tid is not None:
                     reply_clk = obs_clock.monotonic()
@@ -774,10 +847,9 @@ class LiveProxy(LiveServer):
 
     async def _process(self, request: Request) -> str:
         if request.method != "GET":
-            response, body = error_response(
+            return error_response(
                 400, f"unsupported method {request.method!r}"
             )
-            return response.serialize(body)
         if request.path.startswith(CONTROL_PREFIX):
             return await self._process_control(request)
         return await self._process_object(request)
@@ -785,10 +857,9 @@ class LiveProxy(LiveServer):
     async def _process_control(self, request: Request) -> str:
         async with self._control_lock:
             try:
-                response, body = await self._control(request)
+                return await self._control(request)
             except (LiveWireError, HTTPDateError) as exc:
-                response, body = error_response(500, str(exc))
-            return response.serialize(body)
+                return error_response(500, str(exc))
 
     def _key(self, object_id: str) -> str:
         """The lock/clock key of ``object_id``: itself, or the one
@@ -810,34 +881,36 @@ class LiveProxy(LiveServer):
                     head, body_size = committed
                     return head + "x" * body_size
             txn = self._begin(seq)
-            txn.trace = request.headers.get(TRACE_HEADER)
+            if self._trace is not None:
+                txn.trace = request.headers.get(TRACE_HEADER)
             traced = self._trace is not None and txn.trace is not None
-            object_started = obs_clock.monotonic()
-            try:
-                response, body = await self._object(request, txn)
-            except (LiveWireError, HTTPDateError) as exc:
-                response, body = error_response(500, str(exc))
             if traced:
-                assert self._trace is not None
+                object_started = obs_clock.monotonic()
+            try:
+                served = await self._object(request, txn)
+            except (LiveWireError, HTTPDateError) as exc:
+                served = error_response(500, str(exc)), None
+            if traced:
                 self._emit_decision_spans(
-                    request, response, txn, object_started
+                    request, served, txn, object_started
                 )
-            if response.status != 200:
-                return response.serialize(body)
+            head, body_size = served
+            if body_size is None:
+                return head
             # Commit-before-reply: once the reply leaves, the request
             # is journaled and applied — a crash after this point
             # replays its reply, never re-executes it.  A 200 is always
-            # the model's own reply, a filler body (``body is None``).
-            assert body is None and txn.clock is not None
-            commit_started = obs_clock.monotonic()
-            head = response.serialize_head()
+            # the model's own reply, a filler body.
+            assert txn.clock is not None
+            if traced:
+                commit_started = obs_clock.monotonic()
             record: dict[str, object] = {
                 "kind": "request", "object": request.path,
                 "t": txn.clock[1],
             }
             if seq is not None:
                 record["seq"] = seq
-            await self._commit(txn, record, (head, response.body_size))
+            await self._commit(txn, record, (head, body_size))
             if traced:
                 assert self._trace is not None
                 commit_clk = obs_clock.monotonic()
@@ -846,12 +919,12 @@ class LiveProxy(LiveServer):
                     commit_clk - commit_started,
                     {"trace": txn.trace, "clk": commit_clk},
                 )
-            return head + "x" * response.body_size
+            return head + "x" * body_size
 
     def _emit_decision_spans(
         self,
         request: Request,
-        response: Response,
+        served: tuple[str, Optional[int]],
         txn: _Txn,
         object_started: float,
     ) -> None:
@@ -868,19 +941,21 @@ class LiveProxy(LiveServer):
         """
         assert self._trace is not None
         clk = obs_clock.monotonic()
-        verdict = response.headers.get(X_CACHE)
+        head, body_size = served
         meta: dict[str, object] = {
             "trace": txn.trace,
             "clk": clk,
             "object": request.path,
         }
+        # An error reply carries no verdict; a served head always does.
+        verdict = _head_value(head, X_CACHE) if body_size is not None else None
         if verdict is not None:
             meta["verdict"] = verdict
         if verdict == "HIT":
             t = request.headers.get_date(DATE)
-            last_modified = response.headers.last_modified
+            last_modified = _head_value(head, LAST_MODIFIED)
             if t is not None and last_modified is not None:
-                meta["age"] = t - last_modified
+                meta["age"] = t - parse_http_date(last_modified)
         self._trace.span(
             "live.trace.decision",
             (clk - object_started) - txn.upstream_wall,
@@ -894,7 +969,9 @@ class LiveProxy(LiveServer):
             )
 
     def _begin(self, seq: Optional[str] = None) -> _Txn:
-        """A transaction whose step accounts into its own deltas."""
+        """A transaction whose step stages into its own deltas: the
+        step only adds to counters and charges the ledger, which is all
+        :class:`_Deltas` and :class:`_Charges` take."""
         txn = _Txn(seq)
         txn.step = RequestStep(
             self.cache,
@@ -902,8 +979,8 @@ class LiveProxy(LiveServer):
             self.mode,
             self.costs,
             self.charge_per_modification,
-            txn.counters,
-            txn.bandwidth,
+            cast(ConsistencyCounters, txn.counters),
+            cast(BandwidthLedger, txn.charges),
             txn.record,
         )
         return txn
@@ -917,7 +994,8 @@ class LiveProxy(LiveServer):
         """Fold one transaction into shared state, journaling ``record``
         (what came in) with the upstream replies it read first; a
         request's ``reply`` is its head and body length, kept for
-        retries.
+        retries.  Only the counters and ledger cells the step moved are
+        folded.
 
         The short critical section of the locking discipline: every
         mutation of cross-object aggregates happens here, under
@@ -929,8 +1007,11 @@ class LiveProxy(LiveServer):
                 if txn.replies:
                     record["replies"] = txn.replies
                 self._journal.append(record)
-            self.counters.merge(txn.counters)
-            self.bandwidth.merge(txn.bandwidth)
+            counters = self.counters
+            for name, n in vars(txn.counters).items():
+                setattr(counters, name, getattr(counters, name) + n)
+            for charge in txn.charges:
+                self.bandwidth.charge(*charge)
             self.events.extend(txn.events)
             if txn.seq is not None:
                 self._done[txn.seq] = reply
@@ -943,7 +1024,7 @@ class LiveProxy(LiveServer):
 
     # -- control endpoints ---------------------------------------------------
 
-    async def _control(self, request: Request) -> tuple[Response, str]:
+    async def _control(self, request: Request) -> str:
         endpoint = request.path[len(CONTROL_PREFIX):]
         if endpoint == "stats":
             return self._stats()
@@ -976,7 +1057,7 @@ class LiveProxy(LiveServer):
         self._now = float(t)
         await self._commit(txn, {"kind": "finish", "t": float(t)})
 
-    def _stats(self) -> tuple[Response, str]:
+    def _stats(self) -> str:
         # The totals as the codec writes a result, plus what only a
         # live run has.  ``duration`` is the driver's to fill in.
         payload: dict[str, object] = {
@@ -997,9 +1078,10 @@ class LiveProxy(LiveServer):
 
     async def _object(
         self, request: Request, txn: _Txn
-    ) -> tuple[Response, Optional[str]]:
-        """Serve one object request: a 200 with a filler body (``None``,
-        the model's own) or a plain-text error reply."""
+    ) -> tuple[str, Optional[int]]:
+        """Serve one object request: a 200's head and the length of its
+        filler body (the model's own), or a plain-text error reply
+        rendered whole, with ``None``."""
         t = request.headers.get_date(DATE)
         if t is None:
             # Ad-hoc clients (curl) may omit Date; serve at the current
@@ -1014,7 +1096,7 @@ class LiveProxy(LiveServer):
                 f"clock ran backwards: request for {object_id!r} at "
                 f"{t!r} precedes {previous!r}; each key's request "
                 "stream must be time-ordered",
-            )
+            ), None
         txn.clock = (key, float(t))
         self._now = max(self._now, float(t))
         await self._deliver(t, txn, object_id=object_id)
@@ -1027,7 +1109,7 @@ class LiveProxy(LiveServer):
             # the point of weak consistency; the driver's audit
             # relabels stale hits from the origin's ground truth.
             step.hit(object_id, t)
-            return self._serve_from_cache(entry, t, "HIT")
+            return _cached_head(entry, t, "HIT"), entry.size
         if entry is None:
             response = await self._origin_get(object_id, t, txn)
             # ``Pragma: no-cache`` (dynamic content) is forwarded, never
@@ -1045,23 +1127,12 @@ class LiveProxy(LiveServer):
             step.validated(
                 entry, t, NotModified(expires=response.headers.expires)
             )
-            return self._serve_from_cache(entry, t, "REVALIDATED")
+            return _cached_head(entry, t, "REVALIDATED"), entry.size
         step.validated(entry, t, _fetch_result(object_id, response))
         return self._forward(response, "MISS")
 
-    def _serve_from_cache(
-        self, entry: CacheEntry, t: float, verdict: str
-    ) -> tuple[Response, None]:
-        response = make_ok(entry.size, last_modified=entry.last_modified)
-        response.headers.set_date(DATE, t)
-        response.headers.set(CONTENT_TYPE, entry.file_type)
-        if entry.server_expires is not None:
-            response.headers.set_date(EXPIRES, entry.server_expires)
-        response.headers.set(X_CACHE, verdict)
-        return response, None
-
     def _forward(
         self, response: Response, verdict: str
-    ) -> tuple[Response, None]:
+    ) -> tuple[str, int]:
         response.headers.set(X_CACHE, verdict)
-        return response, None
+        return response.serialize_head(), response.body_size

@@ -34,7 +34,7 @@ one-second granularity).
 from __future__ import annotations
 
 import asyncio
-from typing import Awaitable, Callable, Optional, TypeVar
+from typing import Awaitable, Callable, Optional, TypeVar, Union
 
 from repro.http.headers import CONTENT_LENGTH, CONTENT_TYPE, Headers
 from repro.http.messages import (
@@ -43,6 +43,7 @@ from repro.http.messages import (
     Response,
     parse_request,
     parse_response_head,
+    status_line,
 )
 from repro.obs import clock as obs_clock
 from repro.obs import registry as obs_metrics
@@ -85,7 +86,30 @@ _HEAD_TERMINATOR = b"\r\n\r\n"
 
 _CONTENT_LENGTH_KEY = CONTENT_LENGTH.lower()
 
+#: What a keep-alive request's head ends with.
+_KEEP_ALIVE_TAIL = f"{CONNECTION}: {KEEP_ALIVE}\r\n\r\n"
+
+#: The spans a traced exchange records on each client hop: the request
+#: written; the reply's head read off the socket (the peer's service
+#: time included); the head parsed and the body it frames read.
+_HOP_SPANS = {
+    "client": (
+        "live.trace.client.write",
+        "live.trace.client.head",
+        "live.trace.client.body",
+    ),
+    "upstream": (
+        "live.trace.upstream.write",
+        "live.trace.upstream.head",
+        "live.trace.upstream.body",
+    ),
+}
+
 _T = TypeVar("_T")
+
+#: A request as the client side sends it: a :class:`Request`, or the
+#: head its caller rendered straight from its fields.
+Outgoing = Union[Request, str]
 
 
 class LiveWireError(ValueError):
@@ -265,8 +289,23 @@ async def write_message(writer: asyncio.StreamWriter, text: str) -> int:
     return len(payload)
 
 
+def _text(request: Outgoing) -> str:
+    """A request as it is sent: a :class:`Request` serialized, or the
+    head its caller rendered."""
+    return request if isinstance(request, str) else request.serialize()
+
+
+def _head_value(head: str, header: str) -> Optional[str]:
+    """The value of ``header`` in a serialized head, if any."""
+    needle = header.lower() + ":"
+    for line in head.split("\r\n")[1:]:
+        if line.lower().startswith(needle):
+            return line.partition(":")[2].strip()
+    return None
+
+
 async def exchange(
-    host: str, port: int, request: Request
+    host: str, port: int, request: Outgoing
 ) -> tuple[Response, str, int]:
     """One full client exchange: connect, send, read, close.
 
@@ -280,7 +319,7 @@ async def exchange(
     """
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        sent = await write_message(writer, request.serialize())
+        sent = await write_message(writer, _text(request))
         writer.write_eof()
         response, body_text, received = await read_response(reader)
     finally:
@@ -297,19 +336,21 @@ def wants_keepalive(request: Request) -> bool:
 
 def text_reply(
     body: str, content_type: Optional[str] = "text", status: int = 200
-) -> tuple[Response, str]:
-    """A reply carrying ``body``, as ``(response, body)``: a control
-    endpoint's (no ``Content-Type`` when ``content_type`` is None) or an
-    error's."""
-    response = Response(status, body_size=len(body))
-    response.headers.set(CONTENT_LENGTH, str(len(body)))
-    if content_type is not None:
-        response.headers.set(CONTENT_TYPE, content_type)
-    return response, body
+) -> str:
+    """A reply carrying ``body``, rendered whole: a control endpoint's
+    (no ``Content-Type`` when ``content_type`` is None) or an error's."""
+    typed = (
+        f"{CONTENT_TYPE}: {content_type}\r\n"
+        if content_type is not None else ""
+    )
+    return (
+        f"{status_line(status)}\r\n{CONTENT_LENGTH}: {len(body)}\r\n"
+        f"{typed}\r\n{body}"
+    )
 
 
-def error_response(status: int, message: str) -> tuple[Response, str]:
-    """A plain-text error reply, as ``(response, body)``."""
+def error_response(status: int, message: str) -> str:
+    """A plain-text error reply, rendered whole."""
     return text_reply(message + "\n", status=status)
 
 
@@ -438,6 +479,12 @@ class LiveConnection:
     pool of these.
     """
 
+    #: The owning pool's sink and hop label (set by the pool): with a
+    #: sink, each exchange carrying an ``X-Repro-Trace`` id records its
+    #: hop's write, head and body spans.
+    trace: Optional[obs_trace.TraceSink] = None
+    hop = ""
+
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
@@ -453,8 +500,9 @@ class LiveConnection:
             or self._reader.at_eof() or self._writer.is_closing()
         )
 
-    async def request(self, request: Request) -> tuple[Response, str, int]:
-        """Send one request and read its response on the shared socket.
+    async def request(self, request: Outgoing) -> tuple[Response, str, int]:
+        """Send one request, whose head carries no ``Connection``
+        field, and read its response on the shared socket.
 
         Returns ``(response, body_text, wire_bytes)`` for this exchange.
 
@@ -468,9 +516,31 @@ class LiveConnection:
             self._reader, self._writer = await asyncio.open_connection(
                 self.host, self.port
             )
-        request.headers.set(CONNECTION, KEEP_ALIVE)
-        sent = await write_message(self._writer, request.serialize())
-        response, body_text, received = await read_response(self._reader)
+        text = _text(request)[:-2] + _KEEP_ALIVE_TAIL
+        tid = None
+        if self.trace is not None and self.hop in _HOP_SPANS:
+            tid = _head_value(text, TRACE_HEADER)
+            started = obs_clock.monotonic()
+        sent = await write_message(self._writer, text)
+        if tid is not None:
+            wrote = obs_clock.monotonic()
+        head_text = await _read_head(self._reader)
+        if tid is not None:
+            headed = obs_clock.monotonic()
+        response, body_text, received = await _finish_response(
+            self._reader, head_text
+        )
+        if tid is not None:
+            assert self.trace is not None
+            done = obs_clock.monotonic()
+            for name, begun, ended in zip(
+                _HOP_SPANS[self.hop],
+                (started, wrote, headed),
+                (wrote, headed, done),
+            ):
+                self.trace.span(
+                    name, ended - begun, {"trace": tid, "clk": ended}
+                )
         return response, body_text, sent + received
 
     async def close(self) -> None:
@@ -517,11 +587,11 @@ class ConnectionPool:
 
     async def request(
         self,
-        request: Request,
+        request: Outgoing,
         *,
         attempts: int = 1,
         pause: float = 0.0,
-        on_attempt: Optional[Callable[[Request], None]] = None,
+        on_attempt: Optional[Callable[[Outgoing], None]] = None,
     ) -> tuple[Response, str, int]:
         """Drive one exchange to success over an at-least-once
         transport; returns ``(response, body_text, wire_bytes)`` of the
@@ -549,7 +619,7 @@ class ConnectionPool:
                 if self._trace is not None:
                     self._trace.mark(
                         "live.trace.retry",
-                        request.headers.get(TRACE_HEADER),
+                        _head_value(_text(request), TRACE_HEADER),
                         obs_clock.monotonic(),
                         hop=self.hop,
                     )
@@ -561,12 +631,13 @@ class ConnectionPool:
                 last = exc
                 if pause > 0:
                     await asyncio.sleep(pause)
+        path = _text(request).split(" ", 2)[1]
         raise LiveWireError(
-            f"exchange with {self.host}:{self.port} for {request.path!r} "
+            f"exchange with {self.host}:{self.port} for {path!r} "
             f"failed after {attempts} attempts: {last!r}"
         ) from last
 
-    async def _exchange(self, request: Request) -> tuple[Response, str, int]:
+    async def _exchange(self, request: Outgoing) -> tuple[Response, str, int]:
         if not self.keepalive:
             return await exchange(self.host, self.port, request)
         while self._free:
@@ -576,6 +647,8 @@ class ConnectionPool:
             await connection.close()
         else:
             connection = LiveConnection(self.host, self.port)
+            if self._trace is not None:
+                connection.trace, connection.hop = self._trace, self.hop
         try:
             reply = await connection.request(request)
         except BaseException:

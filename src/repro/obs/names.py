@@ -81,7 +81,9 @@ METRIC_NAMES: tuple[str, ...] = (
 #: The ``live.trace.*`` spans are the per-exchange phases of the live
 #: causal trace (``docs/OBSERVABILITY.md``): parse / decision /
 #: upstream / commit / reply on the proxy, origin service time on the
-#: origin, and the whole client exchange on the driver.
+#: origin, the whole client exchange on the driver, and each client
+#: hop's write / head / body reads (``live.trace.client.*`` on the
+#: driver, ``live.trace.upstream.*`` on the proxy).
 SPAN_NAMES: tuple[str, ...] = (
     "engine.map",
     "engine.task",
@@ -89,6 +91,9 @@ SPAN_NAMES: tuple[str, ...] = (
     "live.feed",
     "live.replay",
     "live.restore",
+    "live.trace.client.body",
+    "live.trace.client.head",
+    "live.trace.client.write",
     "live.trace.commit",
     "live.trace.decision",
     "live.trace.exchange",
@@ -96,6 +101,9 @@ SPAN_NAMES: tuple[str, ...] = (
     "live.trace.parse",
     "live.trace.reply",
     "live.trace.upstream",
+    "live.trace.upstream.body",
+    "live.trace.upstream.head",
+    "live.trace.upstream.write",
     "live.warmup",
     "sweep.run",
     "trace.merge",
