@@ -31,12 +31,14 @@ server and dying with it: a fault plan's action schedule
 (:func:`compile_schedule` — the columns of the last ``(plan,
 start_time)`` resolved against that server's feed, keyed by object
 index), the last encoded request stream with its version and
-Last-Modified columns (:func:`encode_requests`) and, once a run skipping
-hit runs asks, the same rows by object (:func:`stream_view`) — or by
-step, once a run stepping its objects in lockstep asks
-(:func:`step_view`), with a fault schedule by lane for them
-(:func:`lane_actions`) — and the preloaded state template
-(:func:`initial_state`, which hands each run its own copy).
+Last-Modified columns (:func:`encode_requests`) and what runs derive
+from it, each built by the first run that asks (:func:`_per_stream`) —
+its requests per object and one stable sort of its objects
+(:func:`_order`), which every view by object is cut from: the rows by
+object a skipping run reads (:func:`stream_view`, :func:`preload_view`),
+the rows by step a lockstep run reads (:func:`step_view`, with a fault
+schedule by lane, :func:`lane_actions`) — and the preloaded state
+template (:func:`initial_state`, which hands each run its own copy).
 
 Equivalence note (docs/FASTPATH.md): the compiled feed is the server's
 own :meth:`~repro.core.server.OriginServer.invalidation_feed` mapped to
@@ -58,9 +60,9 @@ import weakref
 from array import array
 from bisect import bisect_right
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -109,7 +111,7 @@ class CompiledServer:
         ``mod_times`` (the feed stably sorted by object), ``mod_lo``."""
         feed_obj = np.array(self.feed_obj, dtype=np.int64)
         places = np.empty_like(feed_obj)
-        places[np.argsort(feed_obj, kind="stable")] = np.arange(len(feed_obj))
+        places[_by_object(feed_obj, len(self.ids))] = np.arange(len(feed_obj))
         return feed_obj, places, np.array(self.mod_lo, dtype=np.int64)
 
 
@@ -227,11 +229,94 @@ def compile_schedule(
     return schedule
 
 
-def _by_object(objs: "np.ndarray[Any, Any]") -> "np.ndarray[Any, Any]":
-    """``objs``' stable sort order: on 16-bit keys where they fit, a radix
-    sort, several times a 64-bit one."""
-    return np.argsort(objs.astype(np.uint16) if len(objs) and objs.max()
-                      < 1 << 16 else objs, kind="stable")
+_Stream = tuple[list[float], list[int]]
+_Columns = tuple[list[int], list[float]]
+
+
+def _by_object(objs: "np.ndarray[Any, Any]", objects: int) -> "np.ndarray[Any, Any]":
+    """``objs``' stable sort order, each below ``objects``: on 16-bit keys
+    where they fit, a radix sort, several times a 64-bit one."""
+    return np.argsort(objs.astype(np.uint16) if objects <= 1 << 16 else objs,
+                      kind="stable")
+
+
+@dataclass(eq=False)
+class _Memo:
+    """What one compiled server remembers of its last encoded stream: the
+    list or tuple encoded — held, so its identity cannot be recycled — and
+    the ``(length, start_time)`` it was encoded at, its arrays and their
+    columns, and what runs derive from them (:func:`_per_stream`), by
+    product: the key it was built for, and it."""
+
+    requests: Sequence[tuple[float, str]]
+    key: tuple[int, float]
+    arrays: _Stream
+    columns: _Columns
+    derived: dict[str, tuple[Any, Any]] = field(default_factory=dict)
+
+
+#: Per compiled server: the last successfully encoded list or tuple, its
+#: arrays, their columns and what runs have derived from them.
+_STREAMS: "weakref.WeakKeyDictionary[CompiledServer, _Memo]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _kept(compiled: CompiledServer, req_times: list[float],
+          req_objs: list[int]) -> Optional[_Memo]:
+    """The memo of ``compiled``, if these are its stream's arrays."""
+    memo = _STREAMS.get(compiled)
+    if memo and memo.arrays[0] is req_times and memo.arrays[1] is req_objs:
+        return memo
+    return None
+
+
+_T = TypeVar("_T")
+
+
+def _per_stream(
+    key: Callable[..., Any] = lambda *args: None,
+) -> Callable[[Callable[..., _T]], Callable[..., _T]]:
+    """Keep what the decorated function derives from a stream with the
+    arrays :func:`encode_requests` last remembered for ``compiled``: built
+    by the first call that asks, for the last value ``key`` takes of the
+    arguments after the arrays.  Any other arrays get theirs built for the
+    call alone.  Keys are compared with ``!=``, so a key holds no numpy
+    array; an object holding one, a fault schedule, compares by identity."""
+
+    def keep(build: Callable[..., _T]) -> Callable[..., _T]:
+        @functools.wraps(build)
+        def kept(compiled: CompiledServer, req_times: list[float],
+                 req_objs: list[int], *args: Any) -> _T:
+            memo = _kept(compiled, req_times, req_objs)
+            derived: dict[str, tuple[Any, Any]] = (
+                {} if memo is None else memo.derived)
+            at, found = key(*args), derived.get(build.__name__)
+            if found is None or found[0] != at:
+                found = derived[build.__name__] = (
+                    at, build(compiled, req_times, req_objs, *args))
+            return found[1]
+        return kept
+    return keep
+
+
+@_per_stream()
+def _counts(compiled: CompiledServer, req_times: list[float],
+            req_objs: list[int]) -> "np.ndarray[Any, Any]":
+    """Per object, the requests the stream holds for it."""
+    return np.bincount(np.fromiter(req_objs, np.int64, len(req_objs)),
+                       minlength=len(compiled.ids))
+
+
+@_per_stream()
+def _order(compiled: CompiledServer, req_times: list[float],
+           req_objs: list[int]) -> "np.ndarray[Any, Any]":
+    """The stream by object: its request positions stably sorted by
+    object, so each object's in time order, object ``i``'s ending at
+    ``np.cumsum(_counts(...))[i]``.  The one sort of a stream's objects:
+    every view by object is cut from it."""
+    return _by_object(np.fromiter(req_objs, np.int64, len(req_objs)),
+                      len(compiled.ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,40 +350,48 @@ class LaneActions:
     delivered: tuple[int, int]
 
 
+@_per_stream()
+def _lane_rows(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int],
+    view: StepView,
+) -> tuple["np.ndarray[Any, Any]", ...]:
+    """What :func:`lane_actions` reads of the stream by step ``view``,
+    whatever the schedule: the request times; the rows by object, each
+    object's cacheable rows then its flush row, their keys ``object *
+    (count + 2) + position`` (the flush's at ``count``) and each step row's
+    place among them, then each flush row's (a row of step ``k`` is its
+    lane's ``k``-th: no sort); the row each modification reaches."""
+    count = len(req_times)
+    times = np.fromiter(req_times, np.float64, count)
+    held = np.where(compiled.cacheable, _counts(compiled, req_times, req_objs), 0)
+    objs = np.repeat(np.arange(len(held)), held + 1)
+    widths = np.array(view.widths, dtype=np.int64)
+    row_lanes = np.append(np.arange(len(view.times)) - np.repeat(
+        np.cumsum(widths) - widths, widths), np.arange(len(view.lanes)))
+    rank = np.append(np.repeat(np.arange(len(widths)), widths), held[view.lanes])
+    rank += (np.cumsum(held + 1) - held - 1)[view.lanes[row_lanes]]
+    keys = np.empty_like(rank)
+    keys[rank] = np.append(view.positions, np.full(len(view.lanes), count))
+    keys += objs * (count + 2)
+    mods = np.array(compiled.feed_times, dtype=np.float64)
+    landed = np.searchsorted(keys, compiled.feed_places[0] * (count + 2)
+                             + np.searchsorted(times, mods))
+    return times, objs, rank, keys, mods, landed
+
+
+@_per_stream(lambda view, schedule, horizon: (schedule, horizon))
 def lane_actions(
     compiled: CompiledServer, req_times: list[float], req_objs: list[int],
     view: StepView, schedule: ActionColumns[int], horizon: float,
 ) -> LaneActions:
     """``schedule`` (:func:`compile_schedule`'s, for ``compiled``) by lane
     over the stream by step ``view`` (:func:`step_view`'s), flushed at
-    ``horizon``: for the arrays :func:`encode_requests` last remembered,
-    built once per schedule (whose ``at`` column it keeps) and horizon."""
-    memo = _kept(compiled, req_times, req_objs)
-    if memo is not None and memo.actions is not None and (
-            memo.actions[0] is schedule.at and memo.actions[1] == horizon):
-        return memo.actions[2]
+    ``horizon``; kept with the stream for the last schedule (compared by
+    identity) and horizon."""
     feed_obj, places, mod_lo = compiled.feed_places
     count = len(req_times)
-    if memo is not None and memo.rows is not None:
-        times, objs, rank, keys, mods, landed = memo.rows
-    else:
-        # The rows by object, each lane's in time order, each row's place
-        # there and the keys ``object * (count + 2) + position`` (the
-        # flush's at ``count``); the row each modification reaches.
-        times = np.fromiter(req_times, np.float64, count)
-        widths = np.array(view.widths, dtype=np.int64)
-        objs = view.lanes[np.append(np.arange(len(view.times)) - np.repeat(
-            np.cumsum(widths) - widths, widths), np.arange(len(view.lanes)))]
-        order = _by_object(objs)
-        objs = objs[order]
-        keys = objs * (count + 2) + np.append(view.positions, np.full(
-            len(view.lanes), count))[order]
-        rank = np.argsort(order)
-        mods = np.array(compiled.feed_times, dtype=np.float64)
-        landed = np.searchsorted(keys, feed_obj * (count + 2) + np.searchsorted(
-            times, mods))
-        if memo is not None:
-            memo.rows = times, objs, rank, keys, mods, landed
+    times, objs, rank, keys, mods, landed = _lane_rows(
+        compiled, req_times, req_objs, view)
     code = KINDS.index
     crash = schedule.codes == code(CRASH)
     slots = np.flatnonzero(~crash)
@@ -310,7 +403,7 @@ def lane_actions(
     late = at != mods[lines]
     after = np.zeros(len(slots), dtype=np.int64)
     after[late] = np.searchsorted(times, at[late])
-    by = _by_object(feed_obj[lines])
+    by = _by_object(feed_obj[lines], len(compiled.ids))
     slots, lines, at, late, after = slots[by], lines[by], at[by], late[by], after[by]
     kinds, acted = schedule.codes[slots], feed_obj[lines]
     reached = landed[lines]
@@ -360,14 +453,11 @@ def lane_actions(
             then -= lost[(first & cacheable[objs])[wiped]].sum()
         return int(later), int(then)
 
-    found = LaneActions(
+    return LaneActions(
         guard=(reach[stops] - mod_lo[objs] - 1)[rank],
         wiped=None if wiped is None else wiped[rank], starts=starts[rank],
         stops=stops[rank], charged=charged, reach=reach, sent=counted(charged),
         delivered=counted(np.cumsum(np.append(0, delivers))))
-    if memo is not None:
-        memo.actions = schedule.at, horizon, found
-    return found
 
 
 class CacheState:
@@ -463,15 +553,20 @@ def lane_state(
     is kept as a template for the last ``(start_time, preload)``, and
     each run gets a copy with its own ``expires_at``.
     """
-    memo = _kept(compiled, req_times, req_objs)
-    if memo is None:
-        return LaneState(state, lanes, delivering)
-    key = (start_time, preload)
-    if memo.lanes is None or memo.lanes[0] != key:
-        memo.lanes = (key, LaneState(state, lanes, True))
-    by_lane = memo.lanes[1].copy(delivering)
+    by_lane = _lane_template(compiled, req_times, req_objs, lanes, state,
+                             start_time, preload).copy(delivering)
     by_lane.expires_at = np.array(state.expires_at)[lanes]
     return by_lane
+
+
+@_per_stream(lambda lanes, state, start_time, preload: (start_time, preload))
+def _lane_template(
+    compiled: CompiledServer, req_times: list[float], req_objs: list[int],
+    lanes: "np.ndarray[Any, Any]", state: CacheState, start_time: float,
+    preload: bool,
+) -> LaneState:
+    """The gathered state :func:`lane_state` copies."""
+    return LaneState(state, lanes, True)
 
 
 def by_object(lanes: "np.ndarray[Any, Any]",
@@ -563,8 +658,6 @@ def initial_state(
     return state.copy()
 
 
-_Stream = tuple[list[float], list[int]]
-_Columns = tuple[list[int], list[float]]
 #: The stream by object (:func:`stream_view`): per object index the end
 #: of its rows, then per row its time, object, version and Last-Modified,
 #: then the request position each row came from.
@@ -638,54 +731,6 @@ class PreloadView:
     state: LaneState
 
 
-class _Memo:
-    """What one compiled server remembers of its last encoded stream."""
-
-    __slots__ = ("requests", "key", "arrays", "columns", "view", "preload",
-                 "busiest", "steps", "rows", "actions", "residency", "lanes")
-
-    def __init__(self, requests: Sequence[tuple[float, str]],
-                 key: tuple[int, float], arrays: _Stream,
-                 columns: _Columns) -> None:
-        #: The list or tuple encoded — held, so its identity cannot be
-        #: recycled — and the ``(length, start_time)`` it was encoded at.
-        self.requests = requests
-        self.key = key
-        self.arrays = arrays
-        self.columns = columns
-        #: Built by the first run that asks: the rows by object and the
-        #: preloaded copies over them, the most requests any cacheable
-        #: object gets, the rows by step (and for lane_actions the times,
-        #: the step rows by object and where each modification lands), the
-        #: last fault schedule by lane, LRU residency and lane-state
-        #: template.
-        self.view: Optional[StreamView] = None
-        self.preload: Optional[PreloadView] = None
-        self.busiest: Optional[int] = None
-        self.steps: Optional[StepView] = None
-        self.rows: Optional[tuple["np.ndarray[Any, Any]", ...]] = None
-        self.actions: Optional[tuple["np.ndarray[Any, Any]", float,
-                                     LaneActions]] = None
-        self.residency: Optional[tuple[tuple[float, bool], Residency]] = None
-        self.lanes: Optional[tuple[tuple[float, bool], LaneState]] = None
-
-
-#: Per compiled server: the last successfully encoded list or tuple, its
-#: arrays, their columns and what runs have derived from them.
-_STREAMS: "weakref.WeakKeyDictionary[CompiledServer, _Memo]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _kept(compiled: CompiledServer, req_times: list[float],
-          req_objs: list[int]) -> Optional[_Memo]:
-    """The memo of ``compiled``, if these are its stream's arrays."""
-    memo = _STREAMS.get(compiled)
-    if memo and memo.arrays[0] is req_times and memo.arrays[1] is req_objs:
-        return memo
-    return None
-
-
 def _columns(
     compiled: CompiledServer, req_times: Sequence[float], req_objs: Sequence[int]
 ) -> _Columns:
@@ -726,26 +771,21 @@ def stream_columns(
     return _columns(compiled, req_times, req_objs)
 
 
+@_per_stream()
 def stream_view(
     compiled: CompiledServer, req_times: list[float], req_objs: list[int],
     columns: _Columns,
 ) -> StreamView:
     """The stream and its ``columns`` by object: rows in object-then-time
-    order (a stable sort of ``req_objs``), object ``i``'s ending at
-    ``ends[i]``, then each row's request position.  The times are floats
-    made in object order, next to each other rather than wherever the
-    stream's own lie, so that a bisect compares them without making any;
-    the other columns are packed machine values (eight bytes a row), each
-    made as it is read.  The arrays :func:`encode_requests` last
-    remembered for ``compiled`` get their view built once, by the first
-    run that asks; any others get one built for this call alone.
-    """
-    memo = _kept(compiled, req_times, req_objs)
-    if memo is not None and memo.view is not None:
-        return memo.view
+    order (:func:`_order`), object ``i``'s ending at ``ends[i]``, then each
+    row's request position.  The times are floats made in object order,
+    next to each other rather than wherever the stream's own lie, so that
+    a bisect compares them without making any; the other columns are
+    packed machine values (eight bytes a row), each made as it is read.
+    Kept with the stream (:func:`_per_stream`)."""
     count = len(req_objs)
-    objs, counts, _ = _requests_per_object(compiled, req_objs)
-    order = np.argsort(objs, kind="stable")
+    counts = _counts(compiled, req_times, req_objs)
+    order = _order(compiled, req_times, req_objs)
     ends = np.cumsum(counts).tolist()
 
     def rows(code: str, column: "np.ndarray[Any, Any]") -> "array[Any]":
@@ -754,29 +794,22 @@ def stream_view(
     versions, stamps = columns  # their sentinel row is no request's
     # A tuple, one index object per object: a run reads its row number
     # off this column's iterator.
-    view = (ends, np.fromiter(req_times, np.float64, count)[order].tolist(),
+    return (ends, np.fromiter(req_times, np.float64, count)[order].tolist(),
             tuple(chain.from_iterable(map(repeat, range(len(ends)),
                                           counts.tolist()))),
             rows("q", np.fromiter(versions, np.int64, count)),
             rows("d", np.fromiter(stamps, np.float64, count)),
             rows("q", np.arange(count, dtype=np.int64)))
-    if memo is not None:
-        memo.view = view
-    return view
 
 
+@_per_stream()
 def preload_view(
     compiled: CompiledServer, req_times: list[float], req_objs: list[int],
     view: StreamView, state: CacheState,
 ) -> PreloadView:
     """The preloaded copies (:class:`PreloadView`) over the stream by
     object ``view`` (:func:`stream_view`'s), ``state`` holding them as
-    preloaded at the stream's ``start_time``; for the arrays
-    :func:`encode_requests` last remembered, built once, by the first run
-    that asks."""
-    memo = _kept(compiled, req_times, req_objs)
-    if memo is not None and memo.preload is not None:
-        return memo.preload
+    preloaded at the stream's ``start_time``; kept with the stream."""
     ends, r_times, _, r_versions, _, positions = view
     object_ends = np.array(ends, dtype=np.int64)
     counts = np.diff(object_ends, prepend=0)
@@ -791,7 +824,7 @@ def preload_view(
     times = np.array(r_times)
     # Rows ascend by object, then time; |time| < span / 2 keeps objects apart.
     span = 2.0 * (float(np.abs(times).max(initial=0.0)) + 1.0)
-    found = PreloadView(
+    return PreloadView(
         lanes=lanes, starts=starts, ends=lane_ends,
         changed=np.array(changed, dtype=np.int64),
         since=np.array(since, dtype=np.float64),
@@ -802,52 +835,29 @@ def preload_view(
                                    len(times)), len(times)),
         state=LaneState(state, lanes, False),
     )
-    if memo is not None:
-        memo.preload = found
-    return found
 
 
-def _requests_per_object(
-    compiled: CompiledServer, req_objs: list[int]
-) -> tuple["np.ndarray[Any, Any]", "np.ndarray[Any, Any]",
-           "np.ndarray[Any, Any]"]:
-    """The stream's objects, and per object its requests: all of them,
-    and only a cacheable object's (a non-cacheable one gets no lane,
-    :class:`StepView`)."""
-    # Sorting 16-bit keys is a radix sort, several times a 64-bit one.
-    small = len(compiled.ids) <= 1 << 16
-    objs = np.fromiter(req_objs, np.uint16 if small else np.int64, len(req_objs))
-    counts = np.bincount(objs, minlength=len(compiled.ids))
-    cacheable = np.array(compiled.cacheable, dtype=bool)
-    return objs, counts, np.where(cacheable, counts, 0)
-
-
+@_per_stream()
 def busiest(compiled: CompiledServer, req_times: list[float],
             req_objs: list[int]) -> int:
     """The most requests any one cacheable object gets in the stream: how
-    many steps :func:`step_view` takes.  Remembered with the stream's
-    arrays, like the views."""
-    memo = _kept(compiled, req_times, req_objs)
-    if memo is not None and memo.busiest is not None:
-        return memo.busiest
-    most = int(_requests_per_object(compiled, req_objs)[2].max(initial=0))
-    if memo is not None:
-        memo.busiest = most
-    return most
+    many steps :func:`step_view` takes.  Read off the stream's counts, so
+    a run that walks sorts nothing; kept with the stream."""
+    return int(np.where(compiled.cacheable, _counts(
+        compiled, req_times, req_objs), 0).max(initial=0))
 
 
+@_per_stream()
 def step_view(
     compiled: CompiledServer, req_times: list[float], req_objs: list[int],
     columns: _Columns,
 ) -> StepView:
-    """The stream and its ``columns`` by step (:class:`StepView`); for the
-    arrays :func:`encode_requests` last remembered for ``compiled``,
-    built once, by the first run that asks."""
-    memo = _kept(compiled, req_times, req_objs)
-    if memo is not None and memo.steps is not None:
-        return memo.steps
-    objs, counts, lane_counts = _requests_per_object(compiled, req_objs)
-    lanes = np.argsort(-lane_counts, kind="stable")
+    """The stream and its ``columns`` by step (:class:`StepView`), cut from
+    the stream by object (:func:`_order`); kept with the stream."""
+    counts = _counts(compiled, req_times, req_objs)
+    cacheable = np.array(compiled.cacheable, dtype=bool)
+    lane_counts = np.where(cacheable, counts, 0)  # a non-cacheable object's
+    lanes = np.argsort(-lane_counts, kind="stable")  # rows are in no step
     ranked = lane_counts[lanes]  # descending
     # Step k holds every lane with more than k requests; its rows start
     # where step k - 1's end.
@@ -855,23 +865,18 @@ def step_view(
     starts = np.cumsum(widths) - widths
     lane_of = np.empty_like(lanes)
     lane_of[lanes] = np.arange(len(lanes))
-    # Rows by object, then time: a row's rank among its object's is its
-    # step, and its object's lane its place in that step.  (Each stream
-    # long temporary is dropped as soon as it has served.)
-    order = np.argsort(objs, kind="stable")
-    objs = objs[order]
-    lane = lane_of[objs]
-    kept = lane_counts[objs] > 0  # a non-cacheable object's rows are in no step
-    rank = np.flatnonzero(kept)
-    rank -= (np.cumsum(counts) - counts)[objs[rank]]
+    # The stream by object, a cacheable object's rows: a row's rank among
+    # its object's is its step, and its object's lane its place in that
+    # step.  (Each stream long temporary is dropped once it has served.)
+    objs = np.repeat(np.arange(len(lanes)), lane_counts)
+    slots = starts[np.arange(len(objs)) - np.repeat(
+        np.cumsum(lane_counts) - lane_counts, lane_counts)]
+    slots += lane_of[objs]
     del objs
-    slots = starts[rank]
-    del rank
-    slots += lane[kept]
-    del lane
     positions = np.empty(len(slots), dtype=np.int64)
-    positions[slots] = order[kept]
-    del slots, order, kept
+    positions[slots] = _order(compiled, req_times, req_objs)[
+        np.repeat(cacheable, counts)]
+    del slots
     # Versions and places in mod_times are at most len(mod_times), plus one.
     index = np.int32 if len(compiled.mod_times) < (1 << 31) - 1 else np.int64
     versions, stamps = columns
@@ -889,7 +894,7 @@ def step_view(
     gaps[later] -= versions[later - np.repeat(widths[:-1], widths[1:])]
     requested = np.flatnonzero(ranked)
     gaps[rows + requested] -= versions[starts[ranked[requested] - 1] + requested]
-    view = StepView(
+    return StepView(
         lanes=lanes,
         widths=widths.tolist(),
         times=np.array(req_times, dtype=np.float64)[positions],
@@ -908,9 +913,6 @@ def step_view(
         row_mod_lo=mod_lo[row_lanes].astype(index),
         gaps=gaps,
     )
-    if memo is not None:
-        memo.steps = view
-    return view
 
 
 #: Per request position, is its object resident just before it; the final
@@ -918,6 +920,7 @@ def step_view(
 Residency = tuple["np.ndarray[Any, Any]", "OrderedDict[int, None]", int]
 
 
+@_per_stream(lambda capacity, preload: (capacity, preload))
 def lru_residency(
     compiled: CompiledServer, req_times: list[float], req_objs: list[int],
     capacity: float, preload: bool,
@@ -935,10 +938,6 @@ def lru_residency(
         ValueError: for an object larger than ``capacity`` that would be
             stored (the walk's message).
     """
-    memo = _kept(compiled, req_times, req_objs)
-    if memo is not None and memo.residency is not None and (
-            memo.residency[0] == (capacity, preload)):
-        return memo.residency[1]
     ids, sizes, cacheable = compiled.ids, compiled.sizes, compiled.cacheable
     order: OrderedDict[int, None] = OrderedDict()
     evict = order.popitem
@@ -967,10 +966,7 @@ def lru_residency(
             touch(i)
         elif cacheable[i]:
             store(i)
-    found = np.frombuffer(held, dtype=bool), order, evictions
-    if memo is not None:
-        memo.residency = (capacity, preload), found
-    return found
+    return np.frombuffer(held, dtype=bool), order, evictions
 
 
 def encode_requests(

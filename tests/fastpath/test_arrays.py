@@ -14,7 +14,9 @@ import bisect
 import gc
 import sys
 import weakref
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.analysis.sweep import sweep_alex
@@ -45,6 +47,7 @@ from repro.fastpath import (
 from repro.fastpath.arrays import stream_columns
 from repro.fastpath.kernels import run_kernel
 from repro.faults import FaultPlan
+from repro.workload.base import Workload
 from tests.conftest import make_history
 
 OPTIMIZED = SimulatorMode.OPTIMIZED
@@ -615,3 +618,121 @@ class TestViewBuiltOncePerStream:
             zip(times, objs), key=lambda row: row[1])
         assert ends[objs[0]] == sum(1 for o in objs if o <= objs[0])
 
+
+    def test_one_sort_of_the_objects_per_kept_stream(
+        self, flat_workload, monkeypatch
+    ):
+        """Every view by object is cut from one stable sort of the stream's
+        objects: a skipping run, a stepping run and a stepping run under a
+        fault plan share it; a one-shot iterator sorts once per run."""
+        workload = flat_workload
+        server = OriginServer(workload.histories)
+        index = compile_server(server).index
+        objects = np.array([index[oid] for _, oid in workload.requests])
+        sorts = []
+        real = arrays._by_object
+
+        def counting(objs, count):
+            if len(objs) == len(objects) and np.array_equal(objs, objects):
+                sorts.append(objs)
+            return real(objs, count)
+
+        monkeypatch.setattr(arrays, "_by_object", counting)
+        monkeypatch.setattr(specialise, "_KERNELS", weakref.WeakKeyDictionary())
+        choose = specialise._Kernel.__call__
+
+        def skipping(kernel, observed, scheduled, skippable, steppable=False):
+            # The stream changes too often to skip on its own.
+            return choose(kernel, observed, scheduled, True, False)
+
+        plan = FaultPlan(loss_rate=0.3, retries=1,
+                         cache_crashes=(days(3),), seed=3)
+        with mock.patch.object(specialise._Kernel, "__call__", skipping):
+            fast(server, workload, workload.requests)
+        assert (False, False, True, False) in compile_protocol(
+            alex())[0].variants
+        fast(server, workload, workload.requests)
+        fast_simulate(server, InvalidationProtocol(), workload.requests,
+                      end_time=workload.duration, faults=plan)
+        assert (False, True, False, True) in compile_protocol(
+            InvalidationProtocol())[0].variants
+        assert len(sorts) == 1
+        fast(server, workload, iter(workload.requests))
+        fast_simulate(server, InvalidationProtocol(),
+                      iter(workload.requests), end_time=workload.duration,
+                      faults=plan)
+        assert len(sorts) == 3
+
+    @pytest.mark.parametrize("name", ["flat_workload", "mixed_workload"])
+    def test_the_steps_are_the_stream_by_object(self, name, request):
+        """Regrouped lane by lane, the stream by step is the stream by
+        object for the cacheable objects; every object has a lane, and a
+        non-cacheable or unrequested one holds no row.  The rows by object
+        fault plans are cut on are the same, each object's followed by one
+        flush row."""
+        workload = request.getfixturevalue(name)
+        if name == "mixed_workload":
+            # Leave one object unrequested, beside the non-cacheable one.
+            workload = Workload(workload.histories, [
+                (t, oid) for t, oid in workload.requests if oid != "/static"
+            ], workload.duration)
+        compiled = compile_server(OriginServer(workload.histories))
+        times, objs = encode_requests(compiled, workload.requests, 0.0)
+        columns = stream_columns(compiled, times, objs)
+        ends, *_, positions = arrays.stream_view(compiled, times, objs, columns)
+        steps = arrays.step_view(compiled, times, objs, columns)
+        lanes = steps.lanes.tolist()
+        assert sorted(lanes) == list(range(len(compiled.ids)))
+        by_lane = {i: [] for i in lanes}
+        row = 0
+        for width in steps.widths:
+            for lane in lanes[:width]:
+                by_lane[lane].append(steps.positions[row])
+                row += 1
+        starts = [0, *ends[:-1]]
+        by_object = {i: positions[starts[i]:ends[i]].tolist()
+                     if compiled.cacheable[i] else [] for i in lanes}
+        assert by_lane == by_object
+        requested = set(objs)
+        assert [i for i in lanes if not by_lane[i]] == [
+            i for i in lanes if not compiled.cacheable[i] or i not in requested]
+        keys = arrays._lane_rows(compiled, times, objs, steps)[3]
+        flushed = []
+        for i in range(len(compiled.ids)):
+            flushed += by_object[i] + [len(times)]
+        assert (keys % (len(times) + 2)).tolist() == flushed
+
+
+def wide_server(objects=(1 << 16) + 100):
+    """More objects than 16-bit keys hold, nearly all never modified nor
+    requested; the last 200, half of them past the 16-bit range, change
+    twice each."""
+    histories = [make_history(f"/s{k}", size=100)
+                 for k in range(objects - 200)]
+    histories += [make_history(f"/w{k}", size=500 + k,
+                               changes=(hours(3 + k % 7), hours(40 + k % 11)))
+                  for k in range(200)]
+    return histories
+
+
+class TestMoreObjectsThanSixteenBits:
+    """The by-object sort takes 64-bit keys past 65,536 objects."""
+
+    @pytest.fixture(scope="class")
+    def histories(self):
+        return wide_server()
+
+    @pytest.mark.parametrize("requests,kind", [
+        (2_000, (False, False, False, True)),  # dense and flat: steps
+        (4_000, (False, False, True, False)),  # sparse: skips
+    ])
+    def test_fast_equals_the_reference(self, histories, requests, kind,
+                                       monkeypatch):
+        monkeypatch.setattr(specialise, "_KERNELS", weakref.WeakKeyDictionary())
+        workload = Workload(histories, [
+            (hours(0.02 * k), f"/w{(k * 37) % 200}") for k in range(requests)
+        ], days(4))
+        server = OriginServer(histories)
+        assert fast(server, workload, workload.requests) == reference(
+            workload, workload.requests)
+        assert kind in compile_protocol(alex())[0].variants
